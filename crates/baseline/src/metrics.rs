@@ -7,10 +7,9 @@
 /// relevance order is "findable" through the visualization, while a
 /// boolean baseline either returns it (drowned among thousands) or not
 /// at all.
-/// Pass only the *ranked* part of a pipeline's order (its
-/// `sorted_len` prefix): positions in the unsorted top-k tail carry no
-/// rank information, and an unranked hot spot is exactly the `None`
-/// ("not findable") outcome this metric is meant to report.
+/// A pipeline's `order` holds only what it ranked (the policy's top
+/// k): an unranked hot spot is exactly the `None` ("not findable")
+/// outcome this metric is meant to report.
 pub fn hot_spot_ranks(order: &[usize], targets: &[usize]) -> Vec<Option<usize>> {
     targets
         .iter()

@@ -3,7 +3,8 @@
 //! at AND/OR fan-ins of 2, 4 and 8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use visdb_relevance::combine::{ablation, combine_and, combine_or};
+use visdb_relevance::combine::ablation;
+use visdb_relevance::reference::{combine_and, combine_or};
 
 const N: usize = 100_000;
 

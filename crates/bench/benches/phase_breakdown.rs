@@ -10,9 +10,9 @@ use visdb_arrange::arrange_overall;
 use visdb_bench::{ramp_db, three_predicate_query};
 use visdb_distance::DistanceResolver;
 use visdb_query::ast::{ConditionNode, Weighted};
-use visdb_relevance::combine::combine_and;
 use visdb_relevance::eval::{EvalContext, ExecMode};
 use visdb_relevance::normalize::normalize_frame;
+use visdb_relevance::reference::combine_and;
 
 const N: usize = 100_000;
 

@@ -38,7 +38,8 @@ fn c2_hot_spots() -> Result<()> {
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
     )?;
-    let ranks = hot_spot_ranks(&out.order[..out.sorted_len], &env.truth.hot_spot_rows);
+    let ranked: Vec<usize> = out.ranked().collect();
+    let ranks = hot_spot_ranks(&ranked, &env.truth.hot_spot_rows);
     println!("  query: Ozone > 1500 over {} rows", pollution.len());
     println!(
         "  boolean baseline rows: {}",
@@ -126,7 +127,7 @@ fn c5_approx_join() -> Result<()> {
     )?;
     let m = data.db.table("CustomersB")?.len();
     let truth: Vec<usize> = data.pairs.iter().map(|&(i, j)| i * m + j).collect();
-    let top = &out.order[..truth.len().min(out.sorted_len)];
+    let top: Vec<usize> = out.ranked().take(truth.len()).collect();
     let recovered = truth.iter().filter(|t| top.contains(t)).count();
     println!("  cross product: {} pairs", base.len());
     println!(
@@ -168,7 +169,7 @@ fn c5_approx_join() -> Result<()> {
         query.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
     )?;
-    let best = out.order.first().copied().map(|i| out.windows[0].raw_at(i));
+    let best = out.ranked().next().map(|i| out.windows[0].raw_at(i));
     println!(
         "  environmental at-same-time join: {} exact (clock offset), closest approximate pair \
          {:?} seconds apart",

@@ -199,14 +199,11 @@ fn fig4_and_5() -> Result<()> {
     let map = session.colormap().clone();
     let mut frames = Vec::new();
     // overall of the OR part
-    let combined = view.pipeline.combined.clone();
-    let m2 = map.clone();
-    let overall_colors = move |item: u32| -> Option<Rgb> {
+    let combined = &view.pipeline.combined;
+    let overall_colors = |item: u32| -> Option<Rgb> {
         combined
             .get(item as usize)
-            .copied()
-            .flatten()
-            .and_then(|d| m2.color_for_distance(d).ok())
+            .and_then(|d| map.color_for_distance(d).ok())
     };
     frames.push(render_item_window(
         &WindowSpec {
@@ -267,7 +264,7 @@ fn fig4_and_5() -> Result<()> {
         .filter(|&&i| {
             let far_on_humidity =
                 matches!(view.pipeline.windows[hum_window].normalized_at(i), Some(d) if d > 150.0);
-            let good_overall = matches!(res.pipeline.combined[i], Some(d) if d < 40.0);
+            let good_overall = matches!(res.pipeline.combined.get(i), Some(d) if d < 40.0);
             far_on_humidity && good_overall
         })
         .count();

@@ -57,12 +57,14 @@ use visdb_query::ast::{CompareOp, PredicateTarget};
 use visdb_query::builder::QueryBuilder;
 use visdb_query::connection::ConnectionRegistry;
 use visdb_relevance::chunk;
-use visdb_relevance::combine::{and_row, combine_and_slices};
-use visdb_relevance::normalize::{apply_slice, fit_frame, fit_improved, NormParams};
+use visdb_relevance::combine::combine_and_slices;
+use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
 use visdb_relevance::pipeline::{
     run_pipeline, run_pipeline_opts, run_pipeline_partitioned, run_pipeline_scalar, DisplayPolicy,
     Materialization, PipelineOptions, PipelineOutput,
 };
+use visdb_relevance::reference::{and_row, fit_improved};
+use visdb_relevance::select::{k_smallest_sorted, rank_order};
 use visdb_storage::{Database, TableBuilder};
 use visdb_types::{Column, DataType, Value};
 
@@ -778,12 +780,12 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
         "displayed diverges at n={n}"
     );
     assert_eq!(
-        fast.order[..fast.sorted_len],
-        slow.order[..fast.sorted_len],
+        fast.order,
+        slow.order[..fast.order.len()],
         "sorted order prefix diverges at n={n}"
     );
     assert!(
-        fast.sorted_len < fast.order.len(),
+        fast.order.len() < n,
         "top-k selection must engage when the display count < n (n={n})"
     );
     for (f, s) in fast.windows.iter().zip(&slow.windows) {
@@ -806,23 +808,17 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
 
 /// Deterministic pseudo-random combined-distance vector for the sort
 /// micro-benchmark (xorshift; no `rand` in the timed path).
-fn synthetic_combined(n: usize, seed: u64) -> Vec<Option<f64>> {
+fn synthetic_combined(n: usize, seed: u64) -> DistanceFrame {
     let mut state = seed.max(1);
-    (0..n)
+    let options: Vec<Option<f64>> = (0..n)
         .map(|_| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             Some((state >> 11) as f64 / (1u64 << 53) as f64 * 255.0)
         })
-        .collect()
-}
-
-fn rank_cmp(combined: &[Option<f64>], a: usize, b: usize) -> std::cmp::Ordering {
-    combined[a]
-        .partial_cmp(&combined[b])
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.cmp(&b))
+        .collect();
+    DistanceFrame::from_options(&options)
 }
 
 /// A single `Str`-column table for the string-predicate series: ~100
@@ -1042,21 +1038,22 @@ fn bench_size(n: usize) -> SizeResult {
     // top-k vs full sort on the same synthetic ranking problem
     let combined = synthetic_combined(n, 0x5eed ^ n as u64);
     let k = (n / 100).max(1);
+    // the scalar reference's rank (sort every defined row) vs the
+    // pipeline's own bound-pruned selection kernel
     let full_sort_s = note(
         &mut rep_counts,
         time_median(min_reps, || {
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.sort_by(|&a, &b| rank_cmp(&combined, a, b));
+            let vals = combined.values();
+            let mut idx: Vec<u32> = (0..n as u32).collect();
+            idx.sort_by(|&a, &b| rank_order(&(vals[a as usize], a), &(vals[b as usize], b)));
             idx
         }),
     );
+    let ranges = chunk::ranges(n, None);
     let topk_s = note(
         &mut rep_counts,
         time_median(min_reps, || {
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.select_nth_unstable_by(k - 1, |&a, &b| rank_cmp(&combined, a, b));
-            idx[..k].sort_unstable_by(|&a, &b| rank_cmp(&combined, a, b));
-            idx
+            k_smallest_sorted(&combined, &ranges, n >= chunk::PAR_MIN_ROWS, k)
         }),
     );
 
@@ -1523,6 +1520,14 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"pipeline\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
+    // the box: every ratio below depends on how many cores ran it
+    let _ = writeln!(
+        json,
+        "  \"box\": {{\"nproc\": {}, \"os\": \"{}\", \"arch\": \"{}\"}},",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        std::env::consts::OS,
+        std::env::consts::ARCH
+    );
     let _ = writeln!(
         json,
         "  \"workload\": \"x >= 0.9n numeric predicate over a float ramp, Percentage(1) display\","

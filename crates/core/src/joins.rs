@@ -19,6 +19,8 @@
 //! Both strategies are *substitutions for a scrolling display*, not for
 //! the math: every retained pair gets its true distance.
 
+use std::sync::Arc;
+
 use visdb_query::ast::{ConditionNode, Query, Weighted};
 use visdb_query::connection::ConnectionKind;
 use visdb_storage::{Database, Table};
@@ -68,12 +70,13 @@ fn find_time_diff(node: &ConditionNode) -> Option<(String, String, f64)> {
     found
 }
 
-/// Materialise the base relation for a query: the single table itself, or
-/// a bounded cross product for multi-table queries.
-pub fn materialize_base(db: &Database, query: &Query, opts: &JoinOptions) -> Result<Table> {
+/// Materialise the base relation for a query: the single table itself
+/// (a shared handle — no row is copied), or a bounded cross product for
+/// multi-table queries.
+pub fn materialize_base(db: &Database, query: &Query, opts: &JoinOptions) -> Result<Arc<Table>> {
     match query.tables.len() {
         0 => Err(Error::invalid_query("query references no tables")),
-        1 => Ok(db.table(&query.tables[0])?.clone()),
+        1 => db.shared_table(&query.tables[0]),
         2 => {
             let left = db.table(&query.tables[0])?;
             let right = db.table(&query.tables[1])?;
@@ -81,7 +84,7 @@ pub fn materialize_base(db: &Database, query: &Query, opts: &JoinOptions) -> Res
                 .condition
                 .as_ref()
                 .and_then(|w: &Weighted| find_time_diff(&w.node));
-            materialize_pair(left, right, time_diff, opts)
+            materialize_pair(left, right, time_diff, opts).map(Arc::new)
         }
         n => Err(Error::invalid_query(format!(
             "queries over {n} tables are not supported (the paper's interface joins two relations at a time)"
@@ -226,6 +229,7 @@ mod tests {
         let q = QueryBuilder::from_tables(["L"]).build();
         let t = materialize_base(&db, &q, &JoinOptions::default()).unwrap();
         assert_eq!(t.len(), 5);
+        assert!(Arc::ptr_eq(&t, &db.shared_table("L").unwrap()));
     }
 
     #[test]

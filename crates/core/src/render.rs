@@ -46,22 +46,17 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
         .into_iter()
         .collect();
     let ppi = session.pixels_per_item();
-    let map0 = session.colormap().clone();
     session.result()?; // ensure the cache is fresh
-    let map = map0.clone();
+    let session = &*session;
+    let map = session.colormap();
     let res = session.cached_result().expect("cached by result()");
+    let color = |d: Option<f64>| d.and_then(|d| map.color_for_distance(d).ok());
 
     let mut frames = Vec::with_capacity(1 + res.pipeline.windows.len());
 
     // overall result window: color by combined distance
-    let combined = res.pipeline.combined.clone();
-    let overall_colors = move |item: u32| -> Option<Rgb> {
-        combined
-            .get(item as usize)
-            .copied()
-            .flatten()
-            .and_then(|d| map.color_for_distance(d).ok())
-    };
+    let combined = &res.pipeline.combined;
+    let overall_colors = |item: u32| -> Option<Rgb> { color(combined.get(item as usize)) };
     frames.push(render_item_window(
         &WindowSpec {
             grid: &res.grid,
@@ -76,12 +71,7 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
         let grid = place_like(&res.grid);
         // windows cover every displayed item whether materialized or
         // late-materialized (the grid only places displayed items)
-        let win = win.clone();
-        let map = map0.clone();
-        let colors = move |item: u32| -> Option<Rgb> {
-            win.normalized_at(item as usize)
-                .and_then(|d| map.color_for_distance(d).ok())
-        };
+        let colors = |item: u32| -> Option<Rgb> { color(win.normalized_at(item as usize)) };
         frames.push(render_item_window(
             &WindowSpec {
                 grid: &grid,
@@ -93,11 +83,19 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
     }
 
     if opts.with_spectra {
-        let map = &map0;
         let width = res.grid.width() * ppi.side();
-        frames.push(render_spectrum(&res.pipeline.combined, map, width, 8));
+        frames.push(render_spectrum(combined.iter(), map, width, 8));
         for win in &res.pipeline.windows {
-            frames.push(render_spectrum(&win.normalized_options(), map, width, 8));
+            frames.push(match win.full_frames() {
+                Some((_, normalized)) => render_spectrum(normalized.iter(), map, width, 8),
+                // a late-materialized window covers exactly the ranked rows
+                None => render_spectrum(
+                    (res.pipeline.order.iter()).map(|&i| win.normalized_at(i as usize)),
+                    map,
+                    width,
+                    8,
+                ),
+            });
         }
     }
 

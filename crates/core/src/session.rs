@@ -34,8 +34,9 @@ use crate::sliders::{OverallPanel, Panel, SliderModel};
 /// The cached computation of one query evaluation.
 #[derive(Debug, Clone)]
 pub struct SessionResult {
-    /// The materialised base relation (table or bounded cross product).
-    pub base: Table,
+    /// The base relation: the database's own table (shared, not
+    /// copied) or a bounded cross product materialised for this result.
+    pub base: Arc<Table>,
     /// The relevance pipeline output.
     pub pipeline: PipelineOutput,
     /// The spiral arrangement of the displayed items.
@@ -653,8 +654,7 @@ impl Session {
                 }
             }
         }
-        let q = self.query.clone().expect("query present");
-        validate(&self.db, &q)?;
+        validate(&self.db, self.query.as_ref().expect("query present"))?;
         self.invalidate();
         self.maybe_recalculate()
     }
@@ -694,8 +694,7 @@ impl Session {
                 }
             }
         }
-        let q = self.query.clone().expect("query present");
-        validate(&self.db, &q)?;
+        validate(&self.db, self.query.as_ref().expect("query present"))?;
         self.invalidate();
         if let Some(drag) = self.try_incremental_drag()? {
             return Ok(drag);
@@ -1197,7 +1196,7 @@ impl Session {
         let selected = self.selected_item;
         let color_range = self.color_range;
         self.result()?; // ensure the cache is fresh
-        let query = self.query.clone().expect("query ran");
+        let query = self.query.as_ref().expect("query ran");
         let res = self.result.as_ref().expect("cached by result()");
         let overall = OverallPanel {
             num_objects: res.pipeline.n,

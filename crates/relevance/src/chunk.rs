@@ -208,16 +208,21 @@ pub fn map_ranges<R: Send>(
     parallel: bool,
     f: impl Fn(usize, usize) -> R + Sync,
 ) -> Vec<R> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let fan_out = parallel && n >= PAR_MIN_ROWS;
-    let ranges = ranges(n, partitions);
+    map_range_list(&ranges(n, partitions), parallel && n >= PAR_MIN_ROWS, f)
+}
+
+/// [`map_ranges`] over an explicit range list: `f(offset, len)` once per
+/// range, fanned out when `parallel` is set, results in range order.
+pub fn map_range_list<R: Send>(
+    ranges: &[(usize, usize)],
+    parallel: bool,
+    f: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
     let mut out: Vec<Option<R>> = ranges.iter().map(|_| None).collect();
     {
         let tasks: Vec<(&(usize, usize), &mut Option<R>)> =
             ranges.iter().zip(out.iter_mut()).collect();
-        run_striped(tasks, fan_out, |(&(offset, len), slot)| {
+        run_striped(tasks, parallel, |(&(offset, len), slot)| {
             *slot = Some(f(offset, len));
         });
     }

@@ -25,106 +25,19 @@ use visdb_distance::frame::{DistanceFrame, FrameStats};
 use visdb_types::{Error, Result};
 
 use crate::normalize::NORM_MAX;
+use crate::reference::or_row;
 
-fn check<C: AsRef<[Option<f64>]>>(children: &[C], weights: &[f64]) -> Result<usize> {
-    if children.is_empty() {
-        return Err(Error::invalid_query("combine of zero children"));
-    }
-    if children.len() != weights.len() {
-        return Err(Error::Internal(format!(
-            "{} children but {} weights",
-            children.len(),
-            weights.len()
-        )));
-    }
-    let n = children[0].as_ref().len();
-    if children.iter().any(|c| c.as_ref().len() != n) {
-        return Err(Error::Internal("ragged child distance vectors".into()));
-    }
-    Ok(n)
-}
+/// A branchless slice combiner: children as `(values, validity)` views,
+/// weights, output values, output validity.
+type SliceCombiner = fn(&[(&[f64], &[bool])], &[f64], &mut [f64], &mut [bool]);
 
-/// One row of the weighted arithmetic mean (`AND`): the per-row kernel
-/// shared by [`combine_and`] and the pipeline's fused chunk walk.
-#[inline]
-pub fn and_row(vals: &[Option<f64>], weights: &[f64]) -> Option<f64> {
-    let mut sum = 0.0;
-    for (v, &w) in vals.iter().zip(weights) {
-        match v {
-            Some(d) => sum += w * d,
-            None => return None,
-        }
-    }
-    Some(sum)
-}
-
-/// One row of the weighted geometric mean (`OR`): the per-row kernel
-/// shared by [`combine_or`] and the pipeline's fused chunk walk.
-#[inline]
-pub fn or_row(vals: &[Option<f64>], weights: &[f64]) -> Option<f64> {
-    let mut prod = 1.0f64;
-    let mut any_defined = false;
-    for (v, &w) in vals.iter().zip(weights) {
-        let d = match v {
-            Some(d) => {
-                any_defined = true;
-                *d
-            }
-            None => NORM_MAX, // an undefined part cannot help an OR
-        };
-        if w == 0.0 {
-            continue;
-        }
-        prod *= d.powf(w);
-        if prod == 0.0 {
-            break;
-        }
-    }
-    if any_defined {
-        Some(prod)
-    } else {
-        None
-    }
-}
-
-/// Weighted arithmetic mean — `AND` semantics.
-pub fn combine_and<C: AsRef<[Option<f64>]>>(
-    children: &[C],
+/// Run a slice combiner over whole frames, with the 4-lane
+/// [`FrameStats::of_slice`] reduction over the buffers it just wrote.
+fn combine_frames(
+    children: &[&DistanceFrame],
     weights: &[f64],
-) -> Result<Vec<Option<f64>>> {
-    let n = check(children, weights)?;
-    let mut row = vec![None; children.len()];
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        for (slot, c) in row.iter_mut().zip(children) {
-            *slot = c.as_ref()[i];
-        }
-        out.push(and_row(&row, weights));
-    }
-    Ok(out)
-}
-
-/// Weighted geometric mean — `OR` semantics.
-///
-/// `0^0` (zero distance, zero weight) is defined as 1 (no influence), so a
-/// weightless fulfilled part neither helps nor hurts.
-pub fn combine_or<C: AsRef<[Option<f64>]>>(
-    children: &[C],
-    weights: &[f64],
-) -> Result<Vec<Option<f64>>> {
-    let n = check(children, weights)?;
-    let mut row = vec![None; children.len()];
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        for (slot, c) in row.iter_mut().zip(children) {
-            *slot = c.as_ref()[i];
-        }
-        out.push(or_row(&row, weights));
-    }
-    Ok(out)
-}
-
-fn check_frames(children: &[&DistanceFrame], weights: &[f64]) -> Result<usize> {
+    kernel: SliceCombiner,
+) -> Result<(DistanceFrame, FrameStats)> {
     if children.is_empty() {
         return Err(Error::invalid_query("combine of zero children"));
     }
@@ -139,7 +52,15 @@ fn check_frames(children: &[&DistanceFrame], weights: &[f64]) -> Result<usize> {
     if children.iter().any(|c| c.len() != n) {
         return Err(Error::Internal("ragged child distance frames".into()));
     }
-    Ok(n)
+    let views: Vec<(&[f64], &[bool])> = children
+        .iter()
+        .map(|c| (c.values(), c.validity().as_slice()))
+        .collect();
+    let mut out = DistanceFrame::undefined(n);
+    let (vals, mask) = out.parts_mut();
+    kernel(&views, weights, vals, mask);
+    let stats = FrameStats::of_slice(vals, mask);
+    Ok((out, stats))
 }
 
 /// Branchless slice form of the weighted arithmetic mean (`AND`): one
@@ -149,8 +70,8 @@ fn check_frames(children: &[&DistanceFrame], weights: &[f64]) -> Result<usize> {
 /// rows the intersected mask has already cleared — while the output mask
 /// is the plain byte-AND of the child masks, which the autovectorizer
 /// turns into wide integer ops. Accumulation runs in the same child
-/// order as [`and_row`] starting from `0.0`, so fully-defined rows are
-/// bit-identical to the per-row reference.
+/// order as [`crate::reference::and_row`] starting from `0.0`, so
+/// fully-defined rows are bit-identical to the per-row reference.
 pub fn combine_and_slices(
     children: &[(&[f64], &[bool])],
     weights: &[f64],
@@ -237,42 +158,22 @@ pub fn combine_or_slices(
     }
 }
 
-/// [`combine_and`] over packed frames, with fused stats — the branchless
-/// [`combine_and_slices`] kernel plus the 4-lane [`FrameStats::of_slice`]
-/// reduction over the buffers it just wrote.
+/// Weighted arithmetic mean (`AND`) over packed frames, with fused
+/// stats: [`combine_and_slices`] over whole frames.
 pub fn combine_and_frames(
     children: &[&DistanceFrame],
     weights: &[f64],
 ) -> Result<(DistanceFrame, FrameStats)> {
-    let n = check_frames(children, weights)?;
-    let views: Vec<(&[f64], &[bool])> = children
-        .iter()
-        .map(|c| (c.values(), c.validity().as_slice()))
-        .collect();
-    let mut out = DistanceFrame::undefined(n);
-    let (vals, mask) = out.parts_mut();
-    combine_and_slices(&views, weights, vals, mask);
-    let stats = FrameStats::of_slice(vals, mask);
-    Ok((out, stats))
+    combine_frames(children, weights, combine_and_slices)
 }
 
-/// [`combine_or`] over packed frames, with fused stats — the branchless
-/// [`combine_or_slices`] kernel plus the 4-lane [`FrameStats::of_slice`]
-/// reduction.
+/// Weighted geometric mean (`OR`) over packed frames, with fused stats:
+/// [`combine_or_slices`] over whole frames.
 pub fn combine_or_frames(
     children: &[&DistanceFrame],
     weights: &[f64],
 ) -> Result<(DistanceFrame, FrameStats)> {
-    let n = check_frames(children, weights)?;
-    let views: Vec<(&[f64], &[bool])> = children
-        .iter()
-        .map(|c| (c.values(), c.validity().as_slice()))
-        .collect();
-    let mut out = DistanceFrame::undefined(n);
-    let (vals, mask) = out.parts_mut();
-    combine_or_slices(&views, weights, vals, mask);
-    let stats = FrameStats::of_slice(vals, mask);
-    Ok((out, stats))
+    combine_frames(children, weights, combine_or_slices)
 }
 
 /// Ablation comparators (DESIGN.md decision 1): fuzzy-logic `min`/`max`
@@ -280,7 +181,7 @@ pub fn combine_or_frames(
 pub mod ablation {
     use visdb_types::Result;
 
-    use super::check;
+    use crate::reference::check;
 
     /// Fuzzy AND: the worst (largest) child distance.
     pub fn combine_and_max<C: AsRef<[Option<f64>]>>(
@@ -329,6 +230,7 @@ pub mod ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{combine_and, combine_or};
     use proptest::prelude::*;
 
     fn v(xs: &[f64]) -> Vec<Option<f64>> {

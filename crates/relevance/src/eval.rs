@@ -23,6 +23,7 @@ use visdb_types::{DataType, Error, Result, TypeClass, Value};
 use crate::chunk;
 use crate::combine::{combine_and_frames, combine_or_frames};
 use crate::normalize::normalize_frame;
+use crate::reference;
 
 /// How distances are computed.
 ///
@@ -133,6 +134,26 @@ impl<'a> EvalContext<'a> {
         }
     }
 
+    /// §5.2 re-normalization of a child before it is combined. The
+    /// scalar reference fits by plain selection over the `Option` view
+    /// ([`reference::normalize_improved`]); the vectorized mode fits from
+    /// the fused stats and the pruned selection ([`normalize_frame`]).
+    fn normalized(&self, e: &NodeEval, weight: f64) -> DistanceFrame {
+        match self.mode {
+            ExecMode::Scalar => DistanceFrame::from_options(
+                &reference::normalize_improved(
+                    &e.distances.to_options(),
+                    weight,
+                    self.display_budget,
+                )
+                .0,
+            ),
+            ExecMode::Vectorized => {
+                normalize_frame(&e.distances, &e.stats, weight, self.display_budget).0
+            }
+        }
+    }
+
     /// Inner `AND`/`OR` combining: normalize every child frame with the
     /// weight-proportional fit (served by the child's fused stats), then
     /// combine row-wise — the combined frame's stats come out of the same
@@ -145,7 +166,7 @@ impl<'a> EvalContext<'a> {
         let normed: Vec<DistanceFrame> = evals
             .iter()
             .zip(children.iter())
-            .map(|(e, w)| normalize_frame(&e.distances, &e.stats, w.weight, self.display_budget).0)
+            .map(|(e, w)| self.normalized(e, w.weight))
             .collect();
         let refs: Vec<&DistanceFrame> = normed.iter().collect();
         let weights: Vec<f64> = children.iter().map(|w| w.weight).collect();
@@ -543,7 +564,7 @@ impl<'a> EvalContext<'a> {
         let inner_cond: DistanceFrame = match &query.condition {
             Some(w) => {
                 let e = inner_ctx.eval_node(&w.node)?;
-                normalize_frame(&e.distances, &e.stats, w.weight, self.display_budget).0
+                inner_ctx.normalized(&e, w.weight)
             }
             None => DistanceFrame::constant(inner_table.len(), 0.0).0,
         };

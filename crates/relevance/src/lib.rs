@@ -23,9 +23,14 @@
 //!    over the condition tree with re-normalization between levels (§5.2).
 //! 5. **Relevance** — the relevance factor is "the inverse of that
 //!    distance value": exact answers get the maximum relevance and larger
-//!    combined distances monotonically smaller ones.
+//!    combined distances monotonically smaller ones. Ranking needs only
+//!    the policy's top k, found by the bound-pruned selection of
+//!    [`select`].
 //!
-//! The end-to-end driver is [`pipeline::run_pipeline`].
+//! Steps 3–5 run on packed frames; [`reference`] holds the
+//! `Option`-shaped definitions they are tested against, which the
+//! [`ExecMode::Scalar`] oracle computes with. The end-to-end driver is
+//! [`pipeline::run_pipeline`].
 
 pub mod cache;
 pub mod chunk;
@@ -37,6 +42,8 @@ pub mod normalize;
 pub mod pipeline;
 pub mod quantile;
 pub mod reduction;
+pub mod reference;
+pub mod select;
 pub(crate) mod stream;
 
 pub use cache::{key_scope, window_key, PipelineCache, WindowSource};
@@ -44,8 +51,7 @@ pub use combine::{combine_and_slices, combine_or_slices};
 pub use eval::{EvalContext, ExecMode, NodeEval};
 pub use extend::{extend_window, extension_recipe, WindowRecipe};
 pub use normalize::{
-    apply_in_place, apply_slice, fit_frame, fit_improved, fit_k, normalize_frame,
-    normalize_improved, normalize_naive, NormParams, NORM_MAX,
+    apply_in_place, apply_slice, fit_frame, fit_k, normalize_frame, NormParams, NORM_MAX,
 };
 pub use pipeline::{
     display_count, run_pipeline, run_pipeline_cached, run_pipeline_opts, run_pipeline_partitioned,

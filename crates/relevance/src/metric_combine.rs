@@ -11,33 +11,7 @@
 //! more than the arithmetic mean, L∞ (the limit) is the fuzzy max, and
 //! Mahalanobis additionally discounts correlated predicates.
 
-use visdb_distance::frame::DistanceFrame;
 use visdb_types::{Error, Result};
-
-/// [`combine_lp`] over packed frames — the frame-level entry point for
-/// callers holding pipeline windows (whose distances are packed now).
-/// Adapts through the `Option` view once per child, then reuses the
-/// reference arithmetic verbatim; nothing in the default pipeline calls
-/// this (the paper's AND/OR means do), it exists for Lp-combining
-/// experiments.
-pub fn combine_lp_frames(
-    children: &[&DistanceFrame],
-    weights: &[f64],
-    p: f64,
-) -> Result<DistanceFrame> {
-    let options: Vec<Vec<Option<f64>>> = children.iter().map(|c| c.to_options()).collect();
-    Ok(DistanceFrame::from_options(&combine_lp(
-        &options, weights, p,
-    )?))
-}
-
-/// [`combine_euclidean`] over packed frames.
-pub fn combine_euclidean_frames(
-    children: &[&DistanceFrame],
-    weights: &[f64],
-) -> Result<DistanceFrame> {
-    combine_lp_frames(children, weights, 2.0)
-}
 
 fn check<C: AsRef<[Option<f64>]>>(children: &[C]) -> Result<usize> {
     if children.is_empty() {
@@ -225,17 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_adapters_match_option_combiners() {
-        let a = vec![Some(3.0), None, Some(1.0)];
-        let b = vec![Some(4.0), Some(2.0), Some(0.0)];
-        let fa = DistanceFrame::from_options(&a);
-        let fb = DistanceFrame::from_options(&b);
-        let got = combine_euclidean_frames(&[&fa, &fb], &[1.0, 1.0]).unwrap();
-        let expect = combine_euclidean(&[a, b], &[1.0, 1.0]).unwrap();
-        assert_eq!(got.to_options(), expect);
-    }
-
-    #[test]
     fn lp_limits() {
         // p = 1 is the weighted sum of magnitudes
         let out = combine_lp(&[v(&[3.0]), v(&[-4.0])], &[1.0, 1.0], 1.0).unwrap();
@@ -316,7 +279,8 @@ mod tests {
         fn prop_geometric_or_sees_all_children(
             dmin in 1.0f64..50.0, dother in 100.0f64..200.0, bump in 1.0f64..50.0,
         ) {
-            use crate::combine::{ablation::combine_or_min, combine_or};
+            use crate::combine::ablation::combine_or_min;
+            use crate::reference::combine_or;
             let before = combine_or(&[v(&[dmin]), v(&[dother])], &[1.0, 1.0]).unwrap()[0].unwrap();
             let after = combine_or(&[v(&[dmin]), v(&[dother + bump])], &[1.0, 1.0]).unwrap()[0].unwrap();
             prop_assert!(after > before, "geometric mean must grow");

@@ -5,18 +5,24 @@
 //! of 1,000 per dl for Erythrocyte may be very small"). Before combining,
 //! each predicate's distances are mapped to the fixed range `[0, 255]`.
 //!
-//! * [`normalize_naive`] — linear transform of `[dmin, dmax]`. Sensitive
-//!   to outliers: "a single data item with an exceptionally high or low
-//!   value may cause a completely different transformation".
-//! * [`normalize_improved`] — the paper's fix: first reduce the items
+//! * Naive — a linear transform of `[dmin, dmax]` over every distance.
+//!   Sensitive to outliers: "a single data item with an exceptionally
+//!   high or low value may cause a completely different transformation".
+//!   Only the final combined distance is normalized this way.
+//! * Improved ([`fit_frame`]) — the paper's fix: first reduce the items
 //!   considered for the predicate to a count proportional to `r / wⱼ`
 //!   ("proportional to r/(n·wⱼ)" as a fraction of n), *then* normalize
 //!   over the remaining range. Lightly-weighted predicates keep more
 //!   far-away items (they matter less, so a coarser scale is fine);
 //!   heavily-weighted predicates get their resolution concentrated near
 //!   the query.
+//!
+//! This module works on packed frames; the `Option`-vector definitions
+//! the kernels are tested against live in [`crate::reference`].
 
 use visdb_distance::frame::{DistanceFrame, FrameStats};
+
+use crate::{chunk, select};
 
 /// The fixed upper bound of normalized distances.
 pub const NORM_MAX: f64 = 255.0;
@@ -72,23 +78,13 @@ pub(crate) fn params_from_max(dmax: f64) -> NormParams {
     }
 }
 
-fn fit(values: &[Option<f64>]) -> NormParams {
-    let dmax = values
-        .iter()
-        .flatten()
-        .map(|d| d.abs())
-        .filter(|d| d.is_finite())
-        .fold(f64::NEG_INFINITY, f64::max);
-    params_from_max(dmax)
-}
-
 /// The improved (§5.2) fit count: how many of the smallest absolute
 /// distances the transform range is fitted over, `k = r / max(w, ε)`
 /// clamped to `[1, n]`. Returns `None` when the fit covers *everything*
 /// (zero/invalid weight, or `k >= n`) — the single source of truth for
-/// every fit implementation (Option-vector, packed-frame, and the
-/// sorted-projection O(log n) fast path), which is what keeps them
-/// bit-identical.
+/// every fit implementation (the `Option`-vector reference, the packed
+/// frame, and the sorted-projection O(log n) fast path), which is what
+/// keeps them bit-identical.
 pub fn fit_k(n: usize, weight: f64, display_budget: usize) -> Option<usize> {
     if !(weight.is_finite() && weight > 0.0) {
         // zero/invalid weight: keep everything (the predicate hardly
@@ -104,49 +100,24 @@ pub fn fit_k(n: usize, weight: f64, display_budget: usize) -> Option<usize> {
 /// among the `k` smallest (non-finite candidates sort last under
 /// `total_cmp`, so they only enter when nothing nearer is left, and the
 /// finite filter keeps them out of the transform range either way).
-pub(crate) fn dmax_of_prefix(abs: &[f64]) -> f64 {
-    abs.iter()
-        .copied()
+pub(crate) fn dmax_of_prefix(abs: impl IntoIterator<Item = f64>) -> f64 {
+    abs.into_iter()
         .filter(|d| d.is_finite())
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Fit the improved (§5.2) normalization *without* applying it: the
+/// Fit the improved (§5.2) normalization of a packed [`DistanceFrame`]
+/// whose reduction stats were accumulated during the distance walk: the
 /// transform range is `[0, k-th smallest absolute distance]` with
-/// `k = min(n, r / max(w, ε))` ([`fit_k`]). Runs in O(n) expected time
-/// via `select_nth_unstable_by` — the pipeline calls this per window, so
-/// a full sort here would silently re-introduce the O(n log n) term the
-/// top-k display selection removes.
-///
-/// NaN policy: candidates are ordered by [`f64::total_cmp`], under which
-/// NaN absolute distances sort *after* `+inf` — a NaN distance is
-/// treated as farthest-possible, never as interchangeable with its
-/// neighbours (the old `partial_cmp(..).unwrap_or(Equal)` comparator
-/// made the selection order — and therefore `dmax` — depend on pivot
-/// luck when NaNs were present).
-pub fn fit_improved(values: &[Option<f64>], weight: f64, display_budget: usize) -> NormParams {
-    let Some(k) = fit_k(values.len(), weight, display_budget) else {
-        return fit(values);
-    };
-    let mut abs: Vec<f64> = values.iter().flatten().map(|d| d.abs()).collect();
-    if abs.is_empty() {
-        return params_from_max(f64::NEG_INFINITY);
-    }
-    let k = k.min(abs.len());
-    if k < abs.len() {
-        abs.select_nth_unstable_by(k - 1, f64::total_cmp);
-    }
-    params_from_max(dmax_of_prefix(&abs[..k]))
-}
-
-/// [`fit_improved`] over a packed [`DistanceFrame`] whose reduction
-/// stats were accumulated during the distance walk: whenever the fit
-/// covers every defined item (small relations, light weights, NULL-heavy
-/// columns) the answer comes straight from the fused stats — **zero**
-/// extra passes — and otherwise the selection runs over a gather of
-/// 8-byte absolute values instead of re-collecting a 16-byte `Option`
-/// vector. Bit-identical to [`fit_improved`] on the `Option` view of the
-/// same frame (shared [`fit_k`] and `total_cmp` selection).
+/// `k = min(n, r / max(w, ε))` ([`fit_k`]). Whenever the fit covers every
+/// defined item (small relations, light weights, NULL-heavy columns) the
+/// answer comes straight from the fused stats — **zero** extra passes —
+/// and otherwise the k smallest `|d|` come from the bound-pruned
+/// selection kernel ([`select::k_smallest`]), which reads the frame once
+/// and copies only the candidates under its sampled cut. NaN absolute
+/// distances sort after `+inf` and never enter the transform range.
+/// Bit-identical to [`crate::reference::fit_improved`] on the `Option`
+/// view of the same frame.
 pub fn fit_frame(
     frame: &DistanceFrame,
     stats: &FrameStats,
@@ -154,7 +125,8 @@ pub fn fit_frame(
     display_budget: usize,
 ) -> NormParams {
     debug_assert_eq!(stats.defined, FrameStats::of_frame(frame).defined);
-    let Some(k) = fit_k(frame.len(), weight, display_budget) else {
+    let n = frame.len();
+    let Some(k) = fit_k(n, weight, display_budget) else {
         return params_from_max(stats.max_abs);
     };
     if stats.defined == 0 {
@@ -169,15 +141,14 @@ pub fn fit_frame(
         // them fit the same range
         return params_from_max(stats.max_abs);
     }
-    let mut abs: Vec<f64> = frame
-        .values()
-        .iter()
-        .zip(frame.validity().as_slice())
-        .filter(|&(_, &ok)| ok)
-        .map(|(&v, _)| v.abs())
-        .collect();
-    abs.select_nth_unstable_by(k - 1, f64::total_cmp);
-    params_from_max(dmax_of_prefix(&abs[..k]))
+    let smallest = select::k_smallest(
+        frame,
+        &chunk::ranges(n, None),
+        n >= chunk::PAR_MIN_ROWS,
+        k,
+        f64::abs,
+    );
+    params_from_max(dmax_of_prefix(smallest.iter().map(|c| c.0)))
 }
 
 /// [`fit_frame`] of an appended frame *without the frame*: refit
@@ -244,7 +215,7 @@ pub fn fit_frame_extended(
     }
 }
 
-/// [`normalize_improved`] over a packed frame: fit via [`fit_frame`],
+/// Improved normalization over a packed frame: fit via [`fit_frame`],
 /// then apply in one walk over the 8-byte buffers. Undefined stays
 /// undefined.
 pub fn normalize_frame(
@@ -366,41 +337,10 @@ pub fn apply_in_place(params: NormParams, vals: &mut [f64], mask: &[bool]) {
     }
 }
 
-/// Naive normalization: fit `[dmin, dmax]` over *all* defined distances
-/// and map absolute values to `[0, NORM_MAX]`. Undefined stays undefined.
-pub fn normalize_naive(values: &[Option<f64>]) -> (Vec<Option<f64>>, NormParams) {
-    let params = fit(values);
-    let out = values
-        .iter()
-        .map(|v| v.map(|d| params.apply(d.abs())))
-        .collect();
-    (out, params)
-}
-
-/// Improved normalization (§5.2): fit the transform only over the
-/// `k = min(n, r / max(w, ε))` smallest absolute distances, where `r` is
-/// the display budget (items) and `w ∈ (0, 1]` the predicate weight; then
-/// apply it to all values, clamping beyond-range items to `NORM_MAX`.
-///
-/// This realises the paper's intent: an exceptional outlier no longer
-/// stretches the scale, and the predicate retains its "impact on the
-/// overall answer".
-pub fn normalize_improved(
-    values: &[Option<f64>],
-    weight: f64,
-    display_budget: usize,
-) -> (Vec<Option<f64>>, NormParams) {
-    let params = fit_improved(values, weight, display_budget);
-    let out = values
-        .iter()
-        .map(|v| v.map(|d| params.apply(d.abs())))
-        .collect();
-    (out, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{fit_improved, normalize_improved, normalize_naive};
 
     /// Exhaustive cross of messy old/delta shapes: whenever the O(Δ)
     /// incremental refit answers, it must agree bit-for-bit with

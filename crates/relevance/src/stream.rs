@@ -12,25 +12,26 @@
 //!    common flat AND/OR of leaf predicates): every chunk recomputes the
 //!    level's distances in cache-resident scratch buffers and keeps only
 //!    the fused [`FrameStats`] plus — when the §5.2 weight-proportional
-//!    fit needs the k-th smallest `|d|` — a bounded per-chunk selection
-//!    pool with a **shared atomic threshold**: once any chunk has
-//!    gathered `k` candidates, its k-th smallest becomes a global bound
-//!    and later chunks skip every value at or above it. The merged pool
-//!    provably contains the value-multiset of the global k smallest, so
-//!    the fitted `dmax` is bit-identical to the materialized
-//!    [`crate::normalize::fit_frame`].
+//!    fit needs the k-th smallest `|d|` — a per-chunk pool of the values
+//!    at or below the selection kernel's **sampled cut**
+//!    ([`crate::select`], probed here through the per-row evaluator).
+//!    A merged pool of at least `k` values contains the value-multiset
+//!    of the global k smallest, so the fitted `dmax` is bit-identical to
+//!    the materialized [`crate::normalize::fit_frame`]; a pool left
+//!    short means the cut was too tight, and the level is walked again
+//!    without one.
 //! 2. **Combine pass** — one walk recomputing each top window's
 //!    distances, normalizing and root-combining them *in registers* per
 //!    row (the identical float ops of the materialized fused walk), and
-//!    streaming only the combined raw distance into the output vector,
-//!    together with the combined reduction stats and each window's
-//!    full-relation exact-answer count.
+//!    streaming only the combined raw distance into the packed output
+//!    frame, together with the combined reduction stats and each
+//!    window's full-relation exact-answer count.
 //!
 //! Recomputing distances is the deliberate trade: a kernel pass over the
 //! native column buffers is far cheaper than materializing, re-reading
 //! and re-writing full-size frames. Ranking then reuses the exact
-//! top-k/merge machinery of the materialized path, and per-predicate
-//! windows are assembled **lazily** at the displayed row ids only
+//! pruned top-k selection of the materialized path, and per-predicate
+//! windows are assembled **lazily** at the ranked row ids only
 //! (§4.2's windows are position-coherent with the overall window, so
 //! only displayed rows are ever read) — per-query intermediates shrink
 //! from `(#sp + 1) · 9n` bytes toward `O(k · #sp)` beyond the combined
@@ -51,12 +52,11 @@
 //! needs a full window frame) fall back to the materialized path at the
 //! planner.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
-use visdb_distance::frame::FrameStats;
+use visdb_distance::frame::{DistanceFrame, FrameStats};
 use visdb_distance::registry::ColumnDistance;
 use visdb_distance::{geo, numeric, string, time};
 use visdb_query::ast::{ConditionNode, Predicate, PredicateTarget, Weighted};
@@ -65,16 +65,17 @@ use visdb_query::CompareOp;
 use visdb_storage::{ColumnData, NumericSlice};
 use visdb_types::{Result, Value};
 
-use crate::chunk;
-use crate::combine::{and_row, combine_and_slices, combine_or_slices, or_row};
+use crate::combine::{combine_and_slices, combine_or_slices};
 use crate::eval::{
     compare_distance, compare_value_distance, range_distance, range_value_distance, EvalContext,
 };
 use crate::normalize::{apply_in_place, dmax_of_prefix, fit_k, params_from_max, NormParams};
 use crate::pipeline::{
-    checkpoint, finalize_relevance, rank_and_select, rank_and_select_partitioned, DisplayPolicy,
-    DisplayedWindow, PipelineOutput, PipelineTrace, PredicateWindow, WindowData,
+    checkpoint, finalize_combined, rank_and_select, DisplayPolicy, DisplayedWindow, PipelineOutput,
+    PipelineTrace, PredicateWindow, RootAcc, WindowData,
 };
+use crate::reference::{and_row, or_row};
+use crate::{chunk, select};
 use visdb_exec::fault::Phase;
 
 /// The root combinator of the condition tree.
@@ -619,50 +620,6 @@ fn kernel_row(col: &ColumnData, kernel: NumericKernel, i: usize) -> Option<f64> 
     }
 }
 
-/// Extra candidates a chunk pool may hold beyond `k` before compacting:
-/// compaction is O(len), so a slack proportional to `k` keeps the
-/// amortized cost per offered value constant.
-const COMPACT_SLACK: usize = 4096;
-
-/// A bounded per-chunk selection pool for the k smallest `|d|` values,
-/// pruned by a shared atomic threshold. Absolute distances are
-/// non-negative, so their IEEE bit patterns order exactly like
-/// [`f64::total_cmp`] — the bound is a plain `u64` min.
-struct ChunkPool<'a> {
-    vals: Vec<f64>,
-    k: usize,
-    bound: &'a AtomicU64,
-    /// Offers short-circuited by the shared threshold (the
-    /// [`PipelineTrace::rows_pruned`] contribution of this chunk).
-    pruned: u64,
-}
-
-impl ChunkPool<'_> {
-    fn offer(&mut self, v: f64) {
-        // threshold propagation: once any chunk has compacted to k
-        // candidates, its k-th smallest bounds every later insert —
-        // values at or above it provably cannot change the fitted dmax
-        if v.to_bits() >= self.bound.load(Ordering::Relaxed) {
-            self.pruned += 1;
-            return;
-        }
-        self.vals.push(v);
-        if self.vals.len() >= self.k + self.k.max(COMPACT_SLACK) {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        if self.vals.len() <= self.k {
-            return;
-        }
-        self.vals.select_nth_unstable_by(self.k - 1, f64::total_cmp);
-        self.vals.truncate(self.k);
-        self.bound
-            .fetch_min(self.vals[self.k - 1].to_bits(), Ordering::Relaxed);
-    }
-}
-
 /// The §5.2 fit from fused stats plus (when needed) the merged selection
 /// pool — the streaming replica of [`crate::normalize::fit_frame`],
 /// bit-identical because the pool contains the value-multiset of the
@@ -684,17 +641,24 @@ fn fit_streaming(stats: &FrameStats, pool: Vec<f64>, select_k: Option<usize>) ->
     let mut cand = pool;
     debug_assert!(cand.len() >= k, "selection pool must retain k candidates");
     cand.select_nth_unstable_by(k - 1, f64::total_cmp);
-    params_from_max(dmax_of_prefix(&cand[..k]))
+    params_from_max(dmax_of_prefix(cand[..k].iter().copied()))
+}
+
+/// One root's share of a stats walk (per chunk, then merged per level).
+#[derive(Clone, Default)]
+struct StatsAcc {
+    stats: FrameStats,
+    /// `|d|` below the root's sampled cut (every defined `|d|` without
+    /// one) — the fit's selection candidates.
+    pool: Vec<f64>,
+    /// Defined `|d|` equal to the cut.
+    ties: usize,
 }
 
 /// Per-chunk accumulator of the fused combine pass.
 struct CombineAcc {
-    /// Largest finite |combined| (the `normalize_combined` fit input).
-    max_abs: f64,
-    /// Any defined combined distance ≠ 0 (NaN counts — it is not 0).
-    any_nonzero: bool,
-    /// Defined combined distances equal to 0 (`num_exact`).
-    num_exact: usize,
+    /// The finalize inputs and the exact count.
+    root: RootAcc,
     /// Per top window: rows whose raw distance is exactly 0 (the §4.3
     /// panel's per-slider `# results`, fused so lazy windows never need
     /// a full frame).
@@ -753,66 +717,89 @@ pub(crate) fn run_streaming(
         }
         checkpoint(ctx.cancel, Phase::Distance)?;
         let start = timings.as_ref().map(|_| Instant::now());
-        let bounds: Vec<AtomicU64> = roots.iter().map(|_| AtomicU64::new(u64::MAX)).collect();
         let params_ref = &params;
         let arena = &scratch_arena;
-        let per_range: Vec<Vec<(FrameStats, Vec<f64>, u64)>> =
-            chunk::map_ranges(n, partitions, parallel, |offset, len| {
-                // fast-drain on a tripped token: the checkpoint after
-                // this walk discards the partial stats before any fit
-                if ctx.poll_cancel() {
-                    return roots
-                        .iter()
-                        .map(|_| (FrameStats::default(), Vec::new(), 0))
-                        .collect();
-                }
-                let mut scratch = arena.take();
-                let buf = &mut scratch.frames(1, len)[0];
-                roots
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, &id)| {
-                        let stats =
-                            eval_chunk(plan, params_ref, id, offset, &mut buf.0, &mut buf.1, arena);
-                        let (pool_vals, pruned) = match select_k[id] {
-                            Some(k) => {
-                                let mut pool = ChunkPool {
-                                    vals: Vec::new(),
-                                    k,
-                                    bound: &bounds[ri],
-                                    pruned: 0,
-                                };
-                                for (v, ok) in buf.0.iter().zip(&buf.1) {
-                                    if *ok {
-                                        pool.offer(v.abs());
+        // One stats walk over every root of this level. A root whose fit
+        // selects keeps, per chunk, the `|d|` below its cut (all of them
+        // without one) and counts the ones equal to it: a pool that
+        // reaches k with its ties holds the value-multiset of the k
+        // smallest.
+        let walk = |cuts: &[Option<f64>]| {
+            let per_range: Vec<Vec<StatsAcc>> =
+                chunk::map_ranges(n, partitions, parallel, |offset, len| {
+                    // fast-drain on a tripped token: the checkpoint after
+                    // this walk discards the partial stats before any fit
+                    if ctx.poll_cancel() {
+                        return vec![StatsAcc::default(); roots.len()];
+                    }
+                    let mut scratch = arena.take();
+                    let (vals, mask) = &mut scratch.frames(1, len)[0];
+                    (roots.iter().zip(cuts))
+                        .map(|(&id, cut)| {
+                            let stats = eval_chunk(plan, params_ref, id, offset, vals, mask, arena);
+                            let mut acc = StatsAcc {
+                                stats,
+                                ..Default::default()
+                            };
+                            if select_k[id].is_some() {
+                                let defined = vals.iter().zip(mask.iter()).filter(|(_, ok)| **ok);
+                                for a in defined.map(|(v, _)| v.abs()) {
+                                    if cut.is_none_or(|c| a < c) {
+                                        acc.pool.push(a);
                                     }
+                                    acc.ties += usize::from(*cut == Some(a));
                                 }
-                                (pool.vals, pool.pruned)
                             }
-                            None => (Vec::new(), 0),
-                        };
-                        (stats, pool_vals, pruned)
-                    })
-                    .collect()
-            });
-        let mut merged: Vec<(FrameStats, Vec<f64>)> = roots
-            .iter()
-            .map(|_| (FrameStats::default(), Vec::new()))
-            .collect();
-        for range_out in per_range {
-            for (slot, (stats, pool, pruned)) in merged.iter_mut().zip(range_out) {
-                slot.0.merge(&stats);
-                slot.1.extend(pool);
-                rows_pruned += pruned;
+                            acc
+                        })
+                        .collect()
+                });
+            let mut merged = vec![StatsAcc::default(); roots.len()];
+            for range_out in per_range {
+                for (slot, acc) in merged.iter_mut().zip(range_out) {
+                    slot.stats.merge(&acc.stats);
+                    slot.pool.extend(acc.pool);
+                    slot.ties += acc.ties;
+                }
             }
+            merged
+        };
+        // the selection kernel's sampled cut, probed through the per-row
+        // evaluator: it decides how much the pools hold, never the fit —
+        // a pool left short of its k means the cut was too tight, and
+        // the level is walked again without cuts
+        let mut cuts: Vec<Option<f64>> = (roots.iter())
+            .map(|&id| {
+                let k = select_k[id]?;
+                let probes = select::sample_rows(n).filter_map(|i| eval_row(plan, &params, id, i));
+                select::sampled_cut(probes.map(f64::abs).collect(), n, k)
+            })
+            .collect();
+        let mut merged = walk(&cuts);
+        let short = (roots.iter().zip(&merged)).any(|(&id, acc)| {
+            select_k[id].is_some_and(|k| k < acc.stats.defined && acc.pool.len() + acc.ties < k)
+        });
+        if short {
+            cuts.fill(None);
+            merged = walk(&cuts);
         }
         if let (Some(t), Some(start)) = (timings.as_mut(), start) {
             t.distance += start.elapsed();
         }
         checkpoint(ctx.cancel, Phase::Fit)?;
         let start = timings.as_ref().map(|_| Instant::now());
-        for (&id, (stats, pool)) in roots.iter().zip(merged) {
+        for ((&id, cut), acc) in roots.iter().zip(cuts).zip(merged) {
+            let StatsAcc {
+                stats, mut pool, ..
+            } = acc;
             rows_scanned += stats.defined as u64;
+            if let (Some(k), Some(cut)) = (select_k[id], cut) {
+                rows_pruned += (stats.defined - pool.len()) as u64;
+                if k < stats.defined && pool.len() < k {
+                    // whatever the pool lacks of its k ties with the cut
+                    pool.resize(k, cut);
+                }
+            }
             params[id] = fit_streaming(&stats, pool, select_k[id]);
         }
         if let (Some(t), Some(start)) = (timings.as_mut(), start) {
@@ -824,41 +811,38 @@ pub(crate) fn run_streaming(
     checkpoint(ctx.cancel, Phase::NormalizeCombine)?;
     let start = timings.as_ref().map(|_| Instant::now());
     let weights: Vec<f64> = plan.tops.iter().map(|&t| plan.nodes[t].weight).collect();
-    let mut combined: Vec<Option<f64>> = vec![None; n];
+    let mut combined = DistanceFrame::undefined(n);
     let ranges = chunk::ranges(n, partitions);
     let mut accs: Vec<CombineAcc> = ranges
         .iter()
         .map(|_| CombineAcc {
-            max_abs: f64::NEG_INFINITY,
-            any_nonzero: false,
-            num_exact: 0,
+            root: RootAcc::default(),
             zeros: vec![0; plan.tops.len()],
         })
         .collect();
     {
-        type CombineTask<'t> = (usize, &'t mut [Option<f64>], &'t mut CombineAcc);
+        type CombineTask<'t> = (usize, (&'t mut [f64], &'t mut [bool]), &'t mut CombineAcc);
         let tasks: Vec<CombineTask<'_>> = ranges
             .iter()
             .map(|&(offset, _)| offset)
-            .zip(chunk::split_ranges(&mut combined, &ranges))
+            .zip(combined.split_ranges_mut(&ranges))
             .zip(accs.iter_mut())
             .map(|((offset, comb), acc)| (offset, comb, acc))
             .collect();
         let params_ref = &params;
         let weights = &weights;
         let arena = &scratch_arena;
-        // the fused pass-2 loop, restructured from per-row Option
-        // plumbing into branchless SoA kernels per chunk: evaluate each
-        // top window into arena scratch, fold its exact count, normalize
-        // in place ([`apply_in_place`]), root-combine with the slice
-        // kernels, then stream the combined chunk out while folding the
-        // finalize inputs with branch-free selects — every float op
-        // identical to the old walk (see the kernels' docs)
+        // the fused pass-2 loop, as branchless SoA kernels per chunk:
+        // evaluate each top window into arena scratch, fold its exact
+        // count, normalize in place ([`apply_in_place`]), root-combine
+        // with the slice kernels straight into the output frame, then
+        // fold the finalize inputs over what was just written — every
+        // float op identical to the materialized walk (see the kernels'
+        // docs)
         chunk::run_striped(
             tasks,
             parallel && n >= chunk::PAR_MIN_ROWS,
-            move |(offset, comb, acc)| {
-                use visdb_distance::lanes::select;
+            move |(offset, (cv, cm), acc)| {
                 // fast-drain: the Rank checkpoint below discards the
                 // half-combined output of a tripped run
                 if ctx
@@ -867,11 +851,9 @@ pub(crate) fn run_streaming(
                 {
                     return;
                 }
-                let len = comb.len();
+                let len = cv.len();
                 let mut scratch = arena.take();
-                let (top_bufs, comb_buf) = scratch
-                    .frames(plan.tops.len() + 1, len)
-                    .split_at_mut(plan.tops.len());
+                let top_bufs = scratch.frames(plan.tops.len(), len);
                 for (&t, (v, m)) in plan.tops.iter().zip(top_bufs.iter_mut()) {
                     eval_chunk(plan, params_ref, t, offset, v, m, arena);
                 }
@@ -891,55 +873,32 @@ pub(crate) fn run_streaming(
                     .iter()
                     .map(|(v, m)| (v.as_slice(), m.as_slice()))
                     .collect();
-                let (cv, cm): (&[f64], &[bool]) = match plan.root {
-                    Root::Single => views[0],
-                    Root::And => {
-                        let (cv, cm) = &mut comb_buf[0];
-                        combine_and_slices(&views, weights, cv, cm);
-                        (cv.as_slice(), cm.as_slice())
+                match plan.root {
+                    Root::Single => {
+                        cv.copy_from_slice(views[0].0);
+                        cm.copy_from_slice(views[0].1);
                     }
-                    Root::Or => {
-                        let (cv, cm) = &mut comb_buf[0];
-                        combine_or_slices(&views, weights, cv, cm);
-                        (cv.as_slice(), cm.as_slice())
-                    }
-                };
-                // undefined rows carry canonical 0.0, so the masked
-                // folds below see a harmless value
-                for (out, (&x, &ok)) in comb.iter_mut().zip(cv.iter().zip(cm)) {
-                    *out = ok.then_some(x);
-                    acc.num_exact += (ok && x == 0.0) as usize;
-                    acc.any_nonzero |= ok && x != 0.0;
-                    let a = x.abs();
-                    acc.max_abs =
-                        acc.max_abs
-                            .max(select(ok && a.is_finite(), a, f64::NEG_INFINITY));
+                    Root::And => combine_and_slices(&views, weights, cv, cm),
+                    Root::Or => combine_or_slices(&views, weights, cv, cm),
                 }
+                acc.root.fold(cv, cm);
             },
         );
     }
     let mut zeros = vec![0usize; plan.tops.len()];
-    let mut max_abs = f64::NEG_INFINITY;
-    let mut any_nonzero = false;
-    let mut num_exact = 0usize;
+    let mut root = RootAcc::default();
     for acc in accs {
-        max_abs = max_abs.max(acc.max_abs);
-        any_nonzero |= acc.any_nonzero;
-        num_exact += acc.num_exact;
+        root.merge(&acc.root);
         for (total, z) in zeros.iter_mut().zip(acc.zeros) {
             *total += z;
         }
     }
 
-    // final combined normalization (`normalize_combined` semantics:
-    // all-exact inputs keep their zeros) + the relevance mirror — the
-    // finalize walk shared with the materialized vectorized path
-    let mut relevance: Vec<Option<f64>> = vec![None; n];
-    finalize_relevance(
+    // final combined normalization in place — the finalize walk shared
+    // with the materialized vectorized path
+    finalize_combined(
         &mut combined,
-        &mut relevance,
-        any_nonzero,
-        params_from_max(max_abs),
+        &root,
         &ranges,
         parallel && n >= chunk::PAR_MIN_ROWS,
     );
@@ -948,20 +907,23 @@ pub(crate) fn run_streaming(
     }
 
     // ---- rank and select: the exact machinery of the materialized
-    // path (top-k selection / per-partition k-way merge) ---------------
+    // path (pruned top-k selection over the same range list) -----------
     checkpoint(ctx.cancel, Phase::Rank)?;
     let start = timings.as_ref().map(|_| Instant::now());
-    let (order, displayed, sorted_len) = match partitions {
-        None => rank_and_select(&combined, &[], policy, plan.tops.len())?,
-        Some(p) => rank_and_select_partitioned(&combined, &[], policy, plan.tops.len(), p)?,
-    };
+    let (order, displayed) = rank_and_select(
+        &combined,
+        &[],
+        policy,
+        plan.tops.len(),
+        &ranges,
+        parallel && n >= chunk::PAR_MIN_ROWS,
+    )?;
 
     // ---- late window assembly: evaluate each top window only at the
-    // ranked rows — the sorted prefix `order[..sorted_len]`, a superset
-    // of `displayed` (the gap heuristic ranks rmax + z + 1 rows but may
-    // display fewer; callers legitimately read per-window distances over
-    // the whole documented prefix) ------------------------------------
-    let mut covered: Vec<usize> = order[..sorted_len].to_vec();
+    // ranked rows — `order`, a superset of `displayed` (the gap
+    // heuristic ranks rmax + z + 1 rows but may display fewer; callers
+    // legitimately read per-window distances over the whole ranking) ---
+    let mut covered: Vec<usize> = order.iter().map(|&i| i as usize).collect();
     covered.sort_unstable();
     let windows: Vec<PredicateWindow> = plan
         .tops
@@ -996,11 +958,9 @@ pub(crate) fn run_streaming(
     Ok(PipelineOutput {
         n,
         combined,
-        relevance,
         order,
-        sorted_len,
         displayed,
-        num_exact,
+        num_exact: root.num_exact,
         windows,
         trace,
     })

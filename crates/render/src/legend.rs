@@ -14,13 +14,13 @@ use crate::framebuffer::Framebuffer;
 /// `[0, 255]` distances (undefined skipped), drawn sorted ascending over
 /// a `width × height` strip.
 pub fn render_spectrum(
-    normalized: &[Option<f64>],
+    normalized: impl IntoIterator<Item = Option<f64>>,
     map: &Colormap,
     width: usize,
     height: usize,
 ) -> Framebuffer {
     let mut fb = Framebuffer::new(width, height, BACKGROUND);
-    let mut vals: Vec<f64> = normalized.iter().flatten().copied().collect();
+    let mut vals: Vec<f64> = normalized.into_iter().flatten().collect();
     if vals.is_empty() || width == 0 {
         return fb;
     }
@@ -47,7 +47,7 @@ mod tests {
         let map = Colormap::new(ColormapKind::Grayscale);
         // unsorted input with half exact answers
         let vals: Vec<Option<f64>> = vec![Some(255.0), Some(0.0), Some(0.0), Some(128.0)];
-        let fb = render_spectrum(&vals, &map, 8, 2);
+        let fb = render_spectrum(vals, &map, 8, 2);
         // grayscale: brightness decreases with distance, so luma must be
         // non-increasing left to right
         let mut prev = f64::INFINITY;
@@ -63,7 +63,7 @@ mod tests {
         let map = Colormap::new(ColormapKind::Grayscale);
         let mut vals = vec![Some(0.0); 90];
         vals.extend(vec![Some(255.0); 10]);
-        let fb = render_spectrum(&vals, &map, 100, 1);
+        let fb = render_spectrum(vals, &map, 100, 1);
         let white = fb.count_color(visdb_color::Rgb::new(255, 255, 255));
         assert!((85..=95).contains(&white), "white={white}");
     }
@@ -71,9 +71,9 @@ mod tests {
     #[test]
     fn empty_and_undefined_inputs() {
         let map = Colormap::default();
-        let fb = render_spectrum(&[], &map, 10, 2);
+        let fb = render_spectrum([], &map, 10, 2);
         assert_eq!(fb.count_color(BACKGROUND), 20);
-        let fb = render_spectrum(&[None, None], &map, 10, 2);
+        let fb = render_spectrum([None, None], &map, 10, 2);
         assert_eq!(fb.count_color(BACKGROUND), 20);
     }
 }

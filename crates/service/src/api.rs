@@ -142,7 +142,7 @@ pub struct TraceReport {
     pub rank_ns: u64,
     /// Rows the distance pass examined.
     pub rows_scanned: u64,
-    /// Streaming offers short-circuited by the shared top-k threshold.
+    /// Rows the streaming fit-selection kept out of its pools (sampled cut).
     pub rows_pruned: u64,
     /// Horizontal partition fan-out (1 = unpartitioned).
     pub partitions: usize,

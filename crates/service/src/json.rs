@@ -173,11 +173,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser is
+/// recursive descent, so an unbounded `[[[[…` line from the wire would
+/// overflow the stack — an abort no `catch_unwind` can contain. No
+/// protocol message nests deeper than a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(src: &str) -> Result<Json> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -194,6 +201,8 @@ pub fn parse(src: &str) -> Result<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,14 +244,28 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(Error::parse(format!(
                 "unexpected JSON input at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array/object, refusing to descend past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::parse(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json> {

@@ -110,7 +110,7 @@ fn main() -> Result<()> {
             None => println!(
                 "after down-weighting parameter p{dev:02} to 0.05, row {row} still ranks beyond \
                  the top {}",
-                res.pipeline.sorted_len
+                res.pipeline.order.len()
             ),
         }
     }

@@ -92,10 +92,8 @@ fn main() -> Result<()> {
     hunt_session.set_display_policy(DisplayPolicy::Percentage(10.0))?;
     hunt_session.set_query(hunt)?;
     let res = hunt_session.result()?;
-    let ranks = hot_spot_ranks(
-        &res.pipeline.order[..res.pipeline.sorted_len],
-        &truth.hot_spot_rows,
-    );
+    let ranked: Vec<usize> = res.pipeline.ranked().collect();
+    let ranks = hot_spot_ranks(&ranked, &truth.hot_spot_rows);
     println!(
         "visual feedback ranks the {} planted hot spots at positions {:?} of {} items",
         truth.hot_spot_rows.len(),

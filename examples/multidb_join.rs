@@ -49,10 +49,8 @@ fn main() -> Result<()> {
     let m = data.db.table("CustomersB")?.len();
     let truth: Vec<usize> = data.pairs.iter().map(|&(i, j)| i * m + j).collect();
     let top_k = truth.len();
-    let recovered = truth
-        .iter()
-        .filter(|&&flat| res.pipeline.order[..top_k.min(res.pipeline.sorted_len)].contains(&flat))
-        .count();
+    let top: Vec<usize> = res.pipeline.ranked().take(top_k).collect();
+    let recovered = truth.iter().filter(|flat| top.contains(flat)).count();
     println!(
         "approximate join: {recovered}/{} true correspondences rank in the top {top_k} \
          of {} pairs",
@@ -66,7 +64,7 @@ fn main() -> Result<()> {
     let names_b = data.db.table("CustomersB")?;
     let nb = names_b.column_by_name("Name")?;
     println!("\nclosest non-identical pairs:");
-    for &item in res.pipeline.order[..res.pipeline.sorted_len].iter().take(8) {
+    for item in res.pipeline.ranked().take(8) {
         let (i, j) = (item / m, item % m);
         let d = res.pipeline.windows[0].raw_at(item);
         println!(

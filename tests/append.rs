@@ -55,7 +55,7 @@ fn first_divergence(fast: &PipelineOutput, slow: &PipelineOutput) -> Option<Stri
     if fast.combined != slow.combined {
         return Some("combined distances diverge".into());
     }
-    if fast.relevance != slow.relevance {
+    if (0..fast.n).any(|i| fast.relevance(i) != slow.relevance(i)) {
         return Some("relevance factors diverge".into());
     }
     if fast.num_exact != slow.num_exact {
@@ -67,7 +67,7 @@ fn first_divergence(fast: &PipelineOutput, slow: &PipelineOutput) -> Option<Stri
     if fast.displayed != slow.displayed {
         return Some("displayed set diverges".into());
     }
-    if fast.order[..fast.sorted_len] != slow.order[..fast.sorted_len] {
+    if fast.order.len() > slow.order.len() || fast.order[..] != slow.order[..fast.order.len()] {
         return Some("sorted order prefix diverges".into());
     }
     None

@@ -30,7 +30,8 @@ fn c2_null_results_become_ranked_answers() {
         &DisplayPolicy::Percentage(10.0),
     )
     .unwrap();
-    let ranks = hot_spot_ranks(&out.order[..out.sorted_len], &env.truth.hot_spot_rows);
+    let ranked: Vec<usize> = out.ranked().collect();
+    let ranks = hot_spot_ranks(&ranked, &env.truth.hot_spot_rows);
     for r in &ranks {
         assert!(r.unwrap() < env.truth.hot_spot_rows.len());
     }
@@ -89,10 +90,10 @@ fn c3_cluster_analysis_cannot_isolate_hot_spots() {
         assert!(rank < hot.len(), "hot spot {h} ranked {rank}");
     }
     // and the ranking is a strict order (distinct relevance values)
-    let top: Vec<f64> = out.order[..hot.len()]
-        .iter()
-        .map(|&i| out.combined[i].unwrap())
+    let top: Vec<f64> = (out.ranked().take(hot.len()))
+        .map(|i| out.combined.get(i).unwrap())
         .collect();
+    assert_eq!(top.len(), hot.len());
     assert!(top.windows(2).all(|w| w[0] <= w[1]));
 }
 
@@ -142,7 +143,7 @@ fn c5_approximate_join_recovers_correspondences() {
     .unwrap();
     let m = data.db.table("CustomersB").unwrap().len();
     let truth: Vec<usize> = data.pairs.iter().map(|&(i, j)| i * m + j).collect();
-    let top = &out.order[..truth.len()];
+    let top: Vec<usize> = out.ranked().take(truth.len()).collect();
     let recovered = truth.iter().filter(|t| top.contains(t)).count();
     assert!(
         recovered * 100 >= truth.len() * 75,
@@ -249,7 +250,7 @@ fn c5b_spatial_join_ranks_paired_sites_first() {
     // the paired sites are the closest approximate partners
     let m = geo.db.table("Sites").unwrap().len();
     let truth: Vec<usize> = geo.pairs.iter().map(|&(s, t)| s * m + t).collect();
-    let top = &out.order[..truth.len()];
+    let top: Vec<usize> = out.ranked().take(truth.len()).collect();
     let recovered = truth.iter().filter(|t| top.contains(t)).count();
     assert_eq!(recovered, truth.len(), "top pairs {top:?}");
     // radius 500 m: the paired pixels become exact (yellow)

@@ -52,23 +52,30 @@ fn order_is_sorted_by_combined_distance() {
     s.set_query_text(PAPER_QUERY).unwrap();
     let res = s.result().unwrap();
     let c = &res.pipeline.combined;
-    // the sorted prefix (top-k selection) is monotone and covers the
-    // display set; the tail holds the remaining defined items unsorted
-    let k = res.pipeline.sorted_len;
-    assert!(k >= res.pipeline.displayed.len());
-    for w in res.pipeline.order[..k].windows(2) {
-        assert!(c[w[0]] <= c[w[1]], "sorted prefix not monotone");
+    // the ranking (top-k selection) is monotone and covers the display
+    // set; the remaining defined items are left unranked
+    let ranked: Vec<usize> = res.pipeline.ranked().collect();
+    assert!(ranked.len() >= res.pipeline.displayed.len());
+    for w in ranked.windows(2) {
+        assert!(c.get(w[0]) <= c.get(w[1]), "ranking not monotone");
     }
-    // every unsorted-tail item really belongs after the prefix
-    if let Some(&last) = res.pipeline.order[..k].last() {
-        for &i in &res.pipeline.order[k..] {
-            assert!(c[i] >= c[last], "tail item {i} beats the prefix");
+    // every unranked item really belongs after the ranking
+    if let Some(&last) = ranked.last() {
+        let mut is_ranked = vec![false; res.pipeline.n];
+        for &i in &ranked {
+            is_ranked[i] = true;
+        }
+        for i in (0..res.pipeline.n).filter(|&i| !is_ranked[i] && c.get(i).is_some()) {
+            assert!(
+                c.get(i) >= c.get(last),
+                "unranked item {i} beats the ranking"
+            );
         }
     }
     // displayed is a prefix of order
     assert_eq!(
         res.pipeline.displayed[..],
-        res.pipeline.order[..res.pipeline.displayed.len()]
+        ranked[..res.pipeline.displayed.len()]
     );
 }
 
@@ -108,7 +115,7 @@ fn fig5_drilldown_matches_fig4_or_window() {
         .filter(|&i| or_window_in_fig4.raw_at(i) == Some(0.0))
         .collect();
     let fig5_exact: Vec<usize> = (0..view.pipeline.combined.len())
-        .filter(|&i| view.pipeline.combined[i] == Some(0.0))
+        .filter(|&i| view.pipeline.combined.get(i) == Some(0.0))
         .collect();
     assert_eq!(fig4_exact, fig5_exact);
 }
@@ -127,7 +134,7 @@ fn approximate_join_rescues_equality_joins() {
     assert_eq!(exact, 0, "clock offset must break exact joins");
     // the same join, approximately: plenty of near-zero distances exist
     let res = s.result().unwrap();
-    let best = res.pipeline.order.first().copied().unwrap();
+    let best = res.pipeline.ranked().next().unwrap();
     let d = res.pipeline.windows[0].raw_at(best).unwrap().abs();
     assert!(d <= 600.0, "closest approximate pair is {d}s apart");
 }
@@ -151,7 +158,9 @@ fn hot_spots_surface_in_the_relevance_order() {
     .unwrap();
     let res = s.result().unwrap();
     assert_eq!(res.pipeline.num_exact, 0); // NULL result for the baseline
-    let top: Vec<usize> = res.pipeline.order[..truth.hot_spot_rows.len()].to_vec();
+    let top: Vec<usize> = (res.pipeline.ranked())
+        .take(truth.hot_spot_rows.len())
+        .collect();
     for hs in &truth.hot_spot_rows {
         assert!(top.contains(hs), "hot spot {hs} not in top ranks {top:?}");
     }

@@ -75,11 +75,17 @@ fn opt_bits_eq(a: Option<f64>, b: Option<f64>) -> bool {
     }
 }
 
+/// Every item's relevance factor, through the accessor.
+fn relevance(out: &PipelineOutput) -> Vec<Option<f64>> {
+    (0..out.n).map(|i| out.relevance(i)).collect()
+}
+
 /// The first field where two pipeline outputs diverge, or `None` when
-/// they are equivalent. `order` is compared on the vectorized sorted
-/// prefix (the scalar reference sorts everything) — except under the
-/// two-sided policy, whose prefix is the displayed *band* rather than
-/// the global top-k (already covered by the `displayed` comparison).
+/// they are equivalent. `fast.order` — what a vectorized path ranked —
+/// must be a prefix of `slow.order` (the scalar reference ranks
+/// everything) — except under the two-sided policy, whose ranking is
+/// the displayed *band* rather than the global top-k (already covered
+/// by the `displayed` comparison).
 fn first_divergence(
     fast: &PipelineOutput,
     slow: &PipelineOutput,
@@ -91,7 +97,7 @@ fn first_divergence(
     if fast.combined != slow.combined {
         return Some("combined distances diverge".into());
     }
-    if fast.relevance != slow.relevance {
+    if relevance(fast) != relevance(slow) {
         return Some("relevance factors diverge".into());
     }
     if fast.num_exact != slow.num_exact {
@@ -106,11 +112,11 @@ fn first_divergence(
             fast.displayed, slow.displayed
         ));
     }
-    if fast.order.len() != slow.order.len() {
+    if fast.order.len() > slow.order.len() {
         return Some("order length diverges".into());
     }
     if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_))
-        && fast.order[..fast.sorted_len] != slow.order[..fast.sorted_len]
+        && fast.order[..] != slow.order[..fast.order.len()]
     {
         return Some("sorted order prefix diverges".into());
     }
@@ -199,7 +205,7 @@ proptest! {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
                 prop_assert!(diff.is_none(), "{} under {:?}", diff.unwrap(), policy);
-                prop_assert!(fast.sorted_len >= fast.displayed.len());
+                prop_assert!(fast.order.len() >= fast.displayed.len());
             }
             (Err(_), Err(_)) => {} // both reject (e.g. gap params vs tiny n)
             (f, s) => prop_assert!(false, "one mode errored: {f:?} vs {s:?}"),
@@ -242,9 +248,9 @@ proptest! {
                         "{} vs scalar under {:?} with {} partitions",
                         diff.unwrap(), policy, parts
                     );
-                    prop_assert_eq!(part.sorted_len, fast.sorted_len);
+                    prop_assert_eq!(&part.order, &fast.order);
                     prop_assert_eq!(&part.displayed, &fast.displayed);
-                    prop_assert!(part.sorted_len >= part.displayed.len());
+                    prop_assert!(part.order.len() >= part.displayed.len());
                 }
                 (Err(_), Err(_), Err(_)) => {}
                 (p, s, f) => prop_assert!(
@@ -254,7 +260,7 @@ proptest! {
     }
 
     /// The streaming execution mode (two fused passes, recomputed
-    /// distances, threshold-propagating fit selection, late window
+    /// distances, sampled-cut fit selection, late window
     /// assembly) is bit-identical to BOTH the scalar reference and the
     /// materialized vectorized path — across display policies
     /// (Percentage/FitScreen/gap/two-sided, the last via the planner's
@@ -389,28 +395,31 @@ proptest! {
 
         // combined distances normalized into [0, 255]
         for d in out.combined.iter().flatten() {
-            prop_assert!((0.0..=255.0).contains(d));
+            prop_assert!((0.0..=255.0).contains(&d));
         }
         // relevance is the mirror of combined
         for i in 0..out.n {
-            match (out.combined[i], out.relevance[i]) {
+            match (out.combined.get(i), out.relevance(i)) {
                 (Some(c), Some(r)) => prop_assert!((c + r - 255.0).abs() < 1e-9),
                 (None, None) => {}
                 other => prop_assert!(false, "mismatched defined-ness {other:?}"),
             }
         }
-        // the sorted prefix is ascending in combined distance, covers
-        // the display set, and dominates the unsorted tail
-        prop_assert!(out.sorted_len >= out.displayed.len());
-        for w in out.order[..out.sorted_len].windows(2) {
-            prop_assert!(out.combined[w[0]] <= out.combined[w[1]]);
+        // the ranking is ascending in combined distance, covers the
+        // display set, and dominates every item it left unranked
+        let ranked: Vec<usize> = out.ranked().collect();
+        prop_assert!(ranked.len() >= out.displayed.len());
+        for w in ranked.windows(2) {
+            prop_assert!(out.combined.get(w[0]) <= out.combined.get(w[1]));
         }
-        if let Some(&last) = out.order[..out.sorted_len].last() {
-            for &i in &out.order[out.sorted_len..] {
-                prop_assert!(out.combined[i] >= out.combined[last]);
+        if let Some(&last) = ranked.last() {
+            for i in (0..out.n).filter(|i| !ranked.contains(i)) {
+                if let Some(d) = out.combined.get(i) {
+                    prop_assert!(Some(d) >= out.combined.get(last));
+                }
             }
         }
-        prop_assert_eq!(&out.order[..out.displayed.len()], &out.displayed[..]);
+        prop_assert_eq!(&ranked[..out.displayed.len()], &out.displayed[..]);
         // display count respects the percentage
         let max_k = ((pct / 100.0) * values.len() as f64).round() as usize;
         prop_assert!(out.displayed.len() <= max_k.max(1));
@@ -570,7 +579,8 @@ proptest! {
         rows in prop::collection::vec((0.0f64..255.0, 0u8..6, 0u8..6), 0..70),
         w in (-1.0f64..2.0, 0.0f64..2.0, -1.0f64..2.0),
     ) {
-        use visdb::relevance::combine::{and_row, combine_and_slices, combine_or_slices, or_row};
+        use visdb::relevance::combine::{combine_and_slices, combine_or_slices};
+        use visdb::relevance::reference::{and_row, or_row};
         let weights = [w.0, w.1, w.2];
         let shape = |v: f64, tag: u8| -> (f64, bool) {
             match tag {
@@ -647,7 +657,295 @@ proptest! {
         let out = run_pipeline(&db, t, &resolver, q.condition.as_ref(),
             &DisplayPolicy::Percentage(100.0)).unwrap();
         for (i, &e) in exact.iter().enumerate() {
-            prop_assert_eq!(e, out.combined[i] == Some(0.0), "row {}", i);
+            prop_assert_eq!(e, out.combined.get(i) == Some(0.0), "row {}", i);
+        }
+    }
+}
+
+/// `(value bits, row)` of a selection, for bitwise comparison.
+fn selection_bits(sel: &[(f64, u32)]) -> Vec<(u64, u32)> {
+    sel.iter().map(|&(v, row)| (v.to_bits(), row)).collect()
+}
+
+/// The definition the selection kernel is held to: sort every defined
+/// `(key, row)` under `rank_order`, keep the first `k`.
+fn full_sort_prefix(options: &[Option<f64>], key: fn(f64) -> f64, k: usize) -> Vec<(f64, u32)> {
+    use visdb::relevance::select::rank_order;
+    let mut all: Vec<(f64, u32)> = (options.iter().zip(0u32..))
+        .filter_map(|(v, row)| v.map(|v| (key(v), row)))
+        .collect();
+    all.sort_by(rank_order);
+    all.truncate(k);
+    all
+}
+
+/// A named `row -> distance` generator.
+type Shape = (&'static str, Box<dyn Fn(usize) -> Option<f64>>);
+
+/// The selection shapes that stress a sampled cut.
+fn selection_shapes(n: usize) -> Vec<Shape> {
+    let hashed = |i: usize| (i.wrapping_mul(2_654_435_761) % 100_003) as f64;
+    vec![
+        ("hashed", Box::new(move |i| Some(hashed(i)))),
+        ("all equal", Box::new(|_| Some(255.0))),
+        // >= 90 % of the rows clamped at NORM_MAX
+        (
+            "clamped",
+            Box::new(move |i| {
+                Some(if i % 13 == 0 {
+                    hashed(i) % 255.0
+                } else {
+                    255.0
+                })
+            }),
+        ),
+        // seven tie classes: one always straddles the cut
+        ("tie classes", Box::new(|i| Some((i % 7) as f64))),
+        (
+            "non-finite",
+            Box::new(move |i| {
+                Some(match i % 11 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    _ => hashed(i) - 50_000.0,
+                })
+            }),
+        ),
+        // fewer finite values than most k: the rest of the prefix is NaN
+        (
+            "mostly NaN",
+            Box::new(|i| Some(if i % 50 == 0 { i as f64 } else { f64::NAN })),
+        ),
+        ("all undefined", Box::new(|_| None)),
+        (
+            "sparse",
+            Box::new(move |i| (i % 3 == 0).then(|| hashed(i) % 1_001.0)),
+        ),
+        // small values exactly where an unjittered stride would probe
+        (
+            "aliased",
+            Box::new(move |i| {
+                Some(if i % (n / 8_192).max(1) == 0 {
+                    0.0
+                } else {
+                    1.0 + i as f64
+                })
+            }),
+        ),
+        // ... and exactly where the kernel does probe: the sampled cut is
+        // far too tight for k = n/4, so the verify step must fall back
+        ("adversarial", {
+            let probed: std::collections::HashSet<usize> =
+                visdb::relevance::select::sample_rows(n).collect();
+            Box::new(move |i| {
+                Some(if probed.contains(&i) {
+                    0.0
+                } else {
+                    1.0 + hashed(i)
+                })
+            })
+        }),
+    ]
+}
+
+/// The bound-pruned selection kernel returns exactly the full-sort
+/// prefix — rows *and* order — for k ∈ {0, 1, n/100, n/4, m−1, m, > m}, on
+/// every shape above, at lane remainders below the pruning threshold
+/// and well above it, across 1/2/7-partition range lists, for both keys
+/// the pipeline selects by (the combined distance itself, `|d|` for the
+/// fit).
+#[test]
+fn pruned_selection_equals_the_full_sort_prefix() {
+    use visdb::relevance::chunk;
+    use visdb::relevance::select::{k_smallest, k_smallest_sorted, rank_order};
+    type Key = fn(f64) -> f64;
+    let keys: [(&str, Key); 2] = [("identity", |v| v), ("abs", f64::abs)];
+    for n in [0usize, 1, 3, 7, 9, 4_097, 70_003] {
+        for (name, shape) in selection_shapes(n) {
+            let options: Vec<Option<f64>> = (0..n).map(&shape).collect();
+            let frame = DistanceFrame::from_options(&options);
+            let m = options.iter().flatten().count();
+            let mut ks = vec![0, 1, n / 100, n / 4, m.saturating_sub(1), m, m + 5];
+            ks.dedup();
+            for parts in [1usize, 2, 7] {
+                let p = Partitioning::even(n, parts);
+                let ranges = chunk::ranges(n, (parts > 1).then_some(&p));
+                for &k in &ks {
+                    for (key_name, key) in keys {
+                        let mut got = k_smallest(&frame, &ranges, parts > 1, k, key);
+                        got.sort_unstable_by(rank_order);
+                        assert_eq!(
+                            selection_bits(&got),
+                            selection_bits(&full_sort_prefix(&options, key, k)),
+                            "{name} n={n} k={k} x{parts} key={key_name}"
+                        );
+                    }
+                    let sorted = k_smallest_sorted(&frame, &ranges, parts > 1, k);
+                    assert_eq!(
+                        selection_bits(&sorted),
+                        selection_bits(&full_sort_prefix(&options, |v| v, k)),
+                        "{name} n={n} k={k} x{parts} sorted"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `fit_frame` — fused stats plus the pruned selection of the k-th
+/// smallest `|d|` — equals the reference `select_nth` fit bit for bit,
+/// on every selection shape, across weights and budgets on both sides
+/// of every stats shortcut.
+#[test]
+fn fit_through_the_kernel_equals_the_select_nth_fit() {
+    use visdb::relevance::reference::fit_improved;
+    use visdb::relevance::{fit_frame, FrameStats};
+    for n in [9usize, 4_097, 70_003] {
+        for (name, shape) in selection_shapes(n) {
+            let options: Vec<Option<f64>> = (0..n).map(&shape).collect();
+            let frame = DistanceFrame::from_options(&options);
+            let stats = FrameStats::of_frame(&frame);
+            for (weight, budget) in [
+                (1.0, 1),
+                (1.0, n / 100 + 1),
+                (0.3, n / 50 + 1),
+                (0.05, n / 10 + 1),
+                (0.0, 7),
+            ] {
+                let fast = fit_frame(&frame, &stats, weight, budget);
+                let slow = fit_improved(&options, weight, budget);
+                assert_eq!(
+                    (fast.dmin.to_bits(), fast.dmax.to_bits()),
+                    (slow.dmin.to_bits(), slow.dmax.to_bits()),
+                    "{name} n={n} weight={weight} budget={budget}: {fast:?} vs {slow:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A column built against the sample: its only near answers sit
+/// exactly on the probe rows, so every sampled cut (the ranking's, the
+/// materialized fit's, the streaming pools') is far too tight for the
+/// quarter of the relation the fit and the display ask for. Each path
+/// must notice and fall back — and still equal the scalar reference.
+#[test]
+fn every_path_recovers_from_a_too_tight_sampled_cut() {
+    let n = 40_000;
+    let probed: std::collections::HashSet<usize> =
+        visdb::relevance::select::sample_rows(n).collect();
+    assert!(
+        !probed.is_empty(),
+        "the relation must be large enough to sample"
+    );
+    let values: Vec<f64> = (0..n)
+        .map(|i| match probed.contains(&i) {
+            true => 0.0,
+            false => -1.0 - (i.wrapping_mul(2_654_435_761) % 100_003) as f64,
+        })
+        .collect();
+    let db = table_from(&values);
+    let t = db.table("T").unwrap();
+    let resolver = DistanceResolver::new();
+    let q = QueryBuilder::from_tables(["T"])
+        .cmp("x", CompareOp::Ge, 0.0)
+        .build();
+    let policy = DisplayPolicy::Percentage(25.0);
+    let run = |opts: PipelineOptions<'_>| {
+        run_pipeline_opts(&db, t, &resolver, q.condition.as_ref(), &policy, opts).unwrap()
+    };
+    let slow = run(PipelineOptions {
+        mode: ExecMode::Scalar,
+        ..Default::default()
+    });
+    assert_eq!(slow.num_exact, probed.len());
+    let stream = run(PipelineOptions {
+        trace: true,
+        ..Default::default()
+    });
+    assert!(stream.trace.as_ref().unwrap().streaming);
+    let mat = run(PipelineOptions {
+        materialization: Materialization::Materialized,
+        ..Default::default()
+    });
+    for (tag, fast) in [("streaming", &stream), ("materialized", &mat)] {
+        let diff = first_divergence(fast, &slow, &policy);
+        assert!(diff.is_none(), "{tag}: {}", diff.unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `order` is exactly the relevance-sorted prefix the run
+    /// established, on every path: the scalar reference ranks every
+    /// defined item; the materialized, streaming and partitioned paths
+    /// rank what the policy needs (the display count; `rmax + z + 1` for
+    /// the gap heuristic; the band under the two-sided policy) — each
+    /// fully sorted under (combined, row), with `displayed` drawn from
+    /// it and, for one-sided policies, a prefix of the scalar ranking.
+    #[test]
+    fn order_is_exactly_the_sorted_prefix_on_every_path(
+        rows in prop::collection::vec((-1e4f64..1e4, 0u8..8), 1..250),
+        threshold in -1e4f64..1e4,
+        lo in -1e4f64..1e4,
+        span in 0.0f64..5e3,
+        pct in 1.0f64..100.0,
+        pick in 0usize..4,
+    ) {
+        let db = table_with_extremes(&rows);
+        let t = db.table("T").unwrap();
+        let resolver = DistanceResolver::new();
+        let q = QueryBuilder::from_tables(["T"])
+            .cmp("x", CompareOp::Ge, threshold)
+            .between("x", lo, lo + span)
+            .build();
+        let policy = pick_policy(pick, pct);
+        let run = |opts: PipelineOptions<'_>| {
+            run_pipeline_opts(&db, t, &resolver, q.condition.as_ref(), &policy, opts)
+        };
+        let Ok(slow) = run(PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }) else {
+            return Ok(()); // (gap params vs tiny n: every path rejects alike)
+        };
+        let defined = slow.combined.iter().flatten().count();
+        prop_assert_eq!(slow.order.len(), defined, "the scalar path sorts everything");
+        let sorted = |out: &PipelineOutput| {
+            out.order.windows(2).all(|w| {
+                let (a, b) = (out.combined.get(w[0] as usize), out.combined.get(w[1] as usize));
+                a.is_some() && (a < b || (a == b && w[0] < w[1]))
+            })
+        };
+        prop_assert!(sorted(&slow));
+        let partitioning = t.partitions(7);
+        let paths = [
+            ("materialized", PipelineOptions {
+                materialization: Materialization::Materialized,
+                ..Default::default()
+            }),
+            ("streaming", PipelineOptions::default()),
+            ("partitioned", PipelineOptions {
+                partitions: Some(&partitioning),
+                ..Default::default()
+            }),
+        ];
+        for (tag, opts) in paths {
+            let fast = run(opts).unwrap();
+            let expect = match &policy {
+                DisplayPolicy::GapHeuristic { rmax, z, .. } if defined > 0 => {
+                    defined.min((*rmax).min(defined - 1) + z + 1)
+                }
+                _ => fast.displayed.len(),
+            };
+            prop_assert_eq!(fast.order.len(), expect, "{} under {:?}", tag, policy);
+            prop_assert!(sorted(&fast), "{}", tag);
+            if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
+                prop_assert_eq!(&fast.order[..], &slow.order[..expect], "{}", tag);
+                let shown: Vec<usize> = fast.ranked().take(fast.displayed.len()).collect();
+                prop_assert_eq!(&shown, &fast.displayed, "{}", tag);
+            }
         }
     }
 }

@@ -47,7 +47,7 @@ fn all_null_column_yields_no_answers_but_no_panic() {
     assert_eq!(out.num_exact, 0);
     assert!(out.order.is_empty(), "undefined items must not be ranked");
     assert!(out.displayed.is_empty());
-    assert!(out.combined.iter().all(Option::is_none));
+    assert!(out.combined.iter().all(|d| d.is_none()));
 }
 
 #[test]
@@ -63,8 +63,8 @@ fn nan_values_are_undefined_not_poisonous() {
     let out = run(&db, q, 100.0).unwrap();
     assert_eq!(out.num_exact, 1);
     assert_eq!(out.order, vec![1]);
-    assert_eq!(out.combined[0], None);
-    assert_eq!(out.combined[2], None);
+    assert_eq!(out.combined.get(0), None);
+    assert_eq!(out.combined.get(2), None);
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn infinities_clamp_into_the_color_range() {
     let out = run(&db, q, 100.0).unwrap();
     // every defined combined distance stays colorable
     for d in out.combined.iter().flatten() {
-        assert!((0.0..=255.0).contains(d), "{d}");
+        assert!((0.0..=255.0).contains(&d), "{d}");
     }
     // +inf fulfils >= 5 exactly; -inf is infinitely far but clamps
     assert!(out.num_exact >= 1);
@@ -114,7 +114,7 @@ fn mixed_defined_and_undefined_windows_combine_sanely() {
         .cmp("s", CompareOp::Eq, "hit")
         .build();
     let out = run(&db, q, 100.0).unwrap();
-    assert_eq!(out.combined[1], None); // NULL x under AND
+    assert_eq!(out.combined.get(1), None); // NULL x under AND
     assert_eq!(out.num_exact, 1); // row 0 only
     assert_eq!(out.order[0], 0);
 }
@@ -178,7 +178,7 @@ fn huge_weights_and_tiny_weights_stay_finite() {
     let out = run(&db, q, 100.0).unwrap();
     for d in out.combined.iter().flatten() {
         assert!(d.is_finite());
-        assert!((0.0..=255.0).contains(d));
+        assert!((0.0..=255.0).contains(&d));
     }
 }
 
@@ -195,7 +195,7 @@ fn degenerate_single_value_column() {
         .build();
     let out = run(&db, q, 100.0).unwrap();
     assert_eq!(out.num_exact, 3);
-    assert!(out.combined.iter().all(|d| *d == Some(0.0)));
+    assert!(out.combined.iter().all(|d| d == Some(0.0)));
     // nothing exact, all equally distant
     let q = QueryBuilder::from_tables(["T"])
         .cmp("x", CompareOp::Eq, 0.0)
@@ -204,8 +204,8 @@ fn degenerate_single_value_column() {
     assert_eq!(out.num_exact, 0);
     // all displayed anyway (equal distances), all the same color
     assert_eq!(out.displayed.len(), 3);
-    let d0 = out.combined[0];
-    assert!(out.combined.iter().all(|d| *d == d0));
+    let d0 = out.combined.get(0);
+    assert!(out.combined.iter().all(|d| d == d0));
 }
 
 /// An interrupted (cancelled or panicked) query must leave every shared
@@ -291,5 +291,45 @@ fn csv_with_malformed_rows_fails_cleanly() {
     for bad in ["not-a-number\n", "1.0,extra\n", "\u{0}\n"] {
         let r = read_csv("T", schema.clone(), bad.as_bytes());
         assert!(r.is_err(), "input {bad:?} should fail");
+    }
+}
+
+/// The wire parser is recursive descent: without a nesting limit one
+/// deeply nested line overflows the stack, which no `catch_unwind` can
+/// contain. Such a line must come back as a structured
+/// `invalid_request`, and the server must answer the next line.
+#[test]
+fn deeply_nested_json_line_is_rejected_and_the_server_lives() {
+    use visdb::service::json::{parse, Json, MAX_DEPTH};
+    use visdb::service::server::handle_line;
+
+    // the limit is exact, and generous beside what the protocol needs
+    let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    const { assert!(MAX_DEPTH >= 64) };
+    assert!(parse(&nest(MAX_DEPTH)).is_ok());
+    assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+    // closed levels do not count: a long flat array of small arrays is fine
+    assert!(parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
+
+    let service = Service::new(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let hostile = [
+        "[".repeat(100_000),
+        nest(100_000),
+        "{\"a\":".repeat(100_000),
+        format!("{{\"op\":\"stats\",\"x\":{}}}", nest(100_000)),
+    ];
+    for line in &hostile {
+        let reply = handle_line(&service, line);
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        assert_eq!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("invalid_request"),
+            "{reply}"
+        );
+        let next = handle_line(&service, r#"{"id":1,"op":"stats"}"#);
+        assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{next}");
     }
 }
