@@ -17,10 +17,14 @@
 //! phase (per-row `Option`/`if defined` walk vs the packed
 //! `apply_slice` + `combine_and_slices` + select-fold kernels), and a
 //! **threads axis** re-timing the partitioned and streaming paths under
-//! explicit 1/2/4/8-thread worker budgets.
-//! Results are written to `BENCH_pipeline.json` so future PRs can track
-//! the perf trajectory — and see where the time goes, not just one
-//! end-to-end number.
+//! explicit 1/2/4/8-thread worker budgets, and the
+//! **reweight-vs-recompute** A/B (a re-weighted join window refitted
+//! from its cached raw frame vs evaluated again — median with min/p90).
+//! A full run writes `BENCH_pipeline.json` in the working directory so
+//! future PRs can track the perf trajectory — and see where the time
+//! goes, not just one end-to-end number; a `--smoke` run writes
+//! `target/BENCH_pipeline.smoke.json` instead, so it never replaces
+//! the committed full-run file. `--out <path>` overrides either.
 //!
 //! Every measurement is the **median** of at least [`MIN_REPS`] timed
 //! repetitions (more until ~0.5 s or 50 reps accumulate); the JSON
@@ -31,6 +35,7 @@
 //! cargo run --release -p visdb-bench --bin pipeline_perf               # full (n up to 1M)
 //! cargo run --release -p visdb-bench --bin pipeline_perf -- --smoke    # CI: tiny n, asserts only
 //! cargo run --release -p visdb-bench --bin pipeline_perf -- --threads 4 # pin the worker budget
+//! cargo run --release -p visdb-bench --bin pipeline_perf -- --out /tmp/p.json
 //! ```
 //!
 //! In both modes the binary *asserts* that the streaming, materialized
@@ -44,7 +49,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use visdb_bench::ramp_db;
+use visdb_bench::{ramp_db, write_results};
 use visdb_core::Session;
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
 use visdb_distance::frame::{DistanceFrame, FrameStats};
@@ -53,9 +58,10 @@ use visdb_distance::DistanceResolver;
 use visdb_exec::{CancelToken, Runtime};
 use visdb_index::SortedProjection;
 use visdb_obs::{Histogram, Registry};
-use visdb_query::ast::{CompareOp, PredicateTarget};
+use visdb_query::ast::{CompareOp, ConditionNode, PredicateTarget, Query};
 use visdb_query::builder::QueryBuilder;
 use visdb_query::connection::ConnectionRegistry;
+use visdb_relevance::cache::PipelineCache;
 use visdb_relevance::chunk;
 use visdb_relevance::combine::combine_and_slices;
 use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
@@ -182,6 +188,16 @@ struct SizeResult {
     cancel_baseline_rows_per_sec: f64,
     cancel_polling_rows_per_sec: f64,
     cancel_overhead: f64,
+    /// Re-weight A/B on `x >= 0.9n AND x IN (SELECT y FROM I)` with the
+    /// join window's weight changed: the session cache
+    /// holds the window under the other weight, so the run refits its
+    /// cached raw frame (`reweight`) — vs the cache holding only the
+    /// first window, so the join is evaluated again (`recompute`: what
+    /// every re-weight cost while the weight was part of a window's
+    /// identity). Outputs asserted identical first; each arm is the
+    /// median with its min and p90.
+    reweight: Timed,
+    recompute: Timed,
     /// Branchless-vs-branchy A/B on the isolated normalize+combine
     /// phase: the phase as it ran before the lane kernels (per-row
     /// `if defined` walks filling full-size per-child normalized
@@ -669,16 +685,7 @@ fn bench_append(db: &Arc<Database>, n: usize, min_reps: usize) -> (Timed, Timed)
         std::hint::black_box(reload(&reloader));
         reload_samples.push(t0.elapsed().as_secs_f64());
     }
-    (
-        Timed {
-            per_call_s: median(&mut append_samples),
-            reps,
-        },
-        Timed {
-            per_call_s: median(&mut reload_samples),
-            reps,
-        },
-    )
+    (Timed::of(append_samples), Timed::of(reload_samples))
 }
 
 /// Sorted-projection delta merge vs full rebuild: `extended` sorts only
@@ -721,7 +728,25 @@ fn bench_projection_merge(n: usize, min_reps: usize) -> (Timed, Timed) {
 /// individually timed repetitions.
 struct Timed {
     per_call_s: f64,
+    /// Fastest and 90th-percentile repetition — the spread a committed
+    /// ratio is read against.
+    min_s: f64,
+    p90_s: f64,
     reps: usize,
+}
+
+impl Timed {
+    /// Summarize individually timed repetitions (at least one).
+    fn of(mut samples: Vec<f64>) -> Timed {
+        let reps = samples.len();
+        let per_call_s = median(&mut samples); // sorts
+        Timed {
+            per_call_s,
+            min_s: samples[0],
+            p90_s: samples[(reps * 9).div_ceil(10) - 1],
+            reps,
+        }
+    }
 }
 
 /// Median of individually timed samples (mean of the middle two for an
@@ -756,11 +781,7 @@ fn time_median<T>(min_reps: usize, mut f: impl FnMut() -> T) -> Timed {
             break;
         }
     }
-    let reps = samples.len();
-    Timed {
-        per_call_s: median(&mut samples),
-        reps,
-    }
+    Timed::of(samples)
 }
 
 /// Record a measurement's rep count and unwrap its median.
@@ -1306,6 +1327,73 @@ fn bench_size(n: usize) -> SizeResult {
     assert_identical(&run_polling(), &slow, n);
     let cancel_polling_s = note(&mut rep_counts, time_median(min_reps, &run_polling));
 
+    // ---- re-weight A/B: the ramp beside an inner relation `I(y = 3i +
+    // 0.25)` spanning the same range, so every outer row's nearest inner
+    // key is 0.25, 0.75 or 1.25 away (a fit that has to select) and its
+    // band sweep ends after two candidates — the cheap end of a join:
+    // what re-evaluating pays is the inner sort and one probe per row.
+    // One session cache per arm, cloned per rep so every rep meets the
+    // same state (the clone shares the frames).
+    let mut pair = (*db).clone();
+    let mut inner = TableBuilder::new("I", vec![Column::new("y", DataType::Float)]);
+    for i in 0..n.div_ceil(3) {
+        inner = inner
+            .row(vec![Value::Float(i as f64 * 3.0 + 0.25)])
+            .expect("conforming row");
+    }
+    pair.add_table(inner.build());
+    let pair_table = pair.table("T").expect("ramp table");
+    let joined = |weight: f64| {
+        let mut q = QueryBuilder::from_tables(["T"])
+            .cmp("x", CompareOp::Ge, n as f64 * 0.9)
+            .is_in("x", "y", QueryBuilder::from_tables(["I"]).build())
+            .build();
+        match &mut q.condition.as_mut().expect("two windows").node {
+            ConditionNode::And(windows) => windows[1].weight = weight,
+            other => panic!("the builder ANDs its windows, got {other:?}"),
+        }
+        q
+    };
+    let run_with = |q: &Query, cache: &mut PipelineCache| {
+        run_pipeline_opts(
+            &pair,
+            pair_table,
+            &resolver,
+            q.condition.as_ref(),
+            &policy,
+            PipelineOptions {
+                cache: Some(cache),
+                trace: true,
+                ..Default::default()
+            },
+        )
+        .expect("cached materialized")
+    };
+    let run_cached = |q: &Query, cache: &PipelineCache| run_with(q, &mut cache.clone());
+    let warm = |q: &Query| {
+        let mut cache = PipelineCache::new();
+        run_with(q, &mut cache);
+        cache
+    };
+    let other_weight = warm(&joined(1.0));
+    let first_window_only = warm(&q);
+    let reweighted = joined(0.3);
+    let refit = run_cached(&reweighted, &other_weight);
+    let again = run_cached(&reweighted, &first_window_only);
+    let evaluated = |out: &PipelineOutput| {
+        let t = out.trace.as_deref().expect("traced");
+        (t.windows_refit, t.windows_evaluated)
+    };
+    assert_eq!((evaluated(&refit), evaluated(&again)), ((1, 0), (0, 1)));
+    assert_identical(&refit, &again, n);
+    for (a, b) in refit.windows.iter().zip(&again.windows) {
+        let ((ar, an), (br, bn)) = (a.full_frames().unwrap(), b.full_frames().unwrap());
+        assert!(ar.bits_eq(br) && an.bits_eq(bn) && a.norm_params == b.norm_params);
+    }
+    let reweight = time_median(min_reps, || run_cached(&reweighted, &other_weight));
+    let recompute = time_median(min_reps, || run_cached(&reweighted, &first_window_only));
+    rep_counts.extend([reweight.reps, recompute.reps]);
+
     // ---- threads axis: the partitioned (1-predicate, materialized)
     // and streaming (2-predicate) paths re-timed under each explicit
     // worker budget, with identity vs the scalar reference re-asserted
@@ -1395,6 +1483,8 @@ fn bench_size(n: usize) -> SizeResult {
         cancel_baseline_rows_per_sec: n as f64 / cancel_baseline_s,
         cancel_polling_rows_per_sec: n as f64 / cancel_polling_s,
         cancel_overhead: cancel_baseline_s / cancel_polling_s,
+        reweight,
+        recompute,
         branchy_nc_rows_per_sec: n as f64 / branchy_s,
         branchless_nc_rows_per_sec: n as f64 / branchless_s,
         branchless_vs_branchy: branchy_s / branchless_s,
@@ -1498,6 +1588,17 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             "            cancel overhead: {:>12.0} rows/s tokenless vs {:>12.0} rows/s \
              token-polling ({:.3}x)",
             r.cancel_baseline_rows_per_sec, r.cancel_polling_rows_per_sec, r.cancel_overhead,
+        );
+        println!(
+            "            reweight-vs-recompute: refit {:.3} ms (min {:.3}, p90 {:.3}) vs \
+             re-evaluated {:.3} ms (min {:.3}, p90 {:.3}) ({:.2}x)",
+            r.reweight.per_call_s * 1e3,
+            r.reweight.min_s * 1e3,
+            r.reweight.p90_s * 1e3,
+            r.recompute.per_call_s * 1e3,
+            r.recompute.min_s * 1e3,
+            r.recompute.p90_s * 1e3,
+            r.recompute.per_call_s / r.reweight.per_call_s,
         );
         println!(
             "            branchless-vs-branchy norm+combine: {:>12.0} vs {:>12.0} rows/s \
@@ -1628,6 +1729,23 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
              \"cancel_polling_rows_per_sec\": {:.0}, \"cancel_overhead\": {:.3},",
             r.cancel_baseline_rows_per_sec, r.cancel_polling_rows_per_sec, r.cancel_overhead,
         );
+        let ms = |t: &Timed| {
+            format!(
+                "{{\"median\": {:.3}, \"min\": {:.3}, \"p90\": {:.3}, \"reps\": {}}}",
+                t.per_call_s * 1e3,
+                t.min_s * 1e3,
+                t.p90_s * 1e3,
+                t.reps
+            )
+        };
+        let _ = writeln!(
+            json,
+            "     \"reweight_ms\": {}, \"recompute_ms\": {}, \
+             \"reweight_vs_recompute\": {:.3},",
+            ms(&r.reweight),
+            ms(&r.recompute),
+            r.recompute.per_call_s / r.reweight.per_call_s,
+        );
         let _ = writeln!(
             json,
             "     \"branchy_nc_rows_per_sec\": {:.0}, \"branchless_nc_rows_per_sec\": {:.0}, \
@@ -1657,9 +1775,7 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
     }
     json.push_str("  ]\n}\n");
 
-    let path = "BENCH_pipeline.json";
-    std::fs::write(path, &json).expect("write BENCH_pipeline.json");
-    println!("wrote {path}");
+    write_results("BENCH_pipeline", smoke, &json);
 
     if !smoke {
         if let Some(big) = results.iter().max_by_key(|r| r.n) {
@@ -1728,6 +1844,16 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
                 big.cancel_overhead,
                 big.cancel_polling_rows_per_sec,
                 big.cancel_baseline_rows_per_sec
+            );
+            // the two arms' spreads must not even touch: the slowest
+            // tenth of the refits beats the fastest re-evaluation
+            assert!(
+                big.reweight.p90_s < big.recompute.min_s,
+                "acceptance: refitting a re-weighted join window must beat re-evaluating \
+                 it at n={} (refit p90 {:.3} ms vs re-evaluated min {:.3} ms)",
+                big.n,
+                big.reweight.p90_s * 1e3,
+                big.recompute.min_s * 1e3
             );
             assert!(
                 big.string_gather_speedup >= 2.0,

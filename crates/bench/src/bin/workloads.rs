@@ -22,9 +22,12 @@
 //! the `banded_vs_exhaustive` series additionally isolates the join
 //! itself (one `eval_node` on the subquery node, vectorized banded
 //! sweep vs scalar exhaustive O(n·m) loop, bit-identity asserted
-//! first) across inner-relation sizes. Results go to
-//! `BENCH_workloads.json`; every number is the **median** of at least
-//! [`MIN_REPS`] timed repetitions, with rep counts recorded.
+//! first) across inner-relation sizes. A full run writes
+//! `BENCH_workloads.json` in the working directory, a `--smoke` run
+//! `target/BENCH_workloads.smoke.json` (so it never replaces the
+//! committed full-run file), `--out <path>` overrides either; every
+//! number is the **median** of at least [`MIN_REPS`] timed repetitions,
+//! with rep counts recorded.
 //!
 //! ```sh
 //! cargo run --release -p visdb-bench --bin workloads            # full
@@ -37,6 +40,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use visdb_bench::write_results;
 use visdb_data::{
     generate_cad, generate_environmental, generate_multidb, CadConfig, EnvConfig, MultiDbConfig,
 };
@@ -397,9 +401,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = "BENCH_workloads.json";
-    std::fs::write(path, &json).expect("write BENCH_workloads.json");
-    println!("wrote {path}");
+    write_results("BENCH_workloads", smoke, &json);
 
     // ---- acceptance gate (full mode only) ----------------------------
     if !smoke {

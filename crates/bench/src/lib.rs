@@ -34,6 +34,25 @@ pub fn ramp_db(n: usize) -> Database {
     db
 }
 
+/// Write a bench bin's results: to `--out <path>` when the command line
+/// names one; otherwise a full run writes `<name>.json` — the committed
+/// file — in the working directory and a `--smoke` run
+/// `target/<name>.smoke.json`, so a CI smoke run never replaces the
+/// committed full-run numbers.
+pub fn write_results(name: &str, smoke: bool, json: &str) {
+    let args: Vec<String> = std::env::args().collect();
+    let path = match args.iter().position(|a| a == "--out") {
+        Some(i) => args.get(i + 1).expect("--out needs a path").clone(),
+        None if smoke => format!("target/{name}.smoke.json"),
+        None => format!("{name}.json"),
+    };
+    if let Some(dir) = std::path::Path::new(&path).parent() {
+        std::fs::create_dir_all(dir).expect("create the results directory");
+    }
+    std::fs::write(&path, json).expect("write the results file");
+    println!("wrote {path}");
+}
+
 /// A three-predicate query over the ramp (three windows, like fig 4).
 pub fn three_predicate_query(n: usize) -> Query {
     QueryBuilder::from_tables(["T"])

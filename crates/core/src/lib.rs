@@ -25,8 +25,5 @@ pub mod sliders;
 
 pub use joins::{materialize_base, JoinOptions};
 pub use render::{render_session, RenderOptions};
-pub use session::{
-    parse_projection_key, projection_key, BandRebase, DrilldownView, Session, SessionResult,
-    SliderDrag,
-};
+pub use session::{BandRebase, DrilldownView, Session, SessionResult, SliderDrag};
 pub use sliders::{OverallPanel, Panel, SliderModel};

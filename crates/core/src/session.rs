@@ -13,7 +13,7 @@ use visdb_arrange::{arrange_overall, ItemGrid, PixelsPerItem};
 use visdb_color::{Colormap, ColormapKind};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_exec::CancelToken;
-use visdb_index::{IncrementalCache, ProjectionSource, SortedProjection};
+use visdb_index::{projection_key, IncrementalCache, ProjectionSource, SortedProjection};
 use visdb_query::ast::{CompareOp, ConditionNode, PredicateTarget, Query, Weighted};
 use visdb_query::connection::ConnectionRegistry;
 use visdb_query::parser::parse_query;
@@ -80,43 +80,6 @@ struct SliderIndex {
     rows: usize,
     column: String,
     cache: IncrementalCache<Arc<SortedProjection>>,
-}
-
-/// The shared-projection cache key: dataset-generation scope, table, row
-/// count and column, length-prefix framed exactly like
-/// [`visdb_relevance::window_key`] — so a crafted scope/table/column
-/// string cannot shift bytes across field boundaries, and the serving
-/// layer's dataset invalidation can parse the scope back out with
-/// [`visdb_relevance::key_scope`].
-pub fn projection_key(scope: &str, table: &str, rows: usize, column: &str) -> String {
-    format!(
-        "{}:{scope}{}:{table}{rows};{}:{column}",
-        scope.len(),
-        table.len(),
-        column.len()
-    )
-}
-
-/// Inverse of [`projection_key`]: recover `(scope, table, rows, column)`
-/// from a stored key, or `None` for byte sequences that are not
-/// well-formed keys. The serving layer uses this to migrate shared
-/// projections across dataset appends — matching entries of the old
-/// generation are re-keyed (and merged) instead of rebuilt.
-pub fn parse_projection_key(key: &str) -> Option<(&str, &str, usize, &str)> {
-    fn framed(s: &str) -> Option<(&str, &str)> {
-        let (len, rest) = s.split_once(':')?;
-        let len: usize = len.parse().ok()?;
-        if !rest.is_char_boundary(len) {
-            return None;
-        }
-        Some(rest.split_at(len))
-    }
-    let (scope, rest) = framed(key)?;
-    let (table, rest) = framed(rest)?;
-    let (rows, col_frame) = rest.split_once(';')?;
-    let rows: usize = rows.parse().ok()?;
-    let (column, tail) = framed(col_frame)?;
-    tail.is_empty().then_some((scope, table, rows, column))
 }
 
 /// How [`Session::rebase`] handled the slider index across a dataset
@@ -274,9 +237,10 @@ impl Session {
     }
 
     /// Attach a sorted-projection cache shared with other sessions: the
-    /// slider fast path's per-column build (~20 bytes/row) is fetched
-    /// from — and contributed to — a per-(dataset generation, column)
-    /// shared store instead of being rebuilt per session.
+    /// per-column build (~20 bytes/row) that the slider fast path drags
+    /// over and a §4.4 join sweeps as its inner key is fetched from —
+    /// and contributed to — a per-(dataset generation, column) shared
+    /// store instead of being rebuilt per session, drag or join.
     ///
     /// `scope` must uniquely identify the dataset *generation*, exactly
     /// like [`Session::set_shared_windows`]. Projections are pure column
@@ -578,6 +542,13 @@ impl Session {
             PipelineOptions {
                 cache: (!streaming).then_some(&mut self.pipeline_cache),
                 shared,
+                // a join's inner relation is always a catalog table, so
+                // (unlike the windows) its projection is shareable even
+                // over a cross-product base
+                projections: self
+                    .shared_projections
+                    .as_ref()
+                    .map(|(scope, cache)| (scope.as_str(), cache.as_ref())),
                 partitions: partitioning.as_ref(),
                 materialization: self.materialization,
                 trace: self.collect_trace,
@@ -1817,21 +1788,6 @@ mod tests {
             s
         };
         assert_drag_matches_full(make_gap, &[ge(240.0)], false);
-    }
-
-    #[test]
-    fn projection_key_round_trips() {
-        // field values chosen to collide with the framing bytes — the
-        // length prefixes must keep them apart
-        let key = projection_key("ds#3.1", "T:9", 42, "x;y");
-        assert_eq!(
-            parse_projection_key(&key),
-            Some(("ds#3.1", "T:9", 42, "x;y"))
-        );
-        assert_eq!(parse_projection_key(""), None);
-        assert_eq!(parse_projection_key("garbage"), None);
-        assert_eq!(parse_projection_key("2:ab"), None);
-        assert_eq!(parse_projection_key(&format!("{key}!")), None);
     }
 
     #[test]

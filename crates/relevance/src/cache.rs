@@ -8,10 +8,12 @@
 //! distance vector* (one O(n) pass per predicate — or O(n·m) for
 //! subqueries). A slider modification changes exactly one window; the
 //! other windows' distances are bit-identical and can be reused. The
-//! [`PipelineCache`] stores `(condition subtree, NodeEval)` pairs keyed by
+//! [`PipelineCache`] stores `(condition subtree, window)` pairs keyed by
 //! structural equality of the subtree, fingerprinted by the base relation
 //! and the display budget (nested combining normalizes with the budget,
-//! so a budget change invalidates too).
+//! so a budget change invalidates too). The window's *weight* is not part
+//! of its identity: raw distances do not depend on it, so a re-weighted
+//! window is refitted from the cached raw frame instead of re-evaluated.
 
 use std::fmt::Write as _;
 
@@ -52,9 +54,13 @@ pub trait WindowSource: Send + Sync {
 
 /// The exact cache key of one predicate-window evaluation: dataset scope
 /// (name + generation), base relation identity, row count, display
-/// budget (normalization input), window weight, and the condition
-/// subtree (structural identity — two sessions building the same
-/// subtree through different paths share an entry).
+/// budget (inner nodes normalize with it), and the condition subtree
+/// (structural identity — two sessions building the same subtree through
+/// different paths share an entry). The window's own weight is **not**
+/// part of the key — only the §5.2 fit and the normalization depend on
+/// it, not the raw distances — so a cache holds one entry per subtree
+/// whose latest stored weight wins; a lookup under another weight refits
+/// the entry's raw frame.
 ///
 /// The subtree is rendered by [`encode_node`], an explicit canonical
 /// visitor with **length-prefixed strings**: every user-controlled
@@ -78,18 +84,12 @@ pub fn window_key(
     scope: &str,
     table: &Table,
     display_budget: usize,
-    weight: f64,
     node: &ConditionNode,
 ) -> String {
     let mut key = String::new();
     encode_str(&mut key, scope);
     encode_str(&mut key, table.name());
-    let _ = write!(
-        key,
-        "{};{display_budget};{:016x};",
-        table.len(),
-        weight.to_bits()
-    );
+    let _ = write!(key, "{};{display_budget};", table.len());
     encode_node(&mut key, node);
     key
 }
@@ -332,14 +332,15 @@ impl PipelineCache {
         self.fingerprint = None;
     }
 
-    /// Look up a window by its condition subtree and weight (the weight
-    /// participates in the §5.2 weight-proportional normalization, so a
-    /// weight change invalidates the window).
-    pub fn lookup(&mut self, node: &ConditionNode, weight: f64) -> Option<PredicateWindow> {
+    /// Look up a window by its condition subtree. The stored weight may
+    /// differ from the caller's: raw distances do not depend on it, so
+    /// the caller compares weights and refits (§5.2) the cached raw frame
+    /// when they differ — a found entry is a hit either way.
+    pub fn lookup(&mut self, node: &ConditionNode) -> Option<PredicateWindow> {
         let found = self
             .entries
             .iter()
-            .find(|(n, e)| n == node && e.weight == weight)
+            .find(|(n, _)| n == node)
             .map(|(_, e)| e.clone());
         if found.is_some() {
             self.hits += 1;
@@ -395,12 +396,13 @@ mod tests {
 
     fn eval(n: usize) -> PredicateWindow {
         use visdb_distance::frame::DistanceFrame;
+        let (raw, stats) = DistanceFrame::constant(n, 0.0);
         PredicateWindow::full(
             "t".into(),
             true,
             1.0,
-            Arc::new(DistanceFrame::from_options(&vec![Some(0.0); n])),
-            Arc::new(DistanceFrame::from_options(&vec![Some(0.0); n])),
+            (Arc::new(raw), stats),
+            Arc::new(DistanceFrame::constant(n, 0.0).0),
             NormParams {
                 dmin: 0.0,
                 dmax: 0.0,
@@ -430,7 +432,7 @@ mod tests {
             Weighted::unit(pred("s", "a")),
             Weighted::unit(pred("t", "b")),
         ]);
-        let key = |n: &ConditionNode| window_key("d#1", &t, 10, 1.0, n);
+        let key = |n: &ConditionNode| window_key("d#1", &t, 10, n);
         assert_ne!(key(&forged), key(&genuine));
         // nested weights within epsilon of 1.0 (which the human-oriented
         // printer elides) are part of the key too
@@ -446,7 +448,7 @@ mod tests {
     fn crafted_literals_that_collide_under_naive_formatting_get_distinct_keys() {
         use visdb_query::ast::Weighted;
         let t = table(3);
-        let key = |n: &ConditionNode| window_key("d#1", &t, 10, 1.0, n);
+        let key = |n: &ConditionNode| window_key("d#1", &t, 10, n);
         let pred = |col: &str, lit: &str| {
             ConditionNode::Predicate(Predicate::compare(AttrRef::new(col), CompareOp::Eq, lit))
         };
@@ -505,13 +507,13 @@ mod tests {
                 .build()
         };
         let n = node(1.0);
-        let k1 = window_key("ab", &mk_table("T"), 10, 1.0, &n);
-        let k2 = window_key("a", &mk_table("bT"), 10, 1.0, &n);
+        let k1 = window_key("ab", &mk_table("T"), 10, &n);
+        let k2 = window_key("a", &mk_table("bT"), 10, &n);
         assert_ne!(k1, k2);
         // scopes carrying separators, '#' or digit-colon patterns parse
         // back exactly — this is what dataset invalidation matches on
         for scope in ["ramp#1", "a\u{1f}b#2", "7:x#3", ""] {
-            let key = window_key(scope, &mk_table("T"), 10, 1.0, &n);
+            let key = window_key(scope, &mk_table("T"), 10, &n);
             assert_eq!(key_scope(&key), Some(scope));
         }
         assert_eq!(key_scope("garbage"), None);
@@ -524,8 +526,9 @@ mod tests {
         let t = table(3);
         c.validate(&t, 100);
         c.store(vec![(node(5.0), eval(3))]);
-        assert!(c.lookup(&node(5.0), 1.0).is_some());
-        assert!(c.lookup(&node(6.0), 1.0).is_none());
+        // the stored weight is the caller's to compare, not the cache's
+        assert_eq!(c.lookup(&node(5.0)).map(|w| w.weight), Some(1.0));
+        assert!(c.lookup(&node(6.0)).is_none());
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 1);
         assert_eq!(c.hit_rate(), 0.5);

@@ -7,12 +7,15 @@
 //! nodes normalize their children and combine them (§5.2, see
 //! [`crate::combine`]).
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
 use visdb_distance::frame::{DistanceFrame, FrameStats};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_distance::{geo, numeric, string, time};
 use visdb_exec::{fault::Phase, CancelToken};
-use visdb_index::SortedProjection;
+use visdb_index::{projection_key, ProjectionSource, SortedProjection};
 use visdb_query::ast::{
     AttrRef, CompareOp, ConditionNode, Predicate, PredicateTarget, Query, SubqueryLink, Weighted,
 };
@@ -71,6 +74,58 @@ pub struct EvalContext<'a> {
     pub cancel: Option<&'a CancelToken>,
 }
 
+/// One pipeline run's handle on a shared [`ProjectionSource`]: lookups
+/// go straight to the source, but what the run *builds* is held back
+/// until [`RunProjections::publish`] — called at the run's single
+/// cache-store point, past its last cancellation checkpoint — so an
+/// interrupted or panicked run leaves the source exactly as it found it,
+/// like the window caches. It travels as an argument of the evaluation
+/// methods, not as an [`EvalContext`] field: a context without one sorts
+/// per evaluation.
+pub(crate) struct RunProjections<'a> {
+    scope: &'a str,
+    source: &'a dyn ProjectionSource,
+    built: RefCell<Vec<(String, Arc<SortedProjection>)>>,
+}
+
+impl<'a> RunProjections<'a> {
+    pub(crate) fn new((scope, source): (&'a str, &'a dyn ProjectionSource)) -> Self {
+        RunProjections {
+            scope,
+            source,
+            built: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The projection of `column` over all `rows` rows of `table`: from
+    /// the source, from an earlier build of this run, or built now.
+    fn get_or_build(
+        &self,
+        table: &str,
+        rows: usize,
+        column: &str,
+        build: impl FnOnce() -> SortedProjection,
+    ) -> Arc<SortedProjection> {
+        let key = projection_key(self.scope, table, rows, column);
+        if let Some(found) = self.source.lookup(&key) {
+            return found;
+        }
+        if let Some((_, earlier)) = self.built.borrow().iter().find(|(k, _)| *k == key) {
+            return Arc::clone(earlier);
+        }
+        let projection = Arc::new(build());
+        self.built.borrow_mut().push((key, Arc::clone(&projection)));
+        projection
+    }
+
+    /// Hand this run's builds to the source.
+    pub(crate) fn publish(self) {
+        for (key, projection) in self.built.into_inner() {
+            self.source.store(key, projection);
+        }
+    }
+}
+
 /// The evaluated distances of one condition node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeEval {
@@ -123,14 +178,27 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Evaluate any condition node, returning per-row signed distances.
+    /// Without a shared projection source: a §4.4 join sorts its inner
+    /// key per evaluation.
     pub fn eval_node(&self, node: &ConditionNode) -> Result<NodeEval> {
+        self.eval_node_with(node, None)
+    }
+
+    /// [`EvalContext::eval_node`] with the run's shared projections, which
+    /// the §4.4 joins anywhere below `node` borrow their inner sorted
+    /// key from.
+    pub(crate) fn eval_node_with(
+        &self,
+        node: &ConditionNode,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<NodeEval> {
         match node {
             ConditionNode::Predicate(p) => self.eval_predicate(p, false),
-            ConditionNode::Not(inner) => self.eval_not(inner),
+            ConditionNode::Not(inner) => self.eval_not(inner, projections),
             ConditionNode::Connection(c) => self.eval_connection(c),
-            ConditionNode::Subquery { link, query } => self.eval_subquery(link, query),
-            ConditionNode::And(children) => self.eval_boolean(children, true),
-            ConditionNode::Or(children) => self.eval_boolean(children, false),
+            ConditionNode::Subquery { link, query } => self.eval_subquery(link, query, projections),
+            ConditionNode::And(children) => self.eval_boolean(children, true, projections),
+            ConditionNode::Or(children) => self.eval_boolean(children, false, projections),
         }
     }
 
@@ -158,10 +226,15 @@ impl<'a> EvalContext<'a> {
     /// weight-proportional fit (served by the child's fused stats), then
     /// combine row-wise — the combined frame's stats come out of the same
     /// combine walk, ready for the parent's re-normalization.
-    fn eval_boolean(&self, children: &[Weighted], and: bool) -> Result<NodeEval> {
+    fn eval_boolean(
+        &self,
+        children: &[Weighted],
+        and: bool,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<NodeEval> {
         let evals: Vec<NodeEval> = children
             .iter()
-            .map(|w| self.eval_node(&w.node))
+            .map(|w| self.eval_node_with(&w.node, projections))
             .collect::<Result<_>>()?;
         let normed: Vec<DistanceFrame> = evals
             .iter()
@@ -188,7 +261,11 @@ impl<'a> EvalContext<'a> {
     /// only boolean information survives: rows that *fail* the inner
     /// condition fulfil the negation (distance 0); rows that fulfil it
     /// have no meaningful distance (`None` — "no coloring is possible").
-    fn eval_not(&self, inner: &ConditionNode) -> Result<NodeEval> {
+    fn eval_not(
+        &self,
+        inner: &ConditionNode,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<NodeEval> {
         if let ConditionNode::Predicate(p) = inner {
             if let PredicateTarget::Compare { op, value } = &p.target {
                 let flipped = Predicate {
@@ -203,7 +280,7 @@ impl<'a> EvalContext<'a> {
                 return Ok(e);
             }
         }
-        let e = self.eval_node(inner)?;
+        let e = self.eval_node_with(inner, projections)?;
         let mut distances = DistanceFrame::undefined(e.distances.len());
         let mut stats = FrameStats::default();
         for (i, d) in e.distances.iter().enumerate() {
@@ -543,7 +620,12 @@ impl<'a> EvalContext<'a> {
     /// of the data item most closely fulfilling the subquery condition ...
     /// determined by the minimum distance in performing an approximate
     /// join of the inner and the outer relation(s)".
-    fn eval_subquery(&self, link: &SubqueryLink, query: &Query) -> Result<NodeEval> {
+    fn eval_subquery(
+        &self,
+        link: &SubqueryLink,
+        query: &Query,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<NodeEval> {
         let inner_table_name = query
             .tables
             .first()
@@ -563,7 +645,7 @@ impl<'a> EvalContext<'a> {
         // combined (normalized) distance of the inner condition per inner row
         let inner_cond: DistanceFrame = match &query.condition {
             Some(w) => {
-                let e = inner_ctx.eval_node(&w.node)?;
+                let e = inner_ctx.eval_node_with(&w.node, projections)?;
                 inner_ctx.normalized(&e, w.weight)
             }
             None => DistanceFrame::constant(inner_table.len(), 0.0).0,
@@ -590,10 +672,11 @@ impl<'a> EvalContext<'a> {
             }
             SubqueryLink::In { outer, inner } => {
                 let (oc, odt, ocl, _) = self.column(outer)?;
-                let (ic, ..) = inner_ctx.column(inner)?;
+                let (ic, _, _, inner_name) = inner_ctx.column(inner)?;
                 let cd = self.distance_for(outer, odt, ocl);
                 let mut out = DistanceFrame::undefined(n);
-                let stats = self.min_distance_join(oc, ic, &cd, &inner_cond, &mut out);
+                let shared = projections.map(|p| (p, inner_table.name(), inner_name.as_str()));
+                let stats = self.min_distance_join(oc, ic, &cd, &inner_cond, &mut out, shared);
                 Ok(NodeEval {
                     label: format!("{outer} IN (...)"),
                     signed: false,
@@ -620,9 +703,10 @@ impl<'a> EvalContext<'a> {
         cd: &ColumnDistance,
         inner_cond: &DistanceFrame,
         out: &mut DistanceFrame,
+        shared: SharedInner<'_>,
     ) -> FrameStats {
         if self.mode == ExecMode::Vectorized {
-            if let Some(stats) = self.banded_join(oc, ic, cd, inner_cond, out) {
+            if let Some(stats) = self.banded_join(oc, ic, cd, inner_cond, out, shared) {
                 return stats;
             }
             if let Some(stats) = self.gathered_join(oc, ic, cd, inner_cond, out) {
@@ -634,8 +718,11 @@ impl<'a> EvalContext<'a> {
 
     /// Banded sort-merge join over numeric join columns.
     ///
-    /// The inner join column is sorted once (`SortedProjection`, NULL and
-    /// NaN rows excluded — exactly the rows the exhaustive sweep skips).
+    /// The inner join column's `SortedProjection` (NULL and NaN rows
+    /// excluded — exactly the rows the exhaustive sweep skips) is a pure
+    /// function of a catalog column: it comes from the run's shared
+    /// per-(relation, column) store when there is one (`shared`), from a
+    /// per-evaluation sort otherwise.
     /// Each outer row starts at its binary-searched insertion point and
     /// sweeps outward **nearest first** ([`SortedProjection::sweep_from`]
     /// yields non-decreasing join gaps), stopping as soon as
@@ -658,14 +745,18 @@ impl<'a> EvalContext<'a> {
         cd: &ColumnDistance,
         inner_cond: &DistanceFrame,
         out: &mut DistanceFrame,
+        shared: SharedInner<'_>,
     ) -> Option<FrameStats> {
         if !matches!(cd, ColumnDistance::Numeric) {
             return None;
         }
         oc.numeric_slice()?;
         ic.numeric_slice()?;
-        let m = ic.len();
-        let proj = SortedProjection::build(m, |j| ic.get_f64(j));
+        let build = || SortedProjection::build(ic.len(), |j| ic.get_f64(j));
+        let proj = match shared {
+            Some((run, table, column)) => run.get_or_build(table, ic.len(), column, build),
+            None => Arc::new(build()),
+        };
         if !proj.is_fully_finite() {
             return None;
         }
@@ -825,6 +916,10 @@ impl<'a> EvalContext<'a> {
         })
     }
 }
+
+/// A join's way to the shared copy of its inner key's projection: the
+/// run's store plus the inner `(table, column)` names that key it.
+type SharedInner<'a> = Option<(&'a RunProjections<'a>, &'a str, &'a str)>;
 
 /// One outer row of the numeric exhaustive sweep, in reference order:
 /// the same `equal_to(..).abs() + cond` fold the generic loop performs,

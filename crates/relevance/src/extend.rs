@@ -6,47 +6,40 @@
 //! function of each row's own value: then the appended rows can be
 //! evaluated alone through the same branchless kernels, their fused
 //! stats merged into the cached stats exactly (the merge is
-//! order-independent), and the frames grown by two memcpys. The one
+//! order-independent), and the raw frame grown by a memcpy. The one
 //! global coupling is the §5.2 weight-proportional normalization fit: if
-//! the appended rows shift the fitted `(dmin, dmax)` — say a new
-//! farthest outlier — the normalization of *old* rows would change, so
-//! the extension **declines** and the caller falls back to a full
-//! re-evaluation. That decline is what keeps append-then-query
-//! bit-identical to rebuild-from-scratch.
+//! the appended rows shift the fitted `(dmin, dmax)` — say a new nearest
+//! row displaces the k-th smallest distance — the normalization of *old*
+//! rows changes too, and the extension re-applies the new params to the
+//! whole extended raw frame (O(n) arithmetic, no distance kernels);
+//! otherwise the normalized frame grows by the delta alone. Either way
+//! append-then-query is bit-identical to rebuild-from-scratch.
 
 use std::sync::Arc;
 
-use visdb_distance::frame::FrameStats;
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
-use visdb_query::ast::{ConditionNode, Weighted};
+use visdb_query::ast::ConditionNode;
 use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
 use crate::normalize::{apply_frame, fit_frame, fit_frame_extended};
 use crate::pipeline::{PredicateWindow, WindowData};
 
-/// Everything needed to grow one stored window by appended rows: the
-/// evaluation inputs (condition subtree, weight, display budget) plus
-/// the cached frame's fused [`FrameStats`], so the incremental fit
-/// decision never re-walks old rows.
+/// What it takes, beside the stored window itself (which carries its
+/// weight, row count, raw frame and that frame's stats), to grow the
+/// window by appended rows: the evaluation inputs.
 #[derive(Debug, Clone)]
 pub struct WindowRecipe {
     /// Base relation the window was evaluated over.
     pub table: String,
-    /// Row count at evaluation time.
-    pub rows: usize,
     /// Display budget the normalization was fitted with.
     pub budget: usize,
-    /// Window weight (a §5.2 fit input).
-    pub weight: f64,
     /// The condition subtree (a single extendable predicate).
     pub node: ConditionNode,
-    /// Fused stats of the stored raw frame.
-    pub stats: FrameStats,
 }
 
-/// Build the append-extension recipe for a freshly evaluated window, or
-/// `None` for shapes that cannot be extended row-locally:
+/// Build the append-extension recipe for an evaluated window, or `None`
+/// for shapes that cannot be extended row-locally:
 ///
 /// * only bare `Predicate` leaves qualify — connections and subqueries
 ///   evaluate against *other* relations, and `And`/`Or`/`Not` interiors
@@ -55,15 +48,8 @@ pub struct WindowRecipe {
 ///   string/ordinal distances run through column-level artifacts
 ///   (dictionaries, rank tables) that appends reshape, so a delta-only
 ///   evaluation is not guaranteed to reproduce the full-column pass.
-///
-/// The recipe's stats come from the evaluation's own fused accumulation
-/// — no extra walk.
-pub fn extension_recipe(
-    ctx: &EvalContext<'_>,
-    w: &Weighted,
-    stats: FrameStats,
-) -> Option<WindowRecipe> {
-    let ConditionNode::Predicate(p) = &w.node else {
+pub fn extension_recipe(ctx: &EvalContext<'_>, node: &ConditionNode) -> Option<WindowRecipe> {
+    let ConditionNode::Predicate(p) = node else {
         return None;
     };
     let (_, dt, class, _) = ctx.column(&p.attr).ok()?;
@@ -75,22 +61,21 @@ pub fn extension_recipe(
     }
     Some(WindowRecipe {
         table: ctx.table.name().to_string(),
-        rows: ctx.table.len(),
         budget: ctx.display_budget,
-        weight: w.weight,
-        node: w.node.clone(),
-        stats,
+        node: node.clone(),
     })
 }
 
 /// Grow a stored window by the appended rows of `delta` (a sub-table
-/// holding **only** rows `recipe.rows..`): evaluate the delta through
-/// the standard kernels, merge stats, refit, and — iff the fitted
-/// normalization parameters are unchanged — append the delta's raw and
-/// normalized distances to the cached frames. Returns the extended
-/// window plus its updated recipe, or `None` when the fit shifted (or
-/// the delta fails to evaluate), in which case the caller must drop the
-/// entry and let the next query re-evaluate in full.
+/// holding **only** the rows past `win.len()`): evaluate the delta
+/// through the standard kernels, merge stats, refit, and append the
+/// delta's raw distances to the cached frame. When the fitted
+/// normalization parameters are unchanged the normalized frame grows by
+/// the delta's normalization alone; when the appended rows shifted the
+/// fit, the new params are re-applied to every row of the extended raw
+/// frame. Returns `None` only when the window is not materialized or the
+/// delta fails to evaluate — the caller then drops the entry and the
+/// next query re-evaluates in full.
 ///
 /// Shared caches only ever hold default-resolver evaluations (sessions
 /// with custom resolvers detach from them), so the delta pass uses a
@@ -100,8 +85,15 @@ pub fn extend_window(
     delta: &Table,
     win: &PredicateWindow,
     recipe: &WindowRecipe,
-) -> Option<(PredicateWindow, WindowRecipe)> {
-    let (raw, normalized) = win.full_frames()?;
+) -> Option<PredicateWindow> {
+    let WindowData::Full {
+        raw,
+        stats,
+        normalized,
+    } = &win.data
+    else {
+        return None;
+    };
     let resolver = DistanceResolver::new();
     let ctx = EvalContext {
         db,
@@ -113,59 +105,45 @@ pub fn extend_window(
         cancel: None,
     };
     let dev = ctx.eval_node(&recipe.node).ok()?;
-    let mut merged = recipe.stats;
+    let mut merged = *stats;
     merged.merge(&dev.stats);
+    let ext_raw = raw.concat(&dev.distances);
     // refit in O(Δ) when the old k-th order statistic provably still
-    // governs; fall back to the full selection over the concatenated
-    // frame when the delta may have displaced it (bit-identical both
-    // ways — the fast path only fires when the answer is forced)
-    let (params, ext_raw) = match fit_frame_extended(
-        recipe.rows,
-        &recipe.stats,
+    // governs; fall back to the full selection over the extended frame
+    // when the delta may have displaced it (bit-identical both ways —
+    // the fast path only fires when the answer is forced)
+    let params = fit_frame_extended(
+        raw.len(),
+        stats,
         win.norm_params,
         &dev.distances,
         &merged,
-        recipe.weight,
+        win.weight,
         recipe.budget,
-    ) {
-        Some(params) => (params, None),
-        None => {
-            let ext_raw = raw.concat(&dev.distances);
-            let params = fit_frame(&ext_raw, &merged, recipe.weight, recipe.budget);
-            (params, Some(ext_raw))
-        }
+    )
+    .unwrap_or_else(|| fit_frame(&ext_raw, &merged, win.weight, recipe.budget));
+    let ext_norm = if params == win.norm_params {
+        normalized.concat(&apply_frame(&dev.distances, params))
+    } else {
+        // the fit shifted: old rows' normalization changes with it
+        apply_frame(&ext_raw, params)
     };
-    if params != win.norm_params {
-        return None; // fit shifted: old rows' normalization would change
-    }
-    let ext_raw = ext_raw.unwrap_or_else(|| raw.concat(&dev.distances));
-    let ext_norm = normalized.concat(&apply_frame(&dev.distances, params));
-    let extended = PredicateWindow {
-        label: win.label.clone(),
-        signed: win.signed,
-        weight: win.weight,
-        data: WindowData::Full {
-            raw: Arc::new(ext_raw),
-            normalized: Arc::new(ext_norm),
-        },
-        norm_params: params,
-    };
-    let recipe = WindowRecipe {
-        rows: recipe.rows + delta.len(),
-        stats: merged,
-        node: recipe.node.clone(),
-        table: recipe.table.clone(),
-        budget: recipe.budget,
-        weight: recipe.weight,
-    };
-    Some((extended, recipe))
+    Some(PredicateWindow::full(
+        win.label.clone(),
+        win.signed,
+        win.weight,
+        (Arc::new(ext_raw), merged),
+        Arc::new(ext_norm),
+        params,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_pipeline_opts, DisplayPolicy, Materialization, PipelineOptions};
-    use visdb_query::ast::{AttrRef, CompareOp, Predicate};
+    use visdb_distance::frame::FrameStats;
+    use visdb_query::ast::{AttrRef, CompareOp, Predicate, Weighted};
     use visdb_storage::{Database, TableBuilder};
     use visdb_types::{Column, DataType, Value};
 
@@ -208,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn extension_matches_full_reevaluation_or_declines() {
+    fn extension_matches_full_reevaluation_even_when_the_fit_shifts() {
         let node =
             ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, 1000.0));
         // distinct ramp -> distinct |d|, so the k-th order statistic is
@@ -221,11 +199,12 @@ mod tests {
             })
             .collect();
         // a delta far from the bound leaves the k smallest |d| (and so
-        // the fit) untouched -> extends; a delta row closer than the
-        // current k-th smallest shifts the fit -> must decline
-        for (delta_vals, expect_extend) in [
-            (vec![Some(5.5), None, Some(3.25)], true),
-            (vec![Some(999.0)], false),
+        // the fit) untouched; a delta row closer than the current k-th
+        // smallest shifts the fit, and every old row's normalization
+        // with it
+        for (delta_vals, fit_shifts) in [
+            (vec![Some(5.5), None, Some(3.25)], false),
+            (vec![Some(999.0)], true),
         ] {
             let mut all = base.clone();
             all.extend(delta_vals.iter().cloned());
@@ -233,31 +212,23 @@ mod tests {
             let new_db = db_with(&all);
             let budget = 16;
             let win = window_for(&old_db, &node, budget);
-            let (raw, _) = win.full_frames().unwrap();
             let recipe = WindowRecipe {
                 table: "T".into(),
-                rows: base.len(),
                 budget,
-                weight: 1.0,
                 node: node.clone(),
-                stats: FrameStats::of_frame(raw),
             };
             let idx: Vec<usize> = (base.len()..all.len()).collect();
             let delta = new_db.table("T").unwrap().gather("T", &idx);
-            match extend_window(&new_db, &delta, &win, &recipe) {
-                Some((ext, new_recipe)) => {
-                    assert!(expect_extend, "should have declined");
-                    let full = window_for(&new_db, &node, budget);
-                    let (eraw, enorm) = ext.full_frames().unwrap();
-                    let (fraw, fnorm) = full.full_frames().unwrap();
-                    assert!(eraw.bits_eq(fraw), "raw frames diverge");
-                    assert!(enorm.bits_eq(fnorm), "normalized frames diverge");
-                    assert_eq!(ext.norm_params, full.norm_params);
-                    assert_eq!(new_recipe.rows, all.len());
-                    assert_eq!(new_recipe.stats, FrameStats::of_frame(fraw));
-                }
-                None => assert!(!expect_extend, "should have extended"),
-            }
+            let ext = extend_window(&new_db, &delta, &win, &recipe).expect("a numeric leaf");
+            let full = window_for(&new_db, &node, budget);
+            assert_eq!(ext.norm_params != win.norm_params, fit_shifts);
+            let (eraw, enorm) = ext.full_frames().unwrap();
+            let (fraw, fnorm) = full.full_frames().unwrap();
+            assert!(eraw.bits_eq(fraw), "raw frames diverge");
+            assert!(enorm.bits_eq(fnorm), "normalized frames diverge");
+            assert_eq!(ext.norm_params, full.norm_params);
+            assert_eq!(ext.len(), all.len());
+            assert_eq!(ext.raw_with_stats().unwrap().1, &FrameStats::of_frame(fraw));
         }
     }
 
@@ -280,17 +251,17 @@ mod tests {
             CompareOp::Ge,
             1.0,
         )));
-        assert!(extension_recipe(&ctx, &numeric, FrameStats::default()).is_some());
+        assert!(extension_recipe(&ctx, &numeric.node).is_some());
         let string = Weighted::unit(ConditionNode::Predicate(Predicate::compare(
             AttrRef::new("s"),
             CompareOp::Eq,
             "s1",
         )));
         assert!(
-            extension_recipe(&ctx, &string, FrameStats::default()).is_none(),
+            extension_recipe(&ctx, &string.node).is_none(),
             "string distances are column-dependent"
         );
         let and = Weighted::unit(ConditionNode::And(vec![numeric.clone()]));
-        assert!(extension_recipe(&ctx, &and, FrameStats::default()).is_none());
+        assert!(extension_recipe(&ctx, &and.node).is_none());
     }
 }

@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 use visdb_distance::frame::{DistanceFrame, FrameStats};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
+use visdb_index::ProjectionSource;
 use visdb_query::ast::{ConditionNode, Weighted};
 use visdb_storage::{Database, Partitioning, Table};
 use visdb_types::{Error, Result};
@@ -48,7 +49,7 @@ use visdb_types::{Error, Result};
 use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
 use crate::combine::{combine_and_slices, combine_or_slices};
-use crate::eval::{EvalContext, NodeEval};
+use crate::eval::{EvalContext, NodeEval, RunProjections};
 use crate::normalize::{
     apply_in_place, apply_slice, fit_frame, params_from_max, NormParams, NORM_MAX,
 };
@@ -108,13 +109,16 @@ pub struct PipelineTrace {
     /// Rows the streaming fit-selection kept out of its pools (values
     /// above the sampled cut). Always 0 on the materialized path.
     pub rows_pruned: u64,
-    /// Top-level windows served from the per-session §6 incremental
-    /// cache.
+    /// Top-level windows found in the per-session §6 incremental cache.
     pub cache_hits: usize,
-    /// Top-level windows served from the cross-session shared window
-    /// cache.
+    /// Top-level windows found in the cross-session shared window cache.
     pub shared_hits: usize,
-    /// Top-level windows actually (re-)evaluated this run.
+    /// Of those cache hits, the windows stored under another weight:
+    /// their cached raw distances were refitted and re-normalized (§5.2),
+    /// not re-evaluated — what a re-weight costs.
+    pub windows_refit: usize,
+    /// Top-level windows whose distances were actually (re-)evaluated
+    /// this run.
     pub windows_evaluated: usize,
 }
 
@@ -207,6 +211,11 @@ pub enum WindowData {
         /// Raw signed distances per item in packed SoA form (shared with
         /// the incremental caches; cloning a window is cheap).
         raw: Arc<DistanceFrame>,
+        /// The fused reduction stats of `raw` — together with the frame,
+        /// every input of a §5.2 fit, so a cached window can be refitted
+        /// under another weight (or over appended rows) without a
+        /// distance pass.
+        stats: FrameStats,
         /// Normalized absolute distances (`[0, 255]`), packed like `raw`.
         normalized: Arc<DistanceFrame>,
     },
@@ -265,12 +274,14 @@ pub struct PredicateWindow {
 }
 
 impl PredicateWindow {
-    /// A window over fully materialized frames (the cacheable form).
+    /// A window over fully materialized frames (the cacheable form):
+    /// the raw frame with its reduction stats, and its normalization
+    /// under `weight`.
     pub fn full(
         label: String,
         signed: bool,
         weight: f64,
-        raw: Arc<DistanceFrame>,
+        (raw, stats): (Arc<DistanceFrame>, FrameStats),
         normalized: Arc<DistanceFrame>,
         norm_params: NormParams,
     ) -> Self {
@@ -278,7 +289,11 @@ impl PredicateWindow {
             label,
             signed,
             weight,
-            data: WindowData::Full { raw, normalized },
+            data: WindowData::Full {
+                raw,
+                stats,
+                normalized,
+            },
             norm_params,
         }
     }
@@ -335,7 +350,18 @@ impl PredicateWindow {
     /// spectrum strips — require this representation.
     pub fn full_frames(&self) -> Option<(&Arc<DistanceFrame>, &Arc<DistanceFrame>)> {
         match &self.data {
-            WindowData::Full { raw, normalized } => Some((raw, normalized)),
+            WindowData::Full {
+                raw, normalized, ..
+            } => Some((raw, normalized)),
+            WindowData::Displayed(_) => None,
+        }
+    }
+
+    /// The materialized raw frame with its reduction stats — the inputs
+    /// of a §5.2 refit (`None` for a late-materialized window).
+    pub fn raw_with_stats(&self) -> Option<(&Arc<DistanceFrame>, &FrameStats)> {
+        match &self.data {
+            WindowData::Full { raw, stats, .. } => Some((raw, stats)),
             WindowData::Displayed(_) => None,
         }
     }
@@ -459,6 +485,13 @@ pub struct PipelineOptions<'a> {
     /// Cross-session predicate-window reuse (the serving layer's shared
     /// cache); consulted after the per-session cache misses.
     pub shared: Option<SharedWindows<'a>>,
+    /// Cross-session sorted-projection reuse: `(scope, store)`, the
+    /// scope identifying the dataset generation exactly like
+    /// [`SharedWindows::scope`]. A §4.4 join borrows its inner key's
+    /// projection from the store and the run publishes what it had to
+    /// build together with its windows; without one a join sorts its
+    /// inner key on every evaluation.
+    pub projections: Option<(&'a str, &'a dyn ProjectionSource)>,
     /// Columnar fast path (default) vs per-tuple reference path.
     pub mode: ExecMode,
     /// Horizontal partitioning of the base relation. When set (and the
@@ -489,9 +522,10 @@ pub struct PipelineOptions<'a> {
 
 /// A phase-boundary cancellation checkpoint: runs any armed fault
 /// injection for `phase`, then maps a tripped token into the pipeline's
-/// error. Placed before every phase *and* before the cache-store block,
-/// so a cancelled run's garbage windows (fast-drained chunks look like
-/// all-undefined rows — valid-shaped but wrong) can never be cached.
+/// error. Placed before every phase, all of them ahead of the run's one
+/// cache-store block, so a cancelled run's garbage windows (fast-drained
+/// chunks look like all-undefined rows — valid-shaped but wrong) can
+/// never be cached.
 pub(crate) fn checkpoint(cancel: Option<&CancelToken>, phase: Phase) -> Result<()> {
     let Some(token) = cancel else { return Ok(()) };
     fault::check(phase, token);
@@ -612,6 +646,7 @@ pub fn run_pipeline_opts(
     let PipelineOptions {
         mut cache,
         shared,
+        projections,
         mode,
         partitions,
         trace: want_trace,
@@ -713,103 +748,93 @@ pub fn run_pipeline_opts(
         }
     }
 
-    // Serve structurally-unchanged windows (same subtree AND weight) from
-    // the per-session incremental cache, then from the cross-session
-    // shared cache; evaluate the rest. Window data is Arc-shared, so
-    // cache hits avoid both the O(n) distance pass and the
-    // weight-proportional normalization.
-    let mut slots: Vec<Option<PredicateWindow>> = match &mut cache {
+    // Every top-level window has one of three outcomes against the
+    // per-session incremental cache, then the cross-session shared one,
+    // both keyed by the subtree alone: **ready** — an entry under the
+    // same weight, reused whole (Arc-shared, no pass at all); **refit**
+    // — an entry under another weight: raw distances do not depend on
+    // the weight, so its raw frame and stats go straight to the §5.2
+    // fit and the fused walk's normalize arm, with no distance pass and
+    // no join; **fresh** — evaluated now.
+    //
+    // Only materialized windows can be reused: a late-materialized one
+    // covers displayed rows of a *previous* display selection.
+    let usable = |w: Option<PredicateWindow>| w.filter(|w| w.full_frames().is_some());
+    let same_weight =
+        |win: &PredicateWindow, w: &Weighted| win.weight.to_bits() == w.weight.to_bits();
+    let mut found: Vec<Option<PredicateWindow>> = match &mut cache {
         Some(cache) => {
             cache.validate(table, ctx.display_budget);
-            top.iter()
-                .map(|w| {
-                    cache
-                        .lookup(&w.node, w.weight)
-                        // only materialized windows can be reused: a
-                        // late-materialized one covers displayed rows of
-                        // a *previous* display selection
-                        .filter(|w| w.full_frames().is_some())
-                })
-                .collect()
+            top.iter().map(|w| usable(cache.lookup(&w.node))).collect()
         }
         None => vec![None; top.len()],
     };
-    let session_hits = slots.iter().flatten().count();
+    let session_hits = found.iter().flatten().count();
     let mut shared_keys: Vec<Option<String>> = match shared {
         Some(sh) => top
             .iter()
-            .zip(&slots)
-            .map(|(w, slot)| {
-                slot.is_none()
-                    .then(|| window_key(sh.scope, table, ctx.display_budget, w.weight, &w.node))
+            .zip(&found)
+            .map(|(w, got)| {
+                got.is_none()
+                    .then(|| window_key(sh.scope, table, ctx.display_budget, &w.node))
             })
             .collect(),
         None => vec![None; top.len()],
     };
     if let Some(sh) = shared {
-        for (slot, key) in slots.iter_mut().zip(shared_keys.iter_mut()) {
-            if slot.is_none() {
-                if let Some(k) = key.as_deref() {
-                    *slot = sh.cache.lookup(k).filter(|w| w.full_frames().is_some());
-                    if slot.is_some() {
-                        // hit: drop the key so the post-run store loop
-                        // doesn't re-insert (and re-scan) on every query
-                        *key = None;
-                    }
+        for ((slot, key), w) in found.iter_mut().zip(shared_keys.iter_mut()).zip(&top) {
+            if let Some(k) = key.as_deref() {
+                *slot = usable(sh.cache.lookup(k));
+                if slot.as_ref().is_some_and(|win| same_weight(win, w)) {
+                    // ready: drop the key so the post-run store loop
+                    // doesn't re-insert on every query (a refit keeps it:
+                    // the entry's latest weight wins)
+                    *key = None;
                 }
             }
         }
     }
-    let shared_hits = slots.iter().flatten().count() - session_hits;
-    let missing: Vec<&Weighted> = top
-        .iter()
-        .zip(&slots)
-        .filter(|(_, got)| got.is_none())
-        .map(|(w, _)| *w)
-        .collect();
-    let windows_evaluated = missing.len();
+    let shared_hits = found.iter().flatten().count() - session_hits;
+    let run_projections = projections.map(RunProjections::new);
     let mut timings = trace.as_deref_mut().map(|t| &mut t.phases);
     checkpoint(cancel, Phase::Distance)?;
-    let fresh = phase_time!(timings, distance, eval_windows(&ctx, &missing)?);
-    // the fused stats outlive the evaluations: the shared cache's
-    // extension recipes want them, without another walk over the frame
-    let fresh_stats: Vec<FrameStats> = fresh.iter().map(|e| e.stats).collect();
+    let mut slots: Vec<Option<PredicateWindow>> = Vec::with_capacity(top.len());
+    let mut unfitted: Vec<Unfitted> = Vec::new();
+    phase_time!(timings, distance, {
+        for (w, got) in top.iter().zip(found) {
+            match got {
+                Some(win) if same_weight(&win, w) => slots.push(Some(win)),
+                other => {
+                    slots.push(None);
+                    unfitted.push(match other {
+                        Some(win) => Unfitted::Cached(win),
+                        // parallelism lives *inside* a window evaluation
+                        // (chunked over rows); windows go one by one
+                        None => {
+                            Unfitted::Fresh(ctx.eval_node_with(&w.node, run_projections.as_ref())?)
+                        }
+                    });
+                }
+            }
+        }
+    });
+    let windows_refit = unfitted
+        .iter()
+        .filter(|u| matches!(u, Unfitted::Cached(_)))
+        .count();
+    let windows_evaluated = unfitted.len() - windows_refit;
 
     // a token that tripped mid-eval left fast-drained chunks behind —
     // all-undefined rows that look valid-shaped but are wrong; stop
     // before the fit can see them
     checkpoint(cancel, Phase::Fit)?;
     let (windows, combined, num_exact) = match mode {
-        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, slots, fresh, &mut timings)?,
-        ExecMode::Vectorized => combine_vectorized(&ctx, cond, &top, slots, fresh, &mut timings),
+        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, slots, unfitted, &mut timings)?,
+        ExecMode::Vectorized => combine_vectorized(&ctx, cond, &top, slots, unfitted, &mut timings),
     };
 
-    // The last gate before the caches: a run interrupted during combine
-    // must not publish its windows to either layer.
+    // a run interrupted during combine left a half-combined frame
     checkpoint(cancel, Phase::NormalizeCombine)?;
-
-    // Freshly evaluated windows feed both cache layers (keys survive
-    // only for windows that were actually evaluated this run). Windows
-    // whose shape supports it carry an extension recipe so the append
-    // path can grow them by delta rows instead of re-evaluating.
-    if let Some(sh) = shared {
-        let mut fresh_stats = fresh_stats.into_iter();
-        for ((win, key), w) in windows.iter().zip(shared_keys).zip(&top) {
-            if let Some(key) = key {
-                let stats = fresh_stats.next().expect("one eval per keyed window");
-                let recipe = crate::extend::extension_recipe(&ctx, w, stats);
-                sh.cache.store(key, win.clone(), recipe);
-            }
-        }
-    }
-    if let Some(cache) = &mut cache {
-        cache.store(
-            top.iter()
-                .map(|w| w.node.clone())
-                .zip(windows.iter().cloned())
-                .collect(),
-        );
-    }
 
     // Rank and select. The scalar reference pays the paper's dominant
     // O(n log n) full sort; the vectorized path selects the policy's
@@ -837,6 +862,32 @@ pub fn run_pipeline_opts(
         }
     });
 
+    // Only a run that got this far publishes: an interrupted, panicked or
+    // failed run has returned above and leaves every cache layer exactly
+    // as it found it. Freshly evaluated and refitted windows feed both
+    // layers (keys survive only for windows that were fitted this run);
+    // windows whose shape supports it carry an extension recipe so the
+    // append path can grow them by delta rows instead of re-evaluating.
+    if let Some(sh) = shared {
+        for ((win, key), w) in windows.iter().zip(shared_keys).zip(&top) {
+            if let Some(key) = key {
+                let recipe = crate::extend::extension_recipe(&ctx, &w.node);
+                sh.cache.store(key, win.clone(), recipe);
+            }
+        }
+    }
+    if let Some(cache) = &mut cache {
+        cache.store(
+            top.iter()
+                .map(|w| w.node.clone())
+                .zip(windows.iter().cloned())
+                .collect(),
+        );
+    }
+    if let Some(run) = run_projections {
+        run.publish();
+    }
+
     if let Some(t) = &mut trace {
         // every materialized window evaluation scans the full relation;
         // only the streaming fit-selection can prune
@@ -844,6 +895,7 @@ pub fn run_pipeline_opts(
         t.rows_scanned = n as u64;
         t.cache_hits = session_hits;
         t.shared_hits = shared_hits;
+        t.windows_refit = windows_refit;
         t.windows_evaluated = windows_evaluated;
     }
     Ok(PipelineOutput {
@@ -857,8 +909,48 @@ pub fn run_pipeline_opts(
     })
 }
 
+/// A top-level window awaiting its §5.2 fit: raw distances evaluated this
+/// run, or the raw side of a cache entry stored under another weight
+/// (always a materialized one — lookups are filtered to those).
+enum Unfitted {
+    Fresh(NodeEval),
+    Cached(PredicateWindow),
+}
+
+impl Unfitted {
+    /// The raw frame and its fused reduction stats.
+    fn raw(&self) -> (&DistanceFrame, &FrameStats) {
+        match self {
+            Unfitted::Fresh(e) => (&e.distances, &e.stats),
+            Unfitted::Cached(win) => {
+                let (raw, stats) = win.raw_with_stats().expect("materialized cache entry");
+                (raw, stats)
+            }
+        }
+    }
+
+    /// The fitted window: the raw frame moves (fresh) or stays shared
+    /// (cached) — neither copies it.
+    fn into_window(
+        self,
+        weight: f64,
+        normalized: DistanceFrame,
+        params: NormParams,
+    ) -> PredicateWindow {
+        let (label, signed, raw) = match self {
+            Unfitted::Fresh(e) => (e.label, e.signed, (Arc::new(e.distances), e.stats)),
+            Unfitted::Cached(win) => {
+                let (raw, stats) = win.raw_with_stats().expect("materialized cache entry");
+                let raw = (Arc::clone(raw), *stats);
+                (win.label, win.signed, raw)
+            }
+        };
+        PredicateWindow::full(label, signed, weight, raw, Arc::new(normalized), params)
+    }
+}
+
 /// The scalar reference combine, on the `Option` arithmetic of
-/// [`crate::reference`] throughout: fit each fresh window by plain
+/// [`crate::reference`] throughout: fit each unfitted window by plain
 /// selection and normalize it row by row, fold the rows at the root with
 /// `and_row`/`or_row`, normalize the combined vector as a whole, and only
 /// then pack — the correctness baseline every packed kernel is held to.
@@ -868,14 +960,16 @@ fn combine_scalar(
     cond: &Weighted,
     top: &[&Weighted],
     mut slots: Vec<Option<PredicateWindow>>,
-    fresh: Vec<NodeEval>,
+    unfitted: Vec<Unfitted>,
     timings: &mut Option<&mut PhaseTimings>,
 ) -> Result<(Vec<PredicateWindow>, DistanceFrame, usize)> {
-    let mut fresh_it = fresh.into_iter();
+    let mut unfitted_it = unfitted.into_iter();
     for (slot, w) in slots.iter_mut().zip(top.iter()) {
         if slot.is_none() {
-            let e = fresh_it.next().expect("one eval per missing window");
-            let raw = e.distances.to_options();
+            let u = unfitted_it
+                .next()
+                .expect("one raw frame per unfitted window");
+            let raw = u.raw().0.to_options();
             let params = phase_time!(
                 (*timings),
                 fit,
@@ -886,14 +980,7 @@ fn combine_scalar(
                 normalize_combine,
                 DistanceFrame::from_options(&reference::apply_all(&raw, params))
             );
-            *slot = Some(PredicateWindow::full(
-                e.label,
-                e.signed,
-                w.weight,
-                Arc::new(e.distances),
-                Arc::new(normalized),
-                params,
-            ));
+            *slot = Some(u.into_window(w.weight, normalized, params));
         }
     }
     let windows: Vec<PredicateWindow> = slots
@@ -952,12 +1039,49 @@ impl Default for RootAcc {
 }
 
 impl RootAcc {
-    /// Fold one freshly combined chunk with branch-free selects.
-    /// Undefined rows carry canonical 0.0, so the masked folds see a
-    /// harmless value.
+    /// Fold one freshly combined chunk with branch-free selects, eight
+    /// independent lanes per validity word so no fold waits on the row
+    /// before it; fully-defined blocks (one `u64` compare) skip the mask
+    /// terms. Undefined rows carry canonical 0.0, so the masked folds see
+    /// a harmless value. Lane assignment cannot matter: all three folds
+    /// are set operations. The blocks fold only two of them — every
+    /// defined value is either `== 0.0` or `!= 0.0`, so "any nonzero" is
+    /// "more defined rows than exact ones".
     pub(crate) fn fold(&mut self, vals: &[f64], mask: &[bool]) {
-        use visdb_distance::lanes::select;
-        for (&x, &ok) in vals.iter().zip(mask) {
+        use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
+        debug_assert_eq!(vals.len(), mask.len());
+        let mut exact = [0usize; WORD_ROWS];
+        let mut defined = 0usize;
+        let mut max_abs = [f64::NEG_INFINITY; WORD_ROWS];
+        // neither side is ever NaN (the candidate is finite or -inf), so
+        // this select is `f64::max` without its NaN handling
+        let max = |m: f64, c: f64| select(c > m, c, m);
+        let blocks = vals.len() / WORD_ROWS * WORD_ROWS;
+        let (vh, vt) = vals.split_at(blocks);
+        let (mh, mt) = mask.split_at(blocks);
+        for (v8, m8) in vh.chunks_exact(WORD_ROWS).zip(mh.chunks_exact(WORD_ROWS)) {
+            let word = mask_word(m8);
+            defined += word.count_ones() as usize;
+            if word == ALL_VALID_WORD {
+                for l in 0..WORD_ROWS {
+                    let a = v8[l].abs();
+                    exact[l] += (v8[l] == 0.0) as usize;
+                    max_abs[l] = max(max_abs[l], select(a.is_finite(), a, f64::NEG_INFINITY));
+                }
+            } else {
+                for l in 0..WORD_ROWS {
+                    let (x, ok) = (v8[l], m8[l]);
+                    let a = x.abs();
+                    exact[l] += (ok & (x == 0.0)) as usize;
+                    max_abs[l] = max(max_abs[l], select(ok & a.is_finite(), a, f64::NEG_INFINITY));
+                }
+            }
+        }
+        let exact: usize = exact.iter().sum();
+        self.num_exact += exact;
+        self.any_nonzero |= defined > exact;
+        self.max_abs = max_abs.iter().fold(self.max_abs, |m, &x| m.max(x));
+        for (&x, &ok) in vt.iter().zip(mt) {
             self.num_exact += (ok && x == 0.0) as usize;
             self.any_nonzero |= ok && x != 0.0;
             let a = x.abs();
@@ -996,7 +1120,7 @@ pub(crate) fn finalize_combined(
     );
 }
 
-/// The vectorized combine: fit each fresh window's normalization from
+/// The vectorized combine: fit each unfitted window's normalization from
 /// its fused distance-walk stats ([`fit_frame`] — zero extra passes when
 /// the fit covers every defined item, a pruned selection otherwise),
 /// fill the packed normalized frames *and* the root combination in one
@@ -1009,7 +1133,7 @@ fn combine_vectorized(
     cond: &Weighted,
     top: &[&Weighted],
     slots: Vec<Option<PredicateWindow>>,
-    fresh: Vec<NodeEval>,
+    fresh: Vec<Unfitted>,
     timings: &mut Option<&mut PhaseTimings>,
 ) -> (Vec<PredicateWindow>, DistanceFrame, usize) {
     let n = ctx.table.len();
@@ -1017,9 +1141,10 @@ fn combine_vectorized(
 
     /// Per-window input to the fused walk, as raw SoA slices.
     enum Src<'a> {
-        /// Cache hit: normalized values already exist.
+        /// Cache hit under the same weight: normalized values exist.
         Ready(&'a [f64], &'a [bool]),
-        /// Fresh eval: normalize into `fresh_norm[slot]` on the fly.
+        /// Raw distances — evaluated this run, or a cache entry's under
+        /// another weight: normalize into `fresh_norm[slot]` on the fly.
         Fresh {
             raw_vals: &'a [f64],
             raw_mask: &'a [bool],
@@ -1033,13 +1158,8 @@ fn combine_vectorized(
         let mut fresh_idx = 0;
         for (slot, w) in slots.iter().zip(top.iter()) {
             if slot.is_none() {
-                let e = &fresh[fresh_idx];
-                params.push(fit_frame(
-                    &e.distances,
-                    &e.stats,
-                    w.weight,
-                    ctx.display_budget,
-                ));
+                let (raw, stats) = fresh[fresh_idx].raw();
+                params.push(fit_frame(raw, stats, w.weight, ctx.display_budget));
                 fresh_idx += 1;
             }
         }
@@ -1075,7 +1195,7 @@ fn combine_vectorized(
                     ));
                 }
                 None => {
-                    let raw = &fresh[fresh_idx].distances;
+                    let (raw, _) = fresh[fresh_idx].raw();
                     srcs.push(Src::Fresh {
                         raw_vals: raw.values(),
                         raw_mask: raw.validity().as_slice(),
@@ -1190,26 +1310,16 @@ fn combine_vectorized(
         acc
     });
 
-    let mut fresh_it = fresh
-        .into_iter()
-        .zip(fresh_params)
-        .zip(fresh_norm)
-        .map(|((e, params), normalized)| (e, params, normalized));
+    let mut fresh_it = fresh.into_iter().zip(fresh_params).zip(fresh_norm);
     let windows: Vec<PredicateWindow> = slots
         .into_iter()
         .zip(top.iter())
         .map(|(slot, w)| match slot {
             Some(win) => win,
             None => {
-                let (e, params, normalized) = fresh_it.next().expect("one eval per missing window");
-                PredicateWindow::full(
-                    e.label,
-                    e.signed,
-                    w.weight,
-                    Arc::new(e.distances),
-                    Arc::new(normalized),
-                    params,
-                )
+                let ((u, params), normalized) =
+                    fresh_it.next().expect("one raw frame per unfitted window");
+                u.into_window(w.weight, normalized, params)
             }
         })
         .collect();
@@ -1386,13 +1496,6 @@ pub const PARALLEL_THRESHOLD: usize = chunk::PAR_MIN_ROWS;
 /// bit-identical, so dropping the fan-out is purely a scheduling
 /// decision (`trace.partitions` reports 1).
 pub const PARTITION_MIN_ROWS: usize = chunk::PAR_MIN_ROWS;
-
-/// Evaluate the top-level windows. Parallelism lives *inside* each
-/// window evaluation now (chunked over rows, so even a single-predicate
-/// query uses every core); windows themselves are walked sequentially.
-fn eval_windows(ctx: &EvalContext<'_>, top: &[&Weighted]) -> Result<Vec<NodeEval>> {
-    top.iter().map(|w| ctx.eval_node(&w.node)).collect()
-}
 
 /// Display selection over a fully sorted `order` — the scalar
 /// reference's (and the pure scan's) side of the policy math above.
@@ -2142,6 +2245,44 @@ mod tests {
         let reference = run_pipeline(&db, t, &r, Some(&c2), &policy).unwrap();
         assert_eq!(out2.combined, reference.combined);
         assert_eq!(out2.displayed, reference.displayed);
+    }
+
+    #[test]
+    fn root_fold_matches_the_serial_fold_at_lane_remainders() {
+        let value = |i: usize| match i % 11 {
+            0 | 1 => 0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => -0.0,
+            _ => (i as f64 - 40.0) * 0.5,
+        };
+        // mask shapes: all defined, mixed, all undefined, one defined row
+        let masks: [fn(usize) -> bool; 4] = [|_| true, |i| i % 3 != 0, |_| false, |i| i == 9];
+        for n in [0usize, 1, 7, 8, 9, 16, 23, 64, 100] {
+            for zeros_only in [false, true] {
+                for defined in masks {
+                    let vals: Vec<f64> = (0..n)
+                        .map(|i| if zeros_only { 0.0 } else { value(i) })
+                        .collect();
+                    let mask: Vec<bool> = (0..n).map(defined).collect();
+                    let mut acc = RootAcc::default();
+                    acc.fold(&vals, &mask);
+                    let rows = || {
+                        vals.iter()
+                            .zip(&mask)
+                            .filter(|(_, &ok)| ok)
+                            .map(|(&x, _)| x)
+                    };
+                    assert_eq!(acc.num_exact, rows().filter(|&x| x == 0.0).count(), "n={n}");
+                    assert_eq!(acc.any_nonzero, rows().any(|x| x != 0.0), "n={n}");
+                    let max = rows()
+                        .map(f64::abs)
+                        .filter(|a| a.is_finite())
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    assert_eq!(acc.max_abs.to_bits(), max.to_bits(), "n={n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,10 +146,13 @@ pub struct TraceReport {
     pub rows_pruned: u64,
     /// Horizontal partition fan-out (1 = unpartitioned).
     pub partitions: usize,
-    /// Predicate windows served by the per-session §6 cache.
+    /// Predicate windows found in the per-session §6 cache.
     pub window_cache_hits: usize,
-    /// Predicate windows served by the cross-session shared cache.
+    /// Predicate windows found in the cross-session shared cache.
     pub shared_window_hits: usize,
+    /// Of those hits, windows cached under another weight: refitted and
+    /// re-normalized from their cached raw distances, not re-evaluated.
+    pub windows_refit: usize,
     /// Predicate windows actually evaluated.
     pub windows_evaluated: usize,
 }
@@ -171,6 +174,7 @@ impl From<&PipelineTrace> for TraceReport {
             partitions: t.partitions,
             window_cache_hits: t.cache_hits,
             shared_window_hits: t.shared_hits,
+            windows_refit: t.windows_refit,
             windows_evaluated: t.windows_evaluated,
         }
     }
@@ -654,6 +658,7 @@ impl TraceReport {
             ("partitions", self.partitions.into()),
             ("window_cache_hits", self.window_cache_hits.into()),
             ("shared_window_hits", self.shared_window_hits.into()),
+            ("windows_refit", self.windows_refit.into()),
             ("windows_evaluated", self.windows_evaluated.into()),
         ])
     }

@@ -221,8 +221,10 @@ impl WindowMap {
 /// The shared **predicate-window** cache: finer-grained than
 /// [`QueryCache`], it caches one evaluated + normalized window per
 /// condition subtree (keyed by `visdb_relevance::window_key`: dataset
-/// generation, base relation, display budget, weight and the rendered
-/// subtree). Where the query cache only helps when the *entire* render
+/// generation, base relation, display budget and the rendered subtree —
+/// not the weight: one entry per subtree, holding the latest stored
+/// weight's normalization, whose raw frame a lookup under another weight
+/// refits). Where the query cache only helps when the *entire* render
 /// is identical, this cache makes a slider drag that changes one
 /// predicate reuse every other window — across sessions, so one user's
 /// drag is cheap for everyone (the §6 incremental idea, cross-session).
@@ -429,11 +431,12 @@ pub const DEFAULT_PROJECTION_ROW_BUDGET: usize = 8_000_000;
 
 /// The shared **sorted-projection** cache: one built
 /// [`SortedProjection`] per (dataset generation, table, row count,
-/// column), keyed by [`visdb_core::projection_key`]. The slider fast
-/// path's per-column build is the expensive part of a cold drag
-/// (O(n log n), ~20 bytes/row); sharing it means N sessions dragging the
-/// same column pay for **one** build — the per-session state that
-/// remains is only the thin §6 candidate-band cache.
+/// column), keyed by [`visdb_index::projection_key`]. The per-column
+/// build is the expensive part of a cold drag and of a §4.4 join over
+/// that column as its inner key (O(n log n), ~20 bytes/row); sharing it
+/// means N sessions dragging or joining on the same column pay for
+/// **one** build — the per-session state that remains is only the thin
+/// §6 candidate-band cache.
 ///
 /// Eviction is least-recently-used under both an entry cap and a
 /// total-row budget; dataset re-registration drops the replaced
@@ -620,11 +623,12 @@ mod tests {
     }
 
     fn window_of(tag: f64, rows: usize) -> PredicateWindow {
+        let (raw, stats) = DistanceFrame::constant(rows, tag);
         PredicateWindow::full(
             format!("w{tag}"),
             true,
             1.0,
-            Arc::new(DistanceFrame::from_options(&vec![Some(tag); rows])),
+            (Arc::new(raw), stats),
             Arc::new(DistanceFrame::from_options(&vec![Some(0.0); rows])),
             NormParams {
                 dmin: 0.0,

@@ -35,13 +35,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver};
-use visdb_core::{parse_projection_key, projection_key, BandRebase};
+use visdb_core::BandRebase;
 use visdb_exec::{CancelToken, Interrupt, Runtime};
-use visdb_index::ProjectionSource;
+use visdb_index::{parse_projection_key, projection_key, ProjectionSource};
 use visdb_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use visdb_query::connection::ConnectionRegistry;
 use visdb_relevance::{
-    extend_window, key_scope, window_key, Materialization, PhaseTimings, WindowSource,
+    extend_window, key_scope, window_key, Materialization, PipelineTrace, WindowSource,
 };
 use visdb_storage::csv::read_csv;
 use visdb_storage::{Database, DeltaChain, Row};
@@ -256,6 +256,9 @@ pub(crate) struct ServiceObs {
     /// `pipeline.phase.{distance,fit,normalize_combine,rank}`
     /// nanosecond histograms, fed by the traces of fresh computations.
     phases: [Arc<Histogram>; 4],
+    /// `pipeline.windows_refit`: cached windows those computations
+    /// refitted under another weight instead of re-evaluating.
+    windows_refit: Arc<Counter>,
 }
 
 /// Every wire op, including the service-level `metrics`, `cancel`,
@@ -292,6 +295,7 @@ impl ServiceObs {
                 })
                 .collect(),
             phases: PHASES.map(|p| registry.histogram(&format!("pipeline.phase.{p}"))),
+            windows_refit: registry.counter("pipeline.windows_refit"),
         }
     }
 
@@ -303,14 +307,15 @@ impl ServiceObs {
         }
     }
 
-    /// Feed one pipeline run's phase timings into the service-wide
-    /// per-phase histograms.
-    fn record_phases(&self, timings: &PhaseTimings) {
+    /// Feed one pipeline run's trace into the service-wide per-phase
+    /// histograms and the refit counter.
+    fn record_run(&self, trace: &PipelineTrace) {
         let [distance, fit, normalize_combine, rank] = &self.phases;
-        distance.record_duration(timings.distance);
-        fit.record_duration(timings.fit);
-        normalize_combine.record_duration(timings.normalize_combine);
-        rank.record_duration(timings.rank);
+        distance.record_duration(trace.phases.distance);
+        fit.record_duration(trace.phases.fit);
+        normalize_combine.record_duration(trace.phases.normalize_combine);
+        rank.record_duration(trace.phases.rank);
+        self.windows_refit.add(trace.windows_refit as u64);
     }
 }
 
@@ -693,9 +698,9 @@ impl Service {
     ///   ([`visdb_index::SortedProjection::extended`]: O(Δ log Δ + n)
     ///   memcpy-dominated, vs O(n log n) rebuild),
     /// * shared predicate windows *extend* by evaluating only the
-    ///   appended rows ([`visdb_relevance::extend_window`]), declining —
-    ///   bit-exactly — whenever the appended rows shift the §5.2
-    ///   normalization fit,
+    ///   appended rows ([`visdb_relevance::extend_window`]); when those
+    ///   shift the §5.2 normalization fit, the new fit is re-applied to
+    ///   the extended raw frame (O(n) arithmetic, no distance pass),
     /// * live sessions over the dataset are rebased
     ///   ([`visdb_core::Session::rebase`]): their §6 slider bands are
     ///   repaired by examining only the appended rows.
@@ -805,31 +810,25 @@ impl Service {
                     // other relations of the dataset are untouched: the
                     // entry survives verbatim under the new scope
                     if let Ok(t) = new_db.table(&recipe.table) {
-                        let new_key =
-                            window_key(&new_scope, t, recipe.budget, recipe.weight, &recipe.node);
+                        let new_key = window_key(&new_scope, t, recipe.budget, &recipe.node);
                         self.window_cache.store(new_key, window, Some(recipe));
                     }
                     continue;
                 }
-                if recipe.rows != old_n {
-                    windows_declined += 1;
-                    continue;
-                }
-                match extend_window(&new_db, &delta, &window, &recipe) {
-                    Some((extended, new_recipe)) => {
-                        let new_key = window_key(
-                            &new_scope,
-                            table_ref,
-                            new_recipe.budget,
-                            new_recipe.weight,
-                            &new_recipe.node,
-                        );
-                        self.window_cache.store(new_key, extended, Some(new_recipe));
+                // a fit the appended rows shift is re-applied to the
+                // extended raw frame, so only a stale row count or a
+                // delta that fails to evaluate sends the next query back
+                // to a full re-evaluation
+                let extended = (window.len() == old_n)
+                    .then(|| extend_window(&new_db, &delta, &window, &recipe))
+                    .flatten();
+                match extended {
+                    Some(extended) => {
+                        let new_key =
+                            window_key(&new_scope, table_ref, recipe.budget, &recipe.node);
+                        self.window_cache.store(new_key, extended, Some(recipe));
                         windows_extended += 1;
                     }
-                    // the appended rows shifted the §5.2 fit: old rows'
-                    // normalization changes, so the next query must
-                    // re-evaluate in full to stay bit-identical
                     None => windows_declined += 1,
                 }
             }
@@ -963,8 +962,8 @@ pub struct AppendOutcome {
     pub compacted: bool,
     /// Shared predicate windows grown in place by delta evaluation.
     pub windows_extended: usize,
-    /// Shared windows dropped for full re-evaluation (fit shifted, or
-    /// shape not row-locally extendable).
+    /// Shared windows dropped for full re-evaluation (shape not
+    /// row-locally extendable).
     pub windows_declined: usize,
     /// Shared sorted projections merged with the sorted delta.
     pub projections_merged: usize,
@@ -1052,7 +1051,7 @@ fn drain_mailbox(
                 state.session.set_cancel_token(None);
                 if fresh {
                     if let Some(trace) = state.session.last_trace() {
-                        obs.record_phases(&trace.phases);
+                        obs.record_run(trace);
                     }
                 }
                 response

@@ -162,13 +162,14 @@ fn run_command(session: &mut Session, line: &str) -> Result<bool> {
                 );
                 println!(
                     "rows: {} scanned, {} pruned | partitions: {} | windows: {} evaluated, \
-                     {} cache hits, {} shared hits",
+                     {} cache hits, {} shared hits, {} of them refit",
                     t.rows_scanned,
                     t.rows_pruned,
                     t.partitions,
                     t.windows_evaluated,
                     t.cache_hits,
                     t.shared_hits,
+                    t.windows_refit,
                 );
             } else {
                 println!("no trace yet: install a query first");

@@ -217,3 +217,118 @@ proptest! {
         }
     }
 }
+
+/// `O(x, s)` beside an inner relation `I(y)` for §4.4 joins.
+fn pair_db(outer: &[(f64, u8)], inner: &[(f64, u8)]) -> Database {
+    let mut db = messy_db(outer);
+    let mut t = TableBuilder::new("I", vec![Column::new("y", DataType::Float)]);
+    for (i, &(v, tag)) in inner.iter().enumerate() {
+        t = t.row(vec![messy_row(i, v, tag).swap_remove(0)]).unwrap();
+    }
+    db.add_table(t.build());
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// An append recomputes only what it changed. Two live sessions — two
+    /// numeric windows; one of those beside a §4.4 join — re-ask after
+    /// appends to the outer and to the inner relation, with no
+    /// modification in between, so what they are served *is* the
+    /// migrated state: windows with a recipe extend even when the
+    /// appended rows shift their §5.2 fit (the new fit is re-applied,
+    /// nothing is re-measured), only the recipe-less join window is
+    /// recomputed, and the join's inner projection is merged, not
+    /// rebuilt. Every reply equals a service loaded with the full data.
+    #[test]
+    fn appends_extend_shifted_fits_and_carry_the_join_projection(
+        outer in prop::collection::vec((-100f64..100.0, 0u8..6), 20..120),
+        inner in prop::collection::vec((-100f64..100.0, 0u8..6), 5..40),
+        batches in prop::collection::vec(
+            (prop::collection::vec((-100f64..100.0, 0u8..6), 1..25), 0u8..2),
+            1..4,
+        ),
+        threshold in -100f64..100.0,
+        filter in -100f64..100.0,
+        pixels in 8usize..200,
+    ) {
+        let two_windows = format!("SELECT * FROM T WHERE x >= {threshold} AND x <= {}", threshold + 40.0);
+        let join = format!(
+            "SELECT * FROM T WHERE x >= {threshold} AND x IN (SELECT y FROM I WHERE y <= {filter})"
+        );
+        // a display budget that does not move with n, so an extended
+        // window keeps its key; small ones fit by selection, large ones
+        // by the maximum — appended rows can shift either
+        let policy = DisplayPolicy::FitScreen { pixels, pixels_per_item: 1 };
+        let open = |service: &Service, text: &str| {
+            let id = service.create_session("d").unwrap();
+            service.submit(id, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
+            service.submit(id, Request::SetDisplayPolicy(policy.clone())).unwrap();
+            service.submit(id, Request::SetQueryText(text.into())).unwrap();
+            id
+        };
+        let ask = |service: &Service, id: SessionId| {
+            [Request::Summary { trace: false }, Request::Render(RenderFormat::Ppm)]
+                .map(|req| service.submit(id, req).unwrap())
+        };
+        let trace_of = |service: &Service, id: SessionId| {
+            match service.submit(id, Request::Summary { trace: true }).unwrap() {
+                Response::Summary(summary) => summary.trace.expect("trace requested"),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let config = || ServiceConfig { workers: 2, ..Default::default() };
+
+        let live = Service::new(config());
+        live.register_dataset("d", Arc::new(pair_db(&outer, &inner)), ConnectionRegistry::new());
+        let (a, b) = (open(&live, &two_windows), open(&live, &join));
+        ask(&live, a);
+        ask(&live, b);
+
+        let (mut all_outer, mut all_inner) = (outer.clone(), inner.clone());
+        for (delta, to_inner) in &batches {
+            let to_inner = *to_inner == 1;
+            let grown = if to_inner { &mut all_inner } else { &mut all_outer };
+            let rows: Vec<Vec<Value>> = delta
+                .iter()
+                .enumerate()
+                .map(|(j, &(v, tag))| {
+                    let mut row = messy_row(grown.len() + j, v, tag);
+                    row.truncate(if to_inner { 1 } else { 2 });
+                    row
+                })
+                .collect();
+            grown.extend_from_slice(delta);
+            let outcome = live
+                .append_rows("d", Some(if to_inner { "I" } else { "T" }), rows)
+                .unwrap();
+            // the shared cache held `x >= t` (both sessions), `x <= t+40`
+            // and the join window
+            prop_assert_eq!(outcome.windows_extended, if to_inner { 0 } else { 2 });
+            prop_assert_eq!(outcome.windows_declined, 1, "only the recipe-less join window");
+            prop_assert_eq!(outcome.projections_merged, usize::from(to_inner));
+
+            let fresh = Service::new(config());
+            fresh.register_dataset(
+                "d",
+                Arc::new(pair_db(&all_outer, &all_inner)),
+                ConnectionRegistry::new(),
+            );
+            for (id, text) in [(a, &two_windows), (b, &join)] {
+                let replay = open(&fresh, text);
+                prop_assert_eq!(
+                    ask(&live, id), ask(&fresh, replay),
+                    "{} diverged from replay after an append to {}",
+                    text, if to_inner { "I" } else { "T" }
+                );
+            }
+            let (ta, tb) = (trace_of(&live, a), trace_of(&live, b));
+            prop_assert_eq!((ta.shared_window_hits, ta.windows_evaluated), (2, 0));
+            prop_assert_eq!((tb.shared_window_hits, tb.windows_evaluated), (1, 1));
+        }
+        // one projection build for the whole exchange: every later join
+        // evaluation, before and after the appends, borrowed or merged it
+        prop_assert_eq!(live.telemetry().projection_cache.misses, 1);
+    }
+}

@@ -1,8 +1,13 @@
 //! Cross-crate property-based tests: pipeline invariants on arbitrary
 //! data and queries.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
+use visdb::index::{projection_key, ProjectionSource};
 use visdb::prelude::*;
+use visdb::relevance::{PipelineCache, SharedWindows, WindowRecipe, WindowSource};
 
 fn table_from(values: &[f64]) -> Database {
     let mut t = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
@@ -1427,5 +1432,390 @@ proptest! {
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one mode errored: {f:?} vs {s:?}"),
         }
+    }
+}
+
+/// A map-backed shared window cache: what `visdb_service::WindowCache`
+/// is, minus eviction and counters.
+#[derive(Default)]
+struct MapWindows(Mutex<HashMap<String, PredicateWindow>>);
+
+impl WindowSource for MapWindows {
+    fn lookup(&self, key: &str) -> Option<PredicateWindow> {
+        self.0.lock().unwrap().get(key).cloned()
+    }
+    fn store(&self, key: String, window: PredicateWindow, _recipe: Option<WindowRecipe>) {
+        self.0.lock().unwrap().insert(key, window);
+    }
+}
+
+/// A map-backed shared projection store that counts what it is asked.
+#[derive(Default)]
+struct MapProjections {
+    map: Mutex<HashMap<String, Arc<SortedProjection>>>,
+    hits: Mutex<usize>,
+    stores: Mutex<usize>,
+}
+
+impl ProjectionSource for MapProjections {
+    fn lookup(&self, key: &str) -> Option<Arc<SortedProjection>> {
+        let found = self.map.lock().unwrap().get(key).cloned();
+        *self.hits.lock().unwrap() += usize::from(found.is_some());
+        found
+    }
+    fn store(&self, key: String, projection: Arc<SortedProjection>) {
+        *self.stores.lock().unwrap() += 1;
+        self.map.lock().unwrap().insert(key, projection);
+    }
+}
+
+/// How a re-weight property run executes: the materialized vectorized
+/// path, the same under a requested partitioning, or the scalar oracle.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    Materialized,
+    Partitioned(usize),
+    Scalar,
+}
+
+/// One pipeline run on `path` with the given cache layers attached.
+fn run_cached(
+    db: &Database,
+    cond: &Weighted,
+    policy: &DisplayPolicy,
+    path: Path,
+    cache: Option<&mut PipelineCache>,
+    shared: Option<&MapWindows>,
+) -> PipelineOutput {
+    let t = db.table("T").unwrap();
+    let partitioning = match path {
+        Path::Partitioned(parts) => Some(t.partitions(parts)),
+        _ => None,
+    };
+    run_pipeline_opts(
+        db,
+        t,
+        &DistanceResolver::new(),
+        Some(cond),
+        policy,
+        PipelineOptions {
+            cache,
+            shared: shared.map(|cache| SharedWindows {
+                scope: "d#1",
+                cache,
+            }),
+            mode: match path {
+                Path::Scalar => ExecMode::Scalar,
+                _ => ExecMode::Vectorized,
+            },
+            partitions: partitioning.as_ref(),
+            materialization: Materialization::Materialized,
+            trace: true,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+/// `cond` with its `j`-th top-level window re-weighted.
+fn reweighted(cond: &Weighted, j: usize, weight: f64) -> Weighted {
+    let mut out = cond.clone();
+    match &mut out.node {
+        ConditionNode::And(cs) | ConditionNode::Or(cs) => cs[j].weight = weight,
+        _ => out.weight = weight,
+    }
+    out
+}
+
+/// Re-weighting window `j` of `cond` to each of the issue's weights is
+/// byte-identical to a cold run of the re-weighted query on `path`,
+/// through the session cache alone, the shared cache alone, and sessions
+/// alternating weights over one shared entry — and each of those runs
+/// refits exactly the re-weighted window, evaluating nothing.
+fn assert_reweight_is_a_refit(
+    db: &Database,
+    cond: &Weighted,
+    policy: &DisplayPolicy,
+    path: Path,
+    j: usize,
+) {
+    let windows = match &cond.node {
+        ConditionNode::And(cs) | ConditionNode::Or(cs) => cs.len(),
+        _ => 1,
+    };
+    let check = |out: &PipelineOutput, cold: &PipelineOutput, refit: usize, what: &str| {
+        let diff = first_divergence(out, cold, policy);
+        assert!(
+            diff.is_none(),
+            "{} ({what}, {path:?}, {policy:?})",
+            diff.unwrap()
+        );
+        let trace = out.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.windows_refit, refit, "{what}");
+        assert_eq!(trace.windows_evaluated, 0, "{what}");
+        assert_eq!(trace.cache_hits + trace.shared_hits, windows, "{what}");
+    };
+    let mut session = PipelineCache::new();
+    run_cached(db, cond, policy, path, Some(&mut session), None);
+    let shared = MapWindows::default();
+    run_cached(db, cond, policy, path, None, Some(&shared));
+    let alternating = MapWindows::default();
+    let cold_w = run_cached(db, cond, policy, path, None, Some(&alternating));
+    let mut previous = cond.clone();
+    for weight in [0.0, 1e-9, 0.3, 1.0, 7.0] {
+        let next = reweighted(cond, j, weight);
+        // a no-op re-weight finds its window ready, not refit
+        let refit = usize::from(next != previous);
+        let cold = run_cached(db, &next, policy, path, None, None);
+        let out = run_cached(db, &next, policy, path, Some(&mut session), None);
+        check(&out, &cold, refit, "session cache");
+        let out = run_cached(db, &next, policy, path, None, Some(&shared));
+        check(&out, &cold, refit, "shared cache");
+        // one session moves the shared entry to `weight`, the other
+        // moves it back: one entry per subtree, the latest weight wins
+        let out = run_cached(db, &next, policy, path, None, Some(&alternating));
+        check(
+            &out,
+            &cold,
+            usize::from(next != *cond),
+            "alternating, there",
+        );
+        let back = run_cached(db, cond, policy, path, None, Some(&alternating));
+        check(
+            &back,
+            &cold_w,
+            usize::from(next != *cond),
+            "alternating, back",
+        );
+        assert_eq!(alternating.0.lock().unwrap().len(), windows);
+        previous = next;
+    }
+    assert_eq!(shared.0.lock().unwrap().len(), windows);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A re-weight recomputes only the fit and the normalization of the
+    /// window it touched: for random weighted AND/OR trees (nested
+    /// levels, a non-invertible NOT) over NULL/NaN/±inf/tie-heavy data,
+    /// `displayed`, `num_exact`, every row's combined distance and every
+    /// window's raw, normalized and `norm_params` equal a cold run of
+    /// the re-weighted query — on the materialized, partitioned and
+    /// scalar paths, through each cache layer (see
+    /// [`assert_reweight_is_a_refit`]) and through `Session::set_weight`.
+    #[test]
+    fn reweight_equals_a_cold_run_of_the_reweighted_query(
+        rows in prop::collection::vec((-1e3f64..1e3, 0u8..10), 1..120),
+        t1 in -1e3f64..1e3,
+        t2 in -1e3f64..1e3,
+        lo in -1e3f64..1e3,
+        span in 0.0f64..5e2,
+        w in prop::collection::vec(0.05f64..1.0, 3),
+        pct in 1.0f64..100.0,
+        pick in 0usize..4,
+        shape in 0usize..8,
+        j_pick in 0usize..3,
+    ) {
+        // rounding makes duplicate-heavy columns: tie classes in every fit
+        let rows: Vec<(f64, u8)> = rows.iter().map(|&(v, tag)| (v.round(), tag)).collect();
+        let db = table_with_extremes(&rows);
+        let p1 = ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, t1));
+        let p2 = ConditionNode::Predicate(Predicate::range(AttrRef::new("x"), lo, lo + span));
+        let p3 = ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Lt, t2));
+        let (or_root, nested, negated) = (shape & 1 == 1, shape & 2 == 2, shape & 4 == 4);
+        let p2 = if negated { ConditionNode::Not(Box::new(p2)) } else { p2 };
+        let children = if nested {
+            let inner = vec![Weighted::new(p2, w[1]), Weighted::new(p3, w[2])];
+            let inner = if or_root { ConditionNode::And(inner) } else { ConditionNode::Or(inner) };
+            vec![Weighted::new(p1, w[0]), Weighted::new(inner, w[1])]
+        } else {
+            vec![Weighted::new(p1, w[0]), Weighted::new(p2, w[1]), Weighted::new(p3, w[2])]
+        };
+        let j = j_pick % children.len();
+        let cond = Weighted::unit(if or_root {
+            ConditionNode::Or(children)
+        } else {
+            ConditionNode::And(children)
+        });
+        let policy = pick_policy(pick, pct);
+        if run_pipeline_scalar(&db, db.table("T").unwrap(), &DistanceResolver::new(), Some(&cond), &policy).is_err() {
+            return Ok(()); // e.g. gap params vs tiny n: every path rejects
+        }
+        for path in [Path::Materialized, Path::Partitioned(3), Path::Scalar] {
+            assert_reweight_is_a_refit(&db, &cond, &policy, path, j);
+        }
+
+        // the same through the interactive session: `set_weight` then a
+        // fetch vs a cold session handed the re-weighted query
+        let db = Arc::new(db);
+        let query_of = |cond: &Weighted| Query {
+            condition: Some(cond.clone()),
+            ..QueryBuilder::from_tables(["T"]).build()
+        };
+        let session_with = |cond: &Weighted| {
+            let mut s = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+            s.set_auto_recalculate(false);
+            s.set_display_policy(policy.clone()).unwrap();
+            s.set_query(query_of(cond)).unwrap();
+            s
+        };
+        let mut warm = session_with(&cond);
+        warm.result().unwrap();
+        for weight in [0.0, 1e-9, 0.3, 1.0, 7.0] {
+            warm.set_weight(j, weight).unwrap();
+            let mut cold = session_with(&reweighted(&cond, j, weight));
+            let diff = first_divergence(
+                &warm.result().unwrap().pipeline,
+                &cold.result().unwrap().pipeline,
+                &policy,
+            );
+            prop_assert!(diff.is_none(), "{} (session, w'={weight})", diff.unwrap());
+        }
+    }
+}
+
+/// The refit above the planner's partition threshold, where the fused
+/// walk's normalize arm really runs per partition over a cached raw
+/// frame, against the scalar oracle's cold run.
+#[test]
+fn reweight_refits_bit_identically_above_the_partition_threshold() {
+    let policy = DisplayPolicy::Percentage(25.0);
+    let n = 32 * 1024 + 5;
+    let rows: Vec<(f64, u8)> = (0..n)
+        .map(|i| (((i * 37) % 4001) as f64 * 0.5 - 500.0, (i % 9) as u8))
+        .collect();
+    let db = table_with_extremes(&rows);
+    let p1 = ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, 100.0));
+    let p2 = ConditionNode::Predicate(Predicate::range(AttrRef::new("x"), -200.0, 900.0));
+    let cond = Weighted::unit(ConditionNode::And(vec![
+        Weighted::new(p1, 0.6),
+        Weighted::new(p2, 0.4),
+    ]));
+    for parts in [2usize, 7] {
+        let mut session = PipelineCache::new();
+        let path = Path::Partitioned(parts);
+        let first = run_cached(&db, &cond, &policy, path, Some(&mut session), None);
+        assert_eq!(first.trace.as_ref().unwrap().partitions, parts);
+        for weight in [0.0, 1e-9, 0.3, 7.0] {
+            let next = reweighted(&cond, 1, weight);
+            let out = run_cached(&db, &next, &policy, path, Some(&mut session), None);
+            let trace = out.trace.as_ref().unwrap();
+            assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+            let cold = run_cached(&db, &next, &policy, Path::Scalar, None, None);
+            let diff = first_divergence(&out, &cold, &policy);
+            assert!(
+                diff.is_none(),
+                "{} (parts={parts}, w'={weight})",
+                diff.unwrap()
+            );
+        }
+    }
+}
+
+/// Two projections hold the same permutation, values and flags.
+fn assert_same_projection(a: &SortedProjection, b: &SortedProjection) {
+    assert_eq!(
+        (a.rows(), a.defined(), a.is_fully_finite()),
+        (b.rows(), b.defined(), b.is_fully_finite())
+    );
+    for j in 0..a.defined() {
+        assert_eq!(a.row_at(j), b.row_at(j), "permutation diverges at {j}");
+        assert_eq!(a.value_at(j).to_bits(), b.value_at(j).to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A §4.4 join that borrows its inner key's sorted projection from
+    /// a shared source equals the source-less join bit for bit, builds
+    /// the projection exactly once across evaluations, and — the key
+    /// carrying the generation scope and the row count — sweeps the
+    /// projection of the *grown* column after an append to the inner
+    /// relation: the migrated (`extended`) one when the serving layer
+    /// carried it over, a fresh build otherwise, the two being equal.
+    #[test]
+    fn join_over_a_shared_projection_matches_the_sourceless_join(
+        outer in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..60),
+        inner in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..60),
+        grown in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..20),
+        threshold in -1e3f64..1e3,
+        filters in prop::collection::vec(-1e3f64..1e3, 3),
+        specials in 0u8..2,
+        quant in 0u8..2,
+        pct in 1.0f64..100.0,
+    ) {
+        let column = |name: &str, col: &str, rows: &[(f64, u8)]| {
+            let mut t = TableBuilder::new(name, vec![Column::new(col, DataType::Float)]);
+            for &(v, tag) in rows {
+                t = t.row(vec![join_value(v, tag, specials == 1, quant == 1)]).unwrap();
+            }
+            t.build()
+        };
+        let db_with_inner = |inner: &[(f64, u8)]| {
+            let mut db = Database::new("d");
+            db.add_table(column("O", "x", &outer));
+            db.add_table(column("I", "y", inner));
+            db
+        };
+        let resolver = DistanceResolver::new();
+        let policy = DisplayPolicy::Percentage(pct);
+        let run = |db: &Database, filter: f64, source: Option<(&str, &MapProjections)>| {
+            let sub = QueryBuilder::from_tables(["I"]).cmp("y", CompareOp::Le, filter).build();
+            let q = QueryBuilder::from_tables(["O"])
+                .cmp("x", CompareOp::Ge, threshold)
+                .is_in("x", "y", sub)
+                .build();
+            run_pipeline_opts(
+                db, db.table("O").unwrap(), &resolver, q.condition.as_ref(), &policy,
+                PipelineOptions {
+                    projections: source.map(|(scope, s)| (scope, s as &dyn ProjectionSource)),
+                    materialization: Materialization::Materialized,
+                    ..Default::default()
+                },
+            ).unwrap()
+        };
+        let fresh_build = |db: &Database| {
+            let col = db.table("I").unwrap().column_by_name("y").unwrap();
+            SortedProjection::build(col.len(), |i| col.get_f64(i))
+        };
+
+        let db = db_with_inner(&inner);
+        let source = MapProjections::default();
+        for &filter in &filters {
+            let with = run(&db, filter, Some(("d#1", &source)));
+            let diff = first_divergence(&with, &run(&db, filter, None), &policy);
+            prop_assert!(diff.is_none(), "{}", diff.unwrap());
+        }
+        prop_assert_eq!(*source.stores.lock().unwrap(), 1, "one build across evaluations");
+        prop_assert_eq!(*source.hits.lock().unwrap(), filters.len() - 1);
+        let old_key = projection_key("d#1", "I", inner.len(), "y");
+        let old = source.lookup(&old_key).expect("stored under the inner column's key");
+        assert_same_projection(&old, &fresh_build(&db));
+
+        // the inner relation grows: a new generation scope and row count
+        let all: Vec<(f64, u8)> = inner.iter().chain(&grown).copied().collect();
+        let db2 = db_with_inner(&all);
+        let col2 = db2.table("I").unwrap().column_by_name("y").unwrap();
+        // carried over the way the serving layer's append does
+        let migrated = Arc::new(old.extended(all.len(), |i| col2.get_f64(i)));
+        source.store(projection_key("d#2", "I", all.len(), "y"), Arc::clone(&migrated));
+        let stores = *source.stores.lock().unwrap();
+        let carried = run(&db2, filters[0], Some(("d#2", &source)));
+        prop_assert_eq!(*source.stores.lock().unwrap(), stores, "the migrated entry is a hit");
+        // not carried over: the old generation's entry must not serve it
+        let rebuilt_source = MapProjections::default();
+        rebuilt_source.store(old_key, old);
+        let rebuilt = run(&db2, filters[0], Some(("d#2", &rebuilt_source)));
+        let plain = run(&db2, filters[0], None);
+        for out in [&carried, &rebuilt] {
+            let diff = first_divergence(out, &plain, &policy);
+            prop_assert!(diff.is_none(), "{}", diff.unwrap());
+        }
+        let new_key = projection_key("d#2", "I", all.len(), "y");
+        let built = rebuilt_source.lookup(&new_key).expect("built for the grown column");
+        assert_same_projection(&built, &fresh_build(&db2));
+        assert_same_projection(&migrated, &built);
     }
 }

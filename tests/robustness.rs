@@ -213,7 +213,9 @@ fn degenerate_single_value_column() {
 /// a partial entry: re-asking the identical query on the disturbed
 /// service must be byte-identical to a cold, never-disturbed service,
 /// and the re-ask must recompute (zero query-cache hits), not be served
-/// some half-written frame.
+/// some half-written frame. A run publishes to the caches only once it
+/// has succeeded, so neither does it leave a complete entry behind: no
+/// join projection, no refitted window.
 #[test]
 fn interrupted_queries_leave_no_partial_cache_entries() {
     use visdb::exec::{fault, FaultAction, Phase};
@@ -279,6 +281,98 @@ fn interrupted_queries_leave_no_partial_cache_entries() {
             assert_eq!(
                 frame, cold_frame,
                 "[{phase:?} {action:?}] re-ask diverged from a cold run"
+            );
+        }
+    }
+
+    // The same for what a modification recomputes: a §4.4 join's shared
+    // inner projection, and the window a re-weight refits.
+    fn join_service(reweight: bool) -> (Service, SessionId) {
+        let column = |name: &str, col: &str, n: usize, step: f64| {
+            let mut t = TableBuilder::new(name, vec![Column::new(col, DataType::Float)]);
+            for i in 0..n {
+                t = t.row(vec![Value::Float(i as f64 * step)]).unwrap();
+            }
+            t.build()
+        };
+        let mut db = Database::new("pair");
+        db.add_table(column("O", "x", 3_000, 1.0));
+        db.add_table(column("I", "y", 500, 7.5));
+        let s = Service::new(ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        s.register_dataset("pair", Arc::new(db), ConnectionRegistry::new());
+        let id = s.create_session("pair").unwrap();
+        let text = "SELECT * FROM O WHERE x >= 2000 AND x IN (SELECT y FROM I WHERE y >= 900)";
+        s.submit(id, Request::SetQueryText(text.into())).unwrap();
+        if reweight {
+            reweigh(&s, id);
+        }
+        (s, id)
+    }
+    fn reweigh(s: &Service, id: SessionId) {
+        let set = Request::SetWeight {
+            window: 1,
+            weight: 0.3,
+        };
+        assert_eq!(s.submit(id, set).unwrap(), Response::Ok);
+    }
+    let render = Request::Render(RenderFormat::Ppm);
+    let (cold, cold_id) = join_service(false);
+    let cold_frame = cold.submit(cold_id, render.clone()).unwrap();
+    let (cold, cold_id) = join_service(true);
+    let cold_reweighted = cold.submit(cold_id, render.clone()).unwrap();
+    assert_ne!(cold_frame, cold_reweighted, "the weight must matter");
+
+    for phase in [
+        Phase::Distance,
+        Phase::Fit,
+        Phase::NormalizeCombine,
+        Phase::Rank,
+    ] {
+        for action in [FaultAction::Cancel, FaultAction::Panic] {
+            let disturb = |s: &Service, id: SessionId| {
+                let _guard = fault::inject(phase, action);
+                let reply = s
+                    .submit_opts(
+                        id,
+                        render.clone(),
+                        SubmitOptions {
+                            deadline: None,
+                            request_id: Some(1),
+                        },
+                    )
+                    .unwrap();
+                assert!(
+                    matches!(reply, Response::Error { .. }),
+                    "[{phase:?} {action:?}] expected an error, got {reply:?}"
+                );
+            };
+            // the cold join: whatever the disturbed run sorted, it stored
+            // no projection — the re-ask cannot hit one
+            let (s, id) = join_service(false);
+            disturb(&s, id);
+            assert_eq!(s.submit(id, render.clone()).unwrap(), cold_frame);
+            assert_eq!(
+                s.telemetry().projection_cache.hits,
+                0,
+                "[{phase:?} {action:?}] the interrupted run left a projection"
+            );
+            // the settled session, re-weighted: the disturbed run stored
+            // no refit window in either layer — the re-ask refits again
+            // (from the shared entry when the panic recycled the session)
+            reweigh(&s, id);
+            disturb(&s, id);
+            assert_eq!(s.submit(id, render.clone()).unwrap(), cold_reweighted);
+            let trace = match s.submit(id, Request::Summary { trace: true }).unwrap() {
+                Response::Summary(summary) => summary.trace.expect("trace requested"),
+                other => panic!("unexpected {other:?}"),
+            };
+            assert_eq!(
+                (trace.windows_refit, trace.windows_evaluated),
+                (1, 0),
+                "[{phase:?} {action:?}] the interrupted run left a refit window"
             );
         }
     }

@@ -701,6 +701,80 @@ fn traces_are_opt_in_and_name_the_bench_phases() {
 }
 
 #[test]
+fn a_reweight_is_a_refit_explainable_from_its_trace() {
+    // Re-weighting a window recomputes its §5.2 fit and normalization,
+    // not its distances: the trace of the fetch that pays for it says so
+    // (one refit, nothing evaluated), the registry counts it, a second
+    // session asking the query under another weight refits the *shared*
+    // entry, and every reply is byte-identical to a service without
+    // window sharing.
+    let db = ramp_db(600);
+    let text = "SELECT * FROM T WHERE x >= 400 AND x < 500";
+    let config = |window_cache_capacity| ServiceConfig {
+        workers: 2,
+        cache_capacity: 0, // isolate the window caches from frame hits
+        window_cache_capacity,
+        ..Default::default()
+    };
+    let drive = |service: &Service, script: Vec<Request>| -> (Vec<Response>, TraceReport) {
+        let id = service.create_session("ramp").unwrap();
+        let mut replies: Vec<Response> = script
+            .into_iter()
+            .map(|req| service.submit(id, req).unwrap())
+            .collect();
+        match service
+            .submit(id, Request::Summary { trace: true })
+            .unwrap()
+        {
+            Response::Summary(mut s) => {
+                let trace = s.trace.take().expect("trace requested");
+                replies.push(Response::Summary(s));
+                (replies, *trace)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let render = || Request::Render(RenderFormat::Ppm);
+    // a settled query, then its second window re-weighted
+    let reweight = || {
+        let set = Request::SetWeight {
+            window: 1,
+            weight: 0.3,
+        };
+        vec![Request::SetQueryText(text.into()), render(), set, render()]
+    };
+    // the same query asked under yet another weight from the start
+    let other_weight = || vec![Request::SetQueryText(format!("{text} WEIGHT 7")), render()];
+
+    let service = Service::new(config(64));
+    service.register_dataset("ramp", Arc::clone(&db), ConnectionRegistry::new());
+    let cold = Service::new(config(0));
+    cold.register_dataset("ramp", Arc::clone(&db), ConnectionRegistry::new());
+
+    // the session's own cache serves its re-weight
+    let (replies, trace) = drive(&service, reweight());
+    assert_eq!((trace.window_cache_hits, trace.shared_window_hits), (2, 0));
+    assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+    assert_eq!(replies, drive(&cold, reweight()).0);
+    // another session, another weight: both windows are shared-cache
+    // hits, the one stored under weight 1 is refitted, none is evaluated
+    let (replies, trace) = drive(&service, other_weight());
+    assert_eq!((trace.window_cache_hits, trace.shared_window_hits), (0, 2));
+    assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+    let (cold_replies, cold_trace) = drive(&cold, other_weight());
+    assert_eq!(replies, cold_replies);
+    assert_eq!(cold_trace.windows_evaluated, 2, "no sharing, a new session");
+    // a found entry is a hit whatever its weight, and the latest weight
+    // wins the one entry: a third session under weight 7 finds it ready
+    let (_, trace) = drive(&service, other_weight());
+    assert_eq!((trace.shared_window_hits, trace.windows_refit), (2, 0));
+    let shared = service.telemetry().window_cache;
+    assert_eq!((shared.hits, shared.misses), (4, 2));
+    let refits = |s: &Service| s.metrics_snapshot().counter("pipeline.windows_refit");
+    assert_eq!((refits(&service), refits(&cold)), (Some(2), Some(1)));
+}
+
+#[test]
 fn metrics_op_round_trips_over_the_wire() {
     let db = ramp_db(300);
     let service = Service::new(ServiceConfig {
