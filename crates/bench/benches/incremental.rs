@@ -20,7 +20,7 @@ use visdb_distance::DistanceResolver;
 use visdb_index::{IncrementalCache, KdTree, LinearScan, RangeIndex};
 use visdb_query::ast::{AttrRef, CompareOp, ConditionNode, Predicate, Weighted};
 use visdb_relevance::cache::PipelineCache;
-use visdb_relevance::pipeline::{run_pipeline, run_pipeline_cached, DisplayPolicy};
+use visdb_relevance::pipeline::{run_pipeline, run_pipeline_opts, DisplayPolicy, PipelineOptions};
 
 fn retrieval_level(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_retrieval");
@@ -114,13 +114,16 @@ fn pipeline_level(c: &mut Criterion) {
         // warm the cache with the base query, then alternate the first
         // predicate's threshold: two of three windows are always reused
         let mut cache = PipelineCache::new();
-        run_pipeline_cached(
+        run_pipeline_opts(
             &db,
             table,
             &resolver,
             base_query.condition.as_ref(),
             &policy,
-            Some(&mut cache),
+            PipelineOptions {
+                cache: Some(&mut cache),
+                ..Default::default()
+            },
         )
         .expect("warmup");
         let mut toggle = false;
@@ -137,13 +140,16 @@ fn pipeline_level(c: &mut Criterion) {
                     )));
                 }
             }
-            run_pipeline_cached(
+            run_pipeline_opts(
                 &db,
                 table,
                 &resolver,
                 q.condition.as_ref(),
                 &policy,
-                Some(&mut cache),
+                PipelineOptions {
+                    cache: Some(&mut cache),
+                    ..Default::default()
+                },
             )
             .expect("pipeline")
             .num_exact

@@ -1,9 +1,9 @@
 //! Machine-readable perf record of the relevance hot path: scalar
 //! (per-tuple, full-sort) vs vectorized (columnar kernels, chunked
 //! data-parallel execution, top-k selection) vs partitioned (per-
-//! partition passes + k-way merged top-k) rows/sec, pooled-vs-scoped
-//! fan-out timings, isolated top-k-vs-full-sort timings, a **per-phase
-//! breakdown** (distance / fit / normalize+combine / rank), the
+//! partition passes + k-way merged top-k) rows/sec, isolated
+//! top-k-vs-full-sort timings, a **per-phase breakdown** (distance /
+//! fit / normalize+combine / rank), the
 //! **packed-vs-Option** representation A/B, the **slider-drag**
 //! micro-bench (sorted-projection incremental path vs full recompute),
 //! the **streaming-vs-materialized** A/B on a 2-predicate workload
@@ -66,8 +66,8 @@ use visdb_relevance::chunk;
 use visdb_relevance::combine::combine_and_slices;
 use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
 use visdb_relevance::pipeline::{
-    run_pipeline, run_pipeline_opts, run_pipeline_partitioned, run_pipeline_scalar, DisplayPolicy,
-    Materialization, PipelineOptions, PipelineOutput,
+    run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, Materialization,
+    PipelineOptions, PipelineOutput,
 };
 use visdb_relevance::reference::{and_row, fit_improved};
 use visdb_relevance::select::{k_smallest_sorted, rank_order};
@@ -98,14 +98,10 @@ struct SizeResult {
     scalar_rows_per_sec: f64,
     vectorized_rows_per_sec: f64,
     partitioned_rows_per_sec: f64,
-    scoped_rows_per_sec: f64,
     speedup: f64,
     /// Partitioned vs unpartitioned vectorized (≈ 1.0 expected on one
     /// box: same work, different scheduling).
     partitioned_vs_vectorized: f64,
-    /// Shared-pool fan-out vs per-walk scoped spawns (> 1.0 means the
-    /// persistent pool wins).
-    pooled_vs_scoped: f64,
     full_sort_ms: f64,
     topk_ms: f64,
     topk_k: usize,
@@ -898,8 +894,19 @@ fn bench_size(n: usize) -> SizeResult {
     // count, including counts that leave partitions empty — and both
     // with (default) streaming and materialized execution
     for parts in [1usize, 2, 7, BENCH_PARTITIONS, 16] {
-        let part =
-            run_pipeline_partitioned(&db, table, &resolver, cond, &policy, parts).expect("parts");
+        let partitioning = table.partitions(parts);
+        let part = run_pipeline_opts(
+            &db,
+            table,
+            &resolver,
+            cond,
+            &policy,
+            PipelineOptions {
+                partitions: Some(&partitioning),
+                ..Default::default()
+            },
+        )
+        .expect("parts");
         assert_identical(&part, &slow, n);
     }
     {
@@ -928,7 +935,7 @@ fn bench_size(n: usize) -> SizeResult {
             run_pipeline_scalar(&db, table, &resolver, cond, &policy).expect("scalar")
         }),
     );
-    // the vectorized/partitioned/scoped series stay on the materialized
+    // the vectorized/partitioned series stay on the materialized
     // path so they remain comparable with the committed history; the
     // streaming mode gets its own A/B below
     let vector_s = note(
@@ -953,12 +960,6 @@ fn bench_size(n: usize) -> SizeResult {
             )
             .expect("partitioned")
         }),
-    );
-    // the same vectorized pipeline with fan-out forced back onto
-    // per-walk scoped spawns — the pre-runtime baseline
-    let scoped_s = note(
-        &mut rep_counts,
-        chunk::with_scoped_spawns(|| time_median(min_reps, || run_materialized(cond, false))),
     );
 
     // ---- streaming vs materialized A/B: the 2-predicate workload the
@@ -1444,10 +1445,8 @@ fn bench_size(n: usize) -> SizeResult {
         scalar_rows_per_sec: n as f64 / scalar_s,
         vectorized_rows_per_sec: n as f64 / vector_s,
         partitioned_rows_per_sec: n as f64 / partitioned_s,
-        scoped_rows_per_sec: n as f64 / scoped_s,
         speedup: scalar_s / vector_s,
         partitioned_vs_vectorized: vector_s / partitioned_s,
-        pooled_vs_scoped: scoped_s / vector_s,
         full_sort_ms: full_sort_s * 1e3,
         topk_ms: topk_s * 1e3,
         topk_k: k,
@@ -1526,15 +1525,13 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         let r = bench_size(n);
         println!(
             "n={:>9}: scalar {:>12.0} rows/s | vectorized {:>12.0} rows/s | \
-             partitioned(x{BENCH_PARTITIONS}) {:>12.0} rows/s | scoped {:>12.0} rows/s | \
-             speedup {:>5.2}x | pooled/scoped {:>5.2}x | sort {:>8.2} ms vs top-{} {:>7.3} ms",
+             partitioned(x{BENCH_PARTITIONS}) {:>12.0} rows/s | \
+             speedup {:>5.2}x | sort {:>8.2} ms vs top-{} {:>7.3} ms",
             r.n,
             r.scalar_rows_per_sec,
             r.vectorized_rows_per_sec,
             r.partitioned_rows_per_sec,
-            r.scoped_rows_per_sec,
             r.speedup,
-            r.pooled_vs_scoped,
             r.full_sort_ms,
             r.topk_k,
             r.topk_ms,
@@ -1650,18 +1647,15 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         let _ = writeln!(
             json,
             "    {{\"n\": {}, \"scalar_rows_per_sec\": {:.0}, \"vectorized_rows_per_sec\": {:.0}, \
-             \"partitioned_rows_per_sec\": {:.0}, \"scoped_rows_per_sec\": {:.0}, \
+             \"partitioned_rows_per_sec\": {:.0}, \
              \"speedup\": {:.3}, \"partitioned_vs_vectorized\": {:.3}, \
-             \"pooled_vs_scoped\": {:.3}, \
              \"full_sort_ms\": {:.3}, \"topk_ms\": {:.3}, \"topk_k\": {},",
             r.n,
             r.scalar_rows_per_sec,
             r.vectorized_rows_per_sec,
             r.partitioned_rows_per_sec,
-            r.scoped_rows_per_sec,
             r.speedup,
             r.partitioned_vs_vectorized,
-            r.pooled_vs_scoped,
             r.full_sort_ms,
             r.topk_ms,
             r.topk_k,

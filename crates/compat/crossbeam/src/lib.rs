@@ -5,71 +5,10 @@
 //! this shim (see the root `Cargo.toml`). It implements exactly the API
 //! surface the workspace uses, on top of `std`:
 //!
-//! * [`thread::scope`] / [`thread::Scope::spawn`] — scoped threads,
-//!   backed by `std::thread::scope` (stable since Rust 1.63).
 //! * [`channel`] — multi-producer **multi-consumer** channels (the
 //!   property `std::sync::mpsc` lacks), backed by a `Mutex<VecDeque>`
 //!   plus a `Condvar`. Both ends are cloneable; `recv` blocks until a
 //!   message arrives or every sender is dropped.
-//!
-//! Known divergences from real crossbeam, acceptable for this workspace:
-//! the closure passed to [`thread::Scope::spawn`] receives a zero-sized
-//! placeholder instead of a re-spawnable scope handle (no nested spawns),
-//! and a panic in an unjoined scoped thread propagates as a panic instead
-//! of an `Err` from [`thread::scope`] (all call sites join every handle).
-
-pub mod thread {
-    //! Scoped threads: spawn borrowing threads that are joined before the
-    //! scope returns.
-
-    /// Result of joining a thread (`Err` carries the panic payload).
-    pub type Result<T> = std::thread::Result<T>;
-
-    /// A scope handle; `spawn` borrows from the enclosing environment.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Placeholder passed to spawned closures where real crossbeam passes
-    /// a nested scope handle. Nested spawning is not supported.
-    pub struct NestedScope {
-        _priv: (),
-    }
-
-    /// Handle to a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&NestedScope) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || f(&NestedScope { _priv: () })),
-            }
-        }
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Wait for the thread to finish.
-        pub fn join(self) -> Result<T> {
-            self.inner.join()
-        }
-    }
-
-    /// Create a scope for spawning borrowing threads. All spawned threads
-    /// are joined (by the caller or implicitly) before this returns.
-    pub fn scope<'env, F, R>(f: F) -> Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
 
 pub mod channel {
     //! Multi-producer multi-consumer FIFO channels.
@@ -281,23 +220,6 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn scoped_threads_borrow_and_join() {
-        let data = [1, 2, 3, 4];
-        let sums = thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<i32>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("no panic"))
-                .collect::<Vec<_>>()
-        })
-        .expect("scope");
-        assert_eq!(sums, vec![3, 7]);
-    }
-
-    #[test]
     fn channel_is_fifo_and_multi_consumer() {
         let (tx, rx) = channel::unbounded();
         let rx2 = rx.clone();
@@ -333,11 +255,11 @@ mod tests {
     fn workers_share_one_receiver() {
         let (tx, rx) = channel::unbounded();
         let total = std::sync::atomic::AtomicUsize::new(0);
-        thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..4 {
                 let rx = rx.clone();
                 let total = &total;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     while let Ok(v) = rx.recv() {
                         total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
                     }
@@ -347,8 +269,7 @@ mod tests {
                 tx.send(i).unwrap();
             }
             drop(tx);
-        })
-        .expect("scope");
+        });
         assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), 5050);
     }
 }

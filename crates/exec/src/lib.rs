@@ -40,23 +40,16 @@
 //! runs which task — the property the relevance pipeline's bit-identity
 //! guarantees rest on.
 //!
-//! ## Single-core behaviour and the `pooled_vs_scoped` baseline
+//! ## Single-core behaviour
 //!
 //! On a runtime whose budget is 1 (the default on a single-core box),
 //! [`run_tasks`] never touches the registry, the queue mutex or a
-//! condvar: the batch runs **inline on the calling thread**, exactly
-//! like the pre-runtime scoped baseline does at one thread
-//! (regression-tested below). The two arms of the `pipeline_perf`
-//! `pooled_vs_scoped` comparison therefore execute byte-identical
-//! serial loops on such a box, and any recorded ratio away from 1.0
-//! (e.g. the 0.82 of one committed n=1M run) is wall-clock noise, not a
-//! fork-join handoff cost — the same committed history spans a 6×
-//! spread on the *unchanged* scalar binary. On multi-core boxes the
-//! pooled walk does pay one mutex-protected pop per claimed task where
-//! the scoped baseline pre-buckets tasks with zero contention; at the
-//! pipeline's 16k-row chunk size (~100 µs/task) that per-claim cost is
-//! ~three orders of magnitude below the task itself, and stealing buys
-//! load balance the static buckets cannot.
+//! condvar: the batch runs **inline on the calling thread**
+//! (regression-tested below). On multi-core boxes the pooled walk pays
+//! one mutex-protected pop per claimed task; at the pipeline's 16k-row
+//! chunk size (~100 µs/task) that per-claim cost is ~three orders of
+//! magnitude below the task itself, and stealing buys load balance
+//! static per-thread buckets cannot.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -621,10 +614,10 @@ mod tests {
 
     #[test]
     fn budget_one_runs_fork_join_inline_on_the_caller() {
-        // the single-core guarantee the `pooled_vs_scoped` analysis
-        // rests on: a budget-1 runtime executes fork-join batches as a
-        // plain inline loop on the calling thread — no queue round-trip,
-        // no stealing, nothing for a worker to contend on
+        // the single-core guarantee: a budget-1 runtime executes
+        // fork-join batches as a plain inline loop on the calling
+        // thread — no queue round-trip, no stealing, nothing for a
+        // worker to contend on
         let rt = Runtime::new(1);
         let stolen_before = rt.metrics().tasks_stolen;
         let caller = std::thread::current().id();

@@ -2,10 +2,10 @@
 //!
 //! Lock-light telemetry for the VisDB engine: atomic [`Counter`]s and
 //! [`Gauge`]s, fixed-bucket log-scale latency [`Histogram`]s with
-//! p50/p90/p99 readout, a cheap hierarchical [`Span`] timer, and a
-//! [`Registry`] that snapshots every registered metric into one
-//! deterministic, comparable [`Snapshot`] (JSON-friendly integers plus a
-//! Prometheus-style text exposition for the future HTTP transport).
+//! p50/p90/p99 readout, and a [`Registry`] that snapshots every
+//! registered metric into one deterministic, comparable [`Snapshot`]
+//! (JSON-friendly integers plus a Prometheus-style text exposition for
+//! the future HTTP transport).
 //!
 //! Design rules, in the `crates/compat` spirit of zero external
 //! dependencies:
@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of histogram buckets: values 1..=3 map to the first three
 /// buckets, then 4 buckets per octave for exponents 2..=63, so the
@@ -467,55 +467,6 @@ fn sanitize_metric_name(name: &str) -> String {
         .collect()
 }
 
-/// A hierarchical wall-clock span: started at construction, recorded
-/// into `<path>` (a dotted histogram name) on drop. Children extend the
-/// path, so one query can decompose as `query`, `query.pipeline`,
-/// `query.pipeline.rank` without any thread-local machinery — the guard
-/// *is* the context.
-#[derive(Debug)]
-pub struct Span {
-    registry: Arc<Registry>,
-    path: String,
-    hist: Arc<Histogram>,
-    start: Instant,
-}
-
-impl Span {
-    /// Start a root span recording into `registry` under `name`.
-    pub fn root(registry: &Arc<Registry>, name: &str) -> Span {
-        let hist = registry.histogram(name);
-        Span {
-            registry: Arc::clone(registry),
-            path: name.to_string(),
-            hist,
-            start: Instant::now(),
-        }
-    }
-
-    /// Start a child span under `<self.path>.<name>`.
-    pub fn child(&self, name: &str) -> Span {
-        let path = format!("{}.{}", self.path, name);
-        let hist = self.registry.histogram(&path);
-        Span {
-            registry: Arc::clone(&self.registry),
-            path,
-            hist,
-            start: Instant::now(),
-        }
-    }
-
-    /// The dotted path this span records under.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,25 +625,6 @@ mod tests {
         external.add(7);
         r.register_counter("ext", Arc::clone(&external));
         assert_eq!(r.snapshot().counter("ext"), Some(7));
-    }
-
-    #[test]
-    fn spans_record_hierarchically() {
-        let r = Arc::new(Registry::new());
-        {
-            let root = Span::root(&r, "query");
-            {
-                let child = root.child("rank");
-                assert_eq!(child.path(), "query.rank");
-            }
-        }
-        let s = r.snapshot();
-        assert_eq!(s.histogram("query").map(|h| h.count), Some(1));
-        assert_eq!(s.histogram("query.rank").map(|h| h.count), Some(1));
-        // the child's interval is contained in the root's
-        let root = s.histogram("query").unwrap();
-        let child = s.histogram("query.rank").unwrap();
-        assert!(child.sum <= root.sum);
     }
 
     #[test]

@@ -16,14 +16,8 @@
 //! Execution runs on the *persistent* pool of the caller's current
 //! runtime (the service's own pool when called from a service worker,
 //! the global pool otherwise); the caller participates in its own batch,
-//! so fork-join never waits on pool capacity and the former
-//! per-walk scoped spawns — which oversubscribed multi-core boxes under
-//! concurrent large queries — are gone. A scoped-spawn walk survives
-//! only as the benchmark baseline ([`run_striped_scoped`]) and the
-//! [`with_scoped_spawns`] escape hatch that the `pipeline_perf` binary
-//! uses to measure pooled-vs-scoped end to end.
-
-use std::cell::Cell;
+//! so fork-join never waits on pool capacity and no walk spawns threads
+//! of its own.
 
 use visdb_distance::frame::{DistanceFrame, FrameStats};
 use visdb_storage::Partitioning;
@@ -37,35 +31,6 @@ pub const CHUNK_ROWS: usize = 16_384;
 /// §4.3 interactive latencies the chunking is meant to protect).
 pub const PAR_MIN_ROWS: usize = 32_768;
 
-/// Worker threads a chunk walk can occupy at most: the current exec
-/// runtime's budget, capped (the pipeline is memory-bound well before
-/// 16 cores).
-pub fn max_threads() -> usize {
-    visdb_exec::current_budget().min(16)
-}
-
-thread_local! {
-    /// Bench-only override: route fan-out through per-walk scoped spawns
-    /// instead of the shared pool (see [`with_scoped_spawns`]).
-    static FORCE_SCOPED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` with chunk fan-out forced onto per-walk scoped spawns — the
-/// pre-runtime execution strategy, kept **only** as the measurable
-/// baseline for the `pipeline_perf` pooled-vs-scoped comparison.
-/// Nests and unwinds cleanly: the previous mode is restored on exit
-/// even if `f` panics.
-pub fn with_scoped_spawns<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_SCOPED.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCE_SCOPED.with(|s| s.replace(true)));
-    f()
-}
-
 /// Run `f` once per task, fanning the tasks out across the shared
 /// runtime when `parallel` is set (and there is more than one task).
 /// Tasks carry their own mutable state (typically disjoint `&mut`
@@ -77,41 +42,7 @@ pub fn run_striped<T: Send>(tasks: Vec<T>, parallel: bool, f: impl Fn(T) + Sync)
         }
         return;
     }
-    if FORCE_SCOPED.with(|s| s.get()) {
-        run_striped_scoped(tasks, f);
-        return;
-    }
     visdb_exec::run_tasks(tasks, f);
-}
-
-/// The pre-runtime fan-out: stripe tasks across up to [`max_threads`]
-/// crossbeam-scoped threads spawned for this walk alone. Spawning per
-/// walk is exactly the oversubscription the shared runtime eliminates;
-/// this survives as the benchmark baseline and is not used by the
-/// pipeline.
-pub fn run_striped_scoped<T: Send>(tasks: Vec<T>, f: impl Fn(T) + Sync) {
-    let threads = max_threads().min(tasks.len());
-    if threads <= 1 {
-        for task in tasks {
-            f(task);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        buckets[i % threads].push(task);
-    }
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        for bucket in buckets {
-            s.spawn(move |_| {
-                for task in bucket {
-                    f(task);
-                }
-            });
-        }
-    })
-    .expect("chunk workers must not panic");
 }
 
 /// The row ranges of one pass: [`CHUNK_ROWS`]-sized chunks of `n` rows,
@@ -483,27 +414,5 @@ mod tests {
         let b = arena.take();
         drop(a);
         drop(b);
-    }
-
-    #[test]
-    fn scoped_baseline_agrees_with_pooled() {
-        let n = PAR_MIN_ROWS * 2;
-        let run = |scoped: bool| {
-            let mut out = vec![0usize; n];
-            let walk = |out: &mut Vec<usize>| {
-                for_each_chunk(out, true, |offset, chunk| {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        *slot = (offset + j) * 3;
-                    }
-                });
-            };
-            if scoped {
-                with_scoped_spawns(|| walk(&mut out));
-            } else {
-                walk(&mut out);
-            }
-            out
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -54,10 +54,9 @@ pub use normalize::{
     apply_in_place, apply_slice, fit_frame, fit_k, normalize_frame, NormParams, NORM_MAX,
 };
 pub use pipeline::{
-    display_count, run_pipeline, run_pipeline_cached, run_pipeline_opts, run_pipeline_partitioned,
-    run_pipeline_scalar, DisplayPolicy, DisplayedWindow, Materialization, PhaseTimings,
-    PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow, SharedWindows, WindowData,
-    PARALLEL_THRESHOLD, PARTITION_MIN_ROWS,
+    display_count, run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy,
+    DisplayedWindow, Materialization, PhaseTimings, PipelineOptions, PipelineOutput, PipelineTrace,
+    PredicateWindow, SharedWindows, WindowData, PARALLEL_THRESHOLD, PARTITION_MIN_ROWS,
 };
 pub use quantile::{display_fraction, quantile, two_sided_range};
 pub use reduction::{gap_cutoff, gap_cutoff_naive};

@@ -21,11 +21,11 @@
 //!   selection of [`crate::select`] plus a sort of only the selected
 //!   prefix whenever the display policy keeps fewer than n items;
 //! * under a horizontal [`Partitioning`]
-//!   ([`PipelineOptions::partitions`] / [`run_pipeline_partitioned`]),
-//!   every pass — the selection's pruning walk included — is scheduled
-//!   as per-partition tasks over partition-sliced buffers: partitioning
-//!   is just the range list the walks take, so the output is
-//!   bit-identical, the scheduling sharding-shaped.
+//!   ([`PipelineOptions::partitions`]), every pass — the selection's
+//!   pruning walk included — is scheduled as per-partition tasks over
+//!   partition-sliced buffers: partitioning is just the range list the
+//!   walks take, so the output is bit-identical, the scheduling
+//!   sharding-shaped.
 //!
 //! A run writes 9 bytes per row of output — the packed combined
 //! [`DistanceFrame`] — plus the ranked prefix; relevance factors are
@@ -576,59 +576,6 @@ pub fn run_pipeline_scalar(
         policy,
         PipelineOptions {
             mode: ExecMode::Scalar,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_pipeline`] with incremental recalculation (§6): top-level window
-/// evaluations whose condition subtree is unchanged since the previous
-/// run are served from `cache` instead of re-evaluated. Pass the same
-/// cache across interactive modifications; see
-/// [`crate::cache::PipelineCache`].
-pub fn run_pipeline_cached(
-    db: &Database,
-    table: &Table,
-    resolver: &DistanceResolver,
-    condition: Option<&Weighted>,
-    policy: &DisplayPolicy,
-    cache: Option<&mut PipelineCache>,
-) -> Result<PipelineOutput> {
-    run_pipeline_opts(
-        db,
-        table,
-        resolver,
-        condition,
-        policy,
-        PipelineOptions {
-            cache,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_pipeline`] over `parts` horizontal partitions of the base
-/// relation: every pass — distance, normalize/combine and the ranking's
-/// pruning walk — scheduled as per-partition runtime tasks. Output is
-/// bit-identical to the unpartitioned path — this is the single-box
-/// rehearsal of multi-box sharding.
-pub fn run_pipeline_partitioned(
-    db: &Database,
-    table: &Table,
-    resolver: &DistanceResolver,
-    condition: Option<&Weighted>,
-    policy: &DisplayPolicy,
-    parts: usize,
-) -> Result<PipelineOutput> {
-    let partitioning = table.partitions(parts);
-    run_pipeline_opts(
-        db,
-        table,
-        resolver,
-        condition,
-        policy,
-        PipelineOptions {
-            partitions: Some(&partitioning),
             ..Default::default()
         },
     )
@@ -2017,7 +1964,18 @@ mod tests {
         assert_eq!(out.combined, reference.combined);
         assert_eq!(out.displayed, reference.displayed);
         // with a cache attached, Auto materializes (the cacheable form)
-        let auto = run_pipeline_cached(&db, t, &r, Some(&c), &policy, Some(&mut cache)).unwrap();
+        let auto = run_pipeline_opts(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &policy,
+            PipelineOptions {
+                cache: Some(&mut cache),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(auto.windows[0].full_frames().is_some());
         assert_eq!(cache.len(), 1);
     }

@@ -1,20 +1,31 @@
-//! The shared query-result cache.
+//! The three shared caches, one implementation.
 //!
-//! Identical renders from *different* users are the common case under
-//! heavy traffic (everyone starts from the same default query of a
-//! dashboard). The cache is keyed by the full visual input — dataset,
-//! normalized query text and display parameters (see
-//! [`crate::api::render_key`]) — and stores complete [`Response::Frame`]
-//! values, so a hit skips the whole pipeline: materialisation, distance
-//! passes, normalization, combining, sorting and rasterisation.
+//! The serving layer reuses work across sessions at three grains, the
+//! paper's §6 idea ("retrieve more than necessary, then only the
+//! additional portion") applied across users:
 //!
-//! Eviction is least-recently-used via a logical clock. Frame bytes are
-//! `Arc`-shared, so hits hand out cheap clones.
+//! * [`QueryCache`] — finished [`Response::Frame`]s keyed by the full
+//!   visual input ([`crate::api::render_key`]: dataset, normalized query
+//!   text, display parameters). Identical renders from different users
+//!   are the common case under heavy traffic (everyone starts from the
+//!   same default query of a dashboard); a hit skips the whole pipeline.
+//! * [`WindowCache`] — one evaluated + normalized window per condition
+//!   subtree ([`visdb_relevance::window_key`]), so a slider drag that
+//!   changes one predicate reuses every *other* window, for everyone.
+//! * [`ProjectionCache`] — one built [`SortedProjection`] per column
+//!   ([`visdb_index::projection_key`]), so N sessions dragging or
+//!   joining on a column pay for one O(n log n) build.
+//!
+//! All three are [`Cache`] instantiated with a different payload, and
+//! everything that is *policy* lives in that one type: least-recently-
+//! used eviction by a logical clock under an entry cap and a total
+//! weight budget, what zero capacity means, how a dataset's entries are
+//! found for invalidation and append migration, and the hit/miss
+//! counters. The payload only says what it weighs ([`Payload`]).
+//! Payloads are `Arc`-shared inside, so hits hand out cheap clones.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use visdb_index::{ProjectionSource, SortedProjection};
 use visdb_obs::{Counter, Registry};
@@ -25,64 +36,142 @@ use crate::api::Response;
 /// Hit/miss counters for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Renders served from the cache.
+    /// Lookups served from the cache.
     pub hits: usize,
-    /// Renders that ran the pipeline.
+    /// Lookups that found nothing (the caller ran the work).
     pub misses: usize,
 }
 
-/// Register a cache's live hit/miss counters under
-/// `{prefix}.hits` / `{prefix}.misses`. The handles are shared, so the
-/// registry observes every future lookup without polling.
-fn register_hit_miss(
-    registry: &Registry,
-    prefix: &str,
-    hits: &Arc<Counter>,
-    misses: &Arc<Counter>,
-) {
-    registry.register_counter(&format!("{prefix}.hits"), Arc::clone(hits));
-    registry.register_counter(&format!("{prefix}.misses"), Arc::clone(misses));
+/// Default bound on the *total rows* cached across all windows. Entry
+/// count alone is no memory bound — one window over a 1M-row relation
+/// holds two packed `DistanceFrame`s of that length (8-byte values plus
+/// a byte validity mask, ~18 MB/window) — so eviction also honours a row
+/// budget: 8M rows ≈ 144 MB resident worst case.
+pub const DEFAULT_WINDOW_ROW_BUDGET: usize = 8_000_000;
+
+/// Default bound on the total rows cached across all shared projections:
+/// a projection costs ~20 bytes/row (coords + permutation + sorted
+/// values), so 8M rows ≈ 160 MB resident worst case.
+pub const DEFAULT_PROJECTION_ROW_BUDGET: usize = 8_000_000;
+
+/// What a cached value weighs against its cache's budget.
+pub trait Payload: Clone {
+    /// Bound on the summed [`weight`](Payload::weight) of a cache of
+    /// these values.
+    const BUDGET: usize;
+
+    /// This value's share of the budget.
+    fn weight(&self) -> usize;
 }
 
-/// Whether a cache key's scope (`{name}#{generation}`, length-prefix
-/// framed — see [`visdb_relevance::key_scope`]) belongs to dataset
-/// `name`: the generation suffix is split off at the **last** `#` and
-/// the name compared exactly.
-fn scope_is_dataset(key: &str, name: &str) -> bool {
-    visdb_relevance::key_scope(key)
-        .and_then(|scope| scope.rsplit_once('#'))
-        .is_some_and(|(scope_name, _)| scope_name == name)
+/// A finished response weighs nothing beyond its entry: the entry cap
+/// alone bounds a [`QueryCache`].
+impl Payload for Response {
+    const BUDGET: usize = usize::MAX;
+
+    fn weight(&self) -> usize {
+        0
+    }
 }
 
-struct Entry {
-    response: Response,
+/// A window weighs its rows. The recipe beside it is the
+/// append-extension recipe captured at evaluation time (`None` for
+/// shapes that cannot be extended row-locally) — what lets a dataset
+/// append *grow* the entry instead of dropping it.
+impl Payload for (PredicateWindow, Option<WindowRecipe>) {
+    const BUDGET: usize = DEFAULT_WINDOW_ROW_BUDGET;
+
+    fn weight(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A projection weighs its rows.
+impl Payload for Arc<SortedProjection> {
+    const BUDGET: usize = DEFAULT_PROJECTION_ROW_BUDGET;
+
+    fn weight(&self) -> usize {
+        self.rows()
+    }
+}
+
+/// The shared render cache: render keys to finished responses.
+pub type QueryCache = Cache<Response>;
+
+/// The shared **predicate-window** cache. The key carries dataset
+/// generation, base relation, display budget and the rendered subtree —
+/// not the weight: one entry per subtree, holding the latest stored
+/// weight's normalization, whose raw frame a lookup under another weight
+/// refits. Read through [`WindowSource`].
+pub type WindowCache = Cache<(PredicateWindow, Option<WindowRecipe>)>;
+
+/// The shared **sorted-projection** cache, one entry per (dataset
+/// generation, table, row count, column); the per-session state that
+/// remains is only the thin §6 candidate-band cache. Read through
+/// [`ProjectionSource`].
+pub type ProjectionCache = Cache<Arc<SortedProjection>>;
+
+struct Entry<P> {
+    payload: P,
+    weight: usize,
     last_used: u64,
 }
 
-/// A bounded LRU map from render keys to finished responses.
-pub struct QueryCache {
-    entries: Mutex<(HashMap<String, Entry>, u64)>,
+/// The mutex-guarded state. `total_weight` is maintained on every
+/// insert and removal, so eviction never re-sums the map while holding
+/// the lock every query contends on.
+struct State<P> {
+    map: HashMap<String, Entry<P>>,
+    clock: u64,
+    total_weight: usize,
+}
+
+/// A bounded, weighted LRU map from canonical string keys to payloads,
+/// safe to share across sessions.
+///
+/// Every key starts with a length-prefixed scope `{dataset}#{generation}`
+/// ([`visdb_relevance::key_scope`]); the generation in it already keeps
+/// a replaced dataset's entries from ever hitting, and the dataset in it
+/// is what [`Cache::invalidate_dataset`] and [`Cache::drain_dataset`]
+/// match on.
+pub struct Cache<P> {
+    state: Mutex<State<P>>,
     capacity: usize,
+    budget: usize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
 }
 
-impl QueryCache {
-    /// Cache holding at most `capacity` responses; zero disables caching
-    /// (every lookup misses, nothing is stored).
+impl<P: Payload> Cache<P> {
+    /// Cache holding at most `capacity` entries of at most
+    /// [`Payload::BUDGET`] total weight. Zero capacity disables it:
+    /// every lookup counts a miss and nothing is stored.
     pub fn new(capacity: usize) -> Self {
-        QueryCache {
-            entries: Mutex::new((HashMap::new(), 0)),
+        Self::with_budget(capacity, P::BUDGET)
+    }
+
+    /// [`Cache::new`] under another weight budget (the budgets are
+    /// constants; the unit tests shrink them).
+    fn with_budget(capacity: usize, budget: usize) -> Self {
+        Cache {
+            state: Mutex::new(State {
+                map: HashMap::new(),
+                clock: 0,
+                total_weight: 0,
+            }),
             capacity,
+            budget,
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
         }
     }
 
     /// Publish this cache's live hit/miss counters into `registry` under
-    /// `{prefix}.hits` / `{prefix}.misses`.
+    /// `{prefix}.hits` / `{prefix}.misses`. The handles are shared, so
+    /// the registry observes every future lookup without polling.
     pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        register_hit_miss(registry, prefix, &self.hits, &self.misses);
+        registry.register_counter(&format!("{prefix}.hits"), Arc::clone(&self.hits));
+        registry.register_counter(&format!("{prefix}.misses"), Arc::clone(&self.misses));
     }
 
     /// Whether lookups can ever succeed (capacity > 0). Callers skip
@@ -91,243 +180,115 @@ impl QueryCache {
         self.capacity > 0
     }
 
-    /// Look up a finished response, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<Response> {
+    /// The state, recovered from a poisoned lock: no update below
+    /// leaves an entry half-written, and the running weight is raised
+    /// before an insert and lowered after a removal, so a holder that
+    /// panicked can at worst have left it too high (evicting early).
+    fn lock(&self) -> MutexGuard<'_, State<P>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Look `key` up, count the hit or miss, refresh the entry's recency
+    /// and return what `read` takes from the payload.
+    fn read<R>(&self, key: &str, read: impl FnOnce(&P) -> R) -> Option<R> {
         if self.capacity == 0 {
             self.misses.inc();
             return None;
         }
-        let mut guard = match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let (map, clock) = &mut *guard;
-        *clock += 1;
-        match map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = *clock;
-                self.hits.inc();
-                Some(entry.response.clone())
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let mut state = self.lock();
+        state.clock += 1;
+        let now = state.clock;
+        let found = state.map.get_mut(key).map(|entry| {
+            entry.last_used = now;
+            read(&entry.payload)
+        });
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        found
     }
 
-    /// Store a finished response, evicting the LRU entry at capacity.
-    pub fn put(&self, key: String, response: Response) {
+    /// Look up a payload, refreshing its recency on a hit.
+    pub fn get(&self, key: &str) -> Option<P> {
+        self.read(key, P::clone)
+    }
+
+    /// Store a payload (replacing the key's previous one), then evict
+    /// least-recently-used entries until both the entry cap and the
+    /// weight budget hold. The entry just stored is never evicted, even
+    /// alone over budget: one giant relation degrades to single-entry
+    /// reuse rather than disabling the cache.
+    pub fn put(&self, key: String, payload: P) {
         if self.capacity == 0 {
             return;
         }
-        let mut guard = match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+        let mut state = self.lock();
+        state.clock += 1;
+        let now = state.clock;
+        let weight = payload.weight();
+        state.total_weight += weight;
+        let entry = Entry {
+            payload,
+            weight,
+            last_used: now,
         };
-        let (map, clock) = &mut *guard;
-        *clock += 1;
-        if map.len() >= self.capacity && !map.contains_key(&key) {
-            if let Some(lru) = map
+        if let Some(old) = state.map.insert(key, entry) {
+            state.total_weight -= old.weight;
+        }
+        // each round is one O(entries) scan for the oldest clock value;
+        // only the entry just stored carries `now`
+        while state.map.len() > 1
+            && (state.map.len() > self.capacity || state.total_weight > self.budget)
+        {
+            let lru = state
+                .map
                 .iter()
+                .filter(|(_, e)| e.last_used != now)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&lru);
-            }
+                .map(|(k, _)| k.clone());
+            let Some(old) = lru.and_then(|k| state.map.remove(&k)) else {
+                break;
+            };
+            state.total_weight -= old.weight;
         }
-        map.insert(
-            key,
-            Entry {
-                response,
-                last_used: *clock,
-            },
-        );
-    }
-
-    /// Drop every entry belonging to dataset `name` (any generation) —
-    /// dataset re-registration invalidates that dataset's cached
-    /// frames. The dataset is recovered from the key by parsing the
-    /// length-prefixed scope ([`visdb_relevance::key_scope`]) and
-    /// splitting off the service-appended `#generation` suffix, then
-    /// compared **exactly**, so a crafted dataset name (e.g. `"env#1"`)
-    /// can neither dodge its own invalidation nor trigger another
-    /// dataset's.
-    pub fn invalidate_dataset(&self, name: &str) {
-        let mut guard = match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.0.retain(|k, _| !scope_is_dataset(k, name));
-    }
-
-    /// Hit/miss counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-        }
-    }
-
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
-        match self.entries.lock() {
-            Ok(g) => g.0.len(),
-            Err(poisoned) => poisoned.into_inner().0.len(),
-        }
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-struct WindowEntry {
-    window: PredicateWindow,
-    /// The append-extension recipe captured at evaluation time (None for
-    /// window shapes that cannot be extended row-locally) — what lets a
-    /// dataset append *grow* this entry instead of dropping it.
-    recipe: Option<WindowRecipe>,
-    rows: usize,
-    last_used: u64,
-}
-
-/// The mutex-guarded state of a [`WindowCache`]. `total_rows` is
-/// maintained incrementally on insert/remove so eviction never rescans
-/// the whole map while holding the lock every query contends on.
-#[derive(Default)]
-struct WindowMap {
-    map: HashMap<String, WindowEntry>,
-    clock: u64,
-    total_rows: usize,
-}
-
-impl WindowMap {
-    fn insert(&mut self, key: String, entry: WindowEntry) {
-        self.total_rows += entry.rows;
-        if let Some(old) = self.map.insert(key, entry) {
-            self.total_rows -= old.rows;
-        }
-    }
-
-    fn remove(&mut self, key: &str) {
-        if let Some(old) = self.map.remove(key) {
-            self.total_rows -= old.rows;
-        }
-    }
-}
-
-/// The shared **predicate-window** cache: finer-grained than
-/// [`QueryCache`], it caches one evaluated + normalized window per
-/// condition subtree (keyed by `visdb_relevance::window_key`: dataset
-/// generation, base relation, display budget and the rendered subtree —
-/// not the weight: one entry per subtree, holding the latest stored
-/// weight's normalization, whose raw frame a lookup under another weight
-/// refits). Where the query cache only helps when the *entire* render
-/// is identical, this cache makes a slider drag that changes one
-/// predicate reuse every other window — across sessions, so one user's
-/// drag is cheap for everyone (the §6 incremental idea, cross-session).
-///
-/// Window payloads are `Arc`-shared; hits hand out cheap clones.
-/// Eviction is least-recently-used via a logical clock.
-pub struct WindowCache {
-    entries: Mutex<WindowMap>,
-    capacity: usize,
-    row_budget: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-/// Default bound on the *total rows* cached across all windows. Entry
-/// count alone is no memory bound — one window over a 1M-row relation
-/// holds two packed `DistanceFrame`s of that length (8-byte values plus
-/// a byte validity mask, ~18 MB/window vs the ~32 MB the old
-/// `Vec<Option<f64>>` pair cost) — so eviction also honours a row
-/// budget: 8M rows ≈ 144 MB resident worst case, roughly half of what
-/// the same budget pinned before the packed representation.
-pub const DEFAULT_WINDOW_ROW_BUDGET: usize = 8_000_000;
-
-impl WindowCache {
-    /// Cache holding at most `capacity` windows (zero disables caching)
-    /// and at most [`DEFAULT_WINDOW_ROW_BUDGET`] total rows.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_row_budget(capacity, DEFAULT_WINDOW_ROW_BUDGET)
-    }
-
-    /// [`WindowCache::new`] with an explicit total-row budget. The most
-    /// recently stored window is always retained (even alone over
-    /// budget), so one giant relation degrades to single-window reuse
-    /// rather than disabling the cache.
-    pub fn with_row_budget(capacity: usize, row_budget: usize) -> Self {
-        WindowCache {
-            entries: Mutex::new(WindowMap::default()),
-            capacity,
-            row_budget,
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Publish this cache's live hit/miss counters into `registry` under
-    /// `{prefix}.hits` / `{prefix}.misses`.
-    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        register_hit_miss(registry, prefix, &self.hits, &self.misses);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WindowMap> {
-        match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Whether lookups can ever succeed (capacity > 0).
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Drop every entry belonging to dataset `name`, any generation
-    /// (exact-match semantics of [`QueryCache::invalidate_dataset`]) —
-    /// dataset re-registration frees the replaced generation's windows;
-    /// the generation-scoped keys already prevent stale hits.
-    pub fn invalidate_dataset(&self, name: &str) {
-        let mut guard = self.lock();
-        let mut dropped = 0;
-        guard.map.retain(|k, e| {
-            let keep = !scope_is_dataset(k, name);
-            if !keep {
-                dropped += e.rows;
-            }
-            keep
-        });
-        guard.total_rows -= dropped;
     }
 
     /// Remove and return every entry belonging to dataset `name`, any
     /// generation — the delta-append migration path: the service drains
-    /// the old generation's windows, extends the extendable ones with
-    /// the appended rows, and re-stores them under the new generation's
+    /// the old generation's windows and projections, extends them with
+    /// the appended rows and re-stores them under the new generation's
     /// keys (see `Service::append_rows`).
-    pub fn drain_dataset(
-        &self,
-        name: &str,
-    ) -> Vec<(String, PredicateWindow, Option<WindowRecipe>)> {
-        let mut guard = self.lock();
-        let keys: Vec<String> = guard
+    ///
+    /// The dataset is recovered from the key by parsing the
+    /// length-prefixed scope and splitting the service-appended
+    /// `#generation` off at the **last** `#`, then compared **exactly**,
+    /// so a crafted dataset name (e.g. `"env#1"`) can neither dodge its
+    /// own invalidation nor trigger another dataset's.
+    pub fn drain_dataset(&self, name: &str) -> Vec<(String, P)> {
+        let mut state = self.lock();
+        let mut freed = 0;
+        let drained = state
             .map
-            .keys()
-            .filter(|k| scope_is_dataset(k, name))
-            .cloned()
+            .extract_if(|key, _| {
+                visdb_relevance::key_scope(key)
+                    .and_then(|scope| scope.rsplit_once('#'))
+                    .is_some_and(|(dataset, _)| dataset == name)
+            })
+            .map(|(key, entry)| {
+                freed += entry.weight;
+                (key, entry.payload)
+            })
             .collect();
-        let mut drained = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(entry) = guard.map.remove(&key) {
-                guard.total_rows -= entry.rows;
-                drained.push((key, entry.window, entry.recipe));
-            }
-        }
+        state.total_weight -= freed;
         drained
+    }
+
+    /// Drop every entry belonging to dataset `name`, any generation
+    /// (the exact matching of [`Cache::drain_dataset`]) — re-registration
+    /// and chain compaction free the replaced dataset's artefacts.
+    pub fn invalidate_dataset(&self, name: &str) {
+        self.drain_dataset(name);
     }
 
     /// Hit/miss counters since construction.
@@ -338,7 +299,7 @@ impl WindowCache {
         }
     }
 
-    /// Number of cached windows.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.lock().map.len()
     }
@@ -351,264 +312,21 @@ impl WindowCache {
 
 impl WindowSource for WindowCache {
     fn lookup(&self, key: &str) -> Option<PredicateWindow> {
-        if self.capacity == 0 {
-            self.misses.inc();
-            return None;
-        }
-        let mut guard = self.lock();
-        guard.clock += 1;
-        let clock = guard.clock;
-        match guard.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits.inc();
-                Some(entry.window.clone())
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
-        }
+        self.read(key, |(window, _)| window.clone())
     }
 
     fn store(&self, key: String, window: PredicateWindow, recipe: Option<WindowRecipe>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut guard = self.lock();
-        guard.clock += 1;
-        let clock = guard.clock;
-        let rows = window.len();
-        guard.insert(
-            key,
-            WindowEntry {
-                window,
-                recipe,
-                rows,
-                last_used: clock,
-            },
-        );
-        // evict LRU entries until both the entry-count cap and the
-        // total-row budget hold (the just-stored entry is never evicted);
-        // `total_rows` is a running counter, so each round costs one
-        // O(entries) LRU scan, not a full row re-sum
-        while guard.map.len() > 1
-            && (guard.map.len() > self.capacity || guard.total_rows > self.row_budget)
-        {
-            let lru = guard
-                .map
-                .iter()
-                .filter(|(_, e)| e.last_used != clock)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match lru {
-                Some(lru) => guard.remove(&lru),
-                None => break,
-            }
-        }
-    }
-}
-
-struct ProjectionEntry {
-    projection: Arc<SortedProjection>,
-    rows: usize,
-    last_used: u64,
-}
-
-/// The mutex-guarded state of a [`ProjectionCache`]; `total_rows` is
-/// maintained incrementally like [`WindowMap`]'s.
-#[derive(Default)]
-struct ProjectionMap {
-    map: HashMap<String, ProjectionEntry>,
-    clock: u64,
-    total_rows: usize,
-}
-
-/// Default bound on the total rows cached across all shared projections:
-/// a projection costs ~20 bytes/row (coords + permutation + sorted
-/// values), so 8M rows ≈ 160 MB resident worst case.
-pub const DEFAULT_PROJECTION_ROW_BUDGET: usize = 8_000_000;
-
-/// The shared **sorted-projection** cache: one built
-/// [`SortedProjection`] per (dataset generation, table, row count,
-/// column), keyed by [`visdb_index::projection_key`]. The per-column
-/// build is the expensive part of a cold drag and of a §4.4 join over
-/// that column as its inner key (O(n log n), ~20 bytes/row); sharing it
-/// means N sessions dragging or joining on the same column pay for
-/// **one** build — the per-session state that remains is only the thin
-/// §6 candidate-band cache.
-///
-/// Eviction is least-recently-used under both an entry cap and a
-/// total-row budget; dataset re-registration drops the replaced
-/// generation's projections (the generation-scoped keys already prevent
-/// stale hits).
-pub struct ProjectionCache {
-    entries: Mutex<ProjectionMap>,
-    capacity: usize,
-    row_budget: usize,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-impl ProjectionCache {
-    /// Cache holding at most `capacity` projections (zero disables
-    /// sharing) and at most [`DEFAULT_PROJECTION_ROW_BUDGET`] total rows.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_row_budget(capacity, DEFAULT_PROJECTION_ROW_BUDGET)
-    }
-
-    /// [`ProjectionCache::new`] with an explicit total-row budget. The
-    /// most recently stored projection is always retained, so one giant
-    /// relation degrades to single-projection reuse rather than
-    /// disabling the cache.
-    pub fn with_row_budget(capacity: usize, row_budget: usize) -> Self {
-        ProjectionCache {
-            entries: Mutex::new(ProjectionMap::default()),
-            capacity,
-            row_budget,
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-        }
-    }
-
-    /// Publish this cache's live hit/miss counters into `registry` under
-    /// `{prefix}.hits` / `{prefix}.misses`.
-    pub fn register_metrics(&self, registry: &Registry, prefix: &str) {
-        register_hit_miss(registry, prefix, &self.hits, &self.misses);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ProjectionMap> {
-        match self.entries.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Whether lookups can ever succeed (capacity > 0).
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Drop every projection belonging to dataset `name`, any generation
-    /// (the exact-match semantics of
-    /// [`QueryCache::invalidate_dataset`]) — generation rotation frees
-    /// the replaced dataset's builds.
-    pub fn invalidate_dataset(&self, name: &str) {
-        let mut guard = self.lock();
-        let mut dropped = 0;
-        guard.map.retain(|k, e| {
-            let keep = !scope_is_dataset(k, name);
-            if !keep {
-                dropped += e.rows;
-            }
-            keep
-        });
-        guard.total_rows -= dropped;
-    }
-
-    /// Remove and return every projection belonging to dataset `name`,
-    /// any generation — the delta-append migration path: the service
-    /// merges the appended rows into each drained build
-    /// ([`SortedProjection::extended`]) and re-stores it under the new
-    /// generation's key instead of paying a cold O(n log n) rebuild.
-    pub fn drain_dataset(&self, name: &str) -> Vec<(String, Arc<SortedProjection>)> {
-        let mut guard = self.lock();
-        let keys: Vec<String> = guard
-            .map
-            .keys()
-            .filter(|k| scope_is_dataset(k, name))
-            .cloned()
-            .collect();
-        let mut drained = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(entry) = guard.map.remove(&key) {
-                guard.total_rows -= entry.rows;
-                drained.push((key, entry.projection));
-            }
-        }
-        drained
-    }
-
-    /// Hit/miss counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-        }
-    }
-
-    /// Number of cached projections.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.put(key, (window, recipe));
     }
 }
 
 impl ProjectionSource for ProjectionCache {
     fn lookup(&self, key: &str) -> Option<Arc<SortedProjection>> {
-        if self.capacity == 0 {
-            self.misses.inc();
-            return None;
-        }
-        let mut guard = self.lock();
-        guard.clock += 1;
-        let clock = guard.clock;
-        match guard.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits.inc();
-                Some(Arc::clone(&entry.projection))
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
-        }
+        self.get(key)
     }
 
     fn store(&self, key: String, projection: Arc<SortedProjection>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut guard = self.lock();
-        guard.clock += 1;
-        let clock = guard.clock;
-        let rows = projection.rows();
-        guard.total_rows += rows;
-        if let Some(old) = guard.map.insert(
-            key,
-            ProjectionEntry {
-                projection,
-                rows,
-                last_used: clock,
-            },
-        ) {
-            guard.total_rows -= old.rows;
-        }
-        // evict LRU entries until both bounds hold (never the entry
-        // just stored)
-        while guard.map.len() > 1
-            && (guard.map.len() > self.capacity || guard.total_rows > self.row_budget)
-        {
-            let lru = guard
-                .map
-                .iter()
-                .filter(|(_, e)| e.last_used != clock)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match lru {
-                Some(lru) => {
-                    if let Some(old) = guard.map.remove(&lru) {
-                        guard.total_rows -= old.rows;
-                    }
-                }
-                None => break,
-            }
-        }
+        self.put(key, projection);
     }
 }
 
@@ -660,7 +378,7 @@ mod tests {
             window_of(tag, rows)
         }
         // budget of 100 rows: two 60-row windows cannot coexist
-        let c = WindowCache::with_row_budget(8, 100);
+        let c = WindowCache::with_budget(8, 100);
         c.store("a".into(), wide(1.0, 60), None);
         c.store("b".into(), wide(2.0, 60), None);
         assert_eq!(c.len(), 1);
@@ -672,7 +390,7 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c.lookup("huge").is_some());
         // small windows accumulate up to the entry cap as before
-        let c = WindowCache::with_row_budget(3, 100);
+        let c = WindowCache::with_budget(3, 100);
         for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
             c.store((*key).into(), wide(i as f64, 10), None);
         }
@@ -773,5 +491,147 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.get("a"), None);
         assert_eq!(c.stats().hits, 0);
+    }
+
+    /// The running weight, checked against a re-sum of the entries.
+    fn weight<P: Payload>(c: &Cache<P>) -> usize {
+        let state = c.lock();
+        let resummed: usize = state.map.values().map(|e| e.weight).sum();
+        assert_eq!(state.total_weight, resummed, "running weight drifted");
+        resummed
+    }
+
+    /// The shared policy, run against one instantiation; `make(rows)`
+    /// builds a payload of that many rows (a response weighs 0 whatever
+    /// it is asked for, so the budget rows apply to the other two).
+    fn policy<P: Payload>(what: &str, make: impl Fn(usize) -> P) {
+        let weight_of = |rows| make(rows).weight();
+        // LRU order: a lookup refreshes, the stalest entry goes
+        let c = Cache::<P>::new(2);
+        assert!(c.get("a").is_none(), "{what}");
+        c.put("a".into(), make(1));
+        c.put("b".into(), make(1));
+        assert!(c.get("a").is_some(), "{what}");
+        c.put("c".into(), make(1));
+        assert_eq!(c.len(), 2, "{what}");
+        assert!(c.get("b").is_none(), "{what}: LRU entry must be evicted");
+        assert!(c.get("a").is_some() && c.get("c").is_some(), "{what}");
+        assert_eq!(c.stats(), CacheStats { hits: 3, misses: 2 }, "{what}");
+
+        // replacing a key at capacity evicts nothing and re-weighs it
+        c.put("a".into(), make(7));
+        assert_eq!(c.len(), 2, "{what}");
+        assert!(c.get("a").is_some() && c.get("c").is_some(), "{what}");
+        assert_eq!(weight(&c), weight_of(7) + weight_of(1), "{what}");
+
+        // weight budget: LRU entries go until the total fits, but never
+        // the entry just stored — not even alone over budget
+        if weight_of(60) == 60 {
+            let c = Cache::<P>::with_budget(8, 100);
+            c.put("a".into(), make(60));
+            c.put("b".into(), make(30));
+            c.put("c".into(), make(60));
+            assert!(c.get("a").is_none(), "{what}: LRU evicted for the budget");
+            assert!(c.get("b").is_some() && c.get("c").is_some(), "{what}");
+            assert_eq!(weight(&c), 90, "{what}");
+            c.put("huge".into(), make(1_000));
+            assert_eq!((c.len(), weight(&c)), (1, 1_000), "{what}");
+            assert!(c.get("huge").is_some(), "{what}");
+        }
+
+        // zero capacity: lookups count misses, stores are no-ops
+        let off = Cache::<P>::new(0);
+        assert!(!off.is_enabled(), "{what}");
+        off.put("x".into(), make(1));
+        assert!(off.is_empty() && off.get("x").is_none(), "{what}");
+        assert_eq!(off.stats(), CacheStats { hits: 0, misses: 1 }, "{what}");
+
+        // dataset matching is exact: a dataset literally named "ramp#1"
+        // (scope "ramp#1#7") and a key that merely *contains* the bytes
+        // are not dataset "ramp"
+        let fill = || {
+            let c = Cache::<P>::new(8);
+            c.put(scoped_key("ramp#1", "k1"), make(2));
+            c.put(scoped_key("ramp#2", "k2"), make(3));
+            c.put(scoped_key("env#2", "k1"), make(5));
+            c.put(scoped_key("ramp#1#7", "k1"), make(7));
+            c.put(scoped_key("evil#3", "ramp#1suffix"), make(11));
+            c
+        };
+        let others = weight_of(5) + weight_of(7) + weight_of(11);
+        let survivors = [
+            scoped_key("env#2", "k1"),
+            scoped_key("ramp#1#7", "k1"),
+            scoped_key("evil#3", "ramp#1suffix"),
+        ];
+        let c = fill();
+        c.invalidate_dataset("ramp");
+        assert_eq!((c.len(), weight(&c)), (3, others), "{what}");
+        assert!(survivors.iter().all(|k| c.get(k).is_some()), "{what}");
+
+        // drain hands back exactly that dataset's entries
+        let c = fill();
+        let mut drained = c.drain_dataset("ramp");
+        drained.sort_by(|a, b| a.0.cmp(&b.0));
+        let drained: Vec<(String, usize)> =
+            drained.into_iter().map(|(k, p)| (k, p.weight())).collect();
+        let expected = vec![
+            (scoped_key("ramp#1", "k1"), weight_of(2)),
+            (scoped_key("ramp#2", "k2"), weight_of(3)),
+        ];
+        assert_eq!(drained, expected, "{what}");
+        assert_eq!((c.len(), weight(&c)), (3, others), "{what}");
+        assert!(survivors.iter().all(|k| c.get(k).is_some()), "{what}");
+        assert!(c.drain_dataset("ramp").is_empty(), "{what}");
+    }
+
+    fn projection(rows: usize) -> Arc<SortedProjection> {
+        Arc::new(SortedProjection::build(rows, |i| Some(i as f64)))
+    }
+
+    #[test]
+    fn one_policy_for_all_three_instantiations() {
+        policy("query", |_| Response::Ok);
+        policy("window", |rows| (window_of(1.0, rows), None));
+        policy("projection", projection);
+    }
+
+    /// Eight threads store, look up and invalidate overlapping keys at
+    /// once; the barrier makes them start together. Whatever the
+    /// interleaving, the bounds hold at the end and every lookup was
+    /// counted exactly once.
+    #[test]
+    fn concurrent_stores_and_lookups_keep_the_bounds() {
+        const THREADS: usize = 8;
+        const OPS: usize = 400;
+        let c = ProjectionCache::with_budget(6, 100);
+        let entries: Vec<_> = (0..16)
+            .map(|i| {
+                let scope = if i % 2 == 0 { "a#1" } else { "b#1" };
+                (scoped_key(scope, &format!("k{i}")), projection(5 + 3 * i))
+            })
+            .collect();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (c, entries, barrier) = (&c, &entries, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for op in 0..OPS {
+                        let (key, payload) = &entries[(op / 4 + t) % entries.len()];
+                        if c.lookup(key).is_none() {
+                            c.store(key.clone(), Arc::clone(payload));
+                        }
+                        if op % 50 == t {
+                            c.invalidate_dataset("b");
+                        }
+                    }
+                });
+            }
+        });
+        assert!(c.len() <= 6);
+        assert!(weight(&c) <= 100 || c.len() == 1);
+        let stats = c.stats();
+        assert_eq!(stats.hits + stats.misses, THREADS * OPS);
     }
 }

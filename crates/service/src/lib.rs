@@ -27,12 +27,15 @@
 //!   pipeline over horizontal partitions of the base relation with
 //!   per-partition top-k selections merged by relevance rank;
 //!   bit-identical outputs, sharding-shaped scheduling.
-//! * **Cross-user caching** — a shared [`QueryCache`] keyed by (dataset,
-//!   normalized query text, display parameters) serves identical renders
-//!   from different users without re-running the pipeline, and a shared
-//!   [`WindowCache`] of per-predicate window evaluations makes a slider
-//!   drag that changes one predicate reuse every *other* window across
-//!   sessions (the §6 incremental idea, cross-session).
+//! * **Cross-user caching** — three shared caches, one bounded weighted
+//!   LRU ([`cache`]) instantiated three times: a [`QueryCache`] keyed by
+//!   (dataset, normalized query text, display parameters) serves
+//!   identical renders from different users without re-running the
+//!   pipeline, a [`WindowCache`] of per-predicate window evaluations
+//!   makes a slider drag that changes one predicate reuse every *other*
+//!   window across sessions (the §6 incremental idea, cross-session),
+//!   and a [`ProjectionCache`] shares each column's sorted projection
+//!   between every session that drags or joins on it.
 //! * **Deadlines, cancellation & shedding** — every request can carry a
 //!   deadline and a cancel handle ([`SubmitOptions`], wire fields
 //!   `deadline_ms` / `id`); an interrupted query stops at the

@@ -197,6 +197,13 @@ fn dispatch(service: &Service, msg: &Json) -> Result<Json> {
                     ]),
                 ),
                 (
+                    "projection_cache",
+                    Json::obj([
+                        ("hits", t.projection_cache.hits.into()),
+                        ("misses", t.projection_cache.misses.into()),
+                    ]),
+                ),
+                (
                     "datasets",
                     Json::Arr(
                         service
@@ -522,9 +529,40 @@ mod tests {
         let r = handle_line(&s, r#"{"op":"stats"}"#);
         assert_eq!(r.get("sessions").unwrap().as_u64(), Some(0));
         assert_eq!(r.get("workers").unwrap().as_u64(), Some(2));
-        handle_line(&s, r#"{"op":"create_session","dataset":"demo"}"#);
+        let create = || {
+            let r = handle_line(&s, r#"{"op":"create_session","dataset":"demo"}"#);
+            r.get("session").unwrap().as_u64().unwrap()
+        };
+        let first = create();
         let r = handle_line(&s, r#"{"op":"stats"}"#);
         assert_eq!(r.get("sessions").unwrap().as_u64(), Some(1));
+
+        // the first session to drag column x builds its sorted
+        // projection (a miss); a second session dragging it borrows it
+        let projection_cache = |s: &Service| {
+            let r = handle_line(s, r#"{"op":"stats"}"#);
+            let c = r.get("projection_cache").unwrap().clone();
+            let field = |name| c.get(name).unwrap().as_u64().unwrap();
+            (field("hits"), field("misses"))
+        };
+        assert_eq!(projection_cache(&s), (0, 0));
+        let drag = |session: u64| {
+            for line in [
+                format!(
+                    r#"{{"session":{session},"op":"set_query","text":"SELECT * FROM T WHERE x >= 10"}}"#
+                ),
+                format!(
+                    r#"{{"session":{session},"op":"drag_slider","window":0,"cmp":">=","value":20}}"#
+                ),
+            ] {
+                let r = handle_line(&s, &line);
+                assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{line} -> {r}");
+            }
+        };
+        drag(first);
+        assert_eq!(projection_cache(&s), (0, 1));
+        drag(create());
+        assert_eq!(projection_cache(&s), (1, 1));
     }
 
     #[test]

@@ -798,7 +798,7 @@ impl Service {
             let table_ref = new_db.table(&table_name).expect("table just appended to");
             let delta_ids: Vec<usize> = (old_n..new_n).collect();
             let delta = table_ref.gather(table_name.as_str(), &delta_ids);
-            for (key, window, recipe) in self.window_cache.drain_dataset(name) {
+            for (key, (window, recipe)) in self.window_cache.drain_dataset(name) {
                 if key_scope(&key) != Some(old_scope.as_str()) {
                     continue; // an even older generation: stale, drop
                 }

@@ -137,9 +137,8 @@ pub mod prelude {
         SubqueryLink, Weighted,
     };
     pub use visdb_relevance::{
-        run_pipeline, run_pipeline_opts, run_pipeline_partitioned, run_pipeline_scalar,
-        DisplayPolicy, ExecMode, Materialization, PipelineOptions, PipelineOutput, PipelineTrace,
-        PredicateWindow,
+        run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, ExecMode,
+        Materialization, PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow,
     };
     pub use visdb_render::{write_ppm, Framebuffer};
     pub use visdb_service::{

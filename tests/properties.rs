@@ -243,8 +243,14 @@ proptest! {
         let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
         let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
         for parts in [1usize, 2, 7, 16] {
-            let part = run_pipeline_partitioned(
-                &db, t, &resolver, q.condition.as_ref(), &policy, parts);
+            let partitioning = t.partitions(parts);
+            let part = run_pipeline_opts(
+                &db, t, &resolver, q.condition.as_ref(), &policy,
+                PipelineOptions {
+                    partitions: Some(&partitioning),
+                    ..Default::default()
+                },
+            );
             match (&part, &slow, &fast) {
                 (Ok(part), Ok(slow), Ok(fast)) => {
                     let diff = first_divergence(part, slow, &policy);
@@ -1222,8 +1228,14 @@ proptest! {
                 let diff = first_divergence(&fast, &slow, &policy);
                 prop_assert!(diff.is_none(), "{} under {:?}", diff.unwrap(), policy);
                 for parts in [1usize, 3] {
-                    let part = run_pipeline_partitioned(
-                        &db, t, &resolver, q.condition.as_ref(), &policy, parts).unwrap();
+                    let partitioning = t.partitions(parts);
+                    let part = run_pipeline_opts(
+                        &db, t, &resolver, q.condition.as_ref(), &policy,
+                        PipelineOptions {
+                            partitions: Some(&partitioning),
+                            ..Default::default()
+                        },
+                    ).unwrap();
                     let diff = first_divergence(&part, &slow, &policy);
                     prop_assert!(
                         diff.is_none(),
@@ -1283,8 +1295,14 @@ proptest! {
                 let diff = first_divergence(&mat, &slow, &policy);
                 prop_assert!(diff.is_none(), "materialized: {} under {:?}", diff.unwrap(), policy);
                 for parts in [2usize, 7] {
-                    let part = run_pipeline_partitioned(
-                        &db, t, &resolver, q.condition.as_ref(), &policy, parts).unwrap();
+                    let partitioning = t.partitions(parts);
+                    let part = run_pipeline_opts(
+                        &db, t, &resolver, q.condition.as_ref(), &policy,
+                        PipelineOptions {
+                            partitions: Some(&partitioning),
+                            ..Default::default()
+                        },
+                    ).unwrap();
                     let diff = first_divergence(&part, &slow, &policy);
                     prop_assert!(
                         diff.is_none(),
@@ -1420,8 +1438,14 @@ proptest! {
                 let diff = first_divergence(&mat, &slow, &policy);
                 prop_assert!(diff.is_none(), "materialized: {} under {:?}", diff.unwrap(), policy);
                 for parts in [2usize, 5] {
-                    let part = run_pipeline_partitioned(
-                        &db, &cross, &resolver, q.condition.as_ref(), &policy, parts).unwrap();
+                    let partitioning = cross.partitions(parts);
+                    let part = run_pipeline_opts(
+                        &db, &cross, &resolver, q.condition.as_ref(), &policy,
+                        PipelineOptions {
+                            partitions: Some(&partitioning),
+                            ..Default::default()
+                        },
+                    ).unwrap();
                     let diff = first_divergence(&part, &slow, &policy);
                     prop_assert!(
                         diff.is_none(),
