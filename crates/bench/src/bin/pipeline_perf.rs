@@ -121,6 +121,12 @@ struct SizeResult {
     drag_incremental_us: f64,
     drag_full_us: f64,
     drag_speedup: f64,
+    /// The same A/B for *sparse* drags: bounds that leave fewer exact
+    /// answers than display slots, so the display fills from the
+    /// nearest misses and — under the weight-1 fit — the §5.2 clamp
+    /// plateau. Each arm is the median with its min and p90.
+    drag_sparse: Timed,
+    drag_sparse_full: Timed,
     /// Delta-generation maintenance A/B at the server-op level: append
     /// a 1% delta to a live `Service` (`append_rows`: O(Δ) delta eval,
     /// window extension, projection merge, band repair) then serve a
@@ -436,15 +442,13 @@ fn branchless_normalize_combine(
 }
 
 /// Slider-drag micro-bench: a warm session alternates between two
-/// contained bound modifications, once through the sorted-projection
-/// incremental path ([`Session::drag_slider`]) and once through a full
-/// eager recompute ([`Session::set_predicate_target`]). Asserts the two
-/// paths agree before timing.
-fn bench_slider(db: &Arc<Database>, n: usize, min_reps: usize) -> (Timed, Timed) {
-    // contained tightenings within the exact region (k <= num_exact):
-    // the common interactive case, and one the fast path serves in
-    // O(log n + k) regardless of normalization plateaus
-    let targets = [n as f64 * 0.97, n as f64 * 0.975];
+/// contained bound modifications (`x >= bounds[i] * n`, 1 % of the rows
+/// displayed), once through the sorted-projection incremental path
+/// ([`Session::drag_slider`]) and once through a full eager recompute
+/// ([`Session::set_predicate_target`]). Asserts the two paths agree
+/// before timing.
+fn bench_slider(db: &Arc<Database>, n: usize, min_reps: usize, bounds: [f64; 2]) -> (Timed, Timed) {
+    let targets = bounds.map(|b| n as f64 * b);
     let target = |t: f64| PredicateTarget::Compare {
         op: CompareOp::Ge,
         value: Value::Float(t),
@@ -1250,10 +1254,16 @@ fn bench_size(n: usize) -> SizeResult {
         }),
     );
 
-    // slider drag: incremental sorted-projection path vs full recompute
-    let (drag_inc_t, drag_full_t) = bench_slider(&db, n, min_reps);
+    // slider drag: incremental sorted-projection path vs full recompute.
+    // Dense: tightenings within the exact region (3 % / 2.5 % of the
+    // rows exact for 1 % displayed) — the display is the exact band's
+    // smallest row ids. Sparse: 0.5 % / 0.25 % exact, the rest of the
+    // display comes from the nearest misses and the clamp plateau.
+    let (drag_inc_t, drag_full_t) = bench_slider(&db, n, min_reps, [0.97, 0.975]);
     let drag_inc_s = note(&mut rep_counts, drag_inc_t);
     let drag_full_s = note(&mut rep_counts, drag_full_t);
+    let (drag_sparse, drag_sparse_full) = bench_slider(&db, n, min_reps, [0.995, 0.9975]);
+    rep_counts.extend([drag_sparse.reps, drag_sparse_full.reps]);
 
     // delta-generation append vs reload + projection merge vs rebuild
     let (append_t, reload_t) = bench_append(&db, n, min_reps);
@@ -1460,6 +1470,8 @@ fn bench_size(n: usize) -> SizeResult {
         drag_incremental_us: drag_inc_s * 1e6,
         drag_full_us: drag_full_s * 1e6,
         drag_speedup: drag_full_s / drag_inc_s,
+        drag_sparse,
+        drag_sparse_full,
         append_ms: append_s * 1e3,
         reload_ms: reload_s * 1e3,
         append_vs_reload: reload_s / append_s,
@@ -1550,6 +1562,17 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             r.drag_incremental_us,
             r.drag_full_us,
             r.drag_speedup,
+        );
+        println!(
+            "            sparse slider drag: {:.1} us incremental (min {:.1}, p90 {:.1}) vs \
+             {:.1} us full (min {:.1}, p90 {:.1}) ({:.1}x)",
+            r.drag_sparse.per_call_s * 1e6,
+            r.drag_sparse.min_s * 1e6,
+            r.drag_sparse.p90_s * 1e6,
+            r.drag_sparse_full.per_call_s * 1e6,
+            r.drag_sparse_full.min_s * 1e6,
+            r.drag_sparse_full.p90_s * 1e6,
+            r.drag_sparse_full.per_call_s / r.drag_sparse.per_call_s,
         );
         println!(
             "            append-vs-reload (1% delta): {:>9.2} ms append vs {:>9.2} ms reload \
@@ -1672,11 +1695,28 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
              \"packed_vs_option\": {:.3},",
             r.option_repr_rows_per_sec, r.packed_repr_rows_per_sec, r.packed_vs_option,
         );
+        let spread = |t: &Timed, per_s: f64| {
+            format!(
+                "{{\"median\": {:.3}, \"min\": {:.3}, \"p90\": {:.3}, \"reps\": {}}}",
+                t.per_call_s * per_s,
+                t.min_s * per_s,
+                t.p90_s * per_s,
+                t.reps
+            )
+        };
         let _ = writeln!(
             json,
             "     \"drag_incremental_us\": {:.1}, \"drag_full_us\": {:.1}, \
              \"drag_speedup\": {:.2},",
             r.drag_incremental_us, r.drag_full_us, r.drag_speedup,
+        );
+        let _ = writeln!(
+            json,
+            "     \"drag_sparse_incremental_us\": {}, \"drag_sparse_full_us\": {}, \
+             \"drag_sparse_speedup\": {:.2},",
+            spread(&r.drag_sparse, 1e6),
+            spread(&r.drag_sparse_full, 1e6),
+            r.drag_sparse_full.per_call_s / r.drag_sparse.per_call_s,
         );
         let _ = writeln!(
             json,
@@ -1723,15 +1763,7 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
              \"cancel_polling_rows_per_sec\": {:.0}, \"cancel_overhead\": {:.3},",
             r.cancel_baseline_rows_per_sec, r.cancel_polling_rows_per_sec, r.cancel_overhead,
         );
-        let ms = |t: &Timed| {
-            format!(
-                "{{\"median\": {:.3}, \"min\": {:.3}, \"p90\": {:.3}, \"reps\": {}}}",
-                t.per_call_s * 1e3,
-                t.min_s * 1e3,
-                t.p90_s * 1e3,
-                t.reps
-            )
-        };
+        let ms = |t: &Timed| spread(t, 1e3);
         let _ = writeln!(
             json,
             "     \"reweight_ms\": {}, \"recompute_ms\": {}, \
@@ -1820,6 +1852,16 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
                 big.streaming_vs_materialized,
                 big.streaming2_rows_per_sec,
                 big.materialized2_rows_per_sec
+            );
+            // the two arms' spreads must not touch: the slowest tenth of
+            // the fast-path sparse drags beats the fastest full recompute
+            assert!(
+                big.drag_sparse.p90_s < big.drag_sparse_full.min_s,
+                "acceptance: a sparse slider drag on the sorted projection must beat a \
+                 full recompute at n={} (incremental p90 {:.1} us vs full min {:.1} us)",
+                big.n,
+                big.drag_sparse.p90_s * 1e6,
+                big.drag_sparse_full.min_s * 1e6
             );
             assert!(
                 big.obs_overhead >= 0.95,

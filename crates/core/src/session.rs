@@ -374,10 +374,11 @@ impl Session {
         self.collect_trace = on;
     }
 
-    /// The trace of the last full pipeline run, when trace collection is
-    /// enabled ([`Session::set_collect_trace`]) and a result is cached.
-    /// Slider drags answered entirely by the sorted-projection fast path
-    /// keep the previous full run's trace.
+    /// The trace of the pipeline run behind the cached result, when trace
+    /// collection is enabled ([`Session::set_collect_trace`]). `None`
+    /// whenever no result is cached — in particular after a slider drag
+    /// served by the sorted-projection fast path, which invalidates the
+    /// result and runs no pipeline.
     pub fn last_trace(&self) -> Option<&PipelineTrace> {
         self.result
             .as_ref()
@@ -641,14 +642,21 @@ impl Session {
     /// exact-answer set comes from the §6 [`IncrementalCache`] (a
     /// *contained* bound modification re-filters the cached candidate
     /// band — only the delta between the old and new bound is examined),
-    /// and only O(k) candidate rows are touched — no O(n) pass at all.
+    /// and only O(k) candidate rows are gathered and sorted: O(log n + k)
+    /// in all, plus at most one sequential walk of the column's per-row
+    /// values when the remaining items come from a band too wide to
+    /// gather (the §5.2 clamp plateau, a heavy duplicate, a wide exact
+    /// band) — see [`SortedProjection::smallest_rows_in`].
     ///
     /// The returned [`SliderDrag`] is **bit-identical** (displayed set,
     /// exact count, norm params) to what a full recompute would produce
     /// (property-tested in `tests/properties.rs`); the full
     /// [`SessionResult`] artifacts are recomputed lazily on the next
     /// [`Session::result`] call. Queries outside the fast path's shape
-    /// fall back to a full recompute of identical output.
+    /// fall back to a full recompute of identical output, and so do the
+    /// data shapes that put bit-exactness in doubt: `±inf` values, a
+    /// distance that overflows, a magnitude spread that could underflow a
+    /// nonzero distance to 0. The width of a band is never a reason.
     pub fn drag_slider(&mut self, idx: usize, target: PredicateTarget) -> Result<SliderDrag> {
         {
             let query = self
@@ -896,69 +904,64 @@ impl Session {
         };
 
         // --- display selection: contiguous candidate bands -------------
-        // Work bounds that keep the drag sublinear: the exact side may
-        // gather a few multiples of the display count (it arrives
-        // pre-sorted from the cache), the tie-class band a tighter one
-        // (it must be sorted here).
+        // A band up to a few multiples of the display count is gathered
+        // (the exact side through the §6 cache, pre-sorted by row id); a
+        // wider one is only ever needed for its smallest row ids, which
+        // the projection finds without materializing it.
         let band_limit = (4 * k).max(1024);
-        let exact_limit = (16 * k).max(4096);
-        if e > exact_limit {
-            return Ok(None);
-        }
-        let value_box = if greater {
-            (t, proj.value_at(m - 1))
+        let displayed = if e > band_limit {
+            // more exact answers than display slots (`k <= band_limit`):
+            // ranks within the zero class tie-break by row id
+            proj.smallest_rows_in(zero_from, zero_to, k)
         } else {
-            (proj.value_at(0), t)
-        };
-        let exact_rows: Vec<usize> = if e == 0 {
-            Vec::new()
-        } else {
-            // the §6 incremental cache answers the value interval of the
-            // bound; a contained drag filters the cached candidate band
-            let rows = si.cache.range_query(&[value_box.0], &[value_box.1])?;
-            debug_assert_eq!(rows.len(), e);
-            rows
-        };
-        let proj = si.cache.index();
-        let displayed = if k <= e {
-            // ranks within the zero class tie-break by row id, and the
-            // cache returns rows sorted by id
-            exact_rows[..k].to_vec()
-        } else {
-            let needed = k - e;
-            // the `needed` closest non-exact items, extended to the whole
-            // equal-combined boundary class (ties there break by row id
-            // against rows *outside* the positional band)
-            let boundary = combined_of(abs_at(
-                proj,
-                if greater {
+            let mut out: Vec<usize> = if e == 0 {
+                Vec::new()
+            } else {
+                // the §6 incremental cache answers the value interval of
+                // the bound; a contained drag filters the cached candidate
+                // band. Rows arrive sorted by id.
+                let (lo, hi) = if greater {
+                    (t, proj.value_at(m - 1))
+                } else {
+                    (proj.value_at(0), t)
+                };
+                let rows = si.cache.range_query(&[lo], &[hi])?;
+                debug_assert_eq!(rows.len(), e);
+                rows
+            };
+            out.truncate(k);
+            if k > e {
+                let needed = k - e;
+                let proj = si.cache.index();
+                let combined_at = |j: usize| combined_of(abs_at(proj, j));
+                // the `needed`-th closest non-exact item sets the boundary:
+                // everything strictly closer displays (fewer than `needed`
+                // rows), and the rest comes from the boundary's
+                // equal-combined tie class — under a weight-1 fit the whole
+                // clamp plateau — where ranks tie-break by row id
+                let boundary = combined_at(if greater {
                     zero_from - needed
                 } else {
                     zero_to + needed - 1
-                },
-            ));
-            let (band_lo, band_hi) = if greater {
-                // combined is non-increasing in j on [0, zero_from)
-                (
-                    partition_pos(0, zero_from, |j| combined_of(abs_at(proj, j)) > boundary),
-                    zero_from,
-                )
-            } else {
-                // combined is non-decreasing in j on [zero_to, m)
-                (
-                    zero_to,
-                    partition_pos(zero_to, m, |j| combined_of(abs_at(proj, j)) <= boundary),
-                )
-            };
-            if band_hi - band_lo > band_limit {
-                return Ok(None);
+                });
+                let (closer, ties) = if greater {
+                    // combined is non-increasing in j on [0, zero_from)
+                    let tie_lo = partition_pos(0, zero_from, |j| combined_at(j) > boundary);
+                    let tie_hi = partition_pos(tie_lo, zero_from, |j| combined_at(j) >= boundary);
+                    (tie_hi..zero_from, tie_lo..tie_hi)
+                } else {
+                    // combined is non-decreasing in j on [zero_to, m)
+                    let tie_lo = partition_pos(zero_to, m, |j| combined_at(j) < boundary);
+                    let tie_hi = partition_pos(tie_lo, m, |j| combined_at(j) <= boundary);
+                    (zero_to..tie_lo, tie_lo..tie_hi)
+                };
+                let mut cand: Vec<(f64, usize)> =
+                    closer.map(|j| (combined_at(j), proj.row_at(j))).collect();
+                cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let from_ties = needed - cand.len();
+                out.extend(cand.into_iter().map(|(_, row)| row));
+                out.extend(proj.smallest_rows_in(ties.start, ties.end, from_ties));
             }
-            let mut cand: Vec<(f64, usize)> = (band_lo..band_hi)
-                .map(|j| (combined_of(abs_at(proj, j)), proj.row_at(j)))
-                .collect();
-            cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut out = exact_rows;
-            out.extend(cand.into_iter().take(needed).map(|(_, row)| row));
             out
         };
         let grid = arrange_overall(&displayed, self.window_w, self.window_h);

@@ -177,6 +177,49 @@ impl SortedProjection {
         self.coords[i]
     }
 
+    /// The `j` smallest row ids among sorted positions `a..b`, ascending
+    /// (all of them when `j >= b - a`). `a..b` must be a **value band**:
+    /// cut between distinct values, never inside a run of equal ones —
+    /// which every band derived from a predicate on the value is.
+    ///
+    /// Two regimes, chosen from the expected cost. A band is usually
+    /// gathered from the permutation and selected: O(b − a). But when the
+    /// band is so wide that walking rows upward would meet `j` members
+    /// sooner — `rows · j / (b − a)` rows, if members are spread evenly —
+    /// the per-row values are read in row order instead and the walk
+    /// stops at the `j`-th member: at worst one sequential pass of
+    /// 8 B/row (the members are the last rows), typically a few rows (a
+    /// band covering most of the relation, the §5.2 clamp plateau).
+    /// Excluded rows' NaN coordinates fail both comparisons.
+    pub fn smallest_rows_in(&self, a: usize, b: usize, j: usize) -> Vec<usize> {
+        let width = b.saturating_sub(a);
+        let j = j.min(width);
+        if j == 0 {
+            return Vec::new();
+        }
+        debug_assert!(a == 0 || self.sorted[a - 1] < self.sorted[a]);
+        debug_assert!(b == self.sorted.len() || self.sorted[b - 1] < self.sorted[b]);
+        // rows, j, width <= u32::MAX, so neither product overflows
+        if (self.rows as u64) * (j as u64) <= (width as u64) * (width as u64) {
+            let (lo, hi) = (self.sorted[a], self.sorted[b - 1]);
+            return self
+                .coords
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| lo <= v && v <= hi)
+                .map(|(row, _)| row)
+                .take(j)
+                .collect();
+        }
+        let mut band = self.perm[a..b].to_vec();
+        if j < width {
+            band.select_nth_unstable(j - 1);
+            band.truncate(j);
+        }
+        band.sort_unstable();
+        band.into_iter().map(|row| row as usize).collect()
+    }
+
     /// Sweep sorted positions outward from `center`, nearest first: an
     /// iterator of `(position, gap)` pairs in **non-decreasing**
     /// `|value - center|` order (ties yield the left side first). This is
@@ -266,9 +309,7 @@ impl RangeIndex for SortedProjection {
         check_box(1, low, high)?;
         let a = self.position_ge(low[0]);
         let b = self.position_gt(high[0]);
-        let mut out: Vec<usize> = self.perm[a..b].iter().map(|&i| i as usize).collect();
-        out.sort_unstable();
-        Ok(out)
+        Ok(self.smallest_rows_in(a, b, usize::MAX))
     }
 }
 
@@ -362,6 +403,60 @@ mod tests {
                 .collect();
             assert_eq!(got, expect, "[{lo}, {hi}]");
         }
+    }
+
+    /// Every value band of `p` (cuts only between distinct values) × a
+    /// spread of `j` against the brute force: the band's rows sorted,
+    /// first `j`. Returns how many calls the walk regime would serve.
+    fn check_smallest_rows(p: &SortedProjection) -> usize {
+        let m = p.defined();
+        let cuts: Vec<usize> = (0..=m)
+            .filter(|&c| c == 0 || c == m || p.value_at(c - 1) < p.value_at(c))
+            .collect();
+        let mut walked = 0;
+        for (ci, &a) in cuts.iter().enumerate() {
+            for &b in &cuts[ci..] {
+                let mut brute: Vec<usize> = (a..b).map(|pos| p.row_at(pos)).collect();
+                brute.sort_unstable();
+                let w = b - a;
+                for j in [0, 1, 2, w / 3, w.saturating_sub(1), w, w + 5] {
+                    let got = p.smallest_rows_in(a, b, j);
+                    assert_eq!(got, brute[..j.min(w)], "band {a}..{b}, j = {j}");
+                    walked += usize::from(j > 0 && w > 0 && p.rows() * j.min(w) <= w * w);
+                }
+            }
+        }
+        walked
+    }
+
+    #[test]
+    fn smallest_rows_match_the_sorted_band() {
+        // duplicates, NULLs and NaNs; row order unrelated to value order
+        let scattered = |i: usize| match i % 7 {
+            0 => None,
+            1 => Some(f64::NAN),
+            _ => Some(((i * 37) % 23) as f64),
+        };
+        // value order = row order and its reverse: the walk's worst case,
+        // a high band's members are the last (first) rows
+        let ascending = |i: usize| Some((i / 4) as f64);
+        let descending = |i: usize| Some(-((i / 4) as f64));
+        for n in [0, 1, 5, 160] {
+            for walked in [
+                check_smallest_rows(&SortedProjection::build(n, scattered)),
+                check_smallest_rows(&SortedProjection::build(n, ascending)),
+                check_smallest_rows(&SortedProjection::build(n, descending)),
+                check_smallest_rows(
+                    &SortedProjection::build(n / 2, scattered).extended(n, scattered),
+                ),
+            ] {
+                assert!(n < 160 || walked > 100, "the walk regime is exercised");
+            }
+        }
+        // an empty or inverted band is empty
+        let p = SortedProjection::build(10, ascending);
+        assert!(p.smallest_rows_in(3, 3, 4).is_empty());
+        assert!(p.smallest_rows_in(8, 4, 4).is_empty());
     }
 
     fn assert_same(a: &SortedProjection, b: &SortedProjection) {

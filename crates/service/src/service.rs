@@ -259,6 +259,10 @@ pub(crate) struct ServiceObs {
     /// `pipeline.windows_refit`: cached windows those computations
     /// refitted under another weight instead of re-evaluating.
     windows_refit: Arc<Counter>,
+    /// `service.drag.{fast,declined}`: drags the sorted-projection fast
+    /// path served, and drags that fell back to a full pipeline run.
+    drag_fast: Arc<Counter>,
+    drag_declined: Arc<Counter>,
 }
 
 /// Every wire op, including the service-level `metrics`, `cancel`,
@@ -296,6 +300,8 @@ impl ServiceObs {
                 .collect(),
             phases: PHASES.map(|p| registry.histogram(&format!("pipeline.phase.{p}"))),
             windows_refit: registry.counter("pipeline.windows_refit"),
+            drag_fast: registry.counter("service.drag.fast"),
+            drag_declined: registry.counter("service.drag.declined"),
         }
     }
 
@@ -304,6 +310,15 @@ impl ServiceObs {
         if let Some((_, count, latency)) = self.ops.iter().find(|(name, _, _)| *name == op) {
             count.inc();
             latency.record_duration(elapsed);
+        }
+    }
+
+    /// Count one answered drag toward the fast-path ratio.
+    fn record_drag(&self, incremental: bool) {
+        if incremental {
+            self.drag_fast.inc();
+        } else {
+            self.drag_declined.inc();
         }
     }
 
@@ -1040,14 +1055,17 @@ fn drain_mailbox(
                     Err(poisoned) => poisoned.into_inner(),
                 };
                 // phase histograms must count each pipeline run once: a
-                // run happened iff this request computed a result the
-                // session did not have (cached results and fast-path
-                // drags re-report the *previous* run's trace)
+                // run happened iff this request left a result the session
+                // did not have (a fast-path drag drops the result and runs
+                // nothing, so it has no trace to report)
                 let fresh = state.session.cached_result().is_none();
                 state.session.set_cancel_token(token.clone());
                 let started = Instant::now();
                 let response = execute(&mut state, &request, Some(cache));
                 obs.record_op(request.op_name(), started.elapsed());
+                if let Response::Drag { incremental, .. } = &response {
+                    obs.record_drag(*incremental);
+                }
                 state.session.set_cancel_token(None);
                 if fresh {
                     if let Some(trace) = state.session.last_trace() {

@@ -150,7 +150,11 @@ proptest! {
     /// byte-identical to replaying the same state on a service loaded
     /// with the full data from scratch — through the delta-generation
     /// scope rotation, window extension, projection merge, and band
-    /// repair, with and without partitioned execution.
+    /// repair, with and without partitioned execution. Every append is
+    /// followed by a drag anywhere and by a *sparse* one (a bound only
+    /// the few largest values satisfy, so the display fills from the
+    /// rebased projection's per-row values); with the ±inf rows kept out
+    /// the fast path must serve both.
     #[test]
     fn interleaved_appends_and_drags_match_replay_from_scratch(
         base in prop::collection::vec((-100f64..100.0, 0u8..6), 20..120),
@@ -159,7 +163,15 @@ proptest! {
             1..4,
         ),
         threshold in -100f64..100.0,
+        finite in 0u8..2,
     ) {
+        let finite = finite == 1;
+        let tame = |rows: &[(f64, u8)]| -> Vec<(f64, u8)> {
+            rows.iter()
+                .map(|&(v, tag)| (v, if finite && matches!(tag, 2 | 3) { 5 } else { tag }))
+                .collect()
+        };
+        let base = tame(&base);
         for partitions in [0usize, 4] {
             let live = Service::new(ServiceConfig {
                 workers: 2,
@@ -175,44 +187,60 @@ proptest! {
 
             let mut all = base.clone();
             for (delta, drag) in &batches {
+                let delta = tame(delta);
                 let rows: Vec<Vec<Value>> = delta
                     .iter()
                     .enumerate()
                     .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
                     .collect();
                 live.append_rows("d", None, rows).unwrap();
-                all.extend_from_slice(delta);
+                all.extend_from_slice(&delta);
 
-                live.submit(id, Request::DragSlider {
-                    window: 0, op: CompareOp::Ge, value: *drag, trace: false,
-                }).unwrap();
-                let summary = live.submit(id, Request::Summary { trace: false }).unwrap();
-                let frame = live.submit(id, Request::Render(RenderFormat::Ppm)).unwrap();
+                let mut finite_xs: Vec<f64> = (all.iter().enumerate())
+                    .filter_map(|(i, &(v, tag))| messy_row(i, v, tag)[0].as_f64())
+                    .filter(|x| x.is_finite())
+                    .collect();
+                finite_xs.sort_by(f64::total_cmp);
+                let sparse = finite_xs.iter().rev().nth(2).copied().unwrap_or(*drag);
+                for value in [*drag, sparse] {
+                    let dragged = live.submit(id, Request::DragSlider {
+                        window: 0, op: CompareOp::Ge, value, trace: false,
+                    }).unwrap();
+                    let summary = live.submit(id, Request::Summary { trace: false }).unwrap();
+                    let frame = live.submit(id, Request::Render(RenderFormat::Ppm)).unwrap();
+                    match (&dragged, &summary) {
+                        (Response::Drag { displayed, exact, incremental, .. }, Response::Summary(s)) => {
+                            prop_assert_eq!((*displayed, *exact), (s.displayed, s.exact));
+                            prop_assert!(*incremental || !finite, "x >= {} fell off the fast path", value);
+                        }
+                        other => prop_assert!(false, "unexpected {:?}", other),
+                    }
 
-                // replay: full data from scratch, same slider position
-                let fresh = Service::new(ServiceConfig {
-                    workers: 2,
-                    partitions,
-                    ..Default::default()
-                });
-                fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
-                let fid = fresh.create_session("d").unwrap();
-                fresh.submit(fid, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
-                fresh.submit(fid, Request::SetQueryText(query.clone())).unwrap();
-                fresh.submit(fid, Request::MoveSlider {
-                    window: 0, op: CompareOp::Ge, value: *drag,
-                }).unwrap();
-                let expect_summary = fresh.submit(fid, Request::Summary { trace: false }).unwrap();
-                let expect_frame = fresh.submit(fid, Request::Render(RenderFormat::Ppm)).unwrap();
+                    // replay: full data from scratch, same slider position
+                    let fresh = Service::new(ServiceConfig {
+                        workers: 2,
+                        partitions,
+                        ..Default::default()
+                    });
+                    fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
+                    let fid = fresh.create_session("d").unwrap();
+                    fresh.submit(fid, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
+                    fresh.submit(fid, Request::SetQueryText(query.clone())).unwrap();
+                    fresh.submit(fid, Request::MoveSlider {
+                        window: 0, op: CompareOp::Ge, value,
+                    }).unwrap();
+                    let expect_summary = fresh.submit(fid, Request::Summary { trace: false }).unwrap();
+                    let expect_frame = fresh.submit(fid, Request::Render(RenderFormat::Ppm)).unwrap();
 
-                prop_assert_eq!(
-                    &summary, &expect_summary,
-                    "summary diverged from replay (partitions={})", partitions
-                );
-                prop_assert_eq!(
-                    &frame, &expect_frame,
-                    "render diverged from replay (partitions={})", partitions
-                );
+                    prop_assert_eq!(
+                        &summary, &expect_summary,
+                        "summary diverged from replay (partitions={})", partitions
+                    );
+                    prop_assert_eq!(
+                        &frame, &expect_frame,
+                        "render diverged from replay (partitions={})", partitions
+                    );
+                }
             }
         }
     }

@@ -673,6 +673,167 @@ proptest! {
     }
 }
 
+/// The column of [`wide_band_drags_match_full_recompute`]: ~1 000
+/// quantized levels laid out scattered over / ascending with /
+/// descending with the row id, ranks `heavy` collapsed into one heavy
+/// duplicate, and every `holes + 1`-th row (by hash) NULL or NaN.
+fn wide_band_value(
+    i: usize,
+    n: usize,
+    layout: u8,
+    holes: u8,
+    heavy: &std::ops::Range<usize>,
+) -> Value {
+    let hash = i.wrapping_mul(2_654_435_761) >> 7;
+    if holes > 0 && hash.is_multiple_of(holes as usize + 1) {
+        return if hash.is_multiple_of(2) {
+            Value::Null
+        } else {
+            Value::Float(f64::NAN)
+        };
+    }
+    let rank = match layout {
+        0 => hash % n,
+        1 => i,
+        _ => 2 * n - i,
+    };
+    let rank = if heavy.contains(&rank) {
+        heavy.start
+    } else {
+        rank
+    };
+    Value::Float(wide_band_level(rank, n))
+}
+
+/// The quantized value of a rank: ~1 000 levels whatever `n`.
+fn wide_band_level(rank: usize, n: usize) -> f64 {
+    (rank / (1 + n / 1000)) as f64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fast path never declines on a band's width, and what it
+    /// serves from a band too wide to gather — by walking the column in
+    /// row order — is what a full recompute displays. At 3 k–30 k rows
+    /// the drags reach what the ≤ 200-row sibling above cannot: the
+    /// §5.2 clamp plateau (weight 1: the last displayed item sits on
+    /// `dmax`, its tie class is nearly every row), a heavy duplicate as
+    /// the boundary class below the plateau (weight 0.3), exact bands of
+    /// most of the relation, columns laid out in row order and against
+    /// it (the walk's members are the first / the last rows), NULL- and
+    /// NaN-heavy columns, all four monotone operators, both top-k
+    /// policies, contained nudges after a walk, and a drag after a
+    /// rebase onto appended rows.
+    #[test]
+    fn wide_band_drags_match_full_recompute(
+        n in 3_000usize..30_000,
+        layout in 0u8..3,
+        holes in 0u8..4,
+        heavy in (0.0f64..0.6, 0.0f64..1.0),
+        light in 0u8..2,
+        fitscreen in 0u8..2,
+        size in 0.0f64..1.0,
+        drags in prop::collection::vec((0u8..4, 0.0f64..1.0, 0u8..4), 2..6),
+        appended in 1usize..400,
+    ) {
+        use std::sync::Arc;
+        // the heavy duplicate sits within a tenth of either end of the
+        // value range, so bounds beside it leave few exact answers
+        let (share, at) = heavy;
+        let at = if at < 0.5 { at * 0.2 } else { 1.0 - (1.0 - at) * 0.2 };
+        let heavy_lo = (at * (1.0 - share) * n as f64) as usize;
+        let heavy = heavy_lo..heavy_lo + (share * n as f64) as usize;
+        let value = |i: usize| wide_band_value(i, n, layout, holes, &heavy);
+        let table = |rows: usize| {
+            let mut t = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
+            for i in 0..rows {
+                t = t.row(vec![value(i)]).unwrap();
+            }
+            let mut db = Database::new("d");
+            db.add_table(t.build());
+            Arc::new(db)
+        };
+        let (db, grown) = (table(n), table(n + appended));
+        // weight 1 with few display slots: the plateau, and exact bands
+        // far above any multiple of the slots; weight 0.3 with many: a
+        // heavy boundary class that the wider fit reaches past
+        let share_shown = if light == 1 { 0.1 + 0.15 * size } else { 0.005 + 0.025 * size };
+        let policy = if fitscreen == 1 {
+            DisplayPolicy::FitScreen {
+                pixels: (share_shown * n as f64) as usize,
+                pixels_per_item: 1,
+            }
+        } else {
+            DisplayPolicy::Percentage(100.0 * share_shown)
+        };
+        let weight = if light == 1 { 0.3 } else { 1.0 };
+        let make = |db: &Arc<Database>| {
+            let mut s = Session::new(Arc::clone(db), ConnectionRegistry::new());
+            s.set_display_policy(policy.clone()).unwrap();
+            s.set_query(
+                QueryBuilder::from_tables(["T"])
+                    .cmp_weighted("x", CompareOp::Ge, 0.0, weight)
+                    .build(),
+            ).unwrap();
+            s
+        };
+        let check = |drag: &SliderDrag, db: &Arc<Database>, target: &PredicateTarget| {
+            prop_assert!(drag.incremental, "fast path must engage for {target:?}");
+            let mut full = make(db);
+            full.set_predicate_target(0, target.clone()).unwrap();
+            let res = full.result().unwrap();
+            prop_assert_eq!(&drag.displayed, &res.pipeline.displayed, "{:?}", target);
+            prop_assert_eq!(drag.num_exact, res.pipeline.num_exact, "{:?}", target);
+            prop_assert_eq!(
+                drag.norm_params,
+                res.pipeline.windows.first().map(|w| w.norm_params)
+            );
+            prop_assert_eq!(&drag.grid, &res.grid);
+            Ok(())
+        };
+
+        let mut values: Vec<f64> = (0..n)
+            .filter_map(|i| value(i).as_f64())
+            .filter(|v| !v.is_nan())
+            .collect();
+        values.sort_by(f64::total_cmp);
+        let m = values.len();
+        let slots = policy.budget(n).min(m - 1);
+        let greater = |op: CompareOp| matches!(op, CompareOp::Gt | CompareOp::Ge);
+        // the value `past` exact-side positions beyond the bound
+        let at = |op: CompareOp, past: usize| values[if greater(op) { m - 1 - past } else { past }];
+        let heavy_value = wide_band_level(heavy.start, n);
+        let target = |(op, value): (CompareOp, f64)| PredicateTarget::Compare {
+            op,
+            value: Value::Float(value),
+        };
+        let mut dragged = make(&db);
+        let mut last = (CompareOp::Ge, 0.0);
+        for &(op, q, kind) in &drags {
+            let op = [CompareOp::Gt, CompareOp::Ge, CompareOp::Lt, CompareOp::Le][op as usize];
+            last = match kind {
+                // anywhere: mostly exact bands of a large share of the rows
+                0 => (op, at(op, (q * (m - 1) as f64) as usize)),
+                // sparse: fewer exact answers than display slots
+                1 => (op, at(op, (q * slots as f64) as usize)),
+                // beside the heavy duplicate: it is the nearest miss
+                2 => (op, heavy_value + if greater(op) { 0.5 } else { -0.5 }),
+                // a nudge of the previous bound, mostly contained in it
+                _ => (last.0, last.1 + (q - 0.4) * 3.0),
+            };
+            let drag = dragged.drag_slider(0, target(last)).unwrap();
+            check(&drag, &db, &target(last))?;
+        }
+        // the appended rows merge into the projection; a drag that was
+        // sparse before them walks the extended per-row values
+        dragged.rebase(Arc::clone(&grown), "gen2");
+        let after = target((last.0, at(last.0, slots / 2) + 0.5));
+        let drag = dragged.drag_slider(0, after.clone()).unwrap();
+        check(&drag, &grown, &after)?;
+    }
+}
+
 /// `(value bits, row)` of a selection, for bitwise comparison.
 fn selection_bits(sel: &[(f64, u32)]) -> Vec<(u64, u32)> {
     sel.iter().map(|&(v, row)| (v.to_bits(), row)).collect()

@@ -566,6 +566,8 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "service.sessions.created",
         "service.sessions.evicted",
         "service.requests.summary",
+        "service.drag.fast",
+        "service.drag.declined",
     ] {
         assert!(snap.counter(counter).is_some(), "missing counter {counter}");
     }
@@ -626,6 +628,29 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         2,
         "a session-cached summary must not double-count a pipeline run"
     );
+
+    // the fast-path ratio is readable off the registry: a dense and a
+    // sparse single-window drag (200 and 10 exact answers for 100
+    // display slots) are served by the sorted projection, a drag of one
+    // of two windows falls back to the pipeline
+    let drag = |value| {
+        ask(Request::DragSlider {
+            window: 0,
+            op: CompareOp::Ge,
+            value,
+            trace: false,
+        })
+    };
+    drag(200.0);
+    drag(390.0);
+    ask(Request::SetQueryText(
+        "SELECT * FROM T WHERE x >= 300 AND x < 350".into(),
+    ));
+    drag(310.0);
+    let snap4 = service.metrics_snapshot();
+    assert_eq!(snap4.counter("service.drag.fast"), Some(2));
+    assert_eq!(snap4.counter("service.drag.declined"), Some(1));
+    assert_eq!(snap4.counter("service.requests.drag_slider"), Some(3));
 }
 
 #[test]
@@ -822,6 +847,8 @@ fn metrics_op_round_trips_over_the_wire() {
         "exec.jobs_executed",
         "cache.query.misses",
         "service.requests.summary",
+        "service.drag.fast",
+        "service.drag.declined",
         "pipeline.phase.distance",
     ] {
         assert!(metrics.get(key).is_some(), "snapshot missing {key}");
@@ -835,4 +862,62 @@ fn metrics_op_round_trips_over_the_wire() {
     let text = r.get("prometheus").unwrap().as_str().unwrap();
     assert!(text.contains("# TYPE exec_jobs_executed counter"));
     assert!(text.contains("# TYPE pipeline_phase_rank summary"));
+    assert!(text.contains("# TYPE service_drag_fast counter"));
+}
+
+/// The check `visdb_e2e`'s oracle cannot make (it replays the same code
+/// on a bare session): over the wire, a drag the fast path serves
+/// reports the counters of the full pipeline run the following `summary`
+/// makes on the same bound — for a sparse drag (fewer exact answers
+/// than display slots: the rest comes off the §5.2 clamp plateau) and
+/// for an exact band far wider than anything the fast path gathers.
+#[test]
+fn wide_band_drags_agree_with_the_pipeline_over_the_wire() {
+    const ROWS: usize = 60_000;
+    // every value three times, in an order unrelated to the row order
+    let mut t = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
+    for i in 0..ROWS {
+        t = t
+            .row(vec![Value::Float(((i * 7919) % ROWS / 3) as f64)])
+            .unwrap();
+    }
+    let mut db = Database::new("scatter");
+    db.add_table(t.build());
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    service.register_dataset("scatter", Arc::new(db), ConnectionRegistry::new());
+    let handle = |line: String| visdb::service::server::handle_line(&service, &line);
+
+    let r = handle(r#"{"op":"create_session","dataset":"scatter"}"#.into());
+    let session = r.get("session").unwrap().as_u64().unwrap();
+    let send = |body: &str| handle(format!(r#"{{"session":{session},{body}}}"#));
+    send(r#""op":"set_policy","percentage":1"#);
+    send(r#""op":"set_query","text":"SELECT * FROM T WHERE x >= 10000""#);
+
+    // 600 display slots; x >= 19950 leaves 150 exact answers, x >= 5000
+    // leaves 45 000 — 75 slots' worth, far more than a drag gathers
+    for (value, exact) in [(19_950, 150), (5_000, 45_000), (19_990, 30)] {
+        let r = send(&format!(
+            r#""op":"drag_slider","window":0,"cmp":">=","value":{value}"#
+        ));
+        let drag = r.get("drag").expect("drag reply");
+        assert_eq!(
+            drag.get("incremental").unwrap().as_bool(),
+            Some(true),
+            "x >= {value} must be served by the fast path"
+        );
+        assert_eq!(drag.get("exact").unwrap().as_u64(), Some(exact));
+        assert_eq!(drag.get("displayed").unwrap().as_u64(), Some(600));
+        let r = send(r#""op":"summary""#);
+        let summary = r.get("summary").expect("summary reply");
+        for key in ["displayed", "exact"] {
+            assert_eq!(
+                drag.get(key).unwrap().as_u64(),
+                summary.get(key).unwrap().as_u64(),
+                "{key} after x >= {value}"
+            );
+        }
+    }
 }
