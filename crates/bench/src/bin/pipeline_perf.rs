@@ -19,7 +19,10 @@
 //! **threads axis** re-timing the partitioned and streaming paths under
 //! explicit 1/2/4/8-thread worker budgets, and the
 //! **reweight-vs-recompute** A/B (a re-weighted join window refitted
-//! from its cached raw frame vs evaluated again — median with min/p90).
+//! from its cached raw frame vs evaluated again — median with min/p90),
+//! and an **exact-light arm** (`x >= 0.999 n`: fewer exact answers than
+//! the fit and the ranking ask for, so both run their selection walk —
+//! the acceptance workload's are answered from counts).
 //! A full run writes `BENCH_pipeline.json` in the working directory so
 //! future PRs can track the perf trajectory — and see where the time
 //! goes, not just one end-to-end number; a `--smoke` run writes
@@ -110,6 +113,15 @@ struct SizeResult {
     phase_fit_ms: f64,
     phase_normalize_combine_ms: f64,
     phase_rank_ms: f64,
+    /// The exact-light arm: `x >= 0.999 n` leaves 0.1 % exact answers —
+    /// fewer than the `k` = 1 % the §5.2 fit and the ranking ask for, so
+    /// both take their selection walk, where the acceptance workload's
+    /// 10 % are answered from the distance walk's counts (asserted off
+    /// the trace on both arms). The materialized run a session's
+    /// recompute makes (median with its min and p90) and its per-phase
+    /// breakdown (distance / fit / normalize+combine / rank, ms).
+    exact_light: Timed,
+    exact_light_phase_ms: [f64; 4],
     /// Representation A/B on the same single-threaded workload:
     /// `Vec<Option<f64>>` three-pass baseline vs packed `DistanceFrame`
     /// fused pass, in rows/sec.
@@ -233,6 +245,19 @@ fn phase_sample_ms(out: &PipelineOutput) -> [f64; 4] {
         t.phases.rank,
     ]
     .map(|d| d.as_secs_f64() * 1e3)
+}
+
+/// Per-phase medians (ms) over [`MIN_REPS`] traced runs of `run`.
+fn phase_medians_ms(run: impl Fn() -> PipelineOutput) -> [f64; 4] {
+    let mut samples: [Vec<f64>; 4] = Default::default();
+    for _ in 0..MIN_REPS {
+        let out = run();
+        for (acc, ms) in samples.iter_mut().zip(phase_sample_ms(&out)) {
+            acc.push(ms);
+        }
+        std::hint::black_box(out);
+    }
+    samples.map(|mut phase| median(&mut phase))
 }
 
 /// The pre-packed intermediate representation, reconstructed locally as
@@ -1005,19 +1030,8 @@ fn bench_size(n: usize) -> SizeResult {
     );
     // streaming per-phase breakdown: per-phase medians over MIN_REPS
     // traced runs
-    let mut streaming_phase_samples: [Vec<f64>; 4] = Default::default();
-    for _ in 0..MIN_REPS {
-        let out = run_streaming(true);
-        for (acc, ms) in streaming_phase_samples
-            .iter_mut()
-            .zip(phase_sample_ms(&out))
-        {
-            acc.push(ms);
-        }
-        std::hint::black_box(out);
-    }
+    let [sp_d, sp_f, sp_nc, sp_r] = phase_medians_ms(|| run_streaming(true));
     rep_counts.push(MIN_REPS);
-    let [mut sp_d, mut sp_f, mut sp_nc, mut sp_r] = streaming_phase_samples;
 
     // ---- string-predicate A/B: the dictionary-gather path (distance
     // once per distinct value, gathered per row) vs the per-row
@@ -1085,9 +1099,8 @@ fn bench_size(n: usize) -> SizeResult {
 
     // per-phase breakdown of the vectorized run: per-phase medians over
     // MIN_REPS traced runs, read off the first-class `PipelineTrace`
-    let mut phase_samples: [Vec<f64>; 4] = Default::default();
-    for _ in 0..MIN_REPS {
-        let out = run_pipeline_opts(
+    let [p_d, p_f, p_nc, p_r] = phase_medians_ms(|| {
+        run_pipeline_opts(
             &db,
             table,
             &resolver,
@@ -1098,14 +1111,38 @@ fn bench_size(n: usize) -> SizeResult {
                 ..Default::default()
             },
         )
-        .expect("timed vectorized");
-        for (acc, ms) in phase_samples.iter_mut().zip(phase_sample_ms(&out)) {
-            acc.push(ms);
-        }
-        std::hint::black_box(out);
-    }
+        .expect("timed vectorized")
+    });
     rep_counts.push(MIN_REPS);
-    let [mut p_d, mut p_f, mut p_nc, mut p_r] = phase_samples;
+
+    // ---- the exact-light arm: the side of `zeros >= k` the workload
+    // above is not on ---------------------------------------------------
+    let q_light = QueryBuilder::from_tables(["T"])
+        .cmp("x", CompareOp::Ge, n as f64 * 0.999)
+        .build();
+    let cond_light = q_light.condition.as_ref();
+    let slow_light =
+        run_pipeline_scalar(&db, table, &resolver, cond_light, &policy).expect("scalar light");
+    let stream_light =
+        run_pipeline(&db, table, &resolver, cond_light, &policy).expect("streaming light");
+    assert_identical(&stream_light, &slow_light, n);
+    let (heavy, light) = (
+        run_materialized(cond, true),
+        run_materialized(cond_light, true),
+    );
+    assert_identical(&light, &slow_light, n);
+    let answered = |out: &PipelineOutput| {
+        let t = out.trace.as_deref().expect("traced");
+        (
+            [t.fits_from_counts, t.ranks_from_counts],
+            [t.fits_selected, t.ranks_selected],
+        )
+    };
+    assert_eq!(answered(&heavy), ([1, 1], [0, 0]), "exact-heavy arm, n={n}");
+    assert_eq!(answered(&light), ([0, 0], [1, 1]), "exact-light arm, n={n}");
+    let exact_light = time_median(min_reps, || run_materialized(cond_light, false));
+    rep_counts.push(exact_light.reps);
+    let exact_light_phase_ms = phase_medians_ms(|| run_materialized(cond_light, true));
 
     // representation A/B: identical single-threaded workload, only the
     // intermediate representation differs
@@ -1460,10 +1497,12 @@ fn bench_size(n: usize) -> SizeResult {
         full_sort_ms: full_sort_s * 1e3,
         topk_ms: topk_s * 1e3,
         topk_k: k,
-        phase_distance_ms: median(&mut p_d),
-        phase_fit_ms: median(&mut p_f),
-        phase_normalize_combine_ms: median(&mut p_nc),
-        phase_rank_ms: median(&mut p_r),
+        phase_distance_ms: p_d,
+        phase_fit_ms: p_f,
+        phase_normalize_combine_ms: p_nc,
+        phase_rank_ms: p_r,
+        exact_light,
+        exact_light_phase_ms,
         option_repr_rows_per_sec: n as f64 / option_s,
         packed_repr_rows_per_sec: n as f64 / packed_s,
         packed_vs_option: option_s / packed_s,
@@ -1481,10 +1520,10 @@ fn bench_size(n: usize) -> SizeResult {
         materialized2_rows_per_sec: n as f64 / materialized2_s,
         streaming2_rows_per_sec: n as f64 / streaming2_s,
         streaming_vs_materialized: materialized2_s / streaming2_s,
-        streaming_phase_distance_ms: median(&mut sp_d),
-        streaming_phase_fit_ms: median(&mut sp_f),
-        streaming_phase_normalize_combine_ms: median(&mut sp_nc),
-        streaming_phase_rank_ms: median(&mut sp_r),
+        streaming_phase_distance_ms: sp_d,
+        streaming_phase_fit_ms: sp_f,
+        streaming_phase_normalize_combine_ms: sp_nc,
+        streaming_phase_rank_ms: sp_r,
         string_scalar_rows_per_sec: n as f64 / string_scalar_s,
         string_vectorized_rows_per_sec: n as f64 / string_vector_s,
         string_gather_speedup: string_scalar_s / string_vector_s,
@@ -1552,6 +1591,15 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             "            phases: distance {:.3} ms | fit {:.3} ms | norm+combine {:.3} ms | \
              rank {:.3} ms",
             r.phase_distance_ms, r.phase_fit_ms, r.phase_normalize_combine_ms, r.phase_rank_ms,
+        );
+        let [light_d, light_f, light_nc, light_r] = r.exact_light_phase_ms;
+        println!(
+            "            exact-light (x >= 0.999n, materialized): {:.3} ms (min {:.3}, p90 {:.3}) | \
+             distance {light_d:.3} ms | fit {light_f:.3} ms | norm+combine {light_nc:.3} ms | \
+             rank {light_r:.3} ms",
+            r.exact_light.per_call_s * 1e3,
+            r.exact_light.min_s * 1e3,
+            r.exact_light.p90_s * 1e3,
         );
         println!(
             "            packed-vs-Option: {:>12.0} vs {:>12.0} rows/s ({:.2}x) | \
@@ -1653,6 +1701,11 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         json,
         "  \"workload\": \"x >= 0.9n numeric predicate over a float ramp, Percentage(1) display\","
     );
+    let _ = writeln!(
+        json,
+        "  \"exact_light_workload\": \"x >= 0.999n over the same ramp and display: 0.1 % exact \
+         answers against k = 1 %, so the fit and the ranking select; materialized executor\","
+    );
     let _ = writeln!(json, "  \"bench_partitions\": {BENCH_PARTITIONS},");
     let _ = writeln!(json, "  \"min_reps\": {MIN_REPS},");
     let _ = writeln!(
@@ -1704,6 +1757,13 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
                 t.reps
             )
         };
+        let [light_d, light_f, light_nc, light_r] = r.exact_light_phase_ms;
+        let _ = writeln!(
+            json,
+            "     \"exact_light_ms\": {}, \"exact_light_phase_ms\": {{\"distance\": {light_d:.3}, \
+             \"fit\": {light_f:.3}, \"normalize_combine\": {light_nc:.3}, \"rank\": {light_r:.3}}},",
+            spread(&r.exact_light, 1e3),
+        );
         let _ = writeln!(
             json,
             "     \"drag_incremental_us\": {:.1}, \"drag_full_us\": {:.1}, \

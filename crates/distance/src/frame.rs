@@ -23,7 +23,8 @@
 //! distance) are accumulated *inside* the distance walk that produces the
 //! frame, so the `fit_improved` normalization no longer needs a full
 //! re-collect pass — and skips its selection pass entirely whenever the
-//! fit covers every defined item.
+//! fit covers every defined item or the exact answers alone cover the
+//! fit (`zeros >= k`).
 
 /// A dense validity mask: one byte per row, `true` = the row's value is
 /// defined. Matches the `Vec<bool>` masks behind
@@ -86,6 +87,9 @@ pub struct FrameStats {
     pub max_abs: f64,
     /// Defined rows whose distance is NaN or infinite.
     pub non_finite: usize,
+    /// Defined rows whose distance is `±0.0` — the predicate's exact
+    /// answers (§5.1: "none or very many").
+    pub zeros: usize,
 }
 
 impl Default for FrameStats {
@@ -95,6 +99,7 @@ impl Default for FrameStats {
             min_abs: f64::INFINITY,
             max_abs: f64::NEG_INFINITY,
             non_finite: 0,
+            zeros: 0,
         }
     }
 }
@@ -104,6 +109,7 @@ impl FrameStats {
     #[inline]
     pub fn record(&mut self, d: f64) {
         self.defined += 1;
+        self.zeros += (d == 0.0) as usize;
         let a = d.abs();
         if a.is_finite() {
             self.min_abs = self.min_abs.min(a);
@@ -122,6 +128,7 @@ impl FrameStats {
         self.min_abs = self.min_abs.min(other.min_abs);
         self.max_abs = self.max_abs.max(other.max_abs);
         self.non_finite += other.non_finite;
+        self.zeros += other.zeros;
     }
 
     /// Stats of a full walk over an existing frame — used where a frame
@@ -145,6 +152,7 @@ impl FrameStats {
         debug_assert_eq!(vals.len(), mask.len());
         let mut defined = [0usize; LANES];
         let mut non_finite = [0usize; LANES];
+        let mut zeros = [0usize; LANES];
         let mut min_abs = [f64::INFINITY; LANES];
         let mut max_abs = [f64::NEG_INFINITY; LANES];
         let blocks = vals.len() / LANES * LANES;
@@ -157,6 +165,7 @@ impl FrameStats {
                 let finite = ok && a.is_finite();
                 defined[l] += ok as usize;
                 non_finite[l] += (ok && !a.is_finite()) as usize;
+                zeros[l] += (ok && a == 0.0) as usize;
                 min_abs[l] = min_abs[l].min(select(finite, a, f64::INFINITY));
                 max_abs[l] = max_abs[l].max(select(finite, a, f64::NEG_INFINITY));
             }
@@ -166,6 +175,7 @@ impl FrameStats {
             min_abs: min_abs.iter().fold(f64::INFINITY, |m, &x| m.min(x)),
             max_abs: max_abs.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x)),
             non_finite: non_finite.iter().sum(),
+            zeros: zeros.iter().sum(),
         };
         for (&v, &ok) in vtail.iter().zip(mtail) {
             if ok {
@@ -216,6 +226,7 @@ impl DistanceFrame {
             } else {
                 stats.non_finite = n;
             }
+            stats.zeros = if a == 0.0 { n } else { 0 };
         }
         (frame, stats)
     }
@@ -417,21 +428,46 @@ mod tests {
         let mut b = FrameStats::default();
         b.record(0.5);
         b.record(f64::INFINITY);
+        b.record(-0.0);
         a.merge(&b);
-        assert_eq!(a.defined, 5);
-        assert_eq!(a.min_abs, 0.5);
+        assert_eq!(a.defined, 6);
+        assert_eq!(a.min_abs, 0.0);
         assert_eq!(a.max_abs, 3.0);
         assert_eq!(a.non_finite, 2);
-        let f = DistanceFrame::from_options(&[Some(3.0), Some(-1.0), None, Some(0.5)]);
-        let s = FrameStats::of_frame(&f);
-        assert_eq!(s.defined, 3);
-        assert_eq!(s.min_abs, 0.5);
-        assert_eq!(s.max_abs, 3.0);
+        assert_eq!(a.zeros, 1);
+        // the lane kernel counts what `record` counts, at every lane
+        // remainder: signed zeros are exact answers, NaN and undefined
+        // rows (whose canonical value is 0.0) are not
+        let rows = [
+            Some(3.0),
+            Some(-0.0),
+            None,
+            Some(0.5),
+            Some(0.0),
+            Some(f64::NAN),
+            None,
+        ];
+        for len in 0..=rows.len() {
+            let f = DistanceFrame::from_options(&rows[..len]);
+            let mut expect = FrameStats::default();
+            rows[..len].iter().flatten().for_each(|&d| expect.record(d));
+            assert_eq!(FrameStats::of_frame(&f), expect, "len={len}");
+        }
+        assert_eq!(
+            FrameStats::of_frame(&DistanceFrame::from_options(&rows)).zeros,
+            2
+        );
     }
 
     #[test]
     fn constant_fill_matches_per_row_loop() {
-        for (n, d) in [(5usize, 2.5f64), (3, -1.0), (4, f64::INFINITY), (0, 7.0)] {
+        for (n, d) in [
+            (5usize, 2.5f64),
+            (3, -1.0),
+            (4, f64::INFINITY),
+            (0, 7.0),
+            (2, -0.0),
+        ] {
             let (frame, stats) = DistanceFrame::constant(n, d);
             let mut expect_frame = DistanceFrame::undefined(n);
             let mut expect_stats = FrameStats::default();

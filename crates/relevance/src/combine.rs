@@ -22,9 +22,11 @@
 //! parameter for combining other distances".
 
 use visdb_distance::frame::{DistanceFrame, FrameStats};
+use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_types::{Error, Result};
 
-use crate::normalize::NORM_MAX;
+use crate::normalize::{apply_one, NormParams, NORM_MAX};
+use crate::pipeline::{RootAcc, RootLanes};
 use crate::reference::or_row;
 
 /// A branchless slice combiner: children as `(values, validity)` views,
@@ -63,36 +65,148 @@ fn combine_frames(
     Ok((out, stats))
 }
 
-/// Branchless slice form of the weighted arithmetic mean (`AND`): one
-/// child-outer pass per child over packed `(values, validity)` buffers.
+/// One child of a root combine: the input of [`combine_and_blocks`].
+pub(crate) enum Child<'a> {
+    /// Normalized distances, as `(values, validity)`.
+    Ready(&'a [f64], &'a [bool]),
+    /// Raw distances, normalized on the way under `params` — the §5.2
+    /// apply of [`crate::normalize::apply_slice`] — with the normalized
+    /// rows also stored into `out` (the window's normalized frame).
+    Fresh {
+        /// The raw `(values, validity)`.
+        raw: (&'a [f64], &'a [bool]),
+        /// The window's fitted normalization.
+        params: NormParams,
+        /// Where the normalized `(values, validity)` go.
+        out: (&'a mut [f64], &'a mut [bool]),
+    },
+}
+
+/// The weighted arithmetic mean (`AND`) over packed `(values, validity)`
+/// buffers, one pass: per 8-row block and in registers, each child's
+/// rows are loaded (a [`Child::Fresh`] child normalized and stored
+/// first), `w · v` is accumulated in child order from `0.0`, the child
+/// validity words are ANDed, the block is stored, and — given an `acc` —
+/// folded into the root accumulator ([`RootAcc::fold`]'s block step). A
+/// fully-defined block is pure arithmetic; a mixed one pays per-lane
+/// [`select`]s; the `< 8`-row tail goes row by row.
+///
 /// The accumulator takes `w · v` unconditionally — undefined rows carry
 /// the canonical `0.0`, and whatever they contribute only ever reaches
-/// rows the intersected mask has already cleared — while the output mask
-/// is the plain byte-AND of the child masks, which the autovectorizer
-/// turns into wide integer ops. Accumulation runs in the same child
-/// order as [`crate::reference::and_row`] starting from `0.0`, so
-/// fully-defined rows are bit-identical to the per-row reference.
+/// rows the intersected mask has already cleared. Accumulation runs in
+/// the same child order as [`crate::reference::and_row`] starting from
+/// `0.0`, so fully-defined rows are bit-identical to the per-row
+/// reference. `weights = None` is the single window at the root: its
+/// one child's normalized rows *are* the combined rows (no arithmetic).
+pub(crate) fn combine_and_blocks(
+    children: &mut [Child<'_>],
+    weights: Option<&[f64]>,
+    out_vals: &mut [f64],
+    out_mask: &mut [bool],
+    acc: Option<&mut RootAcc>,
+) {
+    debug_assert!(weights.map_or(children.len() == 1, |w| w.len() == children.len()));
+    let len = out_vals.len();
+    let blocks = len / WORD_ROWS * WORD_ROWS;
+    let mut lanes = RootLanes::default();
+    for at in (0..blocks).step_by(WORD_ROWS) {
+        let block = at..at + WORD_ROWS;
+        let mut sum = [0.0f64; WORD_ROWS];
+        let mut word = ALL_VALID_WORD;
+        for (c, child) in children.iter_mut().enumerate() {
+            let mut d = [0.0f64; WORD_ROWS];
+            word &= match child {
+                Child::Ready(v, m) => {
+                    d.copy_from_slice(&v[block.clone()]);
+                    mask_word(&m[block.clone()])
+                }
+                Child::Fresh {
+                    raw: (v, m),
+                    params,
+                    out: (ov, om),
+                } => {
+                    let (v8, m8) = (&v[block.clone()], &m[block.clone()]);
+                    let child_word = mask_word(m8);
+                    if child_word == ALL_VALID_WORD {
+                        for l in 0..WORD_ROWS {
+                            d[l] = apply_one(params, v8[l]);
+                        }
+                    } else {
+                        for l in 0..WORD_ROWS {
+                            d[l] = select(m8[l], apply_one(params, v8[l]), 0.0);
+                        }
+                    }
+                    ov[block.clone()].copy_from_slice(&d);
+                    om[block.clone()].copy_from_slice(m8);
+                    child_word
+                }
+            };
+            match weights {
+                Some(weights) => {
+                    for l in 0..WORD_ROWS {
+                        sum[l] += weights[c] * d[l];
+                    }
+                }
+                None => sum = d,
+            }
+        }
+        let ok: [bool; WORD_ROWS] = std::array::from_fn(|l| (word >> (8 * l)) & 1 == 1);
+        if word != ALL_VALID_WORD {
+            for l in 0..WORD_ROWS {
+                sum[l] = select(ok[l], sum[l], 0.0);
+            }
+        }
+        out_vals[block.clone()].copy_from_slice(&sum);
+        out_mask[block].copy_from_slice(&ok);
+        if acc.is_some() {
+            lanes.block(&sum, &ok, word);
+        }
+    }
+    for i in blocks..len {
+        let (mut sum, mut ok) = (0.0f64, true);
+        for (c, child) in children.iter_mut().enumerate() {
+            let (d, defined) = match child {
+                Child::Ready(v, m) => (v[i], m[i]),
+                Child::Fresh {
+                    raw: (v, m),
+                    params,
+                    out: (ov, om),
+                } => {
+                    ov[i] = select(m[i], apply_one(params, v[i]), 0.0);
+                    om[i] = m[i];
+                    (ov[i], m[i])
+                }
+            };
+            sum = weights.map_or(d, |weights| sum + weights[c] * d);
+            ok &= defined;
+        }
+        out_vals[i] = select(ok, sum, 0.0);
+        out_mask[i] = ok;
+    }
+    if let Some(acc) = acc {
+        acc.absorb(lanes);
+        acc.fold(&out_vals[blocks..], &out_mask[blocks..]);
+    }
+}
+
+/// Slice form of the weighted arithmetic mean (`AND`) over normalized
+/// children: [`combine_and_blocks`] with every child ready.
 pub fn combine_and_slices(
     children: &[(&[f64], &[bool])],
     weights: &[f64],
     out_vals: &mut [f64],
     out_mask: &mut [bool],
 ) {
-    use visdb_distance::lanes::select;
     debug_assert_eq!(children.len(), weights.len());
-    out_vals.fill(0.0);
-    out_mask.fill(true);
-    for (&(v, m), &w) in children.iter().zip(weights) {
-        debug_assert_eq!(v.len(), out_vals.len());
-        debug_assert_eq!(m.len(), out_vals.len());
-        for (((ov, om), &d), &ok) in out_vals.iter_mut().zip(out_mask.iter_mut()).zip(v).zip(m) {
-            *ov += w * d;
-            *om &= ok;
-        }
-    }
-    for (ov, &om) in out_vals.iter_mut().zip(out_mask.iter()) {
-        *ov = select(om, *ov, 0.0);
-    }
+    let mut ready: Vec<Child<'_>> = children
+        .iter()
+        .map(|&(v, m)| {
+            debug_assert_eq!(v.len(), out_vals.len());
+            debug_assert_eq!(m.len(), out_vals.len());
+            Child::Ready(v, m)
+        })
+        .collect();
+    combine_and_blocks(&mut ready, Some(weights), out_vals, out_mask, None);
 }
 
 /// Branchless slice form of the weighted geometric mean (`OR`).
@@ -121,7 +235,6 @@ pub fn combine_or_slices(
     out_vals: &mut [f64],
     out_mask: &mut [bool],
 ) {
-    use visdb_distance::lanes::select;
     debug_assert_eq!(children.len(), weights.len());
     if weights.iter().any(|&w| w < 0.0) {
         let mut row: Vec<Option<f64>> = vec![None; children.len()];

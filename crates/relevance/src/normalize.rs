@@ -106,15 +106,51 @@ pub(crate) fn dmax_of_prefix(abs: impl IntoIterator<Item = f64>) -> f64 {
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
+/// The §5.2 fit answered from the fused stats of the distance walk
+/// alone — **zero** extra passes — or `Err(k)` when it takes the `k`
+/// smallest `|d|` of the frame (`k` below the defined count). The counts
+/// answer whenever the fit covers every defined item (small relations,
+/// light weights, NULL-heavy columns), all defined distances share one
+/// finite magnitude, or the predicate has at least `k` exact answers
+/// (§5.1: "none or very many"): the `k` smallest `|d|` are then all
+/// `+0.0` and [`dmax_of_prefix`] of them is `0.0`, the value the
+/// selection would return. The single ladder behind [`fit_frame`],
+/// [`fit_frame_extended`] and the streaming executor's fit.
+pub(crate) fn fit_from_counts(
+    n: usize,
+    stats: &FrameStats,
+    weight: f64,
+    display_budget: usize,
+) -> std::result::Result<NormParams, usize> {
+    let Some(k) = fit_k(n, weight, display_budget) else {
+        return Ok(params_from_max(stats.max_abs));
+    };
+    if stats.defined == 0 {
+        return Ok(params_from_max(f64::NEG_INFINITY));
+    }
+    let k = k.min(stats.defined);
+    if k == stats.defined {
+        return Ok(params_from_max(stats.max_abs));
+    }
+    if stats.non_finite == 0 && stats.min_abs == stats.max_abs {
+        // all defined distances share one finite magnitude: any k of
+        // them fit the same range
+        return Ok(params_from_max(stats.max_abs));
+    }
+    if stats.zeros >= k {
+        return Ok(params_from_max(0.0));
+    }
+    Err(k)
+}
+
 /// Fit the improved (§5.2) normalization of a packed [`DistanceFrame`]
 /// whose reduction stats were accumulated during the distance walk: the
 /// transform range is `[0, k-th smallest absolute distance]` with
-/// `k = min(n, r / max(w, ε))` ([`fit_k`]). Whenever the fit covers every
-/// defined item (small relations, light weights, NULL-heavy columns) the
-/// answer comes straight from the fused stats — **zero** extra passes —
-/// and otherwise the k smallest `|d|` come from the bound-pruned
-/// selection kernel ([`select::k_smallest`]), which reads the frame once
-/// and copies only the candidates under its sampled cut. NaN absolute
+/// `k = min(n, r / max(w, ε))` ([`fit_k`]). The answer comes straight
+/// from the fused stats whenever they decide it ([`fit_from_counts`]);
+/// otherwise the k smallest `|d|` come from the bound-pruned selection
+/// kernel ([`select::k_smallest`]), which reads the frame once and
+/// copies only the candidates under its sampled cut. NaN absolute
 /// distances sort after `+inf` and never enter the transform range.
 /// Bit-identical to [`crate::reference::fit_improved`] on the `Option`
 /// view of the same frame.
@@ -124,23 +160,15 @@ pub fn fit_frame(
     weight: f64,
     display_budget: usize,
 ) -> NormParams {
-    debug_assert_eq!(stats.defined, FrameStats::of_frame(frame).defined);
+    debug_assert_eq!(*stats, FrameStats::of_frame(frame));
+    fit_from_counts(frame.len(), stats, weight, display_budget)
+        .unwrap_or_else(|k| fit_selected(frame, k))
+}
+
+/// The selection arm of [`fit_frame`]: the fit over the `k` smallest
+/// `|d|` of the frame, one bound-pruned walk.
+pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> NormParams {
     let n = frame.len();
-    let Some(k) = fit_k(n, weight, display_budget) else {
-        return params_from_max(stats.max_abs);
-    };
-    if stats.defined == 0 {
-        return params_from_max(f64::NEG_INFINITY);
-    }
-    let k = k.min(stats.defined);
-    if k == stats.defined {
-        return params_from_max(stats.max_abs);
-    }
-    if stats.non_finite == 0 && stats.min_abs == stats.max_abs {
-        // all defined distances share one finite magnitude: any k of
-        // them fit the same range
-        return params_from_max(stats.max_abs);
-    }
     let smallest = select::k_smallest(
         frame,
         &chunk::ranges(n, None),
@@ -155,16 +183,16 @@ pub fn fit_frame(
 /// `old ++ delta` from the old fit, the old/merged fused stats, and the
 /// delta rows alone — O(Δ) instead of the O(n + Δ) selection.
 ///
-/// The stats-only branches of [`fit_frame`] are replicated verbatim
-/// against the merged stats. The selection branch reuses the old
-/// result: when the same `k` governed the old fit, the old prefix was
-/// all-finite (so `old_params.dmax` *is* the k-th smallest absolute
-/// distance under `total_cmp`), and no appended defined `|d|` sorts
-/// strictly below it, the k smallest of the union are value-identical
-/// to the old prefix and the fit is unchanged. Returns `None` when the
-/// answer would depend on an order statistic the delta may have
-/// displaced — the caller must fall back to [`fit_frame`] over the
-/// concatenated frame (which stays bit-identical either way).
+/// The merged stats answer first ([`fit_from_counts`]). The selection
+/// branch reuses the old result: when the same `k` governed the old
+/// fit, the old prefix was all-finite (so `old_params.dmax` *is* the
+/// k-th smallest absolute distance under `total_cmp`), and no appended
+/// defined `|d|` sorts strictly below it, the k smallest of the union
+/// are value-identical to the old prefix and the fit is unchanged.
+/// Returns `None` when the answer would depend on an order statistic
+/// the delta may have displaced — the caller must fall back to
+/// [`fit_frame`] over the concatenated frame (which stays bit-identical
+/// either way).
 pub fn fit_frame_extended(
     old_len: usize,
     old_stats: &FrameStats,
@@ -175,19 +203,10 @@ pub fn fit_frame_extended(
     display_budget: usize,
 ) -> Option<NormParams> {
     let new_len = old_len + delta.len();
-    let Some(k) = fit_k(new_len, weight, display_budget) else {
-        return Some(params_from_max(merged.max_abs));
+    let k = match fit_from_counts(new_len, merged, weight, display_budget) {
+        Ok(params) => return Some(params),
+        Err(k) => k,
     };
-    if merged.defined == 0 {
-        return Some(params_from_max(f64::NEG_INFINITY));
-    }
-    let keff = k.min(merged.defined);
-    if keff == merged.defined {
-        return Some(params_from_max(merged.max_abs));
-    }
-    if merged.non_finite == 0 && merged.min_abs == merged.max_abs {
-        return Some(params_from_max(merged.max_abs));
-    }
     // selection branch: reuse the old k-th order statistic iff it is
     // provably still the k-th of the union
     if fit_k(old_len, weight, display_budget) != Some(k) {
@@ -253,7 +272,7 @@ pub fn apply_frame(frame: &DistanceFrame, params: NormParams) -> DistanceFrame {
 /// result is bit-identical for every input and parameter combination,
 /// including NaN/±inf distances and degenerate or hand-built params.
 #[inline(always)]
-fn apply_one(params: &NormParams, x: f64) -> f64 {
+pub(crate) fn apply_one(params: &NormParams, x: f64) -> f64 {
     use visdb_distance::lanes::select;
     let a = x.abs();
     let range = params.dmax - params.dmin;

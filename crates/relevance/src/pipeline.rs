@@ -39,6 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use visdb_distance::frame::{DistanceFrame, FrameStats};
+use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
 use visdb_index::ProjectionSource;
@@ -48,10 +49,11 @@ use visdb_types::{Error, Result};
 
 use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
-use crate::combine::{combine_and_slices, combine_or_slices};
+use crate::combine::{combine_and_blocks, combine_or_slices, Child};
 use crate::eval::{EvalContext, NodeEval, RunProjections};
 use crate::normalize::{
-    apply_in_place, apply_slice, fit_frame, params_from_max, NormParams, NORM_MAX,
+    apply_in_place, apply_slice, fit_from_counts, fit_selected, params_from_max, NormParams,
+    NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -120,15 +122,30 @@ pub struct PipelineTrace {
     /// Top-level windows whose distances were actually (re-)evaluated
     /// this run.
     pub windows_evaluated: usize,
+    /// §5.2 fits the distance walk's counts answered without reading
+    /// the frame again (the fit covers every defined item, or the
+    /// predicate's exact answers cover `k`).
+    pub fits_from_counts: usize,
+    /// §5.2 fits that took a selection over the distances (every fit of
+    /// the scalar reference does).
+    pub fits_selected: usize,
+    /// 1 when the ranking's top `k` were the first `k` exact answers in
+    /// row order (`num_exact >= k`), found by an early-exit scan.
+    pub ranks_from_counts: usize,
+    /// 1 when the ranking's top `k` came from the bound-pruned selection
+    /// walk. Both stay 0 when no top-k ran (pure scan, scalar full sort,
+    /// two-sided band).
+    pub ranks_selected: usize,
 }
 
-/// Add `elapsed` to a phase of an optional timing collector.
+/// Add `elapsed` to a phase of an optional trace; the body may use the
+/// trace itself.
 macro_rules! phase_time {
-    ($timings:expr, $phase:ident, $body:expr) => {{
-        let start = $timings.as_ref().map(|_| Instant::now());
+    ($trace:expr, $phase:ident, $body:expr) => {{
+        let start = $trace.as_ref().map(|_| Instant::now());
         let out = $body;
-        if let (Some(t), Some(start)) = (&mut $timings, start) {
-            t.$phase += start.elapsed();
+        if let (Some(t), Some(start)) = (&mut $trace, start) {
+            t.phases.$phase += start.elapsed();
         }
         out
     }};
@@ -226,9 +243,9 @@ pub enum WindowData {
 
 /// The late-materialized window payload of the streaming execution mode:
 /// raw distances at the ranked (sorted-prefix) row ids plus the
-/// full-relation exact-answer count (fused into the streaming combine
-/// walk, so the §4.3 panel's `# results` field never needs the full
-/// frame).
+/// full-relation exact-answer count (the streaming stats pass's
+/// [`FrameStats::zeros`], so the §4.3 panel's `# results` field never
+/// needs the full frame).
 #[derive(Debug, Clone)]
 pub struct DisplayedWindow {
     /// Rows of the base relation (the length a full frame would have).
@@ -334,12 +351,13 @@ impl PredicateWindow {
     }
 
     /// Exact answers of this window (`raw == 0`) over the full relation
-    /// — the §4.3 panel's per-slider `# results` field. The streaming
-    /// mode fuses this count into its combine walk, so it is exact even
-    /// for late-materialized windows.
+    /// — the §4.3 panel's per-slider `# results` field. The distance
+    /// walk has counted them already ([`FrameStats::zeros`]; the
+    /// streaming mode keeps its stats pass's count, so it is exact even
+    /// for late-materialized windows): nothing is scanned.
     pub fn zero_raw_count(&self) -> usize {
         match &self.data {
-            WindowData::Full { raw, .. } => raw.iter().filter(|d| *d == Some(0.0)).count(),
+            WindowData::Full { stats, .. } => stats.zeros,
             WindowData::Displayed(d) => d.zeros,
         }
     }
@@ -743,11 +761,10 @@ pub fn run_pipeline_opts(
     }
     let shared_hits = found.iter().flatten().count() - session_hits;
     let run_projections = projections.map(RunProjections::new);
-    let mut timings = trace.as_deref_mut().map(|t| &mut t.phases);
     checkpoint(cancel, Phase::Distance)?;
     let mut slots: Vec<Option<PredicateWindow>> = Vec::with_capacity(top.len());
     let mut unfitted: Vec<Unfitted> = Vec::new();
-    phase_time!(timings, distance, {
+    phase_time!(trace, distance, {
         for (w, got) in top.iter().zip(found) {
             match got {
                 Some(win) if same_weight(&win, w) => slots.push(Some(win)),
@@ -775,9 +792,9 @@ pub fn run_pipeline_opts(
     // all-undefined rows that look valid-shaped but are wrong; stop
     // before the fit can see them
     checkpoint(cancel, Phase::Fit)?;
-    let (windows, combined, num_exact) = match mode {
-        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, slots, unfitted, &mut timings)?,
-        ExecMode::Vectorized => combine_vectorized(&ctx, cond, &top, slots, unfitted, &mut timings),
+    let (windows, combined, root) = match mode {
+        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, slots, unfitted, &mut trace)?,
+        ExecMode::Vectorized => combine_vectorized(&ctx, cond, &top, slots, unfitted, &mut trace),
     };
 
     // a run interrupted during combine left a half-combined frame
@@ -788,7 +805,7 @@ pub fn run_pipeline_opts(
     // top k (pruned by a sampled bound, walking the partitions' ranges
     // when there are any) and sorts only that prefix.
     checkpoint(cancel, Phase::Rank)?;
-    let (order, displayed) = phase_time!(timings, rank, {
+    let (order, displayed) = phase_time!(trace, rank, {
         match mode {
             ExecMode::Scalar => {
                 let (vals, mask) = (combined.values(), combined.validity().as_slice());
@@ -800,11 +817,12 @@ pub fn run_pipeline_opts(
             }
             ExecMode::Vectorized => rank_and_select(
                 &combined,
+                &root,
                 &windows,
                 policy,
                 windows.len(),
                 &chunk::ranges(n, partitions),
-                n >= PARALLEL_THRESHOLD,
+                trace.as_deref_mut(),
             )?,
         }
     });
@@ -850,7 +868,7 @@ pub fn run_pipeline_opts(
         combined,
         order,
         displayed,
-        num_exact,
+        num_exact: root.num_exact,
         windows,
         trace,
     })
@@ -901,15 +919,18 @@ impl Unfitted {
 /// selection and normalize it row by row, fold the rows at the root with
 /// `and_row`/`or_row`, normalize the combined vector as a whole, and only
 /// then pack — the correctness baseline every packed kernel is held to.
-/// Returns the windows, the final combined frame and the exact count.
+/// Returns the windows, the final combined frame and the root counts.
 fn combine_scalar(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
     mut slots: Vec<Option<PredicateWindow>>,
     unfitted: Vec<Unfitted>,
-    timings: &mut Option<&mut PhaseTimings>,
-) -> Result<(Vec<PredicateWindow>, DistanceFrame, usize)> {
+    trace: &mut Option<Box<PipelineTrace>>,
+) -> Result<(Vec<PredicateWindow>, DistanceFrame, RootAcc)> {
+    if let Some(t) = trace {
+        t.fits_selected = unfitted.len();
+    }
     let mut unfitted_it = unfitted.into_iter();
     for (slot, w) in slots.iter_mut().zip(top.iter()) {
         if slot.is_none() {
@@ -918,12 +939,12 @@ fn combine_scalar(
                 .expect("one raw frame per unfitted window");
             let raw = u.raw().0.to_options();
             let params = phase_time!(
-                (*timings),
+                (*trace),
                 fit,
                 reference::fit_improved(&raw, w.weight, ctx.display_budget)
             );
             let normalized = phase_time!(
-                (*timings),
+                (*trace),
                 normalize_combine,
                 DistanceFrame::from_options(&reference::apply_all(&raw, params))
             );
@@ -935,7 +956,7 @@ fn combine_scalar(
         .map(|s| s.expect("filled above"))
         .collect();
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
-    let (combined, num_exact) = phase_time!((*timings), normalize_combine, {
+    let (combined, root) = phase_time!((*trace), normalize_combine, {
         let mut children: Vec<Vec<Option<f64>>> = windows
             .iter()
             .map(|w| {
@@ -950,11 +971,15 @@ fn combine_scalar(
             ConditionNode::And(_) => reference::combine_and(&children, &weights)?,
             _ => children.swap_remove(0),
         };
-        let num_exact = raw.iter().filter(|d| **d == Some(0.0)).count();
+        let root = RootAcc {
+            defined: raw.iter().flatten().count(),
+            num_exact: raw.iter().filter(|d| **d == Some(0.0)).count(),
+            ..RootAcc::default()
+        };
         let combined = DistanceFrame::from_options(&reference::normalize_combined(&raw));
-        (combined, num_exact)
+        (combined, root)
     });
-    Ok((windows, combined, num_exact))
+    Ok((windows, combined, root))
 }
 
 /// Root-combine accumulator of the fused walks (materialized and
@@ -971,6 +996,8 @@ pub(crate) struct RootAcc {
     max_abs: f64,
     /// Any defined combined value `!= 0.0` (NaN counts: it is not 0).
     any_nonzero: bool,
+    /// Rows with a defined combined distance.
+    pub(crate) defined: usize,
     /// Defined rows whose combined distance is exactly 0.0.
     pub(crate) num_exact: usize,
 }
@@ -980,55 +1007,76 @@ impl Default for RootAcc {
         RootAcc {
             max_abs: f64::NEG_INFINITY,
             any_nonzero: false,
+            defined: 0,
             num_exact: 0,
         }
     }
 }
 
-impl RootAcc {
-    /// Fold one freshly combined chunk with branch-free selects, eight
-    /// independent lanes per validity word so no fold waits on the row
-    /// before it; fully-defined blocks (one `u64` compare) skip the mask
-    /// terms. Undefined rows carry canonical 0.0, so the masked folds see
-    /// a harmless value. Lane assignment cannot matter: all three folds
-    /// are set operations. The blocks fold only two of them — every
-    /// defined value is either `== 0.0` or `!= 0.0`, so "any nonzero" is
-    /// "more defined rows than exact ones".
-    pub(crate) fn fold(&mut self, vals: &[f64], mask: &[bool]) {
-        use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
-        debug_assert_eq!(vals.len(), mask.len());
-        let mut exact = [0usize; WORD_ROWS];
-        let mut defined = 0usize;
-        let mut max_abs = [f64::NEG_INFINITY; WORD_ROWS];
+/// The lane accumulators of a [`RootAcc`] fold: eight independent lanes
+/// per validity word so no fold waits on the row before it. Lane
+/// assignment cannot matter — all three folds are set operations. Only
+/// two are kept per lane: every defined value is either `== 0.0` or
+/// `!= 0.0`, so "any nonzero" is "more defined rows than exact ones".
+pub(crate) struct RootLanes {
+    exact: [usize; WORD_ROWS],
+    defined: usize,
+    max_abs: [f64; WORD_ROWS],
+}
+
+impl Default for RootLanes {
+    fn default() -> Self {
+        RootLanes {
+            exact: [0; WORD_ROWS],
+            defined: 0,
+            max_abs: [f64::NEG_INFINITY; WORD_ROWS],
+        }
+    }
+}
+
+impl RootLanes {
+    /// Fold one 8-row block (`word` = [`mask_word`] of `m8`) with
+    /// branch-free selects; a fully-defined block (one `u64` compare)
+    /// skips the mask terms. Undefined rows carry canonical 0.0, so the
+    /// masked folds see a harmless value.
+    #[inline(always)]
+    pub(crate) fn block(&mut self, v8: &[f64], m8: &[bool], word: u64) {
         // neither side is ever NaN (the candidate is finite or -inf), so
         // this select is `f64::max` without its NaN handling
         let max = |m: f64, c: f64| select(c > m, c, m);
+        self.defined += word.count_ones() as usize;
+        let lanes = self.exact.iter_mut().zip(&mut self.max_abs);
+        if word == ALL_VALID_WORD {
+            for ((exact, max_abs), &x) in lanes.zip(v8) {
+                let a = x.abs();
+                *exact += (x == 0.0) as usize;
+                *max_abs = max(*max_abs, select(a.is_finite(), a, f64::NEG_INFINITY));
+            }
+        } else {
+            for ((exact, max_abs), (&x, &ok)) in lanes.zip(v8.iter().zip(m8)) {
+                let a = x.abs();
+                *exact += (ok & (x == 0.0)) as usize;
+                *max_abs = max(*max_abs, select(ok & a.is_finite(), a, f64::NEG_INFINITY));
+            }
+        }
+    }
+}
+
+impl RootAcc {
+    /// Fold one freshly combined chunk: [`RootLanes::block`] per validity
+    /// word, the `< 8`-row tail row by row.
+    pub(crate) fn fold(&mut self, vals: &[f64], mask: &[bool]) {
+        debug_assert_eq!(vals.len(), mask.len());
+        let mut lanes = RootLanes::default();
         let blocks = vals.len() / WORD_ROWS * WORD_ROWS;
         let (vh, vt) = vals.split_at(blocks);
         let (mh, mt) = mask.split_at(blocks);
         for (v8, m8) in vh.chunks_exact(WORD_ROWS).zip(mh.chunks_exact(WORD_ROWS)) {
-            let word = mask_word(m8);
-            defined += word.count_ones() as usize;
-            if word == ALL_VALID_WORD {
-                for l in 0..WORD_ROWS {
-                    let a = v8[l].abs();
-                    exact[l] += (v8[l] == 0.0) as usize;
-                    max_abs[l] = max(max_abs[l], select(a.is_finite(), a, f64::NEG_INFINITY));
-                }
-            } else {
-                for l in 0..WORD_ROWS {
-                    let (x, ok) = (v8[l], m8[l]);
-                    let a = x.abs();
-                    exact[l] += (ok & (x == 0.0)) as usize;
-                    max_abs[l] = max(max_abs[l], select(ok & a.is_finite(), a, f64::NEG_INFINITY));
-                }
-            }
+            lanes.block(v8, m8, mask_word(m8));
         }
-        let exact: usize = exact.iter().sum();
-        self.num_exact += exact;
-        self.any_nonzero |= defined > exact;
-        self.max_abs = max_abs.iter().fold(self.max_abs, |m, &x| m.max(x));
+        self.absorb(lanes);
         for (&x, &ok) in vt.iter().zip(mt) {
+            self.defined += ok as usize;
             self.num_exact += (ok && x == 0.0) as usize;
             self.any_nonzero |= ok && x != 0.0;
             let a = x.abs();
@@ -1038,9 +1086,19 @@ impl RootAcc {
         }
     }
 
+    /// Reduce the lanes of a block fold into the accumulator.
+    pub(crate) fn absorb(&mut self, lanes: RootLanes) {
+        let exact: usize = lanes.exact.iter().sum();
+        self.num_exact += exact;
+        self.defined += lanes.defined;
+        self.any_nonzero |= lanes.defined > exact;
+        self.max_abs = lanes.max_abs.iter().fold(self.max_abs, |m, &x| m.max(x));
+    }
+
     pub(crate) fn merge(&mut self, other: &RootAcc) {
         self.max_abs = self.max_abs.max(other.max_abs);
         self.any_nonzero |= other.any_nonzero;
+        self.defined += other.defined;
         self.num_exact += other.num_exact;
     }
 }
@@ -1068,91 +1126,79 @@ pub(crate) fn finalize_combined(
 }
 
 /// The vectorized combine: fit each unfitted window's normalization from
-/// its fused distance-walk stats ([`fit_frame`] — zero extra passes when
-/// the fit covers every defined item, a pruned selection otherwise),
+/// its fused distance-walk stats ([`fit_from_counts`] — zero extra
+/// passes — or else the pruned selection of [`fit_selected`]),
 /// fill the packed normalized frames *and* the root combination in one
 /// fused, chunk-parallel walk straight into the output frame — each row
 /// is touched once instead of once per pass — then finalize the combined
 /// frame in place. Returns the windows, the final combined frame and the
-/// exact count.
+/// root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
     slots: Vec<Option<PredicateWindow>>,
     fresh: Vec<Unfitted>,
-    timings: &mut Option<&mut PhaseTimings>,
-) -> (Vec<PredicateWindow>, DistanceFrame, usize) {
+    trace: &mut Option<Box<PipelineTrace>>,
+) -> (Vec<PredicateWindow>, DistanceFrame, RootAcc) {
     let n = ctx.table.len();
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
 
-    /// Per-window input to the fused walk, as raw SoA slices.
+    /// Per-window input to the fused walk, as whole-frame SoA slices.
     enum Src<'a> {
         /// Cache hit under the same weight: normalized values exist.
         Ready(&'a [f64], &'a [bool]),
         /// Raw distances — evaluated this run, or a cache entry's under
-        /// another weight: normalize into `fresh_norm[slot]` on the fly.
-        Fresh {
-            raw_vals: &'a [f64],
-            raw_mask: &'a [bool],
-            params: NormParams,
-            slot: usize,
-        },
+        /// another weight: normalized on the fly into the next frame of
+        /// `fresh_norm` (fresh windows keep their order).
+        Fresh(&'a [f64], &'a [bool], NormParams),
     }
 
-    let fresh_params: Vec<NormParams> = phase_time!((*timings), fit, {
-        let mut params = Vec::with_capacity(fresh.len());
-        let mut fresh_idx = 0;
-        for (slot, w) in slots.iter().zip(top.iter()) {
-            if slot.is_none() {
-                let (raw, stats) = fresh[fresh_idx].raw();
-                params.push(fit_frame(raw, stats, w.weight, ctx.display_budget));
-                fresh_idx += 1;
-            }
-        }
-        params
+    let fresh_params: Vec<NormParams> = phase_time!((*trace), fit, {
+        let unfitted_weights = slots.iter().zip(top).filter(|(slot, _)| slot.is_none());
+        (fresh.iter().zip(unfitted_weights))
+            .map(|(u, (_, w))| {
+                let (raw, stats) = u.raw();
+                let counted = fit_from_counts(n, stats, w.weight, ctx.display_budget);
+                if let Some(t) = trace {
+                    t.fits_from_counts += usize::from(counted.is_ok());
+                    t.fits_selected += usize::from(counted.is_err());
+                }
+                counted.unwrap_or_else(|k| fit_selected(raw, k))
+            })
+            .collect()
     });
     // (zeroing the output frames is the phase's cost, so it is timed)
-    let (mut fresh_norm, mut combined) = phase_time!((*timings), normalize_combine, {
+    let (mut fresh_norm, mut combined) = phase_time!((*trace), normalize_combine, {
         let fresh_norm: Vec<DistanceFrame> =
             fresh.iter().map(|_| DistanceFrame::undefined(n)).collect();
         (fresh_norm, DistanceFrame::undefined(n))
     });
 
-    // 0 = single window at the root, 1 = AND, 2 = OR — mirrors the
-    // root-match of the scalar path exactly.
-    let root = match &cond.node {
-        ConditionNode::And(_) => 1u8,
-        ConditionNode::Or(_) => 2u8,
-        _ => 0u8,
-    };
+    // the root-match of the scalar path: a weighted mean over the
+    // windows, or the single window itself (`None`: no arithmetic)
+    let or_root = matches!(&cond.node, ConditionNode::Or(_));
+    let weights = weights.as_slice();
+    let mean_weights =
+        matches!(&cond.node, ConditionNode::And(_) | ConditionNode::Or(_)).then_some(weights);
 
-    let acc = phase_time!((*timings), normalize_combine, {
-        let mut srcs: Vec<Src<'_>> = Vec::with_capacity(top.len());
-        let mut fresh_idx = 0;
-        for slot in &slots {
-            match slot {
+    let acc = phase_time!((*trace), normalize_combine, {
+        let mut fresh_it = fresh.iter().zip(&fresh_params);
+        let srcs: Vec<Src<'_>> = (slots.iter())
+            .map(|slot| match slot {
                 Some(w) => {
                     let (_, normalized) = w
                         .full_frames()
                         .expect("cache hits are filtered to materialized windows");
-                    srcs.push(Src::Ready(
-                        normalized.values(),
-                        normalized.validity().as_slice(),
-                    ));
+                    Src::Ready(normalized.values(), normalized.validity().as_slice())
                 }
                 None => {
-                    let (raw, _) = fresh[fresh_idx].raw();
-                    srcs.push(Src::Fresh {
-                        raw_vals: raw.values(),
-                        raw_mask: raw.validity().as_slice(),
-                        params: fresh_params[fresh_idx],
-                        slot: fresh_idx,
-                    });
-                    fresh_idx += 1;
+                    let (u, params) = fresh_it.next().expect("one raw frame per unfitted window");
+                    let (raw, _) = u.raw();
+                    Src::Fresh(raw.values(), raw.validity().as_slice(), *params)
                 }
-            }
-        }
+            })
+            .collect();
 
         /// One fused-walk task: a row offset, that row range of the
         /// combined output, the same range of every fresh window's
@@ -1187,15 +1233,14 @@ fn combine_vectorized(
             tasks.push((offset, comb, parts, acc));
         }
         let srcs = &srcs;
-        let weights = &weights;
-        // The fused walk, as branchless SoA kernel calls per chunk:
-        // normalize-apply each fresh child into its packed frame
-        // ([`apply_slice`] — validity words drive lane masks), combine
-        // the child chunks at the root straight into the output frame
-        // ([`combine_and_slices`]/[`combine_or_slices`]), then fold the
-        // finalize inputs over what was just written. Every kernel is
-        // proven exact against the scalar reference (see the kernels'
-        // docs).
+        // The fused walk: per chunk, one pass of the block kernel
+        // ([`combine_and_blocks`]) normalizes each fresh child into its
+        // packed frame, combines the children at the root straight into
+        // the output frame and folds the finalize inputs over what it
+        // wrote — each row touched once, in registers. A root `OR` (a
+        // `powf` per row) runs the same steps as slice kernels. Every
+        // kernel is proven exact against the scalar reference (see the
+        // kernels' docs).
         let cancel = ctx.cancel;
         chunk::run_striped(
             tasks,
@@ -1207,45 +1252,39 @@ fn combine_vectorized(
                 if cancel.is_some_and(|c| c.should_stop(Phase::NormalizeCombine)) {
                     return;
                 }
-                let len = cv.len();
-                for src in srcs {
-                    if let Src::Fresh {
-                        raw_vals,
-                        raw_mask,
-                        params,
-                        slot,
-                    } = src
-                    {
-                        let (ov, om) = &mut parts[*slot];
-                        apply_slice(
-                            *params,
-                            &raw_vals[offset..offset + len],
-                            &raw_mask[offset..offset + len],
-                            ov,
-                            om,
-                        );
-                    }
-                }
-                let views: Vec<(&[f64], &[bool])> = srcs
-                    .iter()
-                    .map(|src| match src {
-                        Src::Ready(vals, mask) => {
-                            (&vals[offset..offset + len], &mask[offset..offset + len])
-                        }
-                        Src::Fresh { slot, .. } => {
-                            let (ov, om) = &parts[*slot];
-                            (&ov[..], &om[..])
+                let rows = offset..offset + cv.len();
+                let mut outs = parts.iter_mut();
+                let mut children: Vec<Child<'_>> = (srcs.iter())
+                    .map(|src| match *src {
+                        Src::Ready(v, m) => Child::Ready(&v[rows.clone()], &m[rows.clone()]),
+                        Src::Fresh(v, m, params) => {
+                            let (ov, om) = outs.next().expect("one frame per fresh window");
+                            Child::Fresh {
+                                raw: (&v[rows.clone()], &m[rows.clone()]),
+                                params,
+                                out: (ov, om),
+                            }
                         }
                     })
                     .collect();
-                match root {
-                    0 => {
-                        cv.copy_from_slice(views[0].0);
-                        cm.copy_from_slice(views[0].1);
-                    }
-                    1 => combine_and_slices(&views, weights, cv, cm),
-                    _ => combine_or_slices(&views, weights, cv, cm),
+                if !or_root {
+                    combine_and_blocks(&mut children, mean_weights, cv, cm, Some(acc));
+                    return;
                 }
+                let views: Vec<(&[f64], &[bool])> = (children.iter_mut())
+                    .map(|child| match child {
+                        Child::Ready(v, m) => (*v, *m),
+                        Child::Fresh {
+                            raw,
+                            params,
+                            out: (ov, om),
+                        } => {
+                            apply_slice(*params, raw.0, raw.1, ov, om);
+                            (&**ov, &**om)
+                        }
+                    })
+                    .collect();
+                combine_or_slices(&views, weights, cv, cm);
                 acc.fold(cv, cm);
             },
         );
@@ -1270,7 +1309,7 @@ fn combine_vectorized(
             }
         })
         .collect();
-    (windows, combined, acc.num_exact)
+    (windows, combined, acc)
 }
 
 // ----- display-policy math shared by both execution modes ---------------
@@ -1361,40 +1400,60 @@ fn in_two_sided_band(win: &PredicateWindow, lo: f64, hi: f64, i: usize) -> bool 
 }
 
 /// Vectorized ranking + display selection: compute how many items the
-/// policy can display and select exactly that many (plus the gap
-/// heuristic's scan window) with the bound-pruned kernel, sorted; the
-/// two-sided policy instead gathers its quantile band and sorts that.
-/// `ranges` is the row-range list the walks take — plain chunks or a
+/// policy can display and rank exactly that many (plus the gap
+/// heuristic's scan window); the two-sided policy instead gathers its
+/// quantile band and sorts that. The `k` best rows come from the root
+/// fold's counts when they can: finalized combined distances are `>= 0`
+/// and ties rank by row id, so with `num_exact >= k` the sorted prefix
+/// *is* the first `k` rows at `0.0` in row order — an early-exit scan.
+/// Otherwise the bound-pruned kernel selects and sorts them. `ranges` is
+/// the row-range list that walk takes — plain chunks or a
 /// partitioning's, the result is the same. Returns `(order, displayed)`.
 pub(crate) fn rank_and_select(
     combined: &DistanceFrame,
+    root: &RootAcc,
     windows: &[PredicateWindow],
     policy: &DisplayPolicy,
     num_windows: usize,
     ranges: &[(usize, usize)],
-    parallel: bool,
+    mut trace: Option<&mut PipelineTrace>,
 ) -> Result<(Vec<u32>, Vec<usize>)> {
     let n = combined.len();
     let (vals, mask) = (combined.values(), combined.validity().as_slice());
-    let m = mask.iter().filter(|&&ok| ok).count();
+    let m = root.defined;
+    let parallel = n >= PARALLEL_THRESHOLD;
     let finish = |ranked: Vec<(f64, u32)>, shown: usize| {
         let order: Vec<u32> = ranked.iter().map(|c| c.1).collect();
         let displayed = order[..shown].iter().map(|&i| i as usize).collect();
         Ok((order, displayed))
     };
-    let top_k = |k: usize| finish(k_smallest_sorted(combined, ranges, parallel, k), k);
+    let mut ranked = |k: usize| -> Vec<(f64, u32)> {
+        let from_counts = root.num_exact >= k;
+        if let Some(t) = trace.as_deref_mut() {
+            t.ranks_from_counts += usize::from(from_counts);
+            t.ranks_selected += usize::from(!from_counts);
+        }
+        if !from_counts {
+            return k_smallest_sorted(combined, ranges, parallel, k);
+        }
+        let rows = vals.iter().zip(mask).zip(0u32..);
+        rows.filter(|((&v, &ok), _)| ok && v == 0.0)
+            .map(|((&v, _), row)| (v, row))
+            .take(k)
+            .collect()
+    };
     match policy {
-        DisplayPolicy::Percentage(p) => top_k(percentage_count(*p, n, m)),
+        DisplayPolicy::Percentage(p) => {
+            let k = percentage_count(*p, n, m);
+            finish(ranked(k), k)
+        }
         DisplayPolicy::FitScreen {
             pixels,
             pixels_per_item,
-        } => top_k(fit_screen_count(
-            *pixels,
-            *pixels_per_item,
-            n,
-            num_windows,
-            m,
-        )),
+        } => {
+            let k = fit_screen_count(*pixels, *pixels_per_item, n, num_windows, m);
+            finish(ranked(k), k)
+        }
         DisplayPolicy::GapHeuristic { rmin, rmax, z } => {
             if m == 0 {
                 return Ok((Vec::new(), Vec::new()));
@@ -1403,14 +1462,15 @@ pub(crate) fn rank_and_select(
             // the gap statistic s_i looks z items past rmax, so rank up
             // to that bound before the scan
             let ranked_len = m.min(rmax_eff.saturating_add(*z).saturating_add(1));
-            let ranked = k_smallest_sorted(combined, ranges, parallel, ranked_len);
+            let ranked = ranked(ranked_len);
             let sorted: Vec<f64> = ranked.iter().map(|c| c.0).collect();
             let cut = gap_cutoff(&sorted, rmin_eff, rmax_eff, *z)? + 1;
             finish(ranked, cut)
         }
         DisplayPolicy::TwoSidedPercentage(p) => {
             let Some(win) = windows.first().filter(|w| w.signed) else {
-                return top_k(percentage_count(*p, n, m));
+                let k = percentage_count(*p, n, m);
+                return finish(ranked(k), k);
             };
             let Some((lo, hi)) = two_sided_band(win, *p)? else {
                 return Ok((Vec::new(), Vec::new()));
@@ -2231,6 +2291,7 @@ mod tests {
                             .filter(|(_, &ok)| ok)
                             .map(|(&x, _)| x)
                     };
+                    assert_eq!(acc.defined, rows().count(), "n={n}");
                     assert_eq!(acc.num_exact, rows().filter(|&x| x == 0.0).count(), "n={n}");
                     assert_eq!(acc.any_nonzero, rows().any(|x| x != 0.0), "n={n}");
                     let max = rows()
@@ -2239,6 +2300,142 @@ mod tests {
                         .fold(f64::NEG_INFINITY, f64::max);
                     assert_eq!(acc.max_abs.to_bits(), max.to_bits(), "n={n}");
                 }
+            }
+        }
+    }
+
+    /// `# results` read off the distance walk's stats is the count a scan
+    /// of the raw frame finds: signed zeros are exact answers, NULL and
+    /// NaN rows (undefined distances over a canonical 0.0) are not.
+    #[test]
+    fn zero_raw_count_is_the_scan_of_the_raw_frame() {
+        let values = [0.0, -0.0, f64::NAN, 3.0, -0.0, 0.0, -7.5, f64::INFINITY];
+        let rows: Vec<Option<f64>> = (0..40)
+            .map(|i| (i % 10 != 9).then(|| values[i % 10 % values.len()]))
+            .collect();
+        let scanned = rows.iter().filter(|v| **v == Some(0.0)).count();
+        assert_eq!(scanned, 20);
+        let mut b = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
+        for v in &rows {
+            b = b.row(vec![v.map_or(Value::Null, Value::Float)]).unwrap();
+        }
+        let mut db = Database::new("d");
+        db.add_table(b.build());
+        let t = db.table("T").unwrap();
+        let r = DistanceResolver::new();
+        let c = cond(CompareOp::Eq, 0.0);
+        for materialization in [Materialization::Materialized, Materialization::Streaming] {
+            let out = run_pipeline_opts(
+                &db,
+                t,
+                &r,
+                Some(&c),
+                &DisplayPolicy::Percentage(50.0),
+                PipelineOptions {
+                    materialization,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.windows[0].zero_raw_count(), scanned);
+            if let Some((raw, _)) = out.windows[0].full_frames() {
+                assert!(raw.iter().any(|d| d.is_some_and(|d| d.is_sign_negative())));
+                let in_frame = raw.iter().filter(|d| *d == Some(0.0)).count();
+                assert_eq!(in_frame, scanned);
+            }
+        }
+    }
+
+    /// The one-pass block kernel against the steps it fuses — the
+    /// [`apply_slice`] normalization of each fresh child, the per-row
+    /// `and_row` fold and the chunk fold of [`RootAcc`] — at every block
+    /// remainder, with fully-defined, mixed and empty mask words, as an
+    /// `AND` of three children and as the single window at the root.
+    #[test]
+    fn block_kernel_matches_the_steps_it_fuses() {
+        let raw = |i: usize, c: usize| match (i + 5 * c) % 13 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::NEG_INFINITY,
+            _ => ((i * 7 + c) % 50) as f64 - 20.0,
+        };
+        // rows 8..16 are fully defined in every child, 16..24 in none
+        let defined = |i: usize, c: usize| match i / WORD_ROWS {
+            1 => true,
+            2 => false,
+            _ => !(i + c).is_multiple_of(4),
+        };
+        let params = [
+            params_from_max(12.5),
+            params_from_max(0.0),
+            params_from_max(40.0),
+        ];
+        let weights = [1.0, 0.3, 0.05];
+        for len in 0..=4 * WORD_ROWS + 3 {
+            let vals: Vec<Vec<f64>> = (0..3)
+                .map(|c| (0..len).map(|i| raw(i, c)).collect())
+                .collect();
+            let masks: Vec<Vec<bool>> = (0..3)
+                .map(|c| (0..len).map(|i| defined(i, c)).collect())
+                .collect();
+            // the steps, one after the other
+            let normed: Vec<(Vec<f64>, Vec<bool>)> = (0..3)
+                .map(|c| {
+                    let (mut v, mut m) = (vec![f64::NAN; len], vec![false; len]);
+                    apply_slice(params[c], &vals[c], &masks[c], &mut v, &mut m);
+                    (v, m)
+                })
+                .collect();
+            let option_row = |i: usize, children: usize| -> Vec<Option<f64>> {
+                (0..children)
+                    .map(|c| normed[c].1[i].then_some(normed[c].0[i]))
+                    .collect()
+            };
+            for children in [3usize, 1] {
+                let and = children == 3;
+                let want = DistanceFrame::from_options(
+                    &(0..len)
+                        .map(|i| match and {
+                            true => reference::and_row(&option_row(i, 3), &weights),
+                            false => option_row(i, 1)[0],
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                let mut want_acc = RootAcc::default();
+                want_acc.fold(want.values(), want.validity().as_slice());
+                // the kernel: child 1 ready, the others normalized on the way
+                let mut outs: Vec<(Vec<f64>, Vec<bool>)> =
+                    vec![(vec![f64::NAN; len], vec![true; len]); 3];
+                let mut kids: Vec<Child<'_>> = (outs.iter_mut().enumerate())
+                    .take(children)
+                    .map(|(c, (ov, om))| match c {
+                        1 => Child::Ready(&normed[1].0, &normed[1].1),
+                        _ => Child::Fresh {
+                            raw: (&vals[c], &masks[c]),
+                            params: params[c],
+                            out: (ov, om),
+                        },
+                    })
+                    .collect();
+                let (mut cv, mut cm) = (vec![f64::NAN; len], vec![true; len]);
+                let mut acc = RootAcc::default();
+                let w = and.then_some(&weights[..]);
+                combine_and_blocks(&mut kids, w, &mut cv, &mut cm, Some(&mut acc));
+                let what = format!("len={len} children={children}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&cv), bits(want.values()), "{what}");
+                assert_eq!(cm, want.validity().as_slice(), "{what}");
+                for c in (0..children).filter(|&c| c != 1) {
+                    assert_eq!(bits(&outs[c].0), bits(&normed[c].0), "{what} child {c}");
+                    assert_eq!(outs[c].1, normed[c].1, "{what} child {c}");
+                }
+                assert_eq!(
+                    (acc.defined, acc.num_exact, acc.any_nonzero),
+                    (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
+                    "{what}"
+                );
+                assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
             }
         }
     }

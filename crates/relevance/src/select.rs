@@ -26,6 +26,7 @@
 use std::cmp::Ordering;
 
 use visdb_distance::frame::DistanceFrame;
+use visdb_distance::lanes::WORD_ROWS;
 
 use crate::chunk;
 
@@ -82,6 +83,11 @@ struct Gathered {
     ties: usize,
 }
 
+/// The pruning walk: per row range, the defined rows under the cut and
+/// the count of those on it. Eight rows at a time are classified with
+/// one branch-free `key(v) <= cut` OR-reduction, and only a block
+/// holding a candidate runs the per-row body — with a cut about `k / n`
+/// of the rows lie under it, so most blocks have none.
 fn gather(
     frame: &DistanceFrame,
     ranges: &[(usize, usize)],
@@ -90,21 +96,37 @@ fn gather(
     key: impl Fn(f64) -> f64 + Sync,
 ) -> Vec<Gathered> {
     let (vals, mask) = (frame.values(), frame.validity().as_slice());
+    // a NaN key compares false against any bound, and without a cut it
+    // is a candidate like every defined row
+    let (no_cut, bound) = (cut.is_none(), cut.unwrap_or(0.0));
     chunk::map_range_list(ranges, parallel, |offset, len| {
-        let rows = vals[offset..offset + len]
-            .iter()
-            .zip(&mask[offset..offset + len])
-            .zip(offset as u32..);
         let mut out = Gathered {
             below: Vec::new(),
             ties: 0,
         };
-        for ((&v, &ok), row) in rows {
+        let mut row_body = |v: f64, ok: bool, row: usize| {
             let x = key(v);
-            if ok && cut.is_none_or(|c| x < c) {
-                out.below.push((x, row));
+            if ok && (no_cut || x < bound) {
+                out.below.push((x, row as u32));
             }
-            out.ties += usize::from(ok && cut == Some(x));
+            out.ties += usize::from(ok && !no_cut && x == bound);
+        };
+        let (v, m) = (&vals[offset..offset + len], &mask[offset..offset + len]);
+        let blocks = len / WORD_ROWS * WORD_ROWS;
+        for at in (0..blocks).step_by(WORD_ROWS) {
+            let (v8, m8) = (&v[at..at + WORD_ROWS], &m[at..at + WORD_ROWS]);
+            let mut any = false;
+            for l in 0..WORD_ROWS {
+                any |= m8[l] & (no_cut | (key(v8[l]) <= bound));
+            }
+            if any {
+                for l in 0..WORD_ROWS {
+                    row_body(v8[l], m8[l], offset + at + l);
+                }
+            }
+        }
+        for at in blocks..len {
+            row_body(v[at], m[at], offset + at);
         }
         out
     })
@@ -170,4 +192,69 @@ pub fn k_smallest_sorted(
     let mut out = k_smallest(frame, ranges, parallel, k, |v| v);
     out.sort_unstable_by(rank_order);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The row-by-row walk the block-skipping [`gather`] replaced.
+    fn gather_by_row(frame: &DistanceFrame, cut: Option<f64>) -> Gathered {
+        let mut out = Gathered {
+            below: Vec::new(),
+            ties: 0,
+        };
+        for (row, d) in frame.iter().enumerate() {
+            let Some(x) = d.map(f64::abs) else { continue };
+            if cut.is_none_or(|c| x < c) {
+                out.below.push((x, row as u32));
+            }
+            out.ties += usize::from(cut == Some(x));
+        }
+        out
+    }
+
+    #[test]
+    fn gather_matches_the_row_by_row_walk() {
+        // mostly a plateau at 255 with sparse near rows, NULLs, NaN,
+        // ±inf and signed zeros, at every block remainder
+        let rows: Vec<Option<f64>> = (0..83)
+            .map(|i| match i % 13 {
+                0 => None,
+                1 => Some(-(i as f64)),
+                2 if i % 2 == 0 => Some(f64::NAN),
+                3 if i > 40 => Some(f64::NEG_INFINITY),
+                4 if i < 20 => Some(-0.0),
+                _ => Some(255.0),
+            })
+            .collect();
+        let cuts = [
+            Some(255.0), // on the plateau: every plateau row ties
+            Some(14.0),  // on a sparse value
+            Some(-1.0),  // below every key: nothing qualifies
+            Some(0.0),   // only the signed zeros tie
+            None,        // absent: every defined row, NaN included
+        ];
+        for len in (0..=rows.len()).rev().take(2 * WORD_ROWS + 1) {
+            let frame = DistanceFrame::from_options(&rows[..len]);
+            for cut in cuts {
+                let got = gather(&frame, &[(0, len)], false, cut, f64::abs);
+                let got = got.into_iter().next().expect("one range");
+                let want = gather_by_row(&frame, cut);
+                // NaN keys never compare equal: compare bit patterns
+                let bits = |g: &Gathered| -> Vec<(u64, u32)> {
+                    g.below.iter().map(|&(x, r)| (x.to_bits(), r)).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "len={len} cut={cut:?}");
+                assert_eq!(got.ties, want.ties, "len={len} cut={cut:?}");
+            }
+        }
+        // and over a split range list the parts concatenate to the same
+        let frame = DistanceFrame::from_options(&rows);
+        let parts = gather(&frame, &[(0, 29), (29, 54)], false, Some(255.0), f64::abs);
+        let want = gather_by_row(&frame, Some(255.0));
+        let below: Vec<(f64, u32)> = parts.iter().flat_map(|p| p.below.clone()).collect();
+        assert_eq!(below, want.below);
+        assert_eq!(parts.iter().map(|p| p.ties).sum::<usize>(), want.ties);
+    }
 }

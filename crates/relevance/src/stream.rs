@@ -11,9 +11,11 @@
 //! 1. **Stats pass(es)** — one walk per tree level (one walk for the
 //!    common flat AND/OR of leaf predicates): every chunk recomputes the
 //!    level's distances in cache-resident scratch buffers and keeps only
-//!    the fused [`FrameStats`] plus — when the §5.2 weight-proportional
-//!    fit needs the k-th smallest `|d|` — a per-chunk pool of the values
-//!    at or below the selection kernel's **sampled cut**
+//!    the fused [`FrameStats`] (whose `zeros` is each window's
+//!    full-relation exact-answer count) plus — when the §5.2
+//!    weight-proportional fit may need the k-th smallest `|d|` — a
+//!    per-chunk pool of the values below the selection kernel's
+//!    **sampled cut**
 //!    ([`crate::select`], probed here through the per-row evaluator).
 //!    A merged pool of at least `k` values contains the value-multiset
 //!    of the global k smallest, so the fitted `dmax` is bit-identical to
@@ -24,8 +26,7 @@
 //!    distances, normalizing and root-combining them *in registers* per
 //!    row (the identical float ops of the materialized fused walk), and
 //!    streaming only the combined raw distance into the packed output
-//!    frame, together with the combined reduction stats and each
-//!    window's full-relation exact-answer count.
+//!    frame, together with the combined reduction stats.
 //!
 //! Recomputing distances is the deliberate trade: a kernel pass over the
 //! native column buffers is far cheaper than materializing, re-reading
@@ -65,11 +66,13 @@ use visdb_query::CompareOp;
 use visdb_storage::{ColumnData, NumericSlice};
 use visdb_types::{Result, Value};
 
-use crate::combine::{combine_and_slices, combine_or_slices};
+use crate::combine::{combine_and_blocks, combine_and_slices, combine_or_slices, Child};
 use crate::eval::{
     compare_distance, compare_value_distance, range_distance, range_value_distance, EvalContext,
 };
-use crate::normalize::{apply_in_place, dmax_of_prefix, fit_k, params_from_max, NormParams};
+use crate::normalize::{
+    apply_in_place, dmax_of_prefix, fit_from_counts, fit_k, params_from_max, NormParams,
+};
 use crate::pipeline::{
     checkpoint, finalize_combined, rank_and_select, DisplayPolicy, DisplayedWindow, PipelineOutput,
     PipelineTrace, PredicateWindow, RootAcc, WindowData,
@@ -620,28 +623,14 @@ fn kernel_row(col: &ColumnData, kernel: NumericKernel, i: usize) -> Option<f64> 
     }
 }
 
-/// The §5.2 fit from fused stats plus (when needed) the merged selection
-/// pool — the streaming replica of [`crate::normalize::fit_frame`],
-/// bit-identical because the pool contains the value-multiset of the
-/// global k smallest absolute distances.
-fn fit_streaming(stats: &FrameStats, pool: Vec<f64>, select_k: Option<usize>) -> NormParams {
-    let Some(k) = select_k else {
-        return params_from_max(stats.max_abs);
-    };
-    if stats.defined == 0 {
-        return params_from_max(f64::NEG_INFINITY);
-    }
-    let k = k.min(stats.defined);
-    if k == stats.defined {
-        return params_from_max(stats.max_abs);
-    }
-    if stats.non_finite == 0 && stats.min_abs == stats.max_abs {
-        return params_from_max(stats.max_abs);
-    }
-    let mut cand = pool;
-    debug_assert!(cand.len() >= k, "selection pool must retain k candidates");
-    cand.select_nth_unstable_by(k - 1, f64::total_cmp);
-    params_from_max(dmax_of_prefix(cand[..k].iter().copied()))
+/// The §5.2 selection over the merged pool — the streaming replica of
+/// [`crate::normalize::fit_frame`]'s selection arm, bit-identical
+/// because the pool contains the value-multiset of the global `k`
+/// smallest absolute distances.
+fn fit_pool(mut pool: Vec<f64>, k: usize) -> NormParams {
+    debug_assert!(pool.len() >= k, "selection pool must retain k candidates");
+    pool.select_nth_unstable_by(k - 1, f64::total_cmp);
+    params_from_max(dmax_of_prefix(pool[..k].iter().copied()))
 }
 
 /// One root's share of a stats walk (per chunk, then merged per level).
@@ -653,16 +642,6 @@ struct StatsAcc {
     pool: Vec<f64>,
     /// Defined `|d|` equal to the cut.
     ties: usize,
-}
-
-/// Per-chunk accumulator of the fused combine pass.
-struct CombineAcc {
-    /// The finalize inputs and the exact count.
-    root: RootAcc,
-    /// Per top window: rows whose raw distance is exactly 0 (the §4.3
-    /// panel's per-slider `# results`, fused so lazy windows never need
-    /// a full frame).
-    zeros: Vec<usize>,
 }
 
 /// Run the compiled plan end to end. Only called by the pipeline planner
@@ -678,7 +657,6 @@ pub(crate) fn run_streaming(
         !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)),
         "the planner declines the two-sided policy"
     );
-    let mut timings = trace.as_deref_mut().map(|t| &mut t.phases);
     let mut rows_scanned = 0u64;
     let mut rows_pruned = 0u64;
     let n = ctx.table.len();
@@ -706,6 +684,11 @@ pub(crate) fn run_streaming(
         };
         num_nodes
     ];
+    // per node, the exact answers its stats walk counted: a top window's
+    // is the §4.3 panel's per-slider `# results`, so lazy windows never
+    // need a full frame
+    let mut zeros = vec![0usize; num_nodes];
+    let (mut fits_from_counts, mut fits_selected) = (0usize, 0usize);
 
     // ---- pass 1: fused stats + fit-selection walks, one per level ----
     for round in 0..=plan.depth {
@@ -716,7 +699,7 @@ pub(crate) fn run_streaming(
             continue;
         }
         checkpoint(ctx.cancel, Phase::Distance)?;
-        let start = timings.as_ref().map(|_| Instant::now());
+        let start = trace.as_ref().map(|_| Instant::now());
         let params_ref = &params;
         let arena = &scratch_arena;
         // One stats walk over every root of this level. A root whose fit
@@ -783,45 +766,49 @@ pub(crate) fn run_streaming(
             cuts.fill(None);
             merged = walk(&cuts);
         }
-        if let (Some(t), Some(start)) = (timings.as_mut(), start) {
-            t.distance += start.elapsed();
+        if let (Some(t), Some(start)) = (trace.as_mut(), start) {
+            t.phases.distance += start.elapsed();
         }
         checkpoint(ctx.cancel, Phase::Fit)?;
-        let start = timings.as_ref().map(|_| Instant::now());
+        let start = trace.as_ref().map(|_| Instant::now());
         for ((&id, cut), acc) in roots.iter().zip(cuts).zip(merged) {
             let StatsAcc {
                 stats, mut pool, ..
             } = acc;
             rows_scanned += stats.defined as u64;
-            if let (Some(k), Some(cut)) = (select_k[id], cut) {
+            zeros[id] = stats.zeros;
+            if cut.is_some() {
                 rows_pruned += (stats.defined - pool.len()) as u64;
-                if k < stats.defined && pool.len() < k {
-                    // whatever the pool lacks of its k ties with the cut
-                    pool.resize(k, cut);
-                }
             }
-            params[id] = fit_streaming(&stats, pool, select_k[id]);
+            params[id] = match fit_from_counts(n, &stats, plan.nodes[id].weight, budget) {
+                Ok(fitted) => {
+                    fits_from_counts += 1;
+                    fitted
+                }
+                Err(k) => {
+                    fits_selected += 1;
+                    if let Some(cut) = cut.filter(|_| pool.len() < k) {
+                        // whatever the pool lacks of its k ties with the cut
+                        pool.resize(k, cut);
+                    }
+                    fit_pool(pool, k)
+                }
+            };
         }
-        if let (Some(t), Some(start)) = (timings.as_mut(), start) {
-            t.fit += start.elapsed();
+        if let (Some(t), Some(start)) = (trace.as_mut(), start) {
+            t.phases.fit += start.elapsed();
         }
     }
 
     // ---- pass 2: fused distance → normalize → combine walk -----------
     checkpoint(ctx.cancel, Phase::NormalizeCombine)?;
-    let start = timings.as_ref().map(|_| Instant::now());
+    let start = trace.as_ref().map(|_| Instant::now());
     let weights: Vec<f64> = plan.tops.iter().map(|&t| plan.nodes[t].weight).collect();
     let mut combined = DistanceFrame::undefined(n);
     let ranges = chunk::ranges(n, partitions);
-    let mut accs: Vec<CombineAcc> = ranges
-        .iter()
-        .map(|_| CombineAcc {
-            root: RootAcc::default(),
-            zeros: vec![0; plan.tops.len()],
-        })
-        .collect();
+    let mut accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
     {
-        type CombineTask<'t> = (usize, (&'t mut [f64], &'t mut [bool]), &'t mut CombineAcc);
+        type CombineTask<'t> = (usize, (&'t mut [f64], &'t mut [bool]), &'t mut RootAcc);
         let tasks: Vec<CombineTask<'_>> = ranges
             .iter()
             .map(|&(offset, _)| offset)
@@ -833,12 +820,12 @@ pub(crate) fn run_streaming(
         let weights = &weights;
         let arena = &scratch_arena;
         // the fused pass-2 loop, as branchless SoA kernels per chunk:
-        // evaluate each top window into arena scratch, fold its exact
-        // count, normalize in place ([`apply_in_place`]), root-combine
-        // with the slice kernels straight into the output frame, then
-        // fold the finalize inputs over what was just written — every
-        // float op identical to the materialized walk (see the kernels'
-        // docs)
+        // evaluate each top window into arena scratch, normalize in
+        // place ([`apply_in_place`]), then root-combine straight into
+        // the output frame and fold the finalize inputs over it in one
+        // pass of the block kernel (a root `OR`: slice kernel, then the
+        // fold) — every float op identical to the materialized walk
+        // (see the kernels' docs)
         chunk::run_striped(
             tasks,
             parallel && n >= chunk::PAR_MIN_ROWS,
@@ -856,42 +843,25 @@ pub(crate) fn run_streaming(
                 let top_bufs = scratch.frames(plan.tops.len(), len);
                 for (&t, (v, m)) in plan.tops.iter().zip(top_bufs.iter_mut()) {
                     eval_chunk(plan, params_ref, t, offset, v, m, arena);
-                }
-                // per-window exact counts fold over the *raw* distances
-                for (zeros, (v, m)) in acc.zeros.iter_mut().zip(top_bufs.iter()) {
-                    *zeros = v
-                        .iter()
-                        .zip(m.iter())
-                        .map(|(&x, &ok)| (ok && x == 0.0) as usize)
-                        .sum();
-                }
-                // §5.2 re-normalization, then the root combine
-                for (&t, (v, m)) in plan.tops.iter().zip(top_bufs.iter_mut()) {
+                    // §5.2 re-normalization before the root combine
                     apply_in_place(params_ref[t], v, m);
                 }
-                let views: Vec<(&[f64], &[bool])> = top_bufs
-                    .iter()
-                    .map(|(v, m)| (v.as_slice(), m.as_slice()))
-                    .collect();
-                match plan.root {
-                    Root::Single => {
-                        cv.copy_from_slice(views[0].0);
-                        cm.copy_from_slice(views[0].1);
-                    }
-                    Root::And => combine_and_slices(&views, weights, cv, cm),
-                    Root::Or => combine_or_slices(&views, weights, cv, cm),
+                let views = top_bufs.iter().map(|(v, m)| (v.as_slice(), m.as_slice()));
+                if plan.root == Root::Or {
+                    combine_or_slices(&views.collect::<Vec<_>>(), weights, cv, cm);
+                    acc.fold(cv, cm);
+                } else {
+                    let mut ready: Vec<Child<'_>> =
+                        views.map(|(v, m)| Child::Ready(v, m)).collect();
+                    let weights = (plan.root == Root::And).then_some(weights.as_slice());
+                    combine_and_blocks(&mut ready, weights, cv, cm, Some(acc));
                 }
-                acc.root.fold(cv, cm);
             },
         );
     }
-    let mut zeros = vec![0usize; plan.tops.len()];
     let mut root = RootAcc::default();
-    for acc in accs {
-        root.merge(&acc.root);
-        for (total, z) in zeros.iter_mut().zip(acc.zeros) {
-            *total += z;
-        }
+    for acc in &accs {
+        root.merge(acc);
     }
 
     // final combined normalization in place — the finalize walk shared
@@ -902,21 +872,22 @@ pub(crate) fn run_streaming(
         &ranges,
         parallel && n >= chunk::PAR_MIN_ROWS,
     );
-    if let (Some(t), Some(start)) = (timings.as_mut(), start) {
-        t.normalize_combine += start.elapsed();
+    if let (Some(t), Some(start)) = (trace.as_mut(), start) {
+        t.phases.normalize_combine += start.elapsed();
     }
 
     // ---- rank and select: the exact machinery of the materialized
     // path (pruned top-k selection over the same range list) -----------
     checkpoint(ctx.cancel, Phase::Rank)?;
-    let start = timings.as_ref().map(|_| Instant::now());
+    let start = trace.as_ref().map(|_| Instant::now());
     let (order, displayed) = rank_and_select(
         &combined,
+        &root,
         &[],
         policy,
         plan.tops.len(),
         &ranges,
-        parallel && n >= chunk::PAR_MIN_ROWS,
+        trace.as_deref_mut(),
     )?;
 
     // ---- late window assembly: evaluate each top window only at the
@@ -928,8 +899,7 @@ pub(crate) fn run_streaming(
     let windows: Vec<PredicateWindow> = plan
         .tops
         .iter()
-        .zip(&zeros)
-        .map(|(&t, &zero_count)| {
+        .map(|&t| {
             let rows: Vec<(usize, Option<f64>)> = covered
                 .iter()
                 .map(|&i| (i, eval_row(plan, &params, t, i)))
@@ -940,12 +910,12 @@ pub(crate) fn run_streaming(
                 signed: node.signed,
                 weight: node.weight,
                 norm_params: params[t],
-                data: WindowData::Displayed(Arc::new(DisplayedWindow::new(n, rows, zero_count))),
+                data: WindowData::Displayed(Arc::new(DisplayedWindow::new(n, rows, zeros[t]))),
             }
         })
         .collect();
-    if let (Some(t), Some(start)) = (timings.as_mut(), start) {
-        t.rank += start.elapsed();
+    if let (Some(t), Some(start)) = (trace.as_mut(), start) {
+        t.phases.rank += start.elapsed();
     }
 
     if let Some(t) = &mut trace {
@@ -954,6 +924,8 @@ pub(crate) fn run_streaming(
         t.rows_scanned = rows_scanned;
         t.rows_pruned = rows_pruned;
         t.windows_evaluated = plan.tops.len();
+        t.fits_from_counts = fits_from_counts;
+        t.fits_selected = fits_selected;
     }
     Ok(PipelineOutput {
         n,

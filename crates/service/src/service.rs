@@ -259,6 +259,12 @@ pub(crate) struct ServiceObs {
     /// `pipeline.windows_refit`: cached windows those computations
     /// refitted under another weight instead of re-evaluating.
     windows_refit: Arc<Counter>,
+    /// `pipeline.fit.{from_counts,selected}` and
+    /// `pipeline.rank.{from_counts,selected}`: how many §5.2 fits and
+    /// rankings the distance walk's counts answered, and how many took a
+    /// selection walk — the share of the traffic with "very many" exact
+    /// answers (§5.1), readable off the live server.
+    fit_rank: [Arc<Counter>; 4],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -300,6 +306,13 @@ impl ServiceObs {
                 .collect(),
             phases: PHASES.map(|p| registry.histogram(&format!("pipeline.phase.{p}"))),
             windows_refit: registry.counter("pipeline.windows_refit"),
+            fit_rank: [
+                "pipeline.fit.from_counts",
+                "pipeline.fit.selected",
+                "pipeline.rank.from_counts",
+                "pipeline.rank.selected",
+            ]
+            .map(|name| registry.counter(name)),
             drag_fast: registry.counter("service.drag.fast"),
             drag_declined: registry.counter("service.drag.declined"),
         }
@@ -323,7 +336,7 @@ impl ServiceObs {
     }
 
     /// Feed one pipeline run's trace into the service-wide per-phase
-    /// histograms and the refit counter.
+    /// histograms and the refit, fit and rank counters.
     fn record_run(&self, trace: &PipelineTrace) {
         let [distance, fit, normalize_combine, rank] = &self.phases;
         distance.record_duration(trace.phases.distance);
@@ -331,6 +344,15 @@ impl ServiceObs {
         normalize_combine.record_duration(trace.phases.normalize_combine);
         rank.record_duration(trace.phases.rank);
         self.windows_refit.add(trace.windows_refit as u64);
+        let counts = [
+            trace.fits_from_counts,
+            trace.fits_selected,
+            trace.ranks_from_counts,
+            trace.ranks_selected,
+        ];
+        for (counter, count) in self.fit_rank.iter().zip(counts) {
+            counter.add(count as u64);
+        }
     }
 }
 

@@ -1122,6 +1122,223 @@ proptest! {
     }
 }
 
+/// Columns whose exact-answer counts are set by the caller, over a
+/// relation big enough for the sampled cut, the parallel walks and a
+/// realistic `k`. Row `i` has rank `(i · 1 000 003) mod n` — a bijection
+/// that scatters the ranks over the rows. `x` is the rank, so
+/// `x >= n - e` and `x BETWEEN n - e AND n` have exactly `e` exact
+/// answers; `y` is `±0.0` on the top `zeros_y` ranks and a nonzero
+/// multiple of 0.25 below, so `y = 0` has exactly `zeros_y` exact answers
+/// with `-0.0` distances among them. NULL, NaN and ±inf values sit on
+/// ranks below `n / 2`, clear of every exact region. `rows` < `n` builds
+/// the relation's prefix (what an append extends).
+fn exact_answers_table(n: usize, rows: usize, zeros_y: usize) -> Database {
+    let cols = vec![
+        Column::new("x", DataType::Float),
+        Column::new("y", DataType::Float),
+    ];
+    let mut t = TableBuilder::new("T", cols);
+    for i in 0..rows {
+        let rank = i * 1_000_003 % n;
+        let sign = if rank.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let special = if rank < n / 2 { rank % 101 } else { 0 };
+        let x = match special {
+            7 => Value::Null,
+            8 => Value::Float(f64::NAN),
+            9 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(rank as f64),
+        };
+        let y = match special {
+            17 => Value::Null,
+            18 => Value::Float(f64::NAN),
+            19 => Value::Float(sign * f64::INFINITY),
+            _ if rank >= n - zeros_y => Value::Float(sign * 0.0),
+            _ => Value::Float(sign * 0.25 * (1 + rank % 37) as f64),
+        };
+        t = t.row(vec![x, y]).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Above the thresholds the other properties never reach (40 k–120 k
+    /// rows against `PAR_MIN_ROWS` = the selection's sampling floor =
+    /// 32 768), with the exact answers on both sides of every `k`: the
+    /// vectorized paths — materialized, streaming, partitioned, a window
+    /// refitted from the cache — stay byte-identical to the scalar
+    /// oracle whether the counts answer a §5.2 fit (`zeros >= k`) or a
+    /// selection does, and whether the ranking is the first `k` exact
+    /// rows (`num_exact >= k`) or a pruned top-k. Each case walks a grid:
+    /// three runs put one window each at `k_j - 1`, `k_j` and `10 k_j`
+    /// exact answers (`k_j` = that window's fit count under its weight of
+    /// 1, 0.3 or 0.05), three more put the whole condition at `k - 1`,
+    /// `k`, `10 k` for the display count `k`. A window grown by
+    /// `extend_window` (merged `zeros`) must equal its cold evaluation.
+    #[test]
+    fn counts_and_selections_agree_above_the_parallel_threshold(
+        n in 40_000usize..120_000,
+        policy_pick in 0usize..3,
+        pct in 0.5f64..3.0,
+        pixels in 3_000usize..12_000,
+        root_pick in 0usize..3,
+        rot in 0usize..3,
+        refit_at in 0usize..6,
+    ) {
+        use visdb::relevance::{display_count, extend_window, fit_k};
+        let policy = match policy_pick {
+            0 => DisplayPolicy::Percentage(pct),
+            1 => DisplayPolicy::FitScreen { pixels, pixels_per_item: 1 },
+            _ => DisplayPolicy::GapHeuristic { rmin: 10, rmax: pixels / 8, z: 5 + pixels % 40 },
+        };
+        let weights: Vec<f64> = (0..3).map(|j| [1.0, 0.3, 0.05][(j + rot) % 3]).collect();
+        let budget = policy.budget(n);
+        let fit_ks: Vec<usize> =
+            weights.iter().map(|&w| fit_k(n, w, budget).unwrap_or(n)).collect();
+        let windows = if root_pick == 2 { 1 } else { 3 };
+        // the display count; every policy here asks for far fewer rows
+        // than have a defined combined distance
+        let rank_k = match &policy {
+            DisplayPolicy::GapHeuristic { rmax, z, .. } => rmax + z + 1,
+            _ => display_count(&policy, n, n, windows).unwrap(),
+        };
+        let level = |l: usize, k: usize| [k - 1, k, 10 * k][l % 3].clamp(1, n / 2);
+        let at_least = |e: usize| {
+            let bound = (n - e) as f64;
+            ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, bound))
+        };
+        let cond_for = |e: [usize; 3], weights: &[f64]| {
+            let p1 = at_least(e[0]);
+            let p2 = ConditionNode::Predicate(Predicate::compare(AttrRef::new("y"), CompareOp::Eq, 0.0));
+            let p3 = ConditionNode::Predicate(Predicate::range(AttrRef::new("x"), (n - e[2]) as f64, n as f64));
+            let parts = vec![
+                Weighted::new(p1.clone(), weights[0]),
+                Weighted::new(p2, weights[1]),
+                Weighted::new(p3, weights[2]),
+            ];
+            match root_pick {
+                0 => Weighted::unit(ConditionNode::And(parts)),
+                1 => Weighted::unit(ConditionNode::Or(parts)),
+                _ => Weighted::new(p1, weights[0]),
+            }
+        };
+        let resolver = DistanceResolver::new();
+        let (mut fits, mut ranks) = ([0usize; 2], [0usize; 2]);
+        for point in 0..6 {
+            // exact answers per window: its own fit's k, or the display's
+            let e: [usize; 3] = std::array::from_fn(|j| match point {
+                0..=2 => level(point + j, fit_ks[j]),
+                _ => level(point, rank_k),
+            });
+            let db = exact_answers_table(n, n, e[1]);
+            let t = db.table("T").unwrap();
+            let cond = cond_for(e, &weights);
+            let run = |cond: &Weighted, opts: PipelineOptions<'_>| {
+                run_pipeline_opts(&db, t, &resolver, Some(cond), &policy, opts)
+            };
+            let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+            let Ok(slow) = run(&cond, scalar) else {
+                // gap parameters the data rejects: every path must
+                prop_assert!(run(&cond, PipelineOptions::default()).is_err());
+                continue;
+            };
+            prop_assert_eq!(slow.windows[0].zero_raw_count(), e[0]);
+            let partitioning = t.partitions(3);
+            let mut session = PipelineCache::new();
+            let paths = [
+                ("materialized", PipelineOptions {
+                    cache: Some(&mut session),
+                    trace: true,
+                    ..Default::default()
+                }),
+                ("streaming", PipelineOptions {
+                    materialization: Materialization::Streaming,
+                    trace: true,
+                    ..Default::default()
+                }),
+                ("partitioned", PipelineOptions {
+                    partitions: Some(&partitioning),
+                    materialization: Materialization::Materialized,
+                    trace: true,
+                    ..Default::default()
+                }),
+            ];
+            for (tag, opts) in paths {
+                let fast = run(&cond, opts).unwrap();
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "{}: {} (point {}, {:?})", tag, diff.unwrap(), point, policy);
+                prop_assert!(fast.combined.bits_eq(&slow.combined), "{} (point {})", tag, point);
+                let trace = fast.trace.as_ref().unwrap();
+                prop_assert_eq!(trace.streaming, tag == "streaming");
+                prop_assert_eq!(trace.fits_from_counts + trace.fits_selected, windows, "{}", tag);
+                // the ranking came from the counts iff they cover it
+                let counted = usize::from(fast.num_exact >= fast.order.len());
+                prop_assert_eq!(
+                    (trace.ranks_from_counts, trace.ranks_selected), (counted, 1 - counted),
+                    "{} (point {}, {} exact, {} ranked)", tag, point, fast.num_exact, fast.order.len()
+                );
+                fits[0] += trace.fits_from_counts;
+                fits[1] += trace.fits_selected;
+                ranks[0] += trace.ranks_from_counts;
+                ranks[1] += trace.ranks_selected;
+            }
+            if point == refit_at {
+                // the session cache holds every window under `weights`:
+                // moving one weight refits that window alone
+                let j = refit_at % windows;
+                let mut moved = weights.clone();
+                moved[j] = [1.0, 0.3, 0.05][(j + rot + 1) % 3];
+                let cond = cond_for(e, &moved);
+                let opts = PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() };
+                let refit = run(&cond, opts).unwrap();
+                let trace = refit.trace.as_ref().unwrap();
+                prop_assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+                let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+                let diff = first_divergence(&refit, &run(&cond, scalar).unwrap(), &policy);
+                prop_assert!(diff.is_none(), "refit: {} (point {})", diff.unwrap(), point);
+            }
+        }
+        // the grid met both answers of both decisions
+        prop_assert!(fits.iter().chain(&ranks).all(|&hits| hits > 0), "fits {:?} ranks {:?}", fits, ranks);
+
+        // a window grown by appended rows carries merged `zeros` across
+        // its fit's `k` and equals the cold evaluation of the whole
+        let fit_screen = DisplayPolicy::FitScreen { pixels: budget, pixels_per_item: 1 };
+        let prefix = n - n / 40;
+        for l in 0..3 {
+            let e = level(l, fit_ks[0]);
+            let cond = Weighted::new(at_least(e), weights[0]);
+            let window = |db: &Database| {
+                let opts = PipelineOptions {
+                    materialization: Materialization::Materialized,
+                    ..Default::default()
+                };
+                let out = run_pipeline_opts(
+                    db, db.table("T").unwrap(), &resolver, Some(&cond), &fit_screen, opts,
+                ).unwrap();
+                out.windows.into_iter().next().unwrap()
+            };
+            let (old_db, new_db) = (exact_answers_table(n, prefix, 1), exact_answers_table(n, n, 1));
+            let idx: Vec<usize> = (prefix..n).collect();
+            let delta = new_db.table("T").unwrap().gather("T", &idx);
+            let recipe = WindowRecipe { table: "T".into(), budget, node: cond.node.clone() };
+            let old = window(&old_db);
+            let grown = extend_window(&new_db, &delta, &old, &recipe).unwrap();
+            let cold = window(&new_db);
+            let (graw, gnorm) = grown.full_frames().unwrap();
+            let (craw, cnorm) = cold.full_frames().unwrap();
+            prop_assert!(graw.bits_eq(craw) && gnorm.bits_eq(cnorm), "extension (level {})", l);
+            prop_assert_eq!(grown.norm_params, cold.norm_params, "extension (level {})", l);
+            prop_assert_eq!(grown.raw_with_stats().unwrap().1, cold.raw_with_stats().unwrap().1);
+            prop_assert_eq!(grown.zero_raw_count(), e);
+            prop_assert!(old.zero_raw_count() < e, "the appended rows must add exact answers");
+        }
+    }
+}
+
 /// End-to-end bit-identity of the branchless kernel walks against the
 /// scalar reference at every lane/word remainder the fixed-width
 /// restructure can mishandle: n ∈ {1..9} straddles the 4-lane blocks and

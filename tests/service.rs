@@ -568,6 +568,11 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "service.requests.summary",
         "service.drag.fast",
         "service.drag.declined",
+        "pipeline.windows_refit",
+        "pipeline.fit.from_counts",
+        "pipeline.fit.selected",
+        "pipeline.rank.from_counts",
+        "pipeline.rank.selected",
     ] {
         assert!(snap.counter(counter).is_some(), "missing counter {counter}");
     }
@@ -651,6 +656,48 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
     assert_eq!(snap4.counter("service.drag.fast"), Some(2));
     assert_eq!(snap4.counter("service.drag.declined"), Some(1));
     assert_eq!(snap4.counter("service.requests.drag_slider"), Some(3));
+}
+
+/// The share of §5.2 fits and rankings the distance walk's counts
+/// answered is readable off the live server: a query with at least `k`
+/// exact answers (§5.1's "very many") runs no selection at all, one with
+/// fewer runs one per decision.
+#[test]
+fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    service.register_dataset("ramp", ramp_db(400), ConnectionRegistry::new());
+    let user = service.create_session("ramp").unwrap();
+    let run = |text: &str| {
+        let set = Request::SetQueryText(text.into());
+        assert_eq!(service.submit(user, set).unwrap(), Response::Ok);
+        service
+            .submit(user, Request::Summary { trace: false })
+            .unwrap();
+        let snap = service.metrics_snapshot();
+        [
+            "pipeline.fit.from_counts",
+            "pipeline.fit.selected",
+            "pipeline.rank.from_counts",
+            "pipeline.rank.selected",
+        ]
+        .map(|name| snap.counter(name).unwrap())
+    };
+    // the default policy displays 100 of the 400 rows, and each unit
+    // weight fits over as many: 100 exact answers per window and 100
+    // for the conjunction cover both
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 300 AND x BETWEEN 300 AND 500"),
+        [2, 0, 1, 0]
+    );
+    // 99 exact answers in one window and the conjunction do not (the
+    // other window is served fitted from the session cache)
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 301 AND x BETWEEN 300 AND 500"),
+        [2, 1, 1, 1]
+    );
 }
 
 #[test]
