@@ -22,7 +22,10 @@
 //! from its cached raw frame vs evaluated again — median with min/p90),
 //! and an **exact-light arm** (`x >= 0.999 n`: fewer exact answers than
 //! the fit and the ranking ask for, so both run their selection walk —
-//! the acceptance workload's are answered from counts).
+//! the acceptance workload's are answered from counts), and the
+//! **3-window all-degenerate re-weight** (`reweight_3w_ms`: every fit
+//! `dmax = 0`, so the run reads packed exact bits and writes the root
+//! from its pattern table) with the bytes a cached window holds per row.
 //! A full run writes `BENCH_pipeline.json` in the working directory so
 //! future PRs can track the perf trajectory — and see where the time
 //! goes, not just one end-to-end number; a `--smoke` run writes
@@ -212,6 +215,17 @@ struct SizeResult {
     /// median with its min and p90.
     reweight: Timed,
     recompute: Timed,
+    /// Re-weight of one window of a 3-window `AND` over the ramp whose
+    /// every fit is `dmax = 0` (each predicate has more exact answers
+    /// than its fit asks for — the Weather shape): the session cache
+    /// holds all three windows, the run refits one from its counts,
+    /// reads all three from their packed exact bits and writes the final
+    /// combined frame from the root's pattern table (asserted off the
+    /// trace, and identical to the scalar reference, before timing).
+    reweight_3w: Timed,
+    /// Heap bytes per row a cached window of that query holds: the raw
+    /// frame (9) plus its packed bits (1/8 each).
+    window_bytes_per_row: f64,
     /// Branchless-vs-branchy A/B on the isolated normalize+combine
     /// phase: the phase as it ran before the lane kernels (per-row
     /// `if defined` walks filling full-size per-child normalized
@@ -1435,12 +1449,55 @@ fn bench_size(n: usize) -> SizeResult {
     assert_eq!((evaluated(&refit), evaluated(&again)), ((1, 0), (0, 1)));
     assert_identical(&refit, &again, n);
     for (a, b) in refit.windows.iter().zip(&again.windows) {
-        let ((ar, an), (br, bn)) = (a.full_frames().unwrap(), b.full_frames().unwrap());
-        assert!(ar.bits_eq(br) && an.bits_eq(bn) && a.norm_params == b.norm_params);
+        let (ar, br) = (a.full_frames().unwrap(), b.full_frames().unwrap());
+        assert!(ar.bits_eq(br) && a.norm_params == b.norm_params);
     }
     let reweight = time_median(min_reps, || run_cached(&reweighted, &other_weight));
     let recompute = time_median(min_reps, || run_cached(&reweighted, &first_window_only));
     rep_counts.extend([reweight.reps, recompute.reps]);
+
+    // ---- 3-window all-degenerate re-weight: 10 %, 50 % and 80 % exact
+    // answers against fits that ask for 1 % (3.3 % under weight 0.3)
+    let three = |weight: f64| {
+        let mut q = QueryBuilder::from_tables(["T"])
+            .cmp("x", CompareOp::Ge, n as f64 * 0.9)
+            .cmp("x", CompareOp::Ge, n as f64 * 0.5)
+            .between("x", n as f64 * 0.2, n as f64)
+            .build();
+        match &mut q.condition.as_mut().expect("three windows").node {
+            ConditionNode::And(windows) => windows[1].weight = weight,
+            other => panic!("the builder ANDs its windows, got {other:?}"),
+        }
+        q
+    };
+    let warm3 = warm(&three(1.0));
+    let reweighted3 = three(0.3);
+    let refit3 = run_cached(&reweighted3, &warm3);
+    let t = refit3.trace.as_deref().expect("traced");
+    assert_eq!((t.windows_refit, t.windows_evaluated), (1, 0));
+    assert_eq!(
+        (t.children_bits, t.children_raw, t.roots_from_table),
+        (3, 0, 1)
+    );
+    let slow3 = run_pipeline_scalar(
+        &pair,
+        pair_table,
+        &resolver,
+        reweighted3.condition.as_ref(),
+        &policy,
+    )
+    .expect("scalar 3-window");
+    assert_identical(&refit3, &slow3, n);
+    let window_bytes: usize = (refit3.windows.iter())
+        .map(|w| {
+            let (exact, defined) = w.exact_bits().expect("materialized");
+            let words = exact.len().div_ceil(64) * (1 + usize::from(defined.is_some()));
+            w.full_frames().expect("materialized").heap_bytes() + 8 * words
+        })
+        .sum();
+    let window_bytes_per_row = window_bytes as f64 / (3 * n) as f64;
+    let reweight_3w = time_median(min_reps, || run_cached(&reweighted3, &warm3));
+    rep_counts.push(reweight_3w.reps);
 
     // ---- threads axis: the partitioned (1-predicate, materialized)
     // and streaming (2-predicate) paths re-timed under each explicit
@@ -1535,6 +1592,8 @@ fn bench_size(n: usize) -> SizeResult {
         cancel_overhead: cancel_baseline_s / cancel_polling_s,
         reweight,
         recompute,
+        reweight_3w,
+        window_bytes_per_row,
         branchy_nc_rows_per_sec: n as f64 / branchy_s,
         branchless_nc_rows_per_sec: n as f64 / branchless_s,
         branchless_vs_branchy: branchy_s / branchless_s,
@@ -1667,6 +1726,14 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             r.recompute.min_s * 1e3,
             r.recompute.p90_s * 1e3,
             r.recompute.per_call_s / r.reweight.per_call_s,
+        );
+        println!(
+            "            3-window all-degenerate re-weight: {:.3} ms (min {:.3}, p90 {:.3}) | \
+             {:.3} B/row per cached window",
+            r.reweight_3w.per_call_s * 1e3,
+            r.reweight_3w.min_s * 1e3,
+            r.reweight_3w.p90_s * 1e3,
+            r.window_bytes_per_row,
         );
         println!(
             "            branchless-vs-branchy norm+combine: {:>12.0} vs {:>12.0} rows/s \
@@ -1831,6 +1898,12 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             ms(&r.reweight),
             ms(&r.recompute),
             r.recompute.per_call_s / r.reweight.per_call_s,
+        );
+        let _ = writeln!(
+            json,
+            "     \"reweight_3w_ms\": {}, \"window_bytes_per_row\": {:.3},",
+            ms(&r.reweight_3w),
+            r.window_bytes_per_row,
         );
         let _ = writeln!(
             json,

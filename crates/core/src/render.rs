@@ -86,15 +86,15 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
         let width = res.grid.width() * ppi.side();
         frames.push(render_spectrum(combined.iter(), map, width, 8));
         for win in &res.pipeline.windows {
+            // normalized distances are derived on read; a
+            // late-materialized window covers exactly the ranked rows
+            let derived = |i: usize| win.normalized_at(i);
             frames.push(match win.full_frames() {
-                Some((_, normalized)) => render_spectrum(normalized.iter(), map, width, 8),
-                // a late-materialized window covers exactly the ranked rows
-                None => render_spectrum(
-                    (res.pipeline.order.iter()).map(|&i| win.normalized_at(i as usize)),
-                    map,
-                    width,
-                    8,
-                ),
+                Some(raw) => render_spectrum((0..raw.len()).map(derived), map, width, 8),
+                None => {
+                    let ranked = res.pipeline.order.iter().map(|&i| i as usize);
+                    render_spectrum(ranked.map(derived), map, width, 8)
+                }
             });
         }
     }

@@ -56,8 +56,6 @@ pub struct SliderDrag {
     pub num_exact: usize,
     /// The dragged window's fitted normalization.
     pub norm_params: Option<NormParams>,
-    /// Spiral arrangement of the displayed items.
-    pub grid: ItemGrid,
     /// True when the sorted-projection fast path served the drag
     /// (O(log n + k) work); false means a full pipeline recompute ran.
     pub incremental: bool,
@@ -684,7 +682,6 @@ impl Session {
             displayed: res.pipeline.displayed.clone(),
             num_exact: res.pipeline.num_exact,
             norm_params: res.pipeline.windows.get(idx).map(|w| w.norm_params),
-            grid: res.grid.clone(),
             incremental: false,
             index_stats: None,
         })
@@ -801,23 +798,19 @@ impl Session {
             return Ok(None);
         };
         let budget = self.policy.budget(n);
-        let empty_drag = |grid_w: usize, grid_h: usize| SliderDrag {
-            displayed: Vec::new(),
-            num_exact: 0,
-            norm_params: Some(NormParams {
-                dmin: 0.0,
-                dmax: 0.0,
-            }),
-            grid: arrange_overall(&[], grid_w, grid_h),
-            incremental: true,
-            index_stats: None,
-        };
         if m == 0 {
             // nothing defined: the pipeline displays nothing and fits a
             // degenerate normalization
-            let mut d = empty_drag(self.window_w, self.window_h);
-            d.index_stats = Some(si.cache.stats());
-            return Ok(Some(d));
+            return Ok(Some(SliderDrag {
+                displayed: Vec::new(),
+                num_exact: 0,
+                norm_params: Some(NormParams {
+                    dmin: 0.0,
+                    dmax: 0.0,
+                }),
+                incremental: true,
+                index_stats: Some(si.cache.stats()),
+            }));
         }
 
         // --- O(log n) position arithmetic on the sorted projection ----
@@ -964,12 +957,10 @@ impl Session {
             }
             out
         };
-        let grid = arrange_overall(&displayed, self.window_w, self.window_h);
         Ok(Some(SliderDrag {
             displayed,
             num_exact: e,
             norm_params: Some(params1),
-            grid,
             incremental: true,
             index_stats: Some(si.cache.stats()),
         }))
@@ -1605,7 +1596,12 @@ mod tests {
                 res.pipeline.windows.first().map(|w| w.norm_params),
                 "{target:?}"
             );
-            assert_eq!(drag.grid, res.grid, "{target:?}");
+            let (w, h) = (res.grid.width(), res.grid.height());
+            assert_eq!(
+                arrange_overall(&drag.displayed, w, h),
+                res.grid,
+                "{target:?}"
+            );
             // and the dragged session's own lazy full recompute agrees
             let lazy = fast.result().unwrap();
             assert_eq!(drag.displayed, lazy.pipeline.displayed);

@@ -72,6 +72,120 @@ impl Bitmap {
     }
 }
 
+/// A packed bit vector: one bit per row, 64 rows per `u64` word (row `i`
+/// is bit `i % 64` of word `i / 64`; bits past the length are zero). The
+/// form a window's exact-answer and definedness bits are kept in — 1/72
+/// of the packed frame they are folded from
+/// ([`DistanceFrame::exact_bits`]) — so a two-valued normalization
+/// (`dmax = 0`, §5.1's "none or very many") is read one word per 64 rows
+/// instead of 9 bytes per row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PackedBits {
+    /// Pack one bit per item.
+    pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Self {
+        let mut out = PackedBits::default();
+        bits.into_iter().for_each(|bit| out.push(bit));
+        out
+    }
+
+    fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        *self.words.last_mut().expect("pushed above") |= (bit as u64) << (self.len % 64);
+        self.len += 1;
+    }
+
+    /// Append the rows of `tail`: whole words when `self` ends on a word
+    /// boundary (chunk-wise folds concatenate this way), bit by bit
+    /// otherwise (the append path grows a window's bits by Δ rows).
+    pub fn append(&mut self, tail: &PackedBits) {
+        if self.len.is_multiple_of(64) {
+            self.words.extend_from_slice(&tail.words);
+            self.len += tail.len;
+        } else {
+            (0..tail.len).for_each(|i| self.push(tail.get(i)));
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the vector covers no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bit of row `i`; out-of-range reads report unset.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        self.byte_at(i) & 1 == 1
+    }
+
+    /// The bits of rows `i..i + 8` as one byte (row `i` in bit 0), read
+    /// across a word boundary when `i` is not a multiple of 8; rows past
+    /// the length read unset.
+    #[inline]
+    pub fn byte_at(&self, i: usize) -> u8 {
+        let (word, shift) = (i / 64, i % 64);
+        let lo = self.words.get(word).map_or(0, |w| w >> shift);
+        let hi = match shift > 56 {
+            true => self.words.get(word + 1).map_or(0, |w| w << (64 - shift)),
+            false => 0,
+        };
+        (lo | hi) as u8
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Rows per pattern over `children` — each an `(exact, defined)` pair
+    /// of equal length, `defined = None` meaning every row — within the
+    /// word-aligned row range `rows`, counted from the words alone: entry
+    /// `p` of the `2^children` counts holds the rows defined in every
+    /// child whose exact bits spell `p` (child `c` in bit `c`). Their sum
+    /// is the rows defined in every child.
+    pub fn pattern_counts(
+        children: &[(&PackedBits, Option<&PackedBits>)],
+        rows: std::ops::Range<usize>,
+    ) -> Vec<usize> {
+        debug_assert!(rows.start.is_multiple_of(64));
+        let mut counts = vec![0usize; 1 << children.len()];
+        let mut masks = vec![0u64; counts.len()];
+        for w in rows.start / 64..rows.end.div_ceil(64) {
+            // rows of this word (the last one may be partial) ...
+            let live = match rows.end - w * 64 {
+                64.. => u64::MAX,
+                partial => (1u64 << partial) - 1,
+            };
+            // ... defined in every child, split child by child into the
+            // rows that are exact there and the rows that are not
+            let known = children.iter().filter_map(|(_, known)| *known);
+            masks[0] = known.fold(live, |m, known| m & known.words[w]);
+            for (c, (exact, _)) in children.iter().enumerate() {
+                let (rest, exact_here) = masks.split_at_mut(1 << c);
+                for (rest, exact_here) in rest.iter_mut().zip(exact_here) {
+                    *exact_here = *rest & exact.words[w];
+                    *rest &= !exact.words[w];
+                }
+            }
+            for (count, mask) in counts.iter_mut().zip(&masks) {
+                *count += mask.count_ones() as usize;
+            }
+        }
+        counts
+    }
+}
+
 /// Reduction inputs of one distance frame, accumulated during the chunk
 /// walk that fills it — one fused pass instead of a distance pass plus a
 /// stats re-collect.
@@ -355,6 +469,58 @@ impl DistanceFrame {
         }
     }
 
+    /// The exact-answer bits (`defined && d == ±0.0` — the rows a
+    /// degenerate `dmax = 0` fit normalizes to `0.0`; their popcount is
+    /// [`FrameStats::zeros`]) and the definedness bits of the rows
+    /// `rows`, in one walk over the packed buffers.
+    pub fn exact_bits_in(&self, rows: std::ops::Range<usize>) -> (PackedBits, PackedBits) {
+        use crate::lanes::{mask_word, pack_word, WORD_ROWS};
+        let len = rows.len();
+        let (vals, mask) = (&self.values[rows.clone()], &self.validity.bits[rows]);
+        // eight rows per step: the `== 0.0` lanes as a mask word, ANDed
+        // with the validity word, each packed to a byte of the bit word
+        let block = |v8: &[f64], m8: &[bool]| {
+            let zero: [bool; WORD_ROWS] = std::array::from_fn(|l| v8[l] == 0.0);
+            let ok = mask_word(m8);
+            (
+                pack_word(mask_word(&zero) & ok) as u64,
+                pack_word(ok) as u64,
+            )
+        };
+        let mut exact = Vec::with_capacity(len.div_ceil(64));
+        let mut defined = Vec::with_capacity(len.div_ceil(64));
+        for (v64, m64) in vals.chunks(64).zip(mask.chunks(64)) {
+            let (mut e, mut d) = (0u64, 0u64);
+            let blocks = (v64.chunks_exact(WORD_ROWS)).zip(m64.chunks_exact(WORD_ROWS));
+            for (b, (v8, m8)) in blocks.enumerate() {
+                let (e8, d8) = block(v8, m8);
+                e |= e8 << (8 * b);
+                d |= d8 << (8 * b);
+            }
+            for l in v64.len() / WORD_ROWS * WORD_ROWS..v64.len() {
+                e |= ((m64[l] & (v64[l] == 0.0)) as u64) << l;
+                d |= (m64[l] as u64) << l;
+            }
+            exact.push(e);
+            defined.push(d);
+        }
+        let defined = PackedBits {
+            words: defined,
+            len,
+        };
+        (PackedBits { words: exact, len }, defined)
+    }
+
+    /// [`DistanceFrame::exact_bits_in`] of the whole frame, with the
+    /// definedness bits dropped (`None`) when every row is defined.
+    pub fn exact_bits(&self) -> (PackedBits, Option<PackedBits>) {
+        let (exact, defined) = self.exact_bits_in(0..self.len());
+        (
+            exact,
+            (defined.count_ones() < self.len()).then_some(defined),
+        )
+    }
+
     /// Bitwise row equality: like `==` but NaN distances compare equal
     /// when their bit patterns match. This is the equality the
     /// bit-identity property tests assert on NaN-heavy columns (IEEE
@@ -457,6 +623,76 @@ mod tests {
             FrameStats::of_frame(&DistanceFrame::from_options(&rows)).zeros,
             2
         );
+    }
+
+    /// The packed bits of a frame against the per-row definition, at
+    /// every word and block remainder; byte reads at every offset across
+    /// word boundaries; chunk-wise folds appended back together; and the
+    /// pattern counts against a per-row count.
+    #[test]
+    fn packed_bits_match_the_per_row_definition() {
+        let row = |i: usize| match i % 7 {
+            0 | 1 => Some(0.0),
+            2 => Some(-0.0),
+            3 => None,
+            4 => Some(f64::NAN),
+            _ => Some(i as f64),
+        };
+        for len in (0..=130).chain([191, 192, 193, 1000]) {
+            let rows: Vec<Option<f64>> = (0..len).map(row).collect();
+            let f = DistanceFrame::from_options(&rows);
+            let (exact, defined) = f.exact_bits();
+            let defined = defined.unwrap_or_else(|| PackedBits::from_bools(vec![true; len]));
+            assert_eq!((exact.len(), defined.len()), (len, len));
+            assert_eq!(exact.is_empty(), len == 0);
+            assert_eq!(
+                exact.count_ones(),
+                FrameStats::of_frame(&f).zeros,
+                "len={len}"
+            );
+            for (i, r) in rows.iter().enumerate() {
+                assert_eq!(exact.get(i), *r == Some(0.0), "len={len} row {i}");
+                assert_eq!(defined.get(i), r.is_some(), "len={len} row {i}");
+                let byte = (0..8).fold(0u8, |b, l| b | (exact.get(i + l) as u8) << l);
+                assert_eq!(exact.byte_at(i), byte, "len={len} row {i}");
+            }
+            assert!(!exact.get(len) && exact.byte_at(len + 64) == 0);
+            // folds of word-aligned chunks concatenate; any split appends
+            for split in [0, 64.min(len), 128.min(len), len / 3, len] {
+                let (mut head, mut head_defined) = f.exact_bits_in(0..split);
+                let (tail, tail_defined) = f.exact_bits_in(split..len);
+                head.append(&tail);
+                head_defined.append(&tail_defined);
+                assert_eq!(
+                    (&head, &head_defined),
+                    (&exact, &defined),
+                    "len={len} split={split}"
+                );
+            }
+            // pattern counts of (this frame, itself shifted by three rows)
+            let shifted = DistanceFrame::from_options(&(3..len + 3).map(row).collect::<Vec<_>>());
+            let (exact2, defined2) = shifted.exact_bits();
+            let children = [(&exact, Some(&defined)), (&exact2, defined2.as_ref())];
+            let mut want = vec![0usize; 4];
+            for i in 0..len {
+                if let (Some(a), Some(b)) = (row(i), row(i + 3)) {
+                    want[(a == 0.0) as usize | ((b == 0.0) as usize) << 1] += 1;
+                }
+            }
+            assert_eq!(
+                PackedBits::pattern_counts(&children, 0..len),
+                want,
+                "len={len}"
+            );
+            let split = len / 128 * 64;
+            let mut parts = PackedBits::pattern_counts(&children, 0..split);
+            let rest = PackedBits::pattern_counts(&children, split..len);
+            parts.iter_mut().zip(rest).for_each(|(p, r)| *p += r);
+            assert_eq!(parts, want, "len={len} split={split}");
+        }
+        // every row defined: no definedness bits to keep
+        assert_eq!(DistanceFrame::constant(70, 0.0).0.exact_bits().1, None);
+        assert_eq!(PackedBits::pattern_counts(&[], 0..0), vec![0]);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   `u64`, so a kernel can classify a whole 8-row block as all-defined
 //!   ([`ALL_VALID_WORD`]), all-undefined (`0`) or mixed with a single
 //!   integer compare, and only the mixed blocks pay per-lane selects.
+//! * [`pack_word`] / [`unpack_word`] — a lane-mask word as one bit per
+//!   lane and back, the bridge between byte masks and packed bit vectors.
 //! * [`LANES`] / [`WORD_ROWS`] — the fixed widths the kernels unroll to:
 //!   4 accumulator lanes (`f64x4`-shaped, one 256-bit vector register)
 //!   and 8-row mask words, with scalar tails for the remainder.
@@ -59,6 +61,24 @@ pub fn mask_word(mask: &[bool]) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
+/// A lane-mask word packed to one bit per lane (lane `i` in bit `i`):
+/// the multiply moves byte `i`'s low bit to bit `56 + i`, and no two of
+/// the 64 partial products share a position, so nothing carries.
+#[inline(always)]
+pub fn pack_word(word: u64) -> u8 {
+    debug_assert_eq!(word & !ALL_VALID_WORD, 0);
+    (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// The lane-mask word of eight packed bits: the inverse of [`pack_word`].
+#[inline(always)]
+pub fn unpack_word(bits: u8) -> u64 {
+    // byte `i` keeps bit `i` of its copy of `bits`; adding 0x7f carries a
+    // nonzero byte into its own top bit (never beyond it)
+    let own = (bits as u64).wrapping_mul(ALL_VALID_WORD) & 0x8040_2010_0804_0201;
+    ((own + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & ALL_VALID_WORD
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,6 +91,15 @@ mod tests {
         assert_eq!(select(true, f64::NEG_INFINITY, 1.0), f64::NEG_INFINITY);
         // -0.0 survives as -0.0 (a move, not an add)
         assert_eq!(select(true, -0.0, 1.0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn packed_words_round_trip() {
+        for bits in 0..=u8::MAX {
+            let lanes: [bool; WORD_ROWS] = std::array::from_fn(|i| bits >> i & 1 == 1);
+            assert_eq!(unpack_word(bits), mask_word(&lanes));
+            assert_eq!(pack_word(mask_word(&lanes)), bits);
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod registry;
 pub mod string;
 pub mod time;
 
-pub use frame::{Bitmap, DistanceFrame, FrameStats};
+pub use frame::{Bitmap, DistanceFrame, FrameStats, PackedBits};
 pub use matrix::DistanceMatrix;
 pub use registry::{ColumnDistance, DistanceResolver};
 pub use string::StringDistance;

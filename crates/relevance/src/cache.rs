@@ -402,7 +402,6 @@ mod tests {
             true,
             1.0,
             (Arc::new(raw), stats),
-            Arc::new(DistanceFrame::constant(n, 0.0).0),
             NormParams {
                 dmin: 0.0,
                 dmax: 0.0,

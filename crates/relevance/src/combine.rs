@@ -21,8 +21,8 @@
 //! caller normalizes "before a calculated combined distance is used as a
 //! parameter for combining other distances".
 
-use visdb_distance::frame::{DistanceFrame, FrameStats};
-use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
+use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits};
+use visdb_distance::lanes::{mask_word, select, unpack_word, ALL_VALID_WORD, WORD_ROWS};
 use visdb_types::{Error, Result};
 
 use crate::normalize::{apply_one, NormParams, NORM_MAX};
@@ -66,41 +66,61 @@ fn combine_frames(
 }
 
 /// One child of a root combine: the input of [`combine_and_blocks`].
+#[derive(Clone, Copy)]
 pub(crate) enum Child<'a> {
-    /// Normalized distances, as `(values, validity)`.
-    Ready(&'a [f64], &'a [bool]),
-    /// Raw distances, normalized on the way under `params` — the §5.2
-    /// apply of [`crate::normalize::apply_slice`] — with the normalized
-    /// rows also stored into `out` (the window's normalized frame).
-    Fresh {
-        /// The raw `(values, validity)`.
-        raw: (&'a [f64], &'a [bool]),
-        /// The window's fitted normalization.
-        params: NormParams,
-        /// Where the normalized `(values, validity)` go.
-        out: (&'a mut [f64], &'a mut [bool]),
-    },
+    /// Distances as `(values, validity)`, normalized in registers under
+    /// the window's fit — the §5.2 apply of
+    /// [`crate::normalize::apply_slice`], nothing stored; `None`: the
+    /// values are normalized already.
+    Frame(&'a [f64], &'a [bool], Option<NormParams>),
+    /// Two-valued windows — fits with `dmax = 0`, whose normalization is
+    /// `select(exact, 0.0, 255.0)` — read from their packed
+    /// `(exact, defined)` bits: a row takes `table[p]`, `p` spelling its
+    /// exact bits (window `c` in bit `c`), and is defined where every
+    /// window is. One window under [`TWO_VALUED`] is that window's
+    /// normalization; all the windows of a root under [`pattern_sums`]
+    /// are the root itself.
+    Bits(&'a [(&'a PackedBits, Option<&'a PackedBits>)], &'a [f64]),
+}
+
+/// The normalization of one two-valued window as a [`Child::Bits`] table.
+pub(crate) const TWO_VALUED: [f64; 2] = [NORM_MAX, 0.0];
+
+/// The values an `AND` of `k` two-valued children takes (the single
+/// window at the root under `weights = None`), by exactness pattern:
+/// entry `p` is the accumulate [`combine_and_blocks`] runs on a row whose
+/// child `c` is exact iff bit `c` of `p` is set — the same `w · v` from
+/// `0.0` in child order, so a table lookup is bit-identical to the walk.
+pub(crate) fn pattern_sums(k: usize, weights: Option<&[f64]>) -> Vec<f64> {
+    let sum_of = |p: usize| {
+        (0..k).fold(0.0f64, |sum, c| {
+            let d = TWO_VALUED[p >> c & 1];
+            weights.map_or(d, |weights| sum + weights[c] * d)
+        })
+    };
+    (0..1usize << k).map(sum_of).collect()
 }
 
 /// The weighted arithmetic mean (`AND`) over packed `(values, validity)`
-/// buffers, one pass: per 8-row block and in registers, each child's
-/// rows are loaded (a [`Child::Fresh`] child normalized and stored
-/// first), `w · v` is accumulated in child order from `0.0`, the child
-/// validity words are ANDed, the block is stored, and — given an `acc` —
-/// folded into the root accumulator ([`RootAcc::fold`]'s block step). A
-/// fully-defined block is pure arithmetic; a mixed one pays per-lane
-/// [`select`]s; the `< 8`-row tail goes row by row.
+/// buffers, one pass over the children's rows from `offset` on: per
+/// 8-row block and in registers, each child's rows are loaded (a
+/// [`Child::Frame`] normalized on the way, a [`Child::Bits`] looked up
+/// by pattern), `w · v` is accumulated in child order from `0.0`, the
+/// child validity words are ANDed, the block is stored, and — given an
+/// `acc` — folded into the root accumulator ([`RootAcc::fold`]'s block
+/// step). The `< 8`-row tail goes row by row.
 ///
-/// The accumulator takes `w · v` unconditionally — undefined rows carry
-/// the canonical `0.0`, and whatever they contribute only ever reaches
-/// rows the intersected mask has already cleared. Accumulation runs in
-/// the same child order as [`crate::reference::and_row`] starting from
-/// `0.0`, so fully-defined rows are bit-identical to the per-row
-/// reference. `weights = None` is the single window at the root: its
-/// one child's normalized rows *are* the combined rows (no arithmetic).
+/// The accumulator takes `w · v` unconditionally — whatever an undefined
+/// row contributes only ever reaches rows the intersected mask has
+/// already cleared. Accumulation runs in the same child order as
+/// [`crate::reference::and_row`] starting from `0.0`, so fully-defined
+/// rows are bit-identical to the per-row reference. `weights = None` is
+/// the single child at the root: its rows *are* the combined rows (no
+/// arithmetic).
 pub(crate) fn combine_and_blocks(
-    children: &mut [Child<'_>],
+    children: &[Child<'_>],
     weights: Option<&[f64]>,
+    offset: usize,
     out_vals: &mut [f64],
     out_mask: &mut [bool],
     acc: Option<&mut RootAcc>,
@@ -110,35 +130,29 @@ pub(crate) fn combine_and_blocks(
     let blocks = len / WORD_ROWS * WORD_ROWS;
     let mut lanes = RootLanes::default();
     for at in (0..blocks).step_by(WORD_ROWS) {
-        let block = at..at + WORD_ROWS;
+        let rows = offset + at..offset + at + WORD_ROWS;
         let mut sum = [0.0f64; WORD_ROWS];
         let mut word = ALL_VALID_WORD;
-        for (c, child) in children.iter_mut().enumerate() {
+        for (c, child) in children.iter().enumerate() {
             let mut d = [0.0f64; WORD_ROWS];
-            word &= match child {
-                Child::Ready(v, m) => {
-                    d.copy_from_slice(&v[block.clone()]);
-                    mask_word(&m[block.clone()])
-                }
-                Child::Fresh {
-                    raw: (v, m),
-                    params,
-                    out: (ov, om),
-                } => {
-                    let (v8, m8) = (&v[block.clone()], &m[block.clone()]);
-                    let child_word = mask_word(m8);
-                    if child_word == ALL_VALID_WORD {
-                        for l in 0..WORD_ROWS {
-                            d[l] = apply_one(params, v8[l]);
-                        }
-                    } else {
-                        for l in 0..WORD_ROWS {
-                            d[l] = select(m8[l], apply_one(params, v8[l]), 0.0);
-                        }
+            word &= match *child {
+                Child::Frame(v, m, params) => {
+                    d.copy_from_slice(&v[rows.clone()]);
+                    if let Some(params) = params {
+                        d = d.map(|x| apply_one(&params, x));
                     }
-                    ov[block.clone()].copy_from_slice(&d);
-                    om[block.clone()].copy_from_slice(m8);
-                    child_word
+                    mask_word(&m[rows.clone()])
+                }
+                Child::Bits(windows, table) => {
+                    // eight rows' patterns, one per byte lane
+                    let mut pattern = 0u64;
+                    let mut defined = u8::MAX;
+                    for (w, (exact, known)) in windows.iter().enumerate() {
+                        pattern |= unpack_word(exact.byte_at(rows.start)) << w;
+                        defined &= known.map_or(u8::MAX, |known| known.byte_at(rows.start));
+                    }
+                    d = std::array::from_fn(|l| table[(pattern >> (8 * l)) as u8 as usize]);
+                    unpack_word(defined)
                 }
             };
             match weights {
@@ -156,25 +170,28 @@ pub(crate) fn combine_and_blocks(
                 sum[l] = select(ok[l], sum[l], 0.0);
             }
         }
-        out_vals[block.clone()].copy_from_slice(&sum);
-        out_mask[block].copy_from_slice(&ok);
+        out_vals[at..at + WORD_ROWS].copy_from_slice(&sum);
+        out_mask[at..at + WORD_ROWS].copy_from_slice(&ok);
         if acc.is_some() {
             lanes.block(&sum, &ok, word);
         }
     }
     for i in blocks..len {
+        let row = offset + i;
         let (mut sum, mut ok) = (0.0f64, true);
-        for (c, child) in children.iter_mut().enumerate() {
-            let (d, defined) = match child {
-                Child::Ready(v, m) => (v[i], m[i]),
-                Child::Fresh {
-                    raw: (v, m),
-                    params,
-                    out: (ov, om),
-                } => {
-                    ov[i] = select(m[i], apply_one(params, v[i]), 0.0);
-                    om[i] = m[i];
-                    (ov[i], m[i])
+        for (c, child) in children.iter().enumerate() {
+            let (d, defined) = match *child {
+                Child::Frame(v, m, params) => {
+                    let d = params.map_or(v[row], |params| apply_one(&params, v[row]));
+                    (d, m[row])
+                }
+                Child::Bits(windows, table) => {
+                    let pattern = (windows.iter().rev())
+                        .fold(0, |p, (exact, _)| p << 1 | exact.get(row) as usize);
+                    let defined = |(_, known): &(_, Option<&PackedBits>)| {
+                        known.is_none_or(|known| known.get(row))
+                    };
+                    (table[pattern], windows.iter().all(defined))
                 }
             };
             sum = weights.map_or(d, |weights| sum + weights[c] * d);
@@ -190,7 +207,7 @@ pub(crate) fn combine_and_blocks(
 }
 
 /// Slice form of the weighted arithmetic mean (`AND`) over normalized
-/// children: [`combine_and_blocks`] with every child ready.
+/// children: [`combine_and_blocks`] with nothing left to normalize.
 pub fn combine_and_slices(
     children: &[(&[f64], &[bool])],
     weights: &[f64],
@@ -198,15 +215,15 @@ pub fn combine_and_slices(
     out_mask: &mut [bool],
 ) {
     debug_assert_eq!(children.len(), weights.len());
-    let mut ready: Vec<Child<'_>> = children
+    let normalized: Vec<Child<'_>> = children
         .iter()
         .map(|&(v, m)| {
             debug_assert_eq!(v.len(), out_vals.len());
             debug_assert_eq!(m.len(), out_vals.len());
-            Child::Ready(v, m)
+            Child::Frame(v, m, None)
         })
         .collect();
-    combine_and_blocks(&mut ready, Some(weights), out_vals, out_mask, None);
+    combine_and_blocks(&normalized, Some(weights), 0, out_vals, out_mask, None);
 }
 
 /// Branchless slice form of the weighted geometric mean (`OR`).

@@ -6,23 +6,24 @@
 //! function of each row's own value: then the appended rows can be
 //! evaluated alone through the same branchless kernels, their fused
 //! stats merged into the cached stats exactly (the merge is
-//! order-independent), and the raw frame grown by a memcpy. The one
-//! global coupling is the §5.2 weight-proportional normalization fit: if
-//! the appended rows shift the fitted `(dmin, dmax)` — say a new nearest
-//! row displaces the k-th smallest distance — the normalization of *old*
-//! rows changes too, and the extension re-applies the new params to the
-//! whole extended raw frame (O(n) arithmetic, no distance kernels);
-//! otherwise the normalized frame grows by the delta alone. Either way
+//! order-independent), the raw frame grown by a memcpy and its packed
+//! exact bits — once folded — by Δ bits. The one global coupling is the
+//! §5.2 weight-proportional normalization fit: if the appended rows shift
+//! the fitted `(dmin, dmax)` — say a new nearest row displaces the k-th
+//! smallest distance — the normalization of *old* rows changes too; but
+//! normalized distances are derived from the raw frame and the fit, so a
+//! shifted fit is a new `NormParams` and nothing else. Either way
 //! append-then-query is bit-identical to rebuild-from-scratch.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use visdb_distance::frame::PackedBits;
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_query::ast::ConditionNode;
 use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
-use crate::normalize::{apply_frame, fit_frame, fit_frame_extended};
+use crate::normalize::{fit_frame, fit_frame_extended};
 use crate::pipeline::{PredicateWindow, WindowData};
 
 /// What it takes, beside the stored window itself (which carries its
@@ -69,13 +70,11 @@ pub fn extension_recipe(ctx: &EvalContext<'_>, node: &ConditionNode) -> Option<W
 /// Grow a stored window by the appended rows of `delta` (a sub-table
 /// holding **only** the rows past `win.len()`): evaluate the delta
 /// through the standard kernels, merge stats, refit, and append the
-/// delta's raw distances to the cached frame. When the fitted
-/// normalization parameters are unchanged the normalized frame grows by
-/// the delta's normalization alone; when the appended rows shifted the
-/// fit, the new params are re-applied to every row of the extended raw
-/// frame. Returns `None` only when the window is not materialized or the
-/// delta fails to evaluate — the caller then drops the entry and the
-/// next query re-evaluates in full.
+/// delta's raw distances to the cached frame — and its exact bits to
+/// the window's packed ones, when those have been folded. Returns `None`
+/// only when the window is not materialized or the delta fails to
+/// evaluate — the caller then drops the entry and the next query
+/// re-evaluates in full.
 ///
 /// Shared caches only ever hold default-resolver evaluations (sessions
 /// with custom resolvers detach from them), so the delta pass uses a
@@ -86,12 +85,7 @@ pub fn extend_window(
     win: &PredicateWindow,
     recipe: &WindowRecipe,
 ) -> Option<PredicateWindow> {
-    let WindowData::Full {
-        raw,
-        stats,
-        normalized,
-    } = &win.data
-    else {
+    let WindowData::Full { raw, stats, bits } = &win.data else {
         return None;
     };
     let resolver = DistanceResolver::new();
@@ -112,7 +106,7 @@ pub fn extend_window(
     // governs; fall back to the full selection over the extended frame
     // when the delta may have displaced it (bit-identical both ways —
     // the fast path only fires when the answer is forced)
-    let params = fit_frame_extended(
+    let norm_params = fit_frame_extended(
         raw.len(),
         stats,
         win.norm_params,
@@ -122,20 +116,28 @@ pub fn extend_window(
         recipe.budget,
     )
     .unwrap_or_else(|| fit_frame(&ext_raw, &merged, win.weight, recipe.budget));
-    let ext_norm = if params == win.norm_params {
-        normalized.concat(&apply_frame(&dev.distances, params))
-    } else {
-        // the fit shifted: old rows' normalization changes with it
-        apply_frame(&ext_raw, params)
-    };
-    Some(PredicateWindow::full(
-        win.label.clone(),
-        win.signed,
-        win.weight,
-        (Arc::new(ext_raw), merged),
-        Arc::new(ext_norm),
-        params,
-    ))
+    let ext_bits = bits.get().map(|(exact, defined)| {
+        let (delta_exact, delta_defined) = dev.distances.exact_bits_in(0..delta.len());
+        let mut exact = exact.clone();
+        exact.append(&delta_exact);
+        // definedness stays implicit until a row is undefined
+        let defined = (merged.defined < ext_raw.len()).then(|| {
+            let all = || PackedBits::from_bools(std::iter::repeat_n(true, raw.len()));
+            let mut defined = defined.clone().unwrap_or_else(all);
+            defined.append(&delta_defined);
+            defined
+        });
+        (exact, defined)
+    });
+    Some(PredicateWindow {
+        data: WindowData::Full {
+            raw: Arc::new(ext_raw),
+            stats: merged,
+            bits: Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from)),
+        },
+        norm_params,
+        ..win.clone()
+    })
 }
 
 #[cfg(test)]
@@ -222,13 +224,78 @@ mod tests {
             let ext = extend_window(&new_db, &delta, &win, &recipe).expect("a numeric leaf");
             let full = window_for(&new_db, &node, budget);
             assert_eq!(ext.norm_params != win.norm_params, fit_shifts);
-            let (eraw, enorm) = ext.full_frames().unwrap();
-            let (fraw, fnorm) = full.full_frames().unwrap();
+            let (eraw, fraw) = (ext.full_frames().unwrap(), full.full_frames().unwrap());
             assert!(eraw.bits_eq(fraw), "raw frames diverge");
-            assert!(enorm.bits_eq(fnorm), "normalized frames diverge");
+            for i in 0..=all.len() {
+                let (e, f) = (ext.normalized_at(i), full.normalized_at(i));
+                assert_eq!(
+                    e.map(f64::to_bits),
+                    f.map(f64::to_bits),
+                    "normalized row {i}"
+                );
+            }
             assert_eq!(ext.norm_params, full.norm_params);
             assert_eq!(ext.len(), all.len());
             assert_eq!(ext.raw_with_stats().unwrap().1, &FrameStats::of_frame(fraw));
+        }
+    }
+
+    /// A window whose packed bits have been folded grows them by Δ bits —
+    /// across word boundaries, with definedness staying implicit until
+    /// the first undefined row arrives — to exactly the bits a cold
+    /// evaluation of the whole relation folds; one that never folded
+    /// them still has nothing to grow.
+    #[test]
+    fn extension_grows_the_packed_bits_across_word_boundaries() {
+        let node =
+            ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, 50.0));
+        let value = |i: usize| match i % 9 {
+            0..=3 => Some(50.0 + i as f64), // exact
+            _ => Some((i % 50) as f64),
+        };
+        for old_len in [1usize, 63, 100, 130] {
+            for delta_len in [1usize, 63, 64, 200] {
+                for nulls in [false, true] {
+                    // NULLs only among the appended rows: the old
+                    // window's definedness bits are `None`
+                    let row =
+                        |i: usize| value(i).filter(|_| !(nulls && i >= old_len && i % 5 == 2));
+                    let all: Vec<Option<f64>> = (0..old_len + delta_len).map(row).collect();
+                    let (old_db, new_db) = (db_with(&all[..old_len]), db_with(&all));
+                    let budget = 16;
+                    let recipe = WindowRecipe {
+                        table: "T".into(),
+                        budget,
+                        node: node.clone(),
+                    };
+                    let idx: Vec<usize> = (old_len..all.len()).collect();
+                    let delta = new_db.table("T").unwrap().gather("T", &idx);
+                    let what = format!("{old_len} + {delta_len} rows, nulls: {nulls}");
+
+                    let unfolded = window_for(&old_db, &node, budget);
+                    let WindowData::Full { bits, .. } = &unfolded.data else {
+                        panic!("materialized");
+                    };
+                    let folded = bits.get().is_some();
+                    let ext = extend_window(&new_db, &delta, &unfolded, &recipe).unwrap();
+                    let WindowData::Full { bits, .. } = &ext.data else {
+                        panic!("materialized");
+                    };
+                    assert_eq!(bits.get().is_some(), folded, "{what}");
+
+                    let old = window_for(&old_db, &node, budget);
+                    assert!(old.exact_bits().unwrap().1.is_none(), "{what}");
+                    let ext = extend_window(&new_db, &delta, &old, &recipe).unwrap();
+                    let WindowData::Full { bits, .. } = &ext.data else {
+                        panic!("materialized");
+                    };
+                    let grown = bits.get().expect("grown, not refolded");
+                    let cold = window_for(&new_db, &node, budget);
+                    assert_eq!(Some(grown), cold.exact_bits(), "{what}");
+                    assert_eq!(grown.0.count_ones(), ext.zero_raw_count(), "{what}");
+                    assert_eq!(grown.1.is_some(), nulls && all.iter().any(Option::is_none));
+                }
+            }
         }
     }
 

@@ -28,17 +28,23 @@
 //!   sharding-shaped.
 //!
 //! A run writes 9 bytes per row of output — the packed combined
-//! [`DistanceFrame`] — plus the ranked prefix; relevance factors are
-//! derived on read ([`PipelineOutput::relevance`]).
+//! [`DistanceFrame`] — plus the ranked prefix, and nothing else per
+//! window beyond its raw distances: a window *is* its raw frame and a
+//! fit ([`NormParams`]). Normalized distances are applied in registers by
+//! the combine walk and derived on read
+//! ([`PredicateWindow::normalized_at`]), like relevance factors
+//! ([`PipelineOutput::relevance`]); a fit with `dmax = 0` (§5.1: "none or
+//! very many" exact answers) normalizes to two values, and is read from
+//! the window's packed exact bits — one bit per row — instead.
 //!
 //! [`ExecMode::Scalar`] preserves the per-tuple, full-sort reference
 //! path; both modes produce bit-identical distances, windows and display
 //! sets (property-tested in `tests/properties.rs`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use visdb_distance::frame::{DistanceFrame, FrameStats};
+use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits};
 use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
@@ -49,11 +55,11 @@ use visdb_types::{Error, Result};
 
 use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
-use crate::combine::{combine_and_blocks, combine_or_slices, Child};
-use crate::eval::{EvalContext, NodeEval, RunProjections};
+use crate::combine::{combine_and_blocks, combine_or_slices, pattern_sums, Child, TWO_VALUED};
+use crate::eval::{EvalContext, RunProjections};
 use crate::normalize::{
-    apply_in_place, apply_slice, fit_from_counts, fit_selected, params_from_max, NormParams,
-    NORM_MAX,
+    apply_in_place, apply_one, apply_slice, fit_from_counts, fit_selected, params_from_max,
+    NormParams, NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -136,6 +142,14 @@ pub struct PipelineTrace {
     /// walk. Both stay 0 when no top-k ran (pure scan, scalar full sort,
     /// two-sided band).
     pub ranks_selected: usize,
+    /// Root children the combine walk read from their packed exact bits
+    /// (fits with `dmax = 0`: two-valued normalizations).
+    pub children_bits: usize,
+    /// Root children read as raw distances and normalized in registers.
+    pub children_raw: usize,
+    /// 1 when every child was two-valued and the final combined frame
+    /// was written from the root's pattern table (no finalize walk).
+    pub roots_from_table: usize,
 }
 
 /// Add `elapsed` to a phase of an optional trace; the body may use the
@@ -210,20 +224,22 @@ impl DisplayPolicy {
 
 /// Where a [`PredicateWindow`]'s per-item distances live.
 ///
-/// The materialized representation holds two full-size packed
-/// [`DistanceFrame`]s — the cacheable form every window cache stores and
-/// the §5.1 two-sided display selection requires. The streaming
-/// execution mode instead assembles windows **lazily**: only the
-/// *ranked* rows — [`PipelineOutput::order`], a superset of the
-/// displayed set (the gap heuristic ranks `rmax + z + 1` rows but may
-/// display fewer) — are evaluated, shrinking the per-window
-/// footprint from ~9 bytes/row to O(k) for the k ranked items. §4.2
-/// windows are position-coherent with the overall window, so ranked
-/// rows are the only rows renderers and prefix-walking callers read.
+/// The materialized representation is the window's full-size packed raw
+/// [`DistanceFrame`] with its stats — the cacheable form every window
+/// cache stores and the §5.1 two-sided display selection requires; the
+/// normalized distances are a function of it and the window's fit, and
+/// are derived on read. The streaming execution mode instead assembles
+/// windows **lazily**: only the *ranked* rows —
+/// [`PipelineOutput::order`], a superset of the displayed set (the gap
+/// heuristic ranks `rmax + z + 1` rows but may display fewer) — are
+/// evaluated, shrinking the per-window footprint from ~9 bytes/row to
+/// O(k) for the k ranked items. §4.2 windows are position-coherent with
+/// the overall window, so ranked rows are the only rows renderers and
+/// prefix-walking callers read.
 #[derive(Debug, Clone)]
 pub enum WindowData {
-    /// Fully materialized frames (the default path; required for caching
-    /// and for full-relation reads).
+    /// The fully materialized raw frame (the default path; required for
+    /// caching and for full-relation reads).
     Full {
         /// Raw signed distances per item in packed SoA form (shared with
         /// the incremental caches; cloning a window is cheap).
@@ -233,8 +249,11 @@ pub enum WindowData {
         /// under another weight (or over appended rows) without a
         /// distance pass.
         stats: FrameStats,
-        /// Normalized absolute distances (`[0, 255]`), packed like `raw`.
-        normalized: Arc<DistanceFrame>,
+        /// [`DistanceFrame::exact_bits`] of `raw`, folded on first use —
+        /// what a fit with `dmax = 0` is read from — and shared by every
+        /// clone and refit of the window, so a frame is walked for them
+        /// at most once.
+        bits: Arc<OnceLock<(PackedBits, Option<PackedBits>)>>,
     },
     /// Late-materialized: the ranked (sorted-prefix) rows only,
     /// evaluated after the ranking of the streaming execution mode.
@@ -291,15 +310,13 @@ pub struct PredicateWindow {
 }
 
 impl PredicateWindow {
-    /// A window over fully materialized frames (the cacheable form):
-    /// the raw frame with its reduction stats, and its normalization
-    /// under `weight`.
+    /// A window over its fully materialized raw frame (the cacheable
+    /// form) with that frame's reduction stats, fitted under `weight`.
     pub fn full(
         label: String,
         signed: bool,
         weight: f64,
         (raw, stats): (Arc<DistanceFrame>, FrameStats),
-        normalized: Arc<DistanceFrame>,
         norm_params: NormParams,
     ) -> Self {
         PredicateWindow {
@@ -309,7 +326,7 @@ impl PredicateWindow {
             data: WindowData::Full {
                 raw,
                 stats,
-                normalized,
+                bits: Arc::default(),
             },
             norm_params,
         }
@@ -340,14 +357,11 @@ impl PredicateWindow {
     }
 
     /// Normalized (`[0, 255]`) distance of row `i`; same coverage rules
-    /// as [`PredicateWindow::raw_at`]. The lazy path applies the fitted
-    /// params on the fly — the identical float op the materialized
-    /// normalize walk performs, so covered rows are bit-identical.
+    /// as [`PredicateWindow::raw_at`]. Derived: the fitted params applied
+    /// on the fly — the identical float op the combine walk performs in
+    /// registers.
     pub fn normalized_at(&self, i: usize) -> Option<f64> {
-        match &self.data {
-            WindowData::Full { normalized, .. } => normalized.get(i),
-            WindowData::Displayed(d) => d.raw_at(i).map(|v| self.norm_params.apply(v.abs())),
-        }
+        self.raw_at(i).map(|v| self.norm_params.apply(v.abs()))
     }
 
     /// Exact answers of this window (`raw == 0`) over the full relation
@@ -362,15 +376,29 @@ impl PredicateWindow {
         }
     }
 
-    /// The materialized frames, when this window carries them (`None`
+    /// The materialized raw frame, when this window carries one (`None`
     /// for a late-materialized streaming window). Full-relation
-    /// consumers — the window caches, the two-sided display band, the
-    /// spectrum strips — require this representation.
-    pub fn full_frames(&self) -> Option<(&Arc<DistanceFrame>, &Arc<DistanceFrame>)> {
+    /// consumers — the window caches, the two-sided display band —
+    /// require this representation.
+    pub fn full_frames(&self) -> Option<&Arc<DistanceFrame>> {
+        self.raw_with_stats().map(|(raw, _)| raw)
+    }
+
+    /// The packed `(exact, defined)` bits of the materialized raw frame
+    /// ([`DistanceFrame::exact_bits`]; `None` for a late-materialized
+    /// window), folded by the first caller.
+    pub fn exact_bits(&self) -> Option<&(PackedBits, Option<PackedBits>)> {
         match &self.data {
-            WindowData::Full {
-                raw, normalized, ..
-            } => Some((raw, normalized)),
+            WindowData::Full { raw, bits, .. } => Some(bits.get_or_init(|| {
+                // chunks are whole words, so the per-chunk folds concatenate
+                let fold = |offset, len| raw.exact_bits_in(offset..offset + len);
+                let (mut exact, mut defined) = <(PackedBits, PackedBits)>::default();
+                for (e, d) in chunk::map_ranges(raw.len(), None, true, fold) {
+                    exact.append(&e);
+                    defined.append(&d);
+                }
+                (exact, (defined.count_ones() < raw.len()).then_some(defined))
+            })),
             WindowData::Displayed(_) => None,
         }
     }
@@ -713,14 +741,14 @@ pub fn run_pipeline_opts(
         }
     }
 
-    // Every top-level window has one of three outcomes against the
-    // per-session incremental cache, then the cross-session shared one,
-    // both keyed by the subtree alone: **ready** — an entry under the
-    // same weight, reused whole (Arc-shared, no pass at all); **refit**
-    // — an entry under another weight: raw distances do not depend on
-    // the weight, so its raw frame and stats go straight to the §5.2
-    // fit and the fused walk's normalize arm, with no distance pass and
-    // no join; **fresh** — evaluated now.
+    // Every top-level window is looked up in the per-session incremental
+    // cache, then the cross-session shared one, both keyed by the subtree
+    // alone. An entry under the same weight is reused whole (Arc-shared,
+    // no pass at all); one under another weight is **refit** — raw
+    // distances do not depend on the weight, so its raw frame and stats
+    // go straight to the §5.2 fit, with no distance pass and no join; a
+    // miss is evaluated now. The combine walk sees raw frames and fits
+    // either way.
     //
     // Only materialized windows can be reused: a late-materialized one
     // covers displayed rows of a *previous* display selection.
@@ -751,7 +779,7 @@ pub fn run_pipeline_opts(
             if let Some(k) = key.as_deref() {
                 *slot = usable(sh.cache.lookup(k));
                 if slot.as_ref().is_some_and(|win| same_weight(win, w)) {
-                    // ready: drop the key so the post-run store loop
+                    // same weight: drop the key so the post-run store loop
                     // doesn't re-insert on every query (a refit keeps it:
                     // the entry's latest weight wins)
                     *key = None;
@@ -762,39 +790,39 @@ pub fn run_pipeline_opts(
     let shared_hits = found.iter().flatten().count() - session_hits;
     let run_projections = projections.map(RunProjections::new);
     checkpoint(cancel, Phase::Distance)?;
-    let mut slots: Vec<Option<PredicateWindow>> = Vec::with_capacity(top.len());
-    let mut unfitted: Vec<Unfitted> = Vec::new();
+    // a window is *unfit* until this run fits it: evaluated now, or found
+    // under another weight — a refit is a new `NormParams` over the same
+    // raw frame, nothing else
+    let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
+    let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
+    let mut windows_evaluated = 0;
     phase_time!(trace, distance, {
         for (w, got) in top.iter().zip(found) {
-            match got {
-                Some(win) if same_weight(&win, w) => slots.push(Some(win)),
-                other => {
-                    slots.push(None);
-                    unfitted.push(match other {
-                        Some(win) => Unfitted::Cached(win),
-                        // parallelism lives *inside* a window evaluation
-                        // (chunked over rows); windows go one by one
-                        None => {
-                            Unfitted::Fresh(ctx.eval_node_with(&w.node, run_projections.as_ref())?)
-                        }
-                    });
+            unfit.push(!got.as_ref().is_some_and(|win| same_weight(win, w)));
+            windows.push(match got {
+                Some(win) => win,
+                // parallelism lives *inside* a window evaluation
+                // (chunked over rows); windows go one by one
+                None => {
+                    windows_evaluated += 1;
+                    let e = ctx.eval_node_with(&w.node, run_projections.as_ref())?;
+                    let raw = (Arc::new(e.distances), e.stats);
+                    PredicateWindow::full(e.label, e.signed, w.weight, raw, params_from_max(0.0))
                 }
-            }
+            });
         }
     });
-    let windows_refit = unfitted
-        .iter()
-        .filter(|u| matches!(u, Unfitted::Cached(_)))
-        .count();
-    let windows_evaluated = unfitted.len() - windows_refit;
+    let windows_refit = unfit.iter().filter(|&&u| u).count() - windows_evaluated;
 
     // a token that tripped mid-eval left fast-drained chunks behind —
     // all-undefined rows that look valid-shaped but are wrong; stop
     // before the fit can see them
     checkpoint(cancel, Phase::Fit)?;
-    let (windows, combined, root) = match mode {
-        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, slots, unfitted, &mut trace)?,
-        ExecMode::Vectorized => combine_vectorized(&ctx, cond, &top, slots, unfitted, &mut trace),
+    let (combined, root) = match mode {
+        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, &mut windows, &unfit, &mut trace)?,
+        ExecMode::Vectorized => {
+            combine_vectorized(&ctx, cond, &top, &mut windows, &unfit, &mut trace)
+        }
     };
 
     // a run interrupted during combine left a half-combined frame
@@ -874,98 +902,43 @@ pub fn run_pipeline_opts(
     })
 }
 
-/// A top-level window awaiting its §5.2 fit: raw distances evaluated this
-/// run, or the raw side of a cache entry stored under another weight
-/// (always a materialized one — lookups are filtered to those).
-enum Unfitted {
-    Fresh(NodeEval),
-    Cached(PredicateWindow),
-}
-
-impl Unfitted {
-    /// The raw frame and its fused reduction stats.
-    fn raw(&self) -> (&DistanceFrame, &FrameStats) {
-        match self {
-            Unfitted::Fresh(e) => (&e.distances, &e.stats),
-            Unfitted::Cached(win) => {
-                let (raw, stats) = win.raw_with_stats().expect("materialized cache entry");
-                (raw, stats)
-            }
-        }
-    }
-
-    /// The fitted window: the raw frame moves (fresh) or stays shared
-    /// (cached) — neither copies it.
-    fn into_window(
-        self,
-        weight: f64,
-        normalized: DistanceFrame,
-        params: NormParams,
-    ) -> PredicateWindow {
-        let (label, signed, raw) = match self {
-            Unfitted::Fresh(e) => (e.label, e.signed, (Arc::new(e.distances), e.stats)),
-            Unfitted::Cached(win) => {
-                let (raw, stats) = win.raw_with_stats().expect("materialized cache entry");
-                let raw = (Arc::clone(raw), *stats);
-                (win.label, win.signed, raw)
-            }
-        };
-        PredicateWindow::full(label, signed, weight, raw, Arc::new(normalized), params)
-    }
-}
-
 /// The scalar reference combine, on the `Option` arithmetic of
-/// [`crate::reference`] throughout: fit each unfitted window by plain
-/// selection and normalize it row by row, fold the rows at the root with
-/// `and_row`/`or_row`, normalize the combined vector as a whole, and only
-/// then pack — the correctness baseline every packed kernel is held to.
-/// Returns the windows, the final combined frame and the root counts.
+/// [`crate::reference`] throughout: fit each unfit window by plain
+/// selection, normalize every window's raw distances row by row, fold the
+/// rows at the root with `and_row`/`or_row`, normalize the combined vector
+/// as a whole, and only then pack — the correctness baseline every packed
+/// kernel is held to. Returns the final combined frame and the root
+/// counts.
 fn combine_scalar(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
-    mut slots: Vec<Option<PredicateWindow>>,
-    unfitted: Vec<Unfitted>,
+    windows: &mut [PredicateWindow],
+    unfit: &[bool],
     trace: &mut Option<Box<PipelineTrace>>,
-) -> Result<(Vec<PredicateWindow>, DistanceFrame, RootAcc)> {
-    if let Some(t) = trace {
-        t.fits_selected = unfitted.len();
-    }
-    let mut unfitted_it = unfitted.into_iter();
-    for (slot, w) in slots.iter_mut().zip(top.iter()) {
-        if slot.is_none() {
-            let u = unfitted_it
-                .next()
-                .expect("one raw frame per unfitted window");
-            let raw = u.raw().0.to_options();
-            let params = phase_time!(
+) -> Result<(DistanceFrame, RootAcc)> {
+    let mut children: Vec<Vec<Option<f64>>> = Vec::with_capacity(windows.len());
+    for ((win, w), &unfit) in windows.iter_mut().zip(top).zip(unfit) {
+        let raw = win.full_frames().expect("materialized").to_options();
+        if unfit {
+            win.weight = w.weight;
+            win.norm_params = phase_time!(
                 (*trace),
                 fit,
                 reference::fit_improved(&raw, w.weight, ctx.display_budget)
             );
-            let normalized = phase_time!(
-                (*trace),
-                normalize_combine,
-                DistanceFrame::from_options(&reference::apply_all(&raw, params))
-            );
-            *slot = Some(u.into_window(w.weight, normalized, params));
+            if let Some(t) = trace {
+                t.fits_selected += 1;
+            }
         }
+        children.push(phase_time!(
+            (*trace),
+            normalize_combine,
+            reference::apply_all(&raw, win.norm_params)
+        ));
     }
-    let windows: Vec<PredicateWindow> = slots
-        .into_iter()
-        .map(|s| s.expect("filled above"))
-        .collect();
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
-    let (combined, root) = phase_time!((*trace), normalize_combine, {
-        let mut children: Vec<Vec<Option<f64>>> = windows
-            .iter()
-            .map(|w| {
-                let (_, normalized) = w
-                    .full_frames()
-                    .expect("materialized path builds full windows");
-                normalized.to_options()
-            })
-            .collect();
+    phase_time!((*trace), normalize_combine, {
         let raw = match &cond.node {
             ConditionNode::Or(_) => reference::combine_or(&children, &weights)?,
             ConditionNode::And(_) => reference::combine_and(&children, &weights)?,
@@ -977,9 +950,8 @@ fn combine_scalar(
             ..RootAcc::default()
         };
         let combined = DistanceFrame::from_options(&reference::normalize_combined(&raw));
-        (combined, root)
-    });
-    Ok((windows, combined, root))
+        Ok((combined, root))
+    })
 }
 
 /// Root-combine accumulator of the fused walks (materialized and
@@ -1095,6 +1067,28 @@ impl RootAcc {
         self.max_abs = lanes.max_abs.iter().fold(self.max_abs, |m, &x| m.max(x));
     }
 
+    /// The fold of a root that takes the value `sums[p]` on `counts[p]`
+    /// rows: what [`RootAcc::fold`] reads off those rows, from the counts.
+    fn of_patterns(sums: &[f64], counts: &[usize]) -> RootAcc {
+        let mut acc = RootAcc::default();
+        for (&x, &rows) in sums.iter().zip(counts).filter(|(_, &rows)| rows > 0) {
+            acc.defined += rows;
+            acc.num_exact += if x == 0.0 { rows } else { 0 };
+            acc.any_nonzero |= x != 0.0;
+            let a = x.abs();
+            acc.max_abs = acc.max_abs.max(select(a.is_finite(), a, f64::NEG_INFINITY));
+        }
+        acc
+    }
+
+    /// The final combined normalization this fold asks for: naive
+    /// normalization of `|d|` against the folded maximum, or none when
+    /// every defined row is exact — all-exact inputs keep their zeros
+    /// ([`reference::normalize_combined`] semantics).
+    fn finish(&self) -> Option<NormParams> {
+        self.any_nonzero.then(|| params_from_max(self.max_abs))
+    }
+
     pub(crate) fn merge(&mut self, other: &RootAcc) {
         self.max_abs = self.max_abs.max(other.max_abs);
         self.any_nonzero |= other.any_nonzero;
@@ -1105,19 +1099,14 @@ impl RootAcc {
 
 /// The shared finalize pass of the materialized-vectorized and streaming
 /// paths: normalize the combined frame in place over the given row
-/// ranges — naive normalization of `|d|` against the folded maximum,
-/// except that all-exact inputs keep their zeros
-/// ([`reference::normalize_combined`] semantics).
+/// ranges ([`RootAcc::finish`]).
 pub(crate) fn finalize_combined(
     combined: &mut DistanceFrame,
     acc: &RootAcc,
     ranges: &[(usize, usize)],
     parallel: bool,
 ) {
-    if !acc.any_nonzero {
-        return;
-    }
-    let params = params_from_max(acc.max_abs);
+    let Some(params) = acc.finish() else { return };
     chunk::run_striped(
         combined.split_ranges_mut(ranges),
         parallel,
@@ -1125,54 +1114,45 @@ pub(crate) fn finalize_combined(
     );
 }
 
-/// The vectorized combine: fit each unfitted window's normalization from
+/// An `AND` / single-window root folds this many two-valued children
+/// into one pattern table (`2^k` entries, each counted by a popcount per
+/// 64 rows); beyond it the children are accumulated one by one.
+const MAX_TABLE_CHILDREN: usize = 6;
+
+/// The vectorized combine: fit each unfit window's normalization from
 /// its fused distance-walk stats ([`fit_from_counts`] — zero extra
-/// passes — or else the pruned selection of [`fit_selected`]),
-/// fill the packed normalized frames *and* the root combination in one
-/// fused, chunk-parallel walk straight into the output frame — each row
-/// is touched once instead of once per pass — then finalize the combined
-/// frame in place. Returns the windows, the final combined frame and the
-/// root counts.
+/// passes — or else the pruned selection of [`fit_selected`]), then
+/// normalize and combine at the root in one fused, chunk-parallel walk
+/// straight into the output frame — raw distances normalized in
+/// registers, windows whose fit is `dmax = 0` (two-valued
+/// normalizations) read from their packed exact bits, nothing but the
+/// combined frame stored — and finalize it in place. When *every* child
+/// of an `AND` / single-window root is two-valued the root takes at most
+/// `2^#sp` values: the pattern counts (popcounts over the bits) give the
+/// root fold, and the walk writes the *final* frame by table lookup.
+/// Returns the final combined frame and the root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
-    slots: Vec<Option<PredicateWindow>>,
-    fresh: Vec<Unfitted>,
+    windows: &mut [PredicateWindow],
+    unfit: &[bool],
     trace: &mut Option<Box<PipelineTrace>>,
-) -> (Vec<PredicateWindow>, DistanceFrame, RootAcc) {
+) -> (DistanceFrame, RootAcc) {
     let n = ctx.table.len();
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
-
-    /// Per-window input to the fused walk, as whole-frame SoA slices.
-    enum Src<'a> {
-        /// Cache hit under the same weight: normalized values exist.
-        Ready(&'a [f64], &'a [bool]),
-        /// Raw distances — evaluated this run, or a cache entry's under
-        /// another weight: normalized on the fly into the next frame of
-        /// `fresh_norm` (fresh windows keep their order).
-        Fresh(&'a [f64], &'a [bool], NormParams),
-    }
-
-    let fresh_params: Vec<NormParams> = phase_time!((*trace), fit, {
-        let unfitted_weights = slots.iter().zip(top).filter(|(slot, _)| slot.is_none());
-        (fresh.iter().zip(unfitted_weights))
-            .map(|(u, (_, w))| {
-                let (raw, stats) = u.raw();
-                let counted = fit_from_counts(n, stats, w.weight, ctx.display_budget);
-                if let Some(t) = trace {
-                    t.fits_from_counts += usize::from(counted.is_ok());
-                    t.fits_selected += usize::from(counted.is_err());
-                }
-                counted.unwrap_or_else(|k| fit_selected(raw, k))
-            })
-            .collect()
-    });
-    // (zeroing the output frames is the phase's cost, so it is timed)
-    let (mut fresh_norm, mut combined) = phase_time!((*trace), normalize_combine, {
-        let fresh_norm: Vec<DistanceFrame> =
-            fresh.iter().map(|_| DistanceFrame::undefined(n)).collect();
-        (fresh_norm, DistanceFrame::undefined(n))
+    phase_time!((*trace), fit, {
+        let unfit = windows.iter_mut().zip(top).zip(unfit).filter(|(_, &u)| u);
+        for ((win, w), _) in unfit {
+            let (raw, stats) = win.raw_with_stats().expect("materialized");
+            let counted = fit_from_counts(n, stats, w.weight, ctx.display_budget);
+            if let Some(t) = trace {
+                t.fits_from_counts += usize::from(counted.is_ok());
+                t.fits_selected += usize::from(counted.is_err());
+            }
+            win.norm_params = counted.unwrap_or_else(|k| fit_selected(raw, k));
+            win.weight = w.weight;
+        }
     });
 
     // the root-match of the scalar path: a weighted mean over the
@@ -1182,134 +1162,110 @@ fn combine_vectorized(
     let mean_weights =
         matches!(&cond.node, ConditionNode::And(_) | ConditionNode::Or(_)).then_some(weights);
 
-    let acc = phase_time!((*trace), normalize_combine, {
-        let mut fresh_it = fresh.iter().zip(&fresh_params);
-        let srcs: Vec<Src<'_>> = (slots.iter())
-            .map(|slot| match slot {
-                Some(w) => {
-                    let (_, normalized) = w
-                        .full_frames()
-                        .expect("cache hits are filtered to materialized windows");
-                    Src::Ready(normalized.values(), normalized.validity().as_slice())
-                }
-                None => {
-                    let (u, params) = fresh_it.next().expect("one raw frame per unfitted window");
-                    let (raw, _) = u.raw();
-                    Src::Fresh(raw.values(), raw.validity().as_slice(), *params)
-                }
+    phase_time!((*trace), normalize_combine, {
+        // per window: its bits when the fit is two-valued (a root `OR`
+        // takes a `powf` per row of normalized values either way)
+        let windows = &*windows;
+        let bits: Vec<_> = (windows.iter())
+            .map(|win| {
+                let NormParams { dmin, dmax } = win.norm_params;
+                let two_valued = !or_root && dmin == 0.0 && dmax == 0.0;
+                let (exact, defined) = two_valued.then(|| win.exact_bits()).flatten()?;
+                Some([(exact, defined.as_ref())])
             })
             .collect();
+        let children_bits = bits.iter().flatten().count();
+        let table =
+            (children_bits == windows.len() && children_bits <= MAX_TABLE_CHILDREN).then(|| {
+                let all: Vec<_> = bits.iter().flatten().map(|&[pair]| pair).collect();
+                let sums = pattern_sums(all.len(), mean_weights);
+                let count = |offset, len| PackedBits::pattern_counts(&all, offset..offset + len);
+                let mut counts = vec![0; sums.len()];
+                for part in chunk::map_ranges(n, None, true, count) {
+                    for (total, part) in counts.iter_mut().zip(part) {
+                        *total += part;
+                    }
+                }
+                let acc = RootAcc::of_patterns(&sums, &counts);
+                let finish = |x: f64| acc.finish().map_or(x, |params| apply_one(&params, x));
+                (all, sums.into_iter().map(finish).collect::<Vec<f64>>(), acc)
+            });
+        if let Some(t) = trace {
+            t.children_bits += children_bits;
+            t.children_raw += windows.len() - children_bits;
+            t.roots_from_table += usize::from(table.is_some());
+        }
+        // whole-frame children; every task walks its own row range
+        let children: Vec<Child<'_>> = match &table {
+            Some((windows, table, _)) => vec![Child::Bits(windows, table)],
+            None => (windows.iter().zip(&bits))
+                .map(|(win, bits)| match bits {
+                    Some(window) => Child::Bits(window, &TWO_VALUED),
+                    None => {
+                        let raw = win.full_frames().expect("materialized");
+                        let mask = raw.validity().as_slice();
+                        Child::Frame(raw.values(), mask, Some(win.norm_params))
+                    }
+                })
+                .collect(),
+        };
+        let mean_weights = mean_weights.filter(|_| table.is_none());
 
-        /// One fused-walk task: a row offset, that row range of the
-        /// combined output, the same range of every fresh window's
-        /// normalized frame buffers, and the range's root accumulator.
-        type FusedTask<'a> = (
-            usize,
-            (&'a mut [f64], &'a mut [bool]),
-            Vec<(&'a mut [f64], &'a mut [bool])>,
-            &'a mut RootAcc,
-        );
-
-        // split the combined vector and every fresh normalized frame in
-        // lockstep — by partition-respecting ranges, so one task owns the
-        // same row range of all outputs and never crosses a partition
+        // The fused walk: per chunk, one pass of the block kernel
+        // ([`combine_and_blocks`]) loads each child, combines them at
+        // the root straight into the output frame and folds the
+        // finalize inputs over what it wrote — each row touched once, in
+        // registers. A root `OR` normalizes its children into per-chunk
+        // scratch and runs the same steps as slice kernels. Every
+        // kernel is proven exact against the scalar reference (see the
+        // kernels' docs). Tasks follow partition-respecting ranges, so
+        // none ever crosses a partition.
+        let mut combined = DistanceFrame::undefined(n);
         let ranges = chunk::ranges(n, ctx.partitions);
         let mut range_accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
-        let mut fresh_iters: Vec<_> = fresh_norm
-            .iter_mut()
-            .map(|f| f.split_ranges_mut(&ranges).into_iter())
-            .collect();
-        let mut tasks: Vec<FusedTask<'_>> = Vec::new();
-        for (((offset, _), comb), acc) in ranges
-            .iter()
-            .copied()
+        let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
             .zip(combined.split_ranges_mut(&ranges))
             .zip(range_accs.iter_mut())
-        {
-            let parts: Vec<(&mut [f64], &mut [bool])> = fresh_iters
-                .iter_mut()
-                .map(|it| it.next().expect("lockstep chunking"))
-                .collect();
-            tasks.push((offset, comb, parts, acc));
-        }
-        let srcs = &srcs;
-        // The fused walk: per chunk, one pass of the block kernel
-        // ([`combine_and_blocks`]) normalizes each fresh child into its
-        // packed frame, combines the children at the root straight into
-        // the output frame and folds the finalize inputs over what it
-        // wrote — each row touched once, in registers. A root `OR` (a
-        // `powf` per row) runs the same steps as slice kernels. Every
-        // kernel is proven exact against the scalar reference (see the
-        // kernels' docs).
-        let cancel = ctx.cancel;
+            .collect();
+        let (children, arena) = (&children, chunk::ScratchArena::new());
+        let (cancel, known) = (ctx.cancel, table.is_some());
         chunk::run_striped(
             tasks,
             n >= chunk::PAR_MIN_ROWS,
-            move |(offset, (cv, cm), mut parts, acc)| {
+            |((offset, (cv, cm)), acc)| {
                 // fast-drain: a tripped token skips the chunk body; the
                 // NormalizeCombine checkpoint after this walk discards
                 // the half-combined output before anything is cached
                 if cancel.is_some_and(|c| c.should_stop(Phase::NormalizeCombine)) {
                     return;
                 }
-                let rows = offset..offset + cv.len();
-                let mut outs = parts.iter_mut();
-                let mut children: Vec<Child<'_>> = (srcs.iter())
-                    .map(|src| match *src {
-                        Src::Ready(v, m) => Child::Ready(&v[rows.clone()], &m[rows.clone()]),
-                        Src::Fresh(v, m, params) => {
-                            let (ov, om) = outs.next().expect("one frame per fresh window");
-                            Child::Fresh {
-                                raw: (&v[rows.clone()], &m[rows.clone()]),
-                                params,
-                                out: (ov, om),
-                            }
-                        }
-                    })
-                    .collect();
                 if !or_root {
-                    combine_and_blocks(&mut children, mean_weights, cv, cm, Some(acc));
-                    return;
+                    let acc = (!known).then_some(acc);
+                    return combine_and_blocks(children, mean_weights, offset, cv, cm, acc);
                 }
-                let views: Vec<(&[f64], &[bool])> = (children.iter_mut())
-                    .map(|child| match child {
-                        Child::Ready(v, m) => (*v, *m),
-                        Child::Fresh {
-                            raw,
-                            params,
-                            out: (ov, om),
-                        } => {
-                            apply_slice(*params, raw.0, raw.1, ov, om);
-                            (&**ov, &**om)
-                        }
-                    })
-                    .collect();
+                let rows = offset..offset + cv.len();
+                let mut scratch = arena.take();
+                let bufs = scratch.frames(children.len(), cv.len());
+                for (child, (sv, sm)) in children.iter().zip(bufs.iter_mut()) {
+                    let Child::Frame(v, m, Some(params)) = *child else {
+                        unreachable!("a root OR reads raw distances");
+                    };
+                    apply_slice(params, &v[rows.clone()], &m[rows.clone()], sv, sm);
+                }
+                let views: Vec<(&[f64], &[bool])> =
+                    bufs.iter().map(|(v, m)| (&v[..], &m[..])).collect();
                 combine_or_slices(&views, weights, cv, cm);
                 acc.fold(cv, cm);
             },
         );
-        let mut acc = RootAcc::default();
-        for range_acc in &range_accs {
-            acc.merge(range_acc);
-        }
-        finalize_combined(&mut combined, &acc, &ranges, n >= PARALLEL_THRESHOLD);
-        acc
-    });
-
-    let mut fresh_it = fresh.into_iter().zip(fresh_params).zip(fresh_norm);
-    let windows: Vec<PredicateWindow> = slots
-        .into_iter()
-        .zip(top.iter())
-        .map(|(slot, w)| match slot {
-            Some(win) => win,
-            None => {
-                let ((u, params), normalized) =
-                    fresh_it.next().expect("one raw frame per unfitted window");
-                u.into_window(w.weight, normalized, params)
-            }
-        })
-        .collect();
-    (windows, combined, acc)
+        let acc = table.map(|(_, _, acc)| acc).unwrap_or_else(|| {
+            let mut acc = RootAcc::default();
+            range_accs.iter().for_each(|range_acc| acc.merge(range_acc));
+            finalize_combined(&mut combined, &acc, &ranges, n >= PARALLEL_THRESHOLD);
+            acc
+        });
+        (combined, acc)
+    })
 }
 
 // ----- display-policy math shared by both execution modes ---------------
@@ -1377,7 +1333,7 @@ fn gap_bounds(rmin: usize, rmax: usize, defined: usize) -> (usize, usize) {
 /// the full distance distribution, which is why the streaming planner
 /// declines the two-sided policy: only materialized windows reach here.
 fn two_sided_band(win: &PredicateWindow, p: f64) -> Result<Option<(f64, f64)>> {
-    let (raw, _) = win
+    let raw = win
         .full_frames()
         .expect("two-sided selection runs on materialized windows only");
     let signed: Vec<f64> = raw.iter().flatten().collect();
@@ -1823,7 +1779,7 @@ mod tests {
             for (win, child) in out.windows.iter().zip(children) {
                 let seq = ctx.eval_node(&child.node).unwrap();
                 assert_eq!(
-                    *win.full_frames().expect("materialized").0.as_ref(),
+                    *win.full_frames().expect("materialized").as_ref(),
                     seq.distances
                 );
             }
@@ -1882,13 +1838,16 @@ mod tests {
             assert!(fast.order.len() < slow.order.len(), "top-k must engage");
             assert_eq!(slow.order.len(), 3000, "the scalar path sorts everything");
             for (fw, sw) in fast.windows.iter().zip(&slow.windows) {
-                let (fr, fn_) = fw.full_frames().expect("materialized");
-                let (sr, sn) = sw.full_frames().expect("materialized");
-                assert_eq!(*fr, *sr);
-                assert_eq!(*fn_, *sn);
+                assert_eq!(fw.full_frames(), sw.full_frames());
+                assert_eq!(normalized(fw), normalized(sw));
                 assert_eq!(fw.norm_params, sw.norm_params);
             }
         }
+    }
+
+    /// Every row's derived normalized distance.
+    fn normalized(win: &PredicateWindow) -> Vec<Option<f64>> {
+        (0..win.len()).map(|i| win.normalized_at(i)).collect()
     }
 
     /// Every item's relevance factor, through the accessor.
@@ -2090,10 +2049,8 @@ mod tests {
                     );
                 }
                 for (pw, sw) in part.windows.iter().zip(&slow.windows) {
-                    let (pr, pn) = pw.full_frames().expect("materialized");
-                    let (sr, sn) = sw.full_frames().expect("materialized");
-                    assert_eq!(*pr, *sr);
-                    assert_eq!(*pn, *sn);
+                    assert_eq!(pw.full_frames(), sw.full_frames());
+                    assert_eq!(normalized(pw), normalized(sw));
                     assert_eq!(pw.norm_params, sw.norm_params);
                 }
             }
@@ -2338,7 +2295,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(out.windows[0].zero_raw_count(), scanned);
-            if let Some((raw, _)) = out.windows[0].full_frames() {
+            if let Some(raw) = out.windows[0].full_frames() {
                 assert!(raw.iter().any(|d| d.is_some_and(|d| d.is_sign_negative())));
                 let in_frame = raw.iter().filter(|d| *d == Some(0.0)).count();
                 assert_eq!(in_frame, scanned);
@@ -2347,7 +2304,7 @@ mod tests {
     }
 
     /// The one-pass block kernel against the steps it fuses — the
-    /// [`apply_slice`] normalization of each fresh child, the per-row
+    /// [`apply_slice`] normalization of each raw child, the per-row
     /// `and_row` fold and the chunk fold of [`RootAcc`] — at every block
     /// remainder, with fully-defined, mixed and empty mask words, as an
     /// `AND` of three children and as the single window at the root.
@@ -2379,64 +2336,205 @@ mod tests {
             let masks: Vec<Vec<bool>> = (0..3)
                 .map(|c| (0..len).map(|i| defined(i, c)).collect())
                 .collect();
-            // the steps, one after the other
-            let normed: Vec<(Vec<f64>, Vec<bool>)> = (0..3)
-                .map(|c| {
-                    let (mut v, mut m) = (vec![f64::NAN; len], vec![false; len]);
-                    apply_slice(params[c], &vals[c], &masks[c], &mut v, &mut m);
-                    (v, m)
-                })
-                .collect();
-            let option_row = |i: usize, children: usize| -> Vec<Option<f64>> {
-                (0..children)
-                    .map(|c| normed[c].1[i].then_some(normed[c].0[i]))
-                    .collect()
-            };
+            let normed = steps_normalize(&vals, &masks, &params);
             for children in [3usize, 1] {
-                let and = children == 3;
-                let want = DistanceFrame::from_options(
-                    &(0..len)
-                        .map(|i| match and {
-                            true => reference::and_row(&option_row(i, 3), &weights),
-                            false => option_row(i, 1)[0],
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                let mut want_acc = RootAcc::default();
-                want_acc.fold(want.values(), want.validity().as_slice());
-                // the kernel: child 1 ready, the others normalized on the way
-                let mut outs: Vec<(Vec<f64>, Vec<bool>)> =
-                    vec![(vec![f64::NAN; len], vec![true; len]); 3];
-                let mut kids: Vec<Child<'_>> = (outs.iter_mut().enumerate())
-                    .take(children)
-                    .map(|(c, (ov, om))| match c {
-                        1 => Child::Ready(&normed[1].0, &normed[1].1),
-                        _ => Child::Fresh {
-                            raw: (&vals[c], &masks[c]),
-                            params: params[c],
-                            out: (ov, om),
-                        },
+                let want = steps_combine(&normed, (children == 3).then_some(&weights[..]));
+                // the kernel: child 1 normalized already, the others on
+                // the way
+                let kids: Vec<Child<'_>> = (0..children)
+                    .map(|c| match c {
+                        1 => Child::Frame(&normed[1].0, &normed[1].1, None),
+                        _ => Child::Frame(&vals[c], &masks[c], Some(params[c])),
                     })
                     .collect();
-                let (mut cv, mut cm) = (vec![f64::NAN; len], vec![true; len]);
-                let mut acc = RootAcc::default();
-                let w = and.then_some(&weights[..]);
-                combine_and_blocks(&mut kids, w, &mut cv, &mut cm, Some(&mut acc));
-                let what = format!("len={len} children={children}");
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&cv), bits(want.values()), "{what}");
-                assert_eq!(cm, want.validity().as_slice(), "{what}");
-                for c in (0..children).filter(|&c| c != 1) {
-                    assert_eq!(bits(&outs[c].0), bits(&normed[c].0), "{what} child {c}");
-                    assert_eq!(outs[c].1, normed[c].1, "{what} child {c}");
-                }
-                assert_eq!(
-                    (acc.defined, acc.num_exact, acc.any_nonzero),
-                    (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
-                    "{what}"
-                );
-                assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
+                let w = (children == 3).then_some(&weights[..]);
+                assert_kernel_matches(&kids, (w, 0), &want, &format!("len={len} x{children}"));
             }
+        }
+    }
+
+    /// The steps the block kernel fuses, one after the other: each
+    /// child's [`apply_slice`] ...
+    fn steps_normalize(
+        vals: &[Vec<f64>],
+        masks: &[Vec<bool>],
+        params: &[NormParams],
+    ) -> Vec<(Vec<f64>, Vec<bool>)> {
+        (vals.iter().zip(masks).zip(params))
+            .map(|((v, m), &p)| {
+                let (mut ov, mut om) = (vec![f64::NAN; v.len()], vec![false; v.len()]);
+                apply_slice(p, v, m, &mut ov, &mut om);
+                (ov, om)
+            })
+            .collect()
+    }
+
+    /// ... then the per-row `and_row` over the `Option` view (the first
+    /// child alone under `weights = None`).
+    fn steps_combine(normed: &[(Vec<f64>, Vec<bool>)], weights: Option<&[f64]>) -> DistanceFrame {
+        let children = weights.map_or(1, <[f64]>::len);
+        let rows = 0..normed[0].0.len();
+        let combined: Vec<Option<f64>> = rows
+            .map(|i| {
+                let row: Vec<Option<f64>> = normed[..children]
+                    .iter()
+                    .map(|(v, m)| m[i].then_some(v[i]))
+                    .collect();
+                weights.map_or(row[0], |w| reference::and_row(&row, w))
+            })
+            .collect();
+        DistanceFrame::from_options(&combined)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run the block kernel over `kids` and hold its output and its root
+    /// fold to `want` and the chunk fold of `want`, bit for bit.
+    fn assert_kernel_matches(
+        kids: &[Child<'_>],
+        (weights, offset): (Option<&[f64]>, usize),
+        want: &DistanceFrame,
+        what: &str,
+    ) {
+        let len = want.len();
+        let mut want_acc = RootAcc::default();
+        want_acc.fold(want.values(), want.validity().as_slice());
+        let (mut cv, mut cm) = (vec![f64::NAN; len], vec![true; len]);
+        let mut acc = RootAcc::default();
+        combine_and_blocks(kids, weights, offset, &mut cv, &mut cm, Some(&mut acc));
+        assert_eq!(bits(&cv), bits(want.values()), "{what}");
+        assert_eq!(cm, want.validity().as_slice(), "{what}");
+        assert_eq!(
+            (acc.defined, acc.num_exact, acc.any_nonzero),
+            (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
+            "{what}"
+        );
+        assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
+    }
+
+    /// The bit child and the pattern-table store against the steps they
+    /// replace — `apply_slice` of the degenerate fit, `and_row`, the chunk
+    /// fold and the in-place finalize — at every `len % 64` and `len % 8`
+    /// (word and block remainders of the packed bits), at row offsets
+    /// that read a byte across a word boundary, with mixed definedness,
+    /// NaN / ±inf / `-0.0` distances and an all-undefined child.
+    #[test]
+    fn bit_children_and_the_pattern_table_match_the_steps_they_replace() {
+        let raw = |i: usize, c: usize| match (i * (c + 2) + c) % 11 {
+            0..=3 => 0.0,
+            4 => -0.0,
+            5 => f64::NAN,
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            _ => (i % 17) as f64 - 8.0,
+        };
+        // child 0 is defined everywhere (its definedness bits are `None`)
+        let masks: [fn(usize) -> bool; 4] = [|_| true, |i| i % 5 != 1, |i| i % 64 != 63, |_| false];
+        let degenerate = params_from_max(0.0);
+        let weights = [1.0, 0.3, 0.05];
+        for len in (0..=200).chain([511, 512, 513]) {
+            let frames: Vec<DistanceFrame> = (0..4)
+                .map(|c| {
+                    let rows = (0..len).map(|i| masks[c](i).then(|| raw(i, c)));
+                    DistanceFrame::from_options(&rows.collect::<Vec<_>>())
+                })
+                .collect();
+            let packed: Vec<_> = frames.iter().map(DistanceFrame::exact_bits).collect();
+            assert!(packed[0].1.is_none() && (len == 0 || packed[3].1.is_some()));
+            let pairs: Vec<_> = packed.iter().map(|(e, d)| (e, d.as_ref())).collect();
+            let view = |c: usize, rows: std::ops::Range<usize>| {
+                let f = &frames[c];
+                let (v, m) = (&f.values()[rows.clone()], &f.validity().as_slice()[rows]);
+                (v.to_vec(), m.to_vec())
+            };
+            // an unaligned start exercises the cross-word byte reads
+            for offset in [0, 3.min(len), 61.min(len)] {
+                let rows = offset..len;
+                for set in [vec![0, 1, 2], vec![1], vec![0], vec![0, 3, 1], vec![3]] {
+                    let (vals, ms): (Vec<_>, Vec<_>) =
+                        set.iter().map(|&c| view(c, rows.clone())).unzip();
+                    let normed = steps_normalize(&vals, &ms, &vec![degenerate; set.len()]);
+                    let w = (set.len() > 1).then_some(&weights[..set.len()]);
+                    let want = steps_combine(&normed, w);
+                    let what = format!("len={len} offset={offset} children={set:?}");
+                    // each child read from its own bits
+                    let single: Vec<_> = set.iter().map(|&c| [pairs[c]]).collect();
+                    let kids: Vec<Child<'_>> = (single.iter())
+                        .map(|window| Child::Bits(window, &TWO_VALUED))
+                        .collect();
+                    assert_kernel_matches(&kids, (w, offset), &want, &what);
+                    // all of them folded into the root's pattern table:
+                    // the counts give the fold, the store the final frame
+                    let all: Vec<_> = set.iter().map(|&c| pairs[c]).collect();
+                    let sums = pattern_sums(all.len(), w);
+                    let mut want_acc = RootAcc::default();
+                    want_acc.fold(want.values(), want.validity().as_slice());
+                    if offset == 0 {
+                        let counts = PackedBits::pattern_counts(&all, 0..len);
+                        let acc = RootAcc::of_patterns(&sums, &counts);
+                        assert_eq!(
+                            (acc.defined, acc.num_exact, acc.any_nonzero),
+                            (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
+                            "{what}"
+                        );
+                        assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
+                    }
+                    let mut finished = want.clone();
+                    finalize_combined(&mut finished, &want_acc, &[(0, want.len())], false);
+                    let finish = |x: f64| want_acc.finish().map_or(x, |p| apply_one(&p, x));
+                    let table: Vec<f64> = sums.into_iter().map(finish).collect();
+                    let root = [Child::Bits(&all, &table)];
+                    let (mut cv, mut cm) = (vec![f64::NAN; want.len()], vec![true; want.len()]);
+                    combine_and_blocks(&root, None, offset, &mut cv, &mut cm, None);
+                    assert_eq!(bits(&cv), bits(finished.values()), "{what}");
+                    assert_eq!(cm, finished.validity().as_slice(), "{what}");
+                }
+            }
+            // a mixed root: two-valued children beside one under a real fit
+            let fitted = params_from_max(6.5);
+            let (vals, ms): (Vec<_>, Vec<_>) = (0..3).map(|c| view(c, 0..len)).unzip();
+            let normed = steps_normalize(&vals, &ms, &[degenerate, fitted, degenerate]);
+            let want = steps_combine(&normed, Some(&weights));
+            let (first, last) = ([pairs[0]], [pairs[2]]);
+            let kids = [
+                Child::Bits(&first, &TWO_VALUED),
+                Child::Frame(&vals[1], &ms[1], Some(fitted)),
+                Child::Bits(&last, &TWO_VALUED),
+            ];
+            let what = format!("mixed len={len}");
+            assert_kernel_matches(&kids, (Some(&weights), 0), &want, &what);
+        }
+    }
+
+    /// `normalized_at` derives what the stored normalized frame held:
+    /// [`crate::normalize::apply_frame`] of the raw frame under the
+    /// window's fit, row by row and bit for bit.
+    #[test]
+    fn normalized_at_is_the_frame_it_replaces() {
+        let values = [0.0, -0.0, f64::NAN, 3.0, -7.5, f64::INFINITY, 1e-300, 12.5];
+        let rows: Vec<Option<f64>> = (0..60)
+            .map(|i| (i % 9 != 4).then(|| values[i % values.len()]))
+            .collect();
+        let raw = DistanceFrame::from_options(&rows);
+        let stats = FrameStats::of_frame(&raw);
+        for params in [
+            params_from_max(0.0),
+            params_from_max(5.0),
+            params_from_max(1e-300),
+        ] {
+            let stored = crate::normalize::apply_frame(&raw, params);
+            let win = PredicateWindow::full(
+                "w".into(),
+                true,
+                1.0,
+                (Arc::new(raw.clone()), stats),
+                params,
+            );
+            let derived = DistanceFrame::from_options(&normalized(&win));
+            assert!(derived.bits_eq(&stored), "{params:?}");
+            assert_eq!(win.normalized_at(rows.len()), None);
         }
     }
 

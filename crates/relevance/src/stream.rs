@@ -820,12 +820,12 @@ pub(crate) fn run_streaming(
         let weights = &weights;
         let arena = &scratch_arena;
         // the fused pass-2 loop, as branchless SoA kernels per chunk:
-        // evaluate each top window into arena scratch, normalize in
-        // place ([`apply_in_place`]), then root-combine straight into
-        // the output frame and fold the finalize inputs over it in one
-        // pass of the block kernel (a root `OR`: slice kernel, then the
-        // fold) — every float op identical to the materialized walk
-        // (see the kernels' docs)
+        // evaluate each top window into arena scratch, then normalize,
+        // root-combine straight into the output frame and fold the
+        // finalize inputs over it in one pass of the block kernel (a
+        // root `OR`: [`apply_in_place`], slice kernel, then the fold) —
+        // every float op identical to the materialized walk (see the
+        // kernels' docs)
         chunk::run_striped(
             tasks,
             parallel && n >= chunk::PAR_MIN_ROWS,
@@ -841,20 +841,26 @@ pub(crate) fn run_streaming(
                 let len = cv.len();
                 let mut scratch = arena.take();
                 let top_bufs = scratch.frames(plan.tops.len(), len);
+                let or_root = plan.root == Root::Or;
                 for (&t, (v, m)) in plan.tops.iter().zip(top_bufs.iter_mut()) {
                     eval_chunk(plan, params_ref, t, offset, v, m, arena);
                     // §5.2 re-normalization before the root combine
-                    apply_in_place(params_ref[t], v, m);
+                    // (the block kernel applies it in registers)
+                    if or_root {
+                        apply_in_place(params_ref[t], v, m);
+                    }
                 }
-                let views = top_bufs.iter().map(|(v, m)| (v.as_slice(), m.as_slice()));
-                if plan.root == Root::Or {
-                    combine_or_slices(&views.collect::<Vec<_>>(), weights, cv, cm);
+                if or_root {
+                    let views: Vec<(&[f64], &[bool])> =
+                        top_bufs.iter().map(|(v, m)| (&v[..], &m[..])).collect();
+                    combine_or_slices(&views, weights, cv, cm);
                     acc.fold(cv, cm);
                 } else {
-                    let mut ready: Vec<Child<'_>> =
-                        views.map(|(v, m)| Child::Ready(v, m)).collect();
+                    let raw: Vec<Child<'_>> = (plan.tops.iter().zip(top_bufs.iter()))
+                        .map(|(&t, (v, m))| Child::Frame(v, m, Some(params_ref[t])))
+                        .collect();
                     let weights = (plan.root == Root::And).then_some(weights.as_slice());
-                    combine_and_blocks(&mut ready, weights, cv, cm, Some(acc));
+                    combine_and_blocks(&raw, weights, 0, cv, cm, Some(acc));
                 }
             },
         );
@@ -926,6 +932,7 @@ pub(crate) fn run_streaming(
         t.windows_evaluated = plan.tops.len();
         t.fits_from_counts = fits_from_counts;
         t.fits_selected = fits_selected;
+        t.children_raw = plan.tops.len();
     }
     Ok(PipelineOutput {
         n,

@@ -9,9 +9,12 @@
 //!   text, display parameters). Identical renders from different users
 //!   are the common case under heavy traffic (everyone starts from the
 //!   same default query of a dashboard); a hit skips the whole pipeline.
-//! * [`WindowCache`] — one evaluated + normalized window per condition
-//!   subtree ([`visdb_relevance::window_key`]), so a slider drag that
-//!   changes one predicate reuses every *other* window, for everyone.
+//! * [`WindowCache`] — one evaluated window per condition subtree
+//!   ([`visdb_relevance::window_key`]): its raw distance frame, that
+//!   frame's stats, its latest fit and — once a fit with `dmax = 0` has
+//!   asked for them — its packed exact-answer bits; normalized distances
+//!   are derived, not stored. A slider drag that changes one predicate
+//!   reuses every *other* window, for everyone.
 //! * [`ProjectionCache`] — one built [`SortedProjection`] per column
 //!   ([`visdb_index::projection_key`]), so N sessions dragging or
 //!   joining on a column pay for one O(n log n) build.
@@ -44,9 +47,11 @@ pub struct CacheStats {
 
 /// Default bound on the *total rows* cached across all windows. Entry
 /// count alone is no memory bound — one window over a 1M-row relation
-/// holds two packed `DistanceFrame`s of that length (8-byte values plus
-/// a byte validity mask, ~18 MB/window) — so eviction also honours a row
-/// budget: 8M rows ≈ 144 MB resident worst case.
+/// holds a packed `DistanceFrame` of that length (8-byte values plus a
+/// byte validity mask, 9 B/row) and at most two packed bit vectors
+/// (exact answers and definedness, 1/8 B/row each): ~9.25 MB/window —
+/// so eviction also honours a row budget: 8M rows ≈ 74 MB resident
+/// worst case.
 pub const DEFAULT_WINDOW_ROW_BUDGET: usize = 8_000_000;
 
 /// Default bound on the total rows cached across all shared projections:
@@ -347,7 +352,6 @@ mod tests {
             true,
             1.0,
             (Arc::new(raw), stats),
-            Arc::new(DistanceFrame::from_options(&vec![Some(0.0); rows])),
             NormParams {
                 dmin: 0.0,
                 dmax: tag,

@@ -179,6 +179,12 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// protocol message nests deeper than a handful of levels.
 pub const MAX_DEPTH: usize = 128;
 
+/// Longest protocol line the server parses (16 MiB): a line is held
+/// whole in memory and its parse tree is a multiple of it, so the wire
+/// must not decide how much that is. Hundreds of times the largest line
+/// the load harness sends (a 200-row `append_rows`, a few tens of KB).
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(src: &str) -> Result<Json> {
     let mut p = Parser {

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::api::{ErrorKind, Request};
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, MAX_LINE_BYTES};
 use crate::manager::SessionId;
 use crate::service::{Service, SubmitOptions};
 use visdb_query::connection::ConnectionRegistry;
@@ -64,11 +64,18 @@ use visdb_storage::{csv::read_csv_infer, Database};
 use visdb_types::{DataType, Result, Value};
 
 /// Process one protocol line against a service; always yields a response
-/// object (parse and execution errors become `"ok": false` replies, and
+/// object (parse and execution errors become `"ok": false` replies — a
+/// line over [`MAX_LINE_BYTES`] is one, answered before any parsing — and
 /// a panic anywhere in dispatch is contained into an `"internal"` error
 /// — nothing a client sends may kill the stdio loop).
 pub fn handle_line(service: &Service, line: &str) -> Json {
-    let (id, result) = match parse(line) {
+    let parsed = match line.len() {
+        0..=MAX_LINE_BYTES => parse(line),
+        len => Err(visdb_types::Error::parse(format!(
+            "line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit"
+        ))),
+    };
+    let (id, result) = match parsed {
         Ok(msg) => {
             let result =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(service, &msg)))

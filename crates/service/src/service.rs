@@ -263,8 +263,12 @@ pub(crate) struct ServiceObs {
     /// `pipeline.rank.{from_counts,selected}`: how many §5.2 fits and
     /// rankings the distance walk's counts answered, and how many took a
     /// selection walk — the share of the traffic with "very many" exact
-    /// answers (§5.1), readable off the live server.
-    fit_rank: [Arc<Counter>; 4],
+    /// answers (§5.1), readable off the live server. Then
+    /// `pipeline.combine.{children_bits,children_raw,roots_from_table}`:
+    /// root children read from their packed exact bits (fits with
+    /// `dmax = 0`) vs as raw distances, and roots written whole from
+    /// their pattern table.
+    run_counts: [Arc<Counter>; 7],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -306,11 +310,14 @@ impl ServiceObs {
                 .collect(),
             phases: PHASES.map(|p| registry.histogram(&format!("pipeline.phase.{p}"))),
             windows_refit: registry.counter("pipeline.windows_refit"),
-            fit_rank: [
+            run_counts: [
                 "pipeline.fit.from_counts",
                 "pipeline.fit.selected",
                 "pipeline.rank.from_counts",
                 "pipeline.rank.selected",
+                "pipeline.combine.children_bits",
+                "pipeline.combine.children_raw",
+                "pipeline.combine.roots_from_table",
             ]
             .map(|name| registry.counter(name)),
             drag_fast: registry.counter("service.drag.fast"),
@@ -336,7 +343,7 @@ impl ServiceObs {
     }
 
     /// Feed one pipeline run's trace into the service-wide per-phase
-    /// histograms and the refit, fit and rank counters.
+    /// histograms and the refit, fit, rank and combine counters.
     fn record_run(&self, trace: &PipelineTrace) {
         let [distance, fit, normalize_combine, rank] = &self.phases;
         distance.record_duration(trace.phases.distance);
@@ -349,8 +356,11 @@ impl ServiceObs {
             trace.fits_selected,
             trace.ranks_from_counts,
             trace.ranks_selected,
+            trace.children_bits,
+            trace.children_raw,
+            trace.roots_from_table,
         ];
-        for (counter, count) in self.fit_rank.iter().zip(counts) {
+        for (counter, count) in self.run_counts.iter().zip(counts) {
             counter.add(count as u64);
         }
     }

@@ -133,11 +133,11 @@ fn first_divergence(
             return Some(format!("window {i} metadata diverges"));
         }
         match (f.full_frames(), s.full_frames()) {
-            (Some((fr, fnorm)), Some((sr, snorm))) => {
+            (Some(fr), Some(sr)) => {
                 if !fr.bits_eq(sr) {
                     return Some(format!("window {i} raw distances diverge"));
                 }
-                if !fnorm.bits_eq(snorm) {
+                if !normalized_bits_eq(f, s) {
                     return Some(format!("window {i} normalized distances diverge"));
                 }
             }
@@ -162,6 +162,12 @@ fn first_divergence(
         }
     }
     None
+}
+
+/// Two windows' derived normalized distances agree bit for bit on every
+/// row.
+fn normalized_bits_eq(a: &PredicateWindow, b: &PredicateWindow) -> bool {
+    a.len() == b.len() && (0..a.len()).all(|i| opt_bits_eq(a.normalized_at(i), b.normalized_at(i)))
 }
 
 fn pick_policy(pick: usize, pct: f64) -> DisplayPolicy {
@@ -541,7 +547,8 @@ proptest! {
                 drag.norm_params,
                 res.pipeline.windows.first().map(|w| w.norm_params)
             );
-            prop_assert_eq!(&drag.grid, &res.grid);
+            let picture = arrange_overall(&drag.displayed, res.grid.width(), res.grid.height());
+            prop_assert_eq!(&picture, &res.grid);
         }
     }
 
@@ -789,7 +796,8 @@ proptest! {
                 drag.norm_params,
                 res.pipeline.windows.first().map(|w| w.norm_params)
             );
-            prop_assert_eq!(&drag.grid, &res.grid);
+            let picture = arrange_overall(&drag.displayed, res.grid.width(), res.grid.height());
+            prop_assert_eq!(&picture, &res.grid);
             Ok(())
         };
 
@@ -1176,8 +1184,13 @@ proptest! {
     /// three runs put one window each at `k_j - 1`, `k_j` and `10 k_j`
     /// exact answers (`k_j` = that window's fit count under its weight of
     /// 1, 0.3 or 0.05), three more put the whole condition at `k - 1`,
-    /// `k`, `10 k` for the display count `k`. A window grown by
-    /// `extend_window` (merged `zeros`) must equal its cold evaluation.
+    /// `k`, `10 k` for the display count `k`; every run's trace says
+    /// which children were read from packed bits and whether the root was
+    /// written from its pattern table. Then one child is re-weighted
+    /// across `zeros >= k` and back through the session cache, beside
+    /// fitted children and a child with no defined distance. A window
+    /// grown by `extend_window` (merged `zeros`) must equal its cold
+    /// evaluation.
     #[test]
     fn counts_and_selections_agree_above_the_parallel_threshold(
         n in 40_000usize..120_000,
@@ -1280,6 +1293,13 @@ proptest! {
                     (trace.ranks_from_counts, trace.ranks_selected), (counted, 1 - counted),
                     "{} (point {}, {} exact, {} ranked)", tag, point, fast.num_exact, fast.order.len()
                 );
+                // a fit with `dmax = 0` is read from the window's packed
+                // bits (a root `OR` normalizes raw distances either way),
+                // and a root of nothing else is written from its table
+                let two_valued = fast.windows.iter().filter(|w| w.norm_params.dmax == 0.0).count();
+                let bits = if root_pick == 1 || tag == "streaming" { 0 } else { two_valued };
+                prop_assert_eq!((trace.children_bits, trace.children_raw), (bits, windows - bits), "{}", tag);
+                prop_assert_eq!(trace.roots_from_table, usize::from(bits == windows), "{}", tag);
                 fits[0] += trace.fits_from_counts;
                 fits[1] += trace.fits_selected;
                 ranks[0] += trace.ranks_from_counts;
@@ -1303,6 +1323,61 @@ proptest! {
         }
         // the grid met both answers of both decisions
         prop_assert!(fits.iter().chain(&ranks).all(|&hits| hits > 0), "fits {:?} ranks {:?}", fits, ranks);
+
+        // a root that mixes two-valued and fitted children, one of which
+        // crosses `zeros >= k` in both directions through the session
+        // cache — two-valued (weight 1: k = budget <= 2·budget exact
+        // answers) -> fitted (weight 0.05: k = 20·budget) -> two-valued
+        // — beside a NaN / ±inf / `-0.0` column and, every other round, a
+        // child with no defined distance at all; each step held to a
+        // cold scalar run
+        let e0 = (2 * budget).clamp(1, n / 2);
+        let db = exact_answers_table(n, n, e0);
+        let t = db.table("T").unwrap();
+        let no_distance = ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, Value::Null));
+        for with_undefined in [false, true] {
+            let mut session = PipelineCache::new();
+            for (step, w0) in [1.0, 0.05, 1.0].into_iter().enumerate() {
+                let moved = [w0, weights[1], weights[2]];
+                let mut cond = cond_for([e0, e0, level(2, fit_ks[2])], &moved);
+                let children = match &mut cond.node {
+                    ConditionNode::And(parts) | ConditionNode::Or(parts) => {
+                        if with_undefined {
+                            parts.push(Weighted::new(no_distance.clone(), 0.3));
+                        }
+                        parts.len()
+                    }
+                    _ => 1,
+                };
+                let run = |opts: PipelineOptions<'_>| {
+                    run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts)
+                };
+                let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+                let Ok(slow) = run(scalar) else {
+                    prop_assert!(run(PipelineOptions::default()).is_err());
+                    continue;
+                };
+                let opts = PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() };
+                let fast = run(opts).unwrap();
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "crossing step {}: {} ({:?})", step, diff.unwrap(), policy);
+                prop_assert!(fast.combined.bits_eq(&slow.combined), "crossing step {}", step);
+                let trace = fast.trace.as_ref().unwrap();
+                if step > 0 {
+                    prop_assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+                }
+                let two_valued = |w: &PredicateWindow| w.norm_params.dmax == 0.0;
+                prop_assert_eq!(two_valued(&fast.windows[0]), step != 1, "crossing step {}", step);
+                prop_assert_eq!(fast.windows[0].zero_raw_count(), e0);
+                let bits = fast.windows.iter().filter(|w| two_valued(w)).count();
+                let bits = if root_pick == 1 { 0 } else { bits };
+                prop_assert_eq!((trace.children_bits, trace.children_raw), (bits, children - bits));
+                if with_undefined && root_pick == 0 {
+                    // no distance in one child: none at the `AND` root
+                    prop_assert_eq!((fast.num_exact, fast.order.len()), (0, 0));
+                }
+            }
+        }
 
         // a window grown by appended rows carries merged `zeros` across
         // its fit's `k` and equals the cold evaluation of the whole
@@ -1328,9 +1403,8 @@ proptest! {
             let old = window(&old_db);
             let grown = extend_window(&new_db, &delta, &old, &recipe).unwrap();
             let cold = window(&new_db);
-            let (graw, gnorm) = grown.full_frames().unwrap();
-            let (craw, cnorm) = cold.full_frames().unwrap();
-            prop_assert!(graw.bits_eq(craw) && gnorm.bits_eq(cnorm), "extension (level {})", l);
+            let (graw, craw) = (grown.full_frames().unwrap(), cold.full_frames().unwrap());
+            prop_assert!(graw.bits_eq(craw) && normalized_bits_eq(&grown, &cold), "extension (level {})", l);
             prop_assert_eq!(grown.norm_params, cold.norm_params, "extension (level {})", l);
             prop_assert_eq!(grown.raw_with_stats().unwrap().1, cold.raw_with_stats().unwrap().1);
             prop_assert_eq!(grown.zero_raw_count(), e);

@@ -427,3 +427,55 @@ fn deeply_nested_json_line_is_rejected_and_the_server_lives() {
         assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{next}");
     }
 }
+
+/// The wire does not decide how much memory a line takes: one over
+/// `json::MAX_LINE_BYTES` is answered `invalid_request` before parsing,
+/// the next line is answered, and a large honest line — a 1 MiB
+/// `append_rows` — still parses and appends.
+#[test]
+fn oversized_line_is_rejected_and_the_server_lives() {
+    use visdb::service::json::{Json, MAX_LINE_BYTES};
+    use visdb::service::server::handle_line;
+
+    let service = Service::new(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let csv = r#"{"op":"load_csv","dataset":"d","table":"T","csv":"x\n1.5\n2\n"}"#;
+    let loaded = handle_line(&service, csv);
+    assert_eq!(loaded.get("ok"), Some(&Json::Bool(true)), "{loaded}");
+
+    // valid JSON, one byte over: rejected on size, not on content
+    let head = r#"{"op":"append_rows","dataset":"d","table":"T","rows":[[1]"#;
+    let oversized = format!(
+        "{head}{}]}}",
+        " ".repeat(MAX_LINE_BYTES + 1 - head.len() - 2)
+    );
+    assert_eq!(oversized.len(), MAX_LINE_BYTES + 1);
+    let reply = handle_line(&service, &oversized);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    let kind = reply.get("kind").and_then(Json::as_str);
+    assert_eq!(kind, Some("invalid_request"), "{reply}");
+    assert!(
+        reply.to_string().len() < 1024,
+        "the reply must not echo the line"
+    );
+    // at the limit the same line is parsed (and appends its one row)
+    let at_limit = format!("{head}{}]}}", " ".repeat(MAX_LINE_BYTES - head.len() - 2));
+    let reply = handle_line(&service, &at_limit);
+    assert_eq!(
+        reply.get("rows_appended").and_then(Json::as_u64),
+        Some(1),
+        "{reply}"
+    );
+    let next = handle_line(&service, r#"{"id":1,"op":"stats"}"#);
+    assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{next}");
+
+    // a 1 MiB append: ~150 k rows of `[1.25],`
+    let rows = 150_000;
+    let line = format!("{head}{}]}}", ",[1.25]".repeat(rows));
+    assert!(line.len() > 1 << 20 && line.len() < MAX_LINE_BYTES);
+    let reply = handle_line(&service, &line);
+    let appended = reply.get("rows_appended").and_then(Json::as_u64);
+    assert_eq!(appended, Some(rows as u64 + 1), "{reply}");
+}

@@ -573,6 +573,9 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.fit.selected",
         "pipeline.rank.from_counts",
         "pipeline.rank.selected",
+        "pipeline.combine.children_bits",
+        "pipeline.combine.children_raw",
+        "pipeline.combine.roots_from_table",
     ] {
         assert!(snap.counter(counter).is_some(), "missing counter {counter}");
     }
@@ -698,6 +701,47 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
         run("SELECT * FROM T WHERE x >= 301 AND x BETWEEN 300 AND 500"),
         [2, 1, 1, 1]
     );
+}
+
+/// How a root was combined is readable off the live server: an
+/// exact-heavy 3-window `AND` (every fit `dmax = 0`) reads its three
+/// children from their packed exact bits and writes the root from its
+/// pattern table; an exact-light one reads a fitted child as raw
+/// distances and walks.
+#[test]
+fn bitmap_children_and_table_roots_are_counted_on_the_registry() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    service.register_dataset("ramp", ramp_db(400), ConnectionRegistry::new());
+    let run = |text: &str| {
+        // a fresh session and server-side cache state per query: every
+        // window is evaluated and fitted by the run that is counted
+        let user = service.create_session("ramp").unwrap();
+        let before = service.metrics_snapshot();
+        let set = Request::SetQueryText(text.into());
+        assert_eq!(service.submit(user, set).unwrap(), Response::Ok);
+        service
+            .submit(user, Request::Summary { trace: false })
+            .unwrap();
+        let after = service.metrics_snapshot();
+        ["children_bits", "children_raw", "roots_from_table"].map(|name| {
+            let name = format!("pipeline.combine.{name}");
+            after.counter(&name).unwrap() - before.counter(&name).unwrap()
+        })
+    };
+    // the default policy displays 100 of the 400 rows: 100+ exact
+    // answers per window cover every fit
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 250 AND x BETWEEN 200 AND 500 AND x >= 100"),
+        [3, 0, 1]
+    );
+    // 50 exact answers in the first window do not: its fit selects
+    let [bits, raw, table] =
+        run("SELECT * FROM T WHERE x >= 350 AND x BETWEEN 200 AND 500 AND x >= 100");
+    assert!(raw >= 1 && table == 0, "[{bits}, {raw}, {table}]");
+    assert_eq!(bits + raw, 3);
 }
 
 #[test]
