@@ -24,8 +24,9 @@
 //! the fit and the ranking ask for, so both run their selection walk —
 //! the acceptance workload's are answered from counts), and the
 //! **3-window all-degenerate re-weight** (`reweight_3w_ms`: every fit
-//! `dmax = 0`, so the run reads packed exact bits and writes the root
-//! from its pattern table) with the bytes a cached window holds per row.
+//! `dmax = 0`, so the run reads packed exact bits and derives the root
+//! from its pattern table) with the bytes a cached window holds per row
+//! and the bytes its result holds per row.
 //! A full run writes `BENCH_pipeline.json` in the working directory so
 //! future PRs can track the perf trajectory — and see where the time
 //! goes, not just one end-to-end number; a `--smoke` run writes
@@ -219,13 +220,17 @@ struct SizeResult {
     /// every fit is `dmax = 0` (each predicate has more exact answers
     /// than its fit asks for — the Weather shape): the session cache
     /// holds all three windows, the run refits one from its counts,
-    /// reads all three from their packed exact bits and writes the final
-    /// combined frame from the root's pattern table (asserted off the
-    /// trace, and identical to the scalar reference, before timing).
+    /// reads all three from their packed exact bits and derives the root
+    /// from its pattern table — no combined frame written (asserted off
+    /// the trace, and identical to the scalar reference, before timing).
     reweight_3w: Timed,
     /// Heap bytes per row a cached window of that query holds: the raw
     /// frame (9) plus its packed bits (1/8 each).
     window_bytes_per_row: f64,
+    /// Heap bytes per row the re-weight's result holds: `combined` (its
+    /// pattern table: 8 values and 8 counts, however many rows) plus
+    /// `order` and `displayed`.
+    result_bytes_per_row: f64,
     /// Branchless-vs-branchy A/B on the isolated normalize+combine
     /// phase: the phase as it ran before the lane kernels (per-row
     /// `if defined` walks filling full-size per-child normalized
@@ -1496,6 +1501,10 @@ fn bench_size(n: usize) -> SizeResult {
         })
         .sum();
     let window_bytes_per_row = window_bytes as f64 / (3 * n) as f64;
+    let result_bytes = refit3.combined.heap_bytes()
+        + std::mem::size_of_val(refit3.order.as_slice())
+        + std::mem::size_of_val(refit3.displayed.as_slice());
+    let result_bytes_per_row = result_bytes as f64 / n as f64;
     let reweight_3w = time_median(min_reps, || run_cached(&reweighted3, &warm3));
     rep_counts.push(reweight_3w.reps);
 
@@ -1594,6 +1603,7 @@ fn bench_size(n: usize) -> SizeResult {
         recompute,
         reweight_3w,
         window_bytes_per_row,
+        result_bytes_per_row,
         branchy_nc_rows_per_sec: n as f64 / branchy_s,
         branchless_nc_rows_per_sec: n as f64 / branchless_s,
         branchless_vs_branchy: branchy_s / branchless_s,
@@ -1729,11 +1739,12 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         println!(
             "            3-window all-degenerate re-weight: {:.3} ms (min {:.3}, p90 {:.3}) | \
-             {:.3} B/row per cached window",
+             {:.3} B/row per cached window | {:.3} B/row of result",
             r.reweight_3w.per_call_s * 1e3,
             r.reweight_3w.min_s * 1e3,
             r.reweight_3w.p90_s * 1e3,
             r.window_bytes_per_row,
+            r.result_bytes_per_row,
         );
         println!(
             "            branchless-vs-branchy norm+combine: {:>12.0} vs {:>12.0} rows/s \
@@ -1901,9 +1912,11 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         let _ = writeln!(
             json,
-            "     \"reweight_3w_ms\": {}, \"window_bytes_per_row\": {:.3},",
+            "     \"reweight_3w_ms\": {}, \"window_bytes_per_row\": {:.3}, \
+             \"result_bytes_per_row\": {:.3},",
             ms(&r.reweight_3w),
             r.window_bytes_per_row,
+            r.result_bytes_per_row,
         );
         let _ = writeln!(
             json,

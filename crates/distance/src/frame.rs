@@ -126,7 +126,9 @@ impl PackedBits {
     /// Bit of row `i`; out-of-range reads report unset.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
-        self.byte_at(i) & 1 == 1
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
     }
 
     /// The bits of rows `i..i + 8` as one byte (row `i` in bit 0), read
@@ -148,43 +150,85 @@ impl PackedBits {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Rows per pattern over `children` — each an `(exact, defined)` pair
-    /// of equal length, `defined = None` meaning every row — within the
-    /// word-aligned row range `rows`, counted from the words alone: entry
-    /// `p` of the `2^children` counts holds the rows defined in every
-    /// child whose exact bits spell `p` (child `c` in bit `c`). Their sum
-    /// is the rows defined in every child.
+    /// The rows of word `w` per pattern over `children` — each an
+    /// `(exact, defined)` pair, `defined = None` meaning every row — as
+    /// one mask per pattern: entry `p` holds the rows below `len` defined
+    /// in every child whose exact bits spell `p` (child `c` in bit `c`).
+    /// Only the first `2^children` entries of `masks` are written (and
+    /// returned), so one scratch array serves every word of a walk. The
+    /// one definition of "the rows of a pattern" the counts and the
+    /// ranking's class walk share.
+    #[inline(always)]
+    pub fn pattern_masks<'m>(
+        children: &[(&PackedBits, Option<&PackedBits>)],
+        w: usize,
+        len: usize,
+        masks: &'m mut [u64; 1 << MAX_TABLE_CHILDREN],
+    ) -> &'m [u64] {
+        debug_assert!(children.len() <= MAX_TABLE_CHILDREN);
+        // rows of this word (the last one may be partial) ...
+        let live = match len - w * 64 {
+            64.. => u64::MAX,
+            partial => (1u64 << partial) - 1,
+        };
+        // ... defined in every child, split child by child into the rows
+        // that are exact there and the rows that are not
+        let known = children.iter().filter_map(|(_, known)| *known);
+        masks[0] = known.fold(live, |m, known| m & known.words[w]);
+        for (c, (exact, _)) in children.iter().enumerate() {
+            let exact = exact.words[w];
+            for p in 0..1 << c {
+                masks[p | 1 << c] = masks[p] & exact;
+                masks[p] &= !exact;
+            }
+        }
+        &masks[..1 << children.len()]
+    }
+
+    /// Rows per pattern ([`PackedBits::pattern_masks`]) within the
+    /// word-aligned row range `rows`, counted from the words alone; the
+    /// entries past `2^children` stay 0. Their sum is the rows defined in
+    /// every child.
     pub fn pattern_counts(
         children: &[(&PackedBits, Option<&PackedBits>)],
         rows: std::ops::Range<usize>,
-    ) -> Vec<usize> {
+    ) -> [usize; 1 << MAX_TABLE_CHILDREN] {
+        // a constant number of children unrolls the per-word loops (a
+        // third of the time of the runtime-length ones)
+        match children.len() {
+            0 => PackedBits::counts_of::<0>(children, rows),
+            1 => PackedBits::counts_of::<1>(children, rows),
+            2 => PackedBits::counts_of::<2>(children, rows),
+            3 => PackedBits::counts_of::<3>(children, rows),
+            4 => PackedBits::counts_of::<4>(children, rows),
+            5 => PackedBits::counts_of::<5>(children, rows),
+            _ => PackedBits::counts_of::<MAX_TABLE_CHILDREN>(children, rows),
+        }
+    }
+
+    fn counts_of<const K: usize>(
+        children: &[(&PackedBits, Option<&PackedBits>)],
+        rows: std::ops::Range<usize>,
+    ) -> [usize; 1 << MAX_TABLE_CHILDREN] {
         debug_assert!(rows.start.is_multiple_of(64));
-        let mut counts = vec![0usize; 1 << children.len()];
-        let mut masks = vec![0u64; counts.len()];
+        let children: &[_; K] = children.try_into().expect("at most MAX_TABLE_CHILDREN");
+        let mut counts = [0usize; 1 << MAX_TABLE_CHILDREN];
+        let mut masks = [0u64; 1 << MAX_TABLE_CHILDREN];
         for w in rows.start / 64..rows.end.div_ceil(64) {
-            // rows of this word (the last one may be partial) ...
-            let live = match rows.end - w * 64 {
-                64.. => u64::MAX,
-                partial => (1u64 << partial) - 1,
-            };
-            // ... defined in every child, split child by child into the
-            // rows that are exact there and the rows that are not
-            let known = children.iter().filter_map(|(_, known)| *known);
-            masks[0] = known.fold(live, |m, known| m & known.words[w]);
-            for (c, (exact, _)) in children.iter().enumerate() {
-                let (rest, exact_here) = masks.split_at_mut(1 << c);
-                for (rest, exact_here) in rest.iter_mut().zip(exact_here) {
-                    *exact_here = *rest & exact.words[w];
-                    *rest &= !exact.words[w];
-                }
-            }
-            for (count, mask) in counts.iter_mut().zip(&masks) {
+            let masks = PackedBits::pattern_masks(children, w, rows.end, &mut masks);
+            for (count, mask) in counts.iter_mut().zip(masks) {
                 *count += mask.count_ones() as usize;
             }
         }
         counts
     }
 }
+
+/// An `AND` / single-window root folds at most this many two-valued
+/// children into one pattern table (`2^k` entries, each counted by a
+/// popcount per 64 rows); beyond it the children are accumulated one by
+/// one.
+pub const MAX_TABLE_CHILDREN: usize = 6;
 
 /// Reduction inputs of one distance frame, accumulated during the chunk
 /// walk that fills it — one fused pass instead of a distance pass plus a
@@ -673,7 +717,7 @@ mod tests {
             let shifted = DistanceFrame::from_options(&(3..len + 3).map(row).collect::<Vec<_>>());
             let (exact2, defined2) = shifted.exact_bits();
             let children = [(&exact, Some(&defined)), (&exact2, defined2.as_ref())];
-            let mut want = vec![0usize; 4];
+            let mut want = [0usize; 1 << MAX_TABLE_CHILDREN];
             for i in 0..len {
                 if let (Some(a), Some(b)) = (row(i), row(i + 3)) {
                     want[(a == 0.0) as usize | ((b == 0.0) as usize) << 1] += 1;
@@ -689,10 +733,34 @@ mod tests {
             let rest = PackedBits::pattern_counts(&children, split..len);
             parts.iter_mut().zip(rest).for_each(|(p, r)| *p += r);
             assert_eq!(parts, want, "len={len} split={split}");
+            // the masks of every word, against the per-row definition
+            let mut scratch = [0u64; 1 << MAX_TABLE_CHILDREN];
+            for w in 0..len.div_ceil(64) {
+                let masks = PackedBits::pattern_masks(&children, w, len, &mut scratch);
+                assert_eq!(masks.len(), 4);
+                for i in w * 64..(w * 64 + 64).min(len) {
+                    let spelled = match (row(i), row(i + 3)) {
+                        (Some(a), Some(b)) => {
+                            Some((a == 0.0) as usize | ((b == 0.0) as usize) << 1)
+                        }
+                        _ => None,
+                    };
+                    for (p, mask) in masks.iter().enumerate() {
+                        let set = mask >> (i % 64) & 1 == 1;
+                        assert_eq!(set, spelled == Some(p), "len={len} row {i} pattern {p}");
+                    }
+                }
+                let tail = (w * 64 + 64).saturating_sub(len);
+                assert!(masks.iter().all(|m| m.leading_zeros() as usize >= tail));
+            }
         }
         // every row defined: no definedness bits to keep
         assert_eq!(DistanceFrame::constant(70, 0.0).0.exact_bits().1, None);
-        assert_eq!(PackedBits::pattern_counts(&[], 0..0), vec![0]);
+        assert_eq!(PackedBits::pattern_counts(&[], 0..0)[0], 0);
+        // no children: one pattern holding every live row
+        let mut scratch = [0u64; 1 << MAX_TABLE_CHILDREN];
+        assert_eq!(PackedBits::pattern_masks(&[], 1, 70, &mut scratch), [63]);
+        assert_eq!(PackedBits::pattern_counts(&[], 0..70)[..2], [70, 0]);
     }
 
     #[test]

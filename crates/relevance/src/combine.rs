@@ -21,13 +21,17 @@
 //! caller normalizes "before a calculated combined distance is used as a
 //! parameter for combining other distances".
 
-use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits};
+use std::sync::{Arc, OnceLock};
+
+use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits, MAX_TABLE_CHILDREN};
 use visdb_distance::lanes::{mask_word, select, unpack_word, ALL_VALID_WORD, WORD_ROWS};
 use visdb_types::{Error, Result};
 
+use crate::chunk;
 use crate::normalize::{apply_one, NormParams, NORM_MAX};
 use crate::pipeline::{RootAcc, RootLanes};
 use crate::reference::or_row;
+use crate::select::rank_order;
 
 /// A branchless slice combiner: children as `(values, validity)` views,
 /// weights, output values, output validity.
@@ -73,17 +77,13 @@ pub(crate) enum Child<'a> {
     /// [`crate::normalize::apply_slice`], nothing stored; `None`: the
     /// values are normalized already.
     Frame(&'a [f64], &'a [bool], Option<NormParams>),
-    /// Two-valued windows — fits with `dmax = 0`, whose normalization is
-    /// `select(exact, 0.0, 255.0)` — read from their packed
-    /// `(exact, defined)` bits: a row takes `table[p]`, `p` spelling its
-    /// exact bits (window `c` in bit `c`), and is defined where every
-    /// window is. One window under [`TWO_VALUED`] is that window's
-    /// normalization; all the windows of a root under [`pattern_sums`]
-    /// are the root itself.
-    Bits(&'a [(&'a PackedBits, Option<&'a PackedBits>)], &'a [f64]),
+    /// A two-valued window — a fit with `dmax = 0`, whose normalization
+    /// is `select(exact, 0.0, 255.0)` ([`TWO_VALUED`]) — read from its
+    /// packed `(exact, defined)` bits.
+    Bits(&'a PackedBits, Option<&'a PackedBits>),
 }
 
-/// The normalization of one two-valued window as a [`Child::Bits`] table.
+/// The normalization of one two-valued window, by exact bit.
 pub(crate) const TWO_VALUED: [f64; 2] = [NORM_MAX, 0.0];
 
 /// The values an `AND` of `k` two-valued children takes (the single
@@ -101,11 +101,174 @@ pub(crate) fn pattern_sums(k: usize, weights: Option<&[f64]>) -> Vec<f64> {
     (0..1usize << k).map(sum_of).collect()
 }
 
+/// A window's packed `(exact, defined)` bits, shared by its clones and
+/// folded by the first reader.
+pub(crate) type SharedBits = Arc<OnceLock<(PackedBits, Option<PackedBits>)>>;
+
+#[inline]
+fn folded(bits: &SharedBits) -> (&PackedBits, Option<&PackedBits>) {
+    let (exact, defined) = bits.get().expect("folded before the table was built");
+    (exact, defined.as_ref())
+}
+
+/// The normalized combined distance per row (`[0, 255]`, undefined = not
+/// colorable), read under the [`DistanceFrame`] rules whatever the form:
+/// `get` / `iter` give the `Option` view, `==` compares rows
+/// (`Some(NaN) != Some(NaN)`), `bits_eq` their bit patterns.
+#[derive(Debug, Clone)]
+pub enum Combined {
+    /// One packed value per row: mixed, fitted and `OR` roots, the
+    /// streaming executor and the scalar oracle.
+    Frame(DistanceFrame),
+    /// A root of two-valued windows, or the pure scan: no frame written.
+    Table(PatternTable),
+}
+
+/// A derived root: its windows' exact bits (shared, not copied) plus the
+/// final value and row count of every pattern — row `i` takes
+/// `values[p]`, `p` spelling its exact bits (window `c` in bit `c`), and
+/// is defined where every window is.
+#[derive(Debug, Clone)]
+pub struct PatternTable {
+    len: usize,
+    windows: Vec<SharedBits>,
+    values: Vec<f64>,
+    counts: Vec<usize>,
+}
+
+impl PatternTable {
+    /// The table of `windows` (folded) over `len` rows under the root's
+    /// `weights` (`None`: one window) and its root fold: popcounts over
+    /// the bits count each pattern's rows, [`pattern_sums`] gives its
+    /// sum, and the final normalization runs on the sums alone. No
+    /// windows is the pure scan: `0.0` on every row.
+    pub(crate) fn of(
+        len: usize,
+        windows: Vec<SharedBits>,
+        weights: Option<&[f64]>,
+    ) -> (PatternTable, RootAcc) {
+        let children: Vec<_> = windows.iter().map(folded).collect();
+        let sums = pattern_sums(children.len(), weights);
+        let mut counts = vec![0; sums.len()];
+        let count = |offset, len| PackedBits::pattern_counts(&children, offset..offset + len);
+        for part in chunk::map_ranges(len, None, true, count) {
+            for (total, part) in counts.iter_mut().zip(part) {
+                *total += part;
+            }
+        }
+        let acc = RootAcc::of_patterns(&sums, &counts);
+        let finish = |x: f64| acc.finish().map_or(x, |params| apply_one(&params, x));
+        let values = sums.into_iter().map(finish).collect();
+        let table = PatternTable {
+            len,
+            windows,
+            values,
+            counts,
+        };
+        (table, acc)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<f64> {
+        let mut pattern = 0;
+        for (c, (exact, defined)) in self.windows.iter().map(folded).enumerate() {
+            if defined.is_some_and(|defined| !defined.get(i)) {
+                return None;
+            }
+            pattern |= usize::from(exact.get(i)) << c;
+        }
+        (i < self.len).then(|| self.values[pattern])
+    }
+
+    /// The `k` smallest rows under [`rank_order`], sorted: the patterns
+    /// grouped into classes of values equal there (`-0.0` with `0.0`, NaN
+    /// with NaN), the classes in ascending order, each walked word by word
+    /// — the OR of its patterns' masks — in row order until `k` rows (or
+    /// its counted rows) are met. A class's rows share one value and ties
+    /// rank by row id, so this is the sorted prefix of every `(value,
+    /// row)` pair; with `num_exact >= k`, the early-exit scan for zeros.
+    pub(crate) fn smallest(&self, k: usize) -> Vec<(f64, u32)> {
+        let by_value =
+            |a: &usize, b: &usize| rank_order(&(self.values[*a], 0), &(self.values[*b], 0));
+        let mut patterns: Vec<usize> = (0..self.values.len()).collect();
+        patterns.sort_by(by_value);
+        let children: Vec<_> = self.windows.iter().map(folded).collect();
+        let mut scratch = [0u64; 1 << MAX_TABLE_CHILDREN];
+        let mut out = Vec::with_capacity(k.min(self.len));
+        for class in patterns.chunk_by(|a, b| by_value(a, b).is_eq()) {
+            let (value, mut rows_left) = (self.values[class[0]], k - out.len());
+            rows_left = rows_left.min(class.iter().map(|&p| self.counts[p]).sum());
+            for w in 0..self.len.div_ceil(64) {
+                if rows_left == 0 {
+                    break;
+                }
+                let masks = PackedBits::pattern_masks(&children, w, self.len, &mut scratch);
+                let mut rows = class.iter().fold(0, |rows, &p| rows | masks[p]);
+                while rows != 0 && rows_left > 0 {
+                    out.push((value, (w * 64) as u32 + rows.trailing_zeros()));
+                    (rows, rows_left) = (rows & (rows - 1), rows_left - 1);
+                }
+            }
+        }
+        out
+    }
+}
+
+impl Combined {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Combined::Frame(frame) => frame.len(),
+            Combined::Table(table) => table.len,
+        }
+    }
+
+    /// True when no rows are covered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Row `i` as an `Option` (out-of-range reads yield `None`).
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<f64> {
+        match self {
+            Combined::Frame(frame) => frame.get(i),
+            Combined::Table(table) => table.get(i),
+        }
+    }
+
+    /// Iterate rows as `Option<f64>`.
+    pub fn iter(&self) -> impl Iterator<Item = Option<f64>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Row equality with NaN distances compared by bit pattern.
+    pub fn bits_eq(&self, other: &Self) -> bool {
+        let bits = |d: Option<f64>| d.map(f64::to_bits);
+        self.len() == other.len() && self.iter().map(bits).eq(other.iter().map(bits))
+    }
+
+    /// Heap bytes owned: 9 per row for a frame; a table's values and
+    /// counts (the bits are the windows').
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Combined::Frame(frame) => frame.heap_bytes(),
+            Combined::Table(t) => 8 * (t.values.capacity() + t.counts.capacity()),
+        }
+    }
+}
+
+impl PartialEq for Combined {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
 /// The weighted arithmetic mean (`AND`) over packed `(values, validity)`
 /// buffers, one pass over the children's rows from `offset` on: per
 /// 8-row block and in registers, each child's rows are loaded (a
-/// [`Child::Frame`] normalized on the way, a [`Child::Bits`] looked up
-/// by pattern), `w · v` is accumulated in child order from `0.0`, the
+/// [`Child::Frame`] normalized on the way, a [`Child::Bits`] read from
+/// its exact bits), `w · v` is accumulated in child order from `0.0`, the
 /// child validity words are ANDed, the block is stored, and — given an
 /// `acc` — folded into the root accumulator ([`RootAcc::fold`]'s block
 /// step). The `< 8`-row tail goes row by row.
@@ -143,16 +306,13 @@ pub(crate) fn combine_and_blocks(
                     }
                     mask_word(&m[rows.clone()])
                 }
-                Child::Bits(windows, table) => {
-                    // eight rows' patterns, one per byte lane
-                    let mut pattern = 0u64;
-                    let mut defined = u8::MAX;
-                    for (w, (exact, known)) in windows.iter().enumerate() {
-                        pattern |= unpack_word(exact.byte_at(rows.start)) << w;
-                        defined &= known.map_or(u8::MAX, |known| known.byte_at(rows.start));
-                    }
-                    d = std::array::from_fn(|l| table[(pattern >> (8 * l)) as u8 as usize]);
-                    unpack_word(defined)
+                Child::Bits(exact, known) => {
+                    // eight rows' exact bits, one per byte lane
+                    let exact = unpack_word(exact.byte_at(rows.start));
+                    d = std::array::from_fn(|l| TWO_VALUED[(exact >> (8 * l)) as usize & 1]);
+                    known.map_or(ALL_VALID_WORD, |known| {
+                        unpack_word(known.byte_at(rows.start))
+                    })
                 }
             };
             match weights {
@@ -185,14 +345,10 @@ pub(crate) fn combine_and_blocks(
                     let d = params.map_or(v[row], |params| apply_one(&params, v[row]));
                     (d, m[row])
                 }
-                Child::Bits(windows, table) => {
-                    let pattern = (windows.iter().rev())
-                        .fold(0, |p, (exact, _)| p << 1 | exact.get(row) as usize);
-                    let defined = |(_, known): &(_, Option<&PackedBits>)| {
-                        known.is_none_or(|known| known.get(row))
-                    };
-                    (table[pattern], windows.iter().all(defined))
-                }
+                Child::Bits(exact, known) => (
+                    TWO_VALUED[exact.get(row) as usize],
+                    known.is_none_or(|known| known.get(row)),
+                ),
             };
             sum = weights.map_or(d, |weights| sum + weights[c] * d);
             ok &= defined;
@@ -443,6 +599,105 @@ mod tests {
         assert!(combine_and_frames(&[&fa], &[1.0, 2.0]).is_err());
         let short = DistanceFrame::from_options(&[Some(1.0)]);
         assert!(combine_and_frames(&[&fa, &short], &weights).is_err());
+    }
+
+    /// A pattern table reads like the frame it replaces — `get` (past the
+    /// end too), `iter`, `==` and `bits_eq`, both ways — at every word
+    /// remainder up to 200 rows and around 512, over three windows with
+    /// every definedness shape; and its class walk is the sorted prefix
+    /// of every `(value, row)` pair at every `k`, with cross-pattern ties
+    /// (`0.0` / `-0.0`, NaN / NaN, 255 / 255).
+    #[test]
+    fn pattern_tables_read_like_frames_and_walk_in_rank_order() {
+        let exact = |i: usize, c: usize| (i * (c + 3) + c) % 5 < 2;
+        let defined: [fn(usize) -> bool; 3] = [|_| true, |i| i % 7 != 3, |i| i % 64 != 5];
+        let values = [0.0, 17.0, -0.0, 255.0, f64::NAN, 255.0, f64::NAN, 3.5];
+        let same = |a: Option<f64>, b: Option<f64>| a.map(f64::to_bits) == b.map(f64::to_bits);
+        for len in (0..=200).chain([511, 512, 513]) {
+            let pattern = |i: usize| (0..3).fold(0, |p, c| p | usize::from(exact(i, c)) << c);
+            let rows: Vec<Option<f64>> = (0..len)
+                .map(|i| (0..3).all(|c| defined[c](i)).then(|| values[pattern(i)]))
+                .collect();
+            let bits: Vec<(PackedBits, Option<PackedBits>)> = (0..3)
+                .map(|c| {
+                    let known = |i: &usize| defined[c](*i);
+                    let exact = PackedBits::from_bools((0..len).map(|i| known(&i) && exact(i, c)));
+                    (
+                        exact,
+                        (c > 0).then(|| PackedBits::from_bools((0..len).map(|i| known(&i)))),
+                    )
+                })
+                .collect();
+            let pairs: Vec<_> = bits.iter().map(|(e, d)| (e, d.as_ref())).collect();
+            let counts = PackedBits::pattern_counts(&pairs, 0..len)[..8].to_vec();
+            let handles = bits
+                .into_iter()
+                .map(|b| Arc::new(OnceLock::from(b)))
+                .collect();
+            let (windows, values) = (handles, values.to_vec());
+            let table = PatternTable {
+                len,
+                windows,
+                values,
+                counts,
+            };
+            let (derived, frame) = (
+                Combined::Table(table.clone()),
+                Combined::Frame(DistanceFrame::from_options(&rows)),
+            );
+            assert_eq!((derived.len(), derived.is_empty()), (len, len == 0));
+            for i in 0..len + 70 {
+                assert!(same(derived.get(i), frame.get(i)), "len={len} row {i}");
+            }
+            assert_eq!(derived.iter().count(), len);
+            assert!(
+                derived.iter().zip(&rows).all(|(a, &b)| same(a, b)),
+                "len={len}"
+            );
+            assert!(
+                derived.bits_eq(&frame) && frame.bits_eq(&derived),
+                "len={len}"
+            );
+            let nan = rows.iter().flatten().any(|d| d.is_nan());
+            assert_eq!(
+                (derived == frame, frame == derived),
+                (!nan, !nan),
+                "len={len}"
+            );
+            if len > 0 {
+                let mut moved = rows.clone();
+                moved[len / 2] = Some(1.0);
+                for other in [&moved[..], &rows[..len - 1]] {
+                    let other = Combined::Frame(DistanceFrame::from_options(other));
+                    assert!(!derived.bits_eq(&other) && derived != other, "len={len}");
+                }
+            }
+            // the class walk against a full sort
+            let mut sorted: Vec<(f64, u32)> = (rows.iter().zip(0u32..))
+                .filter_map(|(d, row)| Some(((*d)?, row)))
+                .collect();
+            sorted.sort_by(rank_order);
+            for k in [0, 1, 2, len / 3, len / 2, sorted.len(), sorted.len() + 5] {
+                let walked = table.smallest(k);
+                let want = &sorted[..k.min(sorted.len())];
+                assert_eq!(walked.len(), want.len(), "len={len} k={k}");
+                for (got, want) in walked.iter().zip(want) {
+                    assert_eq!(got.1, want.1, "len={len} k={k}");
+                    assert!(
+                        rank_order(&(got.0, 0), &(want.0, 0)).is_eq(),
+                        "len={len} k={k}"
+                    );
+                }
+            }
+        }
+        // the pure scan: no windows, one value, every row defined
+        let (scan, acc) = PatternTable::of(70, Vec::new(), None);
+        assert_eq!((acc.defined, acc.num_exact, scan.values.len()), (70, 70, 1));
+        let rows: Vec<u32> = scan.smallest(66).iter().map(|r| r.1).collect();
+        assert_eq!(rows, (0..66).collect::<Vec<u32>>());
+        let scan = Combined::Table(scan);
+        assert!(scan.iter().all(|d| d == Some(0.0)) && scan.get(70).is_none());
+        assert_eq!(scan, Combined::Frame(DistanceFrame::constant(70, 0.0).0));
     }
 
     #[test]

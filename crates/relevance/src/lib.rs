@@ -47,7 +47,7 @@ pub mod select;
 pub(crate) mod stream;
 
 pub use cache::{key_scope, window_key, PipelineCache, WindowSource};
-pub use combine::{combine_and_slices, combine_or_slices};
+pub use combine::{combine_and_slices, combine_or_slices, Combined};
 pub use eval::{EvalContext, ExecMode, NodeEval};
 pub use extend::{extend_window, extension_recipe, WindowRecipe};
 pub use normalize::{

@@ -27,7 +27,7 @@
 //!   walks take, so the output is bit-identical, the scheduling
 //!   sharding-shaped.
 //!
-//! A run writes 9 bytes per row of output — the packed combined
+//! A run writes at most 9 bytes per row of output — the packed combined
 //! [`DistanceFrame`] — plus the ranked prefix, and nothing else per
 //! window beyond its raw distances: a window *is* its raw frame and a
 //! fit ([`NormParams`]). Normalized distances are applied in registers by
@@ -35,7 +35,10 @@
 //! ([`PredicateWindow::normalized_at`]), like relevance factors
 //! ([`PipelineOutput::relevance`]); a fit with `dmax = 0` (§5.1: "none or
 //! very many" exact answers) normalizes to two values, and is read from
-//! the window's packed exact bits — one bit per row — instead.
+//! the window's packed exact bits — one bit per row — instead. A root of
+//! nothing but such windows takes at most `2^#sp` values and writes no
+//! row at all: its combined distances are the windows' bits plus a
+//! table ([`Combined::Table`]), and its ranking walks the bits.
 //!
 //! [`ExecMode::Scalar`] preserves the per-tuple, full-sort reference
 //! path; both modes produce bit-identical distances, windows and display
@@ -44,7 +47,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits};
+use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits, MAX_TABLE_CHILDREN};
 use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
@@ -55,11 +58,12 @@ use visdb_types::{Error, Result};
 
 use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
-use crate::combine::{combine_and_blocks, combine_or_slices, pattern_sums, Child, TWO_VALUED};
+pub use crate::combine::Combined;
+use crate::combine::{combine_and_blocks, combine_or_slices, Child, PatternTable};
 use crate::eval::{EvalContext, RunProjections};
 use crate::normalize::{
-    apply_in_place, apply_one, apply_slice, fit_from_counts, fit_selected, params_from_max,
-    NormParams, NORM_MAX,
+    apply_in_place, apply_slice, fit_from_counts, fit_selected, params_from_max, NormParams,
+    NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -147,8 +151,9 @@ pub struct PipelineTrace {
     pub children_bits: usize,
     /// Root children read as raw distances and normalized in registers.
     pub children_raw: usize,
-    /// 1 when every child was two-valued and the final combined frame
-    /// was written from the root's pattern table (no finalize walk).
+    /// 1 when every child was two-valued and the root is derived: no
+    /// combined frame written — the windows' bits and the root's pattern
+    /// table are the combined distances ([`Combined::Table`]).
     pub roots_from_table: usize,
 }
 
@@ -251,8 +256,8 @@ pub enum WindowData {
         stats: FrameStats,
         /// [`DistanceFrame::exact_bits`] of `raw`, folded on first use —
         /// what a fit with `dmax = 0` is read from — and shared by every
-        /// clone and refit of the window, so a frame is walked for them
-        /// at most once.
+        /// clone and refit of the window and by a derived root's
+        /// [`Combined::Table`], so a frame is walked for them at most once.
         bits: Arc<OnceLock<(PackedBits, Option<PackedBits>)>>,
     },
     /// Late-materialized: the ranked (sorted-prefix) rows only,
@@ -419,8 +424,10 @@ pub struct PipelineOutput {
     /// Number of data items considered.
     pub n: usize,
     /// Normalized combined distance per item (`[0, 255]`, undefined =
-    /// not colorable), packed: 9 bytes per row.
-    pub combined: DistanceFrame,
+    /// not colorable): a packed frame (9 bytes per row), or — for a
+    /// root of two-valued windows and the pure scan — the windows'
+    /// shared bits plus a table of at most `2^#sp` values, read per row.
+    pub combined: Combined,
     /// The ranked items, by descending relevance (ascending combined
     /// distance, ties by row id) — exactly the relevance-sorted prefix
     /// the run established, never more. The vectorized paths size it to
@@ -673,9 +680,10 @@ pub fn run_pipeline_opts(
         _ => None,
     };
     let Some(cond) = condition else {
-        // pure scan: every item is an exact answer; (0..n) is already the
-        // relevance order (all-zero distances, index tiebreak)
-        let (combined, _) = DistanceFrame::constant(n, 0.0);
+        // pure scan: every item is an exact answer — the table of no
+        // windows; (0..n) is already the relevance order (all-zero
+        // distances, index tiebreak)
+        let combined = Combined::Table(PatternTable::of(n, Vec::new(), None).0);
         let order: Vec<u32> = (0..n as u32).collect();
         let displayed = select_display(&combined, &order, policy, 0, None)?;
         if let Some(t) = &mut trace {
@@ -819,7 +827,10 @@ pub fn run_pipeline_opts(
     // before the fit can see them
     checkpoint(cancel, Phase::Fit)?;
     let (combined, root) = match mode {
-        ExecMode::Scalar => combine_scalar(&ctx, cond, &top, &mut windows, &unfit, &mut trace)?,
+        ExecMode::Scalar => {
+            let (frame, root) = combine_scalar(&ctx, cond, &top, &mut windows, &unfit, &mut trace)?;
+            (Combined::Frame(frame), root)
+        }
         ExecMode::Vectorized => {
             combine_vectorized(&ctx, cond, &top, &mut windows, &unfit, &mut trace)
         }
@@ -836,7 +847,10 @@ pub fn run_pipeline_opts(
     let (order, displayed) = phase_time!(trace, rank, {
         match mode {
             ExecMode::Scalar => {
-                let (vals, mask) = (combined.values(), combined.validity().as_slice());
+                let Combined::Frame(frame) = &combined else {
+                    unreachable!("the scalar oracle writes its combined frame")
+                };
+                let (vals, mask) = (frame.values(), frame.validity().as_slice());
                 let mut order: Vec<u32> = (0..n as u32).filter(|&i| mask[i as usize]).collect();
                 order.sort_by(|&a, &b| rank_order(&(vals[a as usize], a), &(vals[b as usize], b)));
                 let displayed =
@@ -1069,7 +1083,7 @@ impl RootAcc {
 
     /// The fold of a root that takes the value `sums[p]` on `counts[p]`
     /// rows: what [`RootAcc::fold`] reads off those rows, from the counts.
-    fn of_patterns(sums: &[f64], counts: &[usize]) -> RootAcc {
+    pub(crate) fn of_patterns(sums: &[f64], counts: &[usize]) -> RootAcc {
         let mut acc = RootAcc::default();
         for (&x, &rows) in sums.iter().zip(counts).filter(|(_, &rows)| rows > 0) {
             acc.defined += rows;
@@ -1085,7 +1099,7 @@ impl RootAcc {
     /// normalization of `|d|` against the folded maximum, or none when
     /// every defined row is exact — all-exact inputs keep their zeros
     /// ([`reference::normalize_combined`] semantics).
-    fn finish(&self) -> Option<NormParams> {
+    pub(crate) fn finish(&self) -> Option<NormParams> {
         self.any_nonzero.then(|| params_from_max(self.max_abs))
     }
 
@@ -1114,11 +1128,6 @@ pub(crate) fn finalize_combined(
     );
 }
 
-/// An `AND` / single-window root folds this many two-valued children
-/// into one pattern table (`2^k` entries, each counted by a popcount per
-/// 64 rows); beyond it the children are accumulated one by one.
-const MAX_TABLE_CHILDREN: usize = 6;
-
 /// The vectorized combine: fit each unfit window's normalization from
 /// its fused distance-walk stats ([`fit_from_counts`] — zero extra
 /// passes — or else the pruned selection of [`fit_selected`]), then
@@ -1127,10 +1136,9 @@ const MAX_TABLE_CHILDREN: usize = 6;
 /// registers, windows whose fit is `dmax = 0` (two-valued
 /// normalizations) read from their packed exact bits, nothing but the
 /// combined frame stored — and finalize it in place. When *every* child
-/// of an `AND` / single-window root is two-valued the root takes at most
-/// `2^#sp` values: the pattern counts (popcounts over the bits) give the
-/// root fold, and the walk writes the *final* frame by table lookup.
-/// Returns the final combined frame and the root counts.
+/// of an `AND` / single-window root is two-valued the root is derived
+/// instead ([`PatternTable::of`]): nothing is walked or written. Returns
+/// the final combined distances and the root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
@@ -1138,7 +1146,7 @@ fn combine_vectorized(
     windows: &mut [PredicateWindow],
     unfit: &[bool],
     trace: &mut Option<Box<PipelineTrace>>,
-) -> (DistanceFrame, RootAcc) {
+) -> (Combined, RootAcc) {
     let n = ctx.table.len();
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
     phase_time!((*trace), fit, {
@@ -1171,101 +1179,98 @@ fn combine_vectorized(
                 let NormParams { dmin, dmax } = win.norm_params;
                 let two_valued = !or_root && dmin == 0.0 && dmax == 0.0;
                 let (exact, defined) = two_valued.then(|| win.exact_bits()).flatten()?;
-                Some([(exact, defined.as_ref())])
+                Some((exact, defined.as_ref()))
             })
             .collect();
         let children_bits = bits.iter().flatten().count();
-        let table =
-            (children_bits == windows.len() && children_bits <= MAX_TABLE_CHILDREN).then(|| {
-                let all: Vec<_> = bits.iter().flatten().map(|&[pair]| pair).collect();
-                let sums = pattern_sums(all.len(), mean_weights);
-                let count = |offset, len| PackedBits::pattern_counts(&all, offset..offset + len);
-                let mut counts = vec![0; sums.len()];
-                for part in chunk::map_ranges(n, None, true, count) {
-                    for (total, part) in counts.iter_mut().zip(part) {
-                        *total += part;
-                    }
-                }
-                let acc = RootAcc::of_patterns(&sums, &counts);
-                let finish = |x: f64| acc.finish().map_or(x, |params| apply_one(&params, x));
-                (all, sums.into_iter().map(finish).collect::<Vec<f64>>(), acc)
-            });
+        let derived = children_bits == windows.len() && children_bits <= MAX_TABLE_CHILDREN;
         if let Some(t) = trace {
             t.children_bits += children_bits;
             t.children_raw += windows.len() - children_bits;
-            t.roots_from_table += usize::from(table.is_some());
+            t.roots_from_table += usize::from(derived);
         }
-        // whole-frame children; every task walks its own row range
-        let children: Vec<Child<'_>> = match &table {
-            Some((windows, table, _)) => vec![Child::Bits(windows, table)],
-            None => (windows.iter().zip(&bits))
-                .map(|(win, bits)| match bits {
-                    Some(window) => Child::Bits(window, &TWO_VALUED),
-                    None => {
-                        let raw = win.full_frames().expect("materialized");
-                        let mask = raw.validity().as_slice();
-                        Child::Frame(raw.values(), mask, Some(win.norm_params))
-                    }
-                })
-                .collect(),
-        };
-        let mean_weights = mean_weights.filter(|_| table.is_none());
-
-        // The fused walk: per chunk, one pass of the block kernel
-        // ([`combine_and_blocks`]) loads each child, combines them at
-        // the root straight into the output frame and folds the
-        // finalize inputs over what it wrote — each row touched once, in
-        // registers. A root `OR` normalizes its children into per-chunk
-        // scratch and runs the same steps as slice kernels. Every
-        // kernel is proven exact against the scalar reference (see the
-        // kernels' docs). Tasks follow partition-respecting ranges, so
-        // none ever crosses a partition.
-        let mut combined = DistanceFrame::undefined(n);
-        let ranges = chunk::ranges(n, ctx.partitions);
-        let mut range_accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
-        let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
-            .zip(combined.split_ranges_mut(&ranges))
-            .zip(range_accs.iter_mut())
-            .collect();
-        let (children, arena) = (&children, chunk::ScratchArena::new());
-        let (cancel, known) = (ctx.cancel, table.is_some());
-        chunk::run_striped(
-            tasks,
-            n >= chunk::PAR_MIN_ROWS,
-            |((offset, (cv, cm)), acc)| {
-                // fast-drain: a tripped token skips the chunk body; the
-                // NormalizeCombine checkpoint after this walk discards
-                // the half-combined output before anything is cached
-                if cancel.is_some_and(|c| c.should_stop(Phase::NormalizeCombine)) {
-                    return;
-                }
-                if !or_root {
-                    let acc = (!known).then_some(acc);
-                    return combine_and_blocks(children, mean_weights, offset, cv, cm, acc);
-                }
-                let rows = offset..offset + cv.len();
-                let mut scratch = arena.take();
-                let bufs = scratch.frames(children.len(), cv.len());
-                for (child, (sv, sm)) in children.iter().zip(bufs.iter_mut()) {
-                    let Child::Frame(v, m, Some(params)) = *child else {
-                        unreachable!("a root OR reads raw distances");
-                    };
-                    apply_slice(params, &v[rows.clone()], &m[rows.clone()], sv, sm);
-                }
-                let views: Vec<(&[f64], &[bool])> =
-                    bufs.iter().map(|(v, m)| (&v[..], &m[..])).collect();
-                combine_or_slices(&views, weights, cv, cm);
-                acc.fold(cv, cm);
-            },
-        );
-        let acc = table.map(|(_, _, acc)| acc).unwrap_or_else(|| {
-            let mut acc = RootAcc::default();
-            range_accs.iter().for_each(|range_acc| acc.merge(range_acc));
-            finalize_combined(&mut combined, &acc, &ranges, n >= PARALLEL_THRESHOLD);
-            acc
-        });
-        (combined, acc)
+        if !derived {
+            walk_root(ctx, windows, &bits, or_root, (weights, mean_weights))
+        } else {
+            let shared = |win: &PredicateWindow| match &win.data {
+                WindowData::Full { bits, .. } => Arc::clone(bits),
+                WindowData::Displayed(_) => unreachable!("two-valued windows are materialized"),
+            };
+            let shared = windows.iter().map(shared).collect();
+            let (table, acc) = PatternTable::of(n, shared, mean_weights);
+            (Combined::Table(table), acc)
+        }
     })
+}
+
+/// The fused walk of a root with a fitted child or an `OR`: per chunk,
+/// one pass of the block kernel ([`combine_and_blocks`]) loads each
+/// child, combines them at the root straight into the output frame and
+/// folds the finalize inputs over what it wrote — each row touched once,
+/// in registers. A root `OR` normalizes its children into per-chunk
+/// scratch and runs the same steps as slice kernels. Every kernel is
+/// proven exact against the scalar reference (see the kernels' docs).
+/// Tasks follow partition-respecting ranges, so none ever crosses a
+/// partition. The frame is finalized in place.
+fn walk_root(
+    ctx: &EvalContext<'_>,
+    windows: &[PredicateWindow],
+    bits: &[Option<(&PackedBits, Option<&PackedBits>)>],
+    or_root: bool,
+    (weights, mean_weights): (&[f64], Option<&[f64]>),
+) -> (Combined, RootAcc) {
+    let n = ctx.table.len();
+    // whole-frame children; every task walks its own row range
+    let children: Vec<Child<'_>> = (windows.iter().zip(bits))
+        .map(|(win, bits)| match *bits {
+            Some((exact, defined)) => Child::Bits(exact, defined),
+            None => {
+                let raw = win.full_frames().expect("materialized");
+                let mask = raw.validity().as_slice();
+                Child::Frame(raw.values(), mask, Some(win.norm_params))
+            }
+        })
+        .collect();
+    let mut combined = DistanceFrame::undefined(n);
+    let ranges = chunk::ranges(n, ctx.partitions);
+    let mut range_accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
+    let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
+        .zip(combined.split_ranges_mut(&ranges))
+        .zip(range_accs.iter_mut())
+        .collect();
+    let (children, arena, cancel) = (&children, chunk::ScratchArena::new(), ctx.cancel);
+    chunk::run_striped(
+        tasks,
+        n >= chunk::PAR_MIN_ROWS,
+        |((offset, (cv, cm)), acc)| {
+            // fast-drain: a tripped token skips the chunk body; the
+            // NormalizeCombine checkpoint after this walk discards
+            // the half-combined output before anything is cached
+            if cancel.is_some_and(|c| c.should_stop(Phase::NormalizeCombine)) {
+                return;
+            }
+            if !or_root {
+                return combine_and_blocks(children, mean_weights, offset, cv, cm, Some(acc));
+            }
+            let rows = offset..offset + cv.len();
+            let mut scratch = arena.take();
+            let bufs = scratch.frames(children.len(), cv.len());
+            for (child, (sv, sm)) in children.iter().zip(bufs.iter_mut()) {
+                let Child::Frame(v, m, Some(params)) = *child else {
+                    unreachable!("a root OR reads raw distances");
+                };
+                apply_slice(params, &v[rows.clone()], &m[rows.clone()], sv, sm);
+            }
+            let views: Vec<(&[f64], &[bool])> =
+                bufs.iter().map(|(v, m)| (&v[..], &m[..])).collect();
+            combine_or_slices(&views, weights, cv, cm);
+            acc.fold(cv, cm);
+        },
+    );
+    let mut acc = RootAcc::default();
+    range_accs.iter().for_each(|range_acc| acc.merge(range_acc));
+    finalize_combined(&mut combined, &acc, &ranges, n >= PARALLEL_THRESHOLD);
+    (Combined::Frame(combined), acc)
 }
 
 // ----- display-policy math shared by both execution modes ---------------
@@ -1362,11 +1367,13 @@ fn in_two_sided_band(win: &PredicateWindow, lo: f64, hi: f64, i: usize) -> bool 
 /// fold's counts when they can: finalized combined distances are `>= 0`
 /// and ties rank by row id, so with `num_exact >= k` the sorted prefix
 /// *is* the first `k` rows at `0.0` in row order — an early-exit scan.
-/// Otherwise the bound-pruned kernel selects and sorts them. `ranges` is
-/// the row-range list that walk takes — plain chunks or a
-/// partitioning's, the result is the same. Returns `(order, displayed)`.
+/// Otherwise the bound-pruned kernel selects and sorts them. A derived
+/// root walks its value classes over the windows' bits instead
+/// ([`PatternTable::smallest`]), either way. `ranges` is the row-range
+/// list the selection takes — plain chunks or a partitioning's, the
+/// result is the same. Returns `(order, displayed)`.
 pub(crate) fn rank_and_select(
-    combined: &DistanceFrame,
+    combined: &Combined,
     root: &RootAcc,
     windows: &[PredicateWindow],
     policy: &DisplayPolicy,
@@ -1375,7 +1382,6 @@ pub(crate) fn rank_and_select(
     mut trace: Option<&mut PipelineTrace>,
 ) -> Result<(Vec<u32>, Vec<usize>)> {
     let n = combined.len();
-    let (vals, mask) = (combined.values(), combined.validity().as_slice());
     let m = root.defined;
     let parallel = n >= PARALLEL_THRESHOLD;
     let finish = |ranked: Vec<(f64, u32)>, shown: usize| {
@@ -1389,11 +1395,16 @@ pub(crate) fn rank_and_select(
             t.ranks_from_counts += usize::from(from_counts);
             t.ranks_selected += usize::from(!from_counts);
         }
-        if !from_counts {
-            return k_smallest_sorted(combined, ranges, parallel, k);
-        }
-        let rows = vals.iter().zip(mask).zip(0u32..);
-        rows.filter(|((&v, &ok), _)| ok && v == 0.0)
+        let frame = match combined {
+            Combined::Table(table) => return table.smallest(k),
+            Combined::Frame(frame) if !from_counts => {
+                return k_smallest_sorted(frame, ranges, parallel, k)
+            }
+            Combined::Frame(frame) => frame,
+        };
+        let rows = frame.values().iter().zip(frame.validity().as_slice());
+        rows.zip(0u32..)
+            .filter(|((&v, &ok), _)| ok && v == 0.0)
             .map(|((&v, _), row)| (v, row))
             .take(k)
             .collect()
@@ -1436,8 +1447,8 @@ pub(crate) fn rank_and_select(
             let mut band: Vec<(f64, u32)> =
                 chunk::map_range_list(ranges, parallel, |offset, len| {
                     (offset..offset + len)
-                        .filter(|&i| mask[i] && in_two_sided_band(win, lo, hi, i))
-                        .map(|i| (vals[i], i as u32))
+                        .filter_map(|i| Some((combined.get(i)?, i as u32)))
+                        .filter(|&(_, i)| in_two_sided_band(win, lo, hi, i as usize))
                         .collect::<Vec<_>>()
                 })
                 .concat();
@@ -1463,7 +1474,7 @@ pub const PARTITION_MIN_ROWS: usize = chunk::PAR_MIN_ROWS;
 /// Display selection over a fully sorted `order` — the scalar
 /// reference's (and the pure scan's) side of the policy math above.
 fn select_display(
-    combined: &DistanceFrame,
+    combined: &Combined,
     order: &[u32],
     policy: &DisplayPolicy,
     num_windows: usize,
@@ -1502,7 +1513,7 @@ fn select_display(
             } else {
                 let sorted: Vec<f64> = order
                     .iter()
-                    .map(|&i| combined.values()[i as usize])
+                    .filter_map(|&i| combined.get(i as usize))
                     .collect();
                 let (rmin_eff, rmax_eff) = gap_bounds(*rmin, *rmax, defined);
                 gap_cutoff(&sorted, rmin_eff, rmax_eff, *z)? + 1
@@ -2414,9 +2425,9 @@ mod tests {
         assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
     }
 
-    /// The bit child and the pattern-table store against the steps they
-    /// replace — `apply_slice` of the degenerate fit, `and_row`, the chunk
-    /// fold and the in-place finalize — at every `len % 64` and `len % 8`
+    /// The bit child and the pattern table against the steps they replace
+    /// — `apply_slice` of the degenerate fit, `and_row`, the chunk fold
+    /// and the in-place finalize — at every `len % 64` and `len % 8`
     /// (word and block remainders of the packed bits), at row offsets
     /// that read a byte across a word boundary, with mixed definedness,
     /// NaN / ±inf / `-0.0` distances and an all-undefined child.
@@ -2460,36 +2471,32 @@ mod tests {
                     let want = steps_combine(&normed, w);
                     let what = format!("len={len} offset={offset} children={set:?}");
                     // each child read from its own bits
-                    let single: Vec<_> = set.iter().map(|&c| [pairs[c]]).collect();
-                    let kids: Vec<Child<'_>> = (single.iter())
-                        .map(|window| Child::Bits(window, &TWO_VALUED))
+                    let kids: Vec<Child<'_>> = set
+                        .iter()
+                        .map(|&c| Child::Bits(pairs[c].0, pairs[c].1))
                         .collect();
                     assert_kernel_matches(&kids, (w, offset), &want, &what);
-                    // all of them folded into the root's pattern table:
-                    // the counts give the fold, the store the final frame
-                    let all: Vec<_> = set.iter().map(|&c| pairs[c]).collect();
-                    let sums = pattern_sums(all.len(), w);
+                    // all of them derived as the root's pattern table:
+                    // the counts give the fold, the table the final rows
+                    if offset > 0 {
+                        continue;
+                    }
                     let mut want_acc = RootAcc::default();
                     want_acc.fold(want.values(), want.validity().as_slice());
-                    if offset == 0 {
-                        let counts = PackedBits::pattern_counts(&all, 0..len);
-                        let acc = RootAcc::of_patterns(&sums, &counts);
-                        assert_eq!(
-                            (acc.defined, acc.num_exact, acc.any_nonzero),
-                            (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
-                            "{what}"
-                        );
-                        assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
-                    }
+                    let shared = |c: usize| Arc::new(OnceLock::from(packed[c].clone()));
+                    let (table, acc) =
+                        PatternTable::of(len, set.iter().map(|&c| shared(c)).collect(), w);
+                    assert_eq!(
+                        (acc.defined, acc.num_exact, acc.any_nonzero),
+                        (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
+                        "{what}"
+                    );
+                    assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
                     let mut finished = want.clone();
-                    finalize_combined(&mut finished, &want_acc, &[(0, want.len())], false);
-                    let finish = |x: f64| want_acc.finish().map_or(x, |p| apply_one(&p, x));
-                    let table: Vec<f64> = sums.into_iter().map(finish).collect();
-                    let root = [Child::Bits(&all, &table)];
-                    let (mut cv, mut cm) = (vec![f64::NAN; want.len()], vec![true; want.len()]);
-                    combine_and_blocks(&root, None, offset, &mut cv, &mut cm, None);
-                    assert_eq!(bits(&cv), bits(finished.values()), "{what}");
-                    assert_eq!(cm, finished.validity().as_slice(), "{what}");
+                    finalize_combined(&mut finished, &want_acc, &[(0, len)], false);
+                    let table = Combined::Table(table);
+                    assert_eq!(table.len(), len, "{what}");
+                    assert!(table.bits_eq(&Combined::Frame(finished)), "{what}");
                 }
             }
             // a mixed root: two-valued children beside one under a real fit
@@ -2497,11 +2504,10 @@ mod tests {
             let (vals, ms): (Vec<_>, Vec<_>) = (0..3).map(|c| view(c, 0..len)).unzip();
             let normed = steps_normalize(&vals, &ms, &[degenerate, fitted, degenerate]);
             let want = steps_combine(&normed, Some(&weights));
-            let (first, last) = ([pairs[0]], [pairs[2]]);
             let kids = [
-                Child::Bits(&first, &TWO_VALUED),
+                Child::Bits(pairs[0].0, pairs[0].1),
                 Child::Frame(&vals[1], &ms[1], Some(fitted)),
-                Child::Bits(&last, &TWO_VALUED),
+                Child::Bits(pairs[2].0, pairs[2].1),
             ];
             let what = format!("mixed len={len}");
             assert_kernel_matches(&kids, (Some(&weights), 0), &want, &what);

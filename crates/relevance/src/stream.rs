@@ -74,8 +74,8 @@ use crate::normalize::{
     apply_in_place, dmax_of_prefix, fit_from_counts, fit_k, params_from_max, NormParams,
 };
 use crate::pipeline::{
-    checkpoint, finalize_combined, rank_and_select, DisplayPolicy, DisplayedWindow, PipelineOutput,
-    PipelineTrace, PredicateWindow, RootAcc, WindowData,
+    checkpoint, finalize_combined, rank_and_select, Combined, DisplayPolicy, DisplayedWindow,
+    PipelineOutput, PipelineTrace, PredicateWindow, RootAcc, WindowData,
 };
 use crate::reference::{and_row, or_row};
 use crate::{chunk, select};
@@ -886,6 +886,7 @@ pub(crate) fn run_streaming(
     // path (pruned top-k selection over the same range list) -----------
     checkpoint(ctx.cancel, Phase::Rank)?;
     let start = trace.as_ref().map(|_| Instant::now());
+    let combined = Combined::Frame(combined);
     let (order, displayed) = rank_and_select(
         &combined,
         &root,

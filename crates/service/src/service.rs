@@ -266,8 +266,8 @@ pub(crate) struct ServiceObs {
     /// answers (§5.1), readable off the live server. Then
     /// `pipeline.combine.{children_bits,children_raw,roots_from_table}`:
     /// root children read from their packed exact bits (fits with
-    /// `dmax = 0`) vs as raw distances, and roots written whole from
-    /// their pattern table.
+    /// `dmax = 0`) vs as raw distances, and derived roots: no combined
+    /// frame written, the windows' bits plus a pattern table instead.
     run_counts: [Arc<Counter>; 7],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.

@@ -1186,7 +1186,7 @@ proptest! {
     /// 1, 0.3 or 0.05), three more put the whole condition at `k - 1`,
     /// `k`, `10 k` for the display count `k`; every run's trace says
     /// which children were read from packed bits and whether the root was
-    /// written from its pattern table. Then one child is re-weighted
+    /// derived from its pattern table. Then one child is re-weighted
     /// across `zeros >= k` and back through the session cache, beside
     /// fitted children and a child with no defined distance. A window
     /// grown by `extend_window` (merged `zeros`) must equal its cold
@@ -1411,6 +1411,160 @@ proptest! {
             prop_assert!(old.zero_raw_count() < e, "the appended rows must add exact answers");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A root of nothing but two-valued windows is derived — its combined
+    /// distances are the windows' exact bits plus a table of pattern
+    /// values, its ranking a walk over value classes — and must stay
+    /// byte-identical to a cold scalar run above the thresholds, under
+    /// every policy: an `AND` whose exact answers cover the display count,
+    /// one whose exact answers fall short of it (the walk goes past the
+    /// exact class, through classes where distinct patterns share a value
+    /// — an unweighted child, and equal weights), and a single window; on
+    /// NULL, NaN and `-0.0` rows; through a session cache (cold, warm,
+    /// re-weighted) and 3-way partitioned.
+    #[test]
+    fn table_roots_match_the_oracle_above_the_parallel_threshold(
+        n in 40_000usize..120_000,
+        pct in 0.5f64..3.0,
+        pixels in 1_000usize..3_000,
+        weight_pick in 0usize..3,
+        spare in 3usize..5,
+    ) {
+        let policies = [
+            DisplayPolicy::Percentage(pct),
+            DisplayPolicy::FitScreen { pixels, pixels_per_item: 1 },
+            DisplayPolicy::GapHeuristic { rmin: 10, rmax: pixels / 8, z: 5 + pixels % 40 },
+            DisplayPolicy::TwoSidedPercentage(pct),
+        ];
+        let (wa, wc) = [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0)][weight_pick];
+        let resolver = DistanceResolver::new();
+        let db = two_valued_table(n);
+        let t = db.table("T").unwrap();
+        let partitioning = t.partitions(3);
+        for policy in policies {
+            // every fit asks for at most 2·budget rows (weights 1 and
+            // 0.5); each `x` window has `spare`·budget exact answers, all
+            // on ranks above n / 2, clear of the NULL / NaN rows
+            let budget = policy.budget(n);
+            let (a, overlap) = (spare * budget, budget / 8);
+            let pred = |p: Predicate, w: f64| Weighted::new(ConditionNode::Predicate(p), w);
+            let x_top = Predicate::compare(AttrRef::new("x"), CompareOp::Ge, (n - a) as f64);
+            let top_a = |w: f64| pred(x_top.clone(), w);
+            let y_zero = pred(Predicate::compare(AttrRef::new("y"), CompareOp::Eq, 0.0), wc);
+            // `overlap + 1` of its exact ranks are exact in `top_a` too
+            let (lo, hi) = (n - 2 * a + overlap, n - a + overlap);
+            let below_a = pred(Predicate::range(AttrRef::new("x"), lo as f64, hi as f64), wc);
+            let unweighted = pred(Predicate::compare(AttrRef::new("z"), CompareOp::Eq, 0.0), 0.0);
+            let cond_for = |shape: &str, wa: f64| {
+                let and = |second: &Weighted| vec![top_a(wa), second.clone(), unweighted.clone()];
+                match shape {
+                    "covered" => Weighted::unit(ConditionNode::And(and(&y_zero))),
+                    "short" => Weighted::unit(ConditionNode::And(and(&below_a))),
+                    _ => top_a(wa),
+                }
+            };
+            let mut ranks = [0usize; 2];
+            for shape in ["covered", "short", "single"] {
+                let mut session = PipelineCache::new();
+                // cold and warm through the session cache, 3-way
+                // partitioned, then re-weighted through the cache (one
+                // window refit)
+                let mut slow = None;
+                for (step, weight) in [wa, wa, wa, 1.5 - wa].into_iter().enumerate() {
+                    let cond = cond_for(shape, weight);
+                    if step != 1 && step != 2 {
+                        let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+                        slow = Some(run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, scalar));
+                    }
+                    let Some(Ok(slow)) = &slow else {
+                        // gap parameters the data rejects: every path must
+                        prop_assert!(run_pipeline(&db, t, &resolver, Some(&cond), &policy).is_err());
+                        break;
+                    };
+                    let opts = match step {
+                        2 => PipelineOptions {
+                            partitions: Some(&partitioning),
+                            materialization: Materialization::Materialized,
+                            trace: true,
+                            ..Default::default()
+                        },
+                        _ => PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() },
+                    };
+                    let fast = run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
+                    let what = format!("{shape} step {step} ({policy:?})");
+                    let diff = first_divergence(&fast, slow, &policy);
+                    prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+                    prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+                    prop_assert!(fast.windows.iter().all(|w| w.norm_params.dmax == 0.0), "{}", what);
+                    prop_assert!(matches!(fast.combined, visdb::relevance::Combined::Table(_)), "{}", what);
+                    let trace = fast.trace.as_ref().unwrap();
+                    let windows = fast.windows.len();
+                    prop_assert_eq!((trace.children_bits, trace.roots_from_table), (windows, 1), "{}", what);
+                    prop_assert_eq!(trace.windows_refit, usize::from(step == 3), "{}", what);
+                    match shape {
+                        "short" => prop_assert!(fast.num_exact <= overlap + 1, "{}", what),
+                        _ => prop_assert!(fast.num_exact >= a / 2, "{}", what),
+                    }
+                    if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
+                        // the ranking came from the counts iff they cover it
+                        let counted = usize::from(fast.num_exact >= fast.order.len());
+                        let (from_counts, selected) = (trace.ranks_from_counts, trace.ranks_selected);
+                        prop_assert_eq!((from_counts, selected), (counted, 1 - counted), "{}", what);
+                        ranks[0] += from_counts;
+                        ranks[1] += selected;
+                    }
+                }
+            }
+            // one-sided policies met both answers: the exact class
+            // covered `k`, and the walk went past it
+            if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
+                prop_assert!(ranks.iter().all(|&hits| hits > 0), "ranks {:?} ({:?})", ranks, policy);
+            }
+        }
+    }
+}
+
+/// `n` rows over a scattered rank (`rank = i · 1_000_003 mod n`) where
+/// every predicate the table-root property asks is two-valued: `x` is the
+/// rank (NULL / NaN on a few ranks below `n / 2`); `y` is `±0.0` on the
+/// top quarter of the ranks and a small signed value elsewhere (NULL /
+/// NaN on a few ranks below `n / 2`); `z` is `±0.0` on two ranks in
+/// three and NaN or `+inf` on the third (NULL on one in 101) — every
+/// finite distance of `z = 0` is exact, so even its unweighted fit (over
+/// every row) is two-valued.
+fn two_valued_table(n: usize) -> Database {
+    let cols = ["x", "y", "z"].map(|c| Column::new(c, DataType::Float));
+    let mut t = TableBuilder::new("T", cols.to_vec());
+    for i in 0..n {
+        let rank = i * 1_000_003 % n;
+        let sign = if rank.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let special = if rank < n / 2 { rank % 101 } else { 0 };
+        let x = match special {
+            7 => Value::Null,
+            8 => Value::Float(f64::NAN),
+            _ => Value::Float(rank as f64),
+        };
+        let y = match special {
+            17 => Value::Null,
+            18 => Value::Float(f64::NAN),
+            _ if rank >= n - n / 4 => Value::Float(sign * 0.0),
+            _ => Value::Float(sign * 0.25 * (1 + rank % 37) as f64),
+        };
+        let z = match (rank % 101, rank % 3) {
+            (27, _) => Value::Null,
+            (_, 0) if rank.is_multiple_of(2) => Value::Float(f64::NAN),
+            (_, 0) => Value::Float(f64::INFINITY),
+            _ => Value::Float(sign * 0.0),
+        };
+        t = t.row(vec![x, y, z]).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    db
 }
 
 /// End-to-end bit-identity of the branchless kernel walks against the

@@ -705,7 +705,7 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
 
 /// How a root was combined is readable off the live server: an
 /// exact-heavy 3-window `AND` (every fit `dmax = 0`) reads its three
-/// children from their packed exact bits and writes the root from its
+/// children from their packed exact bits and derives the root from its
 /// pattern table; an exact-light one reads a fitted child as raw
 /// distances and walks.
 #[test]
