@@ -6,17 +6,14 @@
 //! fit / normalize+combine / rank), the
 //! **packed-vs-Option** representation A/B, the **slider-drag**
 //! micro-bench (sorted-projection incremental path vs full recompute),
-//! the **streaming-vs-materialized** A/B on a 2-predicate workload
-//! (zero-materialization two-pass execution vs full-size frame
-//! intermediates) with a streaming per-phase breakdown, the
-//! **observability overhead** A/B (untraced run vs traced run plus the
+//! the **observability overhead** A/B (untraced run vs traced run plus the
 //! per-query registry recording the service layer performs), the
 //! **cancellation-poll overhead** A/B (tokenless run vs the identical
 //! run polling a live deadline token at every 16k-row chunk), the
 //! **branchless-vs-branchy** A/B isolating the fused normalize+combine
 //! phase (per-row `Option`/`if defined` walk vs the packed
 //! `apply_slice` + `combine_and_slices` + select-fold kernels), and a
-//! **threads axis** re-timing the partitioned and streaming paths under
+//! **threads axis** re-timing the partitioned path under
 //! explicit 1/2/4/8-thread worker budgets, and the
 //! **reweight-vs-recompute** A/B (a re-weighted join window refitted
 //! from its cached raw frame vs evaluated again — median with min/p90),
@@ -45,8 +42,8 @@
 //! cargo run --release -p visdb-bench --bin pipeline_perf -- --out /tmp/p.json
 //! ```
 //!
-//! In both modes the binary *asserts* that the streaming, materialized
-//! **and partitioned** outputs are identical to the scalar reference —
+//! In both modes the binary *asserts* that the vectorized **and
+//! partitioned** outputs are identical to the scalar reference —
 //! at every thread count on the threads axis — and the incremental
 //! slider drag identical to a full recompute — before it times
 //! anything; a regression that changes results fails the run regardless
@@ -73,8 +70,8 @@ use visdb_relevance::chunk;
 use visdb_relevance::combine::combine_and_slices;
 use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
 use visdb_relevance::pipeline::{
-    run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, Materialization,
-    PipelineOptions, PipelineOutput,
+    run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, PipelineOptions,
+    PipelineOutput,
 };
 use visdb_relevance::reference::{and_row, fit_improved};
 use visdb_relevance::select::{k_smallest_sorted, rank_order};
@@ -89,15 +86,14 @@ const BENCH_PARTITIONS: usize = 8;
 /// the **median** over at least this many reps (the de-flake floor).
 const MIN_REPS: usize = 5;
 
-/// Worker budgets for the threads axis: the partitioned and streaming
-/// paths re-timed under each explicit budget.
+/// Worker budgets for the threads axis: the partitioned path re-timed
+/// under each explicit budget.
 const THREAD_SERIES: [usize; 4] = [1, 2, 4, 8];
 
 /// One point on the threads axis.
 struct ThreadPoint {
     threads: usize,
     partitioned_rows_per_sec: f64,
-    streaming_rows_per_sec: f64,
 }
 
 struct SizeResult {
@@ -112,7 +108,8 @@ struct SizeResult {
     full_sort_ms: f64,
     topk_ms: f64,
     topk_k: usize,
-    /// Per-phase breakdown of one vectorized run (milliseconds).
+    /// Per-phase breakdown of one vectorized run (milliseconds): the
+    /// executor a session's recompute runs, minus its caches.
     phase_distance_ms: f64,
     phase_fit_ms: f64,
     phase_normalize_combine_ms: f64,
@@ -121,8 +118,7 @@ struct SizeResult {
     /// fewer than the `k` = 1 % the §5.2 fit and the ranking ask for, so
     /// both take their selection walk, where the acceptance workload's
     /// 10 % are answered from the distance walk's counts (asserted off
-    /// the trace on both arms). The materialized run a session's
-    /// recompute makes (median with its min and p90) and its per-phase
+    /// the trace on both arms). The run a session's recompute makes (median with its min and p90) and its per-phase
     /// breakdown (distance / fit / normalize+combine / rank, ms).
     exact_light: Timed,
     exact_light_phase_ms: [f64; 4],
@@ -159,32 +155,16 @@ struct SizeResult {
     proj_merge_ms: f64,
     proj_build_ms: f64,
     append_projection_merge: f64,
-    /// Streaming vs materialized A/B on the 2-predicate workload: the
-    /// same query, same outputs (asserted bit-identical first), only the
-    /// execution mode differs — materialized builds `#sp + 1` full-size
-    /// frame intermediates, streaming recomputes distances in two fused
-    /// chunk walks and assembles windows lazily at the displayed rows.
-    materialized2_rows_per_sec: f64,
-    streaming2_rows_per_sec: f64,
-    streaming_vs_materialized: f64,
-    /// Per-phase breakdown of one streaming run on the 2-predicate
-    /// workload (milliseconds; distance = the stats recompute walks,
-    /// normalize_combine = the fused combine pass + final
-    /// normalization, rank includes the late window assembly).
-    streaming_phase_distance_ms: f64,
-    streaming_phase_fit_ms: f64,
-    streaming_phase_normalize_combine_ms: f64,
-    streaming_phase_rank_ms: f64,
     /// String-predicate A/B on a dictionary-friendly `Str` column
     /// (~100 distinct values, NULLs sprinkled in): the scalar reference
     /// clones a `Value` per row; the vectorized path evaluates the
     /// distance once per *distinct* value and gathers per row through
-    /// the dictionary codes. Scalar, materialized and Auto-streaming
-    /// outputs are asserted identical before timing.
+    /// the dictionary codes. Scalar and vectorized outputs are asserted
+    /// identical before timing.
     string_scalar_rows_per_sec: f64,
     string_vectorized_rows_per_sec: f64,
     string_gather_speedup: f64,
-    /// Observability overhead A/B: the same materialized run with
+    /// Observability overhead A/B: the same vectorized run with
     /// tracing off (the plain-session default) vs tracing on **plus**
     /// the per-query registry recording a service performs (four phase
     /// histograms, an op counter, an op-latency histogram). The ratio
@@ -193,7 +173,7 @@ struct SizeResult {
     obs_baseline_rows_per_sec: f64,
     obs_instrumented_rows_per_sec: f64,
     obs_overhead: f64,
-    /// Cancellation-poll overhead A/B: the same materialized run
+    /// Cancellation-poll overhead A/B: the same vectorized run
     /// without a cancel token (the plain-submission fast path — each
     /// 16k-row chunk checkpoint is one armed-fault load and a `None`
     /// branch, i.e. the pre-deadline pipeline) vs the identical run
@@ -246,8 +226,8 @@ struct SizeResult {
     /// Minimum repetition count across this size's timed measurements —
     /// every reported number is a median over at least this many reps.
     reps: usize,
-    /// The partitioned and streaming paths re-timed under each explicit
-    /// worker budget in [`THREAD_SERIES`].
+    /// The partitioned path re-timed under each explicit worker budget
+    /// in [`THREAD_SERIES`].
     threads: Vec<ThreadPoint>,
 }
 
@@ -860,14 +840,10 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
             s.zero_raw_count(),
             "window exact counts diverge at n={n}"
         );
-        for &i in &fast.displayed {
-            assert_eq!(f.raw_at(i), s.raw_at(i), "window raw diverges at n={n}");
-            assert_eq!(
-                f.normalized_at(i),
-                s.normalized_at(i),
-                "window norm diverges at n={n}"
-            );
-        }
+        assert!(
+            f.full_frames().bits_eq(s.full_frames()),
+            "window raw diverges at n={n}"
+        );
     }
 }
 
@@ -916,7 +892,7 @@ fn bench_size(n: usize) -> SizeResult {
     let cond = q.condition.as_ref();
     let policy = DisplayPolicy::Percentage(1.0);
 
-    let run_materialized =
+    let run_vectorized =
         |cond: Option<&visdb_query::ast::Weighted>, trace: bool| -> PipelineOutput {
             run_pipeline_opts(
                 &db,
@@ -925,22 +901,16 @@ fn bench_size(n: usize) -> SizeResult {
                 cond,
                 &policy,
                 PipelineOptions {
-                    materialization: Materialization::Materialized,
                     trace,
                     ..Default::default()
                 },
             )
-            .expect("materialized vectorized")
+            .expect("vectorized")
         };
-    // `run_pipeline` without caches = the Auto planner streaming
-    let stream = run_pipeline(&db, table, &resolver, cond, &policy).expect("streaming");
-    let mat = run_materialized(cond, false);
     let slow = run_pipeline_scalar(&db, table, &resolver, cond, &policy).expect("scalar");
-    assert_identical(&stream, &slow, n);
-    assert_identical(&mat, &slow, n);
+    assert_identical(&run_vectorized(cond, false), &slow, n);
     // partitioned execution must be bit-identical at every partition
-    // count, including counts that leave partitions empty — and both
-    // with (default) streaming and materialized execution
+    // count, including counts that leave partitions empty
     for parts in [1usize, 2, 7, BENCH_PARTITIONS, 16] {
         let partitioning = table.partitions(parts);
         let part = run_pipeline_opts(
@@ -957,23 +927,6 @@ fn bench_size(n: usize) -> SizeResult {
         .expect("parts");
         assert_identical(&part, &slow, n);
     }
-    {
-        let partitioning = table.partitions(BENCH_PARTITIONS);
-        let part = run_pipeline_opts(
-            &db,
-            table,
-            &resolver,
-            cond,
-            &policy,
-            PipelineOptions {
-                materialization: Materialization::Materialized,
-                partitions: Some(&partitioning),
-                ..Default::default()
-            },
-        )
-        .expect("materialized partitioned");
-        assert_identical(&part, &slow, n);
-    }
 
     let min_reps = MIN_REPS;
     let mut rep_counts: Vec<usize> = Vec::new();
@@ -983,12 +936,9 @@ fn bench_size(n: usize) -> SizeResult {
             run_pipeline_scalar(&db, table, &resolver, cond, &policy).expect("scalar")
         }),
     );
-    // the vectorized/partitioned series stay on the materialized
-    // path so they remain comparable with the committed history; the
-    // streaming mode gets its own A/B below
     let vector_s = note(
         &mut rep_counts,
-        time_median(min_reps, || run_materialized(cond, false)),
+        time_median(min_reps, || run_vectorized(cond, false)),
     );
     let partitioned_s = note(
         &mut rep_counts,
@@ -1001,7 +951,6 @@ fn bench_size(n: usize) -> SizeResult {
                 cond,
                 &policy,
                 PipelineOptions {
-                    materialization: Materialization::Materialized,
                     partitions: Some(&partitioning),
                     ..Default::default()
                 },
@@ -1009,48 +958,6 @@ fn bench_size(n: usize) -> SizeResult {
             .expect("partitioned")
         }),
     );
-
-    // ---- streaming vs materialized A/B: the 2-predicate workload the
-    // streaming mode targets (per-predicate frame traffic dominates) ---
-    let q2 = QueryBuilder::from_tables(["T"])
-        .cmp("x", CompareOp::Ge, n as f64 * 0.9)
-        .cmp("x", CompareOp::Lt, n as f64 * 0.95)
-        .build();
-    let cond2 = q2.condition.as_ref();
-    let run_streaming = |trace: bool| -> PipelineOutput {
-        run_pipeline_opts(
-            &db,
-            table,
-            &resolver,
-            cond2,
-            &policy,
-            PipelineOptions {
-                materialization: Materialization::Streaming,
-                trace,
-                ..Default::default()
-            },
-        )
-        .expect("streaming 2-predicate")
-    };
-    let slow2 = run_pipeline_scalar(&db, table, &resolver, cond2, &policy).expect("scalar 2-pred");
-    let stream2 = run_streaming(false);
-    assert_identical(&stream2, &slow2, n);
-    assert!(
-        stream2.windows.iter().all(|w| w.full_frames().is_none()),
-        "the A/B streaming arm must actually stream at n={n}"
-    );
-    let materialized2_s = note(
-        &mut rep_counts,
-        time_median(min_reps, || run_materialized(cond2, false)),
-    );
-    let streaming2_s = note(
-        &mut rep_counts,
-        time_median(min_reps, || run_streaming(false)),
-    );
-    // streaming per-phase breakdown: per-phase medians over MIN_REPS
-    // traced runs
-    let [sp_d, sp_f, sp_nc, sp_r] = phase_medians_ms(|| run_streaming(true));
-    rep_counts.push(MIN_REPS);
 
     // ---- string-predicate A/B: the dictionary-gather path (distance
     // once per distinct value, gathered per row) vs the per-row
@@ -1064,23 +971,8 @@ fn bench_size(n: usize) -> SizeResult {
     let scond = sq.condition.as_ref();
     let s_slow =
         run_pipeline_scalar(&sdb, stable, &resolver, scond, &policy).expect("string scalar");
-    // `run_pipeline` without caches = the Auto planner streaming, which
-    // now covers string leaves via the gather kind
-    let s_stream = run_pipeline(&sdb, stable, &resolver, scond, &policy).expect("string streaming");
-    let s_mat = run_pipeline_opts(
-        &sdb,
-        stable,
-        &resolver,
-        scond,
-        &policy,
-        PipelineOptions {
-            materialization: Materialization::Materialized,
-            ..Default::default()
-        },
-    )
-    .expect("string materialized");
-    assert_identical(&s_stream, &s_slow, n);
-    assert_identical(&s_mat, &s_slow, n);
+    let s_fast = run_pipeline(&sdb, stable, &resolver, scond, &policy).expect("string vectorized");
+    assert_identical(&s_fast, &s_slow, n);
     let string_scalar_s = note(
         &mut rep_counts,
         time_median(min_reps, || {
@@ -1118,20 +1010,7 @@ fn bench_size(n: usize) -> SizeResult {
 
     // per-phase breakdown of the vectorized run: per-phase medians over
     // MIN_REPS traced runs, read off the first-class `PipelineTrace`
-    let [p_d, p_f, p_nc, p_r] = phase_medians_ms(|| {
-        run_pipeline_opts(
-            &db,
-            table,
-            &resolver,
-            cond,
-            &policy,
-            PipelineOptions {
-                trace: true,
-                ..Default::default()
-            },
-        )
-        .expect("timed vectorized")
-    });
+    let [p_d, p_f, p_nc, p_r] = phase_medians_ms(|| run_vectorized(cond, true));
     rep_counts.push(MIN_REPS);
 
     // ---- the exact-light arm: the side of `zeros >= k` the workload
@@ -1142,13 +1021,7 @@ fn bench_size(n: usize) -> SizeResult {
     let cond_light = q_light.condition.as_ref();
     let slow_light =
         run_pipeline_scalar(&db, table, &resolver, cond_light, &policy).expect("scalar light");
-    let stream_light =
-        run_pipeline(&db, table, &resolver, cond_light, &policy).expect("streaming light");
-    assert_identical(&stream_light, &slow_light, n);
-    let (heavy, light) = (
-        run_materialized(cond, true),
-        run_materialized(cond_light, true),
-    );
+    let (heavy, light) = (run_vectorized(cond, true), run_vectorized(cond_light, true));
     assert_identical(&light, &slow_light, n);
     let answered = |out: &PipelineOutput| {
         let t = out.trace.as_deref().expect("traced");
@@ -1159,9 +1032,9 @@ fn bench_size(n: usize) -> SizeResult {
     };
     assert_eq!(answered(&heavy), ([1, 1], [0, 0]), "exact-heavy arm, n={n}");
     assert_eq!(answered(&light), ([0, 0], [1, 1]), "exact-light arm, n={n}");
-    let exact_light = time_median(min_reps, || run_materialized(cond_light, false));
+    let exact_light = time_median(min_reps, || run_vectorized(cond_light, false));
     rep_counts.push(exact_light.reps);
-    let exact_light_phase_ms = phase_medians_ms(|| run_materialized(cond_light, true));
+    let exact_light_phase_ms = phase_medians_ms(|| run_vectorized(cond_light, true));
 
     // representation A/B: identical single-threaded workload, only the
     // intermediate representation differs
@@ -1337,7 +1210,7 @@ fn bench_size(n: usize) -> SizeResult {
     // gates the "telemetry is near-free" claim end to end.
     let obs_baseline_s = note(
         &mut rep_counts,
-        time_median(min_reps, || run_materialized(cond, false)),
+        time_median(min_reps, || run_vectorized(cond, false)),
     );
     let registry = Registry::new();
     let obs_requests = registry.counter("service.requests.summary");
@@ -1350,7 +1223,7 @@ fn bench_size(n: usize) -> SizeResult {
         &mut rep_counts,
         time_median(min_reps, || {
             let started = Instant::now();
-            let out = run_materialized(cond, true);
+            let out = run_vectorized(cond, true);
             let t = out.trace.as_deref().expect("instrumented arm traces");
             obs_phase[0].record_duration(t.phases.distance);
             obs_phase[1].record_duration(t.phases.fit);
@@ -1373,7 +1246,7 @@ fn bench_size(n: usize) -> SizeResult {
     // walks poll at.
     let cancel_baseline_s = note(
         &mut rep_counts,
-        time_median(min_reps, || run_materialized(cond, false)),
+        time_median(min_reps, || run_vectorized(cond, false)),
     );
     let far_token = CancelToken::with_deadline(Duration::from_secs(3600));
     let run_polling = || -> PipelineOutput {
@@ -1384,12 +1257,11 @@ fn bench_size(n: usize) -> SizeResult {
             cond,
             &policy,
             PipelineOptions {
-                materialization: Materialization::Materialized,
                 cancel: Some(&far_token),
                 ..Default::default()
             },
         )
-        .expect("token-polling materialized")
+        .expect("token-polling vectorized")
     };
     assert_identical(&run_polling(), &slow, n);
     let cancel_polling_s = note(&mut rep_counts, time_median(min_reps, &run_polling));
@@ -1434,7 +1306,7 @@ fn bench_size(n: usize) -> SizeResult {
                 ..Default::default()
             },
         )
-        .expect("cached materialized")
+        .expect("cached vectorized")
     };
     let run_cached = |q: &Query, cache: &PipelineCache| run_with(q, &mut cache.clone());
     let warm = |q: &Query| {
@@ -1454,8 +1326,7 @@ fn bench_size(n: usize) -> SizeResult {
     assert_eq!((evaluated(&refit), evaluated(&again)), ((1, 0), (0, 1)));
     assert_identical(&refit, &again, n);
     for (a, b) in refit.windows.iter().zip(&again.windows) {
-        let (ar, br) = (a.full_frames().unwrap(), b.full_frames().unwrap());
-        assert!(ar.bits_eq(br) && a.norm_params == b.norm_params);
+        assert!(a.full_frames().bits_eq(b.full_frames()) && a.norm_params == b.norm_params);
     }
     let reweight = time_median(min_reps, || run_cached(&reweighted, &other_weight));
     let recompute = time_median(min_reps, || run_cached(&reweighted, &first_window_only));
@@ -1495,9 +1366,9 @@ fn bench_size(n: usize) -> SizeResult {
     assert_identical(&refit3, &slow3, n);
     let window_bytes: usize = (refit3.windows.iter())
         .map(|w| {
-            let (exact, defined) = w.exact_bits().expect("materialized");
+            let (exact, defined) = w.exact_bits();
             let words = exact.len().div_ceil(64) * (1 + usize::from(defined.is_some()));
-            w.full_frames().expect("materialized").heap_bytes() + 8 * words
+            w.full_frames().heap_bytes() + 8 * words
         })
         .sum();
     let window_bytes_per_row = window_bytes as f64 / (3 * n) as f64;
@@ -1508,9 +1379,8 @@ fn bench_size(n: usize) -> SizeResult {
     let reweight_3w = time_median(min_reps, || run_cached(&reweighted3, &warm3));
     rep_counts.push(reweight_3w.reps);
 
-    // ---- threads axis: the partitioned (1-predicate, materialized)
-    // and streaming (2-predicate) paths re-timed under each explicit
-    // worker budget, with identity vs the scalar reference re-asserted
+    // ---- threads axis: the partitioned path re-timed under each
+    // explicit worker budget, with identity vs the scalar reference re-asserted
     // per budget. On a single-core box the series documents scheduling
     // overhead staying flat; on a multi-core box it is the scaling
     // evidence for the per-shard branchless kernels.
@@ -1528,7 +1398,6 @@ fn bench_size(n: usize) -> SizeResult {
                         cond,
                         &policy,
                         PipelineOptions {
-                            materialization: Materialization::Materialized,
                             partitions: Some(&partitioning),
                             ..Default::default()
                         },
@@ -1536,16 +1405,10 @@ fn bench_size(n: usize) -> SizeResult {
                     .expect("threads-axis partitioned")
                 };
                 assert_identical(&run_part(), &slow, n);
-                assert_identical(&run_streaming(false), &slow2, n);
                 let part_s = note(&mut rep_counts, time_median(min_reps, &run_part));
-                let stream_s = note(
-                    &mut rep_counts,
-                    time_median(min_reps, || run_streaming(false)),
-                );
                 ThreadPoint {
                     threads: workers,
                     partitioned_rows_per_sec: n as f64 / part_s,
-                    streaming_rows_per_sec: n as f64 / stream_s,
                 }
             })
         })
@@ -1583,13 +1446,6 @@ fn bench_size(n: usize) -> SizeResult {
         proj_merge_ms: merge_s * 1e3,
         proj_build_ms: build_s * 1e3,
         append_projection_merge: build_s / merge_s,
-        materialized2_rows_per_sec: n as f64 / materialized2_s,
-        streaming2_rows_per_sec: n as f64 / streaming2_s,
-        streaming_vs_materialized: materialized2_s / streaming2_s,
-        streaming_phase_distance_ms: sp_d,
-        streaming_phase_fit_ms: sp_f,
-        streaming_phase_normalize_combine_ms: sp_nc,
-        streaming_phase_rank_ms: sp_r,
         string_scalar_rows_per_sec: n as f64 / string_scalar_s,
         string_vectorized_rows_per_sec: n as f64 / string_vector_s,
         string_gather_speedup: string_scalar_s / string_vector_s,
@@ -1663,7 +1519,7 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         let [light_d, light_f, light_nc, light_r] = r.exact_light_phase_ms;
         println!(
-            "            exact-light (x >= 0.999n, materialized): {:.3} ms (min {:.3}, p90 {:.3}) | \
+            "            exact-light (x >= 0.999n): {:.3} ms (min {:.3}, p90 {:.3}) | \
              distance {light_d:.3} ms | fit {light_f:.3} ms | norm+combine {light_nc:.3} ms | \
              rank {light_r:.3} ms",
             r.exact_light.per_call_s * 1e3,
@@ -1700,17 +1556,6 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             r.proj_merge_ms,
             r.proj_build_ms,
             r.append_projection_merge,
-        );
-        println!(
-            "            streaming-vs-materialized (2-pred): {:>12.0} vs {:>12.0} rows/s ({:.2}x) | \
-             streaming phases: distance {:.3} ms | fit {:.3} ms | norm+combine {:.3} ms | rank {:.3} ms",
-            r.streaming2_rows_per_sec,
-            r.materialized2_rows_per_sec,
-            r.streaming_vs_materialized,
-            r.streaming_phase_distance_ms,
-            r.streaming_phase_fit_ms,
-            r.streaming_phase_normalize_combine_ms,
-            r.streaming_phase_rank_ms,
         );
         println!(
             "            string gather-vs-scalar: {:>12.0} vs {:>12.0} rows/s ({:.2}x)",
@@ -1756,8 +1601,8 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         for p in &r.threads {
             println!(
-                "            threads={}: partitioned {:>12.0} rows/s | streaming {:>12.0} rows/s",
-                p.threads, p.partitioned_rows_per_sec, p.streaming_rows_per_sec,
+                "            threads={}: partitioned {:>12.0} rows/s",
+                p.threads, p.partitioned_rows_per_sec,
             );
         }
         results.push(r);
@@ -1782,7 +1627,7 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
     let _ = writeln!(
         json,
         "  \"exact_light_workload\": \"x >= 0.999n over the same ramp and display: 0.1 % exact \
-         answers against k = 1 %, so the fit and the ranking select; materialized executor\","
+         answers against k = 1 %, so the fit and the ranking select\","
     );
     let _ = writeln!(json, "  \"bench_partitions\": {BENCH_PARTITIONS},");
     let _ = writeln!(json, "  \"min_reps\": {MIN_REPS},");
@@ -1870,21 +1715,6 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         let _ = writeln!(
             json,
-            "     \"materialized2_rows_per_sec\": {:.0}, \"streaming2_rows_per_sec\": {:.0}, \
-             \"streaming_vs_materialized\": {:.3},",
-            r.materialized2_rows_per_sec, r.streaming2_rows_per_sec, r.streaming_vs_materialized,
-        );
-        let _ = writeln!(
-            json,
-            "     \"streaming_phase_ms\": {{\"distance\": {:.3}, \"fit\": {:.3}, \
-             \"normalize_combine\": {:.3}, \"rank\": {:.3}}},",
-            r.streaming_phase_distance_ms,
-            r.streaming_phase_fit_ms,
-            r.streaming_phase_normalize_combine_ms,
-            r.streaming_phase_rank_ms,
-        );
-        let _ = writeln!(
-            json,
             "     \"string_scalar_rows_per_sec\": {:.0}, \
              \"string_vectorized_rows_per_sec\": {:.0}, \"string_gather_speedup\": {:.3},",
             r.string_scalar_rows_per_sec, r.string_vectorized_rows_per_sec, r.string_gather_speedup,
@@ -1932,9 +1762,8 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             .iter()
             .map(|p| {
                 format!(
-                    "{{\"threads\": {}, \"partitioned_rows_per_sec\": {:.0}, \
-                     \"streaming_rows_per_sec\": {:.0}}}",
-                    p.threads, p.partitioned_rows_per_sec, p.streaming_rows_per_sec,
+                    "{{\"threads\": {}, \"partitioned_rows_per_sec\": {:.0}}}",
+                    p.threads, p.partitioned_rows_per_sec,
                 )
             })
             .collect();
@@ -1981,23 +1810,6 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
                  representation at n={} (got {:.2}x)",
                 big.n,
                 big.packed_vs_option
-            );
-            // The branchless kernel walk removed the materialized
-            // path's full-size normalize/combine frame traffic (its
-            // 2-predicate throughput at n=1M went from ~1.2M to ~15M
-            // rows/s), so streaming's old >= 1.3x advantage on this
-            // workload collapsed to parity by the *materialized* side
-            // getting faster. The gate now asserts streaming holds
-            // that parity (no regression hiding behind the faster
-            // baseline); the committed history preserves the old gap.
-            assert!(
-                big.streaming_vs_materialized >= 0.8,
-                "acceptance: streaming execution must stay within 0.8x of the materialized \
-                 path on the 2-predicate workload at n={} (got {:.2}x: {:.0} vs {:.0} rows/s)",
-                big.n,
-                big.streaming_vs_materialized,
-                big.streaming2_rows_per_sec,
-                big.materialized2_rows_per_sec
             );
             // the two arms' spreads must not touch: the slowest tenth of
             // the fast-path sparse drags beats the fastest full recompute

@@ -298,7 +298,7 @@ fn main() {
     }
     let cad = bench_workload(
         "cad",
-        "streaming-kernels",
+        "around-kernels",
         &cad_data.db,
         "Parts",
         &qb.build(),

@@ -14,14 +14,9 @@ pub struct RenderOptions {
     pub columns: usize,
     /// Margin between windows in pixels.
     pub margin: usize,
-    /// Also append slider spectrum strips under the windows. The strips
-    /// are a full-relation view: for a session running the streaming
-    /// execution mode ([`Session::set_materialization`]) the
-    /// per-window strips cover only the ranked rows its
-    /// late-materialized windows hold (the rendered windows themselves
-    /// are complete — they only ever paint displayed items).
-    ///
-    /// [`Session::set_materialization`]: crate::Session::set_materialization
+    /// Also append slider spectrum strips under the windows: the
+    /// combined distances' and then each window's normalized distances
+    /// over the full relation.
     pub with_spectra: bool,
 }
 
@@ -69,8 +64,6 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
     // per-predicate windows: same placement, window-local colors
     for win in &res.pipeline.windows {
         let grid = place_like(&res.grid);
-        // windows cover every displayed item whether materialized or
-        // late-materialized (the grid only places displayed items)
         let colors = |item: u32| -> Option<Rgb> { color(win.normalized_at(item as usize)) };
         frames.push(render_item_window(
             &WindowSpec {
@@ -86,16 +79,9 @@ pub fn render_session(session: &mut Session, opts: &RenderOptions) -> Result<Fra
         let width = res.grid.width() * ppi.side();
         frames.push(render_spectrum(combined.iter(), map, width, 8));
         for win in &res.pipeline.windows {
-            // normalized distances are derived on read; a
-            // late-materialized window covers exactly the ranked rows
-            let derived = |i: usize| win.normalized_at(i);
-            frames.push(match win.full_frames() {
-                Some(raw) => render_spectrum((0..raw.len()).map(derived), map, width, 8),
-                None => {
-                    let ranked = res.pipeline.order.iter().map(|&i| i as usize);
-                    render_spectrum(ranked.map(derived), map, width, 8)
-                }
-            });
+            // normalized distances are derived on read
+            let derived = (0..win.len()).map(|i| win.normalized_at(i));
+            frames.push(render_spectrum(derived, map, width, 8));
         }
     }
 

@@ -22,8 +22,8 @@ use visdb_relevance::cache::{PipelineCache, WindowSource};
 use visdb_relevance::eval::{EvalContext, ExecMode};
 use visdb_relevance::normalize::{fit_k, NormParams};
 use visdb_relevance::pipeline::{
-    display_count, run_pipeline_opts, DisplayPolicy, Materialization, PipelineOptions,
-    PipelineOutput, PipelineTrace, SharedWindows,
+    display_count, run_pipeline_opts, DisplayPolicy, PipelineOptions, PipelineOutput,
+    PipelineTrace, SharedWindows,
 };
 use visdb_storage::{Database, Row, Table};
 use visdb_types::{Error, Result, Value};
@@ -139,9 +139,6 @@ pub struct Session {
     /// Horizontal partitions per pipeline run (0/1 = unpartitioned).
     /// A pure scheduling knob: outputs are bit-identical either way.
     partitions: usize,
-    /// Streaming vs materialized pipeline execution (see
-    /// [`Session::set_materialization`]). Bit-identical either way.
-    materialization: Materialization,
     /// Sorted-projection slider index (see [`Session::drag_slider`]).
     slider_index: Option<SliderIndex>,
     /// Collect a [`visdb_relevance::PipelineTrace`] on every
@@ -179,7 +176,6 @@ impl Session {
             shared_windows: None,
             shared_projections: None,
             partitions: 0,
-            materialization: Materialization::Auto,
             slider_index: None,
             collect_trace: false,
             cancel: None,
@@ -330,26 +326,6 @@ impl Session {
     /// stays valid.
     pub fn set_partitions(&mut self, parts: usize) {
         self.partitions = parts;
-    }
-
-    /// Streaming vs materialized pipeline execution. `Streaming` trades
-    /// the §6 window caches for zero-materialization execution:
-    /// recalculations skip both cache layers and run the two-pass
-    /// streaming pipeline whenever the query shape allows, assembling
-    /// predicate windows lazily at the ranked (sorted-prefix) rows. The
-    /// default `Auto` keeps today's cached, materialized behaviour for
-    /// sessions (caches are attached, so the planner materializes).
-    ///
-    /// Pipeline outputs — combined distances, relevance, ranking,
-    /// display sets, window values at every ranked row — are
-    /// bit-identical in all modes. The one intentional exception: the
-    /// optional per-window spectrum strips
-    /// ([`crate::RenderOptions::with_spectra`], default off) are a
-    /// full-relation view, so under streaming they show only the ranked
-    /// rows a late-materialized window covers.
-    pub fn set_materialization(&mut self, materialization: Materialization) {
-        self.materialization = materialization;
-        self.invalidate();
     }
 
     /// Collect a per-phase [`visdb_relevance::PipelineTrace`] on every
@@ -518,15 +494,13 @@ impl Session {
             .as_ref()
             .ok_or_else(|| Error::invalid_query("no query installed"))?;
         let base = materialize_base(&self.db, query, &self.join_opts)?;
-        let streaming = self.materialization == Materialization::Streaming;
         // the shared cache key identifies the base by (table, row count);
         // sampled cross products can collide on both, so only plain
-        // single-table bases participate; forced streaming bypasses both
-        // cache layers entirely (nothing cacheable is produced)
+        // single-table bases participate
         let shared = self
             .shared_windows
             .as_ref()
-            .filter(|_| query.tables.len() == 1 && !streaming)
+            .filter(|_| query.tables.len() == 1)
             .map(|(scope, cache)| SharedWindows {
                 scope,
                 cache: cache.as_ref(),
@@ -539,7 +513,7 @@ impl Session {
             query.condition.as_ref(),
             &self.policy,
             PipelineOptions {
-                cache: (!streaming).then_some(&mut self.pipeline_cache),
+                cache: Some(&mut self.pipeline_cache),
                 shared,
                 // a join's inner relation is always a catalog table, so
                 // (unlike the windows) its projection is shareable even
@@ -549,7 +523,6 @@ impl Session {
                     .as_ref()
                     .map(|(scope, cache)| (scope.as_str(), cache.as_ref())),
                 partitions: partitioning.as_ref(),
-                materialization: self.materialization,
                 trace: self.collect_trace,
                 cancel: self.cancel.as_ref(),
                 ..Default::default()
@@ -1131,9 +1104,6 @@ impl Session {
         let _ = self.result()?;
         let res = self.result.as_ref().expect("cached");
         let sub_weighted = Weighted::unit(sub);
-        // drill-down windows are rendered at the *parent's* displayed
-        // rows (shared arrangement), which a late-materialized window
-        // would not cover — materialize explicitly
         let pipeline = run_pipeline_opts(
             &self.db,
             &res.base,
@@ -1141,7 +1111,6 @@ impl Session {
             Some(&sub_weighted),
             &policy,
             PipelineOptions {
-                materialization: Materialization::Materialized,
                 cancel: self.cancel.as_ref(),
                 ..Default::default()
             },

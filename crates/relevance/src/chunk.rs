@@ -130,9 +130,9 @@ pub fn for_each_chunk<T: Send>(out: &mut [T], parallel: bool, f: impl Fn(usize, 
 /// slice: `f(offset, len)` runs once per range (fanned out across the
 /// runtime under the usual conditions) and the per-range results come
 /// back **in range order**, so order-sensitive merges stay deterministic
-/// regardless of thread schedule. This is the walk shape of the
-/// streaming pipeline's stats passes, which recompute distances in
-/// registers and keep only per-range accumulators.
+/// regardless of thread schedule — the walk shape of a fold that keeps
+/// only per-range results (a window's packed exact bits, a pattern
+/// table's counts).
 pub fn map_ranges<R: Send>(
     n: usize,
     partitions: Option<&Partitioning>,

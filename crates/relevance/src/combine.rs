@@ -117,8 +117,8 @@ fn folded(bits: &SharedBits) -> (&PackedBits, Option<&PackedBits>) {
 /// (`Some(NaN) != Some(NaN)`), `bits_eq` their bit patterns.
 #[derive(Debug, Clone)]
 pub enum Combined {
-    /// One packed value per row: mixed, fitted and `OR` roots, the
-    /// streaming executor and the scalar oracle.
+    /// One packed value per row: mixed, fitted and `OR` roots and the
+    /// scalar oracle.
     Frame(DistanceFrame),
     /// A root of two-valued windows, or the pure scan: no frame written.
     Table(PatternTable),

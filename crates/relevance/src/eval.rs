@@ -316,7 +316,7 @@ impl<'a> EvalContext<'a> {
     /// leaves behind are garbage the pipeline's next checkpoint
     /// discards). One branch when no token is attached.
     #[inline]
-    pub(crate) fn poll_cancel(&self) -> bool {
+    fn poll_cancel(&self) -> bool {
         self.cancel.is_some_and(|c| c.should_stop(Phase::Distance))
     }
 
@@ -394,10 +394,7 @@ impl<'a> EvalContext<'a> {
     /// under the column's distance behaviour. `None` falls back to the
     /// generic per-tuple path (strings, matrices, geo, bool columns, and
     /// any application-supplied distance override).
-    pub(crate) fn kernel_for(
-        cd: &ColumnDistance,
-        target: &PredicateTarget,
-    ) -> Option<NumericKernel> {
+    fn kernel_for(cd: &ColumnDistance, target: &PredicateTarget) -> Option<NumericKernel> {
         if !matches!(cd, ColumnDistance::Numeric) {
             return None;
         }
@@ -949,7 +946,7 @@ fn exhaustive_row(
 }
 
 /// Distance of row `i` of `col` from fulfilling `col op value`.
-pub(crate) fn compare_distance(
+fn compare_distance(
     col: &ColumnData,
     i: usize,
     op: CompareOp,
@@ -963,7 +960,7 @@ pub(crate) fn compare_distance(
 /// dictionary-gather fast path runs this once per *distinct* column value
 /// instead of once per row — same function, so bit-identity is by
 /// construction.
-pub(crate) fn compare_value_distance(
+fn compare_value_distance(
     v: &Value,
     op: CompareOp,
     value: &Value,
@@ -1021,7 +1018,7 @@ pub(crate) fn compare_value_distance(
 /// Distance of row `i` from the inclusive range `[low, high]`, generalised
 /// beyond numerics: inside → 0, outside → signed distance to the violated
 /// bound under the column's distance behaviour.
-pub(crate) fn range_distance(
+fn range_distance(
     col: &ColumnData,
     i: usize,
     low: &Value,
@@ -1033,12 +1030,7 @@ pub(crate) fn range_distance(
 
 /// [`range_distance`] of an already-materialised value (see
 /// [`compare_value_distance`] for why the split exists).
-pub(crate) fn range_value_distance(
-    v: &Value,
-    low: &Value,
-    high: &Value,
-    cd: &ColumnDistance,
-) -> Option<f64> {
+fn range_value_distance(v: &Value, low: &Value, high: &Value, cd: &ColumnDistance) -> Option<f64> {
     if v.is_null() || low.is_null() || high.is_null() {
         return None;
     }

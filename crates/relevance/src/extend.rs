@@ -24,7 +24,7 @@ use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
 use crate::normalize::{fit_frame, fit_frame_extended};
-use crate::pipeline::{PredicateWindow, WindowData};
+use crate::pipeline::PredicateWindow;
 
 /// What it takes, beside the stored window itself (which carries its
 /// weight, row count, raw frame and that frame's stats), to grow the
@@ -72,9 +72,8 @@ pub fn extension_recipe(ctx: &EvalContext<'_>, node: &ConditionNode) -> Option<W
 /// through the standard kernels, merge stats, refit, and append the
 /// delta's raw distances to the cached frame — and its exact bits to
 /// the window's packed ones, when those have been folded. Returns `None`
-/// only when the window is not materialized or the delta fails to
-/// evaluate — the caller then drops the entry and the next query
-/// re-evaluates in full.
+/// only when the delta fails to evaluate — the caller then drops the
+/// entry and the next query re-evaluates in full.
 ///
 /// Shared caches only ever hold default-resolver evaluations (sessions
 /// with custom resolvers detach from them), so the delta pass uses a
@@ -85,9 +84,7 @@ pub fn extend_window(
     win: &PredicateWindow,
     recipe: &WindowRecipe,
 ) -> Option<PredicateWindow> {
-    let WindowData::Full { raw, stats, bits } = &win.data else {
-        return None;
-    };
+    let (raw, stats) = win.raw_with_stats();
     let resolver = DistanceResolver::new();
     let ctx = EvalContext {
         db,
@@ -116,7 +113,7 @@ pub fn extend_window(
         recipe.budget,
     )
     .unwrap_or_else(|| fit_frame(&ext_raw, &merged, win.weight, recipe.budget));
-    let ext_bits = bits.get().map(|(exact, defined)| {
+    let ext_bits = win.bits.get().map(|(exact, defined)| {
         let (delta_exact, delta_defined) = dev.distances.exact_bits_in(0..delta.len());
         let mut exact = exact.clone();
         exact.append(&delta_exact);
@@ -130,11 +127,9 @@ pub fn extend_window(
         (exact, defined)
     });
     Some(PredicateWindow {
-        data: WindowData::Full {
-            raw: Arc::new(ext_raw),
-            stats: merged,
-            bits: Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from)),
-        },
+        raw: Arc::new(ext_raw),
+        stats: merged,
+        bits: Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from)),
         norm_params,
         ..win.clone()
     })
@@ -143,7 +138,7 @@ pub fn extend_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline_opts, DisplayPolicy, Materialization, PipelineOptions};
+    use crate::pipeline::{run_pipeline, DisplayPolicy};
     use visdb_distance::frame::FrameStats;
     use visdb_query::ast::{AttrRef, CompareOp, Predicate, Weighted};
     use visdb_storage::{Database, TableBuilder};
@@ -169,7 +164,7 @@ mod tests {
     fn window_for(db: &Database, node: &ConditionNode, budget: usize) -> PredicateWindow {
         let table = db.table("T").unwrap();
         let resolver = DistanceResolver::new();
-        let out = run_pipeline_opts(
+        let out = run_pipeline(
             db,
             table,
             &resolver,
@@ -177,10 +172,6 @@ mod tests {
             &DisplayPolicy::FitScreen {
                 pixels: budget,
                 pixels_per_item: 1,
-            },
-            PipelineOptions {
-                materialization: Materialization::Materialized,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -224,7 +215,7 @@ mod tests {
             let ext = extend_window(&new_db, &delta, &win, &recipe).expect("a numeric leaf");
             let full = window_for(&new_db, &node, budget);
             assert_eq!(ext.norm_params != win.norm_params, fit_shifts);
-            let (eraw, fraw) = (ext.full_frames().unwrap(), full.full_frames().unwrap());
+            let (eraw, fraw) = (ext.full_frames(), full.full_frames());
             assert!(eraw.bits_eq(fraw), "raw frames diverge");
             for i in 0..=all.len() {
                 let (e, f) = (ext.normalized_at(i), full.normalized_at(i));
@@ -236,7 +227,7 @@ mod tests {
             }
             assert_eq!(ext.norm_params, full.norm_params);
             assert_eq!(ext.len(), all.len());
-            assert_eq!(ext.raw_with_stats().unwrap().1, &FrameStats::of_frame(fraw));
+            assert_eq!(ext.raw_with_stats().1, &FrameStats::of_frame(fraw));
         }
     }
 
@@ -273,25 +264,16 @@ mod tests {
                     let what = format!("{old_len} + {delta_len} rows, nulls: {nulls}");
 
                     let unfolded = window_for(&old_db, &node, budget);
-                    let WindowData::Full { bits, .. } = &unfolded.data else {
-                        panic!("materialized");
-                    };
-                    let folded = bits.get().is_some();
+                    let folded = unfolded.bits.get().is_some();
                     let ext = extend_window(&new_db, &delta, &unfolded, &recipe).unwrap();
-                    let WindowData::Full { bits, .. } = &ext.data else {
-                        panic!("materialized");
-                    };
-                    assert_eq!(bits.get().is_some(), folded, "{what}");
+                    assert_eq!(ext.bits.get().is_some(), folded, "{what}");
 
                     let old = window_for(&old_db, &node, budget);
-                    assert!(old.exact_bits().unwrap().1.is_none(), "{what}");
+                    assert!(old.exact_bits().1.is_none(), "{what}");
                     let ext = extend_window(&new_db, &delta, &old, &recipe).unwrap();
-                    let WindowData::Full { bits, .. } = &ext.data else {
-                        panic!("materialized");
-                    };
-                    let grown = bits.get().expect("grown, not refolded");
+                    let grown = ext.bits.get().expect("grown, not refolded");
                     let cold = window_for(&new_db, &node, budget);
-                    assert_eq!(Some(grown), cold.exact_bits(), "{what}");
+                    assert_eq!(grown, cold.exact_bits(), "{what}");
                     assert_eq!(grown.0.count_ones(), ext.zero_raw_count(), "{what}");
                     assert_eq!(grown.1.is_some(), nulls && all.iter().any(Option::is_none));
                 }

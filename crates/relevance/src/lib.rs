@@ -30,7 +30,9 @@
 //! Steps 3–5 run on packed frames; [`reference`] holds the
 //! `Option`-shaped definitions they are tested against, which the
 //! [`ExecMode::Scalar`] oracle computes with. The end-to-end driver is
-//! [`pipeline::run_pipeline`].
+//! [`pipeline::run_pipeline`]: one executor, which keeps every
+//! predicate's raw distances as its window — the form the §6 caches
+//! store and reuse.
 
 pub mod cache;
 pub mod chunk;
@@ -44,7 +46,6 @@ pub mod quantile;
 pub mod reduction;
 pub mod reference;
 pub mod select;
-pub(crate) mod stream;
 
 pub use cache::{key_scope, window_key, PipelineCache, WindowSource};
 pub use combine::{combine_and_slices, combine_or_slices, Combined};
@@ -55,8 +56,8 @@ pub use normalize::{
 };
 pub use pipeline::{
     display_count, run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy,
-    DisplayedWindow, Materialization, PhaseTimings, PipelineOptions, PipelineOutput, PipelineTrace,
-    PredicateWindow, SharedWindows, WindowData, PARALLEL_THRESHOLD, PARTITION_MIN_ROWS,
+    PhaseTimings, PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow, SharedWindows,
+    PARALLEL_THRESHOLD, PARTITION_MIN_ROWS,
 };
 pub use quantile::{display_fraction, quantile, two_sided_range};
 pub use reduction::{gap_cutoff, gap_cutoff_naive};

@@ -115,7 +115,7 @@ pub(crate) fn dmax_of_prefix(abs: impl IntoIterator<Item = f64>) -> f64 {
 /// (§5.1: "none or very many"): the `k` smallest `|d|` are then all
 /// `+0.0` and [`dmax_of_prefix`] of them is `0.0`, the value the
 /// selection would return. The single ladder behind [`fit_frame`],
-/// [`fit_frame_extended`] and the streaming executor's fit.
+/// [`fit_frame_extended`] and the pipeline's fit.
 pub(crate) fn fit_from_counts(
     n: usize,
     stats: &FrameStats,
@@ -328,8 +328,8 @@ pub fn apply_slice(
 }
 
 /// In-place [`apply_slice`]: normalize a chunk's value buffer against
-/// its validity mask without a second buffer (the streaming pass-2
-/// register loop). Undefined rows are rewritten to the canonical `0.0`
+/// its validity mask without a second buffer (the combined frame's
+/// finalize pass). Undefined rows are rewritten to the canonical `0.0`
 /// they already carry.
 pub fn apply_in_place(params: NormParams, vals: &mut [f64], mask: &[bool]) {
     use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};

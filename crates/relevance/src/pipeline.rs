@@ -75,10 +75,7 @@ pub use crate::eval::ExecMode;
 /// Wall-clock breakdown of one pipeline run, phase by phase — where the
 /// time actually goes at scale (the `pipeline_perf` bench records this
 /// in `BENCH_pipeline.json` so the perf trajectory is attributable
-/// instead of one end-to-end number). Streaming runs attribute their
-/// stats walks to `distance`, fit merges to `fit`, the fused combine
-/// pass plus final normalization to `normalize_combine`, and ranking
-/// plus the O(k) late window assembly to `rank`.
+/// instead of one end-to-end number).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Distance walks over the base relation (kernels or per-tuple),
@@ -97,30 +94,23 @@ pub struct PhaseTimings {
 /// The first-class explain record of one pipeline run, attached to
 /// [`PipelineOutput::trace`] when [`PipelineOptions::trace`] is set:
 /// the per-phase wall-clock breakdown plus the execution decisions that
-/// produced it — which materialization the planner chose, how far the
-/// partition fan-out went, how many windows the §6 caches served vs.
-/// re-evaluated, and how much work the streaming fit-selection's
-/// sampled-cut pruning skipped. This is what `trace: true` server
-/// requests return inline and what `pipeline_perf` records as
-/// `phase_ms`, so production traces and the bench can never drift
-/// apart. Collection costs one branch when disabled (no allocation).
+/// produced it — how far the partition fan-out went, how many windows
+/// the §6 caches served vs. re-evaluated, and which fits, children and
+/// rankings were answered from counts and bits. This is what
+/// `trace: true` server requests return inline and what `pipeline_perf`
+/// records as `phase_ms`, so production traces and the bench can never
+/// drift apart. Collection costs one branch when disabled (no
+/// allocation).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineTrace {
     /// Wall-clock per phase (distance / fit / normalize+combine /
     /// rank), same attribution rules as [`PhaseTimings`].
     pub phases: PhaseTimings,
-    /// True when the streaming (zero-materialization) executor ran —
-    /// the `Auto` planner's choice made visible.
-    pub streaming: bool,
     /// Horizontal partition fan-out (1 = unpartitioned).
     pub partitions: usize,
-    /// Rows the execution examined: the relation size for materialized
-    /// runs (every window evaluation walks all rows), the defined rows
-    /// of every per-node stats walk for streaming runs.
+    /// Rows of the base relation the run covered — the span of every
+    /// window evaluation and of the root combine.
     pub rows_scanned: u64,
-    /// Rows the streaming fit-selection kept out of its pools (values
-    /// above the sampled cut). Always 0 on the materialized path.
-    pub rows_pruned: u64,
     /// Top-level windows found in the per-session §6 incremental cache.
     pub cache_hits: usize,
     /// Top-level windows found in the cross-session shared window cache.
@@ -227,78 +217,14 @@ impl DisplayPolicy {
     }
 }
 
-/// Where a [`PredicateWindow`]'s per-item distances live.
-///
-/// The materialized representation is the window's full-size packed raw
-/// [`DistanceFrame`] with its stats — the cacheable form every window
-/// cache stores and the §5.1 two-sided display selection requires; the
-/// normalized distances are a function of it and the window's fit, and
-/// are derived on read. The streaming execution mode instead assembles
-/// windows **lazily**: only the *ranked* rows —
-/// [`PipelineOutput::order`], a superset of the displayed set (the gap
-/// heuristic ranks `rmax + z + 1` rows but may display fewer) — are
-/// evaluated, shrinking the per-window footprint from ~9 bytes/row to
-/// O(k) for the k ranked items. §4.2 windows are position-coherent with
-/// the overall window, so ranked rows are the only rows renderers and
-/// prefix-walking callers read.
-#[derive(Debug, Clone)]
-pub enum WindowData {
-    /// The fully materialized raw frame (the default path; required for
-    /// caching and for full-relation reads).
-    Full {
-        /// Raw signed distances per item in packed SoA form (shared with
-        /// the incremental caches; cloning a window is cheap).
-        raw: Arc<DistanceFrame>,
-        /// The fused reduction stats of `raw` — together with the frame,
-        /// every input of a §5.2 fit, so a cached window can be refitted
-        /// under another weight (or over appended rows) without a
-        /// distance pass.
-        stats: FrameStats,
-        /// [`DistanceFrame::exact_bits`] of `raw`, folded on first use —
-        /// what a fit with `dmax = 0` is read from — and shared by every
-        /// clone and refit of the window and by a derived root's
-        /// [`Combined::Table`], so a frame is walked for them at most once.
-        bits: Arc<OnceLock<(PackedBits, Option<PackedBits>)>>,
-    },
-    /// Late-materialized: the ranked (sorted-prefix) rows only,
-    /// evaluated after the ranking of the streaming execution mode.
-    Displayed(Arc<DisplayedWindow>),
-}
-
-/// The late-materialized window payload of the streaming execution mode:
-/// raw distances at the ranked (sorted-prefix) row ids plus the
-/// full-relation exact-answer count (the streaming stats pass's
-/// [`FrameStats::zeros`], so the §4.3 panel's `# results` field never
-/// needs the full frame).
-#[derive(Debug, Clone)]
-pub struct DisplayedWindow {
-    /// Rows of the base relation (the length a full frame would have).
-    n: usize,
-    /// `(row, raw signed distance)` for every covered (ranked) row,
-    /// ascending by row id; `None` = covered but undefined.
-    rows: Vec<(usize, Option<f64>)>,
-    /// Exact answers (`raw == 0`) over the **full** relation.
-    zeros: usize,
-}
-
-impl DisplayedWindow {
-    /// Build from covered rows (must be sorted ascending by row id).
-    pub fn new(n: usize, rows: Vec<(usize, Option<f64>)>, zeros: usize) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
-        DisplayedWindow { n, rows, zeros }
-    }
-
-    fn raw_at(&self, i: usize) -> Option<f64> {
-        self.rows
-            .binary_search_by_key(&i, |r| r.0)
-            .ok()
-            .and_then(|pos| self.rows[pos].1)
-    }
-}
-
 /// One per-predicate visualization window (§4.2): the raw signed
 /// distances, the `[0,255]` normalization, and the fitted parameters so
 /// sliders can map colors back to attribute values.
+///
+/// A window *is* its full-size packed raw [`DistanceFrame`] with that
+/// frame's stats — the form every window cache stores and the §5.1
+/// two-sided display selection reads — plus a fit; the normalized
+/// distances are derived on read.
 #[derive(Debug, Clone)]
 pub struct PredicateWindow {
     /// Window title.
@@ -307,16 +233,26 @@ pub struct PredicateWindow {
     pub signed: bool,
     /// Weight of this predicate in the query.
     pub weight: f64,
-    /// The per-item distance data: materialized full frames or the
-    /// streaming mode's displayed-rows slice.
-    pub data: WindowData,
+    /// Raw signed distances per item in packed SoA form (shared with the
+    /// incremental caches; cloning a window is cheap).
+    pub(crate) raw: Arc<DistanceFrame>,
+    /// The fused reduction stats of `raw` — together with the frame,
+    /// every input of a §5.2 fit, so a cached window can be refitted
+    /// under another weight (or over appended rows) without a distance
+    /// pass.
+    pub(crate) stats: FrameStats,
+    /// [`DistanceFrame::exact_bits`] of `raw`, folded on first use —
+    /// what a fit with `dmax = 0` is read from — and shared by every
+    /// clone and refit of the window and by a derived root's
+    /// [`Combined::Table`], so a frame is walked for them at most once.
+    pub(crate) bits: Arc<OnceLock<(PackedBits, Option<PackedBits>)>>,
     /// The fitted normalization (for color → value lookups).
     pub norm_params: NormParams,
 }
 
 impl PredicateWindow {
-    /// A window over its fully materialized raw frame (the cacheable
-    /// form) with that frame's reduction stats, fitted under `weight`.
+    /// A window over its raw frame with that frame's reduction stats,
+    /// fitted under `weight`.
     pub fn full(
         label: String,
         signed: bool,
@@ -328,21 +264,16 @@ impl PredicateWindow {
             label,
             signed,
             weight,
-            data: WindowData::Full {
-                raw,
-                stats,
-                bits: Arc::default(),
-            },
+            raw,
+            stats,
+            bits: Arc::default(),
             norm_params,
         }
     }
 
     /// Rows of the base relation this window spans.
     pub fn len(&self) -> usize {
-        match &self.data {
-            WindowData::Full { raw, .. } => raw.len(),
-            WindowData::Displayed(d) => d.n,
-        }
+        self.raw.len()
     }
 
     /// True when the window spans no rows.
@@ -350,71 +281,52 @@ impl PredicateWindow {
         self.len() == 0
     }
 
-    /// Raw signed distance of row `i`. For a late-materialized window
-    /// only the ranked rows ([`PipelineOutput::order`], ⊇ the displayed
-    /// set) are covered; uncovered rows read as undefined (exactly like
-    /// out-of-range reads on a full frame).
+    /// Raw signed distance of row `i` (`None`: undefined or out of
+    /// range).
     pub fn raw_at(&self, i: usize) -> Option<f64> {
-        match &self.data {
-            WindowData::Full { raw, .. } => raw.get(i),
-            WindowData::Displayed(d) => d.raw_at(i),
-        }
+        self.raw.get(i)
     }
 
-    /// Normalized (`[0, 255]`) distance of row `i`; same coverage rules
-    /// as [`PredicateWindow::raw_at`]. Derived: the fitted params applied
-    /// on the fly — the identical float op the combine walk performs in
-    /// registers.
+    /// Normalized (`[0, 255]`) distance of row `i`. Derived: the fitted
+    /// params applied on the fly — the identical float op the combine
+    /// walk performs in registers.
     pub fn normalized_at(&self, i: usize) -> Option<f64> {
         self.raw_at(i).map(|v| self.norm_params.apply(v.abs()))
     }
 
     /// Exact answers of this window (`raw == 0`) over the full relation
     /// — the §4.3 panel's per-slider `# results` field. The distance
-    /// walk has counted them already ([`FrameStats::zeros`]; the
-    /// streaming mode keeps its stats pass's count, so it is exact even
-    /// for late-materialized windows): nothing is scanned.
+    /// walk has counted them already ([`FrameStats::zeros`]): nothing is
+    /// scanned.
     pub fn zero_raw_count(&self) -> usize {
-        match &self.data {
-            WindowData::Full { stats, .. } => stats.zeros,
-            WindowData::Displayed(d) => d.zeros,
-        }
+        self.stats.zeros
     }
 
-    /// The materialized raw frame, when this window carries one (`None`
-    /// for a late-materialized streaming window). Full-relation
-    /// consumers — the window caches, the two-sided display band —
-    /// require this representation.
-    pub fn full_frames(&self) -> Option<&Arc<DistanceFrame>> {
-        self.raw_with_stats().map(|(raw, _)| raw)
+    /// The raw frame.
+    pub fn full_frames(&self) -> &Arc<DistanceFrame> {
+        &self.raw
     }
 
-    /// The packed `(exact, defined)` bits of the materialized raw frame
-    /// ([`DistanceFrame::exact_bits`]; `None` for a late-materialized
-    /// window), folded by the first caller.
-    pub fn exact_bits(&self) -> Option<&(PackedBits, Option<PackedBits>)> {
-        match &self.data {
-            WindowData::Full { raw, bits, .. } => Some(bits.get_or_init(|| {
-                // chunks are whole words, so the per-chunk folds concatenate
-                let fold = |offset, len| raw.exact_bits_in(offset..offset + len);
-                let (mut exact, mut defined) = <(PackedBits, PackedBits)>::default();
-                for (e, d) in chunk::map_ranges(raw.len(), None, true, fold) {
-                    exact.append(&e);
-                    defined.append(&d);
-                }
-                (exact, (defined.count_ones() < raw.len()).then_some(defined))
-            })),
-            WindowData::Displayed(_) => None,
-        }
+    /// The packed `(exact, defined)` bits of the raw frame
+    /// ([`DistanceFrame::exact_bits`]), folded by the first caller.
+    pub fn exact_bits(&self) -> &(PackedBits, Option<PackedBits>) {
+        let raw = &self.raw;
+        self.bits.get_or_init(|| {
+            // chunks are whole words, so the per-chunk folds concatenate
+            let fold = |offset, len| raw.exact_bits_in(offset..offset + len);
+            let (mut exact, mut defined) = <(PackedBits, PackedBits)>::default();
+            for (e, d) in chunk::map_ranges(raw.len(), None, true, fold) {
+                exact.append(&e);
+                defined.append(&d);
+            }
+            (exact, (defined.count_ones() < raw.len()).then_some(defined))
+        })
     }
 
-    /// The materialized raw frame with its reduction stats — the inputs
-    /// of a §5.2 refit (`None` for a late-materialized window).
-    pub fn raw_with_stats(&self) -> Option<(&Arc<DistanceFrame>, &FrameStats)> {
-        match &self.data {
-            WindowData::Full { raw, stats, .. } => Some((raw, stats)),
-            WindowData::Displayed(_) => None,
-        }
+    /// The raw frame with its reduction stats — the inputs of a §5.2
+    /// refit.
+    pub fn raw_with_stats(&self) -> (&Arc<DistanceFrame>, &FrameStats) {
+        (&self.raw, &self.stats)
     }
 }
 
@@ -483,41 +395,6 @@ impl PipelineOutput {
     }
 }
 
-/// How the pipeline materializes its intermediates (the tentpole knob of
-/// the streaming execution mode).
-///
-/// The **materialized** path computes one full-size packed
-/// [`DistanceFrame`] pair per predicate window — the representation the
-/// window caches store and reuse across sessions. The **streaming** path
-/// never builds full-size per-predicate intermediates: it walks the
-/// chunks twice (a fused stats/fit pass that *recomputes* distances
-/// instead of storing them, then a fused distance → normalize → combine
-/// pass streaming straight into the combined vector) and assembles the
-/// per-predicate windows lazily at the displayed row ids only. Both
-/// paths are **bit-identical** in every output (property-tested); the
-/// choice trades per-query memory traffic against cache reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Materialization {
-    /// The planner decides per query: stream when no window caches are
-    /// attached (nothing could be reused or stored) and the query shape
-    /// supports it; materialize otherwise.
-    #[default]
-    Auto,
-    /// Always run the materialized path.
-    Materialized,
-    /// Stream whenever the query shape supports it (attached caches are
-    /// bypassed — neither consulted nor fed); fall back to the
-    /// materialized path otherwise. The fallback shapes are subqueries
-    /// (their approximate join evaluates the inner relation, not a
-    /// per-row function of the base relation), non-invertible negations,
-    /// the two-sided display policy (its quantile band needs the primary
-    /// window's full signed distance distribution), and
-    /// [`ExecMode::Scalar`] — the scalar reference always runs its
-    /// per-tuple materialized walk, so forcing `Streaming` there is a
-    /// silent no-op. Connections and string/ordinal predicates stream.
-    Streaming,
-}
-
 /// A shared cross-session window cache handle (see
 /// [`crate::cache::WindowSource`]). `scope` must uniquely identify the
 /// dataset *generation* — it anchors every key this run produces.
@@ -561,8 +438,6 @@ pub struct PipelineOptions<'a> {
     /// Costs one branch and one small allocation per run when enabled,
     /// one branch when disabled.
     pub trace: bool,
-    /// Streaming vs materialized execution (see [`Materialization`]).
-    pub materialization: Materialization,
     /// Cooperative cancellation / deadline token. When set, every chunk
     /// walk polls it once per 16k-row chunk and the run stops at the
     /// next phase boundary with [`Error::Cancelled`] /
@@ -579,7 +454,7 @@ pub struct PipelineOptions<'a> {
 /// cache-store block, so a cancelled run's garbage windows (fast-drained
 /// chunks look like all-undefined rows — valid-shaped but wrong) can
 /// never be cached.
-pub(crate) fn checkpoint(cancel: Option<&CancelToken>, phase: Phase) -> Result<()> {
+fn checkpoint(cancel: Option<&CancelToken>, phase: Phase) -> Result<()> {
     let Some(token) = cancel else { return Ok(()) };
     fault::check(phase, token);
     match token.interrupted() {
@@ -650,7 +525,6 @@ pub fn run_pipeline_opts(
         mode,
         partitions,
         trace: want_trace,
-        materialization,
         cancel,
     } = opts;
     let mut trace = want_trace.then(Box::<PipelineTrace>::default);
@@ -728,27 +602,6 @@ pub fn run_pipeline_opts(
         _ => vec![cond],
     };
 
-    // The streaming planner: zero-materialization execution whenever the
-    // caches could neither be consulted nor fed (Auto) or the caller
-    // explicitly asked for it, the query compiles to per-row streamable
-    // nodes, and the display policy does not need a full window frame
-    // (the two-sided band fits quantiles over the primary window's whole
-    // signed distribution). Shapes the compiler declines fall back to
-    // the materialized path below — bit-identical either way.
-    let want_stream = match materialization {
-        Materialization::Materialized => false,
-        Materialization::Streaming => true,
-        Materialization::Auto => cache.is_none() && shared.is_none(),
-    };
-    if want_stream
-        && mode == ExecMode::Vectorized
-        && !matches!(policy, DisplayPolicy::TwoSidedPercentage(_))
-    {
-        if let Some(plan) = crate::stream::compile(&ctx, cond, &top) {
-            return crate::stream::run_streaming(&ctx, &plan, policy, trace);
-        }
-    }
-
     // Every top-level window is looked up in the per-session incremental
     // cache, then the cross-session shared one, both keyed by the subtree
     // alone. An entry under the same weight is reused whole (Arc-shared,
@@ -757,16 +610,12 @@ pub fn run_pipeline_opts(
     // go straight to the §5.2 fit, with no distance pass and no join; a
     // miss is evaluated now. The combine walk sees raw frames and fits
     // either way.
-    //
-    // Only materialized windows can be reused: a late-materialized one
-    // covers displayed rows of a *previous* display selection.
-    let usable = |w: Option<PredicateWindow>| w.filter(|w| w.full_frames().is_some());
     let same_weight =
         |win: &PredicateWindow, w: &Weighted| win.weight.to_bits() == w.weight.to_bits();
     let mut found: Vec<Option<PredicateWindow>> = match &mut cache {
         Some(cache) => {
             cache.validate(table, ctx.display_budget);
-            top.iter().map(|w| usable(cache.lookup(&w.node))).collect()
+            top.iter().map(|w| cache.lookup(&w.node)).collect()
         }
         None => vec![None; top.len()],
     };
@@ -785,7 +634,7 @@ pub fn run_pipeline_opts(
     if let Some(sh) = shared {
         for ((slot, key), w) in found.iter_mut().zip(shared_keys.iter_mut()).zip(&top) {
             if let Some(k) = key.as_deref() {
-                *slot = usable(sh.cache.lookup(k));
+                *slot = sh.cache.lookup(k);
                 if slot.as_ref().is_some_and(|win| same_weight(win, w)) {
                     // same weight: drop the key so the post-run store loop
                     // doesn't re-insert on every query (a refit keeps it:
@@ -896,8 +745,6 @@ pub fn run_pipeline_opts(
     }
 
     if let Some(t) = &mut trace {
-        // every materialized window evaluation scans the full relation;
-        // only the streaming fit-selection can prune
         t.partitions = partitions.map_or(1, |p| p.len());
         t.rows_scanned = n as u64;
         t.cache_hits = session_hits;
@@ -933,7 +780,7 @@ fn combine_scalar(
 ) -> Result<(DistanceFrame, RootAcc)> {
     let mut children: Vec<Vec<Option<f64>>> = Vec::with_capacity(windows.len());
     for ((win, w), &unfit) in windows.iter_mut().zip(top).zip(unfit) {
-        let raw = win.full_frames().expect("materialized").to_options();
+        let raw = win.full_frames().to_options();
         if unfit {
             win.weight = w.weight;
             win.norm_params = phase_time!(
@@ -968,12 +815,12 @@ fn combine_scalar(
     })
 }
 
-/// Root-combine accumulator of the fused walks (materialized and
-/// streaming): everything the final combined normalization needs
-/// ([`params_from_max`] input plus the any-nonzero guard of
-/// [`reference::normalize_combined`]) and the exact-match count, folded
-/// over each chunk right after it is written — so neither path re-reads
-/// the combined frame between combining and the finalize pass. All three
+/// Root-combine accumulator of the fused walk: everything the final
+/// combined normalization needs ([`params_from_max`] input plus the
+/// any-nonzero guard of [`reference::normalize_combined`]) and the
+/// exact-match count, folded over each chunk right after it is written —
+/// so the combined frame is not re-read between combining and the
+/// finalize pass. All three
 /// folds are set operations (max / or / sum), so per-range accumulation
 /// and merging is bit-identical to the scalar reference's single pass.
 pub(crate) struct RootAcc {
@@ -1111,10 +958,9 @@ impl RootAcc {
     }
 }
 
-/// The shared finalize pass of the materialized-vectorized and streaming
-/// paths: normalize the combined frame in place over the given row
-/// ranges ([`RootAcc::finish`]).
-pub(crate) fn finalize_combined(
+/// The finalize pass of the vectorized walk: normalize the combined
+/// frame in place over the given row ranges ([`RootAcc::finish`]).
+fn finalize_combined(
     combined: &mut DistanceFrame,
     acc: &RootAcc,
     ranges: &[(usize, usize)],
@@ -1152,7 +998,7 @@ fn combine_vectorized(
     phase_time!((*trace), fit, {
         let unfit = windows.iter_mut().zip(top).zip(unfit).filter(|(_, &u)| u);
         for ((win, w), _) in unfit {
-            let (raw, stats) = win.raw_with_stats().expect("materialized");
+            let (raw, stats) = win.raw_with_stats();
             let counted = fit_from_counts(n, stats, w.weight, ctx.display_budget);
             if let Some(t) = trace {
                 t.fits_from_counts += usize::from(counted.is_ok());
@@ -1178,7 +1024,7 @@ fn combine_vectorized(
             .map(|win| {
                 let NormParams { dmin, dmax } = win.norm_params;
                 let two_valued = !or_root && dmin == 0.0 && dmax == 0.0;
-                let (exact, defined) = two_valued.then(|| win.exact_bits()).flatten()?;
+                let (exact, defined) = two_valued.then(|| win.exact_bits())?;
                 Some((exact, defined.as_ref()))
             })
             .collect();
@@ -1192,11 +1038,7 @@ fn combine_vectorized(
         if !derived {
             walk_root(ctx, windows, &bits, or_root, (weights, mean_weights))
         } else {
-            let shared = |win: &PredicateWindow| match &win.data {
-                WindowData::Full { bits, .. } => Arc::clone(bits),
-                WindowData::Displayed(_) => unreachable!("two-valued windows are materialized"),
-            };
-            let shared = windows.iter().map(shared).collect();
+            let shared = windows.iter().map(|win| Arc::clone(&win.bits)).collect();
             let (table, acc) = PatternTable::of(n, shared, mean_weights);
             (Combined::Table(table), acc)
         }
@@ -1225,7 +1067,7 @@ fn walk_root(
         .map(|(win, bits)| match *bits {
             Some((exact, defined)) => Child::Bits(exact, defined),
             None => {
-                let raw = win.full_frames().expect("materialized");
+                let raw = win.full_frames();
                 let mask = raw.validity().as_slice();
                 Child::Frame(raw.values(), mask, Some(win.norm_params))
             }
@@ -1334,14 +1176,9 @@ fn gap_bounds(rmin: usize, rmax: usize, defined: usize) -> (usize, usize) {
 }
 
 /// The two-sided quantile band of the primary window's signed raw
-/// distances (`None` when the window has no defined distances). Needs
-/// the full distance distribution, which is why the streaming planner
-/// declines the two-sided policy: only materialized windows reach here.
+/// distances (`None` when the window has no defined distances).
 fn two_sided_band(win: &PredicateWindow, p: f64) -> Result<Option<(f64, f64)>> {
-    let raw = win
-        .full_frames()
-        .expect("two-sided selection runs on materialized windows only");
-    let signed: Vec<f64> = raw.iter().flatten().collect();
+    let signed: Vec<f64> = win.full_frames().iter().flatten().collect();
     if signed.is_empty() {
         return Ok(None);
     }
@@ -1372,7 +1209,7 @@ fn in_two_sided_band(win: &PredicateWindow, lo: f64, hi: f64, i: usize) -> bool 
 /// ([`PatternTable::smallest`]), either way. `ranges` is the row-range
 /// list the selection takes — plain chunks or a partitioning's, the
 /// result is the same. Returns `(order, displayed)`.
-pub(crate) fn rank_and_select(
+fn rank_and_select(
     combined: &Combined,
     root: &RootAcc,
     windows: &[PredicateWindow],
@@ -1764,18 +1601,7 @@ mod tests {
             .cmp("x", CompareOp::Lt, n as f64 * 0.95)
             .build();
         let c = q.condition.unwrap();
-        let out = run_pipeline_opts(
-            &db,
-            t,
-            &r,
-            Some(&c),
-            &DisplayPolicy::Percentage(10.0),
-            PipelineOptions {
-                materialization: Materialization::Materialized,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(10.0)).unwrap();
         // sequential reference: evaluate each child by hand
         let ctx = crate::eval::EvalContext {
             db: &db,
@@ -1789,26 +1615,14 @@ mod tests {
         if let ConditionNode::And(children) = &c.node {
             for (win, child) in out.windows.iter().zip(children) {
                 let seq = ctx.eval_node(&child.node).unwrap();
-                assert_eq!(
-                    *win.full_frames().expect("materialized").as_ref(),
-                    seq.distances
-                );
+                assert_eq!(**win.full_frames(), seq.distances);
+                let zeros = seq.distances.iter().filter(|d| *d == Some(0.0)).count();
+                assert_eq!(win.zero_raw_count(), zeros);
             }
         } else {
             panic!("expected AND root");
         }
         assert_eq!(out.windows.len(), 2);
-        // the (default) streaming run agrees at every displayed row and
-        // on the full-relation exact counts
-        let streamed =
-            run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(10.0)).unwrap();
-        assert_eq!(streamed.displayed, out.displayed);
-        for (sw, mw) in streamed.windows.iter().zip(&out.windows) {
-            for &i in &streamed.displayed {
-                assert_eq!(sw.raw_at(i), mw.raw_at(i));
-            }
-            assert_eq!(sw.zero_raw_count(), mw.zero_raw_count());
-        }
     }
 
     #[test]
@@ -1834,7 +1648,7 @@ mod tests {
             },
             DisplayPolicy::TwoSidedPercentage(15.0),
         ] {
-            let fast = run_materialized(&db, t, &r, Some(&c), &policy, None);
+            let fast = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
             let slow = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
             assert_eq!(fast.combined, slow.combined, "{policy:?}");
             assert_eq!(relevance(&fast), relevance(&slow));
@@ -1849,7 +1663,9 @@ mod tests {
             assert!(fast.order.len() < slow.order.len(), "top-k must engage");
             assert_eq!(slow.order.len(), 3000, "the scalar path sorts everything");
             for (fw, sw) in fast.windows.iter().zip(&slow.windows) {
+                assert_eq!((&fw.label, fw.signed), (&sw.label, sw.signed));
                 assert_eq!(fw.full_frames(), sw.full_frames());
+                assert_eq!(fw.zero_raw_count(), sw.zero_raw_count(), "{policy:?}");
                 assert_eq!(normalized(fw), normalized(sw));
                 assert_eq!(fw.norm_params, sw.norm_params);
             }
@@ -1866,10 +1682,8 @@ mod tests {
         (0..out.n).map(|i| out.relevance(i)).collect()
     }
 
-    /// [`run_pipeline_opts`] forced onto the materialized path (with an
-    /// optional partitioning) — the reference the streaming assertions
-    /// compare against.
-    fn run_materialized(
+    /// [`run_pipeline_opts`] over an optional partitioning.
+    fn run_partitioned(
         db: &Database,
         t: &Table,
         r: &DistanceResolver,
@@ -1884,130 +1698,11 @@ mod tests {
             c,
             policy,
             PipelineOptions {
-                materialization: Materialization::Materialized,
                 partitions,
                 ..Default::default()
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn streaming_matches_materialized_and_scalar_end_to_end() {
-        let db = db_with_ramp(3000);
-        let t = db.table("T").unwrap();
-        let r = DistanceResolver::new();
-        let q = QueryBuilder::from_tables(["T"])
-            .cmp("x", CompareOp::Ge, 2500.0)
-            .cmp("x", CompareOp::Lt, 2800.0)
-            .build();
-        let c = q.condition.unwrap();
-        for policy in [
-            DisplayPolicy::Percentage(20.0),
-            DisplayPolicy::FitScreen {
-                pixels: 900,
-                pixels_per_item: 4,
-            },
-            DisplayPolicy::GapHeuristic {
-                rmin: 10,
-                rmax: 200,
-                z: 5,
-            },
-            // the planner falls back to materialized here — output must
-            // still be identical
-            DisplayPolicy::TwoSidedPercentage(15.0),
-        ] {
-            // `run_pipeline` without caches = the Auto planner streaming
-            let stream = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
-            let slow = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
-            let mat = run_materialized(&db, t, &r, Some(&c), &policy, None);
-            for (tag, out) in [("scalar", &slow), ("materialized", &mat)] {
-                assert_eq!(stream.combined, out.combined, "{policy:?} vs {tag}");
-                assert_eq!(relevance(&stream), relevance(out), "{policy:?} vs {tag}");
-                assert_eq!(stream.num_exact, out.num_exact, "{policy:?} vs {tag}");
-                assert_eq!(stream.displayed, out.displayed, "{policy:?} vs {tag}");
-                for (fw, sw) in stream.windows.iter().zip(&out.windows) {
-                    assert_eq!(fw.label, sw.label);
-                    assert_eq!(fw.signed, sw.signed);
-                    assert_eq!(fw.norm_params, sw.norm_params, "{policy:?} vs {tag}");
-                    assert_eq!(fw.zero_raw_count(), sw.zero_raw_count(), "{policy:?}");
-                    for &i in &stream.displayed {
-                        assert_eq!(fw.raw_at(i), sw.raw_at(i), "{policy:?} row {i}");
-                        assert_eq!(fw.normalized_at(i), sw.normalized_at(i), "{policy:?}");
-                    }
-                }
-            }
-            if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
-                assert_eq!(stream.order, slow.order[..stream.order.len()], "{policy:?}");
-                // zero materialization engaged: lazy windows
-                assert!(
-                    stream.windows.iter().all(|w| w.full_frames().is_none()),
-                    "{policy:?} must stream"
-                );
-            }
-            // streaming composes with partitioned execution
-            for parts in [2usize, 7] {
-                let partitioning = t.partitions(parts);
-                let part = run_pipeline_opts(
-                    &db,
-                    t,
-                    &r,
-                    Some(&c),
-                    &policy,
-                    PipelineOptions {
-                        partitions: Some(&partitioning),
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(part.combined, slow.combined, "{policy:?} x{parts}");
-                assert_eq!(part.displayed, slow.displayed, "{policy:?} x{parts}");
-                assert_eq!(part.num_exact, slow.num_exact, "{policy:?} x{parts}");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_streaming_bypasses_attached_caches() {
-        let db = db_with_ramp(500);
-        let t = db.table("T").unwrap();
-        let r = DistanceResolver::new();
-        let c = cond(CompareOp::Ge, 300.0);
-        let policy = DisplayPolicy::Percentage(25.0);
-        let mut cache = PipelineCache::new();
-        let out = run_pipeline_opts(
-            &db,
-            t,
-            &r,
-            Some(&c),
-            &policy,
-            PipelineOptions {
-                cache: Some(&mut cache),
-                materialization: Materialization::Streaming,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(cache.is_empty(), "forced streaming must not feed caches");
-        assert!(out.windows[0].full_frames().is_none());
-        let reference = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
-        assert_eq!(out.combined, reference.combined);
-        assert_eq!(out.displayed, reference.displayed);
-        // with a cache attached, Auto materializes (the cacheable form)
-        let auto = run_pipeline_opts(
-            &db,
-            t,
-            &r,
-            Some(&c),
-            &policy,
-            PipelineOptions {
-                cache: Some(&mut cache),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(auto.windows[0].full_frames().is_some());
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -2034,10 +1729,10 @@ mod tests {
             DisplayPolicy::TwoSidedPercentage(15.0),
         ] {
             let slow = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
-            let fast = run_materialized(&db, t, &r, Some(&c), &policy, None);
+            let fast = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
             for parts in [1, 2, 7, 16] {
                 let partitioning = t.partitions(parts);
-                let part = run_materialized(
+                let part = run_partitioned(
                     &db,
                     t,
                     &r,
@@ -2101,7 +1796,6 @@ mod tests {
                 Some(&c),
                 &policy,
                 PipelineOptions {
-                    materialization: Materialization::Materialized,
                     partitions: Some(&partitioning),
                     trace: true,
                     ..Default::default()
@@ -2112,7 +1806,7 @@ mod tests {
             assert_eq!(trace.partitions, expect_parts, "n={n}");
             // either way the outputs match the unpartitioned walk —
             // dropping the fan-out is purely a scheduling decision
-            let plain = run_materialized(&db, t, &r, Some(&c), &policy, None);
+            let plain = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
             assert_eq!(out.combined, plain.combined, "n={n}");
             assert_eq!(out.num_exact, plain.num_exact);
             assert_eq!(out.displayed, plain.displayed);
@@ -2292,26 +1986,12 @@ mod tests {
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Eq, 0.0);
-        for materialization in [Materialization::Materialized, Materialization::Streaming] {
-            let out = run_pipeline_opts(
-                &db,
-                t,
-                &r,
-                Some(&c),
-                &DisplayPolicy::Percentage(50.0),
-                PipelineOptions {
-                    materialization,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(out.windows[0].zero_raw_count(), scanned);
-            if let Some(raw) = out.windows[0].full_frames() {
-                assert!(raw.iter().any(|d| d.is_some_and(|d| d.is_sign_negative())));
-                let in_frame = raw.iter().filter(|d| *d == Some(0.0)).count();
-                assert_eq!(in_frame, scanned);
-            }
-        }
+        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(50.0)).unwrap();
+        assert_eq!(out.windows[0].zero_raw_count(), scanned);
+        let raw = out.windows[0].full_frames();
+        assert!(raw.iter().any(|d| d.is_some_and(|d| d.is_sign_negative())));
+        let in_frame = raw.iter().filter(|d| *d == Some(0.0)).count();
+        assert_eq!(in_frame, scanned);
     }
 
     /// The one-pass block kernel against the steps it fuses — the

@@ -8,8 +8,7 @@
 //! result once at the end; the packed kernels ([`crate::combine`],
 //! [`crate::normalize`], [`crate::select`]) are property-tested
 //! bit-identical against them. Nothing on a vectorized hot path calls
-//! into this module except the per-row late window assembly of the
-//! streaming mode and the negative-weight fallback of
+//! into this module except the negative-weight fallback of
 //! [`crate::combine::combine_or_slices`].
 
 use visdb_types::{Error, Result};

@@ -91,8 +91,8 @@ pub enum Request {
     /// Fetch the modification-panel counters for the current query.
     Summary {
         /// Also return the [`TraceReport`] of the pipeline run that
-        /// produced the counters (per-phase wall times, rows scanned vs
-        /// pruned, cache hits, the chosen materialization mode).
+        /// produced the counters (per-phase wall times, rows scanned,
+        /// cache hits).
         trace: bool,
     },
     /// Fetch the rendered visualization panel.
@@ -130,8 +130,6 @@ impl Request {
 /// so a server trace lines up with `BENCH_pipeline.json` directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReport {
-    /// `"materialized"` or `"streaming"` — what the planner chose.
-    pub mode: String,
     /// Distance-evaluation phase (§5 distance functions), nanoseconds.
     pub distance_ns: u64,
     /// Normalization-fit phase (§5.2 fit), nanoseconds.
@@ -140,10 +138,9 @@ pub struct TraceReport {
     pub normalize_combine_ns: u64,
     /// Rank / top-k selection phase, nanoseconds.
     pub rank_ns: u64,
-    /// Rows the distance pass examined.
+    /// Rows of the base relation the run covered
+    /// ([`PipelineTrace::rows_scanned`]).
     pub rows_scanned: u64,
-    /// Rows the streaming fit-selection kept out of its pools (sampled cut).
-    pub rows_pruned: u64,
     /// Horizontal partition fan-out (1 = unpartitioned).
     pub partitions: usize,
     /// Predicate windows found in the per-session §6 cache.
@@ -160,17 +157,11 @@ pub struct TraceReport {
 impl From<&PipelineTrace> for TraceReport {
     fn from(t: &PipelineTrace) -> Self {
         TraceReport {
-            mode: if t.streaming {
-                "streaming".into()
-            } else {
-                "materialized".into()
-            },
             distance_ns: t.phases.distance.as_nanos() as u64,
             fit_ns: t.phases.fit.as_nanos() as u64,
             normalize_combine_ns: t.phases.normalize_combine.as_nanos() as u64,
             rank_ns: t.phases.rank.as_nanos() as u64,
             rows_scanned: t.rows_scanned,
-            rows_pruned: t.rows_pruned,
             partitions: t.partitions,
             window_cache_hits: t.cache_hits,
             shared_window_hits: t.shared_hits,
@@ -648,13 +639,11 @@ impl TraceReport {
     /// Keys mirror the struct fields; durations stay integer ns.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("mode", self.mode.as_str().into()),
             ("distance_ns", self.distance_ns.into()),
             ("fit_ns", self.fit_ns.into()),
             ("normalize_combine_ns", self.normalize_combine_ns.into()),
             ("rank_ns", self.rank_ns.into()),
             ("rows_scanned", self.rows_scanned.into()),
-            ("rows_pruned", self.rows_pruned.into()),
             ("partitions", self.partitions.into()),
             ("window_cache_hits", self.window_cache_hits.into()),
             ("shared_window_hits", self.shared_window_hits.into()),

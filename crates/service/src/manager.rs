@@ -24,7 +24,6 @@ use visdb_core::Session;
 use visdb_exec::CancelToken;
 use visdb_obs::{Counter, Gauge, Registry};
 use visdb_query::connection::ConnectionRegistry;
-use visdb_relevance::Materialization;
 use visdb_storage::Database;
 
 use crate::api::{Request, Response, SessionState};
@@ -84,7 +83,7 @@ impl SessionSlot {
 
 /// Per-session wiring handed to [`SessionManager::create`]: the shared
 /// caches (scoped to one dataset generation) and the execution knobs.
-/// Defaults to no shared caches, unpartitioned, `Materialization::Auto`.
+/// Defaults to no shared caches, unpartitioned, untraced.
 #[derive(Default)]
 pub struct SessionOptions {
     /// The service's shared predicate-window cache, if enabled.
@@ -93,8 +92,6 @@ pub struct SessionOptions {
     pub projections: Option<Arc<crate::cache::ProjectionCache>>,
     /// Horizontal partitions per pipeline run (0/1 = unpartitioned).
     pub partitions: usize,
-    /// Streaming vs materialized pipeline execution.
-    pub materialization: Materialization,
     /// Collect a per-phase pipeline trace on every recalculation (see
     /// [`visdb_core::Session::set_collect_trace`]). The service enables
     /// this so `trace: true` requests and the per-phase latency
@@ -181,7 +178,6 @@ impl SessionManager {
         // "auto recalculate off" mode)
         session.set_auto_recalculate(false);
         session.set_partitions(options.partitions);
-        session.set_materialization(options.materialization);
         session.set_collect_trace(options.collect_trace);
         if let Some(cache) = options.windows {
             session.set_shared_windows(dataset.clone(), cache);

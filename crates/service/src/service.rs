@@ -40,9 +40,7 @@ use visdb_exec::{CancelToken, Interrupt, Runtime};
 use visdb_index::{parse_projection_key, projection_key, ProjectionSource};
 use visdb_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use visdb_query::connection::ConnectionRegistry;
-use visdb_relevance::{
-    extend_window, key_scope, window_key, Materialization, PipelineTrace, WindowSource,
-};
+use visdb_relevance::{extend_window, key_scope, window_key, PipelineTrace, WindowSource};
 use visdb_storage::csv::read_csv;
 use visdb_storage::{Database, DeltaChain, Row};
 use visdb_types::{Error, Result};
@@ -76,12 +74,6 @@ pub struct ServiceConfig {
     /// Shared sorted-projection cache capacity in projections (0
     /// disables cross-session slider-index reuse).
     pub projection_cache_capacity: usize,
-    /// Streaming vs materialized pipeline execution for every session
-    /// (see [`visdb_relevance::Materialization`]). Outputs are
-    /// bit-identical; `Streaming` trades the shared window cache for
-    /// zero-materialization execution (smaller per-query footprint,
-    /// no cross-session window reuse).
-    pub materialization: Materialization,
     /// Admission watermark: when this many queued-but-unfinished
     /// requests are already pending across all sessions, new
     /// submissions are *shed* — answered immediately with
@@ -108,7 +100,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             window_cache_capacity: 512,
             projection_cache_capacity: 64,
-            materialization: Materialization::Auto,
             pending_watermark: 4096,
             default_deadline: None,
         }
@@ -406,7 +397,6 @@ pub struct Service {
     window_cache: Arc<WindowCache>,
     projection_cache: Arc<ProjectionCache>,
     partitions: usize,
-    materialization: Materialization,
     /// The telemetry registry every layer publishes into: exec-pool
     /// counters, cache hit/miss counters, session occupancy, per-op
     /// request counts and latency histograms, pipeline phase histograms.
@@ -445,7 +435,6 @@ impl Service {
             window_cache,
             projection_cache,
             partitions: config.partitions,
-            materialization: config.materialization,
             registry,
             obs,
             admission,
@@ -515,7 +504,6 @@ impl Service {
                 .is_enabled()
                 .then(|| Arc::clone(&self.projection_cache)),
             partitions: self.partitions,
-            materialization: self.materialization,
             // traced sessions make `trace: true` requests answerable
             // from the cached result and feed the per-phase histograms;
             // the cost is a few clock reads per full pipeline run
@@ -1338,7 +1326,7 @@ mod tests {
             Request::SetQueryText("SELECT * FROM T WHERE x >= 150".into()),
         )
         .unwrap();
-        // materialize (populates the shared window cache with recipes)
+        // run the query (populates the shared window cache with recipes)
         // and drag (warms the shared projection + the session's band)
         match s.submit(id, Request::Summary { trace: false }).unwrap() {
             Response::Summary(sum) => assert_eq!(sum.exact, 50),

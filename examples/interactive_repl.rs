@@ -152,19 +152,17 @@ fn run_command(session: &mut Session, line: &str) -> Result<bool> {
             if let Some(t) = session.last_trace() {
                 let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
                 println!(
-                    "pipeline trace ({}): distance {:.3} ms | fit {:.3} ms | \
+                    "pipeline trace: distance {:.3} ms | fit {:.3} ms | \
                      normalize+combine {:.3} ms | rank {:.3} ms",
-                    if t.streaming { "streaming" } else { "materialized" },
                     ms(t.phases.distance),
                     ms(t.phases.fit),
                     ms(t.phases.normalize_combine),
                     ms(t.phases.rank),
                 );
                 println!(
-                    "rows: {} scanned, {} pruned | partitions: {} | windows: {} evaluated, \
+                    "rows: {} scanned | partitions: {} | windows: {} evaluated, \
                      {} cache hits, {} shared hits, {} of them refit",
                     t.rows_scanned,
-                    t.rows_pruned,
                     t.partitions,
                     t.windows_evaluated,
                     t.cache_hits,

@@ -138,7 +138,7 @@ pub mod prelude {
     };
     pub use visdb_relevance::{
         run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, ExecMode,
-        Materialization, PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow,
+        PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow,
     };
     pub use visdb_render::{write_ppm, Framebuffer};
     pub use visdb_service::{

@@ -39,10 +39,9 @@ struct Mode {
     name: &'static str,
     workers: usize,
     partitions: usize,
-    materialization: Materialization,
 }
 
-const MODES: [Mode; 4] = [
+const MODES: [Mode; 3] = [
     // workers=1 drives the whole pipeline serially (budget-1 runs
     // inline) — the closest service-level analogue of the scalar walk;
     // the ExecMode::Scalar reference path itself is covered by
@@ -51,25 +50,16 @@ const MODES: [Mode; 4] = [
         name: "serial",
         workers: 1,
         partitions: 0,
-        materialization: Materialization::Materialized,
     },
     Mode {
-        name: "materialized",
+        name: "parallel",
         workers: 4,
         partitions: 0,
-        materialization: Materialization::Materialized,
-    },
-    Mode {
-        name: "streaming",
-        workers: 4,
-        partitions: 0,
-        materialization: Materialization::Streaming,
     },
     Mode {
         name: "partitioned",
         workers: 4,
         partitions: 4,
-        materialization: Materialization::Materialized,
     },
 ];
 
@@ -87,7 +77,6 @@ fn service_in(mode: &Mode, n: usize) -> (Service, SessionId) {
     let s = Service::new(ServiceConfig {
         workers: mode.workers,
         partitions: mode.partitions,
-        materialization: mode.materialization,
         ..Default::default()
     });
     s.register_dataset("ramp", ramp_db(n), ConnectionRegistry::new());

@@ -51,7 +51,7 @@ fn table_with_nulls(rows: &[(f64, u8)]) -> Database {
 }
 
 /// A one-column table where `tag` steers NULL/NaN/±inf placement —
-/// every validity and finiteness shape the streaming stats walks, fit
+/// every validity and finiteness shape the distance walks, fit
 /// selections and combine pass must reproduce bit-exactly.
 fn table_with_extremes(rows: &[(f64, u8)]) -> Database {
     let mut t = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
@@ -132,30 +132,14 @@ fn first_divergence(
         if f.label != s.label || f.signed != s.signed || f.weight != s.weight {
             return Some(format!("window {i} metadata diverges"));
         }
-        match (f.full_frames(), s.full_frames()) {
-            (Some(fr), Some(sr)) => {
-                if !fr.bits_eq(sr) {
-                    return Some(format!("window {i} raw distances diverge"));
-                }
-                if !normalized_bits_eq(f, s) {
-                    return Some(format!("window {i} normalized distances diverge"));
-                }
-            }
-            // a late-materialized side: compare at the displayed rows
-            // (its coverage) plus the fused full-relation exact count
-            _ => {
-                if f.zero_raw_count() != s.zero_raw_count() {
-                    return Some(format!("window {i} exact counts diverge"));
-                }
-                for &row in &fast.displayed {
-                    if !opt_bits_eq(f.raw_at(row), s.raw_at(row)) {
-                        return Some(format!("window {i} raw diverges at row {row}"));
-                    }
-                    if !opt_bits_eq(f.normalized_at(row), s.normalized_at(row)) {
-                        return Some(format!("window {i} normalized diverges at row {row}"));
-                    }
-                }
-            }
+        if !f.full_frames().bits_eq(s.full_frames()) {
+            return Some(format!("window {i} raw distances diverge"));
+        }
+        if f.zero_raw_count() != s.zero_raw_count() {
+            return Some(format!("window {i} exact counts diverge"));
+        }
+        if !normalized_bits_eq(f, s) {
+            return Some(format!("window {i} normalized distances diverge"));
         }
         if f.norm_params != s.norm_params {
             return Some(format!("window {i} norm params diverge"));
@@ -276,16 +260,13 @@ proptest! {
         }
     }
 
-    /// The streaming execution mode (two fused passes, recomputed
-    /// distances, sampled-cut fit selection, late window
-    /// assembly) is bit-identical to BOTH the scalar reference and the
-    /// materialized vectorized path — across display policies
-    /// (Percentage/FitScreen/gap/two-sided, the last via the planner's
-    /// fallback), partition counts 1/2/7/16, NULL-, NaN- and ±inf-heavy
-    /// columns, and multi-predicate AND/OR trees with per-part weights
-    /// (including a nested boolean level, which adds a stats round).
+    /// Weighted multi-predicate AND/OR trees — flat, or with a nested
+    /// boolean level re-normalized before the root combine — on NULL-,
+    /// NaN- and ±inf-heavy columns: the vectorized path, unpartitioned
+    /// and over 1/2/7/16 partitions, is bit-identical to the scalar
+    /// reference across display policies.
     #[test]
-    fn streaming_pipeline_matches_scalar_and_materialized(
+    fn weighted_and_or_trees_match_scalar_and_partitioned(
         rows in prop::collection::vec((-1e4f64..1e4, 0u8..8), 1..250),
         t1 in -1e4f64..1e4,
         t2 in -1e4f64..1e4,
@@ -322,25 +303,10 @@ proptest! {
             ConditionNode::And(children)
         });
         let policy = pick_policy(pick, pct);
-        // `run_pipeline` without caches = the Auto planner streaming
-        let stream = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
+        let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
         let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
-        let mat = run_pipeline_opts(
-            &db, t, &resolver, Some(&cond), &policy,
-            PipelineOptions {
-                materialization: Materialization::Materialized,
-                ..Default::default()
-            },
-        ).unwrap();
-        for (tag, reference) in [("scalar", &slow), ("materialized", &mat)] {
-            let diff = first_divergence(&stream, reference, &policy);
-            prop_assert!(diff.is_none(), "{} vs {tag} under {:?}", diff.unwrap(), policy);
-        }
-        // windows really are late-materialized on the streaming shapes
-        if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
-            prop_assert!(stream.windows.iter().all(|w| w.full_frames().is_none()));
-        }
-        // streaming composes with partitioned execution, bit-identically
+        let diff = first_divergence(&fast, &slow, &policy);
+        prop_assert!(diff.is_none(), "{} vs scalar under {:?}", diff.unwrap(), policy);
         for parts in [1usize, 2, 7, 16] {
             let partitioning = t.partitions(parts);
             let part = run_pipeline_opts(
@@ -1009,9 +975,9 @@ fn fit_through_the_kernel_equals_the_select_nth_fit() {
 
 /// A column built against the sample: its only near answers sit
 /// exactly on the probe rows, so every sampled cut (the ranking's, the
-/// materialized fit's, the streaming pools') is far too tight for the
-/// quarter of the relation the fit and the display ask for. Each path
-/// must notice and fall back — and still equal the scalar reference.
+/// fit's) is far too tight for the quarter of the relation the fit and
+/// the display ask for. Each must notice and fall back — and still equal
+/// the scalar reference.
 #[test]
 fn every_path_recovers_from_a_too_tight_sampled_cut() {
     let n = 40_000;
@@ -1042,19 +1008,9 @@ fn every_path_recovers_from_a_too_tight_sampled_cut() {
         ..Default::default()
     });
     assert_eq!(slow.num_exact, probed.len());
-    let stream = run(PipelineOptions {
-        trace: true,
-        ..Default::default()
-    });
-    assert!(stream.trace.as_ref().unwrap().streaming);
-    let mat = run(PipelineOptions {
-        materialization: Materialization::Materialized,
-        ..Default::default()
-    });
-    for (tag, fast) in [("streaming", &stream), ("materialized", &mat)] {
-        let diff = first_divergence(fast, &slow, &policy);
-        assert!(diff.is_none(), "{tag}: {}", diff.unwrap());
-    }
+    let fast = run(PipelineOptions::default());
+    let diff = first_divergence(&fast, &slow, &policy);
+    assert!(diff.is_none(), "{}", diff.unwrap());
 }
 
 proptest! {
@@ -1062,8 +1018,8 @@ proptest! {
 
     /// `order` is exactly the relevance-sorted prefix the run
     /// established, on every path: the scalar reference ranks every
-    /// defined item; the materialized, streaming and partitioned paths
-    /// rank what the policy needs (the display count; `rmax + z + 1` for
+    /// defined item; the vectorized and partitioned paths rank what the
+    /// policy needs (the display count; `rmax + z + 1` for
     /// the gap heuristic; the band under the two-sided policy) — each
     /// fully sorted under (combined, row), with `displayed` drawn from
     /// it and, for one-sided policies, a prefix of the scalar ranking.
@@ -1101,11 +1057,7 @@ proptest! {
         prop_assert!(sorted(&slow));
         let partitioning = t.partitions(7);
         let paths = [
-            ("materialized", PipelineOptions {
-                materialization: Materialization::Materialized,
-                ..Default::default()
-            }),
-            ("streaming", PipelineOptions::default()),
+            ("vectorized", PipelineOptions::default()),
             ("partitioned", PipelineOptions {
                 partitions: Some(&partitioning),
                 ..Default::default()
@@ -1176,8 +1128,8 @@ proptest! {
     /// Above the thresholds the other properties never reach (40 k–120 k
     /// rows against `PAR_MIN_ROWS` = the selection's sampling floor =
     /// 32 768), with the exact answers on both sides of every `k`: the
-    /// vectorized paths — materialized, streaming, partitioned, a window
-    /// refitted from the cache — stay byte-identical to the scalar
+    /// vectorized paths — cached, partitioned, a window refitted from the
+    /// cache — stay byte-identical to the scalar
     /// oracle whether the counts answer a §5.2 fit (`zeros >= k`) or a
     /// selection does, and whether the ranking is the first `k` exact
     /// rows (`num_exact >= k`) or a pruned top-k. Each case walks a grid:
@@ -1262,19 +1214,13 @@ proptest! {
             let partitioning = t.partitions(3);
             let mut session = PipelineCache::new();
             let paths = [
-                ("materialized", PipelineOptions {
+                ("cached", PipelineOptions {
                     cache: Some(&mut session),
-                    trace: true,
-                    ..Default::default()
-                }),
-                ("streaming", PipelineOptions {
-                    materialization: Materialization::Streaming,
                     trace: true,
                     ..Default::default()
                 }),
                 ("partitioned", PipelineOptions {
                     partitions: Some(&partitioning),
-                    materialization: Materialization::Materialized,
                     trace: true,
                     ..Default::default()
                 }),
@@ -1285,7 +1231,6 @@ proptest! {
                 prop_assert!(diff.is_none(), "{}: {} (point {}, {:?})", tag, diff.unwrap(), point, policy);
                 prop_assert!(fast.combined.bits_eq(&slow.combined), "{} (point {})", tag, point);
                 let trace = fast.trace.as_ref().unwrap();
-                prop_assert_eq!(trace.streaming, tag == "streaming");
                 prop_assert_eq!(trace.fits_from_counts + trace.fits_selected, windows, "{}", tag);
                 // the ranking came from the counts iff they cover it
                 let counted = usize::from(fast.num_exact >= fast.order.len());
@@ -1297,7 +1242,7 @@ proptest! {
                 // bits (a root `OR` normalizes raw distances either way),
                 // and a root of nothing else is written from its table
                 let two_valued = fast.windows.iter().filter(|w| w.norm_params.dmax == 0.0).count();
-                let bits = if root_pick == 1 || tag == "streaming" { 0 } else { two_valued };
+                let bits = if root_pick == 1 { 0 } else { two_valued };
                 prop_assert_eq!((trace.children_bits, trace.children_raw), (bits, windows - bits), "{}", tag);
                 prop_assert_eq!(trace.roots_from_table, usize::from(bits == windows), "{}", tag);
                 fits[0] += trace.fits_from_counts;
@@ -1387,12 +1332,8 @@ proptest! {
             let e = level(l, fit_ks[0]);
             let cond = Weighted::new(at_least(e), weights[0]);
             let window = |db: &Database| {
-                let opts = PipelineOptions {
-                    materialization: Materialization::Materialized,
-                    ..Default::default()
-                };
-                let out = run_pipeline_opts(
-                    db, db.table("T").unwrap(), &resolver, Some(&cond), &fit_screen, opts,
+                let out = run_pipeline(
+                    db, db.table("T").unwrap(), &resolver, Some(&cond), &fit_screen,
                 ).unwrap();
                 out.windows.into_iter().next().unwrap()
             };
@@ -1403,10 +1344,10 @@ proptest! {
             let old = window(&old_db);
             let grown = extend_window(&new_db, &delta, &old, &recipe).unwrap();
             let cold = window(&new_db);
-            let (graw, craw) = (grown.full_frames().unwrap(), cold.full_frames().unwrap());
+            let (graw, craw) = (grown.full_frames(), cold.full_frames());
             prop_assert!(graw.bits_eq(craw) && normalized_bits_eq(&grown, &cold), "extension (level {})", l);
             prop_assert_eq!(grown.norm_params, cold.norm_params, "extension (level {})", l);
-            prop_assert_eq!(grown.raw_with_stats().unwrap().1, cold.raw_with_stats().unwrap().1);
+            prop_assert_eq!(grown.raw_with_stats().1, cold.raw_with_stats().1);
             prop_assert_eq!(grown.zero_raw_count(), e);
             prop_assert!(old.zero_raw_count() < e, "the appended rows must add exact answers");
         }
@@ -1488,7 +1429,6 @@ proptest! {
                     let opts = match step {
                         2 => PipelineOptions {
                             partitions: Some(&partitioning),
-                            materialization: Materialization::Materialized,
                             trace: true,
                             ..Default::default()
                         },
@@ -1573,7 +1513,7 @@ fn two_valued_table(n: usize) -> Database {
 /// the 8-row validity words, n ∈ {4095, 4096, 4097} the word loop around
 /// a 4k boundary — on NULL/NaN/±inf-dense columns and all-NULL frames,
 /// composed with partition requests 1/2/7/16 (dropped by the planner at
-/// these sizes, bit-identically) and both materialization modes.
+/// these sizes, bit-identically).
 #[test]
 fn branchless_kernels_bit_identical_at_lane_remainders() {
     let resolver = DistanceResolver::new();
@@ -1608,50 +1548,33 @@ fn branchless_kernels_bit_identical_at_lane_remainders() {
                     ConditionNode::And(children)
                 });
                 let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
-                let mat = run_pipeline_opts(
-                    &db,
-                    t,
-                    &resolver,
-                    Some(&cond),
-                    &policy,
-                    PipelineOptions {
-                        materialization: Materialization::Materialized,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let stream = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
-                for (tag, out) in [("materialized", &mat), ("streaming", &stream)] {
-                    let diff = first_divergence(out, &slow, &policy);
-                    assert!(
-                        diff.is_none(),
-                        "{} ({tag}, n={n}, or={or_root}, all_null={all_null})",
-                        diff.unwrap()
-                    );
-                }
+                let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
+                let diff = first_divergence(&fast, &slow, &policy);
+                assert!(
+                    diff.is_none(),
+                    "{} (n={n}, or={or_root}, all_null={all_null})",
+                    diff.unwrap()
+                );
                 for parts in [1usize, 2, 7, 16] {
                     let partitioning = t.partitions(parts);
-                    for materialization in [Materialization::Materialized, Materialization::Auto] {
-                        let part = run_pipeline_opts(
-                            &db,
-                            t,
-                            &resolver,
-                            Some(&cond),
-                            &policy,
-                            PipelineOptions {
-                                partitions: Some(&partitioning),
-                                materialization,
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap();
-                        let diff = first_divergence(&part, &slow, &policy);
-                        assert!(
-                            diff.is_none(),
-                            "{} (n={n}, parts={parts}, or={or_root}, all_null={all_null}, {materialization:?})",
-                            diff.unwrap()
-                        );
-                    }
+                    let part = run_pipeline_opts(
+                        &db,
+                        t,
+                        &resolver,
+                        Some(&cond),
+                        &policy,
+                        PipelineOptions {
+                            partitions: Some(&partitioning),
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap();
+                    let diff = first_divergence(&part, &slow, &policy);
+                    assert!(
+                        diff.is_none(),
+                        "{} (n={n}, parts={parts}, or={or_root}, all_null={all_null})",
+                        diff.unwrap()
+                    );
                 }
             }
         }
@@ -1685,30 +1608,27 @@ fn branchless_kernels_bit_identical_above_partition_threshold() {
         let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
         for parts in [2usize, 7] {
             let partitioning = t.partitions(parts);
-            for materialization in [Materialization::Materialized, Materialization::Auto] {
-                let part = run_pipeline_opts(
-                    &db,
-                    t,
-                    &resolver,
-                    Some(&cond),
-                    &policy,
-                    PipelineOptions {
-                        partitions: Some(&partitioning),
-                        materialization,
-                        trace: true,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                let trace = part.trace.as_ref().expect("trace requested");
-                assert_eq!(trace.partitions, parts, "fan-out must engage at n={n}");
-                let diff = first_divergence(&part, &slow, &policy);
-                assert!(
-                    diff.is_none(),
-                    "{} (parts={parts}, or={or_root}, {materialization:?})",
-                    diff.unwrap()
-                );
-            }
+            let part = run_pipeline_opts(
+                &db,
+                t,
+                &resolver,
+                Some(&cond),
+                &policy,
+                PipelineOptions {
+                    partitions: Some(&partitioning),
+                    trace: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let trace = part.trace.as_ref().expect("trace requested");
+            assert_eq!(trace.partitions, parts, "fan-out must engage at n={n}");
+            let diff = first_divergence(&part, &slow, &policy);
+            assert!(
+                diff.is_none(),
+                "{} (parts={parts}, or={or_root})",
+                diff.unwrap()
+            );
         }
     }
 }
@@ -1859,8 +1779,7 @@ proptest! {
     /// codes — no per-row `Value` clone) are bit-identical to the
     /// per-row scalar reference — across every comparison operator,
     /// string ranges, NULL-heavy / empty-string / non-ASCII /
-    /// duplicate-heavy columns, and the materialized, Auto-streaming
-    /// (the `Gather` stream kind) and partitioned modes.
+    /// duplicate-heavy columns, unpartitioned and partitioned.
     #[test]
     fn string_gather_kernels_match_scalar_reference(
         rows in prop::collection::vec((0usize..10, 0u8..5), 1..120),
@@ -1886,20 +1805,11 @@ proptest! {
         };
         let policy = pick_policy(pick, pct);
         let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let stream = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        match (stream, slow) {
-            (Ok(stream), Ok(slow)) => {
-                let diff = first_divergence(&stream, &slow, &policy);
-                prop_assert!(diff.is_none(), "streaming: {} under {:?}", diff.unwrap(), policy);
-                let mat = run_pipeline_opts(
-                    &db, t, &resolver, q.condition.as_ref(), &policy,
-                    PipelineOptions {
-                        materialization: Materialization::Materialized,
-                        ..Default::default()
-                    },
-                ).unwrap();
-                let diff = first_divergence(&mat, &slow, &policy);
-                prop_assert!(diff.is_none(), "materialized: {} under {:?}", diff.unwrap(), policy);
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
+        match (fast, slow) {
+            (Ok(fast), Ok(slow)) => {
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "vectorized: {} under {:?}", diff.unwrap(), policy);
                 for parts in [2usize, 7] {
                     let partitioning = t.partitions(parts);
                     let part = run_pipeline_opts(
@@ -1974,14 +1884,11 @@ proptest! {
         }
     }
 
-    /// Connections over a cross-product base relation now stream (the
-    /// `Connection` stream kind evaluates the same per-row closures the
-    /// materialized path uses): Auto-streaming, materialized and
-    /// partitioned outputs are all bit-identical to the scalar
-    /// reference for equi- and non-equijoins on NULL/NaN-bearing
-    /// columns.
+    /// Connections over a cross-product base relation: unpartitioned and
+    /// partitioned outputs are bit-identical to the scalar reference for
+    /// equi- and non-equijoins on NULL/NaN-bearing columns.
     #[test]
-    fn streamed_connections_match_scalar_reference(
+    fn connections_match_scalar_reference(
         left in prop::collection::vec((-1e3f64..1e3, 0u8..8), 1..16),
         right in prop::collection::vec((-1e3f64..1e3, 0u8..8), 1..16),
         threshold in -1e3f64..1e3,
@@ -2029,20 +1936,11 @@ proptest! {
             .build();
         let policy = pick_policy(pick, pct);
         let slow = run_pipeline_scalar(&db, &cross, &resolver, q.condition.as_ref(), &policy);
-        let stream = run_pipeline(&db, &cross, &resolver, q.condition.as_ref(), &policy);
-        match (stream, slow) {
-            (Ok(stream), Ok(slow)) => {
-                let diff = first_divergence(&stream, &slow, &policy);
-                prop_assert!(diff.is_none(), "streaming: {} under {:?}", diff.unwrap(), policy);
-                let mat = run_pipeline_opts(
-                    &db, &cross, &resolver, q.condition.as_ref(), &policy,
-                    PipelineOptions {
-                        materialization: Materialization::Materialized,
-                        ..Default::default()
-                    },
-                ).unwrap();
-                let diff = first_divergence(&mat, &slow, &policy);
-                prop_assert!(diff.is_none(), "materialized: {} under {:?}", diff.unwrap(), policy);
+        let fast = run_pipeline(&db, &cross, &resolver, q.condition.as_ref(), &policy);
+        match (fast, slow) {
+            (Ok(fast), Ok(slow)) => {
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "vectorized: {} under {:?}", diff.unwrap(), policy);
                 for parts in [2usize, 5] {
                     let partitioning = cross.partitions(parts);
                     let part = run_pipeline_opts(
@@ -2099,11 +1997,11 @@ impl ProjectionSource for MapProjections {
     }
 }
 
-/// How a re-weight property run executes: the materialized vectorized
-/// path, the same under a requested partitioning, or the scalar oracle.
+/// How a re-weight property run executes: the vectorized path, the same
+/// under a requested partitioning, or the scalar oracle.
 #[derive(Debug, Clone, Copy)]
 enum Path {
-    Materialized,
+    Vectorized,
     Partitioned(usize),
     Scalar,
 }
@@ -2139,7 +2037,6 @@ fn run_cached(
                 _ => ExecMode::Vectorized,
             },
             partitions: partitioning.as_ref(),
-            materialization: Materialization::Materialized,
             trace: true,
             ..Default::default()
         },
@@ -2231,7 +2128,7 @@ proptest! {
     /// levels, a non-invertible NOT) over NULL/NaN/±inf/tie-heavy data,
     /// `displayed`, `num_exact`, every row's combined distance and every
     /// window's raw, normalized and `norm_params` equal a cold run of
-    /// the re-weighted query — on the materialized, partitioned and
+    /// the re-weighted query — on the vectorized, partitioned and
     /// scalar paths, through each cache layer (see
     /// [`assert_reweight_is_a_refit`]) and through `Session::set_weight`.
     #[test]
@@ -2272,7 +2169,7 @@ proptest! {
         if run_pipeline_scalar(&db, db.table("T").unwrap(), &DistanceResolver::new(), Some(&cond), &policy).is_err() {
             return Ok(()); // e.g. gap params vs tiny n: every path rejects
         }
-        for path in [Path::Materialized, Path::Partitioned(3), Path::Scalar] {
+        for path in [Path::Vectorized, Path::Partitioned(3), Path::Scalar] {
             assert_reweight_is_a_refit(&db, &cond, &policy, path, j);
         }
 
@@ -2401,7 +2298,6 @@ proptest! {
                 db, db.table("O").unwrap(), &resolver, q.condition.as_ref(), &policy,
                 PipelineOptions {
                     projections: source.map(|(scope, s)| (scope, s as &dyn ProjectionSource)),
-                    materialization: Materialization::Materialized,
                     ..Default::default()
                 },
             ).unwrap()
