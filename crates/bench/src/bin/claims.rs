@@ -169,12 +169,13 @@ fn c5_approx_join() -> Result<()> {
         query.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
     )?;
-    let best = out.ranked().next().map(|i| out.windows[0].raw_at(i));
+    // a connection window keeps its raw frame
+    let best = (out.ranked().next()).and_then(|i| out.windows[0].raw_frame()?.get(i));
     println!(
         "  environmental at-same-time join: {} exact (clock offset), closest approximate pair \
          {:?} seconds apart",
         out.num_exact,
-        best.flatten().map(f64::abs)
+        best.map(f64::abs)
     );
     Ok(())
 }

@@ -22,8 +22,9 @@
 //! the acceptance workload's are answered from counts), and the
 //! **3-window all-degenerate re-weight** (`reweight_3w_ms`: every fit
 //! `dmax = 0`, so the run reads packed exact bits and derives the root
-//! from its pattern table) with the bytes a cached window holds per row
-//! and the bytes its result holds per row.
+//! from its pattern table) with the bytes its result holds per row, and
+//! the bytes per row a window holds on each arm: its exact bits alone on
+//! the exact-heavy one, its raw frame on the exact-light one.
 //! A full run writes `BENCH_pipeline.json` in the working directory so
 //! future PRs can track the perf trajectory — and see where the time
 //! goes, not just one end-to-end number; a `--smoke` run writes
@@ -71,7 +72,7 @@ use visdb_relevance::combine::combine_and_slices;
 use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
 use visdb_relevance::pipeline::{
     run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, PipelineOptions,
-    PipelineOutput,
+    PipelineOutput, PredicateWindow,
 };
 use visdb_relevance::reference::{and_row, fit_improved};
 use visdb_relevance::select::{k_smallest_sorted, rank_order};
@@ -204,9 +205,14 @@ struct SizeResult {
     /// from its pattern table — no combined frame written (asserted off
     /// the trace, and identical to the scalar reference, before timing).
     reweight_3w: Timed,
-    /// Heap bytes per row a cached window of that query holds: the raw
-    /// frame (9) plus its packed bits (1/8 each).
+    /// Heap bytes per row the exact-heavy arm's window holds: its packed
+    /// exact bits alone (1/8, and 1/8 more for definedness bits when a
+    /// row is undefined) — its exact answers cover its fit, so its walk
+    /// never wrote the raw frame.
     window_bytes_per_row: f64,
+    /// Heap bytes per row the exact-light arm's window holds: the raw
+    /// frame (9) plus the exact bits its walk folded (1/8).
+    window_bytes_per_row_raw: f64,
     /// Heap bytes per row the re-weight's result holds: `combined` (its
     /// pattern table: 8 values and 8 counts, however many rows) plus
     /// `order` and `displayed`.
@@ -840,11 +846,19 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
             s.zero_raw_count(),
             "window exact counts diverge at n={n}"
         );
-        assert!(
-            f.full_frames().bits_eq(s.full_frames()),
-            "window raw diverges at n={n}"
-        );
+        assert!(same_distances(f, s), "window distances diverge at n={n}");
     }
+}
+
+/// Two windows hold the same distances: the same raw frames when both
+/// keep one, the same exact bits (folded from a frame where one keeps
+/// it) otherwise, and the same stats.
+fn same_distances(a: &PredicateWindow, b: &PredicateWindow) -> bool {
+    let rows = match (a.raw_frame(), b.raw_frame()) {
+        (Some(x), Some(y)) => x.bits_eq(y),
+        _ => a.exact_bits() == b.exact_bits(),
+    };
+    rows && a.stats() == b.stats()
 }
 
 /// Deterministic pseudo-random combined-distance vector for the sort
@@ -1032,6 +1046,17 @@ fn bench_size(n: usize) -> SizeResult {
     };
     assert_eq!(answered(&heavy), ([1, 1], [0, 0]), "exact-heavy arm, n={n}");
     assert_eq!(answered(&light), ([0, 0], [1, 1]), "exact-light arm, n={n}");
+    // the exact-heavy arm's window is its bits alone, the exact-light
+    // arm's its raw frame (and the bits its walk folded on the way)
+    let bits_only = |out: &PipelineOutput| {
+        let t = out.trace.as_deref().expect("traced");
+        (out.windows[0].raw_frame().is_none(), t.windows_bits_only)
+    };
+    assert_eq!(bits_only(&heavy), (true, 1), "exact-heavy arm, n={n}");
+    assert_eq!(bits_only(&light), (false, 0), "exact-light arm, n={n}");
+    let bytes_per_row = |out: &PipelineOutput| out.windows[0].heap_bytes() as f64 / n as f64;
+    let window_bytes_per_row = bytes_per_row(&heavy);
+    let window_bytes_per_row_raw = bytes_per_row(&light);
     let exact_light = time_median(min_reps, || run_vectorized(cond_light, false));
     rep_counts.push(exact_light.reps);
     let exact_light_phase_ms = phase_medians_ms(|| run_vectorized(cond_light, true));
@@ -1326,7 +1351,7 @@ fn bench_size(n: usize) -> SizeResult {
     assert_eq!((evaluated(&refit), evaluated(&again)), ((1, 0), (0, 1)));
     assert_identical(&refit, &again, n);
     for (a, b) in refit.windows.iter().zip(&again.windows) {
-        assert!(a.full_frames().bits_eq(b.full_frames()) && a.norm_params == b.norm_params);
+        assert!(same_distances(a, b) && a.norm_params == b.norm_params);
     }
     let reweight = time_median(min_reps, || run_cached(&reweighted, &other_weight));
     let recompute = time_median(min_reps, || run_cached(&reweighted, &first_window_only));
@@ -1364,14 +1389,6 @@ fn bench_size(n: usize) -> SizeResult {
     )
     .expect("scalar 3-window");
     assert_identical(&refit3, &slow3, n);
-    let window_bytes: usize = (refit3.windows.iter())
-        .map(|w| {
-            let (exact, defined) = w.exact_bits();
-            let words = exact.len().div_ceil(64) * (1 + usize::from(defined.is_some()));
-            w.full_frames().heap_bytes() + 8 * words
-        })
-        .sum();
-    let window_bytes_per_row = window_bytes as f64 / (3 * n) as f64;
     let result_bytes = refit3.combined.heap_bytes()
         + std::mem::size_of_val(refit3.order.as_slice())
         + std::mem::size_of_val(refit3.displayed.as_slice());
@@ -1459,6 +1476,7 @@ fn bench_size(n: usize) -> SizeResult {
         recompute,
         reweight_3w,
         window_bytes_per_row,
+        window_bytes_per_row_raw,
         result_bytes_per_row,
         branchy_nc_rows_per_sec: n as f64 / branchy_s,
         branchless_nc_rows_per_sec: n as f64 / branchless_s,
@@ -1584,12 +1602,13 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         println!(
             "            3-window all-degenerate re-weight: {:.3} ms (min {:.3}, p90 {:.3}) | \
-             {:.3} B/row per cached window | {:.3} B/row of result",
+             {:.3} B/row of result | window {:.3} B/row exact-heavy, {:.3} exact-light",
             r.reweight_3w.per_call_s * 1e3,
             r.reweight_3w.min_s * 1e3,
             r.reweight_3w.p90_s * 1e3,
-            r.window_bytes_per_row,
             r.result_bytes_per_row,
+            r.window_bytes_per_row,
+            r.window_bytes_per_row_raw,
         );
         println!(
             "            branchless-vs-branchy norm+combine: {:>12.0} vs {:>12.0} rows/s \
@@ -1743,9 +1762,10 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         let _ = writeln!(
             json,
             "     \"reweight_3w_ms\": {}, \"window_bytes_per_row\": {:.3}, \
-             \"result_bytes_per_row\": {:.3},",
+             \"window_bytes_per_row_raw\": {:.3}, \"result_bytes_per_row\": {:.3},",
             ms(&r.reweight_3w),
             r.window_bytes_per_row,
+            r.window_bytes_per_row_raw,
             r.result_bytes_per_row,
         );
         let _ = writeln!(

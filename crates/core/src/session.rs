@@ -23,8 +23,9 @@ use visdb_relevance::eval::{EvalContext, ExecMode};
 use visdb_relevance::normalize::{fit_k, NormParams};
 use visdb_relevance::pipeline::{
     display_count, run_pipeline_opts, DisplayPolicy, PipelineOptions, PipelineOutput,
-    PipelineTrace, SharedWindows,
+    PipelineTrace, PredicateWindow, SharedWindows,
 };
+use visdb_relevance::DistanceFrame;
 use visdb_storage::{Database, Row, Table};
 use visdb_types::{Error, Result, Value};
 
@@ -1051,32 +1052,64 @@ impl Session {
     /// distances (metric or ordinal attributes).
     pub fn arrange_2d(&mut self, window_x: usize, window_y: usize) -> Result<ItemGrid> {
         let (w, h) = (self.window_w, self.window_h);
-        let res = self.result()?;
-        let get = |idx: usize| -> Result<&visdb_relevance::PredicateWindow> {
-            res.pipeline
-                .windows
-                .get(idx)
-                .ok_or_else(|| Error::invalid_parameter("window", format!("no window {idx}")))
-        };
-        let wx = get(window_x)?;
-        let wy = get(window_y)?;
-        if !wx.signed || !wy.signed {
-            return Err(Error::invalid_query(
-                "the 2D arrangement needs signed distances on both axes \
-                 (metric or ordinal attributes)",
-            ));
+        for idx in [window_x, window_y] {
+            if !self.window(idx)?.signed {
+                return Err(Error::invalid_query(
+                    "the 2D arrangement needs signed distances on both axes \
+                     (metric or ordinal attributes)",
+                ));
+            }
         }
+        let (dx, dy) = (self.raw_distances(window_x)?, self.raw_distances(window_y)?);
+        let res = self.result.as_ref().expect("cached by raw_distances()");
         // displayed items in relevance order, with their signed distances
         let items: Vec<visdb_arrange::grouped2d::Item2D> = res
             .pipeline
             .displayed
             .iter()
-            .filter_map(|&i| match (wx.raw_at(i), wy.raw_at(i)) {
+            .filter_map(|&i| match (dx.get(i), dy.get(i)) {
                 (Some(dx), Some(dy)) => Some(visdb_arrange::grouped2d::Item2D { item: i, dx, dy }),
                 _ => None,
             })
             .collect();
         Ok(visdb_arrange::arrange_grouped2d(&items, w, h))
+    }
+
+    /// Top-level window `idx` of the current result.
+    fn window(&mut self, idx: usize) -> Result<&PredicateWindow> {
+        let res = self.result()?;
+        res.pipeline
+            .windows
+            .get(idx)
+            .ok_or_else(|| Error::invalid_parameter("window", format!("no window {idx}")))
+    }
+
+    /// The raw signed distances of top-level window `idx` of the current
+    /// result: the window's own frame, or — for a window the pipeline
+    /// kept as its exact-answer bits alone — its condition evaluated
+    /// again over the result's base relation (one distance pass).
+    pub fn raw_distances(&mut self, idx: usize) -> Result<Arc<DistanceFrame>> {
+        if let Some(raw) = self.window(idx)?.raw_frame() {
+            return Ok(Arc::clone(raw));
+        }
+        let res = self.result.as_ref().expect("cached by window()");
+        let cond = (self.query.as_ref())
+            .and_then(|q| q.condition.as_ref())
+            .expect("a result with windows has a condition");
+        let node = match &cond.node {
+            ConditionNode::And(cs) | ConditionNode::Or(cs) => &cs[idx].node,
+            leaf => leaf,
+        };
+        let ctx = EvalContext {
+            db: &self.db,
+            table: &res.base,
+            resolver: &self.resolver,
+            display_budget: self.policy.budget(res.base.len()),
+            mode: ExecMode::Vectorized,
+            partitions: None,
+            cancel: None,
+        };
+        Ok(Arc::new(ctx.eval_node(node)?.distances))
     }
 
     /// Drill down into a query part by child-index path from the root

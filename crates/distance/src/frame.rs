@@ -26,6 +26,9 @@
 //! fit covers every defined item or the exact answers alone cover the
 //! fit (`zeros >= k`).
 
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 /// A dense validity mask: one byte per row, `true` = the row's value is
 /// defined. Matches the `Vec<bool>` masks behind
 /// `visdb_storage::ColumnData` so frame chunks and column chunks slice
@@ -86,6 +89,24 @@ pub struct PackedBits {
 }
 
 impl PackedBits {
+    /// An empty vector with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        PackedBits {
+            words: Vec::with_capacity(rows.div_ceil(64)),
+            len: 0,
+        }
+    }
+
+    /// `len` rows, every bit set to `bit`.
+    pub fn filled(len: usize, bit: bool) -> Self {
+        let mut words = vec![if bit { u64::MAX } else { 0 }; len.div_ceil(64)];
+        // bits past the length stay zero
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last >>= 64 - len % 64;
+        }
+        PackedBits { words, len }
+    }
+
     /// Pack one bit per item.
     pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Self {
         let mut out = PackedBits::default();
@@ -101,16 +122,70 @@ impl PackedBits {
         self.len += 1;
     }
 
-    /// Append the rows of `tail`: whole words when `self` ends on a word
-    /// boundary (chunk-wise folds concatenate this way), bit by bit
-    /// otherwise (the append path grows a window's bits by Δ rows).
-    pub fn append(&mut self, tail: &PackedBits) {
-        if self.len.is_multiple_of(64) {
-            self.words.extend_from_slice(&tail.words);
-            self.len += tail.len;
-        } else {
-            (0..tail.len).for_each(|i| self.push(tail.get(i)));
+    /// The exact-answer bits (`defined && d == ±0.0` — the rows a
+    /// degenerate `dmax = 0` fit normalizes to `0.0`; their popcount is
+    /// [`FrameStats::zeros`]) and the definedness bits of packed
+    /// `(values, validity)` rows, in one walk.
+    pub fn fold_exact(vals: &[f64], mask: &[bool]) -> (PackedBits, PackedBits) {
+        use crate::lanes::{mask_word, pack_word, WORD_ROWS};
+        debug_assert_eq!(vals.len(), mask.len());
+        let len = vals.len();
+        // eight rows per step: the `== 0.0` lanes as a mask word, ANDed
+        // with the validity word, each packed to a byte of the bit word
+        let block = |v8: &[f64], m8: &[bool]| {
+            let zero: [bool; WORD_ROWS] = std::array::from_fn(|l| v8[l] == 0.0);
+            let ok = mask_word(m8);
+            (
+                pack_word(mask_word(&zero) & ok) as u64,
+                pack_word(ok) as u64,
+            )
+        };
+        let mut exact = Vec::with_capacity(len.div_ceil(64));
+        let mut defined = Vec::with_capacity(len.div_ceil(64));
+        for (v64, m64) in vals.chunks(64).zip(mask.chunks(64)) {
+            let (mut e, mut d) = (0u64, 0u64);
+            let blocks = (v64.chunks_exact(WORD_ROWS)).zip(m64.chunks_exact(WORD_ROWS));
+            for (b, (v8, m8)) in blocks.enumerate() {
+                let (e8, d8) = block(v8, m8);
+                e |= e8 << (8 * b);
+                d |= d8 << (8 * b);
+            }
+            for l in v64.len() / WORD_ROWS * WORD_ROWS..v64.len() {
+                e |= ((m64[l] & (v64[l] == 0.0)) as u64) << l;
+                d |= (m64[l] as u64) << l;
+            }
+            exact.push(e);
+            defined.push(d);
         }
+        let defined = PackedBits {
+            words: defined,
+            len,
+        };
+        (PackedBits { words: exact, len }, defined)
+    }
+
+    /// Append the rows of `tail`: whole words when `self` ends on a word
+    /// boundary (chunk-wise folds concatenate this way), each tail word
+    /// split across two words otherwise (a partition boundary, or the
+    /// append path growing a window's bits by Δ rows).
+    pub fn append(&mut self, tail: &PackedBits) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&tail.words);
+        } else {
+            for &word in &tail.words {
+                *self.words.last_mut().expect("a partial last word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+            // the last push may start a word past the new length
+            self.words.truncate((self.len + tail.len).div_ceil(64));
+        }
+        self.len += tail.len;
+    }
+
+    /// Heap bytes held by the words.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Number of rows.
@@ -296,44 +371,64 @@ impl FrameStats {
         FrameStats::of_slice(frame.values(), frame.validity().as_slice())
     }
 
-    /// Branchless stats reduction over packed buffers: four independent
-    /// accumulator lanes (`f64x4`-shaped) with a scalar tail, lane masks
-    /// driven by the validity bytes through [`lanes::select`] instead of
-    /// a per-row `if defined` branch. Every lane op is a set operation
-    /// (count, min, max) with a neutral element for masked lanes
-    /// (`+inf` / `-inf`), so the result is exact and independent of lane
-    /// assignment — bit-identical to the serial [`FrameStats::record`]
-    /// reference, which the kernel property tests pin across lane
-    /// remainders and NaN/±inf-dense inputs.
+    /// Branchless stats reduction over packed buffers, one 8-row validity
+    /// word at a time with a scalar tail. The three counts are byte sums
+    /// of lane-mask words (defined, exact and non-finite rows), and the
+    /// finite `|d|` min/max run in eight independent lanes — a block whose
+    /// rows are all defined and finite (one `u64` compare) with no mask
+    /// term at all. The candidates are finite or `±inf`, never NaN, so the
+    /// select min/max are `f64::min`/`max` without their NaN handling.
+    /// Every fold is a set operation (count, min, max) with a neutral
+    /// element for masked lanes, so the result is exact and independent
+    /// of lane assignment — bit-identical to the serial
+    /// [`FrameStats::record`] reference, which the kernel property tests
+    /// pin across lane remainders and NaN/±inf-dense inputs.
     pub fn of_slice(vals: &[f64], mask: &[bool]) -> FrameStats {
-        use crate::lanes::{select, LANES};
+        use crate::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
         debug_assert_eq!(vals.len(), mask.len());
-        let mut defined = [0usize; LANES];
-        let mut non_finite = [0usize; LANES];
-        let mut zeros = [0usize; LANES];
-        let mut min_abs = [f64::INFINITY; LANES];
-        let mut max_abs = [f64::NEG_INFINITY; LANES];
-        let blocks = vals.len() / LANES * LANES;
+        // the set bytes of a lane-mask word: each byte is 0 or 1, so the
+        // partial sums never carry
+        let count = |word: u64| (word.wrapping_mul(ALL_VALID_WORD) >> 56) as usize;
+        let (mut defined, mut non_finite, mut zeros) = (0, 0, 0);
+        let mut min_abs = [f64::INFINITY; WORD_ROWS];
+        let mut max_abs = [f64::NEG_INFINITY; WORD_ROWS];
+        let blocks = vals.len() / WORD_ROWS * WORD_ROWS;
         let (vblocks, vtail) = vals.split_at(blocks);
         let (mblocks, mtail) = mask.split_at(blocks);
-        for (v4, m4) in vblocks.chunks_exact(LANES).zip(mblocks.chunks_exact(LANES)) {
-            for l in 0..LANES {
-                let ok = m4[l];
-                let a = v4[l].abs();
-                let finite = ok && a.is_finite();
-                defined[l] += ok as usize;
-                non_finite[l] += (ok && !a.is_finite()) as usize;
-                zeros[l] += (ok && a == 0.0) as usize;
-                min_abs[l] = min_abs[l].min(select(finite, a, f64::INFINITY));
-                max_abs[l] = max_abs[l].max(select(finite, a, f64::NEG_INFINITY));
+        for (v8, m8) in vblocks
+            .chunks_exact(WORD_ROWS)
+            .zip(mblocks.chunks_exact(WORD_ROWS))
+        {
+            let ok = mask_word(m8);
+            let a: [f64; WORD_ROWS] = std::array::from_fn(|l| v8[l].abs());
+            let finite = mask_word(&a.map(|a| a < f64::INFINITY)) & ok;
+            defined += count(ok);
+            zeros += count(mask_word(&a.map(|a| a == 0.0)) & ok);
+            non_finite += count(ok ^ finite);
+            let lanes = min_abs.iter_mut().zip(&mut max_abs).zip(a);
+            if finite == ALL_VALID_WORD {
+                for ((min, max), a) in lanes {
+                    *min = select(a < *min, a, *min);
+                    *max = select(a > *max, a, *max);
+                }
+            } else {
+                for (l, ((min, max), a)) in lanes.enumerate() {
+                    let keep = finite >> (8 * l) & 1 == 1;
+                    let (lo, hi) = (
+                        select(keep, a, f64::INFINITY),
+                        select(keep, a, f64::NEG_INFINITY),
+                    );
+                    *min = select(lo < *min, lo, *min);
+                    *max = select(hi > *max, hi, *max);
+                }
             }
         }
         let mut s = FrameStats {
-            defined: defined.iter().sum(),
+            defined,
             min_abs: min_abs.iter().fold(f64::INFINITY, |m, &x| m.min(x)),
             max_abs: max_abs.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x)),
-            non_finite: non_finite.iter().sum(),
-            zeros: zeros.iter().sum(),
+            non_finite,
+            zeros,
         };
         for (&v, &ok) in vtail.iter().zip(mtail) {
             if ok {
@@ -513,51 +608,14 @@ impl DistanceFrame {
         }
     }
 
-    /// The exact-answer bits (`defined && d == ±0.0` — the rows a
-    /// degenerate `dmax = 0` fit normalizes to `0.0`; their popcount is
-    /// [`FrameStats::zeros`]) and the definedness bits of the rows
-    /// `rows`, in one walk over the packed buffers.
+    /// [`PackedBits::fold_exact`] of the rows `rows`.
     pub fn exact_bits_in(&self, rows: std::ops::Range<usize>) -> (PackedBits, PackedBits) {
-        use crate::lanes::{mask_word, pack_word, WORD_ROWS};
-        let len = rows.len();
-        let (vals, mask) = (&self.values[rows.clone()], &self.validity.bits[rows]);
-        // eight rows per step: the `== 0.0` lanes as a mask word, ANDed
-        // with the validity word, each packed to a byte of the bit word
-        let block = |v8: &[f64], m8: &[bool]| {
-            let zero: [bool; WORD_ROWS] = std::array::from_fn(|l| v8[l] == 0.0);
-            let ok = mask_word(m8);
-            (
-                pack_word(mask_word(&zero) & ok) as u64,
-                pack_word(ok) as u64,
-            )
-        };
-        let mut exact = Vec::with_capacity(len.div_ceil(64));
-        let mut defined = Vec::with_capacity(len.div_ceil(64));
-        for (v64, m64) in vals.chunks(64).zip(mask.chunks(64)) {
-            let (mut e, mut d) = (0u64, 0u64);
-            let blocks = (v64.chunks_exact(WORD_ROWS)).zip(m64.chunks_exact(WORD_ROWS));
-            for (b, (v8, m8)) in blocks.enumerate() {
-                let (e8, d8) = block(v8, m8);
-                e |= e8 << (8 * b);
-                d |= d8 << (8 * b);
-            }
-            for l in v64.len() / WORD_ROWS * WORD_ROWS..v64.len() {
-                e |= ((m64[l] & (v64[l] == 0.0)) as u64) << l;
-                d |= (m64[l] as u64) << l;
-            }
-            exact.push(e);
-            defined.push(d);
-        }
-        let defined = PackedBits {
-            words: defined,
-            len,
-        };
-        (PackedBits { words: exact, len }, defined)
+        PackedBits::fold_exact(&self.values[rows.clone()], &self.validity.bits[rows])
     }
 
     /// [`DistanceFrame::exact_bits_in`] of the whole frame, with the
     /// definedness bits dropped (`None`) when every row is defined.
-    pub fn exact_bits(&self) -> (PackedBits, Option<PackedBits>) {
+    pub fn exact_bits(&self) -> ExactBits {
         let (exact, defined) = self.exact_bits_in(0..self.len());
         (
             exact,
@@ -579,13 +637,125 @@ impl DistanceFrame {
     }
 
     /// Heap bytes held by this frame: 9 bytes per row vs the 16 of the
-    /// `Vec<Option<f64>>` representation it replaced. A measurement
-    /// helper (tests pin the packed layout with it); the serving
-    /// layer's window cache budgets by *row count*, whose per-row cost
-    /// this type roughly halves.
+    /// `Vec<Option<f64>>` representation it replaced — what a raw window
+    /// weighs in the serving layer's byte-budgeted window cache, beside
+    /// its packed bits.
     pub fn heap_bytes(&self) -> usize {
         self.values.capacity() * std::mem::size_of::<f64>()
             + self.validity.bits.capacity() * std::mem::size_of::<bool>()
+    }
+}
+
+/// A window's packed `(exact, defined)` bits ([`DistanceFrame::exact_bits`]):
+/// the definedness bits are `None` when every row is defined.
+pub type ExactBits = (PackedBits, Option<PackedBits>);
+
+/// An `n`-row [`DistanceFrame`] under construction by a walk that writes
+/// it range by range — in parallel, in any order, some ranges perhaps not
+/// at all. The buffers are reserved, never zero-filled, and
+/// [`FrameSink::finish`] hands the frame out only once every row has been
+/// written.
+pub struct FrameSink {
+    values: Vec<f64>,
+    validity: Vec<bool>,
+    len: usize,
+    /// Rows written through the ranges of the latest split.
+    written: AtomicUsize,
+}
+
+/// One row range of a [`FrameSink`]: written in full by
+/// [`SinkRange::write`], or not at all.
+pub struct SinkRange<'a> {
+    values: &'a mut [MaybeUninit<f64>],
+    validity: &'a mut [MaybeUninit<bool>],
+    written: &'a AtomicUsize,
+}
+
+impl FrameSink {
+    /// Reserve an `n`-row frame.
+    pub fn new(n: usize) -> Self {
+        FrameSink {
+            values: Vec::with_capacity(n),
+            validity: Vec::with_capacity(n),
+            len: n,
+            written: AtomicUsize::new(0),
+        }
+    }
+
+    /// Split the rows into the given contiguous ranges (which must cover
+    /// them in order), one writer per range. Only the writes through the
+    /// latest split count toward [`FrameSink::finish`].
+    pub fn split_ranges_mut(&mut self, ranges: &[(usize, usize)]) -> Vec<SinkRange<'_>> {
+        *self.written.get_mut() = 0;
+        let mut vals = &mut self.values.spare_capacity_mut()[..self.len];
+        let mut mask = &mut self.validity.spare_capacity_mut()[..self.len];
+        let mut out = Vec::with_capacity(ranges.len());
+        let mut consumed = 0;
+        for &(offset, len) in ranges {
+            debug_assert_eq!(offset, consumed, "ranges must be contiguous");
+            let (vh, vt) = std::mem::take(&mut vals).split_at_mut(len);
+            let (mh, mt) = std::mem::take(&mut mask).split_at_mut(len);
+            out.push(SinkRange {
+                values: vh,
+                validity: mh,
+                written: &self.written,
+            });
+            (vals, mask) = (vt, mt);
+            consumed += len;
+        }
+        debug_assert!(vals.is_empty(), "ranges must cover the frame");
+        out
+    }
+
+    /// The frame, when every row was written; `None` otherwise.
+    pub fn finish(mut self) -> Option<DistanceFrame> {
+        if *self.written.get_mut() != self.len {
+            return None;
+        }
+        // SAFETY: the latest split handed out disjoint ranges starting at
+        // row 0; each `SinkRange` is consumed by the one `write` that
+        // initializes every slot of its range and only then counts its
+        // length. A count of `len` therefore means ranges covering rows
+        // `0..len` of both buffers were written in full.
+        unsafe {
+            self.values.set_len(self.len);
+            self.validity.set_len(self.len);
+        }
+        Some(DistanceFrame {
+            values: self.values,
+            validity: Bitmap {
+                bits: self.validity,
+            },
+        })
+    }
+}
+
+impl SinkRange<'_> {
+    /// Rows in the range.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when the range covers no rows.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Write every row of the range from packed `(values, validity)`
+    /// rows of the same length.
+    pub fn write(self, vals: &[f64], mask: &[bool]) {
+        assert_eq!(vals.len(), self.values.len(), "a range is written in full");
+        assert_eq!(
+            mask.len(),
+            self.validity.len(),
+            "a range is written in full"
+        );
+        let slots = self.values.iter_mut().zip(self.validity.iter_mut());
+        for ((value, defined), (&v, &ok)) in slots.zip(vals.iter().zip(mask)) {
+            value.write(v);
+            defined.write(ok);
+        }
+        self.written.fetch_add(vals.len(), Ordering::Relaxed);
     }
 }
 
@@ -667,6 +837,37 @@ mod tests {
             FrameStats::of_frame(&DistanceFrame::from_options(&rows)).zeros,
             2
         );
+        // eight-row blocks on both paths — all defined and finite, and
+        // mixed with NULLs, NaN, ±inf, signed zeros and a stray value
+        // under a cleared mask bit — at every block remainder
+        fn value(i: usize) -> f64 {
+            match i % 13 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                _ => (i % 17) as f64 * 0.75 - 6.0,
+            }
+        }
+        let shapes: [fn(usize) -> (f64, bool); 4] = [
+            |i| ((i % 29) as f64 + 1.5, true),
+            |i| (-((i % 31) as f64), true),
+            |i| (value(i), i % 7 != 3),
+            |i| (if i % 5 == 0 { 9.0 } else { value(i) }, i % 5 != 0),
+        ];
+        for shape in shapes {
+            for len in 0..=41 {
+                let (vals, mask): (Vec<f64>, Vec<bool>) = (0..len).map(shape).unzip();
+                let mut expect = FrameStats::default();
+                let defined = vals.iter().zip(&mask).filter(|(_, &ok)| ok);
+                defined.for_each(|(&d, _)| expect.record(d));
+                let got = FrameStats::of_slice(&vals, &mask);
+                assert_eq!(got, expect, "len={len}");
+                let bits = |x: f64| x.to_bits();
+                assert_eq!(bits(got.min_abs), bits(expect.min_abs), "len={len}");
+            }
+        }
     }
 
     /// The packed bits of a frame against the per-row definition, at
@@ -806,5 +1007,60 @@ mod tests {
         let f = DistanceFrame::undefined(1000);
         assert!(f.heap_bytes() >= 9 * 1000);
         assert!(f.heap_bytes() < 16 * 1000, "must beat Vec<Option<f64>>");
+    }
+
+    /// An append at any length — word-aligned or not — packs exactly the
+    /// bits one pack of the concatenated rows does.
+    #[test]
+    fn appends_at_any_length_match_one_pack() {
+        let bit = |i: usize| (i * 7 + i / 3) % 5 < 2;
+        for head in [0usize, 1, 5, 63, 64, 65, 127, 130] {
+            for tail in [0usize, 1, 63, 64, 65, 200] {
+                let mut got = PackedBits::from_bools((0..head).map(bit));
+                got.append(&PackedBits::from_bools((head..head + tail).map(bit)));
+                let want = PackedBits::from_bools((0..head + tail).map(bit));
+                assert_eq!(got, want, "{head} + {tail} rows");
+            }
+            for bit in [false, true] {
+                let want = PackedBits::from_bools(std::iter::repeat_n(bit, head));
+                assert_eq!(PackedBits::filled(head, bit), want, "{head} rows of {bit}");
+            }
+        }
+    }
+
+    /// A sink hands its frame out once every range of its latest split
+    /// was written, and is then the frame those rows spell.
+    #[test]
+    fn a_sink_finishes_only_when_every_row_was_written() {
+        let rows: Vec<Option<f64>> = (0..100)
+            .map(|i| (i % 7 != 3).then_some(i as f64 - 50.0))
+            .collect();
+        let want = DistanceFrame::from_options(&rows);
+        let ranges = [(0, 40), (40, 33), (73, 27)];
+        let write = |sink: &mut FrameSink, which: &[usize]| {
+            for (r, range) in sink.split_ranges_mut(&ranges).into_iter().enumerate() {
+                let (offset, len) = ranges[r];
+                assert_eq!((range.len(), range.is_empty()), (len, false));
+                if which.contains(&r) {
+                    let rows = offset..offset + len;
+                    range.write(
+                        &want.values()[rows.clone()],
+                        &want.validity().as_slice()[rows],
+                    );
+                }
+            }
+        };
+        let mut sink = FrameSink::new(100);
+        write(&mut sink, &[0, 2]);
+        assert!(sink.finish().is_none(), "a range left unwritten");
+        // rows written through an earlier split do not count
+        let mut sink = FrameSink::new(100);
+        write(&mut sink, &[0, 1]);
+        write(&mut sink, &[2]);
+        assert!(sink.finish().is_none(), "only the latest split counts");
+        let mut sink = FrameSink::new(100);
+        write(&mut sink, &[2, 0, 1]);
+        assert!(sink.finish().expect("every row written").bits_eq(&want));
+        assert!(FrameSink::new(0).finish().expect("no rows").is_empty());
     }
 }

@@ -13,7 +13,8 @@
 //! and the display budget (nested combining normalizes with the budget,
 //! so a budget change invalidates too). The window's *weight* is not part
 //! of its identity: raw distances do not depend on it, so a re-weighted
-//! window is refitted from the cached raw frame instead of re-evaluated.
+//! window is refitted from its cached stats (and raw frame, when the fit
+//! selects) instead of re-evaluated.
 
 use std::fmt::Write as _;
 
@@ -43,8 +44,15 @@ use crate::pipeline::PredicateWindow;
 /// identify the dataset generation, and sessions with a non-default
 /// resolver (or sampled cross products) must not share a cache.
 pub trait WindowSource: Send + Sync {
-    /// Return a previously stored window for this exact key, if any.
-    fn lookup(&self, key: &str) -> Option<PredicateWindow>;
+    /// Return a previously stored window for this exact key, if any and
+    /// if it is `usable` by the caller — an entry the caller cannot use
+    /// (a window kept as its exact bits where the run needs its raw
+    /// frame) counts as a miss.
+    fn lookup(
+        &self,
+        key: &str,
+        usable: &dyn Fn(&PredicateWindow) -> bool,
+    ) -> Option<PredicateWindow>;
     /// Store a freshly evaluated window under its key. `recipe` is
     /// present when the window can be *extended* across data appends
     /// (see [`crate::extend`]); implementations that support the append
@@ -60,7 +68,7 @@ pub trait WindowSource: Send + Sync {
 /// part of the key — only the §5.2 fit and the normalization depend on
 /// it, not the raw distances — so a cache holds one entry per subtree
 /// whose latest stored weight wins; a lookup under another weight refits
-/// the entry's raw frame.
+/// the entry.
 ///
 /// The subtree is rendered by [`encode_node`], an explicit canonical
 /// visitor with **length-prefixed strings**: every user-controlled
@@ -334,14 +342,19 @@ impl PipelineCache {
 
     /// Look up a window by its condition subtree. The stored weight may
     /// differ from the caller's: raw distances do not depend on it, so
-    /// the caller compares weights and refits (§5.2) the cached raw frame
-    /// when they differ — a found entry is a hit either way.
-    pub fn lookup(&mut self, node: &ConditionNode) -> Option<PredicateWindow> {
-        let found = self
-            .entries
-            .iter()
+    /// the caller compares weights and refits (§5.2) the cached window
+    /// when they differ — a found entry is a hit either way, unless the
+    /// caller cannot use it (`usable`), which is a miss.
+    pub fn lookup(
+        &mut self,
+        node: &ConditionNode,
+        usable: impl Fn(&PredicateWindow) -> bool,
+    ) -> Option<PredicateWindow> {
+        let found = (self.entries.iter())
             .find(|(n, _)| n == node)
-            .map(|(_, e)| e.clone());
+            .map(|(_, e)| e)
+            .filter(|e| usable(e))
+            .cloned();
         if found.is_some() {
             self.hits += 1;
         } else {
@@ -526,11 +539,13 @@ mod tests {
         c.validate(&t, 100);
         c.store(vec![(node(5.0), eval(3))]);
         // the stored weight is the caller's to compare, not the cache's
-        assert_eq!(c.lookup(&node(5.0)).map(|w| w.weight), Some(1.0));
-        assert!(c.lookup(&node(6.0)).is_none());
+        assert_eq!(c.lookup(&node(5.0), |_| true).map(|w| w.weight), Some(1.0));
+        assert!(c.lookup(&node(6.0), |_| true).is_none());
+        // an entry the caller cannot use is a miss
+        assert!(c.lookup(&node(5.0), |_| false).is_none());
         assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
-        assert_eq!(c.hit_rate(), 0.5);
+        assert_eq!(c.misses, 2);
+        assert_eq!(c.hit_rate(), 1.0 / 3.0);
     }
 
     #[test]

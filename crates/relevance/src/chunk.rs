@@ -19,7 +19,9 @@
 //! so fork-join never waits on pool capacity and no walk spawns threads
 //! of its own.
 
-use visdb_distance::frame::{DistanceFrame, FrameStats};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use visdb_distance::frame::{DistanceFrame, ExactBits, FrameSink, FrameStats, PackedBits};
 use visdb_storage::Partitioning;
 
 /// Rows per chunk. Large enough to amortise dispatch overhead, small
@@ -199,6 +201,71 @@ pub fn for_each_frame_range(
         total.merge(s);
     }
     total
+}
+
+/// The distance walk of a window whose §5.2 fit count `k` is known
+/// before it runs. Each task fills its row range into per-worker chunk
+/// scratch (`f(offset, vals, mask)` returns the range's stats) and,
+/// while the chunk is still in cache, folds its packed `(exact, defined)`
+/// bits. It copies the rows into the window's frame only while the exact
+/// answers counted so far by all tasks — one shared counter, its own
+/// included — stay below `k`. So a walk whose exact answers cover `k`
+/// returns no frame: the fit is `dmax = 0` and the bits are the window. A
+/// walk whose count never reaches `k` has copied every range, and its
+/// frame comes back complete. Which it is depends on the final count
+/// alone, never on the schedule. Returns the frame (if any), the merged
+/// stats and the bits, definedness dropped when every row is defined.
+pub fn window_walk(
+    n: usize,
+    partitions: Option<&Partitioning>,
+    parallel: bool,
+    k: usize,
+    f: impl Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync,
+) -> (Option<DistanceFrame>, FrameStats, ExactBits) {
+    let ranges = ranges(n, partitions);
+    let mut frame = FrameSink::new(n);
+    let mut folds = vec![<(FrameStats, PackedBits, PackedBits)>::default(); ranges.len()];
+    let (exact_so_far, arena) = (AtomicUsize::new(0), ScratchArena::new());
+    let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
+        .zip(frame.split_ranges_mut(&ranges))
+        .zip(folds.iter_mut())
+        .collect();
+    run_striped(
+        tasks,
+        parallel && n >= PAR_MIN_ROWS,
+        |((offset, rows), fold)| {
+            let mut scratch = arena.take();
+            let (vals, mask) = &mut scratch.frames(1, rows.len())[0];
+            let stats = f(offset, vals, mask);
+            // a chunk with no exact answer and no undefined row has its
+            // bits in its counts
+            let len = vals.len();
+            let (exact, defined) = match stats.zeros == 0 && stats.defined == len {
+                true => (
+                    PackedBits::filled(len, false),
+                    PackedBits::filled(len, true),
+                ),
+                false => PackedBits::fold_exact(vals, mask),
+            };
+            if exact_so_far.fetch_add(stats.zeros, Ordering::Relaxed) + stats.zeros < k {
+                rows.write(vals, mask);
+            }
+            *fold = (stats, exact, defined);
+        },
+    );
+    let mut stats = FrameStats::default();
+    let (mut exact, mut defined) = (PackedBits::with_capacity(n), PackedBits::with_capacity(n));
+    for (s, e, d) in &folds {
+        stats.merge(s);
+        exact.append(e);
+        defined.append(d);
+    }
+    let raw = (stats.zeros < k).then(|| {
+        frame
+            .finish()
+            .expect("a count below k leaves every range written")
+    });
+    (raw, stats, (exact, (stats.defined < n).then_some(defined)))
 }
 
 /// One worker's reusable chunk scratch: lockstep packed `(values,
@@ -385,6 +452,53 @@ mod tests {
             }
         });
         assert_eq!(out, vec![1; tiny]);
+    }
+
+    /// The count rule of [`window_walk`]: while the exact answers stay
+    /// below `k` every range is copied, and the frame is the one a plain
+    /// walk fills; at `k` or above there is no frame. The bits and stats
+    /// are the plain walk's either way — at 1 to 9 chunks, serial and
+    /// parallel, and over partition ranges that split words.
+    #[test]
+    fn window_walks_keep_a_complete_frame_below_k() {
+        let row = |i: usize| match i % 11 {
+            0..=2 => Some(0.0),
+            3 => Some(-0.0),
+            4 => None,
+            5 => Some(f64::NAN),
+            _ => Some(i as f64 - 7.5),
+        };
+        let fill = |offset: usize, vals: &mut [f64], mask: &mut [bool]| {
+            let mut stats = FrameStats::default();
+            for (j, (v, m)) in vals.iter_mut().zip(mask.iter_mut()).enumerate() {
+                (*v, *m) = match row(offset + j) {
+                    Some(d) => {
+                        stats.record(d);
+                        (d, true)
+                    }
+                    None => (0.0, false),
+                };
+            }
+            stats
+        };
+        for chunks in 1..=9 {
+            let n = chunks * CHUNK_ROWS - 100;
+            let mut plain = DistanceFrame::undefined(n);
+            let want_stats = for_each_frame_range(&mut plain, None, false, fill);
+            let want_bits = plain.exact_bits();
+            let zeros = want_stats.zeros;
+            let partitioning = Partitioning::even(n, 3);
+            for k in [1, zeros / 2, zeros, zeros + 1, n] {
+                for (parallel, parts) in [(false, None), (true, None), (true, Some(&partitioning))]
+                {
+                    let what = format!("{chunks} chunks, k = {k}, parallel: {parallel}");
+                    let (raw, stats, bits) = window_walk(n, parts, parallel, k, fill);
+                    assert_eq!((stats, &bits), (want_stats, &want_bits), "{what}");
+                    assert_eq!(raw.is_some(), zeros < k, "{what}");
+                    assert!(raw.is_none_or(|raw| raw.bits_eq(&plain)), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

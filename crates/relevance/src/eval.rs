@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
-use visdb_distance::frame::{DistanceFrame, FrameStats};
+use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_distance::{geo, numeric, string, time};
 use visdb_exec::{fault::Phase, CancelToken};
@@ -141,6 +141,24 @@ pub struct NodeEval {
     pub stats: FrameStats,
 }
 
+/// A top-level window's evaluation ([`EvalContext::eval_window`]): the
+/// stats of its distance walk plus its raw frame, its packed exact bits,
+/// or both.
+pub(crate) struct WindowEval {
+    pub(crate) label: String,
+    pub(crate) signed: bool,
+    /// `None`: the exact answers covered the fit count, so the walk kept
+    /// only the bits.
+    pub(crate) raw: Option<DistanceFrame>,
+    pub(crate) stats: FrameStats,
+    /// Folded by the walk of a predicate leaf evaluated under a fit count.
+    pub(crate) bits: Option<ExactBits>,
+}
+
+/// One distance walk's per-range fill: rows `offset..offset + len` into
+/// `(values, validity)` buffers of that length, returning their stats.
+type RangeFill<'f> = dyn Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync + 'f;
+
 impl<'a> EvalContext<'a> {
     /// Resolve an attribute against the context table. Qualified names try
     /// `Table.Column` first (cross products prefix colliding columns),
@@ -193,7 +211,7 @@ impl<'a> EvalContext<'a> {
         projections: Option<&RunProjections<'_>>,
     ) -> Result<NodeEval> {
         match node {
-            ConditionNode::Predicate(p) => self.eval_predicate(p, false),
+            ConditionNode::Predicate(p) => self.eval_predicate(p),
             ConditionNode::Not(inner) => self.eval_not(inner, projections),
             ConditionNode::Connection(c) => self.eval_connection(c),
             ConditionNode::Subquery { link, query } => self.eval_subquery(link, query, projections),
@@ -275,7 +293,7 @@ impl<'a> EvalContext<'a> {
                         value: value.clone(),
                     },
                 };
-                let mut e = self.eval_predicate(&flipped, false)?;
+                let mut e = self.eval_predicate(&flipped)?;
                 e.label = format!("NOT {}", p.label());
                 return Ok(e);
             }
@@ -335,59 +353,61 @@ impl<'a> EvalContext<'a> {
             out,
             self.partitioning(),
             self.parallel(),
-            |offset, vals, mask| {
-                if self.poll_cancel() {
-                    return FrameStats::default();
-                }
-                let mut stats = FrameStats::default();
-                for (j, (v, m)) in vals.iter_mut().zip(mask.iter_mut()).enumerate() {
-                    match f(offset + j) {
-                        Some(d) => {
-                            *v = d;
-                            *m = true;
-                            stats.record(d);
-                        }
-                        None => {
-                            *v = 0.0;
-                            *m = false;
-                        }
-                    }
-                }
-                stats
-            },
+            |offset, vals, mask| self.fill_chunk(offset, vals, mask, &f),
         )
     }
 
-    /// Run a typed batch kernel over the column, range-parallel: every
-    /// task slices the column's native buffer and validity mask for its
-    /// own row range ([`ColumnData::numeric_slice_at`]) and writes the
-    /// packed frame buffers directly, stats fused. Returns `None` when
-    /// the column has no native numeric buffer (the caller falls back to
-    /// the per-tuple path).
-    fn run_kernel(
+    /// One range of [`EvalContext::fill_rows`]: `f(offset + j)` into row
+    /// `j`, stats fused.
+    fn fill_chunk(
+        &self,
+        offset: usize,
+        vals: &mut [f64],
+        mask: &mut [bool],
+        f: impl Fn(usize) -> Option<f64>,
+    ) -> FrameStats {
+        if self.poll_cancel() {
+            return FrameStats::default();
+        }
+        let mut stats = FrameStats::default();
+        for (j, (v, m)) in vals.iter_mut().zip(mask.iter_mut()).enumerate() {
+            match f(offset + j) {
+                Some(d) => {
+                    *v = d;
+                    *m = true;
+                    stats.record(d);
+                }
+                None => {
+                    *v = 0.0;
+                    *m = false;
+                }
+            }
+        }
+        stats
+    }
+
+    /// One range of a typed batch kernel over a column with a native
+    /// numeric buffer: the task slices the buffer and validity mask for
+    /// its own row range ([`ColumnData::numeric_slice_at`]) and writes
+    /// the packed rows, stats fused.
+    fn kernel_chunk(
         &self,
         col: &ColumnData,
         kernel: NumericKernel,
-        out: &mut DistanceFrame,
-    ) -> Option<FrameStats> {
-        col.numeric_slice()?;
-        Some(chunk::for_each_frame_range(
-            out,
-            self.partitioning(),
-            self.parallel(),
-            |offset, vals, mask| {
-                if self.poll_cancel() {
-                    return FrameStats::default();
-                }
-                let (slice, col_mask) = col
-                    .numeric_slice_at(offset, vals.len())
-                    .expect("numeric buffer checked above");
-                match slice {
-                    NumericSlice::F64(xs) => batch::run_frame(xs, col_mask, kernel, vals, mask),
-                    NumericSlice::I64(xs) => batch::run_frame(xs, col_mask, kernel, vals, mask),
-                }
-            },
-        ))
+        offset: usize,
+        vals: &mut [f64],
+        mask: &mut [bool],
+    ) -> FrameStats {
+        if self.poll_cancel() {
+            return FrameStats::default();
+        }
+        let (slice, col_mask) = col
+            .numeric_slice_at(offset, vals.len())
+            .expect("a native numeric buffer");
+        match slice {
+            NumericSlice::F64(xs) => batch::run_frame(xs, col_mask, kernel, vals, mask),
+            NumericSlice::I64(xs) => batch::run_frame(xs, col_mask, kernel, vals, mask),
+        }
     }
 
     /// The batch kernel equivalent to a predicate target, when one exists
@@ -426,16 +446,16 @@ impl<'a> EvalContext<'a> {
     /// *distinct* column value — through the exact same
     /// [`compare_value_distance`]/[`range_value_distance`] the per-tuple
     /// reference runs — and every row is then served by one indexed load
-    /// into that table. No per-row [`Value`] clone. Returns `None` when
-    /// inapplicable (scalar mode, non-string column, numeric/geo
-    /// distances, `Around` targets — which must keep their error path).
-    fn gathered_predicate_stats(
-        &self,
-        col: &ColumnData,
+    /// into that table. No per-row [`Value`] clone. Returns the per-range
+    /// fill, or `None` when inapplicable (scalar mode, non-string column,
+    /// numeric/geo distances, `Around` targets — which must keep their
+    /// error path).
+    fn predicate_gather<'s>(
+        &'s self,
+        col: &'s ColumnData,
         cd: &ColumnDistance,
         target: &PredicateTarget,
-        out: &mut DistanceFrame,
-    ) -> Option<FrameStats> {
+    ) -> Option<impl Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync + 's> {
         if self.mode != ExecMode::Vectorized
             || !matches!(cd, ColumnDistance::String(_) | ColumnDistance::Matrix(_))
             || matches!(target, PredicateTarget::Around { .. })
@@ -455,70 +475,108 @@ impl<'a> EvalContext<'a> {
             }
         });
         let codes = dict.codes();
-        Some(chunk::for_each_frame_range(
-            out,
-            self.partitioning(),
-            self.parallel(),
-            |offset, vals, mask| {
-                if self.poll_cancel() {
-                    return FrameStats::default();
-                }
-                let c = &codes[offset..offset + vals.len()];
-                let m = col_mask.map(|mm| &mm[offset..offset + vals.len()]);
-                string::gather_table(c, m, &tvals, &tdef, vals, mask);
-                FrameStats::of_slice(vals, mask)
-            },
-        ))
+        Some(move |offset: usize, vals: &mut [f64], mask: &mut [bool]| {
+            if self.poll_cancel() {
+                return FrameStats::default();
+            }
+            let c = &codes[offset..offset + vals.len()];
+            let m = col_mask.map(|mm| &mm[offset..offset + vals.len()]);
+            string::gather_table(c, m, &tvals, &tdef, vals, mask);
+            FrameStats::of_slice(vals, mask)
+        })
     }
 
-    fn eval_predicate(&self, p: &Predicate, negated_label: bool) -> Result<NodeEval> {
+    /// Hand the per-range fill of a predicate leaf to `walk`, which picks
+    /// the walk around it (a full frame, or a window's count-guarded
+    /// walk): a typed batch kernel over the column's native buffer, the
+    /// dictionary gather, or the per-tuple reference fill. Returns what
+    /// `walk` returns and whether the distances are signed.
+    fn with_predicate_fill<R>(
+        &self,
+        p: &Predicate,
+        walk: impl FnOnce(&RangeFill<'_>) -> R,
+    ) -> Result<(R, bool)> {
         let (col, dt, class, _) = self.column(&p.attr)?;
         let cd = self.distance_for(&p.attr, dt, class);
-        let n = self.table.len();
-        let mut out = DistanceFrame::undefined(n);
-        let kernel_stats = if self.mode == ExecMode::Vectorized {
-            Self::kernel_for(&cd, &p.target)
-                .and_then(|kernel| self.run_kernel(col, kernel, &mut out))
-        } else {
-            None
+        let signed = cd.is_signed();
+        let native = self.mode == ExecMode::Vectorized && col.numeric_slice().is_some();
+        if let Some(kernel) = Self::kernel_for(&cd, &p.target).filter(|_| native) {
+            return Ok((
+                walk(&|o, v, m| self.kernel_chunk(col, kernel, o, v, m)),
+                signed,
+            ));
+        }
+        if let Some(gather) = self.predicate_gather(col, &cd, &p.target) {
+            return Ok((walk(&gather), signed));
+        }
+        let walked = match &p.target {
+            PredicateTarget::Compare { op, value } => walk(&|o, v, m| {
+                self.fill_chunk(o, v, m, |i| compare_distance(col, i, *op, value, &cd))
+            }),
+            PredicateTarget::Range { low, high } => walk(&|o, v, m| {
+                self.fill_chunk(o, v, m, |i| range_distance(col, i, low, high, &cd))
+            }),
+            PredicateTarget::Around { center, deviation } => {
+                let (c, d) = (center.expect_f64()?, *deviation);
+                match native {
+                    true => walk(&|o, v, m| {
+                        self.kernel_chunk(col, NumericKernel::Around(c, d), o, v, m)
+                    }),
+                    false => walk(&|o, v, m| {
+                        self.fill_chunk(o, v, m, |i| {
+                            col.get_f64(i).and_then(|v| numeric::around(v, c, d))
+                        })
+                    }),
+                }
+            }
         };
-        let stats = match kernel_stats {
-            Some(stats) => stats,
-            None => match self.gathered_predicate_stats(col, &cd, &p.target, &mut out) {
-                Some(stats) => stats,
-                None => match &p.target {
-                    PredicateTarget::Compare { op, value } => {
-                        self.fill_rows(&mut out, |i| compare_distance(col, i, *op, value, &cd))
-                    }
-                    PredicateTarget::Range { low, high } => {
-                        self.fill_rows(&mut out, |i| range_distance(col, i, low, high, &cd))
-                    }
-                    PredicateTarget::Around { center, deviation } => {
-                        let c = center.expect_f64()?;
-                        let d = *deviation;
-                        let around_stats = (self.mode == ExecMode::Vectorized)
-                            .then(|| self.run_kernel(col, NumericKernel::Around(c, d), &mut out))
-                            .flatten();
-                        match around_stats {
-                            Some(stats) => stats,
-                            None => self.fill_rows(&mut out, |i| {
-                                col.get_f64(i).and_then(|v| numeric::around(v, c, d))
-                            }),
-                        }
-                    }
-                },
-            },
-        };
-        let label = if negated_label {
-            format!("NOT {}", p.label())
-        } else {
-            p.label()
-        };
+        Ok((walked, signed))
+    }
+
+    fn eval_predicate(&self, p: &Predicate) -> Result<NodeEval> {
+        let mut distances = DistanceFrame::undefined(self.table.len());
+        let (stats, signed) = self.with_predicate_fill(p, |fill| {
+            chunk::for_each_frame_range(&mut distances, self.partitioning(), self.parallel(), fill)
+        })?;
         Ok(NodeEval {
-            label,
-            signed: cd.is_signed(),
-            distances: out,
+            label: p.label(),
+            signed,
+            distances,
             stats,
+        })
+    }
+
+    /// Evaluate a top-level window. A predicate leaf whose §5.2 fit count
+    /// `k` is known runs the count-guarded walk of
+    /// [`chunk::window_walk`]: its packed exact bits always, its raw frame
+    /// only when its exact answers fall short of `k`. Any other node, or
+    /// no `k`, is evaluated into its raw frame.
+    pub(crate) fn eval_window(
+        &self,
+        node: &ConditionNode,
+        k: Option<usize>,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<WindowEval> {
+        if let (ConditionNode::Predicate(p), Some(k)) = (node, k) {
+            let n = self.table.len();
+            let ((raw, stats, bits), signed) = self.with_predicate_fill(p, |fill| {
+                chunk::window_walk(n, self.partitioning(), self.parallel(), k, fill)
+            })?;
+            return Ok(WindowEval {
+                label: p.label(),
+                signed,
+                raw,
+                stats,
+                bits: Some(bits),
+            });
+        }
+        let e = self.eval_node_with(node, projections)?;
+        Ok(WindowEval {
+            label: e.label,
+            signed: e.signed,
+            raw: Some(e.distances),
+            stats: e.stats,
+            bits: None,
         })
     }
 

@@ -7,7 +7,8 @@
 //! evaluated alone through the same branchless kernels, their fused
 //! stats merged into the cached stats exactly (the merge is
 //! order-independent), the raw frame grown by a memcpy and its packed
-//! exact bits — once folded — by Δ bits. The one global coupling is the
+//! exact bits — once folded — by Δ bits; a window kept as its bits alone
+//! grows only them. The one global coupling is the
 //! §5.2 weight-proportional normalization fit: if the appended rows shift
 //! the fitted `(dmin, dmax)` — say a new nearest row displaces the k-th
 //! smallest distance — the normalization of *old* rows changes too; but
@@ -23,11 +24,11 @@ use visdb_query::ast::ConditionNode;
 use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
-use crate::normalize::{fit_frame, fit_frame_extended};
+use crate::normalize::{covered_by_exact, fit_frame, fit_frame_extended};
 use crate::pipeline::PredicateWindow;
 
 /// What it takes, beside the stored window itself (which carries its
-/// weight, row count, raw frame and that frame's stats), to grow the
+/// weight, row count, raw frame or bits, and stats), to grow the
 /// window by appended rows: the evaluation inputs.
 #[derive(Debug, Clone)]
 pub struct WindowRecipe {
@@ -71,9 +72,11 @@ pub fn extension_recipe(ctx: &EvalContext<'_>, node: &ConditionNode) -> Option<W
 /// holding **only** the rows past `win.len()`): evaluate the delta
 /// through the standard kernels, merge stats, refit, and append the
 /// delta's raw distances to the cached frame — and its exact bits to
-/// the window's packed ones, when those have been folded. Returns `None`
-/// only when the delta fails to evaluate — the caller then drops the
-/// entry and the next query re-evaluates in full.
+/// the window's packed ones, when those have been folded. A window kept
+/// as its bits alone grows its bits and stats, with no frame to append
+/// to. Returns `None` when the delta fails to evaluate, or when a
+/// bits-only window's merged exact answers no longer cover its fit — the
+/// caller then drops the entry and the next query re-evaluates in full.
 ///
 /// Shared caches only ever hold default-resolver evaluations (sessions
 /// with custom resolvers detach from them), so the delta pass uses a
@@ -84,7 +87,7 @@ pub fn extend_window(
     win: &PredicateWindow,
     recipe: &WindowRecipe,
 ) -> Option<PredicateWindow> {
-    let (raw, stats) = win.raw_with_stats();
+    let (old_len, stats) = (win.len(), win.stats());
     let resolver = DistanceResolver::new();
     let ctx = EvalContext {
         db,
@@ -98,13 +101,38 @@ pub fn extend_window(
     let dev = ctx.eval_node(&recipe.node).ok()?;
     let mut merged = *stats;
     merged.merge(&dev.stats);
+    let new_len = old_len + delta.len();
+    let ext_bits = win.bits.get().map(|(exact, defined)| {
+        let (delta_exact, delta_defined) = dev.distances.exact_bits_in(0..delta.len());
+        let mut exact = exact.clone();
+        exact.append(&delta_exact);
+        // definedness stays implicit until a row is undefined
+        let defined = (merged.defined < new_len).then(|| {
+            let all = || PackedBits::from_bools(std::iter::repeat_n(true, old_len));
+            let mut defined = defined.clone().unwrap_or_else(all);
+            defined.append(&delta_defined);
+            defined
+        });
+        (exact, defined)
+    });
+    let bits = Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from));
+    let Some(raw) = win.raw_frame() else {
+        // the fit stays `dmax = 0` while the exact answers cover it
+        return covered_by_exact(new_len, &merged, win.weight, recipe.budget).then(|| {
+            PredicateWindow {
+                stats: merged,
+                bits,
+                ..win.clone()
+            }
+        });
+    };
     let ext_raw = raw.concat(&dev.distances);
     // refit in O(Δ) when the old k-th order statistic provably still
     // governs; fall back to the full selection over the extended frame
     // when the delta may have displaced it (bit-identical both ways —
     // the fast path only fires when the answer is forced)
     let norm_params = fit_frame_extended(
-        raw.len(),
+        old_len,
         stats,
         win.norm_params,
         &dev.distances,
@@ -113,23 +141,10 @@ pub fn extend_window(
         recipe.budget,
     )
     .unwrap_or_else(|| fit_frame(&ext_raw, &merged, win.weight, recipe.budget));
-    let ext_bits = win.bits.get().map(|(exact, defined)| {
-        let (delta_exact, delta_defined) = dev.distances.exact_bits_in(0..delta.len());
-        let mut exact = exact.clone();
-        exact.append(&delta_exact);
-        // definedness stays implicit until a row is undefined
-        let defined = (merged.defined < ext_raw.len()).then(|| {
-            let all = || PackedBits::from_bools(std::iter::repeat_n(true, raw.len()));
-            let mut defined = defined.clone().unwrap_or_else(all);
-            defined.append(&delta_defined);
-            defined
-        });
-        (exact, defined)
-    });
     Some(PredicateWindow {
-        raw: Arc::new(ext_raw),
+        raw: Some(Arc::new(ext_raw)),
         stats: merged,
-        bits: Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from)),
+        bits,
         norm_params,
         ..win.clone()
     })
@@ -215,7 +230,8 @@ mod tests {
             let ext = extend_window(&new_db, &delta, &win, &recipe).expect("a numeric leaf");
             let full = window_for(&new_db, &node, budget);
             assert_eq!(ext.norm_params != win.norm_params, fit_shifts);
-            let (eraw, fraw) = (ext.full_frames(), full.full_frames());
+            // no exact answer at all: both windows keep their frames
+            let (eraw, fraw) = (ext.raw_frame().unwrap(), full.raw_frame().unwrap());
             assert!(eraw.bits_eq(fraw), "raw frames diverge");
             for i in 0..=all.len() {
                 let (e, f) = (ext.normalized_at(i), full.normalized_at(i));
@@ -227,7 +243,7 @@ mod tests {
             }
             assert_eq!(ext.norm_params, full.norm_params);
             assert_eq!(ext.len(), all.len());
-            assert_eq!(ext.raw_with_stats().1, &FrameStats::of_frame(fraw));
+            assert_eq!(ext.stats(), &FrameStats::of_frame(fraw));
         }
     }
 
@@ -279,6 +295,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A window kept as its exact bits grows its bits and stats by Δ rows
+    /// and writes no frame — across word boundaries, with NULLs arriving
+    /// in Δ: bits, stats and fit equal a cold evaluation's, and it stays
+    /// bits-only. Under a budget its merged exact answers do not cover,
+    /// the extension declines.
+    #[test]
+    fn bits_only_extension_grows_bits_and_stats_not_frames() {
+        let node =
+            ConditionNode::Predicate(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, 50.0));
+        let value = |i: usize| match i % 9 {
+            0..=3 => Some(50.0 + i as f64), // exact
+            _ => Some((i % 50) as f64),
+        };
+        let mut bits_only = 0;
+        for old_len in [1usize, 63, 100, 130] {
+            for delta_len in [1usize, 63, 64, 200] {
+                for nulls in [false, true] {
+                    let row =
+                        |i: usize| value(i).filter(|_| !(nulls && i >= old_len && i % 5 == 2));
+                    let all: Vec<Option<f64>> = (0..old_len + delta_len).map(row).collect();
+                    let (old_db, new_db) = (db_with(&all[..old_len]), db_with(&all));
+                    let budget = 16;
+                    let recipe = WindowRecipe {
+                        table: "T".into(),
+                        budget,
+                        node: node.clone(),
+                    };
+                    let idx: Vec<usize> = (old_len..all.len()).collect();
+                    let delta = new_db.table("T").unwrap().gather("T", &idx);
+                    let what = format!("{old_len} + {delta_len} rows, nulls: {nulls}");
+
+                    let old = window_for(&old_db, &node, budget);
+                    let ext = extend_window(&new_db, &delta, &old, &recipe).unwrap();
+                    let cold = window_for(&new_db, &node, budget);
+                    assert_eq!(ext.exact_bits(), cold.exact_bits(), "{what}");
+                    assert_eq!(ext.stats(), cold.stats(), "{what}");
+                    assert_eq!(ext.norm_params, cold.norm_params, "{what}");
+                    assert_eq!(ext.len(), all.len(), "{what}");
+                    if old.raw_frame().is_some() {
+                        continue;
+                    }
+                    bits_only += 1;
+                    assert!(
+                        ext.raw_frame().is_none() && cold.raw_frame().is_none(),
+                        "{what}"
+                    );
+                    let uncovered = WindowRecipe {
+                        budget: all.len(),
+                        ..recipe
+                    };
+                    assert!(
+                        extend_window(&new_db, &delta, &old, &uncovered).is_none(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        // every old length but the single row (whose fit covers it) is
+        // two-valued and kept as its bits
+        assert_eq!(bits_only, 3 * 4 * 2);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! `Option`-shaped definitions they are tested against, which the
 //! [`ExecMode::Scalar`] oracle computes with. The end-to-end driver is
 //! [`pipeline::run_pipeline`]: one executor, which keeps every
-//! predicate's raw distances as its window — the form the §6 caches
-//! store and reuse.
+//! predicate's window as its distance walk's stats plus its raw
+//! distances or, when its exact answers cover its fit, its packed exact
+//! bits alone — the forms the §6 caches store and reuse.
 
 pub mod cache;
 pub mod chunk;

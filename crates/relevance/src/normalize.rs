@@ -143,6 +143,18 @@ pub(crate) fn fit_from_counts(
     Err(k)
 }
 
+/// Whether the exact answers alone cover the §5.2 fit: `zeros >= k`,
+/// where [`fit_from_counts`] answers `dmax = 0`. A window read only
+/// through its exact bits keeps nothing else while this holds.
+pub(crate) fn covered_by_exact(
+    n: usize,
+    stats: &FrameStats,
+    weight: f64,
+    display_budget: usize,
+) -> bool {
+    fit_k(n, weight, display_budget).is_some_and(|k| stats.zeros >= k)
+}
+
 /// Fit the improved (§5.2) normalization of a packed [`DistanceFrame`]
 /// whose reduction stats were accumulated during the distance walk: the
 /// transform range is `[0, k-th smallest absolute distance]` with

@@ -27,18 +27,23 @@
 //!   walks take, so the output is bit-identical, the scheduling
 //!   sharding-shaped.
 //!
-//! A run writes at most 9 bytes per row of output — the packed combined
-//! [`DistanceFrame`] — plus the ranked prefix, and nothing else per
-//! window beyond its raw distances: a window *is* its raw frame and a
-//! fit ([`NormParams`]). Normalized distances are applied in registers by
-//! the combine walk and derived on read
-//! ([`PredicateWindow::normalized_at`]), like relevance factors
-//! ([`PipelineOutput::relevance`]); a fit with `dmax = 0` (§5.1: "none or
-//! very many" exact answers) normalizes to two values, and is read from
-//! the window's packed exact bits — one bit per row — instead. A root of
-//! nothing but such windows takes at most `2^#sp` values and writes no
-//! row at all: its combined distances are the windows' bits plus a
-//! table ([`Combined::Table`]), and its ranking walks the bits.
+//! A window is its distance walk's stats and a fit ([`NormParams`]), plus
+//! what its readers need of the rows. A fit with `dmax = 0` (§5.1: "none
+//! or very many" exact answers) normalizes to two values and is read from
+//! the window's packed exact bits — one bit per row. Since the fit count
+//! `k` of a predicate leaf is known before its walk, the walk folds those
+//! bits per chunk and writes the 9 B/row raw frame only while the exact
+//! answers counted so far stay below `k`: a window whose exact answers
+//! cover `k` is its bits and stats alone. Every other window keeps its
+//! raw frame — what a fit that selects, an `OR` root and the two-sided
+//! display read. Normalized distances are applied in registers by the
+//! combine walk and derived on read ([`PredicateWindow::normalized_at`]),
+//! like relevance factors ([`PipelineOutput::relevance`]). A run writes at
+//! most 9 bytes per row of output — the packed combined [`DistanceFrame`]
+//! — plus the ranked prefix, and a root of nothing but two-valued windows
+//! writes no row at all: its combined distances are the windows' bits
+//! plus a table of at most `2^#sp` values ([`Combined::Table`]), and its
+//! ranking walks the bits.
 //!
 //! [`ExecMode::Scalar`] preserves the per-tuple, full-sort reference
 //! path; both modes produce bit-identical distances, windows and display
@@ -47,7 +52,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use visdb_distance::frame::{DistanceFrame, FrameStats, PackedBits, MAX_TABLE_CHILDREN};
+use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedBits, MAX_TABLE_CHILDREN};
 use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
@@ -59,11 +64,13 @@ use visdb_types::{Error, Result};
 use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
 pub use crate::combine::Combined;
-use crate::combine::{combine_and_blocks, combine_or_slices, Child, PatternTable};
-use crate::eval::{EvalContext, RunProjections};
+use crate::combine::{
+    combine_and_blocks, combine_or_slices, Child, PatternTable, SharedBits, TWO_VALUED,
+};
+use crate::eval::{EvalContext, RunProjections, WindowEval};
 use crate::normalize::{
-    apply_in_place, apply_slice, fit_from_counts, fit_selected, params_from_max, NormParams,
-    NORM_MAX,
+    apply_in_place, apply_slice, covered_by_exact, fit_from_counts, fit_k, fit_selected,
+    params_from_max, NormParams, NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -116,12 +123,17 @@ pub struct PipelineTrace {
     /// Top-level windows found in the cross-session shared window cache.
     pub shared_hits: usize,
     /// Of those cache hits, the windows stored under another weight:
-    /// their cached raw distances were refitted and re-normalized (§5.2),
-    /// not re-evaluated — what a re-weight costs.
+    /// their cached stats (and raw distances, when the fit selects) were
+    /// refitted (§5.2), not re-evaluated — what a re-weight costs.
     pub windows_refit: usize,
     /// Top-level windows whose distances were actually (re-)evaluated
     /// this run.
     pub windows_evaluated: usize,
+    /// Top-level windows this run left as their packed exact bits and
+    /// stats alone, with no raw frame: evaluated so (their exact answers
+    /// covered the fit count), or refitted to a fit they cover and their
+    /// frame dropped.
+    pub windows_bits_only: usize,
     /// §5.2 fits the distance walk's counts answered without reading
     /// the frame again (the fit covers every defined item, or the
     /// predicate's exact answers cover `k`).
@@ -221,10 +233,13 @@ impl DisplayPolicy {
 /// distances, the `[0,255]` normalization, and the fitted parameters so
 /// sliders can map colors back to attribute values.
 ///
-/// A window *is* its full-size packed raw [`DistanceFrame`] with that
-/// frame's stats — the form every window cache stores and the §5.1
-/// two-sided display selection reads — plus a fit; the normalized
-/// distances are derived on read.
+/// A window is its distance walk's stats and a fit, plus what its
+/// readers need of the rows. That is its packed raw [`DistanceFrame`] —
+/// what a fit that selects, an `OR` root and the §5.1 two-sided display
+/// read. Or, when its exact answers cover its fit count (the fit is
+/// `dmax = 0`: two-valued) and the run reads it no other way, it is only
+/// its packed exact bits, 1/72 of the frame. Normalized distances are
+/// derived on read either way.
 #[derive(Debug, Clone)]
 pub struct PredicateWindow {
     /// Window title.
@@ -234,18 +249,21 @@ pub struct PredicateWindow {
     /// Weight of this predicate in the query.
     pub weight: f64,
     /// Raw signed distances per item in packed SoA form (shared with the
-    /// incremental caches; cloning a window is cheap).
-    pub(crate) raw: Arc<DistanceFrame>,
-    /// The fused reduction stats of `raw` — together with the frame,
-    /// every input of a §5.2 fit, so a cached window can be refitted
-    /// under another weight (or over appended rows) without a distance
-    /// pass.
+    /// incremental caches; cloning a window is cheap). `None`: the window
+    /// is its exact bits alone.
+    pub(crate) raw: Option<Arc<DistanceFrame>>,
+    /// The fused reduction stats of the distance walk. With the raw
+    /// frame they are every input of a §5.2 fit, so a cached window can
+    /// be refitted under another weight (or over appended rows) without
+    /// a distance pass; alone, every input of a fit its exact answers
+    /// cover.
     pub(crate) stats: FrameStats,
-    /// [`DistanceFrame::exact_bits`] of `raw`, folded on first use —
-    /// what a fit with `dmax = 0` is read from — and shared by every
-    /// clone and refit of the window and by a derived root's
+    /// The packed `(exact, defined)` bits — what a fit with `dmax = 0`
+    /// is read from. Folded by the distance walk of a leaf evaluated
+    /// under its fit count, otherwise from `raw` on first use, and shared
+    /// by every clone and refit of the window and by a derived root's
     /// [`Combined::Table`], so a frame is walked for them at most once.
-    pub(crate) bits: Arc<OnceLock<(PackedBits, Option<PackedBits>)>>,
+    pub(crate) bits: SharedBits,
     /// The fitted normalization (for color → value lookups).
     pub norm_params: NormParams,
 }
@@ -264,16 +282,32 @@ impl PredicateWindow {
             label,
             signed,
             weight,
-            raw,
+            raw: Some(raw),
             stats,
             bits: Arc::default(),
             norm_params,
         }
     }
 
+    /// A freshly evaluated window under `weight`, before its fit.
+    fn evaluated(e: WindowEval, weight: f64) -> Self {
+        PredicateWindow {
+            label: e.label,
+            signed: e.signed,
+            weight,
+            raw: e.raw.map(Arc::new),
+            stats: e.stats,
+            bits: Arc::new(e.bits.map_or_else(OnceLock::new, OnceLock::from)),
+            norm_params: params_from_max(0.0),
+        }
+    }
+
     /// Rows of the base relation this window spans.
     pub fn len(&self) -> usize {
-        self.raw.len()
+        match &self.raw {
+            Some(raw) => raw.len(),
+            None => self.exact_bits().0.len(),
+        }
     }
 
     /// True when the window spans no rows.
@@ -281,17 +315,20 @@ impl PredicateWindow {
         self.len() == 0
     }
 
-    /// Raw signed distance of row `i` (`None`: undefined or out of
-    /// range).
-    pub fn raw_at(&self, i: usize) -> Option<f64> {
-        self.raw.get(i)
-    }
-
-    /// Normalized (`[0, 255]`) distance of row `i`. Derived: the fitted
-    /// params applied on the fly — the identical float op the combine
-    /// walk performs in registers.
+    /// Normalized (`[0, 255]`) distance of row `i` (`None`: undefined or
+    /// out of range). Derived: the fitted params applied on the fly — the
+    /// identical float op the combine walk performs in registers. A
+    /// window kept as its bits has the fit `dmax = 0`, under which that
+    /// op maps an exact answer to 0 and every other defined row to 255:
+    /// read off the bits.
     pub fn normalized_at(&self, i: usize) -> Option<f64> {
-        self.raw_at(i).map(|v| self.norm_params.apply(v.abs()))
+        if let Some(raw) = &self.raw {
+            return raw.get(i).map(|v| self.norm_params.apply(v.abs()));
+        }
+        debug_assert_eq!(self.norm_params, params_from_max(0.0));
+        let (exact, defined) = self.exact_bits();
+        let known = i < exact.len() && defined.as_ref().is_none_or(|d| d.get(i));
+        known.then(|| TWO_VALUED[usize::from(exact.get(i))])
     }
 
     /// Exact answers of this window (`raw == 0`) over the full relation
@@ -302,31 +339,50 @@ impl PredicateWindow {
         self.stats.zeros
     }
 
-    /// The raw frame.
-    pub fn full_frames(&self) -> &Arc<DistanceFrame> {
-        &self.raw
+    /// The raw frame; `None` for a window kept as its exact bits alone,
+    /// whose rows an evaluation of its condition re-derives
+    /// ([`EvalContext::eval_node`]).
+    pub fn raw_frame(&self) -> Option<&Arc<DistanceFrame>> {
+        self.raw.as_ref()
     }
 
-    /// The packed `(exact, defined)` bits of the raw frame
-    /// ([`DistanceFrame::exact_bits`]), folded by the first caller.
-    pub fn exact_bits(&self) -> &(PackedBits, Option<PackedBits>) {
-        let raw = &self.raw;
+    /// The fused reduction stats of the distance walk.
+    pub fn stats(&self) -> &FrameStats {
+        &self.stats
+    }
+
+    /// The packed `(exact, defined)` bits ([`DistanceFrame::exact_bits`]
+    /// of the raw frame), folded by the distance walk or by the first
+    /// caller.
+    pub fn exact_bits(&self) -> &ExactBits {
         self.bits.get_or_init(|| {
+            let raw = self
+                .raw
+                .as_ref()
+                .expect("a window without its frame has its bits");
             // chunks are whole words, so the per-chunk folds concatenate
             let fold = |offset, len| raw.exact_bits_in(offset..offset + len);
-            let (mut exact, mut defined) = <(PackedBits, PackedBits)>::default();
-            for (e, d) in chunk::map_ranges(raw.len(), None, true, fold) {
+            let rows = raw.len();
+            let (mut exact, mut defined) = (
+                PackedBits::with_capacity(rows),
+                PackedBits::with_capacity(rows),
+            );
+            for (e, d) in chunk::map_ranges(rows, None, true, fold) {
                 exact.append(&e);
                 defined.append(&d);
             }
-            (exact, (defined.count_ones() < raw.len()).then_some(defined))
+            (exact, (defined.count_ones() < rows).then_some(defined))
         })
     }
 
-    /// The raw frame with its reduction stats — the inputs of a §5.2
-    /// refit.
-    pub fn raw_with_stats(&self) -> (&Arc<DistanceFrame>, &FrameStats) {
-        (&self.raw, &self.stats)
+    /// Heap bytes the window holds: its raw frame, if any, plus its bits
+    /// once folded — what it weighs in a byte-budgeted cache.
+    pub fn heap_bytes(&self) -> usize {
+        let frame = self.raw.as_ref().map_or(0, |raw| raw.heap_bytes());
+        let bits = self.bits.get().map_or(0, |(exact, defined)| {
+            exact.heap_bytes() + defined.as_ref().map_or(0, PackedBits::heap_bytes)
+        });
+        frame + bits
     }
 }
 
@@ -602,20 +658,46 @@ pub fn run_pipeline_opts(
         _ => vec![cond],
     };
 
+    // A vectorized run reads a predicate leaf's window through its exact
+    // bits alone whenever its exact answers cover its fit count — except
+    // under an `OR` root (a `powf` per row of normalized values) and as
+    // the two-sided policy's primary window (its signed distances). Only
+    // such a window is evaluated under its fit count, and it is kept as
+    // its bits when they cover it.
+    let or_root = matches!(&cond.node, ConditionNode::Or(_));
+    let two_sided = matches!(policy, DisplayPolicy::TwoSidedPercentage(_));
+    let reads_bits: Vec<bool> = (top.iter().enumerate())
+        .map(|(i, w)| {
+            mode == ExecMode::Vectorized
+                && !or_root
+                && !(two_sided && i == 0)
+                && matches!(w.node, ConditionNode::Predicate(_))
+        })
+        .collect();
+    let budget = ctx.display_budget;
+    // a cached window serves this run when it has its frame, or when the
+    // run may read its bits alone and they cover its fit under the run's
+    // weight; a window kept as its bits is a miss anywhere else
+    let serves = |i: usize, win: &PredicateWindow| {
+        win.raw.is_some()
+            || (reads_bits[i] && covered_by_exact(n, &win.stats, top[i].weight, budget))
+    };
+
     // Every top-level window is looked up in the per-session incremental
     // cache, then the cross-session shared one, both keyed by the subtree
     // alone. An entry under the same weight is reused whole (Arc-shared,
     // no pass at all); one under another weight is **refit** — raw
-    // distances do not depend on the weight, so its raw frame and stats
-    // go straight to the §5.2 fit, with no distance pass and no join; a
-    // miss is evaluated now. The combine walk sees raw frames and fits
-    // either way.
+    // distances do not depend on the weight, so its stats (and raw frame,
+    // when the fit selects) go straight to the §5.2 fit, with no distance
+    // pass and no join; a miss is evaluated now.
     let same_weight =
         |win: &PredicateWindow, w: &Weighted| win.weight.to_bits() == w.weight.to_bits();
     let mut found: Vec<Option<PredicateWindow>> = match &mut cache {
         Some(cache) => {
-            cache.validate(table, ctx.display_budget);
-            top.iter().map(|w| cache.lookup(&w.node)).collect()
+            cache.validate(table, budget);
+            (top.iter().enumerate())
+                .map(|(i, w)| cache.lookup(&w.node, |win| serves(i, win)))
+                .collect()
         }
         None => vec![None; top.len()],
     };
@@ -632,9 +714,10 @@ pub fn run_pipeline_opts(
         None => vec![None; top.len()],
     };
     if let Some(sh) = shared {
-        for ((slot, key), w) in found.iter_mut().zip(shared_keys.iter_mut()).zip(&top) {
+        let slots = found.iter_mut().zip(shared_keys.iter_mut()).zip(&top);
+        for (i, ((slot, key), w)) in slots.enumerate() {
             if let Some(k) = key.as_deref() {
-                *slot = sh.cache.lookup(k);
+                *slot = sh.cache.lookup(k, &|win| serves(i, win));
                 if slot.as_ref().is_some_and(|win| same_weight(win, w)) {
                     // same weight: drop the key so the post-run store loop
                     // doesn't re-insert on every query (a refit keeps it:
@@ -649,12 +732,12 @@ pub fn run_pipeline_opts(
     checkpoint(cancel, Phase::Distance)?;
     // a window is *unfit* until this run fits it: evaluated now, or found
     // under another weight — a refit is a new `NormParams` over the same
-    // raw frame, nothing else
+    // distances, nothing else
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
-    let mut windows_evaluated = 0;
+    let (mut windows_evaluated, mut evaluated_bits_only) = (0, 0);
     phase_time!(trace, distance, {
-        for (w, got) in top.iter().zip(found) {
+        for (i, (w, got)) in top.iter().zip(found).enumerate() {
             unfit.push(!got.as_ref().is_some_and(|win| same_weight(win, w)));
             windows.push(match got {
                 Some(win) => win,
@@ -662,9 +745,10 @@ pub fn run_pipeline_opts(
                 // (chunked over rows); windows go one by one
                 None => {
                     windows_evaluated += 1;
-                    let e = ctx.eval_node_with(&w.node, run_projections.as_ref())?;
-                    let raw = (Arc::new(e.distances), e.stats);
-                    PredicateWindow::full(e.label, e.signed, w.weight, raw, params_from_max(0.0))
+                    let k = reads_bits[i].then(|| fit_k(n, w.weight, budget)).flatten();
+                    let e = ctx.eval_window(&w.node, k, run_projections.as_ref())?;
+                    evaluated_bits_only += usize::from(e.raw.is_none());
+                    PredicateWindow::evaluated(e, w.weight)
                 }
             });
         }
@@ -681,7 +765,8 @@ pub fn run_pipeline_opts(
             (Combined::Frame(frame), root)
         }
         ExecMode::Vectorized => {
-            combine_vectorized(&ctx, cond, &top, &mut windows, &unfit, &mut trace)
+            let fitted = (&mut windows[..], &unfit[..], &reads_bits[..]);
+            combine_vectorized(&ctx, cond, &top, fitted, &mut trace)
         }
     };
 
@@ -751,6 +836,7 @@ pub fn run_pipeline_opts(
         t.shared_hits = shared_hits;
         t.windows_refit = windows_refit;
         t.windows_evaluated = windows_evaluated;
+        t.windows_bits_only += evaluated_bits_only;
     }
     Ok(PipelineOutput {
         n,
@@ -780,7 +866,9 @@ fn combine_scalar(
 ) -> Result<(DistanceFrame, RootAcc)> {
     let mut children: Vec<Vec<Option<f64>>> = Vec::with_capacity(windows.len());
     for ((win, w), &unfit) in windows.iter_mut().zip(top).zip(unfit) {
-        let raw = win.full_frames().to_options();
+        let raw = (win.raw_frame())
+            .expect("the scalar oracle never keeps a window as its bits")
+            .to_options();
         if unfit {
             win.weight = w.weight;
             win.norm_params = phase_time!(
@@ -983,29 +1071,44 @@ fn finalize_combined(
 /// normalizations) read from their packed exact bits, nothing but the
 /// combined frame stored — and finalize it in place. When *every* child
 /// of an `AND` / single-window root is two-valued the root is derived
-/// instead ([`PatternTable::of`]): nothing is walked or written. Returns
-/// the final combined distances and the root counts.
+/// instead ([`PatternTable::of`]): nothing is walked or written. A
+/// refitted window the run reads through its bits alone, whose exact
+/// answers now cover its fit, drops its raw frame like an evaluated one.
+/// Returns the final combined distances and the root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
-    windows: &mut [PredicateWindow],
-    unfit: &[bool],
+    (windows, unfit, reads_bits): (&mut [PredicateWindow], &[bool], &[bool]),
     trace: &mut Option<Box<PipelineTrace>>,
 ) -> (Combined, RootAcc) {
-    let n = ctx.table.len();
+    let (n, budget) = (ctx.table.len(), ctx.display_budget);
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
     phase_time!((*trace), fit, {
-        let unfit = windows.iter_mut().zip(top).zip(unfit).filter(|(_, &u)| u);
-        for ((win, w), _) in unfit {
-            let (raw, stats) = win.raw_with_stats();
-            let counted = fit_from_counts(n, stats, w.weight, ctx.display_budget);
+        let fitted = (windows.iter_mut().zip(top))
+            .zip(unfit.iter().zip(reads_bits))
+            .filter(|(_, (&unfit, _))| unfit);
+        for ((win, w), (_, &reads_bits)) in fitted {
+            let counted = fit_from_counts(n, &win.stats, w.weight, budget);
             if let Some(t) = trace {
                 t.fits_from_counts += usize::from(counted.is_ok());
                 t.fits_selected += usize::from(counted.is_err());
             }
-            win.norm_params = counted.unwrap_or_else(|k| fit_selected(raw, k));
+            win.norm_params = counted.unwrap_or_else(|k| {
+                fit_selected(
+                    win.raw_frame().expect("a fit that selects reads the frame"),
+                    k,
+                )
+            });
             win.weight = w.weight;
+            if reads_bits && win.raw.is_some() && covered_by_exact(n, &win.stats, w.weight, budget)
+            {
+                win.exact_bits();
+                win.raw = None;
+                if let Some(t) = trace {
+                    t.windows_bits_only += 1;
+                }
+            }
         }
     });
 
@@ -1067,7 +1170,9 @@ fn walk_root(
         .map(|(win, bits)| match *bits {
             Some((exact, defined)) => Child::Bits(exact, defined),
             None => {
-                let raw = win.full_frames();
+                let raw = win
+                    .raw_frame()
+                    .expect("a window read as rows keeps its frame");
                 let mask = raw.validity().as_slice();
                 Child::Frame(raw.values(), mask, Some(win.norm_params))
             }
@@ -1175,10 +1280,17 @@ fn gap_bounds(rmin: usize, rmax: usize, defined: usize) -> (usize, usize) {
     (rmin.min(rmax_eff), rmax_eff)
 }
 
+/// The primary window's signed raw distances, which the two-sided policy
+/// reads.
+fn primary_raw(win: &PredicateWindow) -> &DistanceFrame {
+    win.raw_frame()
+        .expect("the two-sided policy's primary window keeps its frame")
+}
+
 /// The two-sided quantile band of the primary window's signed raw
 /// distances (`None` when the window has no defined distances).
 fn two_sided_band(win: &PredicateWindow, p: f64) -> Result<Option<(f64, f64)>> {
-    let signed: Vec<f64> = win.full_frames().iter().flatten().collect();
+    let signed: Vec<f64> = primary_raw(win).iter().flatten().collect();
     if signed.is_empty() {
         return Ok(None);
     }
@@ -1191,7 +1303,7 @@ fn two_sided_band(win: &PredicateWindow, p: f64) -> Result<Option<(f64, f64)>> {
 /// Two-sided membership: inside the band, or an exact answer
 /// ("exact answers always display", §5.1).
 fn in_two_sided_band(win: &PredicateWindow, lo: f64, hi: f64, i: usize) -> bool {
-    match win.raw_at(i) {
+    match primary_raw(win).get(i) {
         Some(d) => (d >= lo && d <= hi) || d == 0.0,
         None => false,
     }
@@ -1510,8 +1622,11 @@ mod tests {
         assert_eq!(out.windows.len(), 2);
         let w0 = &out.windows[0];
         assert!(w0.signed);
-        assert_eq!(w0.raw_at(0), Some(-5.0)); // x=0 misses `>= 5` by 5
-        assert_eq!(w0.raw_at(5), Some(0.0));
+        let raw = w0
+            .raw_frame()
+            .expect("a fit over every row keeps the frame");
+        assert_eq!(raw.get(0), Some(-5.0)); // x=0 misses `>= 5` by 5
+        assert_eq!(raw.get(5), Some(0.0));
         // normalized values live in [0, 255]
         for v in (0..out.n).filter_map(|i| w0.normalized_at(i)) {
             assert!((0.0..=NORM_MAX).contains(&v));
@@ -1612,17 +1727,34 @@ mod tests {
             partitions: None,
             cancel: None,
         };
-        if let ConditionNode::And(children) = &c.node {
-            for (win, child) in out.windows.iter().zip(children) {
-                let seq = ctx.eval_node(&child.node).unwrap();
-                assert_eq!(**win.full_frames(), seq.distances);
-                let zeros = seq.distances.iter().filter(|d| *d == Some(0.0)).count();
-                assert_eq!(win.zero_raw_count(), zeros);
-            }
-        } else {
+        let ConditionNode::And(children) = &c.node else {
             panic!("expected AND root");
+        };
+        for (win, child) in out.windows.iter().zip(children) {
+            let seq = ctx.eval_node(&child.node).unwrap();
+            let scalar = PredicateWindow::full(
+                seq.label,
+                seq.signed,
+                1.0,
+                (Arc::new(seq.distances), seq.stats),
+                params_from_max(0.0),
+            );
+            assert_same_distances(win, &scalar, "parallel walk");
+            let zeros = scalar.raw.as_ref().unwrap().iter();
+            assert_eq!(
+                win.zero_raw_count(),
+                zeros.filter(|d| *d == Some(0.0)).count()
+            );
         }
-        assert_eq!(out.windows.len(), 2);
+        // x >= 0.9 n has one exact answer fewer than its fit asks for,
+        // x < 0.95 n many more: the count-guarded walk keeps the first
+        // frame only
+        let kept: Vec<bool> = out
+            .windows
+            .iter()
+            .map(|w| w.raw_frame().is_some())
+            .collect();
+        assert_eq!(kept, [true, false]);
     }
 
     #[test]
@@ -1664,12 +1796,24 @@ mod tests {
             assert_eq!(slow.order.len(), 3000, "the scalar path sorts everything");
             for (fw, sw) in fast.windows.iter().zip(&slow.windows) {
                 assert_eq!((&fw.label, fw.signed), (&sw.label, sw.signed));
-                assert_eq!(fw.full_frames(), sw.full_frames());
+                assert_same_distances(fw, sw, &format!("{policy:?}"));
                 assert_eq!(fw.zero_raw_count(), sw.zero_raw_count(), "{policy:?}");
                 assert_eq!(normalized(fw), normalized(sw));
                 assert_eq!(fw.norm_params, sw.norm_params);
             }
         }
+    }
+
+    /// A vectorized window against the scalar oracle's: the same raw
+    /// frame, or — a window kept as its bits — the oracle frame's bits;
+    /// the same stats either way.
+    fn assert_same_distances(fast: &PredicateWindow, slow: &PredicateWindow, what: &str) {
+        let oracle = slow.raw_frame().expect("the oracle keeps its frames");
+        match fast.raw_frame() {
+            Some(raw) => assert!(raw.bits_eq(oracle), "{what}"),
+            None => assert_eq!(fast.exact_bits(), &oracle.exact_bits(), "{what}"),
+        }
+        assert_eq!(fast.stats(), &FrameStats::of_frame(oracle), "{what}");
     }
 
     /// Every row's derived normalized distance.
@@ -1755,7 +1899,7 @@ mod tests {
                     );
                 }
                 for (pw, sw) in part.windows.iter().zip(&slow.windows) {
-                    assert_eq!(pw.full_frames(), sw.full_frames());
+                    assert_same_distances(pw, sw, &format!("{policy:?} x{parts}"));
                     assert_eq!(normalized(pw), normalized(sw));
                     assert_eq!(pw.norm_params, sw.norm_params);
                 }
@@ -1846,8 +1990,18 @@ mod tests {
             hits: std::sync::atomic::AtomicUsize,
         }
         impl crate::cache::WindowSource for MapSource {
-            fn lookup(&self, key: &str) -> Option<PredicateWindow> {
-                let got = self.map.lock().unwrap().get(key).cloned();
+            fn lookup(
+                &self,
+                key: &str,
+                usable: &dyn Fn(&PredicateWindow) -> bool,
+            ) -> Option<PredicateWindow> {
+                let got = self
+                    .map
+                    .lock()
+                    .unwrap()
+                    .get(key)
+                    .filter(|w| usable(w))
+                    .cloned();
                 if got.is_some() {
                     self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -1987,8 +2141,21 @@ mod tests {
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Eq, 0.0);
         let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(50.0)).unwrap();
-        assert_eq!(out.windows[0].zero_raw_count(), scanned);
-        let raw = out.windows[0].full_frames();
+        let win = &out.windows[0];
+        assert_eq!(win.zero_raw_count(), scanned);
+        // 20 exact answers cover the fit of 20 rows: the window is its bits
+        assert!(win.raw_frame().is_none());
+        assert_eq!(win.exact_bits().0.count_ones(), scanned);
+        let ctx = EvalContext {
+            db: &db,
+            table: t,
+            resolver: &r,
+            display_budget: 20,
+            mode: ExecMode::Scalar,
+            partitions: None,
+            cancel: None,
+        };
+        let raw = ctx.eval_node(&c.node).unwrap().distances;
         assert!(raw.iter().any(|d| d.is_some_and(|d| d.is_sign_negative())));
         let in_frame = raw.iter().filter(|d| *d == Some(0.0)).count();
         assert_eq!(in_frame, scanned);
@@ -2221,6 +2388,18 @@ mod tests {
             let derived = DistanceFrame::from_options(&normalized(&win));
             assert!(derived.bits_eq(&stored), "{params:?}");
             assert_eq!(win.normalized_at(rows.len()), None);
+            if params == params_from_max(0.0) {
+                // under `dmax = 0` the window's bits alone derive it
+                let bits_only = PredicateWindow {
+                    raw: None,
+                    bits: Arc::new(OnceLock::from(raw.exact_bits())),
+                    ..win
+                };
+                let derived = DistanceFrame::from_options(&normalized(&bits_only));
+                assert!(derived.bits_eq(&stored));
+                assert_eq!(bits_only.normalized_at(rows.len()), None);
+                assert_eq!(bits_only.len(), rows.len());
+            }
         }
     }
 

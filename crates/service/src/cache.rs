@@ -10,11 +10,12 @@
 //!   are the common case under heavy traffic (everyone starts from the
 //!   same default query of a dashboard); a hit skips the whole pipeline.
 //! * [`WindowCache`] — one evaluated window per condition subtree
-//!   ([`visdb_relevance::window_key`]): its raw distance frame, that
-//!   frame's stats, its latest fit and — once a fit with `dmax = 0` has
-//!   asked for them — its packed exact-answer bits; normalized distances
-//!   are derived, not stored. A slider drag that changes one predicate
-//!   reuses every *other* window, for everyone.
+//!   ([`visdb_relevance::window_key`]): its distance walk's stats, its
+//!   latest fit, and its raw distance frame, its packed exact-answer bits
+//!   or both — a window whose exact answers cover its fit (`dmax = 0`)
+//!   is usually its bits alone; normalized distances are derived, not
+//!   stored. A slider drag that changes one predicate reuses every
+//!   *other* window, for everyone.
 //! * [`ProjectionCache`] — one built [`SortedProjection`] per column
 //!   ([`visdb_index::projection_key`]), so N sessions dragging or
 //!   joining on a column pay for one O(n log n) build.
@@ -45,14 +46,15 @@ pub struct CacheStats {
     pub misses: usize,
 }
 
-/// Default bound on the *total rows* cached across all windows. Entry
-/// count alone is no memory bound — one window over a 1M-row relation
-/// holds a packed `DistanceFrame` of that length (8-byte values plus a
-/// byte validity mask, 9 B/row) and at most two packed bit vectors
-/// (exact answers and definedness, 1/8 B/row each): ~9.25 MB/window —
-/// so eviction also honours a row budget: 8M rows ≈ 74 MB resident
-/// worst case.
-pub const DEFAULT_WINDOW_ROW_BUDGET: usize = 8_000_000;
+/// Default bound on the total *heap bytes* cached across all windows
+/// ([`PredicateWindow::heap_bytes`]). Entry count alone is no memory
+/// bound, and neither is a row count: over a 1M-row relation a raw
+/// window holds a packed `DistanceFrame` (8-byte values plus a byte
+/// validity mask, 9 B/row) and at most two packed bit vectors (exact
+/// answers and definedness, 1/8 B/row each) — ~9.25 MB — while a window
+/// kept as its bits holds 125–250 KB. 74 MB is eight raw windows of 1M
+/// rows, or hundreds of bits-only ones.
+pub const DEFAULT_WINDOW_BYTE_BUDGET: usize = 74_000_000;
 
 /// Default bound on the total rows cached across all shared projections:
 /// a projection costs ~20 bytes/row (coords + permutation + sorted
@@ -79,15 +81,15 @@ impl Payload for Response {
     }
 }
 
-/// A window weighs its rows. The recipe beside it is the
+/// A window weighs its heap bytes. The recipe beside it is the
 /// append-extension recipe captured at evaluation time (`None` for
 /// shapes that cannot be extended row-locally) — what lets a dataset
 /// append *grow* the entry instead of dropping it.
 impl Payload for (PredicateWindow, Option<WindowRecipe>) {
-    const BUDGET: usize = DEFAULT_WINDOW_ROW_BUDGET;
+    const BUDGET: usize = DEFAULT_WINDOW_BYTE_BUDGET;
 
     fn weight(&self) -> usize {
-        self.0.len()
+        self.0.heap_bytes()
     }
 }
 
@@ -106,8 +108,9 @@ pub type QueryCache = Cache<Response>;
 /// The shared **predicate-window** cache. The key carries dataset
 /// generation, base relation, display budget and the rendered subtree —
 /// not the weight: one entry per subtree, holding the latest stored
-/// weight's normalization, whose raw frame a lookup under another weight
-/// refits. Read through [`WindowSource`].
+/// weight's normalization, which a lookup under another weight refits. A
+/// window kept as its bits is a miss for a run that needs its raw frame.
+/// Read through [`WindowSource`].
 pub type WindowCache = Cache<(PredicateWindow, Option<WindowRecipe>)>;
 
 /// The shared **sorted-projection** cache, one entry per (dataset
@@ -193,9 +196,10 @@ impl<P: Payload> Cache<P> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Look `key` up, count the hit or miss, refresh the entry's recency
-    /// and return what `read` takes from the payload.
-    fn read<R>(&self, key: &str, read: impl FnOnce(&P) -> R) -> Option<R> {
+    /// Look `key` up and return what `read` takes from the payload; a
+    /// payload `read` takes nothing from counts as a miss. A hit
+    /// refreshes the entry's recency.
+    fn read<R>(&self, key: &str, read: impl FnOnce(&P) -> Option<R>) -> Option<R> {
         if self.capacity == 0 {
             self.misses.inc();
             return None;
@@ -203,9 +207,10 @@ impl<P: Payload> Cache<P> {
         let mut state = self.lock();
         state.clock += 1;
         let now = state.clock;
-        let found = state.map.get_mut(key).map(|entry| {
+        let found = state.map.get_mut(key).and_then(|entry| {
+            let got = read(&entry.payload)?;
             entry.last_used = now;
-            read(&entry.payload)
+            Some(got)
         });
         match found {
             Some(_) => self.hits.inc(),
@@ -216,7 +221,7 @@ impl<P: Payload> Cache<P> {
 
     /// Look up a payload, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<P> {
-        self.read(key, P::clone)
+        self.read(key, |payload| Some(payload.clone()))
     }
 
     /// Store a payload (replacing the key's previous one), then evict
@@ -316,8 +321,12 @@ impl<P: Payload> Cache<P> {
 }
 
 impl WindowSource for WindowCache {
-    fn lookup(&self, key: &str) -> Option<PredicateWindow> {
-        self.read(key, |(window, _)| window.clone())
+    fn lookup(
+        &self,
+        key: &str,
+        usable: &dyn Fn(&PredicateWindow) -> bool,
+    ) -> Option<PredicateWindow> {
+        self.read(key, |(window, _)| usable(window).then(|| window.clone()))
     }
 
     fn store(&self, key: String, window: PredicateWindow, recipe: Option<WindowRecipe>) {
@@ -345,6 +354,11 @@ mod tests {
         window_of(tag, 1)
     }
 
+    /// A window lookup that can use any entry.
+    fn any(_: &PredicateWindow) -> bool {
+        true
+    }
+
     fn window_of(tag: f64, rows: usize) -> PredicateWindow {
         let (raw, stats) = DistanceFrame::constant(rows, tag);
         PredicateWindow::full(
@@ -362,44 +376,85 @@ mod tests {
     #[test]
     fn window_cache_hit_miss_and_lru() {
         let c = WindowCache::new(2);
-        assert!(c.lookup("a").is_none());
+        assert!(c.lookup("a", &any).is_none());
         c.store("a".into(), window(1.0), None);
         c.store("b".into(), window(2.0), None);
-        assert_eq!(c.lookup("a").unwrap().norm_params.dmax, 1.0);
+        assert_eq!(c.lookup("a", &any).unwrap().norm_params.dmax, 1.0);
         c.store("c".into(), window(3.0), None); // evicts b (LRU)
         assert_eq!(c.len(), 2);
-        assert!(c.lookup("b").is_none());
-        assert!(c.lookup("a").is_some());
-        assert!(c.lookup("c").is_some());
+        assert!(c.lookup("b", &any).is_none());
+        assert!(c.lookup("a", &any).is_some());
+        assert!(c.lookup("c", &any).is_some());
+        // an entry the caller cannot use is a miss, and stays cached
+        assert!(c.lookup("a", &|w| w.norm_params.dmax > 1.0).is_none());
+        assert_eq!(c.len(), 2);
         let stats = c.stats();
         assert_eq!(stats.hits, 3);
-        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.misses, 3);
     }
 
+    /// The budget is heap bytes: a raw window of `rows` rows weighs 9 B a
+    /// row, one kept as its exact bits a bit a row.
     #[test]
-    fn window_cache_row_budget_bounds_memory() {
-        fn wide(tag: f64, rows: usize) -> PredicateWindow {
-            window_of(tag, rows)
-        }
-        // budget of 100 rows: two 60-row windows cannot coexist
-        let c = WindowCache::with_budget(8, 100);
+    fn window_cache_byte_budget_bounds_memory() {
+        let wide = |tag: f64, rows: usize| window_of(tag, rows);
+        let weight = |rows: usize| (wide(0.0, rows), None).weight();
+        assert_eq!(weight(60), 9 * 60);
+        // budget of 100 rows' bytes: two 60-row windows cannot coexist
+        let c = WindowCache::with_budget(8, weight(100));
         c.store("a".into(), wide(1.0, 60), None);
         c.store("b".into(), wide(2.0, 60), None);
         assert_eq!(c.len(), 1);
-        assert!(c.lookup("a").is_none(), "LRU evicted for the row budget");
-        assert!(c.lookup("b").is_some());
+        assert!(
+            c.lookup("a", &any).is_none(),
+            "LRU evicted for the byte budget"
+        );
+        assert!(c.lookup("b", &any).is_some());
         // a single over-budget window is still retained (degrades to
         // single-window reuse, never disables the cache)
         c.store("huge".into(), wide(3.0, 1_000), None);
         assert_eq!(c.len(), 1);
-        assert!(c.lookup("huge").is_some());
+        assert!(c.lookup("huge", &any).is_some());
         // small windows accumulate up to the entry cap as before
-        let c = WindowCache::with_budget(3, 100);
+        let c = WindowCache::with_budget(3, weight(100));
         for (i, key) in ["a", "b", "c", "d"].iter().enumerate() {
             c.store((*key).into(), wide(i as f64, 10), None);
         }
         assert_eq!(c.len(), 3);
-        assert!(c.lookup("a").is_none());
+        assert!(c.lookup("a", &any).is_none());
+        // a window kept as its bits weighs them: sixteen of 6 400 rows
+        // fit in the bytes of one raw window of 1 600
+        let bits_only = bits_only_window(6_400);
+        assert!(bits_only.raw_frame().is_none());
+        assert_eq!((bits_only.clone(), None).weight(), 6_400 / 8);
+        let c = WindowCache::with_budget(32, weight(1_600));
+        for i in 0..16 {
+            c.store(format!("k{i}"), bits_only.clone(), None);
+        }
+        assert_eq!(c.len(), 16);
+    }
+
+    /// A window of `n` rows whose exact answers (half of them) cover its
+    /// fit (1 %), as a session's run keeps it: its exact bits, every row
+    /// defined.
+    fn bits_only_window(n: usize) -> PredicateWindow {
+        use visdb_query::connection::ConnectionRegistry;
+        use visdb_relevance::DisplayPolicy;
+        use visdb_storage::{Database, TableBuilder};
+        use visdb_types::{Column, DataType, Value};
+        let mut t = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
+        for i in 0..n {
+            t = t.row(vec![Value::Float(i as f64)]).unwrap();
+        }
+        let mut db = Database::new("d");
+        db.add_table(t.build());
+        let mut s = visdb_core::Session::new(Arc::new(db), ConnectionRegistry::new());
+        s.set_display_policy(DisplayPolicy::Percentage(1.0))
+            .unwrap();
+        let half = n / 2;
+        s.set_query_text(&format!("SELECT * FROM T WHERE x >= {half}"))
+            .unwrap();
+        s.result().unwrap().pipeline.windows[0].clone()
     }
 
     /// A key framed the way `visdb_relevance::window_key` frames scopes:
@@ -422,15 +477,17 @@ mod tests {
         c.store(scoped_key("evil#3", "ramp#1suffix"), window(5.0), None);
         c.invalidate_dataset("ramp");
         assert_eq!(c.len(), 3);
-        assert!(c.lookup(&scoped_key("env#2", "k1")).is_some());
-        assert!(c.lookup(&scoped_key("ramp#1#7", "k1")).is_some());
-        assert!(c.lookup(&scoped_key("evil#3", "ramp#1suffix")).is_some());
+        assert!(c.lookup(&scoped_key("env#2", "k1"), &any).is_some());
+        assert!(c.lookup(&scoped_key("ramp#1#7", "k1"), &any).is_some());
+        assert!(c
+            .lookup(&scoped_key("evil#3", "ramp#1suffix"), &any)
+            .is_some());
 
         let off = WindowCache::new(0);
         assert!(!off.is_enabled());
         off.store("x".into(), window(1.0), None);
         assert!(off.is_empty());
-        assert!(off.lookup("x").is_none());
+        assert!(off.lookup("x", &any).is_none());
     }
 
     #[test]
@@ -528,18 +585,19 @@ mod tests {
         assert!(c.get("a").is_some() && c.get("c").is_some(), "{what}");
         assert_eq!(weight(&c), weight_of(7) + weight_of(1), "{what}");
 
-        // weight budget: LRU entries go until the total fits, but never
-        // the entry just stored — not even alone over budget
-        if weight_of(60) == 60 {
-            let c = Cache::<P>::with_budget(8, 100);
+        // weight budget (rows for projections, bytes for windows): LRU
+        // entries go until the total fits, but never the entry just
+        // stored — not even alone over budget
+        if weight_of(60) > 0 {
+            let c = Cache::<P>::with_budget(8, weight_of(100));
             c.put("a".into(), make(60));
             c.put("b".into(), make(30));
             c.put("c".into(), make(60));
             assert!(c.get("a").is_none(), "{what}: LRU evicted for the budget");
             assert!(c.get("b").is_some() && c.get("c").is_some(), "{what}");
-            assert_eq!(weight(&c), 90, "{what}");
+            assert_eq!(weight(&c), weight_of(30) + weight_of(60), "{what}");
             c.put("huge".into(), make(1_000));
-            assert_eq!((c.len(), weight(&c)), (1, 1_000), "{what}");
+            assert_eq!((c.len(), weight(&c)), (1, weight_of(1_000)), "{what}");
             assert!(c.get("huge").is_some(), "{what}");
         }
 

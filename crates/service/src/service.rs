@@ -259,7 +259,9 @@ pub(crate) struct ServiceObs {
     /// root children read from their packed exact bits (fits with
     /// `dmax = 0`) vs as raw distances, and derived roots: no combined
     /// frame written, the windows' bits plus a pattern table instead.
-    run_counts: [Arc<Counter>; 7],
+    /// Then `pipeline.windows.bits_only`: windows left as their packed
+    /// exact bits alone, no raw frame written or kept.
+    run_counts: [Arc<Counter>; 8],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -309,6 +311,7 @@ impl ServiceObs {
                 "pipeline.combine.children_bits",
                 "pipeline.combine.children_raw",
                 "pipeline.combine.roots_from_table",
+                "pipeline.windows.bits_only",
             ]
             .map(|name| registry.counter(name)),
             drag_fast: registry.counter("service.drag.fast"),
@@ -350,6 +353,7 @@ impl ServiceObs {
             trace.children_bits,
             trace.children_raw,
             trace.roots_from_table,
+            trace.windows_bits_only,
         ];
         for (counter, count) in self.run_counts.iter().zip(counts) {
             counter.add(count as u64);

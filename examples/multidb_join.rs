@@ -59,14 +59,16 @@ fn main() -> Result<()> {
     );
 
     // show a few recovered pairs with their distances
+    let closest: Vec<usize> = res.pipeline.ranked().take(8).collect();
+    let distances = session.raw_distances(0)?;
     let names_a = data.db.table("CustomersA")?;
     let na = names_a.column_by_name("Name")?;
     let names_b = data.db.table("CustomersB")?;
     let nb = names_b.column_by_name("Name")?;
     println!("\nclosest non-identical pairs:");
-    for item in res.pipeline.ranked().take(8) {
+    for item in closest {
         let (i, j) = (item / m, item % m);
-        let d = res.pipeline.windows[0].raw_at(item);
+        let d = distances.get(item);
         println!(
             "  '{}' ~ '{}' (distance {:?})",
             na.get_str(i).unwrap_or("?"),

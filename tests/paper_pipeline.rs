@@ -102,7 +102,7 @@ fn fig5_drilldown_matches_fig4_or_window() {
     // with the upper left window of figure 5"
     let (mut s, _) = env_session();
     s.set_query_text(PAPER_QUERY).unwrap();
-    let or_window_in_fig4 = s.result().unwrap().pipeline.windows[0].clone();
+    let or_window_in_fig4 = s.raw_distances(0).unwrap();
     let view = s.drilldown(&[0], false).unwrap();
     // the drill-down's overall combined distances must rank items the
     // same way as the parent's OR window (same normalization budget)
@@ -112,7 +112,7 @@ fn fig5_drilldown_matches_fig4_or_window() {
     // consistency: items exactly fulfilling the OR part in fig 4 are
     // exactly the items with combined distance 0 in the drill-down
     let fig4_exact: Vec<usize> = (0..or_window_in_fig4.len())
-        .filter(|&i| or_window_in_fig4.raw_at(i) == Some(0.0))
+        .filter(|&i| or_window_in_fig4.get(i) == Some(0.0))
         .collect();
     let fig5_exact: Vec<usize> = (0..view.pipeline.combined.len())
         .filter(|&i| view.pipeline.combined.get(i) == Some(0.0))
@@ -133,9 +133,8 @@ fn approximate_join_rescues_equality_joins() {
     let exact = s.result().unwrap().pipeline.num_exact;
     assert_eq!(exact, 0, "clock offset must break exact joins");
     // the same join, approximately: plenty of near-zero distances exist
-    let res = s.result().unwrap();
-    let best = res.pipeline.ranked().next().unwrap();
-    let d = res.pipeline.windows[0].raw_at(best).unwrap().abs();
+    let best = s.result().unwrap().pipeline.ranked().next().unwrap();
+    let d = s.raw_distances(0).unwrap().get(best).unwrap().abs();
     assert!(d <= 600.0, "closest approximate pair is {d}s apart");
 }
 

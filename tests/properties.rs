@@ -132,8 +132,8 @@ fn first_divergence(
         if f.label != s.label || f.signed != s.signed || f.weight != s.weight {
             return Some(format!("window {i} metadata diverges"));
         }
-        if !f.full_frames().bits_eq(s.full_frames()) {
-            return Some(format!("window {i} raw distances diverge"));
+        if let Some(diff) = distances_diverge(f, s) {
+            return Some(format!("window {i} {diff}"));
         }
         if f.zero_raw_count() != s.zero_raw_count() {
             return Some(format!("window {i} exact counts diverge"));
@@ -146,6 +146,18 @@ fn first_divergence(
         }
     }
     None
+}
+
+/// Where two windows' distances diverge: their raw frames when both
+/// keep one; otherwise — a window kept as its exact bits alone — their
+/// bits (folded from the frame of one that keeps it); and their stats
+/// either way. (Normalized rows and fits are compared by the caller.)
+fn distances_diverge(a: &PredicateWindow, b: &PredicateWindow) -> Option<&'static str> {
+    match (a.raw_frame(), b.raw_frame()) {
+        (Some(x), Some(y)) if !x.bits_eq(y) => Some("raw distances diverge"),
+        (None, _) | (_, None) if a.exact_bits() != b.exact_bits() => Some("exact bits diverge"),
+        _ => (a.stats() != b.stats()).then_some("stats diverge"),
+    }
 }
 
 /// Two windows' derived normalized distances agree bit for bit on every
@@ -1260,7 +1272,11 @@ proptest! {
                 let opts = PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() };
                 let refit = run(&cond, opts).unwrap();
                 let trace = refit.trace.as_ref().unwrap();
-                prop_assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+                // a window kept as its bits whose exact answers do not
+                // cover the new fit is a miss, evaluated into its frame
+                let missed = trace.windows_evaluated;
+                prop_assert_eq!(trace.windows_refit + missed, 1);
+                prop_assert!(missed == 0 || (root_pick != 1 && refit.windows[j].raw_frame().is_some()));
                 let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
                 let diff = first_divergence(&refit, &run(&cond, scalar).unwrap(), &policy);
                 prop_assert!(diff.is_none(), "refit: {} (point {})", diff.unwrap(), point);
@@ -1308,8 +1324,15 @@ proptest! {
                 prop_assert!(diff.is_none(), "crossing step {}: {} ({:?})", step, diff.unwrap(), policy);
                 prop_assert!(fast.combined.bits_eq(&slow.combined), "crossing step {}", step);
                 let trace = fast.trace.as_ref().unwrap();
+                // under an `OR` root every window keeps its frame, and
+                // the re-weights are refits; otherwise window 0 is its
+                // bits at weight 1, a miss at 0.05 (evaluated into its
+                // frame) and a refit back to its bits
+                let bits_only = root_pick != 1 && step != 1;
+                prop_assert_eq!(fast.windows[0].raw_frame().is_none(), bits_only, "crossing step {}", step);
                 if step > 0 {
-                    prop_assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+                    let missed = usize::from(root_pick != 1 && step == 1);
+                    prop_assert_eq!((trace.windows_refit, trace.windows_evaluated), (1 - missed, missed));
                 }
                 let two_valued = |w: &PredicateWindow| w.norm_params.dmax == 0.0;
                 prop_assert_eq!(two_valued(&fast.windows[0]), step != 1, "crossing step {}", step);
@@ -1344,10 +1367,9 @@ proptest! {
             let old = window(&old_db);
             let grown = extend_window(&new_db, &delta, &old, &recipe).unwrap();
             let cold = window(&new_db);
-            let (graw, craw) = (grown.full_frames(), cold.full_frames());
-            prop_assert!(graw.bits_eq(craw) && normalized_bits_eq(&grown, &cold), "extension (level {})", l);
+            let diff = distances_diverge(&grown, &cold);
+            prop_assert!(diff.is_none() && normalized_bits_eq(&grown, &cold), "extension (level {}): {:?}", l, diff);
             prop_assert_eq!(grown.norm_params, cold.norm_params, "extension (level {})", l);
-            prop_assert_eq!(grown.raw_with_stats().1, cold.raw_with_stats().1);
             prop_assert_eq!(grown.zero_raw_count(), e);
             prop_assert!(old.zero_raw_count() < e, "the appended rows must add exact answers");
         }
@@ -1463,6 +1485,109 @@ proptest! {
             // covered `k`, and the walk went past it
             if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
                 prop_assert!(ranks.iter().all(|&hits| hits > 0), "ranks {:?} ({:?})", ranks, policy);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Windows kept as their exact bits, above the parallel threshold,
+    /// held to a cold scalar run at every step. Through the session cache
+    /// — plain and 3-way partitioned — window 0 crosses bits-only → raw →
+    /// bits-only as its weight goes 1 → 0.05 → 1: its `spare · budget`
+    /// exact answers cover the first fit count (`budget`) but not the
+    /// second (`20 · budget`), so the second run misses and evaluates its
+    /// frame, and the third refits that frame back to its bits. Beside it
+    /// sit an exact-heavy window (its bits throughout) and a fitted one
+    /// (its frame). Then an `OR` root and the two-sided policy meet the
+    /// `AND` query's bits-only windows in a session cache and in a shared
+    /// one: each misses exactly the windows it reads as rows. Rows carry
+    /// NULL, NaN, ±inf and `-0.0`.
+    #[test]
+    fn bits_only_windows_cross_and_miss_like_the_oracle(
+        n in 40_000usize..120_000,
+        pct in 0.5f64..3.0,
+        spare in 2usize..10,
+    ) {
+        let policy = DisplayPolicy::Percentage(pct);
+        let budget = policy.budget(n);
+        let db = exact_answers_table(n, n, spare * budget);
+        let t = db.table("T").unwrap();
+        let resolver = DistanceResolver::new();
+        let pred = |p: Predicate, w: f64| Weighted::new(ConditionNode::Predicate(p), w);
+        // `x >= heavy` has 3 · budget exact answers, the range below it
+        // budget / 2 against a fit count of budget / 0.3
+        let heavy = (n - 3 * budget) as f64;
+        let children = |w0: f64| {
+            vec![
+                pred(Predicate::compare(AttrRef::new("y"), CompareOp::Eq, 0.0), w0),
+                pred(Predicate::compare(AttrRef::new("x"), CompareOp::Ge, heavy), 1.0),
+                pred(Predicate::range(AttrRef::new("x"), heavy - (budget / 2) as f64, heavy - 1.0), 0.3),
+            ]
+        };
+        let and = |w0: f64| Weighted::unit(ConditionNode::And(children(w0)));
+        let scalar = |cond: &Weighted, policy: &DisplayPolicy| {
+            let opts = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+            run_pipeline_opts(&db, t, &resolver, Some(cond), policy, opts).unwrap()
+        };
+        for parts in [None, Some(3)] {
+            let partitioning = parts.map(|p| t.partitions(p));
+            let mut session = PipelineCache::new();
+            for (step, w0) in [1.0, 0.05, 1.0].into_iter().enumerate() {
+                let cond = and(w0);
+                let opts = PipelineOptions {
+                    cache: Some(&mut session),
+                    partitions: partitioning.as_ref(),
+                    trace: true,
+                    ..Default::default()
+                };
+                let fast = run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
+                let slow = scalar(&cond, &policy);
+                let what = format!("step {step}, {parts:?} partitions ({policy:?})");
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+                prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+                let kept: Vec<bool> = fast.windows.iter().map(|w| w.raw_frame().is_some()).collect();
+                prop_assert_eq!(kept, vec![step == 1, false, true], "{}", what);
+                // (refit, evaluated, left as bits): a cold run, a miss, a refit
+                let trace = fast.trace.as_ref().unwrap();
+                let counts = (trace.windows_refit, trace.windows_evaluated, trace.windows_bits_only);
+                prop_assert_eq!(counts, [(0, 3, 2), (0, 1, 0), (1, 0, 1)][step], "{}", what);
+            }
+        }
+
+        let or = Weighted::unit(ConditionNode::Or(children(1.0)));
+        let two_sided = DisplayPolicy::TwoSidedPercentage(pct);
+        for (cond, consumer, misses) in [(&or, &policy, 2), (&and(1.0), &two_sided, 1)] {
+            // a session cache and a shared one, each warmed by the `AND`
+            // query with its two bits-only windows
+            let mut session = PipelineCache::new();
+            let shared = MapWindows::default();
+            let windows = |shared| SharedWindows { scope: "d#1", cache: shared };
+            let warm = [
+                PipelineOptions { cache: Some(&mut session), ..Default::default() },
+                PipelineOptions { shared: Some(windows(&shared)), ..Default::default() },
+            ];
+            for opts in warm {
+                let out = run_pipeline_opts(&db, t, &resolver, Some(&and(1.0)), &policy, opts).unwrap();
+                prop_assert_eq!(out.windows.iter().filter(|w| w.raw_frame().is_none()).count(), 2);
+            }
+            let slow = scalar(cond, consumer);
+            let consume = [
+                ("session", PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() }),
+                ("shared", PipelineOptions { shared: Some(windows(&shared)), trace: true, ..Default::default() }),
+            ];
+            for (layer, opts) in consume {
+                let fast = run_pipeline_opts(&db, t, &resolver, Some(cond), consumer, opts).unwrap();
+                let what = format!("{layer} cache, {consumer:?}, {} root", if misses == 2 { "OR" } else { "AND" });
+                let diff = first_divergence(&fast, &slow, consumer);
+                prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+                prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+                let trace = fast.trace.as_ref().unwrap();
+                let hits = trace.cache_hits + trace.shared_hits;
+                prop_assert_eq!((trace.windows_evaluated, hits), (misses, 3 - misses), "{}", what);
             }
         }
     }
@@ -1969,8 +2094,17 @@ proptest! {
 struct MapWindows(Mutex<HashMap<String, PredicateWindow>>);
 
 impl WindowSource for MapWindows {
-    fn lookup(&self, key: &str) -> Option<PredicateWindow> {
-        self.0.lock().unwrap().get(key).cloned()
+    fn lookup(
+        &self,
+        key: &str,
+        usable: &dyn Fn(&PredicateWindow) -> bool,
+    ) -> Option<PredicateWindow> {
+        self.0
+            .lock()
+            .unwrap()
+            .get(key)
+            .filter(|w| usable(w))
+            .cloned()
     }
     fn store(&self, key: String, window: PredicateWindow, _recipe: Option<WindowRecipe>) {
         self.0.lock().unwrap().insert(key, window);
@@ -2058,7 +2192,8 @@ fn reweighted(cond: &Weighted, j: usize, weight: f64) -> Weighted {
 /// byte-identical to a cold run of the re-weighted query on `path`,
 /// through the session cache alone, the shared cache alone, and sessions
 /// alternating weights over one shared entry — and each of those runs
-/// refits exactly the re-weighted window, evaluating nothing.
+/// refits exactly the re-weighted window, evaluating nothing but a
+/// window kept as its exact bits that no longer cover its fit (a miss).
 fn assert_reweight_is_a_refit(
     db: &Database,
     cond: &Weighted,
@@ -2078,9 +2213,18 @@ fn assert_reweight_is_a_refit(
             diff.unwrap()
         );
         let trace = out.trace.as_ref().expect("trace requested");
-        assert_eq!(trace.windows_refit, refit, "{what}");
-        assert_eq!(trace.windows_evaluated, 0, "{what}");
-        assert_eq!(trace.cache_hits + trace.shared_hits, windows, "{what}");
+        let missed = trace.windows_evaluated;
+        let into_frame = out.windows[j].raw_frame().is_some();
+        assert!(
+            missed == 0 || (refit == 1 && missed == 1 && into_frame),
+            "{what}"
+        );
+        assert_eq!(trace.windows_refit + missed, refit, "{what}");
+        assert_eq!(
+            trace.cache_hits + trace.shared_hits + missed,
+            windows,
+            "{what}"
+        );
     };
     let mut session = PipelineCache::new();
     run_cached(db, cond, policy, path, Some(&mut session), None);

@@ -545,6 +545,7 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.combine.children_bits",
         "pipeline.combine.children_raw",
         "pipeline.combine.roots_from_table",
+        "pipeline.windows.bits_only",
     ] {
         assert!(snap.counter(counter).is_some(), "missing counter {counter}");
     }
@@ -711,6 +712,48 @@ fn bitmap_children_and_table_roots_are_counted_on_the_registry() {
         run("SELECT * FROM T WHERE x >= 350 AND x BETWEEN 200 AND 500 AND x >= 100");
     assert!(raw >= 1 && table == 0, "[{bits}, {raw}, {table}]");
     assert_eq!(bits + raw, 3);
+}
+
+/// Windows left as their exact bits alone are readable off the live
+/// server: an exact-heavy 3-window `AND` keeps all three as bits (their
+/// exact answers cover every fit, so no raw frame is written), an
+/// exact-light one none, and an `OR` root none — it reads every window
+/// as rows, so the `AND` query's cached bits-only windows miss.
+#[test]
+fn bits_only_windows_are_counted_on_the_registry() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    service.register_dataset("ramp", ramp_db(400), ConnectionRegistry::new());
+    let run = |text: &str| {
+        let user = service.create_session("ramp").unwrap();
+        let counter = || {
+            let snap = service.metrics_snapshot();
+            snap.counter("pipeline.windows.bits_only").unwrap()
+        };
+        let before = counter();
+        let set = Request::SetQueryText(text.into());
+        assert_eq!(service.submit(user, set).unwrap(), Response::Ok);
+        service
+            .submit(user, Request::Summary { trace: false })
+            .unwrap();
+        counter() - before
+    };
+    // the default policy displays 100 of the 400 rows: each fit asks for
+    // 100, the three windows have 150, 200 and 300 exact answers
+    let heavy = "x >= 250 AND x BETWEEN 200 AND 500 AND x >= 100";
+    assert_eq!(run(&format!("SELECT * FROM T WHERE {heavy}")), 3);
+    // a second session reuses them: nothing new is left as bits
+    assert_eq!(run(&format!("SELECT * FROM T WHERE {heavy}")), 0);
+    // 50, 21 and 1 exact answers
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 350 AND x BETWEEN 330 AND 350 AND x >= 399"),
+        0
+    );
+    // the same windows under an `OR` root miss the shared cache's bits
+    let or = heavy.replace(" AND x", " OR x");
+    assert_eq!(run(&format!("SELECT * FROM T WHERE {or}")), 0);
 }
 
 #[test]
