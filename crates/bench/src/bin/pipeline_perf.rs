@@ -72,10 +72,10 @@ use visdb_query::connection::ConnectionRegistry;
 use visdb_relevance::cache::PipelineCache;
 use visdb_relevance::chunk;
 use visdb_relevance::combine::combine_and_slices;
-use visdb_relevance::normalize::{apply_slice, fit_frame, NormParams};
+use visdb_relevance::normalize::{apply_slice, fit_frame, fit_k, NormParams};
 use visdb_relevance::pipeline::{
     run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, PipelineOptions,
-    PipelineOutput, PredicateWindow,
+    PipelineOutput, PredicateWindow, PARTITION_MIN_ROWS,
 };
 use visdb_relevance::reference::{and_row, fit_improved};
 use visdb_relevance::select::{k_smallest_sorted, rank_order};
@@ -1119,6 +1119,47 @@ fn bench_size(n: usize) -> SizeResult {
     };
     assert_eq!(bits_only(&heavy), (true, 1), "exact-heavy arm, n={n}");
     assert_eq!(bits_only(&light), (false, 0), "exact-light arm, n={n}");
+    // the compare-and-pack route: the exact-light arm's count never
+    // reaches its fit count, so none of its ranges is packed; one worker
+    // walking the exact-heavy arm over 16 partitions (whose ranges split
+    // the ramp's exact last 10 %) packs exactly the ranges that start
+    // once the exact answers before them cover it — below the planner's
+    // partition threshold the walk is one range, and nothing starts past
+    // its first
+    let packed = |out: &PipelineOutput| out.trace.as_deref().expect("traced").chunks_compare_packed;
+    assert_eq!(packed(&light), 0, "exact-light arm, n={n}");
+    let sixteen = table.partitions(16);
+    let serial = |cond| {
+        let opts = PipelineOptions {
+            partitions: Some(&sixteen),
+            trace: true,
+            ..Default::default()
+        };
+        Runtime::new(1)
+            .install(|| run_pipeline_opts(&db, table, &resolver, cond, &policy, opts))
+            .expect("serial partitioned")
+    };
+    let k = fit_k(n, 1.0, policy.budget(n)).expect("a fit count below n");
+    let exact_rows = |(offset, len): (usize, usize)| {
+        (offset..offset + len)
+            .filter(|&i| i as f64 >= n as f64 * 0.9)
+            .count()
+    };
+    let mut exact = 0;
+    let planned = (n >= PARTITION_MIN_ROWS).then_some(&sixteen);
+    let expect = (chunk::ranges(n, planned).into_iter())
+        .filter(|&range| {
+            let packs = exact >= k;
+            exact += exact_rows(range);
+            packs
+        })
+        .count();
+    assert!(
+        expect > 0 || n < PARTITION_MIN_ROWS,
+        "n={n}: no range starts past the fit count"
+    );
+    assert_eq!(packed(&serial(cond)), expect, "exact-heavy arm, n={n}");
+    assert_eq!(packed(&serial(cond_light)), 0, "exact-light arm, n={n}");
     let bytes_per_row = |out: &PipelineOutput| out.windows[0].heap_bytes() as f64 / n as f64;
     let window_bytes_per_row = bytes_per_row(&heavy);
     let window_bytes_per_row_raw = bytes_per_row(&light);

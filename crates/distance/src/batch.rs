@@ -15,8 +15,16 @@
 //! functions in [`crate::numeric`], which makes the results **bit
 //! identical** to the per-tuple path by construction (the relevance layer
 //! property-tests this end to end).
+//!
+//! [`compare_pack`] is the one kernel that writes no distances. A window
+//! whose exact answers already cover its fit count keeps only its stats
+//! and its `(exact, defined)` bits (§5.1: "none or very many"), and for
+//! `x ≥ t` / `x ≤ t` those follow from one compare-and-pack pass over the
+//! column: two bits per row and the chunk's extremes, exact by the
+//! monotonicity of `fl(x − t)`. Its unit tests hold it to [`run_frame`]
+//! followed by [`PackedBits::fold_exact`].
 
-use crate::frame::FrameStats;
+use crate::frame::{FrameStats, PackedBits, PackedChunk};
 use crate::numeric;
 
 /// A native numeric element the kernels can iterate directly.
@@ -216,6 +224,153 @@ pub fn run_frame<T: NativeNumeric>(
     }
 }
 
+/// The compare-and-pack pass of an `x ≥ t` / `x ≤ t` chunk with a finite
+/// `t`: its stats and `(exact, defined)` bits read straight off the
+/// column, the [`PackedChunk`] that [`run_frame`] followed by
+/// [`PackedBits::fold_exact`] derives from the chunk's 9 B/row frame —
+/// with no frame written. One pass packs the exact bits
+/// (`valid & x ≥ t`) and the defined bits (`valid & !x.is_nan()`), two
+/// more keep the min and the max of `x` in eight lanes each, and the
+/// stats follow from the popcounts and the two extremes (the chunk is
+/// still in cache). That is exact because `fl(x − t)` is
+/// monotone in `x` and nonzero whenever `x ≠ t`: the largest `|d|` is the
+/// far extreme's, and with no exact answer the smallest is the near
+/// extreme's. `None` when the kernel is any other, or when the chunk's
+/// extremes or its largest `|d|` are not finite (±inf values, no defined
+/// row, an overflowing difference) — the generic walk serves those.
+pub fn compare_pack<T: NativeNumeric>(
+    xs: &[T],
+    validity: Option<&[bool]>,
+    kernel: NumericKernel,
+) -> Option<PackedChunk> {
+    match kernel {
+        NumericKernel::Compare(CompareKernel::Greater, Some(t)) if t.is_finite() => {
+            pack_compare::<T, true>(xs, validity, t)
+        }
+        NumericKernel::Compare(CompareKernel::Less, Some(t)) if t.is_finite() => {
+            pack_compare::<T, false>(xs, validity, t)
+        }
+        _ => None,
+    }
+}
+
+fn pack_compare<T: NativeNumeric, const GREATER: bool>(
+    xs: &[T],
+    validity: Option<&[bool]>,
+    t: f64,
+) -> Option<PackedChunk> {
+    use crate::lanes::WORD_ROWS;
+    let len = xs.len();
+    debug_assert!(validity.is_none_or(|m| m.len() == len));
+    let hit = |x: f64| if GREATER { x >= t } else { x <= t };
+    let mut exact = Vec::with_capacity(len.div_ceil(64));
+    let mut defined = Vec::with_capacity(len.div_ceil(64));
+    for (w, x64) in xs.chunks(64).enumerate() {
+        // one bit per row, a byte per 8-row block (the shape the compares
+        // vectorize to), NULL rows cleared by the validity word after
+        let blocks = x64.len() / WORD_ROWS * WORD_ROWS;
+        let (mut e, mut d) = (0u64, 0u64);
+        for (b, x8) in x64[..blocks].chunks_exact(WORD_ROWS).enumerate() {
+            let (mut e8, mut d8) = (0u8, 0u8);
+            for (l, x) in x8.iter().enumerate() {
+                e8 |= u8::from(hit(x.to_f64())) << l;
+            }
+            for (l, x) in x8.iter().enumerate() {
+                d8 |= u8::from(!x.to_f64().is_nan()) << l;
+            }
+            e |= u64::from(e8) << (WORD_ROWS * b);
+            d |= u64::from(d8) << (WORD_ROWS * b);
+        }
+        for (l, x) in x64.iter().enumerate().skip(blocks) {
+            e |= u64::from(hit(x.to_f64())) << l;
+            d |= u64::from(!x.to_f64().is_nan()) << l;
+        }
+        if let Some(mask) = validity {
+            let valid = valid_word(&mask[w * 64..w * 64 + x64.len()]);
+            (e, d) = (e & valid, d & valid);
+        }
+        exact.push(e);
+        defined.push(d);
+    }
+    let (lo, hi) = (
+        extreme::<T, true>(xs, validity),
+        extreme::<T, false>(xs, validity),
+    );
+    if !(lo.is_finite() && hi.is_finite()) {
+        return None;
+    }
+    let (exact, defined) = (
+        PackedBits::from_words(exact, len),
+        PackedBits::from_words(defined, len),
+    );
+    let (zeros, count) = (exact.count_ones(), defined.count_ones());
+    // every inexact row lies beyond every exact one: the far extreme is
+    // inexact unless all are exact, the near one when none is
+    let (near, far) = if GREATER { (hi, lo) } else { (lo, hi) };
+    let max_abs = if zeros == count { 0.0 } else { (far - t).abs() };
+    let min_abs = if zeros > 0 { 0.0 } else { (near - t).abs() };
+    let stats = FrameStats {
+        defined: count,
+        min_abs,
+        max_abs,
+        non_finite: 0,
+        zeros,
+    };
+    max_abs.is_finite().then_some((stats, exact, defined))
+}
+
+/// The validity bits of up to 64 mask bytes as one word.
+fn valid_word(mask: &[bool]) -> u64 {
+    use crate::lanes::{mask_word, pack_word, WORD_ROWS};
+    let blocks = mask.len() / WORD_ROWS * WORD_ROWS;
+    let mut word = 0u64;
+    for (b, m8) in mask[..blocks].chunks_exact(WORD_ROWS).enumerate() {
+        word |= u64::from(pack_word(mask_word(m8))) << (WORD_ROWS * b);
+    }
+    for (l, &valid) in mask.iter().enumerate().skip(blocks) {
+        word |= u64::from(valid) << l;
+    }
+    word
+}
+
+/// The smallest (`MIN`) or largest value over the valid rows, `±inf`
+/// when there is none, folded in eight independent lanes: NaN wins no
+/// compare, and a NULL lane offers the neutral value.
+fn extreme<T: NativeNumeric, const MIN: bool>(xs: &[T], validity: Option<&[bool]>) -> f64 {
+    use crate::lanes::{select, WORD_ROWS};
+    let neutral = if MIN {
+        f64::INFINITY
+    } else {
+        f64::NEG_INFINITY
+    };
+    let wins = |x: f64, acc: f64| if MIN { x < acc } else { x > acc };
+    let mut acc = [neutral; WORD_ROWS];
+    let blocks = xs.len() / WORD_ROWS * WORD_ROWS;
+    match validity {
+        None => {
+            for x8 in xs[..blocks].chunks_exact(WORD_ROWS) {
+                for (a, x) in acc.iter_mut().zip(x8) {
+                    let x = x.to_f64();
+                    *a = select(wins(x, *a), x, *a);
+                }
+            }
+        }
+        Some(mask) => {
+            let rows = xs[..blocks].chunks_exact(WORD_ROWS);
+            for (x8, m8) in rows.zip(mask.chunks_exact(WORD_ROWS)) {
+                for ((a, x), &valid) in acc.iter_mut().zip(x8).zip(m8) {
+                    let x = select(valid, x.to_f64(), neutral);
+                    *a = select(wins(x, *a), x, *a);
+                }
+            }
+        }
+    }
+    let tail = (xs.iter().enumerate().skip(blocks))
+        .filter(|&(i, _)| validity.is_none_or(|m| m[i]))
+        .map(|(_, x)| x.to_f64());
+    (acc.into_iter().chain(tail)).fold(neutral, |acc, x| select(wins(x, acc), x, acc))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +437,156 @@ mod tests {
         let mut out = vec![None; 3];
         run(&xs, None, NumericKernel::Around(10.0, 2.0), &mut out);
         assert_eq!(out, vec![Some(-1.5), Some(0.0), Some(1.0)]);
+    }
+
+    /// What a compare-packed chunk must equal: the frame kernel's stats
+    /// and the bits folded from the frame it wrote.
+    fn packed_by_frame<T: NativeNumeric>(
+        xs: &[T],
+        validity: Option<&[bool]>,
+        kernel: NumericKernel,
+    ) -> PackedChunk {
+        let (mut vals, mut mask) = (vec![0.0; xs.len()], vec![false; xs.len()]);
+        let stats = run_frame(xs, validity, kernel, &mut vals, &mut mask);
+        let (exact, defined) = PackedBits::fold_exact(&vals, &mask);
+        (stats, exact, defined)
+    }
+
+    /// Stats with their floats as bits, so `-0.0` and `0.0` differ.
+    fn stats_bits(s: &FrameStats) -> (usize, u64, u64, usize, usize) {
+        let (min, max) = (s.min_abs.to_bits(), s.max_abs.to_bits());
+        (s.defined, min, max, s.non_finite, s.zeros)
+    }
+
+    /// One chunk under all four operators at threshold `t`: the two
+    /// comparisons pack exactly what the frame route folds whenever some
+    /// row is defined and every defined value and distance is finite, and
+    /// decline otherwise; `=` and `<>` never pack.
+    fn check_pack<T: NativeNumeric>(xs: &[T], validity: Option<&[bool]>, t: f64, what: &str) {
+        let finite_values = (xs.iter().enumerate())
+            .filter(|&(i, _)| validity.is_none_or(|m| m[i]))
+            .all(|(_, x)| !x.to_f64().is_infinite());
+        for op in [
+            CompareKernel::Greater,
+            CompareKernel::Less,
+            CompareKernel::Equal,
+            CompareKernel::NotEqual,
+        ] {
+            let what = format!("{what}, {op:?} {t}");
+            let kernel = NumericKernel::Compare(op, Some(t));
+            let (stats, exact, defined) = packed_by_frame(xs, validity, kernel);
+            let packs = matches!(op, CompareKernel::Greater | CompareKernel::Less)
+                && t.is_finite()
+                && finite_values
+                && stats.defined > 0
+                && stats.non_finite == 0;
+            match compare_pack(xs, validity, kernel) {
+                Some((s, e, d)) => {
+                    assert!(packs, "{what}: packed");
+                    assert_eq!(stats_bits(&s), stats_bits(&stats), "{what}");
+                    assert_eq!((e, d), (exact, defined), "{what}");
+                }
+                None => assert!(!packs, "{what}: declined"),
+            }
+        }
+    }
+
+    /// A splitmix64 step: deterministic test data without a generator.
+    fn mix(i: usize, seed: u64) -> u64 {
+        let mut z = (i as u64 ^ seed.rotate_left(17)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn compare_pack_matches_the_frame_route_at_every_length() {
+        // duplicates at the thresholds, both zeros, NaN; no infinities
+        let pool = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0, 2.0, 7.75, f64::NAN];
+        let lengths = (0..=130).chain([CHUNK_LEN]);
+        for (len, seed) in lengths.zip(1..) {
+            let xs: Vec<f64> = (0..len).map(|i| pool[mix(i, seed) as usize % 10]).collect();
+            let ints: Vec<i64> = (0..len).map(|i| mix(i, seed) as i64 % 9 - 4).collect();
+            let mask: Vec<bool> = (0..len).map(|i| !mix(i, !seed).is_multiple_of(4)).collect();
+            for validity in [None, Some(&mask[..])] {
+                // on a value, at both zeros, below the min, above the max
+                for t in [1.0, 0.0, -0.0, -10.0, 10.0, 0.5] {
+                    check_pack(&xs, validity, t, &format!("f64 n = {len}"));
+                    check_pack(&ints, validity, t, &format!("i64 n = {len}"));
+                }
+            }
+        }
+    }
+
+    /// Rows past 8-row blocks and 64-row words, the all-NULL chunk and
+    /// chunks whose rows are all or none exact.
+    const CHUNK_LEN: usize = 16_384 + 37;
+
+    #[test]
+    fn compare_pack_reads_wide_integers_and_signed_zeros_like_the_frame_route() {
+        // |x| > 2^53: both routes compare the rounded f64 widening
+        let big = 1i64 << 53;
+        let ints = [big + 1, big, big - 1, -big - 3, i64::MAX, i64::MIN, 0, 17];
+        let wide = ints.map(|x| x as f64);
+        for t in wide.iter().copied().chain([0.0, 1e19, -1e19]) {
+            check_pack(&ints, None, t, "wide i64");
+            check_pack(
+                &ints,
+                Some(&[true, false, true, true, true, false, true, true]),
+                t,
+                "wide i64, NULLs",
+            );
+        }
+        // -0.0 and 0.0 are both exact at t = ±0 and tie as extremes
+        let zeros = [-0.0, 0.0, -0.0, 0.0, -2.0, 3.0, -0.0, 0.0, 0.0];
+        for t in [0.0, -0.0, -2.0, 3.0] {
+            check_pack(&zeros, None, t, "signed zeros");
+            check_pack(&zeros[..4], None, t, "only zeros");
+        }
+        // all rows NULL or NaN: nothing to pack
+        let none = [f64::NAN; 9];
+        assert!(compare_pack(
+            &none,
+            None,
+            NumericKernel::Compare(CompareKernel::Greater, Some(0.0))
+        )
+        .is_none());
+        check_pack(&[1.0; 9], Some(&[false; 9]), 0.0, "all NULL");
+    }
+
+    #[test]
+    fn compare_pack_declines_infinities_and_overflow() {
+        let greater = |t| NumericKernel::Compare(CompareKernel::Greater, Some(t));
+        let less = |t| NumericKernel::Compare(CompareKernel::Less, Some(t));
+        let mut xs = vec![1.0; 70];
+        for (row, inf) in [(3, f64::INFINITY), (69, f64::NEG_INFINITY)] {
+            xs[row] = inf;
+            check_pack(&xs, None, 0.5, "one infinite row");
+            assert!(compare_pack(&xs, None, greater(0.5)).is_none());
+            // behind a NULL the infinity is not read
+            let mask: Vec<bool> = (0..70).map(|i| i != row).collect();
+            check_pack(&xs, Some(&mask), 0.5, "a NULL infinite row");
+            assert!(compare_pack(&xs, Some(&mask), greater(0.5)).is_some());
+            xs[row] = 1.0;
+        }
+        // finite values whose distance overflows to ±inf
+        let xs = [-f64::MAX, 0.0, f64::MAX];
+        assert!(compare_pack(&xs, None, greater(f64::MAX)).is_none());
+        assert!(compare_pack(&xs, None, less(-f64::MAX)).is_none());
+        check_pack(&xs, None, f64::MAX, "overflow");
+        check_pack(&xs, None, -f64::MAX, "overflow");
+        check_pack(&xs, None, 0.0, "max_abs = f64::MAX");
+        // an infinite or NaN threshold never packs
+        for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            check_pack(&[1.0, 2.0], None, t, "non-finite threshold");
+        }
+        assert!(compare_pack(
+            &[1.0],
+            None,
+            NumericKernel::Compare(CompareKernel::Less, None)
+        )
+        .is_none());
+        assert!(compare_pack(&[1.0], None, NumericKernel::InRange(0.0, 2.0)).is_none());
     }
 
     #[test]

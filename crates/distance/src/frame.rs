@@ -107,6 +107,14 @@ impl PackedBits {
         PackedBits { words, len }
     }
 
+    /// `len` rows from their words (row `i` in bit `i % 64` of word
+    /// `i / 64`); the bits past the length must be zero.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        debug_assert!(len.is_multiple_of(64) || words[len / 64] >> (len % 64) == 0);
+        PackedBits { words, len }
+    }
+
     /// Pack one bit per item.
     pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Self {
         let mut out = PackedBits::default();
@@ -157,11 +165,8 @@ impl PackedBits {
             exact.push(e);
             defined.push(d);
         }
-        let defined = PackedBits {
-            words: defined,
-            len,
-        };
-        (PackedBits { words: exact, len }, defined)
+        let defined = PackedBits::from_words(defined, len);
+        (PackedBits::from_words(exact, len), defined)
     }
 
     /// Append the rows of `tail`: whole words when `self` ends on a word
@@ -649,6 +654,11 @@ impl DistanceFrame {
 /// A window's packed `(exact, defined)` bits ([`DistanceFrame::exact_bits`]):
 /// the definedness bits are `None` when every row is defined.
 pub type ExactBits = (PackedBits, Option<PackedBits>);
+
+/// One chunk of a window folded to what its distance walk keeps: the
+/// chunk's stats and its `(exact, defined)` bits
+/// ([`PackedBits::fold_exact`]), definedness always present.
+pub type PackedChunk = (FrameStats, PackedBits, PackedBits);
 
 /// An `n`-row [`DistanceFrame`] under construction by a walk that writes
 /// it range by range — in parallel, in any order, some ranges perhaps not

@@ -13,6 +13,13 @@
 //! thread count and scheduling — the parallel walk is bit-identical to
 //! the serial one.
 //!
+//! A window walk ([`window_walk`]) is the one walk whose ranges may take
+//! different routes: once the exact answers counted so far cover the
+//! window's fit count, a comparison window's later ranges are
+//! compare-packed straight from the column instead of filled and folded.
+//! Both routes yield the same stats and bits, so the result still does
+//! not depend on the schedule — only the count of packed ranges does.
+//!
 //! Execution runs on the *persistent* pool of the caller's current
 //! runtime (the service's own pool when called from a service worker,
 //! the global pool otherwise); the caller participates in its own batch,
@@ -21,7 +28,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use visdb_distance::frame::{DistanceFrame, ExactBits, FrameSink, FrameStats, PackedBits};
+use visdb_distance::frame::{
+    DistanceFrame, ExactBits, FrameSink, FrameStats, PackedBits, PackedChunk,
+};
 use visdb_storage::Partitioning;
 
 /// Rows per chunk. Large enough to amortise dispatch overhead, small
@@ -213,19 +222,32 @@ pub fn for_each_frame_range(
 /// returns no frame: the fit is `dmax = 0` and the bits are the window. A
 /// walk whose count never reaches `k` has copied every range, and its
 /// frame comes back complete. Which it is depends on the final count
-/// alone, never on the schedule. Returns the frame (if any), the merged
-/// stats and the bits, definedness dropped when every row is defined.
+/// alone, never on the schedule.
+///
+/// A range that starts once the count has reached `k` will not be copied,
+/// so it first asks `pack(offset, len)` for its stats and bits straight
+/// from the column (`batch::compare_pack`: one pass, no scratch written);
+/// a range `pack` declines takes the fill like any other. The two give
+/// the same stats and bits, so which ranges took which route changes
+/// nothing but the time. Returns the frame (if any), the merged stats,
+/// the bits (definedness dropped when every row is defined) and the
+/// number of ranges `pack` served.
 pub fn window_walk(
     n: usize,
     partitions: Option<&Partitioning>,
     parallel: bool,
     k: usize,
     f: impl Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync,
-) -> (Option<DistanceFrame>, FrameStats, ExactBits) {
+    pack: impl Fn(usize, usize) -> Option<PackedChunk> + Sync,
+) -> (Option<DistanceFrame>, FrameStats, ExactBits, usize) {
     let ranges = ranges(n, partitions);
     let mut frame = FrameSink::new(n);
-    let mut folds = vec![<(FrameStats, PackedBits, PackedBits)>::default(); ranges.len()];
-    let (exact_so_far, arena) = (AtomicUsize::new(0), ScratchArena::new());
+    let mut folds = vec![PackedChunk::default(); ranges.len()];
+    let (exact_so_far, packed, arena) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        ScratchArena::new(),
+    );
     let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
         .zip(frame.split_ranges_mut(&ranges))
         .zip(folds.iter_mut())
@@ -234,6 +256,12 @@ pub fn window_walk(
         tasks,
         parallel && n >= PAR_MIN_ROWS,
         |((offset, rows), fold)| {
+            let covered = exact_so_far.load(Ordering::Relaxed) >= k;
+            if let Some(chunk) = covered.then(|| pack(offset, rows.len())).flatten() {
+                packed.fetch_add(1, Ordering::Relaxed);
+                *fold = chunk;
+                return;
+            }
             let mut scratch = arena.take();
             let (vals, mask) = &mut scratch.frames(1, rows.len())[0];
             let stats = f(offset, vals, mask);
@@ -265,7 +293,8 @@ pub fn window_walk(
             .finish()
             .expect("a count below k leaves every range written")
     });
-    (raw, stats, (exact, (stats.defined < n).then_some(defined)))
+    let bits = (exact, (stats.defined < n).then_some(defined));
+    (raw, stats, bits, packed.into_inner())
 }
 
 /// One worker's reusable chunk scratch: lockstep packed `(values,
@@ -458,44 +487,67 @@ mod tests {
     /// below `k` every range is copied, and the frame is the one a plain
     /// walk fills; at `k` or above there is no frame. The bits and stats
     /// are the plain walk's either way — at 1 to 9 chunks, serial and
-    /// parallel, and over partition ranges that split words.
+    /// parallel, and over partition ranges that split words — whether or
+    /// not the ranges past `k` are compare-packed (a `>=` column whose
+    /// every third chunk holds a `-inf` the pack declines); a serial walk
+    /// packs exactly the ranges the count rule names.
     #[test]
     fn window_walks_keep_a_complete_frame_below_k() {
-        let row = |i: usize| match i % 11 {
-            0..=2 => Some(0.0),
-            3 => Some(-0.0),
-            4 => None,
-            5 => Some(f64::NAN),
-            _ => Some(i as f64 - 7.5),
-        };
-        let fill = |offset: usize, vals: &mut [f64], mask: &mut [bool]| {
-            let mut stats = FrameStats::default();
-            for (j, (v, m)) in vals.iter_mut().zip(mask.iter_mut()).enumerate() {
-                (*v, *m) = match row(offset + j) {
-                    Some(d) => {
-                        stats.record(d);
-                        (d, true)
-                    }
-                    None => (0.0, false),
-                };
-            }
-            stats
-        };
+        use visdb_distance::batch::{self, CompareKernel, NumericKernel};
+        let kernel = NumericKernel::Compare(CompareKernel::Greater, Some(0.0));
         for chunks in 1..=9 {
             let n = chunks * CHUNK_ROWS - 100;
+            let row = |i: usize| match i % 11 {
+                _ if i % (3 * CHUNK_ROWS) == 777 => Some(f64::NEG_INFINITY),
+                0..=2 => Some((i % 7) as f64),
+                3 => Some(-0.0),
+                4 => None,
+                5 => Some(f64::NAN),
+                _ => Some(-(i as f64) - 0.5),
+            };
+            let xs: Vec<f64> = (0..n).map(|i| row(i).unwrap_or(1.0)).collect();
+            let valid: Vec<bool> = (0..n).map(|i| row(i).is_some()).collect();
+            let fill = |offset: usize, vals: &mut [f64], mask: &mut [bool]| {
+                let rows = offset..offset + vals.len();
+                batch::run_frame(&xs[rows.clone()], Some(&valid[rows]), kernel, vals, mask)
+            };
+            let pack = |offset: usize, len: usize| {
+                let rows = offset..offset + len;
+                batch::compare_pack(&xs[rows.clone()], Some(&valid[rows]), kernel)
+            };
             let mut plain = DistanceFrame::undefined(n);
             let want_stats = for_each_frame_range(&mut plain, None, false, fill);
             let want_bits = plain.exact_bits();
             let zeros = want_stats.zeros;
+            // the exact answers before each chunk: a serial walk packs the
+            // chunks they cover `k` for, but those holding a `-inf`
+            let mut before = 0;
+            let counted: Vec<(usize, bool)> = (ranges(n, None).into_iter())
+                .map(|(offset, len)| {
+                    let at = before;
+                    before += (offset..offset + len)
+                        .filter(|&i| plain.get(i) == Some(0.0))
+                        .count();
+                    (at, (offset..offset + len).all(|i| !xs[i].is_infinite()))
+                })
+                .collect();
             let partitioning = Partitioning::even(n, 3);
-            for k in [1, zeros / 2, zeros, zeros + 1, n] {
+            let in_first = counted.get(1).map_or(0, |&(at, _)| at);
+            for k in [1, in_first + 1, zeros / 2, zeros, zeros + 1, n] {
                 for (parallel, parts) in [(false, None), (true, None), (true, Some(&partitioning))]
                 {
                     let what = format!("{chunks} chunks, k = {k}, parallel: {parallel}");
-                    let (raw, stats, bits) = window_walk(n, parts, parallel, k, fill);
+                    let (raw, stats, bits, packed) = window_walk(n, parts, parallel, k, fill, pack);
                     assert_eq!((stats, &bits), (want_stats, &want_bits), "{what}");
                     assert_eq!(raw.is_some(), zeros < k, "{what}");
                     assert!(raw.is_none_or(|raw| raw.bits_eq(&plain)), "{what}");
+                    // only ranges past the count's reaching k are packed
+                    if zeros < k {
+                        assert_eq!(packed, 0, "{what}");
+                    } else if parts.is_none() && !parallel {
+                        let due = counted.iter().filter(|&&(at, finite)| at >= k && finite);
+                        assert_eq!(packed, due.count(), "{what}");
+                    }
                 }
             }
         }

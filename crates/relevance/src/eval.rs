@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
-use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats};
+use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedChunk};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_distance::{geo, numeric, string, time};
 use visdb_exec::{fault::Phase, CancelToken};
@@ -153,11 +153,18 @@ pub(crate) struct WindowEval {
     pub(crate) stats: FrameStats,
     /// Folded by the walk of a predicate leaf evaluated under a fit count.
     pub(crate) bits: Option<ExactBits>,
+    /// Ranges of that walk compare-packed straight from the column.
+    pub(crate) chunks_compare_packed: usize,
 }
 
 /// One distance walk's per-range fill: rows `offset..offset + len` into
 /// `(values, validity)` buffers of that length, returning their stats.
 type RangeFill<'f> = dyn Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync + 'f;
+
+/// One comparison window's per-range compare-and-pack: rows
+/// `offset..offset + len` folded straight from the column, `None` where
+/// the range takes the fill instead.
+type RangePack<'f> = dyn Fn(usize, usize) -> Option<PackedChunk> + Sync + 'f;
 
 impl<'a> EvalContext<'a> {
     /// Resolve an attribute against the context table. Qualified names try
@@ -410,6 +417,28 @@ impl<'a> EvalContext<'a> {
         }
     }
 
+    /// One range of [`batch::compare_pack`] over a column with a native
+    /// numeric buffer: the range's stats and bits, or `None` when the
+    /// kernel or the range's values decline (or the walk is cancelled).
+    fn pack_chunk(
+        &self,
+        col: &ColumnData,
+        kernel: NumericKernel,
+        offset: usize,
+        len: usize,
+    ) -> Option<PackedChunk> {
+        if self.poll_cancel() {
+            return None;
+        }
+        let (slice, col_mask) = col
+            .numeric_slice_at(offset, len)
+            .expect("a native numeric buffer");
+        match slice {
+            NumericSlice::F64(xs) => batch::compare_pack(xs, col_mask, kernel),
+            NumericSlice::I64(xs) => batch::compare_pack(xs, col_mask, kernel),
+        }
+    }
+
     /// The batch kernel equivalent to a predicate target, when one exists
     /// under the column's distance behaviour. `None` falls back to the
     /// generic per-tuple path (strings, matrices, geo, bool columns, and
@@ -489,12 +518,13 @@ impl<'a> EvalContext<'a> {
     /// Hand the per-range fill of a predicate leaf to `walk`, which picks
     /// the walk around it (a full frame, or a window's count-guarded
     /// walk): a typed batch kernel over the column's native buffer, the
-    /// dictionary gather, or the per-tuple reference fill. Returns what
-    /// `walk` returns and whether the distances are signed.
+    /// dictionary gather, or the per-tuple reference fill. A typed
+    /// kernel also offers its compare-and-pack. Returns what `walk`
+    /// returns and whether the distances are signed.
     fn with_predicate_fill<R>(
         &self,
         p: &Predicate,
-        walk: impl FnOnce(&RangeFill<'_>) -> R,
+        walk: impl FnOnce(&RangeFill<'_>, Option<&RangePack<'_>>) -> R,
     ) -> Result<(R, bool)> {
         let (col, dt, class, _) = self.column(&p.attr)?;
         let cd = self.distance_for(&p.attr, dt, class);
@@ -502,31 +532,40 @@ impl<'a> EvalContext<'a> {
         let native = self.mode == ExecMode::Vectorized && col.numeric_slice().is_some();
         if let Some(kernel) = Self::kernel_for(&cd, &p.target).filter(|_| native) {
             return Ok((
-                walk(&|o, v, m| self.kernel_chunk(col, kernel, o, v, m)),
+                walk(
+                    &|o, v, m| self.kernel_chunk(col, kernel, o, v, m),
+                    Some(&|o, len| self.pack_chunk(col, kernel, o, len)),
+                ),
                 signed,
             ));
         }
         if let Some(gather) = self.predicate_gather(col, &cd, &p.target) {
-            return Ok((walk(&gather), signed));
+            return Ok((walk(&gather, None), signed));
         }
         let walked = match &p.target {
-            PredicateTarget::Compare { op, value } => walk(&|o, v, m| {
-                self.fill_chunk(o, v, m, |i| compare_distance(col, i, *op, value, &cd))
-            }),
-            PredicateTarget::Range { low, high } => walk(&|o, v, m| {
-                self.fill_chunk(o, v, m, |i| range_distance(col, i, low, high, &cd))
-            }),
+            PredicateTarget::Compare { op, value } => walk(
+                &|o, v, m| self.fill_chunk(o, v, m, |i| compare_distance(col, i, *op, value, &cd)),
+                None,
+            ),
+            PredicateTarget::Range { low, high } => walk(
+                &|o, v, m| self.fill_chunk(o, v, m, |i| range_distance(col, i, low, high, &cd)),
+                None,
+            ),
             PredicateTarget::Around { center, deviation } => {
                 let (c, d) = (center.expect_f64()?, *deviation);
                 match native {
-                    true => walk(&|o, v, m| {
-                        self.kernel_chunk(col, NumericKernel::Around(c, d), o, v, m)
-                    }),
-                    false => walk(&|o, v, m| {
-                        self.fill_chunk(o, v, m, |i| {
-                            col.get_f64(i).and_then(|v| numeric::around(v, c, d))
-                        })
-                    }),
+                    true => walk(
+                        &|o, v, m| self.kernel_chunk(col, NumericKernel::Around(c, d), o, v, m),
+                        None,
+                    ),
+                    false => walk(
+                        &|o, v, m| {
+                            self.fill_chunk(o, v, m, |i| {
+                                col.get_f64(i).and_then(|v| numeric::around(v, c, d))
+                            })
+                        },
+                        None,
+                    ),
                 }
             }
         };
@@ -535,7 +574,7 @@ impl<'a> EvalContext<'a> {
 
     fn eval_predicate(&self, p: &Predicate) -> Result<NodeEval> {
         let mut distances = DistanceFrame::undefined(self.table.len());
-        let (stats, signed) = self.with_predicate_fill(p, |fill| {
+        let (stats, signed) = self.with_predicate_fill(p, |fill, _| {
             chunk::for_each_frame_range(&mut distances, self.partitioning(), self.parallel(), fill)
         })?;
         Ok(NodeEval {
@@ -549,8 +588,10 @@ impl<'a> EvalContext<'a> {
     /// Evaluate a top-level window. A predicate leaf whose §5.2 fit count
     /// `k` is known runs the count-guarded walk of
     /// [`chunk::window_walk`]: its packed exact bits always, its raw frame
-    /// only when its exact answers fall short of `k`. Any other node, or
-    /// no `k`, is evaluated into its raw frame.
+    /// only when its exact answers fall short of `k`; once they cover it,
+    /// the ranges of an `x ≥ t` / `x ≤ t` leaf over a native column are
+    /// compare-packed. Any other node, or no `k`, is evaluated into its
+    /// raw frame.
     pub(crate) fn eval_window(
         &self,
         node: &ConditionNode,
@@ -559,15 +600,18 @@ impl<'a> EvalContext<'a> {
     ) -> Result<WindowEval> {
         if let (ConditionNode::Predicate(p), Some(k)) = (node, k) {
             let n = self.table.len();
-            let ((raw, stats, bits), signed) = self.with_predicate_fill(p, |fill| {
-                chunk::window_walk(n, self.partitioning(), self.parallel(), k, fill)
-            })?;
+            let ((raw, stats, bits, packed), signed) =
+                self.with_predicate_fill(p, |fill, pack| {
+                    let pack = |o, len| pack.and_then(|pack| pack(o, len));
+                    chunk::window_walk(n, self.partitioning(), self.parallel(), k, fill, pack)
+                })?;
             return Ok(WindowEval {
                 label: p.label(),
                 signed,
                 raw,
                 stats,
                 bits: Some(bits),
+                chunks_compare_packed: packed,
             });
         }
         let e = self.eval_node_with(node, projections)?;
@@ -577,6 +621,7 @@ impl<'a> EvalContext<'a> {
             raw: Some(e.distances),
             stats: e.stats,
             bits: None,
+            chunks_compare_packed: 0,
         })
     }
 

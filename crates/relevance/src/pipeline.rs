@@ -134,6 +134,11 @@ pub struct PipelineTrace {
     /// covered the fit count), or refitted to a fit they cover and their
     /// frame dropped.
     pub windows_bits_only: usize,
+    /// Row ranges of those evaluations compare-packed: an `x ≥ t` /
+    /// `x ≤ t` window's ranges past the point where its exact answers
+    /// covered the fit count, whose stats and bits one pass read straight
+    /// from the column (no distances written).
+    pub chunks_compare_packed: usize,
     /// §5.2 fits the distance walk's counts answered without reading
     /// the frame again (the fit covers every defined item, or the
     /// predicate's exact answers cover `k`).
@@ -744,7 +749,7 @@ pub fn run_pipeline_opts(
     // distances, nothing else
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
-    let (mut windows_evaluated, mut evaluated_bits_only) = (0, 0);
+    let (mut windows_evaluated, mut evaluated_bits_only, mut compare_packed) = (0, 0, 0);
     phase_time!(trace, distance, {
         for (i, (w, got)) in top.iter().zip(found).enumerate() {
             unfit.push(!got.as_ref().is_some_and(|win| same_weight(win, w)));
@@ -757,6 +762,7 @@ pub fn run_pipeline_opts(
                     let k = reads_bits[i].then(|| fit_k(n, w.weight, budget)).flatten();
                     let e = ctx.eval_window(&w.node, k, run_projections.as_ref())?;
                     evaluated_bits_only += usize::from(e.raw.is_none());
+                    compare_packed += e.chunks_compare_packed;
                     PredicateWindow::evaluated(e, w.weight)
                 }
             });
@@ -846,6 +852,7 @@ pub fn run_pipeline_opts(
         t.windows_refit = windows_refit;
         t.windows_evaluated = windows_evaluated;
         t.windows_bits_only += evaluated_bits_only;
+        t.chunks_compare_packed = compare_packed;
     }
     Ok(PipelineOutput {
         n,

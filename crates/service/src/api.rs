@@ -148,6 +148,12 @@ pub struct TraceReport {
     pub windows_refit: usize,
     /// Predicate windows actually evaluated.
     pub windows_evaluated: usize,
+    /// Predicate windows left as their packed exact bits alone
+    /// ([`PipelineTrace::windows_bits_only`]).
+    pub windows_bits_only: usize,
+    /// Row ranges of the evaluated windows compare-packed straight from
+    /// the column ([`PipelineTrace::chunks_compare_packed`]).
+    pub chunks_compare_packed: usize,
 }
 
 impl From<&PipelineTrace> for TraceReport {
@@ -163,6 +169,8 @@ impl From<&PipelineTrace> for TraceReport {
             shared_window_hits: t.shared_hits,
             windows_refit: t.windows_refit,
             windows_evaluated: t.windows_evaluated,
+            windows_bits_only: t.windows_bits_only,
+            chunks_compare_packed: t.chunks_compare_packed,
         }
     }
 }
@@ -647,6 +655,8 @@ impl TraceReport {
             ("shared_window_hits", self.shared_window_hits.into()),
             ("windows_refit", self.windows_refit.into()),
             ("windows_evaluated", self.windows_evaluated.into()),
+            ("windows_bits_only", self.windows_bits_only.into()),
+            ("chunks_compare_packed", self.chunks_compare_packed.into()),
         ])
     }
 }

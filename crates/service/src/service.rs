@@ -260,8 +260,10 @@ pub(crate) struct ServiceObs {
     /// `dmax = 0`) vs as raw distances, and derived roots: no combined
     /// frame written, the windows' bits plus a pattern table instead.
     /// Then `pipeline.windows.bits_only`: windows left as their packed
-    /// exact bits alone, no raw frame written or kept.
-    run_counts: [Arc<Counter>; 8],
+    /// exact bits alone, no raw frame written or kept; and
+    /// `pipeline.chunks.compare_packed`: row ranges of those walks whose
+    /// stats and bits were compare-packed straight from the column.
+    run_counts: [Arc<Counter>; 9],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -317,6 +319,7 @@ impl ServiceObs {
                 "pipeline.combine.children_raw",
                 "pipeline.combine.roots_from_table",
                 "pipeline.windows.bits_only",
+                "pipeline.chunks.compare_packed",
             ]
             .map(|name| registry.counter(name)),
             drag_fast: registry.counter("service.drag.fast"),
@@ -375,6 +378,7 @@ impl ServiceObs {
             trace.children_raw,
             trace.roots_from_table,
             trace.windows_bits_only,
+            trace.chunks_compare_packed,
         ];
         for (counter, count) in self.run_counts.iter().zip(counts) {
             counter.add(count as u64);

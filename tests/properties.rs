@@ -1379,6 +1379,199 @@ proptest! {
     }
 }
 
+/// A splitmix64 step: per-row test data from a seed, without a
+/// generator.
+fn mix(i: usize, seed: u64) -> u64 {
+    let mut z = (i as u64 ^ seed.rotate_left(23)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The values a comparison window's `x` thresholds are drawn from — every
+/// one of them repeated across the relation.
+const X_POOL: [f64; 10] = [-5.0, -2.5, -1.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 10.0];
+
+/// Three comparison columns and their values widened to `f64` (`None`:
+/// NULL): `x` floats from [`X_POOL`] with NULL, NaN, `-0.0` and `0.0`
+/// rows, and `±inf` only inside chunk `inf_chunk`; `y` floats in
+/// `[0, 100)` with NULLs; `i` integers in `[-25, 25)` with NULLs and a
+/// few beyond `±2^53`.
+fn comparison_table(n: usize, seed: u64, inf_chunk: usize) -> (Database, [Vec<Option<f64>>; 3]) {
+    let cols = vec![
+        Column::new("x", DataType::Float),
+        Column::new("y", DataType::Float),
+        Column::new("i", DataType::Int),
+    ];
+    let mut t = TableBuilder::new("T", cols);
+    let mut widened: [Vec<Option<f64>>; 3] = Default::default();
+    for row in 0..n {
+        let h = mix(row, seed);
+        let x = match h % 23 {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(-0.0),
+            3 if row / CHUNK_ROWS == inf_chunk => Value::Float(f64::INFINITY),
+            4 if row / CHUNK_ROWS == inf_chunk => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(X_POOL[(h >> 8) as usize % X_POOL.len()]),
+        };
+        let y = match h % 29 {
+            5 => Value::Null,
+            _ => Value::Float(((h >> 24) % 10_000) as f64 / 100.0),
+        };
+        let i = match h % 31 {
+            6 => Value::Null,
+            7 => Value::Int(i64::MAX - (h >> 40) as i64),
+            8 => Value::Int(-(1 << 54) - (h >> 40) as i64),
+            _ => Value::Int(((h >> 32) % 50) as i64 - 25),
+        };
+        for (col, v) in widened.iter_mut().zip([&x, &y, &i]) {
+            col.push(v.as_f64());
+        }
+        t = t.row(vec![x, y, i]).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    (db, widened)
+}
+
+/// Ranges a serial window walk compare-packs: those that start once the
+/// exact answers of the ranges before them cover `k`, and whose defined
+/// values are finite and not all missing.
+fn packed_ranges(values: &[Option<f64>], greater: bool, t: f64, k: usize) -> usize {
+    let mut exact = 0;
+    let mut packed = 0;
+    for (offset, len) in visdb::relevance::chunk::ranges(values.len(), None) {
+        let defined: Vec<f64> = values[offset..offset + len]
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|x| !x.is_nan())
+            .collect();
+        let packs = !defined.is_empty() && defined.iter().all(|x| x.is_finite());
+        packed += usize::from(exact >= k && packs);
+        exact += defined
+            .iter()
+            .filter(|&&x| if greater { x >= t } else { x <= t })
+            .count();
+    }
+    packed
+}
+
+const CHUNK_ROWS: usize = visdb::relevance::chunk::CHUNK_ROWS;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Comparison windows whose exact answers cover their fit count are
+    /// compare-packed past the range where they do — straight from the
+    /// column — and stay byte-identical to a cold scalar run above the
+    /// parallel threshold: 1 to 3 `>` / `>=` / `<` / `<=` windows with
+    /// random thresholds (repeated across the relation) and weights, over
+    /// a float column with NULL, NaN, `-0.0` and `±inf` rows (the chunk
+    /// holding the infinities is declined), a plain float column and an
+    /// integer column with values beyond `±2^53`; plain, 3-way
+    /// partitioned and serial, where the packed ranges are exactly the
+    /// ones the count rule names. A run cancelled mid-walk leaves the
+    /// session cache, the shared window cache and the projection store
+    /// untouched, and the same caches then serve the oracle's answer.
+    #[test]
+    fn compare_packed_windows_match_the_oracle_above_the_parallel_threshold(
+        n in 40_000usize..120_000,
+        seed in 0u64..1 << 40,
+        inf_chunk in 0usize..8,
+        pct in 0.5f64..3.0,
+        windows in prop::collection::vec(((0usize..3, 0usize..4), 0usize..50, 0.2f64..1.0), 1..4),
+        skip in 1usize..4,
+    ) {
+        let (db, values) = comparison_table(n, seed, inf_chunk);
+        let t = db.table("T").unwrap();
+        let resolver = DistanceResolver::new();
+        let policy = DisplayPolicy::Percentage(pct);
+        let budget = policy.budget(n);
+        let ops = [CompareOp::Gt, CompareOp::Ge, CompareOp::Lt, CompareOp::Le];
+        let preds: Vec<(usize, CompareOp, f64, f64)> = windows
+            .iter()
+            .map(|&((col, op), pick, weight)| {
+                let t = match col {
+                    0 => X_POOL[pick % X_POOL.len()],
+                    1 => pick as f64 * 2.0,
+                    _ => pick as f64 - 25.0,
+                };
+                (col, ops[op], t, weight)
+            })
+            .collect();
+        let leaf = |&(col, op, t, weight): &(usize, CompareOp, f64, f64)| {
+            let p = Predicate::compare(AttrRef::new(["x", "y", "i"][col]), op, t);
+            Weighted::new(ConditionNode::Predicate(p), weight)
+        };
+        let cond = match &preds[..] {
+            [one] => leaf(one),
+            many => Weighted::unit(ConditionNode::And(many.iter().map(leaf).collect())),
+        };
+        let run = |opts: PipelineOptions<'_>| {
+            run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts)
+        };
+        let slow = run(PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).unwrap();
+        let partitioning = t.partitions(3);
+        for parts in [None, Some(&partitioning)] {
+            let fast = run(PipelineOptions { partitions: parts, trace: true, ..Default::default() }).unwrap();
+            let what = format!("{preds:?}, partitioned: {}", parts.is_some());
+            let diff = first_divergence(&fast, &slow, &policy);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+            prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+        }
+
+        // one worker walks the ranges in order, so which are packed is
+        // the count rule's alone
+        let serial = visdb::exec::Runtime::new(1)
+            .install(|| run(PipelineOptions { trace: true, ..Default::default() }))
+            .unwrap();
+        let diff = first_divergence(&serial, &slow, &policy);
+        prop_assert!(diff.is_none(), "serial: {}", diff.unwrap());
+        let expect: usize = (preds.iter())
+            .filter_map(|&(col, op, t, weight)| {
+                let k = visdb::relevance::normalize::fit_k(n, weight, budget)?;
+                let greater = matches!(op, CompareOp::Gt | CompareOp::Ge);
+                Some(packed_ranges(&values[col], greater, t, k))
+            })
+            .sum();
+        let trace = serial.trace.as_ref().unwrap();
+        prop_assert_eq!(trace.chunks_compare_packed, expect, "{:?}", preds);
+
+        // cancelled on a range poll of the first window's walk
+        let mut session = PipelineCache::new();
+        let shared = MapWindows::default();
+        let projections = MapProjections::default();
+        let layers = |session: &mut PipelineCache, cancel| {
+            run(PipelineOptions {
+                cache: Some(session),
+                shared: Some(SharedWindows { scope: "d#1", cache: &shared }),
+                projections: Some(("d#1", &projections as &dyn ProjectionSource)),
+                cancel,
+                ..Default::default()
+            })
+        };
+        let token = visdb::exec::CancelToken::new();
+        let cancelled = {
+            let _fault = visdb::exec::fault::inject_after(
+                visdb::exec::Phase::Distance,
+                visdb::exec::FaultAction::Cancel,
+                skip,
+            );
+            layers(&mut session, Some(&token))
+        };
+        prop_assert!(matches!(cancelled, Err(Error::Cancelled)), "{:?}", cancelled.map(|o| o.n));
+        prop_assert!(session.is_empty());
+        prop_assert!(shared.0.lock().unwrap().is_empty());
+        prop_assert_eq!(*projections.stores.lock().unwrap(), 0);
+        let again = layers(&mut session, None).unwrap();
+        let diff = first_divergence(&again, &slow, &policy);
+        prop_assert!(diff.is_none(), "after a cancel: {}", diff.unwrap());
+        prop_assert_eq!(session.len(), preds.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 

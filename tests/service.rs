@@ -546,6 +546,7 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.combine.children_raw",
         "pipeline.combine.roots_from_table",
         "pipeline.windows.bits_only",
+        "pipeline.chunks.compare_packed",
         "render.panel.held",
         "render.panel.by_pattern",
         "render.panel.by_row",
@@ -757,6 +758,58 @@ fn bits_only_windows_are_counted_on_the_registry() {
     // the same windows under an `OR` root miss the shared cache's bits
     let or = heavy.replace(" AND x", " OR x");
     assert_eq!(run(&format!("SELECT * FROM T WHERE {or}")), 0);
+}
+
+/// Compare-packed row ranges are readable off the live server and the
+/// trace: a 3-window `>=` / `<=` Weather query over 65 536 rows (four
+/// 16 384-row ranges per window) reaches each window's fit count in its
+/// first ranges, so later ranges are folded straight from the column; an
+/// exact-light `x >= 0.999 n` window never reaches its count, so every
+/// range is filled and copied.
+#[test]
+fn compare_packed_chunks_are_counted_on_the_registry_and_the_trace() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let env = generate_environmental(&EnvConfig {
+        hours: 16_384,
+        stations: 4,
+        ..Default::default()
+    });
+    service.register_dataset("weather", Arc::new(env.db), env.registry);
+    let n = 80_000;
+    service.register_dataset("ramp", ramp_db(n), ConnectionRegistry::new());
+    let run = |dataset: &str, text: String| {
+        let user = service.create_session(dataset).unwrap();
+        let counter = || {
+            let snap = service.metrics_snapshot();
+            snap.counter("pipeline.chunks.compare_packed").unwrap()
+        };
+        let before = counter();
+        let policy = Request::SetDisplayPolicy(DisplayPolicy::Percentage(1.0));
+        assert_eq!(service.submit(user, policy).unwrap(), Response::Ok);
+        let set = Request::SetQueryText(text);
+        assert_eq!(service.submit(user, set).unwrap(), Response::Ok);
+        let trace = match service.submit(user, Request::Summary { trace: true }) {
+            Ok(Response::Summary(s)) => s.trace.expect("trace requested"),
+            other => panic!("unexpected {other:?}"),
+        };
+        (counter() - before, trace)
+    };
+    let heavy = "SELECT * FROM Weather WHERE Temperature >= 8 AND Humidity <= 85 \
+                 AND Precipitation <= 0.5";
+    let (packed, trace) = run("weather", heavy.into());
+    assert!(packed > 0, "no range compare-packed");
+    assert_eq!(trace.chunks_compare_packed as u64, packed);
+    assert_eq!((trace.windows_evaluated, trace.windows_bits_only), (3, 3));
+    let light = format!("SELECT * FROM T WHERE x >= {}", n as f64 * 0.999);
+    let (packed, trace) = run("ramp", light);
+    assert_eq!(packed, 0);
+    assert_eq!(
+        (trace.chunks_compare_packed, trace.windows_bits_only),
+        (0, 0)
+    );
 }
 
 /// How each session render came by its panel is readable off the live
@@ -981,6 +1034,8 @@ fn metrics_op_round_trips_over_the_wire() {
         "rank_ns",
         "rows_scanned",
         "partitions",
+        "windows_bits_only",
+        "chunks_compare_packed",
     ] {
         assert!(trace.get(key).is_some(), "trace missing {key}");
     }
