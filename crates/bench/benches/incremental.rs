@@ -20,7 +20,7 @@ use visdb_distance::DistanceResolver;
 use visdb_index::{IncrementalCache, KdTree, LinearScan, RangeIndex};
 use visdb_query::ast::{AttrRef, CompareOp, ConditionNode, Predicate, Weighted};
 use visdb_relevance::cache::PipelineCache;
-use visdb_relevance::pipeline::{run_pipeline, run_pipeline_opts, DisplayPolicy, PipelineOptions};
+use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions};
 
 fn retrieval_level(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_retrieval");
@@ -105,6 +105,7 @@ fn pipeline_level(c: &mut Criterion) {
                 &resolver,
                 base_query.condition.as_ref(),
                 &policy,
+                PipelineOptions::default(),
             )
             .expect("pipeline")
             .num_exact
@@ -114,7 +115,7 @@ fn pipeline_level(c: &mut Criterion) {
         // warm the cache with the base query, then alternate the first
         // predicate's threshold: two of three windows are always reused
         let mut cache = PipelineCache::new();
-        run_pipeline_opts(
+        run_pipeline(
             &db,
             table,
             &resolver,
@@ -140,7 +141,7 @@ fn pipeline_level(c: &mut Criterion) {
                     )));
                 }
             }
-            run_pipeline_opts(
+            run_pipeline(
                 &db,
                 table,
                 &resolver,

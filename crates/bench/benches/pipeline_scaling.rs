@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use visdb_bench::{ramp_db, three_predicate_query};
 use visdb_distance::DistanceResolver;
-use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy};
+use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions};
 
 fn pipeline_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_scaling");
@@ -23,8 +23,15 @@ fn pipeline_scaling(c: &mut Criterion) {
         group.sample_size(10);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                run_pipeline(&db, table, &resolver, query.condition.as_ref(), &policy)
-                    .expect("pipeline")
+                run_pipeline(
+                    &db,
+                    table,
+                    &resolver,
+                    query.condition.as_ref(),
+                    &policy,
+                    PipelineOptions::default(),
+                )
+                .expect("pipeline")
             })
         });
     }

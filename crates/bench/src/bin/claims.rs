@@ -13,7 +13,7 @@ use visdb_data::{generate_environmental, generate_multidb, EnvConfig, MultiDbCon
 use visdb_distance::DistanceResolver;
 use visdb_query::ast::CompareOp;
 use visdb_query::builder::QueryBuilder;
-use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy};
+use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions};
 use visdb_relevance::quantile::quantile;
 use visdb_relevance::reduction::gap_cutoff;
 use visdb_types::Result;
@@ -37,6 +37,7 @@ fn c2_hot_spots() -> Result<()> {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )?;
     let ranked: Vec<usize> = out.ranked().collect();
     let ranks = hot_spot_ranks(&ranked, &env.truth.hot_spot_rows);
@@ -124,6 +125,7 @@ fn c5_approx_join() -> Result<()> {
         &resolver,
         query.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )?;
     let m = data.db.table("CustomersB")?.len();
     let truth: Vec<usize> = data.pairs.iter().map(|&(i, j)| i * m + j).collect();
@@ -168,6 +170,7 @@ fn c5_approx_join() -> Result<()> {
         &resolver,
         query.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )?;
     // a connection window keeps its raw frame
     let best = (out.ranked().next()).and_then(|i| out.windows[0].raw_frame()?.get(i));

@@ -1,7 +1,6 @@
 //! Machine-readable perf record of the relevance hot path: scalar
 //! (per-tuple, full-sort) vs vectorized (columnar kernels, chunked
-//! data-parallel execution, top-k selection) vs partitioned (per-
-//! partition passes + k-way merged top-k) rows/sec, isolated
+//! data-parallel execution, top-k selection) rows/sec, isolated
 //! top-k-vs-full-sort timings, a **per-phase breakdown** (distance /
 //! fit / normalize+combine / rank), the
 //! **packed-vs-Option** representation A/B, the **slider-drag**
@@ -13,7 +12,7 @@
 //! **branchless-vs-branchy** A/B isolating the fused normalize+combine
 //! phase (per-row `Option`/`if defined` walk vs the packed
 //! `apply_slice` + `combine_and_slices` + select-fold kernels), and a
-//! **threads axis** re-timing the partitioned path under
+//! **threads axis** re-timing the vectorized path under
 //! explicit 1/2/4/8-thread worker budgets, and the
 //! **reweight-vs-recompute** A/B (a re-weighted join window refitted
 //! from its cached raw frame vs evaluated again — median with min/p90),
@@ -46,9 +45,9 @@
 //! cargo run --release -p visdb-bench --bin pipeline_perf -- --out /tmp/p.json
 //! ```
 //!
-//! In both modes the binary *asserts* that the vectorized **and
-//! partitioned** outputs are identical to the scalar reference —
-//! at every thread count on the threads axis — and the incremental
+//! In both modes the binary *asserts* that the vectorized output is
+//! identical to the scalar reference — at every thread count on the
+//! threads axis — and the incremental
 //! slider drag identical to a full recompute — before it times
 //! anything; a regression that changes results fails the run regardless
 //! of timing noise.
@@ -74,41 +73,32 @@ use visdb_relevance::chunk;
 use visdb_relevance::combine::combine_and_slices;
 use visdb_relevance::normalize::{apply_slice, fit_frame, fit_k, NormParams};
 use visdb_relevance::pipeline::{
-    run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, PipelineOptions,
-    PipelineOutput, PredicateWindow, PARTITION_MIN_ROWS,
+    run_pipeline, DisplayPolicy, ExecMode, PipelineOptions, PipelineOutput, PredicateWindow,
 };
 use visdb_relevance::reference::{and_row, fit_improved};
 use visdb_relevance::select::{k_smallest_sorted, rank_order};
 use visdb_storage::{Database, TableBuilder};
 use visdb_types::{Column, DataType, Value};
 
-/// Partition count for the timed partitioned runs (smoke identity
-/// checks additionally cover 1, 2, 7 and 16).
-const BENCH_PARTITIONS: usize = 8;
-
 /// Minimum timed repetitions per measurement; every reported number is
 /// the **median** over at least this many reps (the de-flake floor).
 const MIN_REPS: usize = 5;
 
-/// Worker budgets for the threads axis: the partitioned path re-timed
+/// Worker budgets for the threads axis: the vectorized path re-timed
 /// under each explicit budget.
 const THREAD_SERIES: [usize; 4] = [1, 2, 4, 8];
 
 /// One point on the threads axis.
 struct ThreadPoint {
     threads: usize,
-    partitioned_rows_per_sec: f64,
+    vectorized_rows_per_sec: f64,
 }
 
 struct SizeResult {
     n: usize,
     scalar_rows_per_sec: f64,
     vectorized_rows_per_sec: f64,
-    partitioned_rows_per_sec: f64,
     speedup: f64,
-    /// Partitioned vs unpartitioned vectorized (≈ 1.0 expected on one
-    /// box: same work, different scheduling).
-    partitioned_vs_vectorized: f64,
     full_sort_ms: f64,
     topk_ms: f64,
     topk_k: usize,
@@ -241,7 +231,7 @@ struct SizeResult {
     /// Minimum repetition count across this size's timed measurements —
     /// every reported number is a median over at least this many reps.
     reps: usize,
-    /// The partitioned path re-timed under each explicit worker budget
+    /// The vectorized path re-timed under each explicit worker budget
     /// in [`THREAD_SERIES`].
     threads: Vec<ThreadPoint>,
 }
@@ -252,13 +242,7 @@ struct SizeResult {
 /// take).
 fn phase_sample_ms(out: &PipelineOutput) -> [f64; 4] {
     let t = out.trace.as_deref().expect("trace requested but absent");
-    [
-        t.phases.distance,
-        t.phases.fit,
-        t.phases.normalize_combine,
-        t.phases.rank,
-    ]
-    .map(|d| d.as_secs_f64() * 1e3)
+    [t.distance, t.fit, t.normalize_combine, t.rank].map(|d| d.as_secs_f64() * 1e3)
 }
 
 /// Per-phase medians (ms) over [`MIN_REPS`] traced runs of `run`.
@@ -973,7 +957,7 @@ fn bench_size(n: usize) -> SizeResult {
 
     let run_vectorized =
         |cond: Option<&visdb_query::ast::Weighted>, trace: bool| -> PipelineOutput {
-            run_pipeline_opts(
+            run_pipeline(
                 &db,
                 table,
                 &resolver,
@@ -986,56 +970,25 @@ fn bench_size(n: usize) -> SizeResult {
             )
             .expect("vectorized")
         };
-    let slow = run_pipeline_scalar(&db, table, &resolver, cond, &policy).expect("scalar");
+    let run_scalar = |db: &Database, table, cond| {
+        let opts = PipelineOptions {
+            mode: ExecMode::Scalar,
+            ..Default::default()
+        };
+        run_pipeline(db, table, &resolver, cond, &policy, opts).expect("scalar")
+    };
+    let slow = run_scalar(&db, table, cond);
     assert_identical(&run_vectorized(cond, false), &slow, n);
-    // partitioned execution must be bit-identical at every partition
-    // count, including counts that leave partitions empty
-    for parts in [1usize, 2, 7, BENCH_PARTITIONS, 16] {
-        let partitioning = table.partitions(parts);
-        let part = run_pipeline_opts(
-            &db,
-            table,
-            &resolver,
-            cond,
-            &policy,
-            PipelineOptions {
-                partitions: Some(&partitioning),
-                ..Default::default()
-            },
-        )
-        .expect("parts");
-        assert_identical(&part, &slow, n);
-    }
 
     let min_reps = MIN_REPS;
     let mut rep_counts: Vec<usize> = Vec::new();
     let scalar_s = note(
         &mut rep_counts,
-        time_median(min_reps, || {
-            run_pipeline_scalar(&db, table, &resolver, cond, &policy).expect("scalar")
-        }),
+        time_median(min_reps, || run_scalar(&db, table, cond)),
     );
     let vector_s = note(
         &mut rep_counts,
         time_median(min_reps, || run_vectorized(cond, false)),
-    );
-    let partitioned_s = note(
-        &mut rep_counts,
-        time_median(min_reps, || {
-            let partitioning = table.partitions(BENCH_PARTITIONS);
-            run_pipeline_opts(
-                &db,
-                table,
-                &resolver,
-                cond,
-                &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    ..Default::default()
-                },
-            )
-            .expect("partitioned")
-        }),
     );
 
     // ---- string-predicate A/B: the dictionary-gather path (distance
@@ -1048,22 +1001,16 @@ fn bench_size(n: usize) -> SizeResult {
         .cmp("name", CompareOp::Eq, "city-042")
         .build();
     let scond = sq.condition.as_ref();
-    let s_slow =
-        run_pipeline_scalar(&sdb, stable, &resolver, scond, &policy).expect("string scalar");
-    let s_fast = run_pipeline(&sdb, stable, &resolver, scond, &policy).expect("string vectorized");
-    assert_identical(&s_fast, &s_slow, n);
+    let s_fast = || {
+        let opts = PipelineOptions::default();
+        run_pipeline(&sdb, stable, &resolver, scond, &policy, opts).expect("string vectorized")
+    };
+    assert_identical(&s_fast(), &run_scalar(&sdb, stable, scond), n);
     let string_scalar_s = note(
         &mut rep_counts,
-        time_median(min_reps, || {
-            run_pipeline_scalar(&sdb, stable, &resolver, scond, &policy).expect("string scalar")
-        }),
+        time_median(min_reps, || run_scalar(&sdb, stable, scond)),
     );
-    let string_vector_s = note(
-        &mut rep_counts,
-        time_median(min_reps, || {
-            run_pipeline(&sdb, stable, &resolver, scond, &policy).expect("string vectorized")
-        }),
-    );
+    let string_vector_s = note(&mut rep_counts, time_median(min_reps, s_fast));
 
     // top-k vs full sort on the same synthetic ranking problem
     let combined = synthetic_combined(n, 0x5eed ^ n as u64);
@@ -1079,7 +1026,7 @@ fn bench_size(n: usize) -> SizeResult {
             idx
         }),
     );
-    let ranges = chunk::ranges(n, None);
+    let ranges = chunk::ranges(n);
     let topk_s = note(
         &mut rep_counts,
         time_median(min_reps, || {
@@ -1098,8 +1045,7 @@ fn bench_size(n: usize) -> SizeResult {
         .cmp("x", CompareOp::Ge, n as f64 * 0.999)
         .build();
     let cond_light = q_light.condition.as_ref();
-    let slow_light =
-        run_pipeline_scalar(&db, table, &resolver, cond_light, &policy).expect("scalar light");
+    let slow_light = run_scalar(&db, table, cond_light);
     let (heavy, light) = (run_vectorized(cond, true), run_vectorized(cond_light, true));
     assert_identical(&light, &slow_light, n);
     let answered = |out: &PipelineOutput| {
@@ -1121,33 +1067,32 @@ fn bench_size(n: usize) -> SizeResult {
     assert_eq!(bits_only(&light), (false, 0), "exact-light arm, n={n}");
     // the compare-and-pack route: the exact-light arm's count never
     // reaches its fit count, so none of its ranges is packed; one worker
-    // walking the exact-heavy arm over 16 partitions (whose ranges split
-    // the ramp's exact last 10 %) packs exactly the ranges that start
-    // once the exact answers before them cover it — below the planner's
-    // partition threshold the walk is one range, and nothing starts past
-    // its first
+    // walking `x >= 0.5 n` packs exactly the ranges that start once the
+    // exact answers before them cover it — at every size here longer
+    // than one range, at least the last one (smoke's 40 k rows are three
+    // ranges, and the exact half starts inside the second)
     let packed = |out: &PipelineOutput| out.trace.as_deref().expect("traced").chunks_compare_packed;
     assert_eq!(packed(&light), 0, "exact-light arm, n={n}");
-    let sixteen = table.partitions(16);
+    let q_half = QueryBuilder::from_tables(["T"])
+        .cmp("x", CompareOp::Ge, n as f64 * 0.5)
+        .build();
     let serial = |cond| {
         let opts = PipelineOptions {
-            partitions: Some(&sixteen),
             trace: true,
             ..Default::default()
         };
         Runtime::new(1)
-            .install(|| run_pipeline_opts(&db, table, &resolver, cond, &policy, opts))
-            .expect("serial partitioned")
+            .install(|| run_pipeline(&db, table, &resolver, cond, &policy, opts))
+            .expect("serial")
     };
     let k = fit_k(n, 1.0, policy.budget(n)).expect("a fit count below n");
     let exact_rows = |(offset, len): (usize, usize)| {
         (offset..offset + len)
-            .filter(|&i| i as f64 >= n as f64 * 0.9)
+            .filter(|&i| i as f64 >= n as f64 * 0.5)
             .count()
     };
     let mut exact = 0;
-    let planned = (n >= PARTITION_MIN_ROWS).then_some(&sixteen);
-    let expect = (chunk::ranges(n, planned).into_iter())
+    let expect = (chunk::ranges(n).into_iter())
         .filter(|&range| {
             let packs = exact >= k;
             exact += exact_rows(range);
@@ -1155,10 +1100,12 @@ fn bench_size(n: usize) -> SizeResult {
         })
         .count();
     assert!(
-        expect > 0 || n < PARTITION_MIN_ROWS,
+        expect > 0 || n <= chunk::CHUNK_ROWS,
         "n={n}: no range starts past the fit count"
     );
-    assert_eq!(packed(&serial(cond)), expect, "exact-heavy arm, n={n}");
+    let half = serial(q_half.condition.as_ref());
+    assert_identical(&half, &run_scalar(&db, table, q_half.condition.as_ref()), n);
+    assert_eq!(packed(&half), expect, "x >= 0.5 n, n={n}");
     assert_eq!(packed(&serial(cond_light)), 0, "exact-light arm, n={n}");
     let bytes_per_row = |out: &PipelineOutput| out.windows[0].heap_bytes() as f64 / n as f64;
     let window_bytes_per_row = bytes_per_row(&heavy);
@@ -1356,10 +1303,10 @@ fn bench_size(n: usize) -> SizeResult {
             let started = Instant::now();
             let out = run_vectorized(cond, true);
             let t = out.trace.as_deref().expect("instrumented arm traces");
-            obs_phase[0].record_duration(t.phases.distance);
-            obs_phase[1].record_duration(t.phases.fit);
-            obs_phase[2].record_duration(t.phases.normalize_combine);
-            obs_phase[3].record_duration(t.phases.rank);
+            obs_phase[0].record_duration(t.distance);
+            obs_phase[1].record_duration(t.fit);
+            obs_phase[2].record_duration(t.normalize_combine);
+            obs_phase[3].record_duration(t.rank);
             obs_requests.inc();
             obs_latency.record_duration(started.elapsed());
             out
@@ -1381,7 +1328,7 @@ fn bench_size(n: usize) -> SizeResult {
     );
     let far_token = CancelToken::with_deadline(Duration::from_secs(3600));
     let run_polling = || -> PipelineOutput {
-        run_pipeline_opts(
+        run_pipeline(
             &db,
             table,
             &resolver,
@@ -1425,7 +1372,7 @@ fn bench_size(n: usize) -> SizeResult {
         q
     };
     let run_with = |q: &Query, cache: &mut PipelineCache| {
-        run_pipeline_opts(
+        run_pipeline(
             &pair,
             pair_table,
             &resolver,
@@ -1486,14 +1433,7 @@ fn bench_size(n: usize) -> SizeResult {
         (t.children_bits, t.children_raw, t.roots_from_table),
         (3, 0, 1)
     );
-    let slow3 = run_pipeline_scalar(
-        &pair,
-        pair_table,
-        &resolver,
-        reweighted3.condition.as_ref(),
-        &policy,
-    )
-    .expect("scalar 3-window");
+    let slow3 = run_scalar(&pair, pair_table, reweighted3.condition.as_ref());
     assert_identical(&refit3, &slow3, n);
     let result_bytes = refit3.combined.heap_bytes()
         + std::mem::size_of_val(refit3.order.as_slice())
@@ -1504,36 +1444,23 @@ fn bench_size(n: usize) -> SizeResult {
     let (session_reweight_3w, session_repaint_3w) = bench_session_render(&db, min_reps, three(1.0));
     rep_counts.extend([session_reweight_3w.reps, session_repaint_3w.reps]);
 
-    // ---- threads axis: the partitioned path re-timed under each
-    // explicit worker budget, with identity vs the scalar reference re-asserted
-    // per budget. On a single-core box the series documents scheduling
-    // overhead staying flat; on a multi-core box it is the scaling
-    // evidence for the per-shard branchless kernels.
+    // ---- threads axis: the vectorized path re-timed under each
+    // explicit worker budget, with identity vs the scalar reference
+    // re-asserted per budget. On a single-core box the series documents
+    // scheduling overhead staying flat; on a multi-core box it is the
+    // scaling evidence for the chunked kernels.
     let thread_points: Vec<ThreadPoint> = THREAD_SERIES
         .iter()
         .map(|&workers| {
-            let rt = Runtime::new(workers);
-            rt.install(|| {
-                let partitioning = table.partitions(BENCH_PARTITIONS);
-                let run_part = || {
-                    run_pipeline_opts(
-                        &db,
-                        table,
-                        &resolver,
-                        cond,
-                        &policy,
-                        PipelineOptions {
-                            partitions: Some(&partitioning),
-                            ..Default::default()
-                        },
-                    )
-                    .expect("threads-axis partitioned")
-                };
-                assert_identical(&run_part(), &slow, n);
-                let part_s = note(&mut rep_counts, time_median(min_reps, &run_part));
+            Runtime::new(workers).install(|| {
+                assert_identical(&run_vectorized(cond, false), &slow, n);
+                let vector_s = note(
+                    &mut rep_counts,
+                    time_median(min_reps, || run_vectorized(cond, false)),
+                );
                 ThreadPoint {
                     threads: workers,
-                    partitioned_rows_per_sec: n as f64 / part_s,
+                    vectorized_rows_per_sec: n as f64 / vector_s,
                 }
             })
         })
@@ -1545,9 +1472,7 @@ fn bench_size(n: usize) -> SizeResult {
         n,
         scalar_rows_per_sec: n as f64 / scalar_s,
         vectorized_rows_per_sec: n as f64 / vector_s,
-        partitioned_rows_per_sec: n as f64 / partitioned_s,
         speedup: scalar_s / vector_s,
-        partitioned_vs_vectorized: vector_s / partitioned_s,
         full_sort_ms: full_sort_s * 1e3,
         topk_ms: topk_s * 1e3,
         topk_k: k,
@@ -1629,12 +1554,10 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         let r = bench_size(n);
         println!(
             "n={:>9}: scalar {:>12.0} rows/s | vectorized {:>12.0} rows/s | \
-             partitioned(x{BENCH_PARTITIONS}) {:>12.0} rows/s | \
              speedup {:>5.2}x | sort {:>8.2} ms vs top-{} {:>7.3} ms",
             r.n,
             r.scalar_rows_per_sec,
             r.vectorized_rows_per_sec,
-            r.partitioned_rows_per_sec,
             r.speedup,
             r.full_sort_ms,
             r.topk_k,
@@ -1740,8 +1663,8 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         );
         for p in &r.threads {
             println!(
-                "            threads={}: partitioned {:>12.0} rows/s",
-                p.threads, p.partitioned_rows_per_sec,
+                "            threads={}: vectorized {:>12.0} rows/s",
+                p.threads, p.vectorized_rows_per_sec,
             );
         }
         results.push(r);
@@ -1768,7 +1691,6 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         "  \"exact_light_workload\": \"x >= 0.999n over the same ramp and display: 0.1 % exact \
          answers against k = 1 %, so the fit and the ranking select\","
     );
-    let _ = writeln!(json, "  \"bench_partitions\": {BENCH_PARTITIONS},");
     let _ = writeln!(json, "  \"min_reps\": {MIN_REPS},");
     let _ = writeln!(
         json,
@@ -1785,15 +1707,12 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
         let _ = writeln!(
             json,
             "    {{\"n\": {}, \"scalar_rows_per_sec\": {:.0}, \"vectorized_rows_per_sec\": {:.0}, \
-             \"partitioned_rows_per_sec\": {:.0}, \
-             \"speedup\": {:.3}, \"partitioned_vs_vectorized\": {:.3}, \
+             \"speedup\": {:.3}, \
              \"full_sort_ms\": {:.3}, \"topk_ms\": {:.3}, \"topk_k\": {},",
             r.n,
             r.scalar_rows_per_sec,
             r.vectorized_rows_per_sec,
-            r.partitioned_rows_per_sec,
             r.speedup,
-            r.partitioned_vs_vectorized,
             r.full_sort_ms,
             r.topk_ms,
             r.topk_k,
@@ -1908,8 +1827,8 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             .iter()
             .map(|p| {
                 format!(
-                    "{{\"threads\": {}, \"partitioned_rows_per_sec\": {:.0}}}",
-                    p.threads, p.partitioned_rows_per_sec,
+                    "{{\"threads\": {}, \"vectorized_rows_per_sec\": {:.0}}}",
+                    p.threads, p.vectorized_rows_per_sec,
                 )
             })
             .collect();

@@ -47,7 +47,7 @@ use visdb_data::{
 use visdb_distance::DistanceResolver;
 use visdb_query::ast::{AttrRef, ConditionNode, SubqueryLink};
 use visdb_query::{CompareOp, QueryBuilder};
-use visdb_relevance::pipeline::{run_pipeline, run_pipeline_scalar, DisplayPolicy, PipelineOutput};
+use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput};
 use visdb_relevance::{EvalContext, ExecMode};
 use visdb_storage::Database;
 use visdb_types::Value;
@@ -170,18 +170,17 @@ fn bench_workload(
     let resolver = DistanceResolver::new();
     let cond = q.condition.as_ref();
     let policy = DisplayPolicy::Percentage(1.0);
-    let fast = run_pipeline(db, table, &resolver, cond, &policy).expect("vectorized");
-    let slow = run_pipeline_scalar(db, table, &resolver, cond, &policy).expect("scalar");
-    assert_identical(&fast, &slow, name);
+    let run = |mode| {
+        let opts = PipelineOptions {
+            mode,
+            ..Default::default()
+        };
+        run_pipeline(db, table, &resolver, cond, &policy, opts).expect("pipeline")
+    };
+    assert_identical(&run(ExecMode::Vectorized), &run(ExecMode::Scalar), name);
     let mut rep_counts = Vec::new();
-    let scalar_s = note(
-        &mut rep_counts,
-        time_median(|| run_pipeline_scalar(db, table, &resolver, cond, &policy).expect("scalar")),
-    );
-    let vector_s = note(
-        &mut rep_counts,
-        time_median(|| run_pipeline(db, table, &resolver, cond, &policy).expect("vectorized")),
-    );
+    let scalar_s = note(&mut rep_counts, time_median(|| run(ExecMode::Scalar)));
+    let vector_s = note(&mut rep_counts, time_median(|| run(ExecMode::Vectorized)));
     let n = table.len();
     WorkloadResult {
         name,

@@ -22,8 +22,8 @@ use visdb_relevance::cache::{PipelineCache, WindowSource};
 use visdb_relevance::eval::{EvalContext, ExecMode};
 use visdb_relevance::normalize::{fit_k, NormParams};
 use visdb_relevance::pipeline::{
-    display_count, run_pipeline_opts, DisplayPolicy, PipelineOptions, PipelineOutput,
-    PipelineTrace, PredicateWindow, SharedWindows,
+    display_count, run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput, PipelineTrace,
+    PredicateWindow, SharedWindows,
 };
 use visdb_relevance::DistanceFrame;
 use visdb_storage::{Database, Row, Table};
@@ -158,9 +158,6 @@ pub struct Session {
     /// Cross-session sorted-projection reuse for the slider fast path
     /// (see [`Session::set_shared_projections`]).
     shared_projections: Option<(String, Arc<dyn ProjectionSource>)>,
-    /// Horizontal partitions per pipeline run (0/1 = unpartitioned).
-    /// A pure scheduling knob: outputs are bit-identical either way.
-    partitions: usize,
     /// Sorted-projection slider index (see [`Session::drag_slider`]).
     slider_index: Option<SliderIndex>,
     /// Collect a [`visdb_relevance::PipelineTrace`] on every
@@ -199,7 +196,6 @@ impl Session {
             pipeline_cache: PipelineCache::new(),
             shared_windows: None,
             shared_projections: None,
-            partitions: 0,
             slider_index: None,
             collect_trace: false,
             cancel: None,
@@ -343,15 +339,6 @@ impl Session {
             *s = scope;
         }
         outcome
-    }
-
-    /// Run the pipeline over `parts` horizontal partitions of the base
-    /// relation (0 or 1 restores the unpartitioned walk). Results are
-    /// bit-identical either way — partitioning only changes how the
-    /// work is scheduled on the shared runtime — so the cached result
-    /// stays valid.
-    pub fn set_partitions(&mut self, parts: usize) {
-        self.partitions = parts;
     }
 
     /// Collect a per-phase [`visdb_relevance::PipelineTrace`] on every
@@ -540,8 +527,7 @@ impl Session {
                 scope,
                 cache: cache.as_ref(),
             });
-        let partitioning = (self.partitions > 1).then(|| base.partitions(self.partitions));
-        let pipeline = run_pipeline_opts(
+        let pipeline = run_pipeline(
             &self.db,
             &base,
             &self.resolver,
@@ -557,7 +543,6 @@ impl Session {
                     .shared_projections
                     .as_ref()
                     .map(|(scope, cache)| (scope.as_str(), cache.as_ref())),
-                partitions: partitioning.as_ref(),
                 trace: self.collect_trace,
                 cancel: self.cancel.as_ref(),
                 ..Default::default()
@@ -1191,7 +1176,7 @@ impl Session {
         let _ = self.result()?;
         let res = self.result.as_ref().expect("cached");
         let sub_weighted = Weighted::unit(sub);
-        let pipeline = run_pipeline_opts(
+        let pipeline = run_pipeline(
             &self.db,
             &res.base,
             &self.resolver,

@@ -170,9 +170,10 @@ impl PackedBits {
     }
 
     /// Append the rows of `tail`: whole words when `self` ends on a word
-    /// boundary (chunk-wise folds concatenate this way), each tail word
-    /// split across two words otherwise (a partition boundary, or the
-    /// append path growing a window's bits by Δ rows).
+    /// boundary (chunk-wise folds concatenate this way: every chunk but
+    /// the last is a whole number of words), each tail word split across
+    /// two words otherwise (the append path growing a window's bits by Δ
+    /// rows).
     pub fn append(&mut self, tail: &PackedBits) {
         let shift = self.len % 64;
         if shift == 0 {

@@ -3,8 +3,8 @@
 //! The pipeline's hot passes (distance kernels, normalization-apply,
 //! combining) are embarrassingly parallel over rows: every output row
 //! depends only on the same row of its inputs. This module splits an
-//! output slice into row ranges — fixed-size chunks, or the ranges of a
-//! horizontal [`Partitioning`] — and fans them out across the shared
+//! output slice into fixed-size row ranges ([`ranges`]) and fans them
+//! out across the shared
 //! [`visdb_exec`] runtime, so a single large query parallelizes over
 //! rows while the whole process stays inside one global thread budget.
 //!
@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use visdb_distance::frame::{
     DistanceFrame, ExactBits, FrameSink, FrameStats, PackedBits, PackedChunk,
 };
-use visdb_storage::Partitioning;
 
 /// Rows per chunk. Large enough to amortise dispatch overhead, small
 /// enough to load-balance across the worker pool.
@@ -56,36 +55,15 @@ pub fn run_striped<T: Send>(tasks: Vec<T>, parallel: bool, f: impl Fn(T) + Sync)
     visdb_exec::run_tasks(tasks, f);
 }
 
-/// The row ranges of one pass: [`CHUNK_ROWS`]-sized chunks of `n` rows,
-/// or — under a horizontal [`Partitioning`] — per-partition ranges
-/// sub-chunked by [`CHUNK_ROWS`] so no task ever crosses a partition
-/// boundary (each task reads only bytes its partition owns, the
-/// invariant multi-box sharding will inherit).
-pub fn ranges(n: usize, partitions: Option<&Partitioning>) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    match partitions {
-        None => {
-            let mut offset = 0;
-            while offset < n {
-                let len = CHUNK_ROWS.min(n - offset);
-                out.push((offset, len));
-                offset += len;
-            }
-        }
-        Some(p) => {
-            debug_assert_eq!(p.rows(), n, "partitioning must cover the relation");
-            for part in p.partitions() {
-                let mut offset = part.offset;
-                let end = part.offset + part.len;
-                while offset < end {
-                    let len = CHUNK_ROWS.min(end - offset);
-                    out.push((offset, len));
-                    offset += len;
-                }
-            }
-        }
-    }
-    out
+/// The row ranges of one pass: `n` rows in [`CHUNK_ROWS`]-sized chunks,
+/// the last one shorter. Every range but the last is a whole number of
+/// 64-row words and starts on one, which is what lets a window walk
+/// concatenate its per-range packed bits word by word.
+pub fn ranges(n: usize) -> Vec<(usize, usize)> {
+    (0..n)
+        .step_by(CHUNK_ROWS)
+        .map(|offset| (offset, CHUNK_ROWS.min(n - offset)))
+        .collect()
 }
 
 /// Split `out` into the given contiguous `ranges` (which must cover it
@@ -105,36 +83,18 @@ pub fn split_ranges<'a, T>(out: &'a mut [T], ranges: &[(usize, usize)]) -> Vec<&
     parts
 }
 
-/// Walk `out` range by range, calling `f(offset, range)` for each, with
-/// the ranges taken from `partitions` (or plain chunking) and fanned out
-/// across the runtime when `parallel` is set and the slice is at least
-/// [`PAR_MIN_ROWS`] long.
-pub fn for_each_range<T: Send>(
-    out: &mut [T],
-    partitions: Option<&Partitioning>,
-    parallel: bool,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    if out.is_empty() {
-        return;
-    }
+/// Walk `out` in [`CHUNK_ROWS`]-sized chunks, calling `f(offset, chunk)`
+/// for each, fanning the chunks out across the worker pool when
+/// `parallel` is set and the slice is at least [`PAR_MIN_ROWS`] long.
+pub fn for_each_chunk<T: Send>(out: &mut [T], parallel: bool, f: impl Fn(usize, &mut [T]) + Sync) {
     let fan_out = parallel && out.len() >= PAR_MIN_ROWS;
-    // every range is non-empty by construction (empty partitions emit
-    // no range), so ranges and sub-slices pair up one to one
-    let ranges = ranges(out.len(), partitions);
+    let ranges = ranges(out.len());
     let tasks: Vec<(usize, &mut [T])> = ranges
         .iter()
         .map(|&(offset, _)| offset)
         .zip(split_ranges(out, &ranges))
         .collect();
     run_striped(tasks, fan_out, |(offset, chunk)| f(offset, chunk));
-}
-
-/// Walk `out` in [`CHUNK_ROWS`]-sized chunks, calling `f(offset, chunk)`
-/// for each, fanning the chunks out across the worker pool when
-/// `parallel` is set and the slice is at least [`PAR_MIN_ROWS`] long.
-pub fn for_each_chunk<T: Send>(out: &mut [T], parallel: bool, f: impl Fn(usize, &mut [T]) + Sync) {
-    for_each_range(out, None, parallel, f);
 }
 
 /// Map every row range of a pass to a result, without any backing output
@@ -146,11 +106,10 @@ pub fn for_each_chunk<T: Send>(out: &mut [T], parallel: bool, f: impl Fn(usize, 
 /// table's counts).
 pub fn map_ranges<R: Send>(
     n: usize,
-    partitions: Option<&Partitioning>,
     parallel: bool,
     f: impl Fn(usize, usize) -> R + Sync,
 ) -> Vec<R> {
-    map_range_list(&ranges(n, partitions), parallel && n >= PAR_MIN_ROWS, f)
+    map_range_list(&ranges(n), parallel && n >= PAR_MIN_ROWS, f)
 }
 
 /// [`map_ranges`] over an explicit range list: `f(offset, len)` once per
@@ -173,7 +132,7 @@ pub fn map_range_list<R: Send>(
         .collect()
 }
 
-/// [`for_each_range`] over a packed [`DistanceFrame`]: each task gets
+/// [`for_each_chunk`] over a packed [`DistanceFrame`]: each task gets
 /// the lockstep `(values, validity)` sub-slices of its row range and
 /// returns that range's [`FrameStats`]; the merged stats of the whole
 /// walk come back to the caller. Stats merging is min/max/count only, so
@@ -181,7 +140,6 @@ pub fn map_range_list<R: Send>(
 /// schedule — the fused stats accumulation stays deterministic.
 pub fn for_each_frame_range(
     frame: &mut DistanceFrame,
-    partitions: Option<&Partitioning>,
     parallel: bool,
     f: impl Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync,
 ) -> FrameStats {
@@ -190,7 +148,7 @@ pub fn for_each_frame_range(
         return FrameStats::default();
     }
     let fan_out = parallel && n >= PAR_MIN_ROWS;
-    let ranges = ranges(n, partitions);
+    let ranges = ranges(n);
     let mut stats = vec![FrameStats::default(); ranges.len()];
     {
         type FrameTask<'a> = (usize, (&'a mut [f64], &'a mut [bool]), &'a mut FrameStats);
@@ -234,13 +192,12 @@ pub fn for_each_frame_range(
 /// number of ranges `pack` served.
 pub fn window_walk(
     n: usize,
-    partitions: Option<&Partitioning>,
     parallel: bool,
     k: usize,
     f: impl Fn(usize, &mut [f64], &mut [bool]) -> FrameStats + Sync,
     pack: impl Fn(usize, usize) -> Option<PackedChunk> + Sync,
 ) -> (Option<DistanceFrame>, FrameStats, ExactBits, usize) {
-    let ranges = ranges(n, partitions);
+    let ranges = ranges(n);
     let mut frame = FrameSink::new(n);
     let mut folds = vec![PackedChunk::default(); ranges.len()];
     let (exact_so_far, packed, arena) = (
@@ -432,63 +389,42 @@ mod tests {
         assert_eq!(one, vec![7]);
     }
 
+    /// The invariant a window walk's word-by-word bit concatenation
+    /// relies on: the ranges are contiguous and cover `0..n`, and every
+    /// range but the last is [`CHUNK_ROWS`] long and starts on a 64-row
+    /// word.
     #[test]
-    fn partitioned_ranges_respect_boundaries() {
-        let p = Partitioning::even(CHUNK_ROWS * 3 + 100, 2);
-        let rs = ranges(p.rows(), Some(&p));
-        // no range crosses a partition boundary
-        for part in p.partitions() {
-            let inside: usize = rs
-                .iter()
-                .filter(|&&(o, l)| o >= part.offset && o + l <= part.offset + part.len)
-                .map(|&(_, l)| l)
-                .sum();
-            assert_eq!(inside, part.len);
-        }
-        // and together they cover every row exactly once, in order
-        let mut next = 0;
-        for &(o, l) in &rs {
-            assert_eq!(o, next);
-            next += l;
-        }
-        assert_eq!(next, p.rows());
-    }
-
-    #[test]
-    fn partitioned_walk_matches_chunked_walk() {
-        let n = PAR_MIN_ROWS + 77;
-        let fill = |partitions: Option<&Partitioning>| {
-            let mut out = vec![0.0f64; n];
-            for_each_range(&mut out, partitions, true, |offset, chunk| {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    *slot = (offset + j) as f64 * 0.5 + 1.0;
+    fn ranges_are_contiguous_word_aligned_chunks() {
+        for n in [
+            0,
+            1,
+            63,
+            64,
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 1,
+            3 * CHUNK_ROWS + 100,
+        ] {
+            let rs = ranges(n);
+            let mut next = 0;
+            for (i, &(offset, len)) in rs.iter().enumerate() {
+                assert_eq!(offset, next, "n={n}: contiguous");
+                assert!(len > 0, "n={n}: no empty range");
+                if i + 1 < rs.len() {
+                    assert_eq!(len, CHUNK_ROWS, "n={n}: a full chunk");
+                    assert_eq!(offset % 64, 0, "n={n}: word-aligned");
                 }
-            });
-            out
-        };
-        let plain = fill(None);
-        for parts in [1, 2, 7, 16, 100] {
-            let p = Partitioning::even(n, parts);
-            assert_eq!(fill(Some(&p)), plain, "{parts} partitions");
-        }
-        // more partitions than rows: empty partitions are skipped
-        let tiny = 5;
-        let p = Partitioning::even(tiny, 16);
-        let mut out = vec![0u8; tiny];
-        for_each_range(&mut out, Some(&p), true, |_, chunk| {
-            for slot in chunk.iter_mut() {
-                *slot = 1;
+                next += len;
             }
-        });
-        assert_eq!(out, vec![1; tiny]);
+            assert_eq!(next, n, "n={n}: covers every row");
+        }
     }
 
     /// The count rule of [`window_walk`]: while the exact answers stay
     /// below `k` every range is copied, and the frame is the one a plain
     /// walk fills; at `k` or above there is no frame. The bits and stats
     /// are the plain walk's either way — at 1 to 9 chunks, serial and
-    /// parallel, and over partition ranges that split words — whether or
-    /// not the ranges past `k` are compare-packed (a `>=` column whose
+    /// parallel — whether or not the ranges past `k` are compare-packed (a `>=` column whose
     /// every third chunk holds a `-inf` the pack declines); a serial walk
     /// packs exactly the ranges the count rule names.
     #[test]
@@ -516,13 +452,13 @@ mod tests {
                 batch::compare_pack(&xs[rows.clone()], Some(&valid[rows]), kernel)
             };
             let mut plain = DistanceFrame::undefined(n);
-            let want_stats = for_each_frame_range(&mut plain, None, false, fill);
+            let want_stats = for_each_frame_range(&mut plain, false, fill);
             let want_bits = plain.exact_bits();
             let zeros = want_stats.zeros;
             // the exact answers before each chunk: a serial walk packs the
             // chunks they cover `k` for, but those holding a `-inf`
             let mut before = 0;
-            let counted: Vec<(usize, bool)> = (ranges(n, None).into_iter())
+            let counted: Vec<(usize, bool)> = (ranges(n).into_iter())
                 .map(|(offset, len)| {
                     let at = before;
                     before += (offset..offset + len)
@@ -531,20 +467,18 @@ mod tests {
                     (at, (offset..offset + len).all(|i| !xs[i].is_infinite()))
                 })
                 .collect();
-            let partitioning = Partitioning::even(n, 3);
             let in_first = counted.get(1).map_or(0, |&(at, _)| at);
             for k in [1, in_first + 1, zeros / 2, zeros, zeros + 1, n] {
-                for (parallel, parts) in [(false, None), (true, None), (true, Some(&partitioning))]
-                {
+                for parallel in [false, true] {
                     let what = format!("{chunks} chunks, k = {k}, parallel: {parallel}");
-                    let (raw, stats, bits, packed) = window_walk(n, parts, parallel, k, fill, pack);
+                    let (raw, stats, bits, packed) = window_walk(n, parallel, k, fill, pack);
                     assert_eq!((stats, &bits), (want_stats, &want_bits), "{what}");
                     assert_eq!(raw.is_some(), zeros < k, "{what}");
                     assert!(raw.is_none_or(|raw| raw.bits_eq(&plain)), "{what}");
                     // only ranges past the count's reaching k are packed
                     if zeros < k {
                         assert_eq!(packed, 0, "{what}");
-                    } else if parts.is_none() && !parallel {
+                    } else if !parallel {
                         let due = counted.iter().filter(|&&(at, finite)| at >= k && finite);
                         assert_eq!(packed, due.count(), "{what}");
                     }

@@ -151,7 +151,7 @@ impl PatternTable {
         let sums = pattern_sums(children.len(), weights);
         let mut counts = vec![0; sums.len()];
         let count = |offset, len| PackedBits::pattern_counts(&children, offset..offset + len);
-        for part in chunk::map_ranges(len, None, true, count) {
+        for part in chunk::map_ranges(len, true, count) {
             for (total, part) in counts.iter_mut().zip(part) {
                 *total += part;
             }

@@ -20,7 +20,7 @@ use visdb_query::ast::{
     AttrRef, CompareOp, ConditionNode, Predicate, PredicateTarget, Query, SubqueryLink, Weighted,
 };
 use visdb_query::connection::{ConnectionKind, ConnectionUse};
-use visdb_storage::{ColumnData, Database, NumericSlice, Partitioning, Table};
+use visdb_storage::{ColumnData, Database, NumericSlice, Table};
 use visdb_types::{DataType, Error, Result, TypeClass, Value};
 
 use crate::chunk;
@@ -59,12 +59,12 @@ pub struct EvalContext<'a> {
     pub display_budget: usize,
     /// Columnar fast path vs per-tuple reference path.
     pub mode: ExecMode,
-    /// Horizontal partitioning of the base relation: when set (and the
-    /// mode is vectorized), every O(n) pass is scheduled as per-partition
-    /// runtime tasks whose kernel inputs come from
-    /// [`ColumnData::numeric_slice_at`] — no task reads bytes outside its
-    /// partition. Results are bit-identical to the unpartitioned walk.
-    pub partitions: Option<&'a Partitioning>,
+    /// Always `None`, its only value; nothing reads it. It remains only
+    /// because the end-to-end benchmark harness (`visdb_e2e`, which
+    /// changes on its own schedule) builds this struct by a literal that
+    /// names it. The change that drops `partitions: None` from that
+    /// literal deletes this field.
+    pub partitions: Option<std::convert::Infallible>,
     /// Cooperative cancellation: when set, every chunk walk polls the
     /// token once per 16k-row chunk and fast-drains (skips chunk
     /// bodies) once it trips; the pipeline's phase checkpoints then
@@ -327,15 +327,6 @@ impl<'a> EvalContext<'a> {
         self.mode == ExecMode::Vectorized
     }
 
-    /// The partitioning of the base relation, if any (scalar mode keeps
-    /// the strictly sequential reference walk).
-    fn partitioning(&self) -> Option<&'a Partitioning> {
-        match self.mode {
-            ExecMode::Vectorized => self.partitions,
-            ExecMode::Scalar => None,
-        }
-    }
-
     /// The distance walks' per-chunk cancellation poll: `true` means
     /// "skip this chunk body" (the walk fast-drains; the frame rows it
     /// leaves behind are garbage the pipeline's next checkpoint
@@ -346,9 +337,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Fill `out.set(i, f(i))` for every row, accumulating the fused
-    /// [`FrameStats`]. In `Vectorized` mode the rows are walked range by
-    /// range — per-partition ranges under a [`Partitioning`], plain
-    /// chunks otherwise — fanned out across the shared runtime; the
+    /// [`FrameStats`]. In `Vectorized` mode the rows are walked chunk by
+    /// chunk, fanned out across the shared runtime; the
     /// `Scalar` reference runs the identical loop sequentially (stats
     /// merging is min/max/count, so both produce identical stats).
     fn fill_rows(
@@ -356,12 +346,9 @@ impl<'a> EvalContext<'a> {
         out: &mut DistanceFrame,
         f: impl Fn(usize) -> Option<f64> + Sync,
     ) -> FrameStats {
-        chunk::for_each_frame_range(
-            out,
-            self.partitioning(),
-            self.parallel(),
-            |offset, vals, mask| self.fill_chunk(offset, vals, mask, &f),
-        )
+        chunk::for_each_frame_range(out, self.parallel(), |offset, vals, mask| {
+            self.fill_chunk(offset, vals, mask, &f)
+        })
     }
 
     /// One range of [`EvalContext::fill_rows`]: `f(offset + j)` into row
@@ -575,7 +562,7 @@ impl<'a> EvalContext<'a> {
     fn eval_predicate(&self, p: &Predicate) -> Result<NodeEval> {
         let mut distances = DistanceFrame::undefined(self.table.len());
         let (stats, signed) = self.with_predicate_fill(p, |fill, _| {
-            chunk::for_each_frame_range(&mut distances, self.partitioning(), self.parallel(), fill)
+            chunk::for_each_frame_range(&mut distances, self.parallel(), fill)
         })?;
         Ok(NodeEval {
             label: p.label(),
@@ -603,7 +590,7 @@ impl<'a> EvalContext<'a> {
             let ((raw, stats, bits, packed), signed) =
                 self.with_predicate_fill(p, |fill, pack| {
                     let pack = |o, len| pack.and_then(|pack| pack(o, len));
-                    chunk::window_walk(n, self.partitioning(), self.parallel(), k, fill, pack)
+                    chunk::window_walk(n, self.parallel(), k, fill, pack)
                 })?;
             return Ok(WindowEval {
                 label: p.label(),
@@ -737,8 +724,6 @@ impl<'a> EvalContext<'a> {
             resolver: self.resolver,
             display_budget: self.display_budget,
             mode: self.mode,
-            // the partitioning covers the *outer* base relation; the
-            // inner table has its own row count
             partitions: None,
             cancel: self.cancel,
         };
@@ -954,7 +939,6 @@ impl<'a> EvalContext<'a> {
         let ocodes = odict.codes();
         Some(chunk::for_each_frame_range(
             out,
-            self.partitioning(),
             self.parallel(),
             |offset, vals, mask| {
                 if self.poll_cancel() {

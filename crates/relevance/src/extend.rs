@@ -153,7 +153,7 @@ pub fn extend_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, DisplayPolicy};
+    use crate::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions};
     use visdb_distance::frame::FrameStats;
     use visdb_query::ast::{AttrRef, CompareOp, Predicate, Weighted};
     use visdb_storage::{Database, TableBuilder};
@@ -188,6 +188,7 @@ mod tests {
                 pixels: budget,
                 pixels_per_item: 1,
             },
+            PipelineOptions::default(),
         )
         .unwrap();
         out.windows.into_iter().next().unwrap()

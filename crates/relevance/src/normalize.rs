@@ -183,7 +183,7 @@ pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> NormParams {
     let n = frame.len();
     let smallest = select::k_smallest(
         frame,
-        &chunk::ranges(n, None),
+        &chunk::ranges(n),
         n >= chunk::PAR_MIN_ROWS,
         k,
         f64::abs,

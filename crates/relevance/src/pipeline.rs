@@ -19,13 +19,7 @@
 //!   budget;
 //! * the final full sort is replaced by the bound-pruned top-k
 //!   selection of [`crate::select`] plus a sort of only the selected
-//!   prefix whenever the display policy keeps fewer than n items;
-//! * under a horizontal [`Partitioning`]
-//!   ([`PipelineOptions::partitions`]), every pass — the selection's
-//!   pruning walk included — is scheduled as per-partition tasks over
-//!   partition-sliced buffers: partitioning is just the range list the
-//!   walks take, so the output is bit-identical, the scheduling
-//!   sharding-shaped.
+//!   prefix whenever the display policy keeps fewer than n items.
 //!
 //! A window is its distance walk's stats and a fit ([`NormParams`]), plus
 //! what its readers need of the rows. A fit with `dmax = 0` (§5.1: "none
@@ -58,7 +52,7 @@ use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
 use visdb_index::ProjectionSource;
 use visdb_query::ast::{ConditionNode, Weighted};
-use visdb_storage::{Database, Partitioning, Table};
+use visdb_storage::{Database, Table};
 use visdb_types::{Error, Result};
 
 use crate::cache::{window_key, PipelineCache, WindowSource};
@@ -79,12 +73,18 @@ use crate::select::{k_smallest_sorted, rank_order};
 
 pub use crate::eval::ExecMode;
 
-/// Wall-clock breakdown of one pipeline run, phase by phase — where the
-/// time actually goes at scale (the `pipeline_perf` bench records this
-/// in `BENCH_pipeline.json` so the perf trajectory is attributable
-/// instead of one end-to-end number).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
+/// The first-class explain record of one pipeline run, attached to
+/// [`PipelineOutput::trace`] when [`PipelineOptions::trace`] is set:
+/// the wall clock of each phase — where the time goes at scale — plus
+/// the execution decisions that produced it: how many windows the §6
+/// caches served vs. re-evaluated, and which fits, children and
+/// rankings were answered from counts and bits. This is what
+/// `trace: true` server requests return inline and what `pipeline_perf`
+/// records as `phase_ms`, so production traces and the bench can never
+/// drift apart. Collection costs one branch when disabled (no
+/// allocation).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PipelineTrace {
     /// Distance walks over the base relation (kernels or per-tuple),
     /// including the fused per-predicate stats accumulation.
     pub distance: Duration,
@@ -96,25 +96,6 @@ pub struct PhaseTimings {
     pub normalize_combine: Duration,
     /// Ranking and display selection (top-k / sort / merge).
     pub rank: Duration,
-}
-
-/// The first-class explain record of one pipeline run, attached to
-/// [`PipelineOutput::trace`] when [`PipelineOptions::trace`] is set:
-/// the per-phase wall-clock breakdown plus the execution decisions that
-/// produced it — how far the partition fan-out went, how many windows
-/// the §6 caches served vs. re-evaluated, and which fits, children and
-/// rankings were answered from counts and bits. This is what
-/// `trace: true` server requests return inline and what `pipeline_perf`
-/// records as `phase_ms`, so production traces and the bench can never
-/// drift apart. Collection costs one branch when disabled (no
-/// allocation).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineTrace {
-    /// Wall-clock per phase (distance / fit / normalize+combine /
-    /// rank), same attribution rules as [`PhaseTimings`].
-    pub phases: PhaseTimings,
-    /// Horizontal partition fan-out (1 = unpartitioned).
-    pub partitions: usize,
     /// Rows of the base relation the run covered — the span of every
     /// window evaluation and of the root combine.
     pub rows_scanned: u64,
@@ -171,7 +152,7 @@ macro_rules! phase_time {
         let start = $trace.as_ref().map(|_| Instant::now());
         let out = $body;
         if let (Some(t), Some(start)) = (&mut $trace, start) {
-            t.phases.$phase += start.elapsed();
+            t.$phase += start.elapsed();
         }
         out
     }};
@@ -372,7 +353,7 @@ impl PredicateWindow {
                 PackedBits::with_capacity(rows),
                 PackedBits::with_capacity(rows),
             );
-            for (e, d) in chunk::map_ranges(rows, None, true, fold) {
+            for (e, d) in chunk::map_ranges(rows, true, fold) {
                 exact.append(&e);
                 defined.append(&d);
             }
@@ -490,17 +471,13 @@ pub struct PipelineOptions<'a> {
     /// build together with its windows; without one a join sorts its
     /// inner key on every evaluation.
     pub projections: Option<(&'a str, &'a dyn ProjectionSource)>,
-    /// Columnar fast path (default) vs per-tuple reference path.
+    /// Columnar fast path (default) vs the per-tuple, full-sort
+    /// reference path — the oracle the property tests and the
+    /// scalar-vs-vectorized benchmark compare against. Both produce
+    /// bit-identical results (the default path's
+    /// [`PipelineOutput::order`] is a prefix of the reference's full
+    /// sort).
     pub mode: ExecMode,
-    /// Horizontal partitioning of the base relation. When set (and the
-    /// mode is vectorized), every O(n) pass — the ranking's pruning walk
-    /// included — runs as per-partition runtime tasks over
-    /// partition-sliced buffers. Results are **bit-identical** to the
-    /// unpartitioned path
-    /// (property-tested) — partitioning is purely a scheduling/sharding
-    /// decision. Ignored under [`ExecMode::Scalar`], which stays the
-    /// strictly sequential reference.
-    pub partitions: Option<&'a Partitioning>,
     /// When true, the run collects a [`PipelineTrace`] (per-phase wall
     /// clock + execution decisions) into [`PipelineOutput::trace`].
     /// Costs one branch and one small allocation per run when enabled,
@@ -532,53 +509,11 @@ fn checkpoint(cancel: Option<&CancelToken>, phase: Phase) -> Result<()> {
     }
 }
 
-/// Run the pipeline over a base relation.
+/// Run the pipeline over a base relation, with the machinery `opts`
+/// names around it (`PipelineOptions::default()` for none).
 ///
 /// `condition = None` marks every item an exact answer (a pure scan).
 pub fn run_pipeline(
-    db: &Database,
-    table: &Table,
-    resolver: &DistanceResolver,
-    condition: Option<&Weighted>,
-    policy: &DisplayPolicy,
-) -> Result<PipelineOutput> {
-    run_pipeline_opts(
-        db,
-        table,
-        resolver,
-        condition,
-        policy,
-        PipelineOptions::default(),
-    )
-}
-
-/// [`run_pipeline`] forced onto the per-tuple, full-sort reference path.
-/// Exists for the equivalence property tests and the
-/// scalar-vs-vectorized benchmark; results are bit-identical to the
-/// default path (whose [`PipelineOutput::order`] is a prefix of this
-/// path's full sort).
-pub fn run_pipeline_scalar(
-    db: &Database,
-    table: &Table,
-    resolver: &DistanceResolver,
-    condition: Option<&Weighted>,
-    policy: &DisplayPolicy,
-) -> Result<PipelineOutput> {
-    run_pipeline_opts(
-        db,
-        table,
-        resolver,
-        condition,
-        policy,
-        PipelineOptions {
-            mode: ExecMode::Scalar,
-            ..Default::default()
-        },
-    )
-}
-
-/// The fully-optioned pipeline entry point.
-pub fn run_pipeline_opts(
     db: &Database,
     table: &Table,
     resolver: &DistanceResolver,
@@ -591,7 +526,6 @@ pub fn run_pipeline_opts(
         shared,
         projections,
         mode,
-        partitions,
         trace: want_trace,
         cancel,
     } = opts;
@@ -603,24 +537,6 @@ pub fn run_pipeline_opts(
             format!("{n} rows exceed the ranking's 32-bit row ids"),
         ));
     }
-    // partitioning is a vectorized-only scheduling decision; a single
-    // partition is the unpartitioned walk, and below
-    // [`PARTITION_MIN_ROWS`] the planner drops a requested partitioning
-    // entirely — per-partition task dispatch is pure overhead on small
-    // relations, and the outputs are bit-identical either way (pinned by
-    // `partition_planner_threshold`)
-    let partitions = match partitions {
-        Some(p) if mode == ExecMode::Vectorized => {
-            if p.rows() != n {
-                return Err(Error::invalid_parameter(
-                    "partitions",
-                    format!("partitioning covers {} rows, relation has {n}", p.rows()),
-                ));
-            }
-            (p.len() > 1 && n >= PARTITION_MIN_ROWS).then_some(p)
-        }
-        _ => None,
-    };
     let Some(cond) = condition else {
         // pure scan: every item is an exact answer — the table of no
         // windows; (0..n) is already the relevance order (all-zero
@@ -630,7 +546,6 @@ pub fn run_pipeline_opts(
         let displayed = select_display(&combined, &order, policy, 0, None)?;
         let patterns = vec![0; displayed.len()];
         if let Some(t) = &mut trace {
-            t.partitions = partitions.map_or(1, |p| p.len());
             t.rows_scanned = n as u64;
         }
         return Ok(PipelineOutput {
@@ -660,7 +575,7 @@ pub fn run_pipeline_opts(
         resolver,
         display_budget: policy.budget(n),
         mode,
-        partitions,
+        partitions: None,
         cancel,
     };
 
@@ -790,8 +705,7 @@ pub fn run_pipeline_opts(
 
     // Rank and select. The scalar reference pays the paper's dominant
     // O(n log n) full sort; the vectorized path selects the policy's
-    // top k (pruned by a sampled bound, walking the partitions' ranges
-    // when there are any) and sorts only that prefix.
+    // top k (pruned by a sampled bound) and sorts only that prefix.
     checkpoint(cancel, Phase::Rank)?;
     let (order, displayed, patterns) = phase_time!(trace, rank, {
         match mode {
@@ -812,7 +726,6 @@ pub fn run_pipeline_opts(
                 &windows,
                 policy,
                 windows.len(),
-                &chunk::ranges(n, partitions),
                 trace.as_deref_mut(),
             )?,
         }
@@ -845,7 +758,6 @@ pub fn run_pipeline_opts(
     }
 
     if let Some(t) = &mut trace {
-        t.partitions = partitions.map_or(1, |p| p.len());
         t.rows_scanned = n as u64;
         t.cache_hits = session_hits;
         t.shared_hits = shared_hits;
@@ -1172,8 +1084,7 @@ fn combine_vectorized(
 /// in registers. A root `OR` normalizes its children into per-chunk
 /// scratch and runs the same steps as slice kernels. Every kernel is
 /// proven exact against the scalar reference (see the kernels' docs).
-/// Tasks follow partition-respecting ranges, so none ever crosses a
-/// partition. The frame is finalized in place.
+/// The frame is finalized in place.
 fn walk_root(
     ctx: &EvalContext<'_>,
     windows: &[PredicateWindow],
@@ -1196,7 +1107,7 @@ fn walk_root(
         })
         .collect();
     let mut combined = DistanceFrame::undefined(n);
-    let ranges = chunk::ranges(n, ctx.partitions);
+    let ranges = chunk::ranges(n);
     let mut range_accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
     let tasks: Vec<_> = (ranges.iter().map(|&(offset, _)| offset))
         .zip(combined.split_ranges_mut(&ranges))
@@ -1335,20 +1246,19 @@ fn in_two_sided_band(win: &PredicateWindow, lo: f64, hi: f64, i: usize) -> bool 
 /// *is* the first `k` rows at `0.0` in row order — an early-exit scan.
 /// Otherwise the bound-pruned kernel selects and sorts them. A derived
 /// root walks its value classes over the windows' bits instead
-/// ([`PatternTable::smallest`]), either way. `ranges` is the row-range
-/// list the selection takes — plain chunks or a partitioning's, the
-/// result is the same. Returns `(order, displayed, patterns)`, the last
-/// the displayed rows' patterns under a table root.
+/// ([`PatternTable::smallest`]), either way. Returns `(order,
+/// displayed, patterns)`, the last the displayed rows' patterns under a
+/// table root.
 fn rank_and_select(
     combined: &Combined,
     root: &RootAcc,
     windows: &[PredicateWindow],
     policy: &DisplayPolicy,
     num_windows: usize,
-    ranges: &[(usize, usize)],
     mut trace: Option<&mut PipelineTrace>,
 ) -> Result<(Vec<u32>, Vec<usize>, Vec<u8>)> {
     let n = combined.len();
+    let ranges = &chunk::ranges(n);
     let m = root.defined;
     let parallel = n >= PARALLEL_THRESHOLD;
     let finish = |(ranked, mut patterns): (Vec<(f64, u32)>, Vec<u8>), shown: usize| {
@@ -1441,13 +1351,6 @@ fn rank_and_select(
 /// benches and tests that pin workloads on either side of the threshold.
 pub const PARALLEL_THRESHOLD: usize = chunk::PAR_MIN_ROWS;
 
-/// Below this many rows the planner ignores a requested [`Partitioning`]
-/// and runs the unpartitioned walk: per-partition task dispatch costs
-/// more than it saves on relations this small, and the two walks are
-/// bit-identical, so dropping the fan-out is purely a scheduling
-/// decision (`trace.partitions` reports 1).
-pub const PARTITION_MIN_ROWS: usize = chunk::PAR_MIN_ROWS;
-
 /// Display selection over a fully sorted `order` — the scalar
 /// reference's (and the pure scan's) side of the policy math above.
 fn select_display(
@@ -1532,7 +1435,15 @@ mod tests {
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Ge, 90.0);
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(50.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(50.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.n, 100);
         assert_eq!(out.num_exact, 10); // x in 90..=99
                                        // the first 10 in order are the exact answers
@@ -1557,10 +1468,34 @@ mod tests {
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Ge, 100.0);
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(10.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(10.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.displayed.len(), 20);
-        assert!(run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(0.0)).is_err());
-        assert!(run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(150.0)).is_err());
+        assert!(run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(0.0),
+            PipelineOptions::default()
+        )
+        .is_err());
+        assert!(run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(150.0),
+            PipelineOptions::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -1583,6 +1518,7 @@ mod tests {
                 pixels: 900,
                 pixels_per_item: 1,
             },
+            PipelineOptions::default(),
         )
         .unwrap();
         // p = 900 / (1000 * 3) = 0.3 -> 300 items
@@ -1615,6 +1551,7 @@ mod tests {
                 rmax: 90,
                 z: 5,
             },
+            PipelineOptions::default(),
         )
         .unwrap();
         // the cut should land near the cluster boundary (50)
@@ -1630,7 +1567,15 @@ mod tests {
         let db = db_with_ramp(10);
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
-        let out = run_pipeline(&db, t, &r, None, &DisplayPolicy::Percentage(100.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            None,
+            &DisplayPolicy::Percentage(100.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.num_exact, 10);
         assert_eq!(out.displayed.len(), 10);
         assert!(out.windows.is_empty());
@@ -1646,7 +1591,15 @@ mod tests {
             .cmp("x", CompareOp::Lt, 7.0)
             .build();
         let c = q.condition.unwrap();
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(100.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(100.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.windows.len(), 2);
         let w0 = &out.windows[0];
         assert!(w0.signed);
@@ -1679,6 +1632,7 @@ mod tests {
             &r,
             Some(&c),
             &DisplayPolicy::TwoSidedPercentage(20.0),
+            PipelineOptions::default(),
         )
         .unwrap();
         assert!(!out.displayed.is_empty());
@@ -1700,7 +1654,8 @@ mod tests {
             t,
             &r,
             Some(&c),
-            &DisplayPolicy::TwoSidedPercentage(0.0)
+            &DisplayPolicy::TwoSidedPercentage(0.0),
+            PipelineOptions::default(),
         )
         .is_err());
     }
@@ -1726,6 +1681,7 @@ mod tests {
             &r,
             Some(&c),
             &DisplayPolicy::TwoSidedPercentage(50.0),
+            PipelineOptions::default(),
         )
         .unwrap();
         assert_eq!(out.displayed.len(), 5);
@@ -1744,7 +1700,15 @@ mod tests {
             .cmp("x", CompareOp::Lt, n as f64 * 0.95)
             .build();
         let c = q.condition.unwrap();
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(10.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(10.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         // sequential reference: evaluate each child by hand
         let ctx = crate::eval::EvalContext {
             db: &db,
@@ -1808,8 +1772,20 @@ mod tests {
             },
             DisplayPolicy::TwoSidedPercentage(15.0),
         ] {
-            let fast = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
-            let slow = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
+            let fast =
+                run_pipeline(&db, t, &r, Some(&c), &policy, PipelineOptions::default()).unwrap();
+            let slow = run_pipeline(
+                &db,
+                t,
+                &r,
+                Some(&c),
+                &policy,
+                PipelineOptions {
+                    mode: ExecMode::Scalar,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
             assert_eq!(fast.combined, slow.combined, "{policy:?}");
             assert_eq!(relevance(&fast), relevance(&slow));
             assert_eq!(fast.num_exact, slow.num_exact);
@@ -1852,159 +1828,6 @@ mod tests {
     /// Every item's relevance factor, through the accessor.
     fn relevance(out: &PipelineOutput) -> Vec<Option<f64>> {
         (0..out.n).map(|i| out.relevance(i)).collect()
-    }
-
-    /// [`run_pipeline_opts`] over an optional partitioning.
-    fn run_partitioned(
-        db: &Database,
-        t: &Table,
-        r: &DistanceResolver,
-        c: Option<&Weighted>,
-        policy: &DisplayPolicy,
-        partitions: Option<&Partitioning>,
-    ) -> PipelineOutput {
-        run_pipeline_opts(
-            db,
-            t,
-            r,
-            c,
-            policy,
-            PipelineOptions {
-                partitions,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn partitioned_matches_scalar_and_vectorized_across_policies() {
-        let db = db_with_ramp(3000);
-        let t = db.table("T").unwrap();
-        let r = DistanceResolver::new();
-        let q = QueryBuilder::from_tables(["T"])
-            .cmp("x", CompareOp::Ge, 2500.0)
-            .cmp("x", CompareOp::Lt, 2800.0)
-            .build();
-        let c = q.condition.unwrap();
-        for policy in [
-            DisplayPolicy::Percentage(20.0),
-            DisplayPolicy::FitScreen {
-                pixels: 900,
-                pixels_per_item: 4,
-            },
-            DisplayPolicy::GapHeuristic {
-                rmin: 10,
-                rmax: 200,
-                z: 5,
-            },
-            DisplayPolicy::TwoSidedPercentage(15.0),
-        ] {
-            let slow = run_pipeline_scalar(&db, t, &r, Some(&c), &policy).unwrap();
-            let fast = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
-            for parts in [1, 2, 7, 16] {
-                let partitioning = t.partitions(parts);
-                let part = run_partitioned(
-                    &db,
-                    t,
-                    &r,
-                    Some(&c),
-                    &policy,
-                    (partitioning.len() > 1).then_some(&partitioning),
-                );
-                assert_eq!(part.combined, slow.combined, "{policy:?} x{parts}");
-                assert_eq!(relevance(&part), relevance(&slow));
-                assert_eq!(part.num_exact, slow.num_exact);
-                assert_eq!(part.displayed, slow.displayed, "{policy:?} x{parts}");
-                assert_eq!(part.order, fast.order, "{policy:?} x{parts}");
-                if !matches!(policy, DisplayPolicy::TwoSidedPercentage(_)) {
-                    // (the two-sided ranking is the displayed band, not
-                    // the global top-k)
-                    assert_eq!(
-                        part.order,
-                        slow.order[..part.order.len()],
-                        "{policy:?} x{parts}"
-                    );
-                }
-                for (pw, sw) in part.windows.iter().zip(&slow.windows) {
-                    assert_same_distances(pw, sw, &format!("{policy:?} x{parts}"));
-                    assert_eq!(normalized(pw), normalized(sw));
-                    assert_eq!(pw.norm_params, sw.norm_params);
-                }
-            }
-        }
-        // a partitioning that does not cover the relation is rejected
-        let stale = Partitioning::even(2999, 4);
-        let err = run_pipeline_opts(
-            &db,
-            t,
-            &r,
-            Some(&c),
-            &DisplayPolicy::Percentage(20.0),
-            PipelineOptions {
-                partitions: Some(&stale),
-                ..Default::default()
-            },
-        );
-        assert!(err.is_err());
-    }
-
-    /// Pins the planner's partition row threshold: a requested
-    /// partitioning is honored at `PARTITION_MIN_ROWS` and dropped (to
-    /// the bit-identical unpartitioned walk) below it.
-    #[test]
-    fn partition_planner_threshold() {
-        let r = DistanceResolver::new();
-        let policy = DisplayPolicy::Percentage(20.0);
-        for (n, expect_parts) in [(PARTITION_MIN_ROWS / 8, 1), (PARTITION_MIN_ROWS, 4)] {
-            let db = db_with_ramp(n);
-            let t = db.table("T").unwrap();
-            let c = cond(CompareOp::Ge, n as f64 / 2.0);
-            let partitioning = t.partitions(4);
-            let out = run_pipeline_opts(
-                &db,
-                t,
-                &r,
-                Some(&c),
-                &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    trace: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let trace = out.trace.as_ref().expect("trace requested");
-            assert_eq!(trace.partitions, expect_parts, "n={n}");
-            // either way the outputs match the unpartitioned walk —
-            // dropping the fan-out is purely a scheduling decision
-            let plain = run_pipeline(&db, t, &r, Some(&c), &policy).unwrap();
-            assert_eq!(out.combined, plain.combined, "n={n}");
-            assert_eq!(out.num_exact, plain.num_exact);
-            assert_eq!(out.displayed, plain.displayed);
-            assert_eq!(out.order, plain.order, "n={n}");
-        }
-    }
-
-    #[test]
-    fn stale_partitioning_is_rejected() {
-        let db = db_with_ramp(3000);
-        let t = db.table("T").unwrap();
-        let r = DistanceResolver::new();
-        let c = cond(CompareOp::Ge, 1500.0);
-        let stale = Partitioning::even(2999, 4);
-        let err = run_pipeline_opts(
-            &db,
-            t,
-            &r,
-            Some(&c),
-            &DisplayPolicy::Percentage(20.0),
-            PipelineOptions {
-                partitions: Some(&stale),
-                ..Default::default()
-            },
-        );
-        assert!(err.is_err());
     }
 
     #[test]
@@ -2056,7 +1879,7 @@ mod tests {
         let policy = DisplayPolicy::Percentage(25.0);
         let source = MapSource::default();
         let run = |sh: &MapSource| {
-            run_pipeline_opts(
+            run_pipeline(
                 &db,
                 t,
                 &r,
@@ -2086,7 +1909,7 @@ mod tests {
             .cmp("x", CompareOp::Lt, 400.0)
             .build();
         let c2 = q2.condition.unwrap();
-        let out2 = run_pipeline_opts(
+        let out2 = run_pipeline(
             &db,
             t,
             &r,
@@ -2104,7 +1927,8 @@ mod tests {
         assert_eq!(source.hits.load(std::sync::atomic::Ordering::Relaxed), 3);
         assert_eq!(source.map.lock().unwrap().len(), 3);
         // and is byte-identical to an uncached evaluation
-        let reference = run_pipeline(&db, t, &r, Some(&c2), &policy).unwrap();
+        let reference =
+            run_pipeline(&db, t, &r, Some(&c2), &policy, PipelineOptions::default()).unwrap();
         assert_eq!(out2.combined, reference.combined);
         assert_eq!(out2.displayed, reference.displayed);
     }
@@ -2168,7 +1992,15 @@ mod tests {
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Eq, 0.0);
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(50.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(50.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         let win = &out.windows[0];
         assert_eq!(win.zero_raw_count(), scanned);
         // 20 exact answers cover the fit of 20 rows: the window is its bits
@@ -2437,7 +2269,15 @@ mod tests {
         let t = db.table("T").unwrap();
         let r = DistanceResolver::new();
         let c = cond(CompareOp::Ge, 0.0); // everything fulfils
-        let out = run_pipeline(&db, t, &r, Some(&c), &DisplayPolicy::Percentage(100.0)).unwrap();
+        let out = run_pipeline(
+            &db,
+            t,
+            &r,
+            Some(&c),
+            &DisplayPolicy::Percentage(100.0),
+            PipelineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(out.num_exact, 5);
         assert!(out.combined.iter().all(|d| d == Some(0.0)));
     }

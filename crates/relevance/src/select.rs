@@ -135,8 +135,8 @@ fn gather(
 /// The `k` smallest defined rows of `frame` under [`rank_order`] on
 /// `(key(value), row id)`, as `(key, row)` pairs in **unspecified
 /// order** (all of them when fewer than `k` are defined). `ranges` must
-/// cover the frame in order — partition-respecting or plain chunks, the
-/// result is the same set. Row ids are `u32`: the pipeline rejects
+/// cover the frame in order ([`crate::chunk::ranges`]); how they cut it
+/// does not change the set. Row ids are `u32`: the pipeline rejects
 /// larger relations up front.
 pub fn k_smallest(
     frame: &DistanceFrame,

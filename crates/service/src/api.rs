@@ -137,8 +137,6 @@ pub struct TraceReport {
     /// Rows of the base relation the run covered
     /// ([`PipelineTrace::rows_scanned`]).
     pub rows_scanned: u64,
-    /// Horizontal partition fan-out (1 = unpartitioned).
-    pub partitions: usize,
     /// Predicate windows found in the per-session §6 cache.
     pub window_cache_hits: usize,
     /// Predicate windows found in the cross-session shared cache.
@@ -159,12 +157,11 @@ pub struct TraceReport {
 impl From<&PipelineTrace> for TraceReport {
     fn from(t: &PipelineTrace) -> Self {
         TraceReport {
-            distance_ns: t.phases.distance.as_nanos() as u64,
-            fit_ns: t.phases.fit.as_nanos() as u64,
-            normalize_combine_ns: t.phases.normalize_combine.as_nanos() as u64,
-            rank_ns: t.phases.rank.as_nanos() as u64,
+            distance_ns: t.distance.as_nanos() as u64,
+            fit_ns: t.fit.as_nanos() as u64,
+            normalize_combine_ns: t.normalize_combine.as_nanos() as u64,
+            rank_ns: t.rank.as_nanos() as u64,
             rows_scanned: t.rows_scanned,
-            partitions: t.partitions,
             window_cache_hits: t.cache_hits,
             shared_window_hits: t.shared_hits,
             windows_refit: t.windows_refit,
@@ -650,7 +647,6 @@ impl TraceReport {
             ("normalize_combine_ns", self.normalize_combine_ns.into()),
             ("rank_ns", self.rank_ns.into()),
             ("rows_scanned", self.rows_scanned.into()),
-            ("partitions", self.partitions.into()),
             ("window_cache_hits", self.window_cache_hits.into()),
             ("shared_window_hits", self.shared_window_hits.into()),
             ("windows_refit", self.windows_refit.into()),

@@ -15,8 +15,6 @@
 //!
 //! Options: `--workers N` (global thread budget, default 4), `--cache N`
 //! (default 256), `--hours N` (size of the env dataset, default 240),
-//! `--partitions N` (horizontal partitions per pipeline run, default 0 =
-//! unpartitioned; outputs are bit-identical either way),
 //! `--watermark N` (admission watermark: pending requests beyond this
 //! are shed with a retry-after hint, default 4096), and
 //! `--deadline-ms N` (default per-request deadline, default 0 = none;
@@ -54,7 +52,6 @@ struct Args {
     workers: usize,
     cache: usize,
     hours: usize,
-    partitions: usize,
     watermark: usize,
     deadline_ms: usize,
 }
@@ -65,7 +62,6 @@ impl Default for Args {
             workers: 4,
             cache: 256,
             hours: 240,
-            partitions: 0,
             watermark: 4096,
             deadline_ms: 0,
         }
@@ -85,7 +81,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--workers" => parsed.workers = value(args.next())?,
             "--cache" => parsed.cache = value(args.next())?,
             "--hours" => parsed.hours = value(args.next())?,
-            "--partitions" => parsed.partitions = value(args.next())?,
             "--watermark" => parsed.watermark = value(args.next())?,
             "--deadline-ms" => parsed.deadline_ms = value(args.next())?,
             _ => return Err(format!("unknown argument '{flag}'")),
@@ -100,7 +95,6 @@ fn main() -> ExitCode {
         workers,
         cache,
         hours,
-        partitions,
         watermark,
         deadline_ms,
     } = match parse_args(&args) {
@@ -114,7 +108,6 @@ fn main() -> ExitCode {
     let service = Service::new(ServiceConfig {
         workers,
         cache_capacity: cache,
-        partitions,
         pending_watermark: watermark,
         default_deadline: (deadline_ms > 0)
             .then(|| std::time::Duration::from_millis(deadline_ms as u64)),
@@ -183,8 +176,6 @@ mod tests {
             "16",
             "--hours",
             "24",
-            "--partitions",
-            "3",
             "--watermark",
             "100",
             "--deadline-ms",
@@ -194,13 +185,12 @@ mod tests {
             workers: 8,
             cache: 16,
             hours: 24,
-            partitions: 3,
             watermark: 100,
             deadline_ms: 250,
         };
         assert_eq!(parse(&all), Ok(want));
-        let some = parse(&["--partitions", "2"]).unwrap();
-        assert_eq!((some.partitions, some.workers), (2, 4));
+        let some = parse(&["--watermark", "2"]).unwrap();
+        assert_eq!((some.watermark, some.workers), (2, 4));
     }
 
     #[test]
@@ -218,6 +208,7 @@ mod tests {
         let retired = concat!("--", "exec");
         for (args, named) in [
             (&[retired, "streaming"][..], retired),
+            (&["--partitions", "2"], "--partitions"),
             (&["--worker", "8"], "--worker"),
             (&["--workers", "2", "verbose"], "verbose"),
             (&["env"], "env"),

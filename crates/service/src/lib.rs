@@ -23,10 +23,6 @@
 //!   and the live thread count never exceeds the configured budget no
 //!   matter how many large queries run concurrently ([`service`] module
 //!   docs describe the mailbox scheduling).
-//! * **Partitioned execution** — `ServiceConfig::partitions` runs every
-//!   pipeline over horizontal partitions of the base relation with
-//!   per-partition top-k selections merged by relevance rank;
-//!   bit-identical outputs, sharding-shaped scheduling.
 //! * **Cross-user caching** — three shared caches, one bounded weighted
 //!   LRU ([`cache`]) instantiated three times: a [`QueryCache`] keyed by
 //!   (dataset, normalized query text, display parameters) serves

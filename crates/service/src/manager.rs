@@ -16,10 +16,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use visdb_core::Session;
 use visdb_exec::CancelToken;
 use visdb_obs::{Counter, Gauge, Registry};
@@ -83,15 +83,13 @@ impl SessionSlot {
 
 /// Per-session wiring handed to [`SessionManager::create`]: the shared
 /// caches (scoped to one dataset generation) and the execution knobs.
-/// Defaults to no shared caches, unpartitioned, untraced.
+/// Defaults to no shared caches, untraced.
 #[derive(Default)]
 pub struct SessionOptions {
     /// The service's shared predicate-window cache, if enabled.
     pub windows: Option<Arc<crate::cache::WindowCache>>,
     /// The service's shared sorted-projection cache, if enabled.
     pub projections: Option<Arc<crate::cache::ProjectionCache>>,
-    /// Horizontal partitions per pipeline run (0/1 = unpartitioned).
-    pub partitions: usize,
     /// Collect a per-phase pipeline trace on every recalculation (see
     /// [`visdb_core::Session::set_collect_trace`]). The service enables
     /// this so `trace: true` requests and the per-phase latency
@@ -177,7 +175,6 @@ impl SessionManager {
         // one recalculation at the next fetch, not one per move (§4.3's
         // "auto recalculate off" mode)
         session.set_auto_recalculate(false);
-        session.set_partitions(options.partitions);
         session.set_collect_trace(options.collect_trace);
         if let Some(cache) = options.windows {
             session.set_shared_windows(dataset.clone(), cache);

@@ -31,10 +31,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver};
 use visdb_core::{BandRebase, Paint};
 use visdb_exec::{CancelToken, Interrupt, Runtime};
 use visdb_index::{parse_projection_key, projection_key, ProjectionSource};
@@ -58,10 +58,6 @@ pub struct ServiceConfig {
     /// queries run concurrently — can push the live thread count past
     /// this.
     pub workers: usize,
-    /// Horizontal partitions per pipeline run (0 or 1 disables
-    /// partitioned execution). Outputs are bit-identical either way;
-    /// partitioning only changes how the work is scheduled.
-    pub partitions: usize,
     /// Maximum live sessions before LRU eviction.
     pub max_sessions: usize,
     /// Idle horizon for [`Service::evict_idle_sessions`].
@@ -94,7 +90,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 4,
-            partitions: 0,
             max_sessions: 1024,
             idle_timeout: Duration::from_secs(300),
             cache_capacity: 256,
@@ -364,10 +359,10 @@ impl ServiceObs {
     /// histograms and the refit, fit, rank and combine counters.
     fn record_run(&self, trace: &PipelineTrace) {
         let [distance, fit, normalize_combine, rank] = &self.phases;
-        distance.record_duration(trace.phases.distance);
-        fit.record_duration(trace.phases.fit);
-        normalize_combine.record_duration(trace.phases.normalize_combine);
-        rank.record_duration(trace.phases.rank);
+        distance.record_duration(trace.distance);
+        fit.record_duration(trace.fit);
+        normalize_combine.record_duration(trace.normalize_combine);
+        rank.record_duration(trace.rank);
         self.windows_refit.add(trace.windows_refit as u64);
         let counts = [
             trace.fits_from_counts,
@@ -425,7 +420,6 @@ pub struct Service {
     cache: Arc<QueryCache>,
     window_cache: Arc<WindowCache>,
     projection_cache: Arc<ProjectionCache>,
-    partitions: usize,
     /// The telemetry registry every layer publishes into: exec-pool
     /// counters, cache hit/miss counters, session occupancy, per-op
     /// request counts and latency histograms, pipeline phase histograms.
@@ -463,7 +457,6 @@ impl Service {
             cache,
             window_cache,
             projection_cache,
-            partitions: config.partitions,
             registry,
             obs,
             admission,
@@ -532,7 +525,6 @@ impl Service {
                 .projection_cache
                 .is_enabled()
                 .then(|| Arc::clone(&self.projection_cache)),
-            partitions: self.partitions,
             // traced sessions make `trace: true` requests answerable
             // from the cached result and feed the per-phase histograms;
             // the cost is a few clock reads per full pipeline run
@@ -588,14 +580,14 @@ impl Service {
         // a possibly busy mailbox (an explain request must not wait for
         // the query it wants to explain)
         if matches!(request, Request::Metrics) {
-            let (reply, rx) = channel::unbounded();
+            let (reply, rx) = mpsc::channel();
             let _ = reply.send(Response::Metrics(Box::new(self.metrics_snapshot())));
             return Ok(PendingResponse { rx });
         }
         let slot = self.manager.get(id).ok_or_else(|| {
             Error::invalid_parameter("session", format!("unknown or evicted {id}"))
         })?;
-        let (reply, rx) = channel::unbounded();
+        let (reply, rx) = mpsc::channel();
         if let Err(retry_after_ms) = self.admission.try_admit() {
             let _ = reply.send(Response::shed(
                 format!(

@@ -472,11 +472,10 @@ impl ColumnData {
         }
     }
 
-    /// [`ColumnData::numeric_slice`] restricted to one horizontal
-    /// partition: the native buffer and validity mask of rows
-    /// `offset..offset + len`. This is how a
-    /// [`Partitioning`](crate::partition::Partitioning) view turns into
-    /// per-partition kernel inputs without copying anything.
+    /// [`ColumnData::numeric_slice`] restricted to one row range: the
+    /// native buffer and validity mask of rows `offset..offset + len`.
+    /// This is how a chunk walk hands each task its kernel inputs
+    /// without copying anything.
     pub fn numeric_slice_at(
         &self,
         offset: usize,
@@ -687,5 +686,35 @@ mod tests {
         c.push(Value::Location(Location::new(48.0, 11.0))).unwrap();
         assert_eq!(c.get_location(0), Some(Location::new(48.0, 11.0)));
         assert_eq!(c.get_f64(0), None);
+    }
+
+    /// A row range of a native numeric column borrows its buffer and its
+    /// validity mask, and an all-valid column has no mask to slice.
+    #[test]
+    fn numeric_slice_at_slices_native_buffers_and_masks() {
+        let mut c = ColumnData::new(DataType::Float);
+        for i in 0..10 {
+            let v = if i == 4 {
+                Value::Null
+            } else {
+                Value::Float(i as f64)
+            };
+            c.push(v).unwrap();
+        }
+        match c.numeric_slice_at(4, 3) {
+            Some((NumericSlice::F64(xs), Some(mask))) => {
+                assert_eq!(xs, &[0.0, 5.0, 6.0]); // NULL slot holds the default
+                assert_eq!(mask, &[false, true, true]);
+            }
+            other => panic!("unexpected view {other:?}"),
+        }
+        let mut c = ColumnData::new(DataType::Int);
+        for i in 0..6 {
+            c.push(Value::Int(i)).unwrap();
+        }
+        match c.numeric_slice_at(2, 2) {
+            Some((NumericSlice::I64(xs), None)) => assert_eq!(xs, &[2, 3]),
+            other => panic!("unexpected view {other:?}"),
+        }
     }
 }

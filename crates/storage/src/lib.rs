@@ -17,10 +17,7 @@
 //!   example and external datasets are inspectable,
 //! * [`delta::DeltaChain`] — append lineage (base generation + row-count
 //!   watermark per link + compaction fold-back) behind the O(Δ)
-//!   incremental maintenance of the serving layer's caches,
-//! * [`partition`] — zero-copy horizontal [`Partitioning`] views slicing
-//!   every column's native buffer + validity mask, the substrate for
-//!   partition-parallel pipelines and (eventually) multi-box sharding.
+//!   incremental maintenance of the serving layer's caches.
 //!
 //! The relevance pipeline reads columns through [`table::Table::column`] and
 //! never materialises row structs on the hot path.
@@ -29,13 +26,11 @@ pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod delta;
-pub mod partition;
 pub mod stats;
 pub mod table;
 
 pub use catalog::Database;
 pub use column::{ColumnData, NumericSlice, StrColumn, StrDict, Validity};
 pub use delta::DeltaChain;
-pub use partition::{Partition, Partitioning};
 pub use stats::ColumnStats;
 pub use table::{Row, Table, TableBuilder};

@@ -128,13 +128,6 @@ impl Table {
         Ok(ColumnStats::compute(self.column(id)?))
     }
 
-    /// Divide this table's rows into `parts` contiguous horizontal
-    /// partitions of near-equal size (a zero-copy view; see
-    /// [`crate::partition::Partitioning`]).
-    pub fn partitions(&self, parts: usize) -> crate::partition::Partitioning {
-        crate::partition::Partitioning::even(self.rows, parts)
-    }
-
     /// Build a new table containing only `indices` (in order). Used for
     /// color-range projection (§4.3: "to get only those data items
     /// displayed that have the selected color").

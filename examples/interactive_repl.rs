@@ -154,16 +154,15 @@ fn run_command(session: &mut Session, line: &str) -> Result<bool> {
                 println!(
                     "pipeline trace: distance {:.3} ms | fit {:.3} ms | \
                      normalize+combine {:.3} ms | rank {:.3} ms",
-                    ms(t.phases.distance),
-                    ms(t.phases.fit),
-                    ms(t.phases.normalize_combine),
-                    ms(t.phases.rank),
+                    ms(t.distance),
+                    ms(t.fit),
+                    ms(t.normalize_combine),
+                    ms(t.rank),
                 );
                 println!(
-                    "rows: {} scanned | partitions: {} | windows: {} evaluated, \
+                    "rows: {} scanned | windows: {} evaluated, \
                      {} cache hits, {} shared hits, {} of them refit",
                     t.rows_scanned,
-                    t.partitions,
                     t.windows_evaluated,
                     t.cache_hits,
                     t.shared_hits,

@@ -137,15 +137,15 @@ pub mod prelude {
         SubqueryLink, Weighted,
     };
     pub use visdb_relevance::{
-        run_pipeline, run_pipeline_opts, run_pipeline_scalar, DisplayPolicy, ExecMode,
-        PipelineOptions, PipelineOutput, PipelineTrace, PredicateWindow,
+        run_pipeline, DisplayPolicy, ExecMode, PipelineOptions, PipelineOutput, PipelineTrace,
+        PredicateWindow,
     };
     pub use visdb_render::{write_ppm, Framebuffer};
     pub use visdb_service::{
         ErrorKind, RenderFormat, Request, Response, Service, ServiceConfig, ServiceTelemetry,
         SessionId, SessionSummary, SubmitOptions, TraceReport,
     };
-    pub use visdb_storage::{ColumnStats, Database, Partitioning, Row, Table, TableBuilder};
+    pub use visdb_storage::{ColumnStats, Database, Row, Table, TableBuilder};
     pub use visdb_types::{
         Column, DataType, Error, Location, Result, Schema, Timestamp, TypeClass, Value,
     };

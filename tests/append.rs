@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use visdb::prelude::*;
-use visdb::relevance::{run_pipeline_opts, PipelineOptions};
 
 /// One messy row: `tag` steers validity/finiteness, `v` the payload.
 /// tag 0 → NULL x, 1 → NaN, 2 → +inf, 3 → −inf, 4 → duplicate-heavy
@@ -78,9 +77,8 @@ proptest! {
 
     /// A table grown by `append_rows` produces bit-identical pipeline
     /// output to a table built with all rows up front — under the
-    /// scalar reference, the vectorized path and partitioned execution,
-    /// on a mixed
-    /// numeric + string query over every validity shape.
+    /// scalar reference and the vectorized path, on a mixed numeric +
+    /// string query over every validity shape.
     #[test]
     fn append_then_query_matches_rebuild_across_modes(
         base in prop::collection::vec((-100f64..100.0, 0u8..6), 1..150),
@@ -109,29 +107,14 @@ proptest! {
         let tg = grown.table("T").unwrap();
         let tr = rebuilt.table("T").unwrap();
         let reference =
-            run_pipeline_scalar(&rebuilt, tr, &resolver, q.condition.as_ref(), &policy).unwrap();
+            run_pipeline(&rebuilt, tr, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).unwrap();
 
-        let fast = run_pipeline(&grown, tg, &resolver, q.condition.as_ref(), &policy).unwrap();
+        let fast = run_pipeline(&grown, tg, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default()).unwrap();
         let scalar =
-            run_pipeline_scalar(&grown, tg, &resolver, q.condition.as_ref(), &policy).unwrap();
+            run_pipeline(&grown, tg, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).unwrap();
         for (tag, out) in [("vectorized", &fast), ("scalar", &scalar)] {
             let diff = first_divergence(out, &reference);
             prop_assert!(diff.is_none(), "{} ({tag} vs rebuilt scalar)", diff.unwrap());
-        }
-        for parts in [2usize, 7] {
-            let partitioning = tg.partitions(parts);
-            let part = run_pipeline_opts(
-                &grown, tg, &resolver, q.condition.as_ref(), &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    ..Default::default()
-                },
-            ).unwrap();
-            let diff = first_divergence(&part, &reference);
-            prop_assert!(
-                diff.is_none(),
-                "{} (partitioned×{parts} vs rebuilt scalar)", diff.unwrap()
-            );
         }
     }
 }
@@ -143,7 +126,7 @@ proptest! {
     /// byte-identical to replaying the same state on a service loaded
     /// with the full data from scratch — through the delta-generation
     /// scope rotation, window extension, projection merge, and band
-    /// repair, with and without partitioned execution. Every append is
+    /// repair. Every append is
     /// followed by a drag anywhere and by a *sparse* one (a bound only
     /// the few largest values satisfy, so the display fills from the
     /// rebased projection's per-row values); with the ±inf rows kept out
@@ -165,75 +148,71 @@ proptest! {
                 .collect()
         };
         let base = tame(&base);
-        for partitions in [0usize, 4] {
-            let live = Service::new(ServiceConfig {
-                workers: 2,
-                partitions,
-                ..Default::default()
-            });
-            live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
-            let id = live.create_session("d").unwrap();
-            let query = format!("SELECT * FROM T WHERE x >= {threshold}");
-            live.submit(id, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
-            live.submit(id, Request::SetQueryText(query.clone())).unwrap();
-            live.submit(id, Request::Summary { trace: false }).unwrap();
+        let live = Service::new(ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
+        let id = live.create_session("d").unwrap();
+        let query = format!("SELECT * FROM T WHERE x >= {threshold}");
+        live.submit(id, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
+        live.submit(id, Request::SetQueryText(query.clone())).unwrap();
+        live.submit(id, Request::Summary { trace: false }).unwrap();
 
-            let mut all = base.clone();
-            for (delta, drag) in &batches {
-                let delta = tame(delta);
-                let rows: Vec<Vec<Value>> = delta
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
-                    .collect();
-                live.append_rows("d", None, rows).unwrap();
-                all.extend_from_slice(&delta);
+        let mut all = base.clone();
+        for (delta, drag) in &batches {
+            let delta = tame(delta);
+            let rows: Vec<Vec<Value>> = delta
+                .iter()
+                .enumerate()
+                .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
+                .collect();
+            live.append_rows("d", None, rows).unwrap();
+            all.extend_from_slice(&delta);
 
-                let mut finite_xs: Vec<f64> = (all.iter().enumerate())
-                    .filter_map(|(i, &(v, tag))| messy_row(i, v, tag)[0].as_f64())
-                    .filter(|x| x.is_finite())
-                    .collect();
-                finite_xs.sort_by(f64::total_cmp);
-                let sparse = finite_xs.iter().rev().nth(2).copied().unwrap_or(*drag);
-                for value in [*drag, sparse] {
-                    let dragged = live.submit(id, Request::DragSlider {
-                        window: 0, op: CompareOp::Ge, value, trace: false,
-                    }).unwrap();
-                    let summary = live.submit(id, Request::Summary { trace: false }).unwrap();
-                    let frame = live.submit(id, Request::Render(RenderFormat::Ppm)).unwrap();
-                    match (&dragged, &summary) {
-                        (Response::Drag { displayed, exact, incremental, .. }, Response::Summary(s)) => {
-                            prop_assert_eq!((*displayed, *exact), (s.displayed, s.exact));
-                            prop_assert!(*incremental || !finite, "x >= {} fell off the fast path", value);
-                        }
-                        other => prop_assert!(false, "unexpected {:?}", other),
+            let mut finite_xs: Vec<f64> = (all.iter().enumerate())
+                .filter_map(|(i, &(v, tag))| messy_row(i, v, tag)[0].as_f64())
+                .filter(|x| x.is_finite())
+                .collect();
+            finite_xs.sort_by(f64::total_cmp);
+            let sparse = finite_xs.iter().rev().nth(2).copied().unwrap_or(*drag);
+            for value in [*drag, sparse] {
+                let dragged = live.submit(id, Request::DragSlider {
+                    window: 0, op: CompareOp::Ge, value, trace: false,
+                }).unwrap();
+                let summary = live.submit(id, Request::Summary { trace: false }).unwrap();
+                let frame = live.submit(id, Request::Render(RenderFormat::Ppm)).unwrap();
+                match (&dragged, &summary) {
+                    (Response::Drag { displayed, exact, incremental, .. }, Response::Summary(s)) => {
+                        prop_assert_eq!((*displayed, *exact), (s.displayed, s.exact));
+                        prop_assert!(*incremental || !finite, "x >= {} fell off the fast path", value);
                     }
-
-                    // replay: full data from scratch, same slider position
-                    let fresh = Service::new(ServiceConfig {
-                        workers: 2,
-                        partitions,
-                        ..Default::default()
-                    });
-                    fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
-                    let fid = fresh.create_session("d").unwrap();
-                    fresh.submit(fid, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
-                    fresh.submit(fid, Request::SetQueryText(query.clone())).unwrap();
-                    fresh.submit(fid, Request::MoveSlider {
-                        window: 0, op: CompareOp::Ge, value,
-                    }).unwrap();
-                    let expect_summary = fresh.submit(fid, Request::Summary { trace: false }).unwrap();
-                    let expect_frame = fresh.submit(fid, Request::Render(RenderFormat::Ppm)).unwrap();
-
-                    prop_assert_eq!(
-                        &summary, &expect_summary,
-                        "summary diverged from replay (partitions={})", partitions
-                    );
-                    prop_assert_eq!(
-                        &frame, &expect_frame,
-                        "render diverged from replay (partitions={})", partitions
-                    );
+                    other => prop_assert!(false, "unexpected {:?}", other),
                 }
+
+                // replay: full data from scratch, same slider position
+                let fresh = Service::new(ServiceConfig {
+                    workers: 2,
+                            ..Default::default()
+                });
+                fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
+                let fid = fresh.create_session("d").unwrap();
+                fresh.submit(fid, Request::SetWindowSize { w: 16, h: 16 }).unwrap();
+                fresh.submit(fid, Request::SetQueryText(query.clone())).unwrap();
+                fresh.submit(fid, Request::MoveSlider {
+                    window: 0, op: CompareOp::Ge, value,
+                }).unwrap();
+                let expect_summary = fresh.submit(fid, Request::Summary { trace: false }).unwrap();
+                let expect_frame = fresh.submit(fid, Request::Render(RenderFormat::Ppm)).unwrap();
+
+                prop_assert_eq!(
+                    &summary, &expect_summary,
+                    "summary diverged from replay"
+                );
+                prop_assert_eq!(
+                    &frame, &expect_frame,
+                    "render diverged from replay"
+                );
             }
         }
     }

@@ -28,6 +28,7 @@ fn c2_null_results_become_ranked_answers() {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     let ranked: Vec<usize> = out.ranked().collect();
@@ -83,6 +84,7 @@ fn c3_cluster_analysis_cannot_isolate_hot_spots() {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(5.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     for h in &hot {
@@ -139,6 +141,7 @@ fn c5_approximate_join_recovers_correspondences() {
         &resolver,
         query.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     let m = data.db.table("CustomersB").unwrap().len();
@@ -205,6 +208,7 @@ fn c2b_near_miss_parts_rank_directly_after_exact_matches() {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(30.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     let rank = out.rank_of(near_miss_row).unwrap();
@@ -244,6 +248,7 @@ fn c5b_spatial_join_ranks_paired_sites_first() {
         &resolver,
         q0.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     assert_eq!(out.num_exact, 0);
@@ -263,6 +268,7 @@ fn c5b_spatial_join_ranks_paired_sites_first() {
         &resolver,
         q500.condition.as_ref(),
         &DisplayPolicy::Percentage(10.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     assert_eq!(out.num_exact, truth.len());

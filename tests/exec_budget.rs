@@ -10,20 +10,9 @@
 //! number of simultaneously *executing* workers can never exceed it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use visdb::prelude::*;
-
-/// Both tests watch the process-wide thread count, so they must not
-/// overlap (the harness runs integration tests concurrently).
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize() -> MutexGuard<'static, ()> {
-    match SERIAL.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Process-wide thread count from `/proc/self/status` (`None` off
 /// Linux). This observes threads the runtime's own counters cannot —
@@ -62,7 +51,6 @@ fn ramp_db(n: usize) -> Arc<Database> {
 fn concurrent_large_queries_respect_the_global_thread_budget() {
     const BUDGET: usize = 3;
     const CLIENTS: usize = 8;
-    let _serial = serialize();
     let rows = workload_rows();
     let db = ramp_db(rows);
     let service = Service::new(ServiceConfig {
@@ -163,40 +151,4 @@ fn concurrent_large_queries_respect_the_global_thread_budget() {
              something is spawning outside the budgeted runtime"
         );
     }
-}
-
-#[test]
-fn partitioned_service_execution_stays_within_budget_and_byte_identical() {
-    const BUDGET: usize = 2;
-    let _serial = serialize();
-    let rows = workload_rows() / 2;
-    let db = ramp_db(rows);
-    let query = format!("SELECT * FROM T WHERE x >= {}", (rows / 2) as f64);
-
-    let drive = |partitions: usize| -> (Response, usize) {
-        let service = Service::new(ServiceConfig {
-            workers: BUDGET,
-            partitions,
-            ..Default::default()
-        });
-        service.register_dataset("ramp", Arc::clone(&db), ConnectionRegistry::new());
-        let id = service.create_session("ramp").unwrap();
-        service
-            .submit(id, Request::SetQueryText(query.clone()))
-            .unwrap();
-        let frame = service
-            .submit(id, Request::Render(RenderFormat::Ppm))
-            .unwrap();
-        let peak = service.runtime().metrics().peak_active;
-        (frame, peak)
-    };
-
-    let (plain, peak_plain) = drive(0);
-    let (partitioned, peak_partitioned) = drive(7);
-    assert_eq!(
-        plain, partitioned,
-        "partitioned execution must be byte-identical"
-    );
-    assert!(peak_plain <= BUDGET);
-    assert!(peak_partitioned <= BUDGET);
 }

@@ -38,10 +38,9 @@ const PHASES: [Phase; 4] = [
 struct Mode {
     name: &'static str,
     workers: usize,
-    partitions: usize,
 }
 
-const MODES: [Mode; 3] = [
+const MODES: [Mode; 2] = [
     // workers=1 drives the whole pipeline serially (budget-1 runs
     // inline) — the closest service-level analogue of the scalar walk;
     // the ExecMode::Scalar reference path itself is covered by
@@ -49,17 +48,10 @@ const MODES: [Mode; 3] = [
     Mode {
         name: "serial",
         workers: 1,
-        partitions: 0,
     },
     Mode {
         name: "parallel",
         workers: 4,
-        partitions: 0,
-    },
-    Mode {
-        name: "partitioned",
-        workers: 4,
-        partitions: 4,
     },
 ];
 
@@ -76,7 +68,6 @@ fn ramp_db(n: usize) -> Arc<Database> {
 fn service_in(mode: &Mode, n: usize) -> (Service, SessionId) {
     let s = Service::new(ServiceConfig {
         workers: mode.workers,
-        partitions: mode.partitions,
         ..Default::default()
     });
     s.register_dataset("ramp", ramp_db(n), ConnectionRegistry::new());
@@ -271,7 +262,7 @@ fn scalar_reference_path_polls_its_token() {
         mode: ExecMode::Scalar,
         ..Default::default()
     };
-    let reference = run_pipeline_opts(
+    let reference = run_pipeline(
         &db,
         table,
         &resolver,
@@ -285,7 +276,7 @@ fn scalar_reference_path_polls_its_token() {
     let before = fault::triggered();
     let err = {
         let _guard = fault::inject(Phase::Distance, FaultAction::Cancel);
-        run_pipeline_opts(
+        run_pipeline(
             &db,
             table,
             &resolver,
@@ -304,7 +295,7 @@ fn scalar_reference_path_polls_its_token() {
         "expected Err(Cancelled), got {err:?}"
     );
     // and an undisturbed re-run still agrees with the reference
-    let again = run_pipeline_opts(
+    let again = run_pipeline(
         &db,
         table,
         &resolver,

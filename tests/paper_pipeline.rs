@@ -189,6 +189,7 @@ fn csv_round_trip_preserves_pipeline_results() {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(50.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     let p2 = run_pipeline(
@@ -197,6 +198,7 @@ fn csv_round_trip_preserves_pipeline_results() {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(50.0),
+        PipelineOptions::default(),
     )
     .unwrap();
     assert_eq!(p1.order, p2.order);

@@ -209,8 +209,8 @@ proptest! {
             .between("x", lo, lo + span)
             .build();
         let policy = pick_policy(pick, pct);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
+        let slow = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
@@ -222,66 +222,12 @@ proptest! {
         }
     }
 
-    /// Partitioned execution (per-partition passes + k-way merge of
-    /// per-partition top-k selections) is bit-identical to the
-    /// `ExecMode::Scalar` reference AND the unpartitioned vectorized
-    /// path, across display policies, partition counts (1, 2, 7, 16) —
-    /// including counts exceeding the row count — and NULL-heavy
-    /// columns.
-    #[test]
-    fn partitioned_pipeline_matches_scalar_and_vectorized(
-        rows in prop::collection::vec((-1e4f64..1e4, 0u8..4), 1..250),
-        threshold in -1e4f64..1e4,
-        lo in -1e4f64..1e4,
-        span in 0.0f64..5e3,
-        pct in 1.0f64..100.0,
-        pick in 0usize..4,
-    ) {
-        let db = table_with_nulls(&rows);
-        let t = db.table("T").unwrap();
-        let resolver = DistanceResolver::new();
-        let q = QueryBuilder::from_tables(["T"])
-            .cmp("x", CompareOp::Ge, threshold)
-            .between("x", lo, lo + span)
-            .build();
-        let policy = pick_policy(pick, pct);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        for parts in [1usize, 2, 7, 16] {
-            let partitioning = t.partitions(parts);
-            let part = run_pipeline_opts(
-                &db, t, &resolver, q.condition.as_ref(), &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    ..Default::default()
-                },
-            );
-            match (&part, &slow, &fast) {
-                (Ok(part), Ok(slow), Ok(fast)) => {
-                    let diff = first_divergence(part, slow, &policy);
-                    prop_assert!(
-                        diff.is_none(),
-                        "{} vs scalar under {:?} with {} partitions",
-                        diff.unwrap(), policy, parts
-                    );
-                    prop_assert_eq!(&part.order, &fast.order);
-                    prop_assert_eq!(&part.displayed, &fast.displayed);
-                    prop_assert!(part.order.len() >= part.displayed.len());
-                }
-                (Err(_), Err(_), Err(_)) => {}
-                (p, s, f) => prop_assert!(
-                    false, "modes disagree on failure: {p:?} vs {s:?} vs {f:?}"),
-            }
-        }
-    }
-
     /// Weighted multi-predicate AND/OR trees — flat, or with a nested
     /// boolean level re-normalized before the root combine — on NULL-,
-    /// NaN- and ±inf-heavy columns: the vectorized path, unpartitioned
-    /// and over 1/2/7/16 partitions, is bit-identical to the scalar
-    /// reference across display policies.
+    /// NaN- and ±inf-heavy columns: the vectorized path is bit-identical
+    /// to the scalar reference across display policies.
     #[test]
-    fn weighted_and_or_trees_match_scalar_and_partitioned(
+    fn weighted_and_or_trees_match_scalar(
         rows in prop::collection::vec((-1e4f64..1e4, 0u8..8), 1..250),
         t1 in -1e4f64..1e4,
         t2 in -1e4f64..1e4,
@@ -318,26 +264,10 @@ proptest! {
             ConditionNode::And(children)
         });
         let policy = pick_policy(pick, pct);
-        let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
-        let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
+        let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy, PipelineOptions::default()).unwrap();
+        let slow = run_pipeline(&db, t, &resolver, Some(&cond), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).unwrap();
         let diff = first_divergence(&fast, &slow, &policy);
         prop_assert!(diff.is_none(), "{} vs scalar under {:?}", diff.unwrap(), policy);
-        for parts in [1usize, 2, 7, 16] {
-            let partitioning = t.partitions(parts);
-            let part = run_pipeline_opts(
-                &db, t, &resolver, Some(&cond), &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    ..Default::default()
-                },
-            ).unwrap();
-            let diff = first_divergence(&part, &slow, &policy);
-            prop_assert!(
-                diff.is_none(),
-                "{} vs scalar under {:?} with {} partitions",
-                diff.unwrap(), policy, parts
-            );
-        }
     }
 
     /// Same equivalence for an OR query with an (unsigned) string window
@@ -359,8 +289,8 @@ proptest! {
             .any()
             .build();
         let policy = pick_policy(pick, pct);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
+        let slow = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
@@ -385,7 +315,8 @@ proptest! {
             .cmp("x", CompareOp::Ge, threshold)
             .build();
         let out = run_pipeline(&db, t, &resolver, q.condition.as_ref(),
-            &DisplayPolicy::Percentage(pct)).unwrap();
+            &DisplayPolicy::Percentage(pct),
+            PipelineOptions::default(),).unwrap();
 
         // exact count matches the straight count
         let expect_exact = values.iter().filter(|&&v| v >= threshold).count();
@@ -435,7 +366,8 @@ proptest! {
         let resolver = DistanceResolver::new();
         let run = |q: Query| {
             run_pipeline(&db, t, &resolver, q.condition.as_ref(),
-                &DisplayPolicy::Percentage(100.0)).unwrap().num_exact
+                &DisplayPolicy::Percentage(100.0),
+                PipelineOptions::default(),).unwrap().num_exact
         };
         let a = run(QueryBuilder::from_tables(["T"]).cmp("x", CompareOp::Ge, lo).build());
         let b = run(QueryBuilder::from_tables(["T"]).cmp("x", CompareOp::Le, hi).build());
@@ -466,7 +398,8 @@ proptest! {
         let resolver = DistanceResolver::new();
         let q = QueryBuilder::from_tables(["T"]).cmp("x", CompareOp::Ge, 0.0).build();
         let out = run_pipeline(&db, t, &resolver, q.condition.as_ref(),
-            &DisplayPolicy::Percentage(100.0)).unwrap();
+            &DisplayPolicy::Percentage(100.0),
+            PipelineOptions::default(),).unwrap();
         let grid = arrange_overall(&out.displayed, side, side);
         prop_assert_eq!(grid.occupied(), out.displayed.len().min(side * side));
         if !out.displayed.is_empty() {
@@ -654,7 +587,8 @@ proptest! {
         let exact = evaluate_boolean(&db, t, &cond.node).unwrap();
         let resolver = DistanceResolver::new();
         let out = run_pipeline(&db, t, &resolver, q.condition.as_ref(),
-            &DisplayPolicy::Percentage(100.0)).unwrap();
+            &DisplayPolicy::Percentage(100.0),
+            PipelineOptions::default(),).unwrap();
         for (i, &e) in exact.iter().enumerate() {
             prop_assert_eq!(e, out.combined.get(i) == Some(0.0), "row {}", i);
         }
@@ -915,7 +849,7 @@ fn selection_shapes(n: usize) -> Vec<Shape> {
 /// The bound-pruned selection kernel returns exactly the full-sort
 /// prefix — rows *and* order — for k ∈ {0, 1, n/100, n/4, m−1, m, > m}, on
 /// every shape above, at lane remainders below the pruning threshold
-/// and well above it, across 1/2/7-partition range lists, for both keys
+/// and well above it, serial and parallel, for both keys
 /// the pipeline selects by (the combined distance itself, `|d|` for the
 /// fit).
 #[test]
@@ -931,24 +865,23 @@ fn pruned_selection_equals_the_full_sort_prefix() {
             let m = options.iter().flatten().count();
             let mut ks = vec![0, 1, n / 100, n / 4, m.saturating_sub(1), m, m + 5];
             ks.dedup();
-            for parts in [1usize, 2, 7] {
-                let p = Partitioning::even(n, parts);
-                let ranges = chunk::ranges(n, (parts > 1).then_some(&p));
+            let ranges = chunk::ranges(n);
+            for parallel in [false, true] {
                 for &k in &ks {
                     for (key_name, key) in keys {
-                        let mut got = k_smallest(&frame, &ranges, parts > 1, k, key);
+                        let mut got = k_smallest(&frame, &ranges, parallel, k, key);
                         got.sort_unstable_by(rank_order);
                         assert_eq!(
                             selection_bits(&got),
                             selection_bits(&full_sort_prefix(&options, key, k)),
-                            "{name} n={n} k={k} x{parts} key={key_name}"
+                            "{name} n={n} k={k} parallel={parallel} key={key_name}"
                         );
                     }
-                    let sorted = k_smallest_sorted(&frame, &ranges, parts > 1, k);
+                    let sorted = k_smallest_sorted(&frame, &ranges, parallel, k);
                     assert_eq!(
                         selection_bits(&sorted),
                         selection_bits(&full_sort_prefix(&options, |v| v, k)),
-                        "{name} n={n} k={k} x{parts} sorted"
+                        "{name} n={n} k={k} parallel={parallel} sorted"
                     );
                 }
             }
@@ -1016,7 +949,7 @@ fn every_path_recovers_from_a_too_tight_sampled_cut() {
         .build();
     let policy = DisplayPolicy::Percentage(25.0);
     let run = |opts: PipelineOptions<'_>| {
-        run_pipeline_opts(&db, t, &resolver, q.condition.as_ref(), &policy, opts).unwrap()
+        run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, opts).unwrap()
     };
     let slow = run(PipelineOptions {
         mode: ExecMode::Scalar,
@@ -1033,8 +966,7 @@ proptest! {
 
     /// `order` is exactly the relevance-sorted prefix the run
     /// established, on every path: the scalar reference ranks every
-    /// defined item; the vectorized and partitioned paths rank what the
-    /// policy needs (the display count; `rmax + z + 1` for
+    /// defined item; the vectorized path ranks what the policy needs (the display count; `rmax + z + 1` for
     /// the gap heuristic; the band under the two-sided policy) — each
     /// fully sorted under (combined, row), with `displayed` drawn from
     /// it and, for one-sided policies, a prefix of the scalar ranking.
@@ -1056,7 +988,7 @@ proptest! {
             .build();
         let policy = pick_policy(pick, pct);
         let run = |opts: PipelineOptions<'_>| {
-            run_pipeline_opts(&db, t, &resolver, q.condition.as_ref(), &policy, opts)
+            run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, opts)
         };
         let Ok(slow) = run(PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }) else {
             return Ok(()); // (gap params vs tiny n: every path rejects alike)
@@ -1070,14 +1002,7 @@ proptest! {
             })
         };
         prop_assert!(sorted(&slow));
-        let partitioning = t.partitions(7);
-        let paths = [
-            ("vectorized", PipelineOptions::default()),
-            ("partitioned", PipelineOptions {
-                partitions: Some(&partitioning),
-                ..Default::default()
-            }),
-        ];
+        let paths = [("vectorized", PipelineOptions::default())];
         for (tag, opts) in paths {
             let fast = run(opts).unwrap();
             let expect = match &policy {
@@ -1143,7 +1068,7 @@ proptest! {
     /// Above the thresholds the other properties never reach (40 k–120 k
     /// rows against `PAR_MIN_ROWS` = the selection's sampling floor =
     /// 32 768), with the exact answers on both sides of every `k`: the
-    /// vectorized paths — cached, partitioned, a window refitted from the
+    /// vectorized paths — cached, uncached, a window refitted from the
     /// cache — stay byte-identical to the scalar
     /// oracle whether the counts answer a §5.2 fit (`zeros >= k`) or a
     /// selection does, and whether the ranking is the first `k` exact
@@ -1217,7 +1142,7 @@ proptest! {
             let t = db.table("T").unwrap();
             let cond = cond_for(e, &weights);
             let run = |cond: &Weighted, opts: PipelineOptions<'_>| {
-                run_pipeline_opts(&db, t, &resolver, Some(cond), &policy, opts)
+                run_pipeline(&db, t, &resolver, Some(cond), &policy, opts)
             };
             let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
             let Ok(slow) = run(&cond, scalar) else {
@@ -1226,7 +1151,6 @@ proptest! {
                 continue;
             };
             prop_assert_eq!(slow.windows[0].zero_raw_count(), e[0]);
-            let partitioning = t.partitions(3);
             let mut session = PipelineCache::new();
             let paths = [
                 ("cached", PipelineOptions {
@@ -1234,11 +1158,7 @@ proptest! {
                     trace: true,
                     ..Default::default()
                 }),
-                ("partitioned", PipelineOptions {
-                    partitions: Some(&partitioning),
-                    trace: true,
-                    ..Default::default()
-                }),
+                ("uncached", PipelineOptions { trace: true, ..Default::default() }),
             ];
             for (tag, opts) in paths {
                 let fast = run(&cond, opts).unwrap();
@@ -1314,7 +1234,7 @@ proptest! {
                     _ => 1,
                 };
                 let run = |opts: PipelineOptions<'_>| {
-                    run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts)
+                    run_pipeline(&db, t, &resolver, Some(&cond), &policy, opts)
                 };
                 let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
                 let Ok(slow) = run(scalar) else {
@@ -1360,6 +1280,7 @@ proptest! {
             let window = |db: &Database| {
                 let out = run_pipeline(
                     db, db.table("T").unwrap(), &resolver, Some(&cond), &fit_screen,
+                    PipelineOptions::default(),
                 ).unwrap();
                 out.windows.into_iter().next().unwrap()
             };
@@ -1441,7 +1362,7 @@ fn comparison_table(n: usize, seed: u64, inf_chunk: usize) -> (Database, [Vec<Op
 fn packed_ranges(values: &[Option<f64>], greater: bool, t: f64, k: usize) -> usize {
     let mut exact = 0;
     let mut packed = 0;
-    for (offset, len) in visdb::relevance::chunk::ranges(values.len(), None) {
+    for (offset, len) in visdb::relevance::chunk::ranges(values.len()) {
         let defined: Vec<f64> = values[offset..offset + len]
             .iter()
             .flatten()
@@ -1470,9 +1391,9 @@ proptest! {
     /// random thresholds (repeated across the relation) and weights, over
     /// a float column with NULL, NaN, `-0.0` and `±inf` rows (the chunk
     /// holding the infinities is declined), a plain float column and an
-    /// integer column with values beyond `±2^53`; plain, 3-way
-    /// partitioned and serial, where the packed ranges are exactly the
-    /// ones the count rule names. A run cancelled mid-walk leaves the
+    /// integer column with values beyond `±2^53`; parallel and serial,
+    /// where the packed ranges are exactly the ones the count rule
+    /// names. A run cancelled mid-walk leaves the
     /// session cache, the shared window cache and the projection store
     /// untouched, and the same caches then serve the oracle's answer.
     #[test]
@@ -1510,17 +1431,14 @@ proptest! {
             many => Weighted::unit(ConditionNode::And(many.iter().map(leaf).collect())),
         };
         let run = |opts: PipelineOptions<'_>| {
-            run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts)
+            run_pipeline(&db, t, &resolver, Some(&cond), &policy, opts)
         };
         let slow = run(PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).unwrap();
-        let partitioning = t.partitions(3);
-        for parts in [None, Some(&partitioning)] {
-            let fast = run(PipelineOptions { partitions: parts, trace: true, ..Default::default() }).unwrap();
-            let what = format!("{preds:?}, partitioned: {}", parts.is_some());
-            let diff = first_divergence(&fast, &slow, &policy);
-            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
-            prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
-        }
+        let fast = run(PipelineOptions { trace: true, ..Default::default() }).unwrap();
+        let what = format!("{preds:?}");
+        let diff = first_divergence(&fast, &slow, &policy);
+        prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+        prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
 
         // one worker walks the ranges in order, so which are packed is
         // the count rule's alone
@@ -1584,7 +1502,7 @@ proptest! {
     /// exact class, through classes where distinct patterns share a value
     /// — an unweighted child, and equal weights), and a single window; on
     /// NULL, NaN and `-0.0` rows; through a session cache (cold, warm,
-    /// re-weighted) and 3-way partitioned.
+    /// re-weighted) and uncached.
     #[test]
     fn table_roots_match_the_oracle_above_the_parallel_threshold(
         n in 40_000usize..120_000,
@@ -1603,7 +1521,6 @@ proptest! {
         let resolver = DistanceResolver::new();
         let db = two_valued_table(n);
         let t = db.table("T").unwrap();
-        let partitioning = t.partitions(3);
         for policy in policies {
             // every fit asks for at most 2·budget rows (weights 1 and
             // 0.5); each `x` window has `spare`·budget exact answers, all
@@ -1629,30 +1546,25 @@ proptest! {
             let mut ranks = [0usize; 2];
             for shape in ["covered", "short", "single"] {
                 let mut session = PipelineCache::new();
-                // cold and warm through the session cache, 3-way
-                // partitioned, then re-weighted through the cache (one
-                // window refit)
+                // cold and warm through the session cache, uncached, then
+                // re-weighted through the cache (one window refit)
                 let mut slow = None;
                 for (step, weight) in [wa, wa, wa, 1.5 - wa].into_iter().enumerate() {
                     let cond = cond_for(shape, weight);
                     if step != 1 && step != 2 {
                         let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
-                        slow = Some(run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, scalar));
+                        slow = Some(run_pipeline(&db, t, &resolver, Some(&cond), &policy, scalar));
                     }
                     let Some(Ok(slow)) = &slow else {
                         // gap parameters the data rejects: every path must
-                        prop_assert!(run_pipeline(&db, t, &resolver, Some(&cond), &policy).is_err());
+                        prop_assert!(run_pipeline(&db, t, &resolver, Some(&cond), &policy, PipelineOptions::default()).is_err());
                         break;
                     };
                     let opts = match step {
-                        2 => PipelineOptions {
-                            partitions: Some(&partitioning),
-                            trace: true,
-                            ..Default::default()
-                        },
+                        2 => PipelineOptions { trace: true, ..Default::default() },
                         _ => PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() },
                     };
-                    let fast = run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
+                    let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
                     let what = format!("{shape} step {step} ({policy:?})");
                     let diff = first_divergence(&fast, slow, &policy);
                     prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
@@ -1690,8 +1602,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Windows kept as their exact bits, above the parallel threshold,
-    /// held to a cold scalar run at every step. Through the session cache
-    /// — plain and 3-way partitioned — window 0 crosses bits-only → raw →
+    /// held to a cold scalar run at every step. Through the session cache,
+    /// window 0 crosses bits-only → raw →
     /// bits-only as its weight goes 1 → 0.05 → 1: its `spare · budget`
     /// exact answers cover the first fit count (`budget`) but not the
     /// second (`20 · budget`), so the second run misses and evaluates its
@@ -1726,32 +1638,24 @@ proptest! {
         let and = |w0: f64| Weighted::unit(ConditionNode::And(children(w0)));
         let scalar = |cond: &Weighted, policy: &DisplayPolicy| {
             let opts = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
-            run_pipeline_opts(&db, t, &resolver, Some(cond), policy, opts).unwrap()
+            run_pipeline(&db, t, &resolver, Some(cond), policy, opts).unwrap()
         };
-        for parts in [None, Some(3)] {
-            let partitioning = parts.map(|p| t.partitions(p));
-            let mut session = PipelineCache::new();
-            for (step, w0) in [1.0, 0.05, 1.0].into_iter().enumerate() {
-                let cond = and(w0);
-                let opts = PipelineOptions {
-                    cache: Some(&mut session),
-                    partitions: partitioning.as_ref(),
-                    trace: true,
-                    ..Default::default()
-                };
-                let fast = run_pipeline_opts(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
-                let slow = scalar(&cond, &policy);
-                let what = format!("step {step}, {parts:?} partitions ({policy:?})");
-                let diff = first_divergence(&fast, &slow, &policy);
-                prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
-                prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
-                let kept: Vec<bool> = fast.windows.iter().map(|w| w.raw_frame().is_some()).collect();
-                prop_assert_eq!(kept, vec![step == 1, false, true], "{}", what);
-                // (refit, evaluated, left as bits): a cold run, a miss, a refit
-                let trace = fast.trace.as_ref().unwrap();
-                let counts = (trace.windows_refit, trace.windows_evaluated, trace.windows_bits_only);
-                prop_assert_eq!(counts, [(0, 3, 2), (0, 1, 0), (1, 0, 1)][step], "{}", what);
-            }
+        let mut session = PipelineCache::new();
+        for (step, w0) in [1.0, 0.05, 1.0].into_iter().enumerate() {
+            let cond = and(w0);
+            let opts = PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() };
+            let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
+            let slow = scalar(&cond, &policy);
+            let what = format!("step {step} ({policy:?})");
+            let diff = first_divergence(&fast, &slow, &policy);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+            prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+            let kept: Vec<bool> = fast.windows.iter().map(|w| w.raw_frame().is_some()).collect();
+            prop_assert_eq!(kept, vec![step == 1, false, true], "{}", what);
+            // (refit, evaluated, left as bits): a cold run, a miss, a refit
+            let trace = fast.trace.as_ref().unwrap();
+            let counts = (trace.windows_refit, trace.windows_evaluated, trace.windows_bits_only);
+            prop_assert_eq!(counts, [(0, 3, 2), (0, 1, 0), (1, 0, 1)][step], "{}", what);
         }
 
         let or = Weighted::unit(ConditionNode::Or(children(1.0)));
@@ -1767,7 +1671,7 @@ proptest! {
                 PipelineOptions { shared: Some(windows(&shared)), ..Default::default() },
             ];
             for opts in warm {
-                let out = run_pipeline_opts(&db, t, &resolver, Some(&and(1.0)), &policy, opts).unwrap();
+                let out = run_pipeline(&db, t, &resolver, Some(&and(1.0)), &policy, opts).unwrap();
                 prop_assert_eq!(out.windows.iter().filter(|w| w.raw_frame().is_none()).count(), 2);
             }
             let slow = scalar(cond, consumer);
@@ -1776,7 +1680,7 @@ proptest! {
                 ("shared", PipelineOptions { shared: Some(windows(&shared)), trace: true, ..Default::default() }),
             ];
             for (layer, opts) in consume {
-                let fast = run_pipeline_opts(&db, t, &resolver, Some(cond), consumer, opts).unwrap();
+                let fast = run_pipeline(&db, t, &resolver, Some(cond), consumer, opts).unwrap();
                 let what = format!("{layer} cache, {consumer:?}, {} root", if misses == 2 { "OR" } else { "AND" });
                 let diff = first_divergence(&fast, &slow, consumer);
                 prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
@@ -1918,9 +1822,7 @@ fn two_valued_table(n: usize) -> Database {
 /// scalar reference at every lane/word remainder the fixed-width
 /// restructure can mishandle: n ∈ {1..9} straddles the 4-lane blocks and
 /// the 8-row validity words, n ∈ {4095, 4096, 4097} the word loop around
-/// a 4k boundary — on NULL/NaN/±inf-dense columns and all-NULL frames,
-/// composed with partition requests 1/2/7/16 (dropped by the planner at
-/// these sizes, bit-identically).
+/// a 4k boundary — on NULL/NaN/±inf-dense columns and all-NULL frames.
 #[test]
 fn branchless_kernels_bit_identical_at_lane_remainders() {
     let resolver = DistanceResolver::new();
@@ -1954,46 +1856,44 @@ fn branchless_kernels_bit_identical_at_lane_remainders() {
                 } else {
                     ConditionNode::And(children)
                 });
-                let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
-                let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy).unwrap();
+                let slow = run_pipeline(
+                    &db,
+                    t,
+                    &resolver,
+                    Some(&cond),
+                    &policy,
+                    PipelineOptions {
+                        mode: ExecMode::Scalar,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                let fast = run_pipeline(
+                    &db,
+                    t,
+                    &resolver,
+                    Some(&cond),
+                    &policy,
+                    PipelineOptions::default(),
+                )
+                .unwrap();
                 let diff = first_divergence(&fast, &slow, &policy);
                 assert!(
                     diff.is_none(),
                     "{} (n={n}, or={or_root}, all_null={all_null})",
                     diff.unwrap()
                 );
-                for parts in [1usize, 2, 7, 16] {
-                    let partitioning = t.partitions(parts);
-                    let part = run_pipeline_opts(
-                        &db,
-                        t,
-                        &resolver,
-                        Some(&cond),
-                        &policy,
-                        PipelineOptions {
-                            partitions: Some(&partitioning),
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    let diff = first_divergence(&part, &slow, &policy);
-                    assert!(
-                        diff.is_none(),
-                        "{} (n={n}, parts={parts}, or={or_root}, all_null={all_null})",
-                        diff.unwrap()
-                    );
-                }
             }
         }
     }
 }
 
-/// The same bit-identity above the planner's partition threshold, where
-/// the per-partition fan-out and the k-way selection merge actually
-/// engage, with the row count chosen to leave a ragged tail chunk
-/// (2·CHUNK_ROWS + 5) on extreme-dense data.
+/// The same bit-identity above the parallel threshold, where the chunk
+/// fan-out and the sampled selection bound actually engage, with the row
+/// count chosen to leave a ragged tail chunk (2·CHUNK_ROWS + 5) on
+/// extreme-dense data.
 #[test]
-fn branchless_kernels_bit_identical_above_partition_threshold() {
+fn branchless_kernels_bit_identical_above_the_parallel_threshold() {
     let resolver = DistanceResolver::new();
     let policy = DisplayPolicy::Percentage(25.0);
     let n = 32 * 1024 + 5;
@@ -2012,31 +1912,29 @@ fn branchless_kernels_bit_identical_above_partition_threshold() {
         } else {
             ConditionNode::And(children)
         });
-        let slow = run_pipeline_scalar(&db, t, &resolver, Some(&cond), &policy).unwrap();
-        for parts in [2usize, 7] {
-            let partitioning = t.partitions(parts);
-            let part = run_pipeline_opts(
-                &db,
-                t,
-                &resolver,
-                Some(&cond),
-                &policy,
-                PipelineOptions {
-                    partitions: Some(&partitioning),
-                    trace: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let trace = part.trace.as_ref().expect("trace requested");
-            assert_eq!(trace.partitions, parts, "fan-out must engage at n={n}");
-            let diff = first_divergence(&part, &slow, &policy);
-            assert!(
-                diff.is_none(),
-                "{} (parts={parts}, or={or_root})",
-                diff.unwrap()
-            );
-        }
+        let slow = run_pipeline(
+            &db,
+            t,
+            &resolver,
+            Some(&cond),
+            &policy,
+            PipelineOptions {
+                mode: ExecMode::Scalar,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let fast = run_pipeline(
+            &db,
+            t,
+            &resolver,
+            Some(&cond),
+            &policy,
+            PipelineOptions::default(),
+        )
+        .unwrap();
+        let diff = first_divergence(&fast, &slow, &policy);
+        assert!(diff.is_none(), "{} (or={or_root})", diff.unwrap());
     }
 }
 
@@ -2114,8 +2012,8 @@ proptest! {
     /// exhaustive O(n·m) sweep — across NULL/NaN-heavy and
     /// duplicate-heavy join columns, ±inf inner values (which decline
     /// the band and fall back to the exhaustive inner loop), filtered
-    /// and unfiltered inner queries, the `Exists` link, display
-    /// policies, and partitioned execution.
+    /// and unfiltered inner queries, the `Exists` link and display
+    /// policies.
     #[test]
     fn banded_in_join_matches_exhaustive_scalar(
         outer in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..60),
@@ -2154,27 +2052,12 @@ proptest! {
             qb.is_in("x", "y", sub).build()
         };
         let policy = pick_policy(pick, pct);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
+        let slow = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
                 prop_assert!(diff.is_none(), "{} under {:?}", diff.unwrap(), policy);
-                for parts in [1usize, 3] {
-                    let partitioning = t.partitions(parts);
-                    let part = run_pipeline_opts(
-                        &db, t, &resolver, q.condition.as_ref(), &policy,
-                        PipelineOptions {
-                            partitions: Some(&partitioning),
-                            ..Default::default()
-                        },
-                    ).unwrap();
-                    let diff = first_divergence(&part, &slow, &policy);
-                    prop_assert!(
-                        diff.is_none(),
-                        "{} with {} partitions under {:?}", diff.unwrap(), parts, policy
-                    );
-                }
             }
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one mode errored: {f:?} vs {s:?}"),
@@ -2186,7 +2069,7 @@ proptest! {
     /// codes — no per-row `Value` clone) are bit-identical to the
     /// per-row scalar reference — across every comparison operator,
     /// string ranges, NULL-heavy / empty-string / non-ASCII /
-    /// duplicate-heavy columns, unpartitioned and partitioned.
+    /// duplicate-heavy columns.
     #[test]
     fn string_gather_kernels_match_scalar_reference(
         rows in prop::collection::vec((0usize..10, 0u8..5), 1..120),
@@ -2211,27 +2094,12 @@ proptest! {
             qb.build()
         };
         let policy = pick_policy(pick, pct);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
+        let slow = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
                 prop_assert!(diff.is_none(), "vectorized: {} under {:?}", diff.unwrap(), policy);
-                for parts in [2usize, 7] {
-                    let partitioning = t.partitions(parts);
-                    let part = run_pipeline_opts(
-                        &db, t, &resolver, q.condition.as_ref(), &policy,
-                        PipelineOptions {
-                            partitions: Some(&partitioning),
-                            ..Default::default()
-                        },
-                    ).unwrap();
-                    let diff = first_divergence(&part, &slow, &policy);
-                    prop_assert!(
-                        diff.is_none(),
-                        "partitioned({}): {} under {:?}", parts, diff.unwrap(), policy
-                    );
-                }
             }
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one mode errored: {f:?} vs {s:?}"),
@@ -2279,8 +2147,8 @@ proptest! {
         };
         let q = QueryBuilder::from_tables(["A"]).is_in("s", "s", sub).build();
         let policy = pick_policy(pick, pct);
-        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy);
-        let slow = run_pipeline_scalar(&db, t, &resolver, q.condition.as_ref(), &policy);
+        let fast = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
+        let slow = run_pipeline(&db, t, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
@@ -2291,8 +2159,8 @@ proptest! {
         }
     }
 
-    /// Connections over a cross-product base relation: unpartitioned and
-    /// partitioned outputs are bit-identical to the scalar reference for
+    /// Connections over a cross-product base relation: the vectorized
+    /// output is bit-identical to the scalar reference for
     /// equi- and non-equijoins on NULL/NaN-bearing columns.
     #[test]
     fn connections_match_scalar_reference(
@@ -2342,27 +2210,12 @@ proptest! {
             .connect(u)
             .build();
         let policy = pick_policy(pick, pct);
-        let slow = run_pipeline_scalar(&db, &cross, &resolver, q.condition.as_ref(), &policy);
-        let fast = run_pipeline(&db, &cross, &resolver, q.condition.as_ref(), &policy);
+        let slow = run_pipeline(&db, &cross, &resolver, q.condition.as_ref(), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
+        let fast = run_pipeline(&db, &cross, &resolver, q.condition.as_ref(), &policy, PipelineOptions::default());
         match (fast, slow) {
             (Ok(fast), Ok(slow)) => {
                 let diff = first_divergence(&fast, &slow, &policy);
                 prop_assert!(diff.is_none(), "vectorized: {} under {:?}", diff.unwrap(), policy);
-                for parts in [2usize, 5] {
-                    let partitioning = cross.partitions(parts);
-                    let part = run_pipeline_opts(
-                        &db, &cross, &resolver, q.condition.as_ref(), &policy,
-                        PipelineOptions {
-                            partitions: Some(&partitioning),
-                            ..Default::default()
-                        },
-                    ).unwrap();
-                    let diff = first_divergence(&part, &slow, &policy);
-                    prop_assert!(
-                        diff.is_none(),
-                        "partitioned({}): {} under {:?}", parts, diff.unwrap(), policy
-                    );
-                }
             }
             (Err(_), Err(_)) => {}
             (f, s) => prop_assert!(false, "one mode errored: {f:?} vs {s:?}"),
@@ -2413,30 +2266,17 @@ impl ProjectionSource for MapProjections {
     }
 }
 
-/// How a re-weight property run executes: the vectorized path, the same
-/// under a requested partitioning, or the scalar oracle.
-#[derive(Debug, Clone, Copy)]
-enum Path {
-    Vectorized,
-    Partitioned(usize),
-    Scalar,
-}
-
-/// One pipeline run on `path` with the given cache layers attached.
+/// One pipeline run in `mode` with the given cache layers attached.
 fn run_cached(
     db: &Database,
     cond: &Weighted,
     policy: &DisplayPolicy,
-    path: Path,
+    mode: ExecMode,
     cache: Option<&mut PipelineCache>,
     shared: Option<&MapWindows>,
 ) -> PipelineOutput {
     let t = db.table("T").unwrap();
-    let partitioning = match path {
-        Path::Partitioned(parts) => Some(t.partitions(parts)),
-        _ => None,
-    };
-    run_pipeline_opts(
+    run_pipeline(
         db,
         t,
         &DistanceResolver::new(),
@@ -2448,11 +2288,7 @@ fn run_cached(
                 scope: "d#1",
                 cache,
             }),
-            mode: match path {
-                Path::Scalar => ExecMode::Scalar,
-                _ => ExecMode::Vectorized,
-            },
-            partitions: partitioning.as_ref(),
+            mode,
             trace: true,
             ..Default::default()
         },
@@ -2471,7 +2307,7 @@ fn reweighted(cond: &Weighted, j: usize, weight: f64) -> Weighted {
 }
 
 /// Re-weighting window `j` of `cond` to each of the issue's weights is
-/// byte-identical to a cold run of the re-weighted query on `path`,
+/// byte-identical to a cold run of the re-weighted query in `mode`,
 /// through the session cache alone, the shared cache alone, and sessions
 /// alternating weights over one shared entry — and each of those runs
 /// refits exactly the re-weighted window, evaluating nothing but a
@@ -2480,7 +2316,7 @@ fn assert_reweight_is_a_refit(
     db: &Database,
     cond: &Weighted,
     policy: &DisplayPolicy,
-    path: Path,
+    mode: ExecMode,
     j: usize,
 ) {
     let windows = match &cond.node {
@@ -2491,7 +2327,7 @@ fn assert_reweight_is_a_refit(
         let diff = first_divergence(out, cold, policy);
         assert!(
             diff.is_none(),
-            "{} ({what}, {path:?}, {policy:?})",
+            "{} ({what}, {mode:?}, {policy:?})",
             diff.unwrap()
         );
         let trace = out.trace.as_ref().expect("trace requested");
@@ -2509,31 +2345,31 @@ fn assert_reweight_is_a_refit(
         );
     };
     let mut session = PipelineCache::new();
-    run_cached(db, cond, policy, path, Some(&mut session), None);
+    run_cached(db, cond, policy, mode, Some(&mut session), None);
     let shared = MapWindows::default();
-    run_cached(db, cond, policy, path, None, Some(&shared));
+    run_cached(db, cond, policy, mode, None, Some(&shared));
     let alternating = MapWindows::default();
-    let cold_w = run_cached(db, cond, policy, path, None, Some(&alternating));
+    let cold_w = run_cached(db, cond, policy, mode, None, Some(&alternating));
     let mut previous = cond.clone();
     for weight in [0.0, 1e-9, 0.3, 1.0, 7.0] {
         let next = reweighted(cond, j, weight);
         // a no-op re-weight finds its window ready, not refit
         let refit = usize::from(next != previous);
-        let cold = run_cached(db, &next, policy, path, None, None);
-        let out = run_cached(db, &next, policy, path, Some(&mut session), None);
+        let cold = run_cached(db, &next, policy, mode, None, None);
+        let out = run_cached(db, &next, policy, mode, Some(&mut session), None);
         check(&out, &cold, refit, "session cache");
-        let out = run_cached(db, &next, policy, path, None, Some(&shared));
+        let out = run_cached(db, &next, policy, mode, None, Some(&shared));
         check(&out, &cold, refit, "shared cache");
         // one session moves the shared entry to `weight`, the other
         // moves it back: one entry per subtree, the latest weight wins
-        let out = run_cached(db, &next, policy, path, None, Some(&alternating));
+        let out = run_cached(db, &next, policy, mode, None, Some(&alternating));
         check(
             &out,
             &cold,
             usize::from(next != *cond),
             "alternating, there",
         );
-        let back = run_cached(db, cond, policy, path, None, Some(&alternating));
+        let back = run_cached(db, cond, policy, mode, None, Some(&alternating));
         check(
             &back,
             &cold_w,
@@ -2554,8 +2390,7 @@ proptest! {
     /// levels, a non-invertible NOT) over NULL/NaN/±inf/tie-heavy data,
     /// `displayed`, `num_exact`, every row's combined distance and every
     /// window's raw, normalized and `norm_params` equal a cold run of
-    /// the re-weighted query — on the vectorized, partitioned and
-    /// scalar paths, through each cache layer (see
+    /// the re-weighted query — on the vectorized and scalar paths, through each cache layer (see
     /// [`assert_reweight_is_a_refit`]) and through `Session::set_weight`.
     #[test]
     fn reweight_equals_a_cold_run_of_the_reweighted_query(
@@ -2592,11 +2427,11 @@ proptest! {
             ConditionNode::And(children)
         });
         let policy = pick_policy(pick, pct);
-        if run_pipeline_scalar(&db, db.table("T").unwrap(), &DistanceResolver::new(), Some(&cond), &policy).is_err() {
+        if run_pipeline(&db, db.table("T").unwrap(), &DistanceResolver::new(), Some(&cond), &policy, PipelineOptions { mode: ExecMode::Scalar, ..Default::default() }).is_err() {
             return Ok(()); // e.g. gap params vs tiny n: every path rejects
         }
-        for path in [Path::Vectorized, Path::Partitioned(3), Path::Scalar] {
-            assert_reweight_is_a_refit(&db, &cond, &policy, path, j);
+        for mode in [ExecMode::Vectorized, ExecMode::Scalar] {
+            assert_reweight_is_a_refit(&db, &cond, &policy, mode, j);
         }
 
         // the same through the interactive session: `set_weight` then a
@@ -2628,11 +2463,11 @@ proptest! {
     }
 }
 
-/// The refit above the planner's partition threshold, where the fused
-/// walk's normalize arm really runs per partition over a cached raw
-/// frame, against the scalar oracle's cold run.
+/// The refit above the parallel threshold, where the fused walk's
+/// normalize arm really fans out over the chunks of a cached raw frame,
+/// against the scalar oracle's cold run.
 #[test]
-fn reweight_refits_bit_identically_above_the_partition_threshold() {
+fn reweight_refits_bit_identically_above_the_parallel_threshold() {
     let policy = DisplayPolicy::Percentage(25.0);
     let n = 32 * 1024 + 5;
     let rows: Vec<(f64, u8)> = (0..n)
@@ -2645,24 +2480,17 @@ fn reweight_refits_bit_identically_above_the_partition_threshold() {
         Weighted::new(p1, 0.6),
         Weighted::new(p2, 0.4),
     ]));
-    for parts in [2usize, 7] {
-        let mut session = PipelineCache::new();
-        let path = Path::Partitioned(parts);
-        let first = run_cached(&db, &cond, &policy, path, Some(&mut session), None);
-        assert_eq!(first.trace.as_ref().unwrap().partitions, parts);
-        for weight in [0.0, 1e-9, 0.3, 7.0] {
-            let next = reweighted(&cond, 1, weight);
-            let out = run_cached(&db, &next, &policy, path, Some(&mut session), None);
-            let trace = out.trace.as_ref().unwrap();
-            assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
-            let cold = run_cached(&db, &next, &policy, Path::Scalar, None, None);
-            let diff = first_divergence(&out, &cold, &policy);
-            assert!(
-                diff.is_none(),
-                "{} (parts={parts}, w'={weight})",
-                diff.unwrap()
-            );
-        }
+    let mut session = PipelineCache::new();
+    let vectorized = ExecMode::Vectorized;
+    run_cached(&db, &cond, &policy, vectorized, Some(&mut session), None);
+    for weight in [0.0, 1e-9, 0.3, 7.0] {
+        let next = reweighted(&cond, 1, weight);
+        let out = run_cached(&db, &next, &policy, vectorized, Some(&mut session), None);
+        let trace = out.trace.as_ref().unwrap();
+        assert_eq!((trace.windows_refit, trace.windows_evaluated), (1, 0));
+        let cold = run_cached(&db, &next, &policy, ExecMode::Scalar, None, None);
+        let diff = first_divergence(&out, &cold, &policy);
+        assert!(diff.is_none(), "{} (w'={weight})", diff.unwrap());
     }
 }
 
@@ -2720,7 +2548,7 @@ proptest! {
                 .cmp("x", CompareOp::Ge, threshold)
                 .is_in("x", "y", sub)
                 .build();
-            run_pipeline_opts(
+            run_pipeline(
                 db, db.table("O").unwrap(), &resolver, q.condition.as_ref(), &policy,
                 PipelineOptions {
                     projections: source.map(|(scope, s)| (scope, s as &dyn ProjectionSource)),

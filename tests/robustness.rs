@@ -31,6 +31,7 @@ fn run(db: &Database, q: Query, pct: f64) -> Result<PipelineOutput> {
         &resolver,
         q.condition.as_ref(),
         &DisplayPolicy::Percentage(pct),
+        PipelineOptions::default(),
     )
 }
 

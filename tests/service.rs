@@ -891,7 +891,6 @@ fn traces_are_opt_in_and_name_the_bench_phases() {
     };
     let trace = traced.trace.expect("trace requested");
     assert_eq!(trace.rows_scanned, 600);
-    assert_eq!(trace.partitions, 1);
     // the four phases are the bench's phase_ms fields; a real run
     // spends time in at least one of them
     let total = trace.distance_ns + trace.fit_ns + trace.normalize_combine_ns + trace.rank_ns;
@@ -1033,14 +1032,14 @@ fn metrics_op_round_trips_over_the_wire() {
         "normalize_combine_ns",
         "rank_ns",
         "rows_scanned",
-        "partitions",
         "windows_bits_only",
         "chunks_compare_packed",
     ] {
         assert!(trace.get(key).is_some(), "trace missing {key}");
     }
-    // one executor: no planner choice and no pruning count to report
-    for key in ["mode", "rows_pruned"] {
+    // one executor over one range list: no planner choice, pruning
+    // count or partition fan-out to report
+    for key in ["mode", "rows_pruned", "partitions"] {
         assert!(trace.get(key).is_none(), "trace still carries {key}");
     }
 
