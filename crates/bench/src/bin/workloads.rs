@@ -7,7 +7,9 @@
 //!   to hot `Weather` hours on `DateTime`. The join attribute is
 //!   numeric, so the vectorized arm takes the **banded sort-merge**
 //!   path (sorted projection + outward band sweep with the global
-//!   `gap + cond_lb >= best` cutoff).
+//!   `gap + cond_lb >= best` cutoff, each row's start galloped to from
+//!   the previous row's; the hot-hour condition, whose exact answers
+//!   cover its fit count, enters the join as its exact bits).
 //! * **cad** — the CAD similarity retrieval of §4.5: an `AND` of
 //!   `AROUND` predicates over a prototype part's parameters
 //!   (fixed-allowance similarity search, streamable kernels).
@@ -48,7 +50,7 @@ use visdb_distance::DistanceResolver;
 use visdb_query::ast::{AttrRef, ConditionNode, SubqueryLink};
 use visdb_query::{CompareOp, QueryBuilder};
 use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput};
-use visdb_relevance::{EvalContext, ExecMode};
+use visdb_relevance::{fit_k, EvalContext, ExecMode};
 use visdb_storage::Database;
 use visdb_types::Value;
 
@@ -219,7 +221,11 @@ struct JoinPoint {
 
 /// Isolate the approximate join: evaluate only the subquery node of the
 /// ozone query, vectorized (banded sort-merge sweep) vs scalar
-/// (exhaustive O(n·m) loop), bit-identity asserted first.
+/// (exhaustive O(n·m) loop), bit-identity asserted first. The timed inner
+/// condition, `Temperature >= 22`, has exact answers covering its fit
+/// count, so it enters the vectorized join as its bits; identity is also
+/// asserted (untimed) for a threshold leaving fewer exact answers than
+/// the fit count, whose inner condition is a normalized frame.
 fn bench_join(hours: usize) -> JoinPoint {
     let env = generate_environmental(&EnvConfig {
         hours,
@@ -227,39 +233,72 @@ fn bench_join(hours: usize) -> JoinPoint {
         seed: 7,
         ..Default::default()
     });
-    let inner = QueryBuilder::from_tables(["Weather"])
-        .cmp("Temperature", CompareOp::Ge, 22.0)
-        .build();
-    let node = ConditionNode::Subquery {
+    let node = |threshold: f64| ConditionNode::Subquery {
         link: SubqueryLink::In {
             outer: AttrRef::new("DateTime"),
             inner: AttrRef::new("DateTime"),
         },
-        query: Box::new(inner),
+        query: Box::new(
+            QueryBuilder::from_tables(["Weather"])
+                .cmp("Temperature", CompareOp::Ge, threshold)
+                .build(),
+        ),
     };
     let table = env.db.table("Air-Pollution").expect("outer table");
     let resolver = DistanceResolver::new();
+    let budget = (table.len() / 100).max(1);
     let ctx = |mode: ExecMode| EvalContext {
         db: &env.db,
         table,
         resolver: &resolver,
-        display_budget: (table.len() / 100).max(1),
+        display_budget: budget,
         mode,
         partitions: None,
         cancel: None,
     };
     let banded = ctx(ExecMode::Vectorized);
     let exhaustive = ctx(ExecMode::Scalar);
-    let fast = banded.eval_node(&node).expect("banded join");
-    let slow = exhaustive.eval_node(&node).expect("exhaustive join");
+
+    // the inner fit count, and a threshold whose exact answers fall short
+    // of it: the smallest temperature above the k-th largest
+    let weather = env.db.table("Weather").expect("inner table");
+    let temperature = weather.column_by_name("Temperature").expect("Temperature");
+    let mut ascending: Vec<f64> = (0..weather.len())
+        .filter_map(|i| temperature.get_f64(i))
+        .collect();
+    ascending.sort_by(f64::total_cmp);
+    let exact = |t: f64| ascending.iter().filter(|&&x| x >= t).count();
+    let k = fit_k(weather.len(), 1.0, budget).expect("the inner fit selects");
+    let kth = ascending[ascending.len() - k];
+    let short = ascending
+        .iter()
+        .find(|&&x| x > kth)
+        .map_or(kth + 1.0, |&x| x);
     assert!(
-        fast.distances.bits_eq(&slow.distances),
-        "banded join must be bit-identical to the exhaustive sweep at {hours} hours"
+        exact(22.0) >= k,
+        "the timed inner condition must be its bits"
     );
-    assert_eq!(
-        fast.stats, slow.stats,
-        "join stats diverge at {hours} hours"
+    assert!(
+        exact(short) < k,
+        "the untimed inner condition must be a frame"
     );
+    for threshold in [22.0, short] {
+        let fast = banded.eval_node(&node(threshold)).expect("banded join");
+        let slow = exhaustive
+            .eval_node(&node(threshold))
+            .expect("exhaustive join");
+        assert!(
+            fast.distances.bits_eq(&slow.distances),
+            "banded join must be bit-identical to the exhaustive sweep at {hours} hours, \
+             inner Temperature >= {threshold}"
+        );
+        assert_eq!(
+            fast.stats, slow.stats,
+            "join stats diverge at {hours} hours, inner Temperature >= {threshold}"
+        );
+    }
+
+    let node = node(22.0);
     let mut rep_counts = Vec::new();
     let banded_s = note(
         &mut rep_counts,
@@ -270,7 +309,7 @@ fn bench_join(hours: usize) -> JoinPoint {
         time_median(|| exhaustive.eval_node(&node).expect("exhaustive join")),
     );
     JoinPoint {
-        inner_rows: env.db.table("Weather").expect("inner table").len(),
+        inner_rows: weather.len(),
         outer_rows: table.len(),
         banded_ms: banded_s * 1e3,
         exhaustive_ms: exhaustive_s * 1e3,

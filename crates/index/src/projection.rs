@@ -227,12 +227,28 @@ impl SortedProjection {
     /// a running best can stop at the first gap whose lower bound can no
     /// longer beat it, because every later gap is at least as large.
     /// `center` must not be NaN.
-    pub fn sweep_from(&self, center: f64) -> BandSweep<'_> {
+    ///
+    /// The sweep starts at [`SortedProjection::position_ge`]`(center)`
+    /// whatever the `hint`; the hint (any position, clamped to
+    /// [`SortedProjection::defined`]) only says where to look for it. The
+    /// start is found by galloping from the hint, so it costs O(log Δ)
+    /// comparisons for a start Δ positions away: a caller sweeping from
+    /// ascending centres passes the previous sweep's
+    /// [`BandSweep::start`] and pays O(1) per sweep when consecutive
+    /// starts are close.
+    pub fn sweep_from(&self, center: f64, hint: usize) -> BandSweep<'_> {
         debug_assert!(!center.is_nan());
-        let start = self.position_ge(center);
+        let below = |j: usize| self.sorted[j] < center;
+        let hint = hint.min(self.sorted.len());
+        let start = if hint == 0 || below(hint - 1) {
+            hint + gallop(self.sorted.len() - hint, |i| below(hint + i))
+        } else {
+            hint - gallop(hint, |i| !below(hint - 1 - i))
+        };
         BandSweep {
             sorted: &self.sorted,
             center,
+            start,
             lo: start,
             hi: start,
         }
@@ -240,30 +256,55 @@ impl SortedProjection {
 }
 
 /// Count of leading values at most `v` under [`f64::total_cmp`] — the
-/// merge's run length — found by exponential probing plus a binary
-/// search of the final doubling window, so a run of length r costs
-/// O(log r) comparisons rather than O(log n). NaN sorts greatest under
-/// the total order, so the plain `partition_point` contract holds even
-/// though excluded rows never reach the sorted vector.
+/// merge's run length. NaN sorts greatest under the total order, so the
+/// plain `partition_point` contract holds even though excluded rows never
+/// reach the sorted vector.
 fn gallop_le(sorted: &[f64], v: f64) -> usize {
-    let le = |x: &f64| x.total_cmp(&v) != std::cmp::Ordering::Greater;
+    gallop(sorted.len(), |i| {
+        sorted[i].total_cmp(&v) != std::cmp::Ordering::Greater
+    })
+}
+
+/// The partition point of `0..len` under `pred`, which must hold on a
+/// prefix: exponential probing plus a binary search of the final doubling
+/// window, so an answer `r` costs O(log r) comparisons rather than
+/// O(log len).
+fn gallop(len: usize, pred: impl Fn(usize) -> bool) -> usize {
     let mut bound = 1;
-    while bound <= sorted.len() && le(&sorted[bound - 1]) {
+    while bound <= len && pred(bound - 1) {
         bound *= 2;
     }
-    let lo = bound / 2;
-    let hi = bound.min(sorted.len()).max(lo);
-    lo + sorted[lo..hi].partition_point(le)
+    let (mut lo, mut hi) = (bound / 2, bound.min(len).max(bound / 2));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// See [`SortedProjection::sweep_from`].
 pub struct BandSweep<'a> {
     sorted: &'a [f64],
     center: f64,
+    /// The first position whose value is `>= center`.
+    start: usize,
     /// Next left candidate is position `lo - 1` (value `< center`).
     lo: usize,
     /// Next right candidate is position `hi` (value `>= center`).
     hi: usize,
+}
+
+impl BandSweep<'_> {
+    /// Where the sweep started: the first position whose value is
+    /// `>= center` (the count of values `< center`) — the hint of the
+    /// next sweep from a nearby centre.
+    pub fn start(&self) -> usize {
+        self.start
+    }
 }
 
 impl Iterator for BandSweep<'_> {
@@ -363,25 +404,89 @@ mod tests {
     fn sweep_from_yields_nearest_first() {
         let p = proj(&[Some(3.0), None, Some(1.0), Some(2.0), Some(2.0), Some(7.0)]);
         // sorted: 1.0, 2.0, 2.0, 3.0, 7.0
-        let swept: Vec<(usize, f64)> = p.sweep_from(2.5).collect();
-        assert_eq!(swept.len(), p.defined());
-        // gaps never decrease
-        for w in swept.windows(2) {
-            assert!(w[0].1 <= w[1].1, "{swept:?}");
+        for hint in [0, p.defined()] {
+            let swept: Vec<(usize, f64)> = p.sweep_from(2.5, hint).collect();
+            assert_eq!(swept.len(), p.defined());
+            // gaps never decrease
+            for w in swept.windows(2) {
+                assert!(w[0].1 <= w[1].1, "{swept:?}");
+            }
+            // every position appears exactly once
+            let mut pos: Vec<usize> = swept.iter().map(|&(p, _)| p).collect();
+            pos.sort_unstable();
+            assert_eq!(pos, vec![0, 1, 2, 3, 4]);
+            // gap is |value - center|
+            for &(pp, g) in &swept {
+                assert_eq!(g, (p.value_at(pp) - 2.5).abs());
+            }
+            // center outside the value range sweeps one-directionally
+            let left: Vec<usize> = p.sweep_from(0.0, hint).map(|(pp, _)| pp).collect();
+            assert_eq!(left, vec![0, 1, 2, 3, 4]);
+            let right: Vec<usize> = p.sweep_from(100.0, hint).map(|(pp, _)| pp).collect();
+            assert_eq!(right, vec![4, 3, 2, 1, 0]);
         }
-        // every position appears exactly once
-        let mut pos: Vec<usize> = swept.iter().map(|&(p, _)| p).collect();
-        pos.sort_unstable();
-        assert_eq!(pos, vec![0, 1, 2, 3, 4]);
-        // gap is |value - center|
-        for &(pp, g) in &swept {
-            assert_eq!(g, (p.value_at(pp) - 2.5).abs());
+    }
+
+    /// The hint only says where to look: from every hint in
+    /// `0..=defined()` and one past the end, a sweep starts at
+    /// `position_ge(center)` and yields the same `(position, gap)`
+    /// sequence — over runs of duplicates, a single value, NULL / NaN
+    /// rows the projection excludes, and no rows; at centres below the
+    /// minimum, above the maximum, on every distinct value and between
+    /// neighbours.
+    #[test]
+    fn any_hint_sweeps_from_the_binary_searched_start() {
+        let projections = [
+            proj(&[
+                Some(2.0),
+                Some(2.0),
+                Some(-1.0),
+                Some(2.0),
+                Some(5.0),
+                Some(5.0),
+                Some(-1.0),
+                Some(9.0),
+            ]),
+            proj(&[Some(4.0)]),
+            proj(&[
+                None,
+                Some(f64::NAN),
+                Some(3.0),
+                None,
+                Some(1.0),
+                Some(f64::NAN),
+            ]),
+            proj(&[None, Some(f64::NAN)]),
+            proj(&[]),
+            SortedProjection::build(300, |i| Some(((i * 37) % 41) as f64 / 4.0)),
+        ];
+        for p in &projections {
+            let m = p.defined();
+            let mut distinct: Vec<f64> = (0..m).map(|j| p.value_at(j)).collect();
+            distinct.dedup();
+            let mut centers = vec![-1e9, 1e9];
+            for (j, &v) in distinct.iter().enumerate() {
+                centers.push(v);
+                if let Some(&next) = distinct.get(j + 1) {
+                    centers.push(v + (next - v) / 2.0);
+                }
+            }
+            for &t in &centers {
+                let start = p.position_ge(t);
+                let want: Vec<(usize, f64)> = {
+                    let sweep = p.sweep_from(t, start);
+                    assert_eq!(sweep.start(), start);
+                    sweep.collect()
+                };
+                assert_eq!(want.len(), m);
+                for hint in (0..=m).chain([m + 1, usize::MAX]) {
+                    let sweep = p.sweep_from(t, hint);
+                    assert_eq!(sweep.start(), start, "centre {t}, hint {hint}");
+                    let got: Vec<(usize, f64)> = sweep.collect();
+                    assert_eq!(got, want, "centre {t}, hint {hint}");
+                }
+            }
         }
-        // center outside the value range sweeps one-directionally
-        let left: Vec<usize> = p.sweep_from(0.0).map(|(pp, _)| pp).collect();
-        assert_eq!(left, vec![0, 1, 2, 3, 4]);
-        let right: Vec<usize> = p.sweep_from(100.0).map(|(pp, _)| pp).collect();
-        assert_eq!(right, vec![4, 3, 2, 1, 0]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
-use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedChunk};
+use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedBits, PackedChunk};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_distance::{geo, numeric, string, time};
 use visdb_exec::{fault::Phase, CancelToken};
@@ -25,7 +25,7 @@ use visdb_types::{DataType, Error, Result, TypeClass, Value};
 
 use crate::chunk;
 use crate::combine::{combine_and_frames, combine_or_frames};
-use crate::normalize::normalize_frame;
+use crate::normalize::{fit_k, normalize_frame, NORM_MAX};
 use crate::reference;
 
 /// How distances are computed.
@@ -155,6 +155,9 @@ pub(crate) struct WindowEval {
     pub(crate) bits: Option<ExactBits>,
     /// Ranges of that walk compare-packed straight from the column.
     pub(crate) chunks_compare_packed: usize,
+    /// A subquery window whose inner condition entered the join as its
+    /// exact bits ([`InnerCond`]).
+    pub(crate) join_inner_bits: bool,
 }
 
 /// One distance walk's per-range fill: rows `offset..offset + len` into
@@ -221,7 +224,9 @@ impl<'a> EvalContext<'a> {
             ConditionNode::Predicate(p) => self.eval_predicate(p),
             ConditionNode::Not(inner) => self.eval_not(inner, projections),
             ConditionNode::Connection(c) => self.eval_connection(c),
-            ConditionNode::Subquery { link, query } => self.eval_subquery(link, query, projections),
+            ConditionNode::Subquery { link, query } => {
+                Ok(self.eval_subquery(link, query, projections)?.0)
+            }
             ConditionNode::And(children) => self.eval_boolean(children, true, projections),
             ConditionNode::Or(children) => self.eval_boolean(children, false, projections),
         }
@@ -352,13 +357,13 @@ impl<'a> EvalContext<'a> {
     }
 
     /// One range of [`EvalContext::fill_rows`]: `f(offset + j)` into row
-    /// `j`, stats fused.
+    /// `j`, in row order, stats fused.
     fn fill_chunk(
         &self,
         offset: usize,
         vals: &mut [f64],
         mask: &mut [bool],
-        f: impl Fn(usize) -> Option<f64>,
+        mut f: impl FnMut(usize) -> Option<f64>,
     ) -> FrameStats {
         if self.poll_cancel() {
             return FrameStats::default();
@@ -578,7 +583,8 @@ impl<'a> EvalContext<'a> {
     /// only when its exact answers fall short of `k`; once they cover it,
     /// the ranges of an `x ≥ t` / `x ≤ t` leaf over a native column are
     /// compare-packed. Any other node, or no `k`, is evaluated into its
-    /// raw frame.
+    /// raw frame; a subquery says whether its inner condition entered the
+    /// join as its bits.
     pub(crate) fn eval_window(
         &self,
         node: &ConditionNode,
@@ -599,9 +605,15 @@ impl<'a> EvalContext<'a> {
                 stats,
                 bits: Some(bits),
                 chunks_compare_packed: packed,
+                join_inner_bits: false,
             });
         }
-        let e = self.eval_node_with(node, projections)?;
+        let (e, join_inner_bits) = match node {
+            ConditionNode::Subquery { link, query } => {
+                self.eval_subquery(link, query, projections)?
+            }
+            _ => (self.eval_node_with(node, projections)?, false),
+        };
         Ok(WindowEval {
             label: e.label,
             signed: e.signed,
@@ -609,6 +621,7 @@ impl<'a> EvalContext<'a> {
             stats: e.stats,
             bits: None,
             chunks_compare_packed: 0,
+            join_inner_bits,
         })
     }
 
@@ -706,13 +719,16 @@ impl<'a> EvalContext<'a> {
     /// Subquery distance (§4.4): "the color corresponding to the distance
     /// of the data item most closely fulfilling the subquery condition ...
     /// determined by the minimum distance in performing an approximate
-    /// join of the inner and the outer relation(s)".
+    /// join of the inner and the outer relation(s)". The inner condition
+    /// comes normalized per inner row ([`EvalContext::inner_condition`]),
+    /// as its exact bits when its fit is two-valued; the second value says
+    /// whether it did.
     fn eval_subquery(
         &self,
         link: &SubqueryLink,
         query: &Query,
         projections: Option<&RunProjections<'_>>,
-    ) -> Result<NodeEval> {
+    ) -> Result<(NodeEval, bool)> {
         let inner_table_name = query
             .tables
             .first()
@@ -727,33 +743,23 @@ impl<'a> EvalContext<'a> {
             partitions: None,
             cancel: self.cancel,
         };
-        // combined (normalized) distance of the inner condition per inner row
-        let inner_cond: DistanceFrame = match &query.condition {
-            Some(w) => {
-                let e = inner_ctx.eval_node_with(&w.node, projections)?;
-                inner_ctx.normalized(&e, w.weight)
-            }
-            None => DistanceFrame::constant(inner_table.len(), 0.0).0,
-        };
+        let inner_cond = inner_ctx.inner_condition(query, projections)?;
+        let as_bits = matches!(inner_cond.rows, InnerRows::Bits(..));
         let n = self.table.len();
-        match link {
+        let e = match link {
             SubqueryLink::Exists => {
                 // Uncorrelated EXISTS: the best inner distance is the same
                 // for every outer row — one constant fill, not n sets.
-                let best = inner_cond
-                    .iter()
-                    .flatten()
-                    .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.min(d))));
-                let (distances, stats) = match best {
+                let (distances, stats) = match inner_cond.lower_bound() {
                     Some(b) => DistanceFrame::constant(n, b),
                     None => (DistanceFrame::undefined(n), FrameStats::default()),
                 };
-                Ok(NodeEval {
+                NodeEval {
                     label: "EXISTS(...)".to_string(),
                     signed: false,
                     distances,
                     stats,
-                })
+                }
             }
             SubqueryLink::In { outer, inner } => {
                 let (oc, odt, ocl, _) = self.column(outer)?;
@@ -762,14 +768,48 @@ impl<'a> EvalContext<'a> {
                 let mut out = DistanceFrame::undefined(n);
                 let shared = projections.map(|p| (p, inner_table.name(), inner_name.as_str()));
                 let stats = self.min_distance_join(oc, ic, &cd, &inner_cond, &mut out, shared);
-                Ok(NodeEval {
+                NodeEval {
                     label: format!("{outer} IN (...)"),
                     signed: false,
                     distances: out,
                     stats,
-                })
+                }
             }
+        };
+        Ok((e, as_bits))
+    }
+
+    /// A subquery's inner condition normalized per row of this (the
+    /// inner) relation — the combined distance the join adds to each
+    /// pair. No condition is 0 on every row. In vectorized mode a bare
+    /// predicate leaf is evaluated as a window under its fit count
+    /// ([`EvalContext::eval_window`]): when its exact answers cover that
+    /// count the fit is `dmax = 0`, the normalized distance is 0 on exact
+    /// rows and `NORM_MAX` on the other defined ones, and the window's
+    /// exact bits are the inner condition — no frame written or
+    /// normalized. Otherwise its raw frame is normalized as any other
+    /// node's; the scalar reference normalizes row by row.
+    fn inner_condition(
+        &self,
+        query: &Query,
+        projections: Option<&RunProjections<'_>>,
+    ) -> Result<InnerCond> {
+        let m = self.table.len();
+        let Some(w) = &query.condition else {
+            return Ok(InnerCond::frame(DistanceFrame::constant(m, 0.0).0));
+        };
+        if self.mode == ExecMode::Vectorized && matches!(w.node, ConditionNode::Predicate(_)) {
+            let k = fit_k(m, w.weight, self.display_budget);
+            let e = self.eval_window(&w.node, k, projections)?;
+            return Ok(match e.raw {
+                None => InnerCond::bits(e.bits.expect("a window walk folds its bits")),
+                Some(raw) => InnerCond::frame(
+                    normalize_frame(&raw, &e.stats, w.weight, self.display_budget).0,
+                ),
+            });
         }
+        let e = self.eval_node_with(&w.node, projections)?;
+        Ok(InnerCond::frame(self.normalized(&e, w.weight)))
     }
 
     /// The §4.4 approximate join: per outer row, the minimum of
@@ -786,7 +826,7 @@ impl<'a> EvalContext<'a> {
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
-        inner_cond: &DistanceFrame,
+        inner_cond: &InnerCond,
         out: &mut DistanceFrame,
         shared: SharedInner<'_>,
     ) -> FrameStats {
@@ -808,16 +848,24 @@ impl<'a> EvalContext<'a> {
     /// function of a catalog column: it comes from the run's shared
     /// per-(relation, column) store when there is one (`shared`), from a
     /// per-evaluation sort otherwise.
-    /// Each outer row starts at its binary-searched insertion point and
-    /// sweeps outward **nearest first** ([`SortedProjection::sweep_from`]
-    /// yields non-decreasing join gaps), stopping as soon as
-    /// `gap + cond_lb >= best`, where `cond_lb` is the global minimum
-    /// defined inner-condition distance: every unvisited pair's total is
-    /// at least that bound, so excluding it cannot change the minimum.
-    /// The min-fold over f64 totals (no NaN can occur: both operands are
-    /// non-NaN and the inner column is fully finite) is
+    /// Each outer row starts at its insertion point and sweeps outward
+    /// **nearest first** ([`SortedProjection::sweep_from`] yields
+    /// non-decreasing join gaps), stopping as soon as
+    /// `gap + cond_lb >= best`, where `cond_lb` is the inner condition's
+    /// lower bound ([`InnerCond::lower_bound`]): every unvisited pair's
+    /// total is at least that bound, so excluding it cannot change the
+    /// minimum. The min-fold over f64 totals (no NaN can occur: both
+    /// operands are non-NaN and the inner column is fully finite) is
     /// order-independent, so the result is bit-identical to the
     /// exhaustive sweep.
+    ///
+    /// The rows of each row range are walked in order with a finger: a
+    /// row's insertion point is galloped to from the previous row's
+    /// (the range's first row starts from position 0), so it costs
+    /// O(log Δ) comparisons for Δ positions between consecutive starts —
+    /// O(1) on a time-ordered outer column — instead of a binary search
+    /// of the whole projection. The start itself, and so every output
+    /// bit, does not depend on the finger.
     ///
     /// Returns `None` — fall back to the exhaustive sweep — for
     /// non-`Numeric` distances, columns without native numeric buffers,
@@ -828,7 +876,7 @@ impl<'a> EvalContext<'a> {
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
-        inner_cond: &DistanceFrame,
+        inner_cond: &InnerCond,
         out: &mut DistanceFrame,
         shared: SharedInner<'_>,
     ) -> Option<FrameStats> {
@@ -845,44 +893,49 @@ impl<'a> EvalContext<'a> {
         if !proj.is_fully_finite() {
             return None;
         }
-        let inner_vals = inner_cond.values();
-        let inner_mask = inner_cond.validity();
-        // Global lower bound on any defined inner-condition distance
-        // (normalized, hence finite and >= 0). +inf means no inner row
-        // has a defined condition — every outer row is undefined.
-        let cond_lb = inner_cond.iter().flatten().fold(f64::INFINITY, f64::min);
-        if cond_lb == f64::INFINITY {
+        let Some(cond_lb) = inner_cond.lower_bound() else {
+            // no inner row has a defined condition: every outer row is
+            // undefined
             return Some(FrameStats::default());
-        }
-        Some(self.fill_rows(out, |i| {
-            let ov = oc.get_f64(i)?;
-            if !ov.is_finite() {
-                // NaN: every join distance is undefined (None). ±inf:
-                // totals may all be +inf — reproduce the reference sweep
-                // for this row rather than reason about inf arithmetic.
-                return exhaustive_row(ov, ic, inner_vals, inner_mask);
-            }
-            let mut best: Option<f64> = None;
-            for (p, gap) in proj.sweep_from(ov) {
-                if let Some(b) = best {
-                    if gap + cond_lb >= b {
-                        break;
+        };
+        Some(chunk::for_each_frame_range(
+            out,
+            self.parallel(),
+            |offset, vals, mask| {
+                let mut finger = 0;
+                self.fill_chunk(offset, vals, mask, |i| {
+                    let ov = oc.get_f64(i)?;
+                    if !ov.is_finite() {
+                        // NaN: every join distance is undefined (None).
+                        // ±inf: totals may all be +inf — reproduce the
+                        // reference sweep for this row rather than reason
+                        // about inf arithmetic.
+                        return exhaustive_row(ov, ic, inner_cond);
                     }
-                }
-                let j = proj.row_at(p);
-                if !inner_mask.get(j) {
-                    continue;
-                }
-                // `gap` is |ov - inner| with the same float ops the
-                // reference's `equal_to(..).abs()` performs
-                let t = gap + inner_vals[j];
-                best = Some(best.map_or(t, |b: f64| b.min(t)));
-                if t == 0.0 {
-                    break;
-                }
-            }
-            best
-        }))
+                    let sweep = proj.sweep_from(ov, finger);
+                    finger = sweep.start();
+                    let mut best: Option<f64> = None;
+                    for (p, gap) in sweep {
+                        if let Some(b) = best {
+                            if gap + cond_lb >= b {
+                                break;
+                            }
+                        }
+                        let Some(cond) = inner_cond.get(proj.row_at(p)) else {
+                            continue;
+                        };
+                        // `gap` is |ov - inner| with the same float ops the
+                        // reference's `equal_to(..).abs()` performs
+                        let t = gap + cond;
+                        best = Some(best.map_or(t, |b: f64| b.min(t)));
+                        if t == 0.0 {
+                            break;
+                        }
+                    }
+                    best
+                })
+            },
+        ))
     }
 
     /// Per-distinct-value join for string-backed columns under `String`
@@ -896,7 +949,7 @@ impl<'a> EvalContext<'a> {
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
-        inner_cond: &DistanceFrame,
+        inner_cond: &InnerCond,
         out: &mut DistanceFrame,
     ) -> Option<FrameStats> {
         if !matches!(cd, ColumnDistance::String(_) | ColumnDistance::Matrix(_)) {
@@ -904,9 +957,6 @@ impl<'a> EvalContext<'a> {
         }
         let (osc, omask) = oc.str_column()?;
         let (isc, imask) = ic.str_column()?;
-        let m = ic.len();
-        let inner_vals = inner_cond.values();
-        let inner_mask = inner_cond.validity();
         let odict = osc.dict();
         let idict = isc.dict();
         let ivalues = idict.values();
@@ -922,12 +972,15 @@ impl<'a> EvalContext<'a> {
                 })
                 .collect();
             let mut best: Option<f64> = None;
-            for j in 0..m {
-                if !inner_mask.get(j) || !imask.is_none_or(|mm| mm[j]) {
+            for j in 0..ic.len() {
+                let Some(cond_j) = inner_cond.get(j) else {
+                    continue;
+                };
+                if !imask.is_none_or(|mm| mm[j]) {
                     continue;
                 }
                 if let Some(d) = jd[icodes[j] as usize] {
-                    let t = d.abs() + inner_vals[j];
+                    let t = d.abs() + cond_j;
                     best = Some(best.map_or(t, |b: f64| b.min(t)));
                     if t == 0.0 {
                         break;
@@ -964,18 +1017,16 @@ impl<'a> EvalContext<'a> {
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
-        inner_cond: &DistanceFrame,
+        inner_cond: &InnerCond,
         out: &mut DistanceFrame,
     ) -> FrameStats {
-        let inner_vals = inner_cond.values();
-        let inner_mask = inner_cond.validity();
         if matches!(cd, ColumnDistance::Numeric)
             && oc.numeric_slice().is_some()
             && ic.numeric_slice().is_some()
         {
             return self.fill_rows(out, |i| {
                 let ov = oc.get_f64(i)?;
-                exhaustive_row(ov, ic, inner_vals, inner_mask)
+                exhaustive_row(ov, ic, inner_cond)
             });
         }
         self.fill_rows(out, |i| {
@@ -984,10 +1035,10 @@ impl<'a> EvalContext<'a> {
                 return None;
             }
             let mut best: Option<f64> = None;
-            for (j, &cond_j) in inner_vals.iter().enumerate() {
-                if !inner_mask.get(j) {
+            for j in 0..inner_cond.len() {
+                let Some(cond_j) = inner_cond.get(j) else {
                     continue;
-                }
+                };
                 let join_d = cd.value_distance(&ov, &ic.get(j));
                 if let Some(t) = join_d.map(|jd| jd.abs() + cond_j) {
                     best = Some(best.map_or(t, |b: f64| b.min(t)));
@@ -1001,6 +1052,69 @@ impl<'a> EvalContext<'a> {
     }
 }
 
+/// A §4.4 subquery's normalized inner condition, per inner row — the one
+/// accessor every join loop and the `EXISTS` arm read it through.
+struct InnerCond {
+    rows: InnerRows,
+    /// The smallest defined distance; `+inf` when no row is defined.
+    lb: f64,
+}
+
+enum InnerRows {
+    /// A two-valued fit (`dmax = 0`) as its `(exact, defined)` bits: 0 on
+    /// exact rows, `NORM_MAX` on the other defined rows.
+    Bits(PackedBits, Option<PackedBits>),
+    /// The normalized distances.
+    Frame(DistanceFrame),
+}
+
+impl InnerCond {
+    fn frame(frame: DistanceFrame) -> Self {
+        let lb = frame.iter().flatten().fold(f64::INFINITY, f64::min);
+        InnerCond {
+            rows: InnerRows::Frame(frame),
+            lb,
+        }
+    }
+
+    /// The bits of a window walk whose exact answers covered its fit
+    /// count. That count is at least 1, so some row is exact: the lower
+    /// bound is 0.
+    fn bits((exact, defined): ExactBits) -> Self {
+        InnerCond {
+            rows: InnerRows::Bits(exact, defined),
+            lb: 0.0,
+        }
+    }
+
+    /// Inner rows.
+    fn len(&self) -> usize {
+        match &self.rows {
+            InnerRows::Bits(exact, _) => exact.len(),
+            InnerRows::Frame(frame) => frame.len(),
+        }
+    }
+
+    /// The normalized distance of inner row `j`, `None` where undefined.
+    #[inline]
+    fn get(&self, j: usize) -> Option<f64> {
+        match &self.rows {
+            InnerRows::Bits(exact, _) if exact.get(j) => Some(0.0),
+            InnerRows::Bits(_, defined) => defined
+                .as_ref()
+                .is_none_or(|d| d.get(j))
+                .then_some(NORM_MAX),
+            InnerRows::Frame(frame) => frame.get(j),
+        }
+    }
+
+    /// A lower bound on every defined row's distance — their minimum —
+    /// or `None` when no row is defined.
+    fn lower_bound(&self) -> Option<f64> {
+        (self.lb != f64::INFINITY).then_some(self.lb)
+    }
+}
+
 /// A join's way to the shared copy of its inner key's projection: the
 /// run's store plus the inner `(table, column)` names that key it.
 type SharedInner<'a> = Option<(&'a RunProjections<'a>, &'a str, &'a str)>;
@@ -1008,17 +1122,12 @@ type SharedInner<'a> = Option<(&'a RunProjections<'a>, &'a str, &'a str)>;
 /// One outer row of the numeric exhaustive sweep, in reference order:
 /// the same `equal_to(..).abs() + cond` fold the generic loop performs,
 /// minus the per-pair [`Value`] materialisation.
-fn exhaustive_row(
-    ov: f64,
-    ic: &ColumnData,
-    inner_vals: &[f64],
-    inner_mask: &visdb_distance::frame::Bitmap,
-) -> Option<f64> {
+fn exhaustive_row(ov: f64, ic: &ColumnData, inner_cond: &InnerCond) -> Option<f64> {
     let mut best: Option<f64> = None;
-    for (j, &cond_j) in inner_vals.iter().enumerate() {
-        if !inner_mask.get(j) {
+    for j in 0..inner_cond.len() {
+        let Some(cond_j) = inner_cond.get(j) else {
             continue;
-        }
+        };
         let Some(iv) = ic.get_f64(j) else { continue };
         let Some(jd) = numeric::equal_to(ov, iv) else {
             continue;

@@ -120,6 +120,12 @@ pub struct PipelineTrace {
     /// covered the fit count, whose stats and bits one pass read straight
     /// from the column (no distances written).
     pub chunks_compare_packed: usize,
+    /// Top-level §4.4 subquery windows evaluated this run whose inner
+    /// condition entered the join as its exact bits: a predicate whose
+    /// exact answers covered its fit count over the inner relation, so
+    /// its normalized distances were 0 or `NORM_MAX` and no inner frame
+    /// was written or normalized.
+    pub join_inner_bits: usize,
     /// §5.2 fits the distance walk's counts answered without reading
     /// the frame again (the fit covers every defined item, or the
     /// predicate's exact answers cover `k`).
@@ -665,6 +671,7 @@ pub fn run_pipeline(
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
     let (mut windows_evaluated, mut evaluated_bits_only, mut compare_packed) = (0, 0, 0);
+    let mut join_inner_bits = 0;
     phase_time!(trace, distance, {
         for (i, (w, got)) in top.iter().zip(found).enumerate() {
             unfit.push(!got.as_ref().is_some_and(|win| same_weight(win, w)));
@@ -678,6 +685,7 @@ pub fn run_pipeline(
                     let e = ctx.eval_window(&w.node, k, run_projections.as_ref())?;
                     evaluated_bits_only += usize::from(e.raw.is_none());
                     compare_packed += e.chunks_compare_packed;
+                    join_inner_bits += usize::from(e.join_inner_bits);
                     PredicateWindow::evaluated(e, w.weight)
                 }
             });
@@ -765,6 +773,7 @@ pub fn run_pipeline(
         t.windows_evaluated = windows_evaluated;
         t.windows_bits_only += evaluated_bits_only;
         t.chunks_compare_packed = compare_packed;
+        t.join_inner_bits = join_inner_bits;
     }
     Ok(PipelineOutput {
         n,

@@ -152,6 +152,9 @@ pub struct TraceReport {
     /// Row ranges of the evaluated windows compare-packed straight from
     /// the column ([`PipelineTrace::chunks_compare_packed`]).
     pub chunks_compare_packed: usize,
+    /// Subquery windows whose inner condition entered the join as its
+    /// exact bits ([`PipelineTrace::join_inner_bits`]).
+    pub join_inner_bits: usize,
 }
 
 impl From<&PipelineTrace> for TraceReport {
@@ -168,6 +171,7 @@ impl From<&PipelineTrace> for TraceReport {
             windows_evaluated: t.windows_evaluated,
             windows_bits_only: t.windows_bits_only,
             chunks_compare_packed: t.chunks_compare_packed,
+            join_inner_bits: t.join_inner_bits,
         }
     }
 }
@@ -653,6 +657,7 @@ impl TraceReport {
             ("windows_evaluated", self.windows_evaluated.into()),
             ("windows_bits_only", self.windows_bits_only.into()),
             ("chunks_compare_packed", self.chunks_compare_packed.into()),
+            ("join_inner_bits", self.join_inner_bits.into()),
         ])
     }
 }

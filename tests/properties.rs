@@ -2223,6 +2223,131 @@ proptest! {
     }
 }
 
+/// The outer join column of the above-threshold join property: `n` rows
+/// on a half-unit grid across `[-1100, 1100)` — in value order, reversed,
+/// shuffled, or as two ascending runs over the same values, one after
+/// the other (two stations' time series) — with NULL, NaN and `±inf`
+/// probes scattered among them.
+fn join_outer(n: usize, order: usize, seed: u64) -> Vec<Value> {
+    let half = n.div_ceil(2);
+    let mut ranks: Vec<usize> = match order {
+        1 => (0..n).rev().collect(),
+        3 => (0..n).map(|i| 2 * (i % half) + i / half).collect(),
+        _ => (0..n).collect(),
+    };
+    if order == 2 {
+        for i in (1..n).rev() {
+            ranks.swap(i, mix(i, seed) as usize % (i + 1));
+        }
+    }
+    (ranks.iter().enumerate())
+        .map(|(i, &r)| match mix(i, seed ^ 0x5eed) % 211 {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            2 => Value::Float(f64::INFINITY),
+            3 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(((-1100.0 + 2200.0 * r as f64 / n as f64) * 2.0).floor() / 2.0),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The banded `IN` join walks each row range in order with a finger —
+    /// every row's sweep galloping from the previous row's start — and a
+    /// two-valued inner condition enters it as its exact bits; above the
+    /// parallel threshold both stay byte-identical to the scalar oracle.
+    /// An outer relation of `PAR_MIN_ROWS + 5` rows is three ranges, fanned
+    /// out, each range's finger starting cold; its join column comes in
+    /// value order, reversed, shuffled and as two ascending runs, with
+    /// NULL, NaN and `±inf` probes (the last take the exhaustive row
+    /// fallback). The inner relation (≤ 512 rows, duplicates, NULL and
+    /// NaN keys, spread wider than `NORM_MAX` so that a row failing the
+    /// inner condition can be some probes' best) is filtered by `y >= t`
+    /// at weight 1, 0.3 or 0, with `t`
+    /// leaving at least `k` exact answers (bits), fewer (a normalized
+    /// frame), or none (every inner distance `NORM_MAX`) — `k` the inner
+    /// fit count, `None` at weight 0 — under the `IN` and `EXISTS` links;
+    /// the trace says which inner path ran.
+    #[test]
+    fn banded_in_join_matches_exhaustive_above_the_parallel_threshold(
+        seed in 0u64..1 << 40,
+        inner in prop::collection::vec((-1e3f64..1e3, 0u8..16), 256..513),
+        pct in 0.2f64..1.0,
+        regime in 0usize..3,
+        weight_pick in 0usize..3,
+        link_pick in 0usize..2,
+    ) {
+        let n = visdb::relevance::chunk::PAR_MIN_ROWS + 5;
+        let m = inner.len();
+        let keys: Vec<Option<f64>> = (inner.iter())
+            .map(|&(v, tag)| match tag {
+                0 => None,
+                1 => Some(f64::NAN),
+                _ => Some((v / 8.0).round() * 8.0),
+            })
+            .collect();
+        let mut t = TableBuilder::new("I", vec![Column::new("y", DataType::Float)]);
+        for &y in &keys {
+            t = t.row(vec![y.map_or(Value::Null, Value::Float)]).unwrap();
+        }
+        let inner_table = t.build();
+        let mut descending: Vec<f64> = keys.iter().flatten().copied().filter(|y| !y.is_nan()).collect();
+        descending.sort_by(|a, b| b.total_cmp(a));
+        let policy = DisplayPolicy::Percentage(pct);
+        let budget = policy.budget(n);
+        let resolver = DistanceResolver::new();
+        // every outer order; every other one with the inner condition in
+        // bits at weight 1 or 0.3, the rest with fewer or no exact answers
+        // at weight 1, 0.3 or 0
+        for order in 0..4 {
+            let (regime, weight) = match (order + regime) % 2 {
+                0 => (0, [1.0, 0.3][(weight_pick + order / 2) % 2]),
+                _ => (1 + (regime + order / 2) % 2, [1.0, 0.3, 0.0][(weight_pick + order) % 3]),
+            };
+            let k = visdb::relevance::normalize::fit_k(m, weight, budget);
+            let cut = k.unwrap_or(m / 3).min(descending.len()).max(1);
+            let threshold = match regime {
+                0 => descending[cut - 1],
+                1 => descending[(cut / 2).saturating_sub(1)],
+                _ => descending[0] + 1.0,
+            };
+            let exact = descending.iter().filter(|&&y| y >= threshold).count();
+            let mut t = TableBuilder::new("O", vec![Column::new("x", DataType::Float)]);
+            for x in join_outer(n, order, seed) {
+                t = t.row(vec![x]).unwrap();
+            }
+            let mut db = Database::new("d");
+            db.add_table(t.build());
+            db.add_table(inner_table.clone());
+            let outer = db.table("O").unwrap();
+            // two consecutive orders also take the `EXISTS` link: one of
+            // them with the inner condition in bits
+            let links = if order / 2 == link_pick { 2 } else { 1 };
+            for exists in [false, true].into_iter().take(links) {
+                let sub = QueryBuilder::from_tables(["I"])
+                    .cmp_weighted("y", CompareOp::Ge, threshold, weight)
+                    .build();
+                let qb = QueryBuilder::from_tables(["O"]);
+                let q = if exists { qb.exists(sub) } else { qb.is_in("x", "y", sub) }.build();
+                let run = |opts: PipelineOptions<'_>| {
+                    run_pipeline(&db, outer, &resolver, q.condition.as_ref(), &policy, opts)
+                        .unwrap()
+                };
+                let slow = run(PipelineOptions { mode: ExecMode::Scalar, ..Default::default() });
+                let fast = run(PipelineOptions { trace: true, ..Default::default() });
+                let what = format!("order {order}, k {k:?}, {exact} exact, exists: {exists}");
+                let diff = first_divergence(&fast, &slow, &policy);
+                prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+                let bits = k.is_some_and(|k| exact >= k);
+                let trace = fast.trace.as_ref().unwrap();
+                prop_assert_eq!(trace.join_inner_bits, usize::from(bits), "{}", what);
+            }
+        }
+    }
+}
+
 /// A map-backed shared window cache: what `visdb_service::WindowCache`
 /// is, minus eviction and counters.
 #[derive(Default)]

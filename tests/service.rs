@@ -812,6 +812,68 @@ fn compare_packed_chunks_are_counted_on_the_registry_and_the_trace() {
     );
 }
 
+/// Which inner path a §4.4 join took is readable off the wire trace. A
+/// cold `IN` join at `Percentage(1)` whose inner `Temperature >= b` keeps
+/// 30 % of the Weather rows has exact answers covering the inner fit
+/// count `k`, so its inner condition enters the join as its exact bits:
+/// `join_inner_bits` is 1. A threshold leaving `k / 2` exact answers
+/// normalizes a frame: 0.
+#[test]
+fn join_inner_bits_names_the_inner_path_on_the_wire() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let env = generate_environmental(&EnvConfig {
+        hours: 3_000,
+        stations: 2,
+        ..Default::default()
+    });
+    let weather = env.db.table("Weather").unwrap();
+    let temperature = weather.column_by_name("Temperature").unwrap();
+    let mut descending: Vec<f64> = (0..weather.len())
+        .filter_map(|i| temperature.get_f64(i))
+        .collect();
+    descending.sort_by(|a, b| b.total_cmp(a));
+    let outer = env.db.table("Air-Pollution").unwrap().len();
+    let budget = DisplayPolicy::Percentage(1.0).budget(outer);
+    let k = visdb::relevance::normalize::fit_k(weather.len(), 1.0, budget).unwrap();
+    service.register_dataset("env", Arc::new(env.db), env.registry);
+    let handle = |line: &str| visdb::service::server::handle_line(&service, line);
+    let inner_bits = |b: f64| {
+        let r = handle(r#"{"op":"create_session","dataset":"env"}"#);
+        let session = r.get("session").unwrap().as_u64().unwrap();
+        handle(&format!(
+            r#"{{"session":{session},"op":"set_policy","percentage":1}}"#
+        ));
+        let text = format!(
+            "SELECT * FROM Air-Pollution WHERE DateTime IN \
+             (SELECT DateTime FROM Weather WHERE Temperature >= {b})"
+        );
+        let r = handle(&format!(
+            r#"{{"session":{session},"op":"set_query","text":"{text}"}}"#
+        ));
+        assert!(r.get("error").is_none(), "{r:?}");
+        let r = handle(&format!(
+            r#"{{"session":{session},"op":"summary","trace":true}}"#
+        ));
+        let trace = r.get("summary").unwrap().get("trace").expect("trace");
+        trace.get("join_inner_bits").unwrap().as_u64().unwrap()
+    };
+    let keeps_30_percent = descending[descending.len() * 3 / 10];
+    assert!(
+        descending
+            .iter()
+            .filter(|&&t| t >= keeps_30_percent)
+            .count()
+            >= k
+    );
+    assert_eq!(inner_bits(keeps_30_percent), 1);
+    let keeps_half_of_k = descending[k / 2];
+    assert!(descending.iter().filter(|&&t| t >= keeps_half_of_k).count() < k);
+    assert_eq!(inner_bits(keeps_half_of_k), 0);
+}
+
 /// How each session render came by its panel is readable off the live
 /// server: a re-weight of an exact-heavy 3-window `AND` places the same
 /// exact rows with the same patterns, so its render hands back the held
@@ -1034,6 +1096,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "rows_scanned",
         "windows_bits_only",
         "chunks_compare_packed",
+        "join_inner_bits",
     ] {
         assert!(trace.get(key).is_some(), "trace missing {key}");
     }
