@@ -24,7 +24,11 @@
 //! the `banded_vs_exhaustive` series additionally isolates the join
 //! itself (one `eval_node` on the subquery node, vectorized banded
 //! sweep vs scalar exhaustive O(n·m) loop, bit-identity asserted
-//! first) across inner-relation sizes. A full run writes
+//! first) across inner-relation sizes, and holds the join's root
+//! (`Ozone >= a AND` the subquery) to the scalar reference as a pattern
+//! table: without exceptions under a dense Ozone threshold, with a
+//! fitted Ozone window's rows below its plateau under a sparse one. A
+//! full run writes
 //! `BENCH_workloads.json` in the working directory, a `--smoke` run
 //! `target/BENCH_workloads.smoke.json` (so it never replaces the
 //! committed full-run file), `--out <path>` overrides either; every
@@ -47,7 +51,7 @@ use visdb_data::{
     generate_cad, generate_environmental, generate_multidb, CadConfig, EnvConfig, MultiDbConfig,
 };
 use visdb_distance::DistanceResolver;
-use visdb_query::ast::{AttrRef, ConditionNode, SubqueryLink};
+use visdb_query::ast::{AttrRef, ConditionNode, Predicate, SubqueryLink, Weighted};
 use visdb_query::{CompareOp, QueryBuilder};
 use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput};
 use visdb_relevance::{fit_k, EvalContext, ExecMode};
@@ -295,6 +299,48 @@ fn bench_join(hours: usize) -> JoinPoint {
         assert_eq!(
             fast.stats, slow.stats,
             "join stats diverge at {hours} hours, inner Temperature >= {threshold}"
+        );
+    }
+
+    // the join root (`Ozone >= a AND DateTime IN (...)`, untimed): a
+    // dense Ozone threshold leaves that window two-valued, and the 1 %
+    // the subquery window's fit keeps all miss the hot hours by the same
+    // clock offset — every row on its plateau, a pattern table with no
+    // exceptions. One past the maximum Ozone leaves that window fitted
+    // (over 5 %, so a few rows sit below its plateau): the table's
+    // exceptions. Bit-identical to the scalar reference either way.
+    let ozone = table.column_by_name("Ozone").expect("Ozone");
+    let mut levels: Vec<f64> = (0..table.len()).filter_map(|i| ozone.get_f64(i)).collect();
+    levels.sort_by(f64::total_cmp);
+    let (dense, sparse) = (levels[levels.len() / 2], levels[levels.len() - 1] + 1.0);
+    for (threshold, pct, fitted) in [(dense, 1.0, false), (sparse, 5.0, true)] {
+        let ozone = Predicate::compare(AttrRef::new("Ozone"), CompareOp::Ge, threshold);
+        let cond = Weighted::unit(ConditionNode::And(vec![
+            Weighted::unit(ConditionNode::Predicate(ozone)),
+            Weighted::unit(node(22.0)),
+        ]));
+        let policy = DisplayPolicy::Percentage(pct);
+        let run = |mode: ExecMode| {
+            let opts = PipelineOptions {
+                mode,
+                trace: true,
+                ..Default::default()
+            };
+            run_pipeline(&env.db, table, &resolver, Some(&cond), &policy, opts).expect("join root")
+        };
+        let (fast, slow) = (run(ExecMode::Vectorized), run(ExecMode::Scalar));
+        let what = format!("the join root at {hours} hours, Ozone >= {threshold}");
+        assert!(
+            fast.combined.bits_eq(&slow.combined) && fast.displayed == slow.displayed,
+            "{what} must be bit-identical to the scalar reference"
+        );
+        let trace = fast.trace.as_deref().expect("traced");
+        assert_eq!(trace.roots_from_table, 1, "{what} must be a table");
+        assert_eq!(
+            trace.table_exceptions > 0,
+            fitted,
+            "{what}: {} exceptions",
+            trace.table_exceptions
         );
     }
 

@@ -1,10 +1,12 @@
 //! Rendering a session into the fig 4/5 visualization panel.
 //!
-//! A root of two-valued windows ([`Combined::Table`]) is painted by
-//! pattern: every displayed row's color, in the overall window and in
-//! each predicate window, is a function of its pattern — the exact bits
-//! of its windows, at most `2^#sp` of them — so each window colors its
-//! patterns once and paints its cells from that palette. The panel is
+//! A table root without exceptions ([`Combined::Table`]: two-valued
+//! windows, and fitted ones with every shown row on their plateau) is
+//! painted by pattern: every displayed row's color, in the overall
+//! window and in each predicate window, is a function of its pattern —
+//! the exact bits of its windows, at most `2^#sp` of them — so each
+//! window colors its patterns once and paints its cells from that
+//! palette. The panel is
 //! then a function of the placed rows, their patterns, the colors of
 //! those patterns and the render parameters ([`PaintInputs`]); the
 //! session holds the last one, and a render from the same inputs over
@@ -88,14 +90,16 @@ pub(crate) struct PaintInputs {
 }
 
 impl PaintInputs {
-    /// The inputs of `session`'s result when its root is a table and the
-    /// panel has no spectra (those read every row).
+    /// The inputs of `session`'s result when its root is a table without
+    /// exceptions and the panel has no spectra (those read every row). An
+    /// exception's colors — a fitted window's row below its plateau — are
+    /// not a function of its pattern.
     fn of(session: &Session, opts: &RenderOptions) -> Option<PaintInputs> {
         let res = session.cached_result()?;
         let Combined::Table(table) = &res.pipeline.combined else {
             return None;
         };
-        if opts.with_spectra {
+        if opts.with_spectra || !table.exceptions().is_empty() {
             return None;
         }
         let map = session.colormap();

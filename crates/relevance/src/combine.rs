@@ -91,10 +91,12 @@ pub(crate) const TWO_VALUED: [f64; 2] = [NORM_MAX, 0.0];
 /// entry `p` is the accumulate [`combine_and_blocks`] runs on a row whose
 /// child `c` is exact iff bit `c` of `p` is set — the same `w · v` from
 /// `0.0` in child order, so a table lookup is bit-identical to the walk.
-pub(crate) fn pattern_sums(k: usize, weights: Option<&[f64]>) -> Vec<f64> {
+/// A child whose bit is set in `plateau` is a fitted window read on its
+/// plateau: it takes `NORM_MAX` whatever its bit.
+pub(crate) fn pattern_sums(k: usize, plateau: usize, weights: Option<&[f64]>) -> Vec<f64> {
     let sum_of = |p: usize| {
         (0..k).fold(0.0f64, |sum, c| {
-            let d = TWO_VALUED[p >> c & 1];
+            let d = TWO_VALUED[(p & !plateau) >> c & 1];
             weights.map_or(d, |weights| sum + weights[c] * d)
         })
     };
@@ -117,38 +119,52 @@ fn folded(bits: &SharedBits) -> (&PackedBits, Option<&PackedBits>) {
 /// (`Some(NaN) != Some(NaN)`), `bits_eq` their bit patterns.
 #[derive(Debug, Clone)]
 pub enum Combined {
-    /// One packed value per row: mixed, fitted and `OR` roots and the
-    /// scalar oracle.
+    /// One packed value per row: `OR` roots, roots with a child whose
+    /// fit covers every defined row (its values form no plateau) or
+    /// with too many rows below their plateaus
+    /// ([`crate::pipeline::table_takes_exceptions`]), roots of more than
+    /// [`MAX_TABLE_CHILDREN`] windows, and the scalar oracle.
     Frame(DistanceFrame),
-    /// A root of two-valued windows, or the pure scan: no frame written.
+    /// An `AND` or single-window root of two-valued windows and fitted
+    /// windows read on their plateau, or the pure scan: no frame written.
     Table(PatternTable),
 }
 
 /// A derived root: its windows' exact bits (shared, not copied) plus the
 /// final value and row count of every pattern — row `i` takes
 /// `values[p]`, `p` spelling its exact bits (window `c` in bit `c`), and
-/// is defined where every window is.
+/// is defined where every window is — and its **exceptions**: the rows a
+/// fitted window normalizes below its plateau, each with its own final
+/// value. An empty list is a root of two-valued windows.
 #[derive(Debug, Clone)]
 pub struct PatternTable {
     len: usize,
     windows: Vec<SharedBits>,
     values: Vec<f64>,
+    /// Rows per pattern, exceptions not counted.
     counts: Vec<usize>,
+    /// `(row, final value)` by row id.
+    exceptions: Vec<(u32, f64)>,
 }
 
 impl PatternTable {
     /// The table of `windows` (folded) over `len` rows under the root's
     /// `weights` (`None`: one window) and its root fold: popcounts over
     /// the bits count each pattern's rows, [`pattern_sums`] gives its
-    /// sum, and the final normalization runs on the sums alone. No
-    /// windows is the pure scan: `0.0` on every row.
+    /// sum (the windows in `plateau` at `NORM_MAX`), and the final
+    /// normalization runs on the sums alone. `exceptions` are the rows
+    /// off the plateau as `(row, sum)` by row id, each defined at the
+    /// root: they leave their pattern's count, and the fold takes their
+    /// sums instead. No windows is the pure scan: `0.0` on every row.
     pub(crate) fn of(
         len: usize,
         windows: Vec<SharedBits>,
+        plateau: usize,
         weights: Option<&[f64]>,
+        mut exceptions: Vec<(u32, f64)>,
     ) -> (PatternTable, RootAcc) {
         let children: Vec<_> = windows.iter().map(folded).collect();
-        let sums = pattern_sums(children.len(), weights);
+        let sums = pattern_sums(children.len(), plateau, weights);
         let mut counts = vec![0; sums.len()];
         let count = |offset, len| PackedBits::pattern_counts(&children, offset..offset + len);
         for part in chunk::map_ranges(len, true, count) {
@@ -156,15 +172,28 @@ impl PatternTable {
                 *total += part;
             }
         }
-        let acc = RootAcc::of_patterns(&sums, &counts);
-        let finish = |x: f64| acc.finish().map_or(x, |params| apply_one(&params, x));
-        let values = sums.into_iter().map(finish).collect();
-        let table = PatternTable {
+        let mut table = PatternTable {
             len,
             windows,
-            values,
+            values: Vec::new(),
             counts,
+            exceptions: Vec::new(),
         };
+        for &(row, _) in &exceptions {
+            let p = table
+                .pattern(row as usize)
+                .expect("an exception is defined");
+            table.counts[usize::from(p)] -= 1;
+        }
+        let mut acc = RootAcc::of_patterns(&sums, &table.counts);
+        let exception_sums: Vec<f64> = exceptions.iter().map(|e| e.1).collect();
+        acc.fold(&exception_sums, &vec![true; exceptions.len()]);
+        let finish = |x: f64| acc.finish().map_or(x, |params| apply_one(&params, x));
+        table.values = sums.into_iter().map(finish).collect();
+        for (_, value) in &mut exceptions {
+            *value = finish(*value);
+        }
+        table.exceptions = exceptions;
         (table, acc)
     }
 
@@ -186,51 +215,125 @@ impl PatternTable {
     }
 
     /// The final value of every pattern, indexed by pattern: what each of
-    /// its rows reads.
+    /// its rows reads, exceptions aside.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
+    /// The rows whose value is their own, not their pattern's — a fitted
+    /// window's rows below its plateau — as `(row, final value)` by row
+    /// id.
+    pub fn exceptions(&self) -> &[(u32, f64)] {
+        &self.exceptions
+    }
+
     #[inline]
     fn get(&self, i: usize) -> Option<f64> {
-        self.pattern(i).map(|p| self.values[usize::from(p)])
+        let p = self.pattern(i)?;
+        Some(
+            match self.exceptions.binary_search_by_key(&(i as u32), |e| e.0) {
+                Ok(at) => self.exceptions[at].1,
+                Err(_) => self.values[usize::from(p)],
+            },
+        )
     }
 
     /// The `k` smallest rows under [`rank_order`], sorted, and the pattern
     /// of each: the patterns grouped into classes of values equal there
     /// (`-0.0` with `0.0`, NaN with NaN), the classes in ascending order,
-    /// each walked word by word — the OR of its patterns' masks — in row
-    /// order until `k` rows (or its counted rows) are met. A class's rows
-    /// share one value and ties rank by row id, so this is the sorted
-    /// prefix of every `(value, row)` pair; with `num_exact >= k`, the
-    /// early-exit scan for zeros. A row's pattern is the one whose mask
-    /// holds it.
+    /// each walked word by word — the OR of its patterns' masks, the
+    /// exceptions cleared — in row order until `k` rows (or its counted
+    /// rows) are met. A class's rows share one value and ties rank by row
+    /// id, so this is the sorted prefix of every `(value, row)` pair; with
+    /// `num_exact >= k`, the early-exit scan for zeros. The exceptions,
+    /// in rank order, go in before the first class they rank below, and
+    /// merge by row id into the class whose value they equal (only the
+    /// `k` smallest of them can place). A row's pattern is the one whose
+    /// mask holds it.
     pub(crate) fn smallest(&self, k: usize) -> (Vec<(f64, u32)>, Vec<u8>) {
         let by_value =
             |a: &usize, b: &usize| rank_order(&(self.values[*a], 0), &(self.values[*b], 0));
         let mut patterns: Vec<usize> = (0..self.values.len()).collect();
         patterns.sort_by(by_value);
+        // only the `k` smallest exceptions can rank among the `k` smallest
+        let mut ranked: Vec<(f64, u32)> = self.exceptions.iter().map(|&(r, v)| (v, r)).collect();
+        if ranked.len() > k {
+            ranked.select_nth_unstable_by(k, rank_order);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(rank_order);
+        let mut pending = ranked.into_iter().peekable();
         let children: Vec<_> = self.windows.iter().map(folded).collect();
         let mut scratch = [0u64; 1 << MAX_TABLE_CHILDREN];
         let mut out = Vec::with_capacity(k.min(self.len));
         let mut out_patterns = Vec::with_capacity(out.capacity());
+        let take = |out: &mut Vec<(f64, u32)>, out_patterns: &mut Vec<u8>, e: (f64, u32)| {
+            let pattern = self.pattern(e.1 as usize).expect("an exception is defined");
+            out.push(e);
+            out_patterns.push(pattern);
+        };
         for class in patterns.chunk_by(|a, b| by_value(a, b).is_eq()) {
-            let (value, mut rows_left) = (self.values[class[0]], k - out.len());
-            rows_left = rows_left.min(class.iter().map(|&p| self.counts[p]).sum());
+            let value = self.values[class[0]];
+            let against = |e: &(f64, u32)| rank_order(&(e.0, 0), &(value, 0));
+            while let Some(e) = pending.next_if(|e| out.len() < k && against(e).is_lt()) {
+                take(&mut out, &mut out_patterns, e);
+            }
+            // the row of the next exception of the class's value: it goes
+            // in before the class's rows with larger ids
+            let next_tie = |pending: &mut std::iter::Peekable<_>| {
+                (pending.peek())
+                    .filter(|e| against(e).is_eq())
+                    .map_or(u32::MAX, |e| e.1)
+            };
+            let mut tie = next_tie(&mut pending);
+            let class_rows: usize = class.iter().map(|&p| self.counts[p]).sum();
+            let mut rows_left = class_rows.min(k - out.len());
+            let mut cleared = 0;
             for w in 0..self.len.div_ceil(64) {
                 if rows_left == 0 {
                     break;
                 }
                 let masks = PackedBits::pattern_masks(&children, w, self.len, &mut scratch);
                 let mut rows = class.iter().fold(0, |rows, &p| rows | masks[p]);
+                let word_end = (w + 1) * 64;
+                while let Some(&(row, _)) =
+                    (self.exceptions.get(cleared)).filter(|e| (e.0 as usize) < word_end)
+                {
+                    rows &= !(1 << (row % 64));
+                    cleared += 1;
+                }
+                // a class row goes in after the exceptions of the class's
+                // value with smaller row ids: merge where one is pending in
+                // this word, walk plainly where none is
+                while rows != 0 && rows_left > 0 && (tie as usize) < word_end {
+                    let bit = rows & rows.wrapping_neg();
+                    let row = (w * 64) as u32 + rows.trailing_zeros();
+                    if tie < row {
+                        let e = pending.next().expect("a tie is pending");
+                        take(&mut out, &mut out_patterns, e);
+                        tie = next_tie(&mut pending);
+                        rows_left = rows_left.min(k - out.len());
+                        continue;
+                    }
+                    let pattern = class.iter().find(|&&p| masks[p] & bit != 0);
+                    out.push((value, row));
+                    out_patterns.push(*pattern.expect("a class row is in one of its masks") as u8);
+                    (rows, rows_left) = (rows ^ bit, rows_left - 1);
+                }
                 while rows != 0 && rows_left > 0 {
-                    let row = rows & rows.wrapping_neg();
-                    let pattern = class.iter().find(|&&p| masks[p] & row != 0);
+                    let bit = rows & rows.wrapping_neg();
+                    let pattern = class.iter().find(|&&p| masks[p] & bit != 0);
                     out.push((value, (w * 64) as u32 + rows.trailing_zeros()));
                     out_patterns.push(*pattern.expect("a class row is in one of its masks") as u8);
-                    (rows, rows_left) = (rows ^ row, rows_left - 1);
+                    (rows, rows_left) = (rows ^ bit, rows_left - 1);
                 }
             }
+            while let Some(e) = pending.next_if(|e| out.len() < k && against(e).is_eq()) {
+                take(&mut out, &mut out_patterns, e);
+            }
+        }
+        while let Some(e) = pending.next_if(|_| out.len() < k) {
+            take(&mut out, &mut out_patterns, e);
         }
         (out, out_patterns)
     }
@@ -270,12 +373,15 @@ impl Combined {
         self.len() == other.len() && self.iter().map(bits).eq(other.iter().map(bits))
     }
 
-    /// Heap bytes owned: 9 per row for a frame; a table's values and
-    /// counts (the bits are the windows').
+    /// Heap bytes owned: 9 per row for a frame; a table's values, counts
+    /// and exceptions (the bits are the windows').
     pub fn heap_bytes(&self) -> usize {
         match self {
             Combined::Frame(frame) => frame.heap_bytes(),
-            Combined::Table(t) => 8 * (t.values.capacity() + t.counts.capacity()),
+            Combined::Table(t) => {
+                8 * (t.values.capacity() + t.counts.capacity())
+                    + std::mem::size_of::<(u32, f64)>() * t.exceptions.capacity()
+            }
         }
     }
 }
@@ -359,22 +465,7 @@ pub(crate) fn combine_and_blocks(
         }
     }
     for i in blocks..len {
-        let row = offset + i;
-        let (mut sum, mut ok) = (0.0f64, true);
-        for (c, child) in children.iter().enumerate() {
-            let (d, defined) = match *child {
-                Child::Frame(v, m, params) => {
-                    let d = params.map_or(v[row], |params| apply_one(&params, v[row]));
-                    (d, m[row])
-                }
-                Child::Bits(exact, known) => (
-                    TWO_VALUED[exact.get(row) as usize],
-                    known.is_none_or(|known| known.get(row)),
-                ),
-            };
-            sum = weights.map_or(d, |weights| sum + weights[c] * d);
-            ok &= defined;
-        }
+        let (sum, ok) = and_row(children, weights, offset + i);
         out_vals[i] = select(ok, sum, 0.0);
         out_mask[i] = ok;
     }
@@ -382,6 +473,29 @@ pub(crate) fn combine_and_blocks(
         acc.absorb(lanes);
         acc.fold(&out_vals[blocks..], &out_mask[blocks..]);
     }
+}
+
+/// One row of [`combine_and_blocks`]: each child's value loaded as the
+/// block walk loads it, `w · v` accumulated in child order from `0.0`,
+/// and whether every child defines the row.
+#[inline]
+pub(crate) fn and_row(children: &[Child<'_>], weights: Option<&[f64]>, row: usize) -> (f64, bool) {
+    let (mut sum, mut ok) = (0.0f64, true);
+    for (c, child) in children.iter().enumerate() {
+        let (d, defined) = match *child {
+            Child::Frame(v, m, params) => {
+                let d = params.map_or(v[row], |params| apply_one(&params, v[row]));
+                (d, m[row])
+            }
+            Child::Bits(exact, known) => (
+                TWO_VALUED[exact.get(row) as usize],
+                known.is_none_or(|known| known.get(row)),
+            ),
+        };
+        sum = weights.map_or(d, |weights| sum + weights[c] * d);
+        ok &= defined;
+    }
+    (sum, ok)
 }
 
 /// Slice form of the weighted arithmetic mean (`AND`) over normalized
@@ -628,17 +742,49 @@ mod tests {
     /// remainder up to 200 rows and around 512, over three windows with
     /// every definedness shape; and its class walk is the sorted prefix
     /// of every `(value, row)` pair at every `k`, with cross-pattern ties
-    /// (`0.0` / `-0.0`, NaN / NaN, 255 / 255).
+    /// (`0.0` / `-0.0`, NaN / NaN, 255 / 255) — without exceptions, and
+    /// with every 3rd or 7th defined row an exception whose own value
+    /// ranks below, between, on and above the classes'.
     #[test]
     fn pattern_tables_read_like_frames_and_walk_in_rank_order() {
         let exact = |i: usize, c: usize| (i * (c + 3) + c) % 5 < 2;
         let defined: [fn(usize) -> bool; 3] = [|_| true, |i| i % 7 != 3, |i| i % 64 != 5];
         let values = [0.0, 17.0, -0.0, 255.0, f64::NAN, 255.0, f64::NAN, 3.5];
         let same = |a: Option<f64>, b: Option<f64>| a.map(f64::to_bits) == b.map(f64::to_bits);
-        for len in (0..=200).chain([511, 512, 513]) {
+        // an exception's own value: below, between, equal to and above
+        // the classes', `-0.0` against `0.0`, NaN against NaN
+        let own = [
+            -1.0,
+            0.0,
+            -0.0,
+            3.5,
+            10.0,
+            17.0,
+            255.0,
+            300.0,
+            f64::NAN,
+            1e-300,
+        ];
+        let cases = (0..=200)
+            .chain([511, 512, 513])
+            .flat_map(|len| [(len, 0), (len, 3), (len, 7)]);
+        for (len, every) in cases {
             let pattern = |i: usize| (0..3).fold(0, |p, c| p | usize::from(exact(i, c)) << c);
+            let defined_row = |i: usize| (0..3).all(|c| defined[c](i));
+            let is_exception = |i: usize| every > 0 && defined_row(i) && i % every == 1;
+            let exceptions: Vec<(u32, f64)> = (0..len)
+                .filter(|&i| is_exception(i))
+                .map(|i| (i as u32, own[i / every % own.len()]))
+                .collect();
             let rows: Vec<Option<f64>> = (0..len)
-                .map(|i| (0..3).all(|c| defined[c](i)).then(|| values[pattern(i)]))
+                .map(|i| defined_row(i).then(|| values[pattern(i)]))
+                .zip(0..)
+                .map(
+                    |(d, i)| match exceptions.binary_search_by_key(&i, |e| e.0) {
+                        Ok(at) => Some(exceptions[at].1),
+                        Err(_) => d,
+                    },
+                )
                 .collect();
             let bits: Vec<(PackedBits, Option<PackedBits>)> = (0..3)
                 .map(|c| {
@@ -651,7 +797,10 @@ mod tests {
                 })
                 .collect();
             let pairs: Vec<_> = bits.iter().map(|(e, d)| (e, d.as_ref())).collect();
-            let counts = PackedBits::pattern_counts(&pairs, 0..len)[..8].to_vec();
+            let mut counts = PackedBits::pattern_counts(&pairs, 0..len)[..8].to_vec();
+            for &(row, _) in &exceptions {
+                counts[pattern(row as usize)] -= 1;
+            }
             let handles = bits
                 .into_iter()
                 .map(|b| Arc::new(OnceLock::from(b)))
@@ -662,14 +811,28 @@ mod tests {
                 windows,
                 values,
                 counts,
+                exceptions,
             };
+            // the exceptions weigh in the table's heap bytes
+            let plain = PatternTable {
+                exceptions: Vec::new(),
+                ..table.clone()
+            };
+            assert_eq!(
+                Combined::Table(table.clone()).heap_bytes() - Combined::Table(plain).heap_bytes(),
+                std::mem::size_of::<(u32, f64)>() * table.exceptions.len(),
+                "len={len}/{every}"
+            );
             let (derived, frame) = (
                 Combined::Table(table.clone()),
                 Combined::Frame(DistanceFrame::from_options(&rows)),
             );
             assert_eq!((derived.len(), derived.is_empty()), (len, len == 0));
             for i in 0..len + 70 {
-                assert!(same(derived.get(i), frame.get(i)), "len={len} row {i}");
+                assert!(
+                    same(derived.get(i), frame.get(i)),
+                    "len={len}/{every} row {i}"
+                );
             }
             assert_eq!(derived.iter().count(), len);
             assert!(
@@ -720,7 +883,7 @@ mod tests {
             }
         }
         // the pure scan: no windows, one value, every row defined
-        let (scan, acc) = PatternTable::of(70, Vec::new(), None);
+        let (scan, acc) = PatternTable::of(70, Vec::new(), 0, None, Vec::new());
         assert_eq!((acc.defined, acc.num_exact, scan.values.len()), (70, 70, 1));
         let (rows, patterns) = scan.smallest(66);
         let rows: Vec<u32> = rows.iter().map(|r| r.1).collect();

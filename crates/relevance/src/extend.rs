@@ -24,7 +24,7 @@ use visdb_query::ast::ConditionNode;
 use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
-use crate::normalize::{covered_by_exact, fit_frame, fit_frame_extended};
+use crate::normalize::{counted_below, covered_by_exact, fit_frame_extended, fit_with_below};
 use crate::pipeline::PredicateWindow;
 
 /// What it takes, beside the stored window itself (which carries its
@@ -122,6 +122,7 @@ pub fn extend_window(
             PredicateWindow {
                 stats: merged,
                 bits,
+                below: counted_below(new_len, &merged, win.weight, recipe.budget),
                 ..win.clone()
             }
         });
@@ -131,21 +132,26 @@ pub fn extend_window(
     // governs; fall back to the full selection over the extended frame
     // when the delta may have displaced it (bit-identical both ways —
     // the fast path only fires when the answer is forced)
-    let norm_params = fit_frame_extended(
+    let (norm_params, below) = fit_frame_extended(
         old_len,
         stats,
-        win.norm_params,
+        (win.norm_params, &win.below),
         &dev.distances,
         &merged,
         win.weight,
         recipe.budget,
     )
-    .unwrap_or_else(|| fit_frame(&ext_raw, &merged, win.weight, recipe.budget));
+    .unwrap_or_else(|| {
+        let (params, below, _) =
+            fit_with_below(new_len, &merged, win.weight, recipe.budget, Some(&ext_raw));
+        (params, below)
+    });
     Some(PredicateWindow {
         raw: Some(Arc::new(ext_raw)),
         stats: merged,
         bits,
         norm_params,
+        below,
         ..win.clone()
     })
 }

@@ -56,8 +56,8 @@ pub use normalize::{
     apply_in_place, apply_slice, fit_frame, fit_k, normalize_frame, NormParams, NORM_MAX,
 };
 pub use pipeline::{
-    display_count, run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput, PipelineTrace,
-    PredicateWindow, SharedWindows, PARALLEL_THRESHOLD,
+    display_count, run_pipeline, table_takes_exceptions, DisplayPolicy, PipelineOptions,
+    PipelineOutput, PipelineTrace, PredicateWindow, SharedWindows, PARALLEL_THRESHOLD,
 };
 pub use quantile::{display_fraction, quantile, two_sided_range};
 pub use reduction::{gap_cutoff, gap_cutoff_naive};

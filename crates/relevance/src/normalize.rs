@@ -20,6 +20,8 @@
 //! This module works on packed frames; the `Option`-vector definitions
 //! the kernels are tested against live in [`crate::reference`].
 
+use std::sync::Arc;
+
 use visdb_distance::frame::{DistanceFrame, FrameStats};
 
 use crate::{chunk, select};
@@ -174,12 +176,58 @@ pub fn fit_frame(
 ) -> NormParams {
     debug_assert_eq!(*stats, FrameStats::of_frame(frame));
     fit_from_counts(frame.len(), stats, weight, display_budget)
-        .unwrap_or_else(|k| fit_selected(frame, k))
+        .unwrap_or_else(|k| fit_selected(frame, k).0)
+}
+
+/// The rows a fit with `dmax > 0` leaves below its plateau: the rows of
+/// its `k` smallest `|d|` strictly below `dmax`, in no particular order —
+/// fewer than `k`. With `dmin = 0` every other defined row normalizes to
+/// exactly [`NORM_MAX`] (`|d| / dmax >= 1`, or a non-finite `|d|`).
+/// `None` when the fit covers every defined row, whose values form no
+/// plateau.
+pub(crate) type Below = Option<Arc<[u32]>>;
+
+/// What a fit [`fit_from_counts`] answered leaves below its plateau:
+/// nothing when it is over fewer than the defined rows (`dmax = 0`, or
+/// every defined `|d|` shares one magnitude), `None` when it covers them
+/// all.
+pub(crate) fn counted_below(
+    n: usize,
+    stats: &FrameStats,
+    weight: f64,
+    display_budget: usize,
+) -> Below {
+    let fits_fewer = fit_k(n, weight, display_budget).is_some_and(|k| k < stats.defined);
+    fits_fewer.then(|| Arc::from([]))
+}
+
+/// [`fit_frame`] and what the fit leaves below its plateau, plus whether
+/// the counts answered it; `frame` is read only when the fit selects.
+pub(crate) fn fit_with_below(
+    n: usize,
+    stats: &FrameStats,
+    weight: f64,
+    display_budget: usize,
+    frame: Option<&DistanceFrame>,
+) -> (NormParams, Below, bool) {
+    match fit_from_counts(n, stats, weight, display_budget) {
+        Ok(params) => (
+            params,
+            counted_below(n, stats, weight, display_budget),
+            true,
+        ),
+        Err(k) => {
+            let (params, below) =
+                fit_selected(frame.expect("a fit that selects reads the frame"), k);
+            (params, Some(below.into()), false)
+        }
+    }
 }
 
 /// The selection arm of [`fit_frame`]: the fit over the `k` smallest
-/// `|d|` of the frame, one bound-pruned walk.
-pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> NormParams {
+/// `|d|` of the frame, one bound-pruned walk, and those of its rows
+/// strictly below `dmax` ([`Below`]).
+pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> (NormParams, Vec<u32>) {
     let n = frame.len();
     let smallest = select::k_smallest(
         frame,
@@ -188,35 +236,47 @@ pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> NormParams {
         k,
         f64::abs,
     );
-    params_from_max(dmax_of_prefix(smallest.iter().map(|c| c.0)))
+    let params = params_from_max(dmax_of_prefix(smallest.iter().map(|c| c.0)));
+    let below = (smallest.iter())
+        .filter(|c| c.0 < params.dmax)
+        .map(|c| c.1)
+        .collect();
+    (params, below)
 }
 
 /// [`fit_frame`] of an appended frame *without the frame*: refit
-/// `old ++ delta` from the old fit, the old/merged fused stats, and the
-/// delta rows alone — O(Δ) instead of the O(n + Δ) selection.
+/// `old ++ delta` from the old fit and what it left below its plateau,
+/// the old/merged fused stats, and the delta rows alone — O(Δ) instead of
+/// the O(n + Δ) selection. Returns the fit with its [`Below`].
 ///
 /// The merged stats answer first ([`fit_from_counts`]). The selection
 /// branch reuses the old result: when the same `k` governed the old
 /// fit, the old prefix was all-finite (so `old_params.dmax` *is* the
 /// k-th smallest absolute distance under `total_cmp`), and no appended
 /// defined `|d|` sorts strictly below it, the k smallest of the union
-/// are value-identical to the old prefix and the fit is unchanged.
+/// are value-identical to the old prefix and the fit is unchanged — and
+/// so are the rows below it, none of them appended.
 /// Returns `None` when the answer would depend on an order statistic
 /// the delta may have displaced — the caller must fall back to
 /// [`fit_frame`] over the concatenated frame (which stays bit-identical
 /// either way).
-pub fn fit_frame_extended(
+pub(crate) fn fit_frame_extended(
     old_len: usize,
     old_stats: &FrameStats,
-    old_params: NormParams,
+    (old_params, old_below): (NormParams, &Below),
     delta: &DistanceFrame,
     merged: &FrameStats,
     weight: f64,
     display_budget: usize,
-) -> Option<NormParams> {
+) -> Option<(NormParams, Below)> {
     let new_len = old_len + delta.len();
     let k = match fit_from_counts(new_len, merged, weight, display_budget) {
-        Ok(params) => return Some(params),
+        Ok(params) => {
+            return Some((
+                params,
+                counted_below(new_len, merged, weight, display_budget),
+            ))
+        }
         Err(k) => k,
     };
     // selection branch: reuse the old k-th order statistic iff it is
@@ -242,7 +302,7 @@ pub fn fit_frame_extended(
     if displaced {
         None // a nearer appended row enters the prefix: fit shifts
     } else {
-        Some(old_params)
+        Some((old_params, old_below.clone()))
     }
 }
 
@@ -410,16 +470,30 @@ mod tests {
                     for weight in [1.0f64, 0.3] {
                         let old = DistanceFrame::from_options(old_vals);
                         let old_stats = FrameStats::of_frame(&old);
-                        let old_params = fit_frame(&old, &old_stats, weight, budget);
+                        let (old_params, old_below, _) =
+                            fit_with_below(old.len(), &old_stats, weight, budget, Some(&old));
                         let delta = DistanceFrame::from_options(delta_vals);
                         let mut merged = old_stats;
                         merged.merge(&FrameStats::of_frame(&delta));
                         let ext = old.concat(&delta);
                         let full = fit_frame(&ext, &merged, weight, budget);
-                        if let Some(fast) = fit_frame_extended(
+                        let (_, full_below, _) =
+                            fit_with_below(ext.len(), &merged, weight, budget, Some(&ext));
+                        assert_eq!(
+                            full_below.is_some(),
+                            fit_k(ext.len(), weight, budget).is_some_and(|k| k < merged.defined)
+                        );
+                        let sorted = |below: Below| {
+                            below.map(|rows| {
+                                let mut rows = rows.to_vec();
+                                rows.sort_unstable();
+                                rows
+                            })
+                        };
+                        if let Some((fast, fast_below)) = fit_frame_extended(
                             old.len(),
                             &old_stats,
-                            old_params,
+                            (old_params, &old_below),
                             &delta,
                             &merged,
                             weight,
@@ -427,7 +501,8 @@ mod tests {
                         ) {
                             fired += 1;
                             assert_eq!(
-                                fast, full,
+                                (fast, sorted(fast_below)),
+                                (full, sorted(full_below.clone())),
                                 "incremental refit diverged (old {old_vals:?}, \
                                  delta {delta_vals:?}, budget {budget}, weight {weight})"
                             );
@@ -442,13 +517,81 @@ mod tests {
         let old: Vec<Option<f64>> = (0..100).map(|i| Some(i as f64)).collect();
         let old = DistanceFrame::from_options(&old);
         let old_stats = FrameStats::of_frame(&old);
-        let old_params = fit_frame(&old, &old_stats, 1.0, 10);
+        let (old_params, old_below, _) = fit_with_below(old.len(), &old_stats, 1.0, 10, Some(&old));
         let delta = DistanceFrame::from_options(&[Some(500.0), Some(-700.0)]);
         let mut merged = old_stats;
         merged.merge(&FrameStats::of_frame(&delta));
-        let fast = fit_frame_extended(old.len(), &old_stats, old_params, &delta, &merged, 1.0, 10)
+        let old_fit = (old_params, &old_below);
+        let fast = fit_frame_extended(old.len(), &old_stats, old_fit, &delta, &merged, 1.0, 10)
             .expect("far delta must refit incrementally");
-        assert_eq!(fast, old_params);
+        // the rows below the plateau are the old ones: 0..9 of the 10
+        // smallest
+        assert_eq!(fast, (old_params, old_below));
+        let mut below = fast.1.expect("a fit over 10 of 100 rows").to_vec();
+        below.sort_unstable();
+        assert_eq!(below, (0..9).collect::<Vec<u32>>());
+    }
+
+    /// The rows a fit leaves below its plateau are the rows it normalizes
+    /// below `NORM_MAX` (a row in the list may still round to it), each
+    /// with `|d| < dmax`, once — and there is a list exactly when the
+    /// fit is over fewer than the defined rows. Ties at `dmax`, NaN,
+    /// ±inf, `-0.0` and subnormal distances; selected and counted fits.
+    #[test]
+    fn fit_below_is_every_row_under_the_plateau() {
+        let cases: Vec<Vec<Option<f64>>> = vec![
+            (0..300)
+                .map(|i| match i % 11 {
+                    0 => None,
+                    1 => Some(f64::NAN),
+                    2 => Some(f64::NEG_INFINITY),
+                    3 => Some(-0.0),
+                    4 => Some(f64::MIN_POSITIVE / 4.0),
+                    5 => Some(7.0),
+                    _ => Some(((i * 37) % 113) as f64 - 50.0),
+                })
+                .collect(),
+            (0..64).map(|_| Some(-3.0)).collect(),
+            (0..64)
+                .map(|i| Some(if i < 40 { 0.0 } else { 1.0 }))
+                .collect(),
+            (0..64)
+                .map(|i| Some(if i < 3 { 0.0 } else { f64::NAN }))
+                .collect(),
+        ];
+        let mut listed = 0;
+        for values in cases {
+            let frame = DistanceFrame::from_options(&values);
+            let stats = FrameStats::of_frame(&frame);
+            for (weight, budget) in [(1.0, 20), (0.5, 20), (0.1, 3), (1.0, 500), (0.0, 10)] {
+                let (params, below, _) =
+                    fit_with_below(frame.len(), &stats, weight, budget, Some(&frame));
+                assert_eq!(params, fit_frame(&frame, &stats, weight, budget));
+                let fits_fewer =
+                    fit_k(frame.len(), weight, budget).is_some_and(|k| k < stats.defined);
+                assert_eq!(
+                    below.is_some(),
+                    fits_fewer,
+                    "weight={weight} budget={budget}"
+                );
+                let (Some(below), true) = (below, params.dmax > 0.0) else {
+                    continue;
+                };
+                listed += below.len();
+                let mut below = below.to_vec();
+                below.sort_unstable();
+                assert!(below.windows(2).all(|w| w[0] < w[1]));
+                for (i, d) in values.iter().enumerate() {
+                    let Some(d) = d else { continue };
+                    let on_list = below.binary_search(&(i as u32)).is_ok();
+                    assert_eq!(on_list, d.abs() < params.dmax, "row {i} ({d})");
+                    if !on_list {
+                        assert_eq!(apply_one(&params, *d).to_bits(), NORM_MAX.to_bits());
+                    }
+                }
+            }
+        }
+        assert!(listed > 0);
     }
 
     #[test]

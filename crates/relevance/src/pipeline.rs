@@ -34,9 +34,12 @@
 //! combine walk and derived on read ([`PredicateWindow::normalized_at`]),
 //! like relevance factors ([`PipelineOutput::relevance`]). A run writes at
 //! most 9 bytes per row of output — the packed combined [`DistanceFrame`]
-//! — plus the ranked prefix, and a root of nothing but two-valued windows
-//! writes no row at all: its combined distances are the windows' bits
-//! plus a table of at most `2^#sp` values ([`Combined::Table`]), and its
+//! — plus the ranked prefix, and an `AND` root of two-valued and fitted
+//! windows writes no row at all: a fit over its `k` smallest `|d|` maps
+//! every defined row past the `k`-th to exactly 255, so such a window is
+//! its bits plus the fewer than `k` rows below that plateau, and the
+//! root's combined distances are the windows' bits, a table of at most
+//! `2^#sp` values and those rows as exceptions ([`Combined::Table`]); its
 //! ranking walks the bits.
 //!
 //! [`ExecMode::Scalar`] preserves the per-tuple, full-sort reference
@@ -59,12 +62,12 @@ use crate::cache::{window_key, PipelineCache, WindowSource};
 use crate::chunk;
 pub use crate::combine::Combined;
 use crate::combine::{
-    combine_and_blocks, combine_or_slices, Child, PatternTable, SharedBits, TWO_VALUED,
+    and_row, combine_and_blocks, combine_or_slices, Child, PatternTable, SharedBits, TWO_VALUED,
 };
 use crate::eval::{EvalContext, RunProjections, WindowEval};
 use crate::normalize::{
-    apply_in_place, apply_slice, covered_by_exact, fit_from_counts, fit_k, fit_selected,
-    params_from_max, NormParams, NORM_MAX,
+    apply_in_place, apply_slice, covered_by_exact, fit_k, fit_with_below, params_from_max, Below,
+    NormParams, NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -136,19 +139,25 @@ pub struct PipelineTrace {
     /// 1 when the ranking's top `k` were the first `k` exact answers in
     /// row order (`num_exact >= k`), found by an early-exit scan.
     pub ranks_from_counts: usize,
-    /// 1 when the ranking's top `k` came from the bound-pruned selection
-    /// walk. Both stay 0 when no top-k ran (pure scan, scalar full sort,
-    /// two-sided band).
+    /// 1 when the ranking's top `k` reached past the exact answers: the
+    /// bound-pruned selection walk over a frame root, or a table root's
+    /// class walk past its exact class ([`Combined::Table`]). Both stay 0
+    /// when no top-k ran (pure scan, scalar full sort, two-sided band).
     pub ranks_selected: usize,
-    /// Root children the combine walk read from their packed exact bits
-    /// (fits with `dmax = 0`: two-valued normalizations).
+    /// Root children read from their packed exact bits: fits with
+    /// `dmax = 0` (two-valued normalizations), and under a table root the
+    /// fitted windows it reads on their plateau.
     pub children_bits: usize,
     /// Root children read as raw distances and normalized in registers.
     pub children_raw: usize,
-    /// 1 when every child was two-valued and the root is derived: no
-    /// combined frame written — the windows' bits and the root's pattern
-    /// table are the combined distances ([`Combined::Table`]).
+    /// 1 when the root is derived — every child two-valued, or fitted
+    /// with the rows below its plateau known: no combined frame written,
+    /// the windows' bits, the root's pattern table and its exceptions
+    /// are the combined distances ([`Combined::Table`]).
     pub roots_from_table: usize,
+    /// Rows that table root took from fitted children below their
+    /// plateau ([`PatternTable::exceptions`]), each combined on its own.
+    pub table_exceptions: usize,
 }
 
 /// Add `elapsed` to a phase of an optional trace; the body may use the
@@ -258,6 +267,13 @@ pub struct PredicateWindow {
     pub(crate) bits: SharedBits,
     /// The fitted normalization (for color → value lookups).
     pub norm_params: NormParams,
+    /// What the fit leaves below its plateau ([`Below`]): under
+    /// `dmax > 0`, the rows of its `k` smallest `|d|` strictly below
+    /// `dmax`, unordered — every other defined row normalizes to exactly
+    /// `NORM_MAX` — so a table root reads the window as its bits plus
+    /// these rows. `None` when the fit covers every defined row, or was
+    /// not taken by the vectorized fit.
+    pub(crate) below: Below,
 }
 
 impl PredicateWindow {
@@ -278,6 +294,7 @@ impl PredicateWindow {
             stats,
             bits: Arc::default(),
             norm_params,
+            below: None,
         }
     }
 
@@ -291,6 +308,7 @@ impl PredicateWindow {
             stats: e.stats,
             bits: Arc::new(e.bits.map_or_else(OnceLock::new, OnceLock::from)),
             norm_params: params_from_max(0.0),
+            below: None,
         }
     }
 
@@ -367,14 +385,22 @@ impl PredicateWindow {
         })
     }
 
+    /// The rows the fit leaves below its plateau, in no particular order,
+    /// when known (see the field `below`).
+    pub fn below_plateau(&self) -> Option<&[u32]> {
+        self.below.as_deref()
+    }
+
     /// Heap bytes the window holds: its raw frame, if any, plus its bits
-    /// once folded — what it weighs in a byte-budgeted cache.
+    /// once folded and the rows below its plateau — what it weighs in a
+    /// byte-budgeted cache.
     pub fn heap_bytes(&self) -> usize {
         let frame = self.raw.as_ref().map_or(0, |raw| raw.heap_bytes());
         let bits = self.bits.get().map_or(0, |(exact, defined)| {
             exact.heap_bytes() + defined.as_ref().map_or(0, PackedBits::heap_bytes)
         });
-        frame + bits
+        let below = self.below.as_ref().map_or(0, |rows| 4 * rows.len());
+        frame + bits + below
     }
 }
 
@@ -384,9 +410,13 @@ pub struct PipelineOutput {
     /// Number of data items considered.
     pub n: usize,
     /// Normalized combined distance per item (`[0, 255]`, undefined =
-    /// not colorable): a packed frame (9 bytes per row), or — for a
-    /// root of two-valued windows and the pure scan — the windows'
-    /// shared bits plus a table of at most `2^#sp` values, read per row.
+    /// not colorable): a packed frame (9 bytes per row) for an `OR` root,
+    /// a root with a child whose fit covers every defined row or with
+    /// too many rows below its children's plateaus, and the scalar
+    /// oracle; otherwise — an `AND` or single-window root of two-valued
+    /// and fitted windows, and the pure scan — the windows' shared bits
+    /// plus a table of at most `2^#sp` values and the fitted windows'
+    /// rows below their plateau as exceptions, read per row.
     pub combined: Combined,
     /// The ranked items, by descending relevance (ascending combined
     /// distance, ties by row id) — exactly the relevance-sorted prefix
@@ -405,10 +435,10 @@ pub struct PipelineOutput {
     pub displayed: Vec<usize>,
     /// Under a [`Combined::Table`] root, the pattern of each displayed
     /// row, in display order: its windows' exact bits, window `c` in bit
-    /// `c` — the table's value and every window's color of that row
-    /// follow from it, so the picture is painted by pattern. The class
-    /// walk of the ranking reads them off the masks it walks. Empty under
-    /// a frame root.
+    /// `c` — without exceptions, the table's value and every window's
+    /// color of that row follow from it, so the picture is painted by
+    /// pattern. The class walk of the ranking reads them off the masks it
+    /// walks. Empty under a frame root.
     pub patterns: Vec<u8>,
     /// Number of exact answers (combined distance 0).
     pub num_exact: usize,
@@ -547,7 +577,7 @@ pub fn run_pipeline(
         // pure scan: every item is an exact answer — the table of no
         // windows; (0..n) is already the relevance order (all-zero
         // distances, index tiebreak)
-        let combined = Combined::Table(PatternTable::of(n, Vec::new(), None).0);
+        let combined = Combined::Table(PatternTable::of(n, Vec::new(), 0, None, Vec::new()).0);
         let order: Vec<u32> = (0..n as u32).collect();
         let displayed = select_display(&combined, &order, policy, 0, None)?;
         let patterns = vec![0; displayed.len()];
@@ -809,6 +839,7 @@ fn combine_scalar(
             .to_options();
         if unfit {
             win.weight = w.weight;
+            win.below = None;
             win.norm_params = phase_time!(
                 (*trace),
                 fit,
@@ -1001,18 +1032,20 @@ fn finalize_combined(
 }
 
 /// The vectorized combine: fit each unfit window's normalization from
-/// its fused distance-walk stats ([`fit_from_counts`] — zero extra
-/// passes — or else the pruned selection of [`fit_selected`]), then
-/// normalize and combine at the root in one fused, chunk-parallel walk
-/// straight into the output frame — raw distances normalized in
-/// registers, windows whose fit is `dmax = 0` (two-valued
-/// normalizations) read from their packed exact bits, nothing but the
-/// combined frame stored — and finalize it in place. When *every* child
-/// of an `AND` / single-window root is two-valued the root is derived
-/// instead ([`PatternTable::of`]): nothing is walked or written. A
-/// refitted window the run reads through its bits alone, whose exact
-/// answers now cover its fit, drops its raw frame like an evaluated one.
-/// Returns the final combined distances and the root counts.
+/// its fused distance-walk stats ([`fit_with_below`]: the counts — zero
+/// extra passes — or else the pruned selection, which also hands back
+/// the rows below the fit's plateau), then combine at the root. An `AND`
+/// or single-window root whose every child is two-valued (`dmax = 0`,
+/// read from its packed exact bits) or fitted with its rows below the
+/// plateau known — few enough of them ([`table_takes_exceptions`]) — is
+/// derived ([`PatternTable::of`]): nothing n-row is
+/// walked or written — the fitted children sit at `NORM_MAX` in the
+/// pattern values, and the rows below their plateaus, defined at the
+/// root, are its exceptions, each combined on its own ([`and_row`]).
+/// Any other root is walked ([`walk_root`]). A refitted window the run
+/// reads through its bits alone, whose exact answers now cover its fit,
+/// drops its raw frame like an evaluated one. Returns the final combined
+/// distances and the root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
@@ -1027,18 +1060,13 @@ fn combine_vectorized(
             .zip(unfit.iter().zip(reads_bits))
             .filter(|(_, (&unfit, _))| unfit);
         for ((win, w), (_, &reads_bits)) in fitted {
-            let counted = fit_from_counts(n, &win.stats, w.weight, budget);
+            let raw = win.raw_frame().map(|raw| &**raw);
+            let (params, below, counted) = fit_with_below(n, &win.stats, w.weight, budget, raw);
             if let Some(t) = trace {
-                t.fits_from_counts += usize::from(counted.is_ok());
-                t.fits_selected += usize::from(counted.is_err());
+                t.fits_from_counts += usize::from(counted);
+                t.fits_selected += usize::from(!counted);
             }
-            win.norm_params = counted.unwrap_or_else(|k| {
-                fit_selected(
-                    win.raw_frame().expect("a fit that selects reads the frame"),
-                    k,
-                )
-            });
-            win.weight = w.weight;
+            (win.norm_params, win.below, win.weight) = (params, below, w.weight);
             if reads_bits && win.raw.is_some() && covered_by_exact(n, &win.stats, w.weight, budget)
             {
                 win.exact_bits();
@@ -1070,40 +1098,94 @@ fn combine_vectorized(
             })
             .collect();
         let children_bits = bits.iter().flatten().count();
-        let derived = children_bits == windows.len() && children_bits <= MAX_TABLE_CHILDREN;
-        if let Some(t) = trace {
-            t.children_bits += children_bits;
-            t.children_raw += windows.len() - children_bits;
-            t.roots_from_table += usize::from(derived);
-        }
+        // rows below the plateaus a table would combine one by one; `None`:
+        // a child the table cannot read
+        let below: Option<usize> = (windows.iter().zip(&bits))
+            .map(|(win, bits)| match bits {
+                Some(_) => Some(0),
+                None if or_root => None,
+                None => win.below.as_ref().map(|rows| rows.len()),
+            })
+            .sum();
+        let derived = windows.len() <= MAX_TABLE_CHILDREN
+            && below.is_some_and(|rows| table_takes_exceptions(n, rows));
+        let children = root_children(windows, &bits);
         if !derived {
-            walk_root(ctx, windows, &bits, or_root, (weights, mean_weights))
+            if let Some(t) = trace {
+                t.children_bits += children_bits;
+                t.children_raw += windows.len() - children_bits;
+            }
+            walk_root(ctx, &children, or_root, (weights, mean_weights))
         } else {
-            let shared = windows.iter().map(|win| Arc::clone(&win.bits)).collect();
-            let (table, acc) = PatternTable::of(n, shared, mean_weights);
+            let (table, acc) = table_root(n, windows, &bits, &children, mean_weights);
+            if let Some(t) = trace {
+                t.children_bits += windows.len();
+                t.roots_from_table += 1;
+                t.table_exceptions += table.exceptions().len();
+            }
             (Combined::Table(table), acc)
         }
     })
 }
 
-/// The fused walk of a root with a fitted child or an `OR`: per chunk,
-/// one pass of the block kernel ([`combine_and_blocks`]) loads each
-/// child, combines them at the root straight into the output frame and
-/// folds the finalize inputs over what it wrote — each row touched once,
-/// in registers. A root `OR` normalizes its children into per-chunk
-/// scratch and runs the same steps as slice kernels. Every kernel is
-/// proven exact against the scalar reference (see the kernels' docs).
-/// The frame is finalized in place.
-fn walk_root(
-    ctx: &EvalContext<'_>,
+/// The pattern table of a root whose children are all two-valued (`bits`)
+/// or fitted with their rows below the plateau known: the fitted ones sit
+/// at `NORM_MAX` in the pattern values, and their rows below the plateau,
+/// where the root defines them, are combined one by one ([`and_row`]) into
+/// the table's exceptions.
+fn table_root(
+    n: usize,
     windows: &[PredicateWindow],
     bits: &[Option<(&PackedBits, Option<&PackedBits>)>],
-    or_root: bool,
-    (weights, mean_weights): (&[f64], Option<&[f64]>),
-) -> (Combined, RootAcc) {
-    let n = ctx.table.len();
-    // whole-frame children; every task walks its own row range
-    let children: Vec<Child<'_>> = (windows.iter().zip(bits))
+    children: &[Child<'_>],
+    mean_weights: Option<&[f64]>,
+) -> (PatternTable, RootAcc) {
+    let fitted = || (windows.iter().zip(bits)).filter(|(_, bits)| bits.is_none());
+    let plateau = (bits.iter().enumerate())
+        .filter(|(_, bits)| bits.is_none())
+        .fold(0, |plateau, (c, _)| plateau | 1 << c);
+    let mut rows: Vec<u32> = fitted()
+        .flat_map(|(win, _)| win.below.iter().flat_map(|rows| rows.iter().copied()))
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let exceptions: Vec<(u32, f64)> = (rows.into_iter())
+        .filter_map(|row| {
+            let (sum, defined) = and_row(children, mean_weights, row as usize);
+            defined.then_some((row, sum))
+        })
+        .collect();
+    for (win, _) in fitted() {
+        win.exact_bits();
+    }
+    let shared = windows.iter().map(|win| Arc::clone(&win.bits)).collect();
+    PatternTable::of(n, shared, plateau, mean_weights, exceptions)
+}
+
+/// A table root of `n` rows takes at most one row below its fitted
+/// children's plateaus per this many rows (or per this many of
+/// [`PARALLEL_THRESHOLD`] rows, below it). Each such row is combined,
+/// counted and ranked on its own — about 45 ns, against about 5 ns per
+/// row for the fused walk (200 k rows, 2 cores) — so past `n / 10` of
+/// them (a fitted window under a weight near 0.1 at a 1 % display
+/// budget) the walk is cheaper.
+const ROWS_PER_EXCEPTION: usize = 16;
+
+/// Whether an `AND` or single-window root over `n` rows whose fitted
+/// children leave `rows` rows below their plateaus (counted per child)
+/// is derived as a pattern table rather than walked.
+pub fn table_takes_exceptions(n: usize, rows: usize) -> bool {
+    rows.saturating_mul(ROWS_PER_EXCEPTION) <= n.max(PARALLEL_THRESHOLD)
+}
+
+/// The root's children over whole frames: a two-valued window as its
+/// packed bits, any other as its raw distances, normalized in registers
+/// under its fit.
+fn root_children<'a>(
+    windows: &'a [PredicateWindow],
+    bits: &[Option<(&'a PackedBits, Option<&'a PackedBits>)>],
+) -> Vec<Child<'a>> {
+    (windows.iter().zip(bits))
         .map(|(win, bits)| match *bits {
             Some((exact, defined)) => Child::Bits(exact, defined),
             None => {
@@ -1114,7 +1196,25 @@ fn walk_root(
                 Child::Frame(raw.values(), mask, Some(win.norm_params))
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The fused walk of a root no table takes — an `OR`, a child whose fit
+/// covers every defined row, too many rows below plateaus: per chunk,
+/// one pass of the block kernel ([`combine_and_blocks`]) loads each
+/// child, combines them at the root straight into the output frame and
+/// folds the finalize inputs over what it wrote — each row touched once,
+/// in registers. A root `OR` normalizes its children into per-chunk
+/// scratch and runs the same steps as slice kernels. Every kernel is
+/// proven exact against the scalar reference (see the kernels' docs).
+/// The frame is finalized in place.
+fn walk_root(
+    ctx: &EvalContext<'_>,
+    children: &[Child<'_>],
+    or_root: bool,
+    (weights, mean_weights): (&[f64], Option<&[f64]>),
+) -> (Combined, RootAcc) {
+    let n = ctx.table.len();
     let mut combined = DistanceFrame::undefined(n);
     let ranges = chunk::ranges(n);
     let mut range_accs: Vec<RootAcc> = ranges.iter().map(|_| RootAcc::default()).collect();
@@ -1122,7 +1222,7 @@ fn walk_root(
         .zip(combined.split_ranges_mut(&ranges))
         .zip(range_accs.iter_mut())
         .collect();
-    let (children, arena, cancel) = (&children, chunk::ScratchArena::new(), ctx.cancel);
+    let (arena, cancel) = (chunk::ScratchArena::new(), ctx.cancel);
     chunk::run_striped(
         tasks,
         n >= chunk::PAR_MIN_ROWS,
@@ -1336,8 +1436,8 @@ fn rank_and_select(
             let mut band: Vec<(f64, u32)> =
                 chunk::map_range_list(ranges, parallel, |offset, len| {
                     (offset..offset + len)
+                        .filter(|&i| in_two_sided_band(win, lo, hi, i))
                         .filter_map(|i| Some((combined.get(i)?, i as u32)))
-                        .filter(|&(_, i)| in_two_sided_band(win, lo, hi, i as usize))
                         .collect::<Vec<_>>()
                 })
                 .concat();
@@ -2200,8 +2300,8 @@ mod tests {
                     let mut want_acc = RootAcc::default();
                     want_acc.fold(want.values(), want.validity().as_slice());
                     let shared = |c: usize| Arc::new(OnceLock::from(packed[c].clone()));
-                    let (table, acc) =
-                        PatternTable::of(len, set.iter().map(|&c| shared(c)).collect(), w);
+                    let windows = set.iter().map(|&c| shared(c)).collect();
+                    let (table, acc) = PatternTable::of(len, windows, 0, w, Vec::new());
                     assert_eq!(
                         (acc.defined, acc.num_exact, acc.any_nonzero),
                         (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
@@ -2227,7 +2327,75 @@ mod tests {
             ];
             let what = format!("mixed len={len}");
             assert_kernel_matches(&kids, (Some(&weights), 0), &want, &what);
+            // ... and as a table: the fitted child on its plateau, its
+            // rows below `dmax` the exceptions where the root defines them
+            let below: Vec<u32> = (0..len)
+                .filter(|&i| ms[1][i] && vals[1][i].abs() < fitted.dmax)
+                .map(|i| i as u32)
+                .collect();
+            let exceptions: Vec<(u32, f64)> = (below.iter())
+                .filter_map(|&row| {
+                    let (sum, defined) = and_row(&kids, Some(&weights), row as usize);
+                    defined.then_some((row, sum))
+                })
+                .collect();
+            let shared = |c: usize| Arc::new(OnceLock::from(packed[c].clone()));
+            let windows = (0..3).map(shared).collect();
+            let (table, acc) = PatternTable::of(len, windows, 0b010, Some(&weights), exceptions);
+            let mut want_acc = RootAcc::default();
+            want_acc.fold(want.values(), want.validity().as_slice());
+            assert_eq!(
+                (acc.defined, acc.num_exact, acc.any_nonzero),
+                (want_acc.defined, want_acc.num_exact, want_acc.any_nonzero),
+                "{what}"
+            );
+            assert_eq!(acc.max_abs.to_bits(), want_acc.max_abs.to_bits(), "{what}");
+            let mut finished = want.clone();
+            finalize_combined(&mut finished, &want_acc, &[(0, len)], false);
+            assert!(
+                Combined::Table(table).bits_eq(&Combined::Frame(finished)),
+                "{what}"
+            );
         }
+    }
+
+    /// The rows a fitted window keeps below its plateau weigh in its
+    /// heap bytes, and a table root's exceptions in the root's — what the
+    /// byte-budgeted window cache sees.
+    #[test]
+    fn heap_bytes_count_the_rows_below_a_plateau_and_the_exceptions() {
+        let db = db_with_ramp(1_000);
+        let t = db.table("T").unwrap();
+        let resolver = DistanceResolver::new();
+        let cond = Weighted::unit(ConditionNode::And(vec![
+            cond(CompareOp::Ge, 990.0),
+            cond(CompareOp::Ge, 0.0),
+        ]));
+        let policy = DisplayPolicy::Percentage(5.0);
+        let out = run_pipeline(
+            &db,
+            t,
+            &resolver,
+            Some(&cond),
+            &policy,
+            PipelineOptions::default(),
+        )
+        .unwrap();
+        let fitted = &out.windows[0];
+        let below = fitted.below_plateau().expect("the fit selects");
+        // 10 exact answers and the 39 nearest misses of a 50-row fit
+        assert_eq!(below.len(), 49);
+        let bare = PredicateWindow {
+            below: None,
+            ..fitted.clone()
+        };
+        assert_eq!(fitted.heap_bytes() - bare.heap_bytes(), 4 * below.len());
+        let Combined::Table(table) = &out.combined else {
+            panic!("a root of a two-valued and a fitted window is a table");
+        };
+        assert_eq!(table.exceptions().len(), 49);
+        let per_exception = std::mem::size_of::<(u32, f64)>();
+        assert!(out.combined.heap_bytes() >= per_exception * 49);
     }
 
     /// `normalized_at` derives what the stored normalized frame held:

@@ -155,6 +155,9 @@ pub struct TraceReport {
     /// Subquery windows whose inner condition entered the join as its
     /// exact bits ([`PipelineTrace::join_inner_bits`]).
     pub join_inner_bits: usize,
+    /// Rows a table root took from fitted children below their plateau
+    /// ([`PipelineTrace::table_exceptions`]).
+    pub table_exceptions: usize,
 }
 
 impl From<&PipelineTrace> for TraceReport {
@@ -172,6 +175,7 @@ impl From<&PipelineTrace> for TraceReport {
             windows_bits_only: t.windows_bits_only,
             chunks_compare_packed: t.chunks_compare_packed,
             join_inner_bits: t.join_inner_bits,
+            table_exceptions: t.table_exceptions,
         }
     }
 }
@@ -658,6 +662,7 @@ impl TraceReport {
             ("windows_bits_only", self.windows_bits_only.into()),
             ("chunks_compare_packed", self.chunks_compare_packed.into()),
             ("join_inner_bits", self.join_inner_bits.into()),
+            ("table_exceptions", self.table_exceptions.into()),
         ])
     }
 }

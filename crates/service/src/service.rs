@@ -250,15 +250,17 @@ pub(crate) struct ServiceObs {
     /// rankings the distance walk's counts answered, and how many took a
     /// selection walk — the share of the traffic with "very many" exact
     /// answers (§5.1), readable off the live server. Then
-    /// `pipeline.combine.{children_bits,children_raw,roots_from_table}`:
+    /// `pipeline.combine.{children_bits,children_raw,roots_from_table,table_exceptions}`:
     /// root children read from their packed exact bits (fits with
-    /// `dmax = 0`) vs as raw distances, and derived roots: no combined
-    /// frame written, the windows' bits plus a pattern table instead.
+    /// `dmax = 0`, and fitted windows a table root reads on their
+    /// plateau) vs as raw distances, derived roots — no combined frame
+    /// written, the windows' bits plus a pattern table instead — and the
+    /// rows those tables took from fitted children below their plateau.
     /// Then `pipeline.windows.bits_only`: windows left as their packed
     /// exact bits alone, no raw frame written or kept; and
     /// `pipeline.chunks.compare_packed`: row ranges of those walks whose
     /// stats and bits were compare-packed straight from the column.
-    run_counts: [Arc<Counter>; 9],
+    run_counts: [Arc<Counter>; 10],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -313,6 +315,7 @@ impl ServiceObs {
                 "pipeline.combine.children_bits",
                 "pipeline.combine.children_raw",
                 "pipeline.combine.roots_from_table",
+                "pipeline.combine.table_exceptions",
                 "pipeline.windows.bits_only",
                 "pipeline.chunks.compare_packed",
             ]
@@ -372,6 +375,7 @@ impl ServiceObs {
             trace.children_bits,
             trace.children_raw,
             trace.roots_from_table,
+            trace.table_exceptions,
             trace.windows_bits_only,
             trace.chunks_compare_packed,
         ];

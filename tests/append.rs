@@ -332,3 +332,96 @@ proptest! {
         prop_assert_eq!(live.telemetry().projection_cache.misses, 1);
     }
 }
+
+/// A root with a fitted child across appends. `x >= -50` is two-valued
+/// (its exact answers cover its fit count); `x >= 99.5` has fewer exact
+/// answers than its fit count, so the root is a pattern table whose
+/// exceptions are that window's rows below its plateau. Rows appended
+/// far from the bound leave its fit, and the rows below it, as they
+/// were; rows appended just below the bound shift it. Either way the
+/// extended windows serve the re-ask with its exceptions, and every
+/// reply equals a service loaded with all the rows.
+#[test]
+fn a_fitted_child_extends_across_appends_and_matches_a_reload() {
+    let base: Vec<(f64, u8)> = (0..2_000)
+        .map(|i| {
+            let tag = match (i % 17, i % 19) {
+                (0, _) => 0,
+                (_, 0) => 1,
+                _ => 5,
+            };
+            (((i * 37) % 2_000) as f64 / 10.0 - 100.0, tag)
+        })
+        .collect();
+    let query = "SELECT * FROM T WHERE x >= -50 AND x >= 99.5";
+    let policy = DisplayPolicy::FitScreen {
+        pixels: 20,
+        pixels_per_item: 1,
+    };
+    let open = |service: &Service| {
+        let id = service.create_session("d").unwrap();
+        service
+            .submit(id, Request::SetWindowSize { w: 16, h: 16 })
+            .unwrap();
+        service
+            .submit(id, Request::SetDisplayPolicy(policy.clone()))
+            .unwrap();
+        service
+            .submit(id, Request::SetQueryText(query.into()))
+            .unwrap();
+        id
+    };
+    let ask = |service: &Service, id: SessionId| {
+        [
+            Request::Summary { trace: false },
+            Request::Render(RenderFormat::Ppm),
+        ]
+        .map(|req| service.submit(id, req).unwrap())
+    };
+    let trace_of = |service: &Service, id: SessionId| match service
+        .submit(id, Request::Summary { trace: true })
+        .unwrap()
+    {
+        Response::Summary(summary) => summary.trace.expect("trace requested"),
+        other => panic!("unexpected {other:?}"),
+    };
+    let config = || ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let live = Service::new(config());
+    live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
+    let id = open(&live);
+    ask(&live, id);
+    assert!(trace_of(&live, id).table_exceptions > 0);
+    let mut all = base.clone();
+    let far = vec![(-99.0, 5), (-98.5, 5), (-97.0, 0), (-96.0, 1)];
+    let near = vec![(99.45, 5), (99.48, 5), (99.9, 5), (-10.0, 5)];
+    for (what, delta) in [
+        ("far rows: the fit holds", far),
+        ("near rows: it shifts", near),
+    ] {
+        let rows: Vec<Vec<Value>> = (delta.iter().enumerate())
+            .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
+            .collect();
+        all.extend_from_slice(&delta);
+        let outcome = live.append_rows("d", None, rows).unwrap();
+        assert_eq!(outcome.windows_extended, 2, "{what}");
+        let fresh = Service::new(config());
+        fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
+        let replay = open(&fresh);
+        assert_eq!(ask(&live, id), ask(&fresh, replay), "{what}");
+        let trace = trace_of(&live, id);
+        assert_eq!(
+            (trace.shared_window_hits, trace.windows_evaluated),
+            (2, 0),
+            "{what}"
+        );
+        assert_eq!(
+            trace.table_exceptions,
+            trace_of(&fresh, replay).table_exceptions,
+            "{what}"
+        );
+        assert!(trace.table_exceptions > 0, "{what}");
+    }
+}

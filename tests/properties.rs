@@ -1174,12 +1174,26 @@ proptest! {
                     "{} (point {}, {} exact, {} ranked)", tag, point, fast.num_exact, fast.order.len()
                 );
                 // a fit with `dmax = 0` is read from the window's packed
-                // bits (a root `OR` normalizes raw distances either way),
-                // and a root of nothing else is written from its table
+                // bits (a root `OR` normalizes raw distances either way);
+                // a root of such windows and fitted ones whose rows below
+                // the plateau are known is derived from its table, which
+                // reads them all from their bits
                 let two_valued = fast.windows.iter().filter(|w| w.norm_params.dmax == 0.0).count();
-                let bits = if root_pick == 1 { 0 } else { two_valued };
+                let tabled = root_pick != 1 && plateau_rows(&fast.windows).is_some_and(|rows| {
+                    visdb::relevance::table_takes_exceptions(n, rows)
+                });
+                let bits = match (root_pick, tabled) {
+                    (1, _) => 0,
+                    (_, true) => windows,
+                    _ => two_valued,
+                };
                 prop_assert_eq!((trace.children_bits, trace.children_raw), (bits, windows - bits), "{}", tag);
-                prop_assert_eq!(trace.roots_from_table, usize::from(bits == windows), "{}", tag);
+                prop_assert_eq!(trace.roots_from_table, usize::from(tabled), "{}", tag);
+                let exceptions = match &fast.combined {
+                    visdb::relevance::Combined::Table(table) => table.exceptions().len(),
+                    _ => 0,
+                };
+                prop_assert_eq!(trace.table_exceptions, exceptions, "{}", tag);
                 fits[0] += trace.fits_from_counts;
                 fits[1] += trace.fits_selected;
                 ranks[0] += trace.ranks_from_counts;
@@ -1261,8 +1275,16 @@ proptest! {
                 prop_assert_eq!(two_valued(&fast.windows[0]), step != 1, "crossing step {}", step);
                 prop_assert_eq!(fast.windows[0].zero_raw_count(), e0);
                 let bits = fast.windows.iter().filter(|w| two_valued(w)).count();
-                let bits = if root_pick == 1 { 0 } else { bits };
+                let tabled = root_pick != 1 && plateau_rows(&fast.windows).is_some_and(|rows| {
+                    visdb::relevance::table_takes_exceptions(n, rows)
+                });
+                let bits = match (root_pick, tabled) {
+                    (1, _) => 0,
+                    (_, true) => children,
+                    _ => bits,
+                };
                 prop_assert_eq!((trace.children_bits, trace.children_raw), (bits, children - bits));
+                prop_assert_eq!(trace.roots_from_table, usize::from(tabled), "crossing step {}", step);
                 if with_undefined && root_pick == 0 {
                     // no distance in one child: none at the `AND` root
                     prop_assert_eq!((fast.num_exact, fast.order.len()), (0, 0));
@@ -1757,26 +1779,57 @@ proptest! {
                 prop_assert!(Arc::ptr_eq(&picture, &first));
             }
 
-            let mut cold = Session::new(Arc::clone(&db), ConnectionRegistry::new());
-            cold.set_display_policy(policy.clone()).unwrap();
-            cold.set_pixels_per_item(session.pixels_per_item()).unwrap();
-            cold.set_query(session.query().unwrap().clone()).unwrap();
-            if let Some(item) = session.selected_item() {
-                cold.select_tuple(item).unwrap();
-            }
-            let want = render_session(&mut cold, &opts).unwrap();
+            let diff = cold_render_divergence(&session, &db, &policy, &picture);
             let what = format!("step {step}: op {op} window {window} value {value} ({paint:?})");
-            prop_assert!(picture.frame() == want.frame(), "{}", what);
-            prop_assert_eq!(&*picture.ascii(), &to_ascii(want.frame(), ASCII_COLS).into_bytes(), "{}", what);
-            let ppm = |fb: &Framebuffer| {
-                let mut out = Vec::new();
-                write_ppm(fb, &mut out).unwrap();
-                out
-            };
-            prop_assert_eq!(ppm(picture.frame()), ppm(want.frame()), "{}", what);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
         }
         prop_assert!(held >= 1);
     }
+}
+
+/// Where `picture`, `session`'s panel, differs from the panel a fresh
+/// session renders from the same state — query, policy, pixel size and
+/// selection: its pixels, its ASCII preview or its PPM bytes.
+fn cold_render_divergence(
+    session: &Session,
+    db: &Arc<Database>,
+    policy: &DisplayPolicy,
+    picture: &visdb::core::Picture,
+) -> Option<&'static str> {
+    let mut cold = Session::new(Arc::clone(db), ConnectionRegistry::new());
+    cold.set_display_policy(policy.clone()).unwrap();
+    cold.set_pixels_per_item(session.pixels_per_item()).unwrap();
+    cold.set_query(session.query().unwrap().clone()).unwrap();
+    if let Some(item) = session.selected_item() {
+        cold.select_tuple(item).unwrap();
+    }
+    let want = render_session(&mut cold, &RenderOptions::default()).unwrap();
+    let ppm = |fb: &Framebuffer| {
+        let mut out = Vec::new();
+        write_ppm(fb, &mut out).unwrap();
+        out
+    };
+    if picture.frame() != want.frame() {
+        Some("pixels diverge")
+    } else if *picture.ascii() != to_ascii(want.frame(), ASCII_COLS).into_bytes() {
+        Some("ASCII previews diverge")
+    } else if ppm(picture.frame()) != ppm(want.frame()) {
+        Some("PPM bytes diverge")
+    } else {
+        None
+    }
+}
+
+/// The rows a table root over `windows` would combine one by one — the
+/// fitted windows' rows below their plateau — or `None` when a fitted
+/// window's are not known (its fit covers every defined row).
+fn plateau_rows(windows: &[PredicateWindow]) -> Option<usize> {
+    (windows.iter())
+        .map(|w| match w.norm_params.dmax == 0.0 {
+            true => Some(0),
+            false => w.below_plateau().map(<[u32]>::len),
+        })
+        .sum()
 }
 
 /// `n` rows over a scattered rank (`rank = i · 1_000_003 mod n`) where
@@ -2722,5 +2775,301 @@ proptest! {
         let built = rebuilt_source.lookup(&new_key).expect("built for the grown column");
         assert_same_projection(&built, &fresh_build(&db2));
         assert_same_projection(&migrated, &built);
+    }
+}
+
+/// `n` rows over a scattered rank (`rank = i · 1_000_003 mod n`) for the
+/// mixed-root properties. `a ≥ t`, `b = 0` and `z = 0` are two-valued:
+/// `a` is the rank, `b` is `±0.0` on the top quarter of the ranks, and
+/// every finite distance of `z = 0` is exact. `f ≥ 0` is fitted: `-0.0`,
+/// 1 or 2 (exact) on the lowest `n / 1200` ranks, minus a subnormal on
+/// as many after them — distances that normalize to 0, or to a
+/// subnormal — and `-(1 + rank / 2)` beyond (ties in pairs). `g ≤ 0` is
+/// fitted: `±0.0` on `n / 1500` ranks from `n / 2`, else one of 997
+/// values 0.125 apart. NULL, NaN and an infinity sit on a few ranks of
+/// every column.
+fn mixed_table(n: usize) -> Database {
+    let cols = ["a", "b", "f", "g", "z"].map(|c| Column::new(c, DataType::Float));
+    let mut t = TableBuilder::new("T", cols.to_vec());
+    let (few, g_exact) = ((n / 1200).max(1), (n / 1500).max(1));
+    let float = Value::Float;
+    for i in 0..n {
+        let rank = i * 1_000_003 % n;
+        let sign = if rank.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let special = rank % 101;
+        let a = match special {
+            7 => Value::Null,
+            8 => float(f64::NAN),
+            _ => float(rank as f64),
+        };
+        let b = match special {
+            17 => Value::Null,
+            18 => float(f64::NAN),
+            19 => float(sign * f64::INFINITY),
+            _ if rank >= n - n / 4 => float(sign * 0.0),
+            _ => float(sign * 0.25 * (1 + rank % 37) as f64),
+        };
+        let f = match special {
+            37 => Value::Null,
+            38 => float(f64::NAN),
+            39 => float(f64::NEG_INFINITY),
+            _ if rank < few => float([-0.0, 1.0, 2.0][rank % 3]),
+            _ if rank < 2 * few => float(-[5e-324, 1e-310][rank % 2]),
+            _ => float(-(1.0 + (rank / 2) as f64)),
+        };
+        let g = match special {
+            57 => Value::Null,
+            58 => float(f64::NAN),
+            59 => float(f64::INFINITY),
+            _ if (n / 2..n / 2 + g_exact).contains(&rank) => float(sign * 0.0),
+            _ => float(1.0 + (rank * 7 % 997) as f64 * 0.125),
+        };
+        let z = match (rank % 101, rank % 3) {
+            (27, _) => Value::Null,
+            (_, 0) if rank.is_multiple_of(2) => float(f64::NAN),
+            (_, 0) => float(f64::INFINITY),
+            _ => float(sign * 0.0),
+        };
+        t = t.row(vec![a, b, f, g, z]).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A root of two-valued and fitted windows is derived: its combined
+    /// distances are the windows' bits, a table of pattern values with
+    /// every fitted window on its plateau (`NORM_MAX`), and the fitted
+    /// windows' rows below their plateau as exceptions, each combined on
+    /// its own. Above the thresholds and under every policy it must stay
+    /// byte-identical to a cold scalar run: the fitted child first, in
+    /// the middle and last; two fitted children; an unweighted child
+    /// (classes tie across patterns); a fitted window alone; exceptions
+    /// on NULL, NaN, ±inf and `-0.0` rows, at subnormal distances that
+    /// normalize to 0, and at values equal to a class's; through a
+    /// session cache (cold, warm, the fitted window re-weighted) and
+    /// uncached.
+    #[test]
+    fn mixed_roots_match_the_oracle_above_the_parallel_threshold(
+        n in 40_000usize..120_000,
+        pct in 0.25f64..1.0,
+        pixels in 1_000usize..3_000,
+        spare in 3usize..5,
+    ) {
+        use visdb::relevance::Combined;
+        // display budgets of at most 1 % of the rows: the fitted windows'
+        // fit counts (2 and 3.3 times the budget) leave few enough rows
+        // below their plateaus for the table to take them
+        let policies = [
+            DisplayPolicy::Percentage(pct),
+            DisplayPolicy::FitScreen { pixels: pixels / 8, pixels_per_item: 1 },
+            DisplayPolicy::GapHeuristic { rmin: 10, rmax: pixels / 8, z: 5 + pixels % 40 },
+            DisplayPolicy::TwoSidedPercentage(pct),
+        ];
+        let resolver = DistanceResolver::new();
+        let db = mixed_table(n);
+        let t = db.table("T").unwrap();
+        let pred = |attr: &str, op: CompareOp, v: f64, w: f64| {
+            Weighted::new(ConditionNode::Predicate(Predicate::compare(AttrRef::new(attr), op, v)), w)
+        };
+        let (b, g) = (pred("b", CompareOp::Eq, 0.0, 0.5), pred("g", CompareOp::Le, 0.0, 0.3));
+        let z = pred("z", CompareOp::Eq, 0.0, 0.0);
+        let (mut tied, mut to_zero) = (0, 0);
+        for policy in policies {
+            // `a` has `spare` times the display budget of exact answers
+            // and its weight 1 fits over the budget: two-valued
+            let budget = policy.budget(n);
+            let a = pred("a", CompareOp::Ge, (n - spare * budget) as f64, 1.0);
+            let cond_for = |shape: &str, wf: f64| {
+                let f = pred("f", CompareOp::Ge, 0.0, wf);
+                let and = |children: Vec<Weighted>| Weighted::unit(ConditionNode::And(children));
+                match shape {
+                    "first" => and(vec![f, a.clone(), b.clone()]),
+                    "middle" => and(vec![a.clone(), f, b.clone()]),
+                    "last" => and(vec![a.clone(), b.clone(), f]),
+                    "two" => and(vec![f, a.clone(), g.clone()]),
+                    "unweighted" => and(vec![a.clone(), f, z.clone()]),
+                    _ => f,
+                }
+            };
+            for shape in ["first", "middle", "last", "two", "unweighted", "single"] {
+                let mut session = PipelineCache::new();
+                let mut slow = None;
+                for (step, wf) in [0.5, 0.5, 0.5, 0.8].into_iter().enumerate() {
+                    let cond = cond_for(shape, wf);
+                    if step != 1 && step != 2 {
+                        let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+                        slow = Some(run_pipeline(&db, t, &resolver, Some(&cond), &policy, scalar));
+                    }
+                    let Some(Ok(slow)) = &slow else {
+                        // gap parameters the data rejects: every path must
+                        prop_assert!(run_pipeline(&db, t, &resolver, Some(&cond), &policy, PipelineOptions::default()).is_err());
+                        break;
+                    };
+                    let opts = match step {
+                        2 => PipelineOptions { trace: true, ..Default::default() },
+                        _ => PipelineOptions { cache: Some(&mut session), trace: true, ..Default::default() },
+                    };
+                    let fast = run_pipeline(&db, t, &resolver, Some(&cond), &policy, opts).unwrap();
+                    let what = format!("{shape} step {step} ({policy:?})");
+                    let diff = first_divergence(&fast, slow, &policy);
+                    prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+                    prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+                    let Combined::Table(table) = &fast.combined else {
+                        panic!("{what}: a mixed root is a table");
+                    };
+                    let trace = fast.trace.as_ref().unwrap();
+                    prop_assert_eq!((trace.roots_from_table, trace.children_raw), (1, 0), "{}", what);
+                    prop_assert_eq!(trace.table_exceptions, table.exceptions().len(), "{}", what);
+                    prop_assert!(!table.exceptions().is_empty(), "{}", what);
+                    prop_assert_eq!(trace.windows_refit, usize::from(step == 3), "{}", what);
+                    tied += table.exceptions().iter().filter(|e| table.values().contains(&e.1)).count();
+                    let fitted = fast.windows.iter().find(|w| w.label.starts_with('f')).unwrap();
+                    let raw = fitted.raw_frame().unwrap();
+                    to_zero += (0..n)
+                        .filter(|&i| raw.get(i).is_some_and(|d| d != 0.0) && fitted.normalized_at(i) == Some(0.0))
+                        .count();
+                }
+            }
+        }
+        prop_assert!(tied > 0, "no exception tied with a class");
+        prop_assert!(to_zero > 0, "no inexact distance normalized to 0");
+    }
+}
+
+/// The §4.4 join's shape: a fitted window none of whose fitted rows lies
+/// below its `dmax` — every outer timestamp misses the inner ones by at
+/// least the same offset, so its `k` smallest distances tie and it has no
+/// exact rows — beside a two-valued window. The root is a table with no
+/// exceptions, painted by pattern, and equals the scalar oracle.
+#[test]
+fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
+    let n: usize = 50_000;
+    let mut t = TableBuilder::new(
+        "T",
+        vec![
+            Column::new("a", DataType::Float),
+            Column::new("f", DataType::Float),
+        ],
+    );
+    for i in 0..n {
+        let rank = i * 1_000_003 % n;
+        // a third of the rows miss `f >= 0` by exactly 30, the rest by more
+        let f = if rank.is_multiple_of(3) {
+            -30.0
+        } else {
+            -30.0 - (rank % 50) as f64
+        };
+        t = t
+            .row(vec![Value::Float(rank as f64), Value::Float(f)])
+            .unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    let db = Arc::new(db);
+    let policy = DisplayPolicy::Percentage(1.0);
+    let resolver = DistanceResolver::new();
+    let table = db.table("T").unwrap();
+    // each leaves `a` at least its fit count of 500 exact answers
+    for threshold in [n - 2_000, n - 1_000, n - 500] {
+        let text = format!("SELECT * FROM T WHERE a >= {threshold} AND f >= 0");
+        let query = parse_query(&text, &ConnectionRegistry::new()).unwrap();
+        let cond = query.condition.as_ref();
+        let run = |mode: ExecMode| {
+            let opts = PipelineOptions {
+                mode,
+                trace: true,
+                ..Default::default()
+            };
+            run_pipeline(&db, table, &resolver, cond, &policy, opts).unwrap()
+        };
+        let (fast, slow) = (run(ExecMode::Vectorized), run(ExecMode::Scalar));
+        let diff = first_divergence(&fast, &slow, &policy);
+        assert!(diff.is_none(), "a >= {threshold}: {}", diff.unwrap());
+        assert!(fast.combined.bits_eq(&slow.combined));
+        let fitted = &fast.windows[1];
+        assert!(fitted.norm_params.dmax > 0.0 && fitted.zero_raw_count() == 0);
+        assert_eq!(fitted.below_plateau(), Some(&[][..]));
+        let trace = fast.trace.as_ref().unwrap();
+        assert_eq!((trace.roots_from_table, trace.table_exceptions), (1, 0));
+        let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+        session.set_display_policy(policy.clone()).unwrap();
+        session.set_query(query).unwrap();
+        let picture = render_session(&mut session, &RenderOptions::default()).unwrap();
+        assert_eq!(session.take_paint(), Some(Paint::Patterns));
+        let diff = cold_render_divergence(&session, &db, &policy, &picture);
+        assert!(diff.is_none(), "{}", diff.unwrap());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A mixed root's panel is painted by row wherever its table has
+    /// exceptions, and by pattern (or handed back held) only where it has
+    /// none. A random stream of slides of both windows, re-weights of the
+    /// fitted window and selections runs over `a >= t AND f >= 0 AND
+    /// b = 0` above the parallel threshold; after every step the
+    /// session's panel equals, pixel for pixel and in its ASCII and PPM
+    /// bytes, the panel a fresh session renders from the same state.
+    #[test]
+    fn mixed_root_panels_are_cold_renders(
+        n in 40_000usize..120_000,
+        pct in 0.5f64..3.0,
+        ops in prop::collection::vec((0usize..3, 0usize..2, 0.05f64..1.0), 8..12),
+    ) {
+        use visdb::relevance::Combined;
+        let db = Arc::new(mixed_table(n));
+        let policy = DisplayPolicy::Percentage(pct);
+        let a = 3 * policy.budget(n);
+        let query = QueryBuilder::from_tables(["T"])
+            .cmp("a", CompareOp::Ge, (n - a) as f64)
+            .cmp("f", CompareOp::Ge, 0.0)
+            .cmp("b", CompareOp::Eq, 0.0)
+            .build();
+        let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+        session.set_display_policy(policy.clone()).unwrap();
+        session.set_query(query).unwrap();
+        let mut by_row = 0;
+        for (step, (op, window, value)) in ops.into_iter().enumerate() {
+            match op {
+                0 => session.set_weight(1, value).unwrap(),
+                1 => {
+                    let displayed = &session.result().unwrap().pipeline.displayed;
+                    match displayed.get((value * displayed.len() as f64) as usize) {
+                        Some(&item) if window > 0 => drop(session.select_tuple(item).unwrap()),
+                        _ => session.clear_selection(),
+                    }
+                }
+                _ => {
+                    // a slide of `a` across its exact answers, or of `f`
+                    // across a few of its distances
+                    let at = match window {
+                        0 => (n as f64 - a as f64 * (0.5 + value)).floor(),
+                        _ => -(value * 40.0).floor(),
+                    };
+                    let target = PredicateTarget::Compare { op: CompareOp::Ge, value: Value::Float(at) };
+                    session.set_predicate_target(window, target).unwrap();
+                }
+            }
+            let picture = render_session(&mut session, &RenderOptions::default()).unwrap();
+            let paint = session.take_paint();
+            let res = session.result().unwrap();
+            let exceptions = match &res.pipeline.combined {
+                Combined::Table(table) => table.exceptions().len(),
+                Combined::Frame(_) => 0,
+            };
+            if exceptions > 0 {
+                prop_assert_eq!(paint, Some(Paint::Rows), "step {}", step);
+                by_row += 1;
+            }
+            let diff = cold_render_divergence(&session, &db, &policy, &picture);
+            let what = format!("step {step}: op {op} window {window} value {value} ({paint:?})");
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+        }
+        prop_assert!(by_row > 0);
     }
 }

@@ -545,6 +545,7 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.combine.children_bits",
         "pipeline.combine.children_raw",
         "pipeline.combine.roots_from_table",
+        "pipeline.combine.table_exceptions",
         "pipeline.windows.bits_only",
         "pipeline.chunks.compare_packed",
         "render.panel.held",
@@ -680,8 +681,10 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
 /// How a root was combined is readable off the live server: an
 /// exact-heavy 3-window `AND` (every fit `dmax = 0`) reads its three
 /// children from their packed exact bits and derives the root from its
-/// pattern table; an exact-light one reads a fitted child as raw
-/// distances and walks.
+/// pattern table; an exact-light one still derives it, reading the
+/// fitted child on its plateau with its rows below `dmax` as the table's
+/// exceptions; an `OR` of the same windows reads them as raw distances
+/// and walks.
 #[test]
 fn bitmap_children_and_table_roots_are_counted_on_the_registry() {
     let service = Service::new(ServiceConfig {
@@ -700,7 +703,13 @@ fn bitmap_children_and_table_roots_are_counted_on_the_registry() {
             .submit(user, Request::Summary { trace: false })
             .unwrap();
         let after = service.metrics_snapshot();
-        ["children_bits", "children_raw", "roots_from_table"].map(|name| {
+        [
+            "children_bits",
+            "children_raw",
+            "roots_from_table",
+            "table_exceptions",
+        ]
+        .map(|name| {
             let name = format!("pipeline.combine.{name}");
             after.counter(&name).unwrap() - before.counter(&name).unwrap()
         })
@@ -709,13 +718,19 @@ fn bitmap_children_and_table_roots_are_counted_on_the_registry() {
     // answers per window cover every fit
     assert_eq!(
         run("SELECT * FROM T WHERE x >= 250 AND x BETWEEN 200 AND 500 AND x >= 100"),
-        [3, 0, 1]
+        [3, 0, 1, 0]
     );
-    // 50 exact answers in the first window do not: its fit selects
-    let [bits, raw, table] =
-        run("SELECT * FROM T WHERE x >= 350 AND x BETWEEN 200 AND 500 AND x >= 100");
-    assert!(raw >= 1 && table == 0, "[{bits}, {raw}, {table}]");
-    assert_eq!(bits + raw, 3);
+    // 50 exact answers in the first window do not: its fit selects the
+    // 100 smallest `|d|`, `dmax` = 50, and the 50 exact rows plus the 49
+    // at distance 1..=49 sit below it
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 350 AND x BETWEEN 200 AND 500 AND x >= 100"),
+        [3, 0, 1, 99]
+    );
+    assert_eq!(
+        run("SELECT * FROM T WHERE x >= 350 OR x BETWEEN 200 AND 500 OR x >= 100"),
+        [0, 3, 0, 0]
+    );
 }
 
 /// Windows left as their exact bits alone are readable off the live
@@ -1097,6 +1112,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "windows_bits_only",
         "chunks_compare_packed",
         "join_inner_bits",
+        "table_exceptions",
     ] {
         assert!(trace.get(key).is_some(), "trace missing {key}");
     }
