@@ -899,6 +899,62 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
     }
 }
 
+/// Untimed: window 0 of a 3-window query on a session sharing a
+/// projection store slides, and the slid window is re-derived from its
+/// predecessor and the column's sorted projection — no range
+/// compare-packed — bit-identical to the scalar reference; a slide whose
+/// band is over the guard walks the column, identical too.
+fn assert_slide_from_projection(db: &Arc<Database>, n: usize) {
+    use visdb_index::ProjectionSource;
+    use visdb_service::ProjectionCache;
+    let policy = DisplayPolicy::Percentage(1.0);
+    let ge = |at: f64| PredicateTarget::Compare {
+        op: CompareOp::Ge,
+        value: Value::Float(n as f64 * at),
+    };
+    let mut session = Session::new(Arc::clone(db), ConnectionRegistry::new());
+    session.set_display_policy(policy.clone()).expect("policy");
+    session.set_collect_trace(true);
+    let store: Arc<dyn ProjectionSource> = Arc::new(ProjectionCache::new(4));
+    session.set_shared_projections("bench#1", store);
+    // a single-window drag publishes the column's projection
+    let single = QueryBuilder::from_tables(["T"]).cmp("x", CompareOp::Ge, n as f64 * 0.9);
+    session.set_query(single.build()).expect("query");
+    assert!(session.drag_slider(0, ge(0.91)).expect("drag").incremental);
+    let three = QueryBuilder::from_tables(["T"])
+        .cmp("x", CompareOp::Ge, n as f64 * 0.5)
+        .cmp("x", CompareOp::Le, n as f64 * 0.95)
+        .cmp("x", CompareOp::Ge, n as f64 * 0.9);
+    session.set_query(three.build()).expect("query");
+    session.result().expect("result");
+    // a band of 0.1 n rows from the nearest predecessor (`x >= 0.5 n`),
+    // then one of 0.55 n — past the n / 2 guard
+    for (at, from_projection) in [(0.6, 1), (0.05, 0)] {
+        session.set_predicate_target(0, ge(at)).expect("slide");
+        let query = session.query().expect("query").clone();
+        let table = db.table("T").expect("ramp table");
+        let opts = PipelineOptions {
+            mode: ExecMode::Scalar,
+            ..Default::default()
+        };
+        let cond = query.condition.as_ref();
+        let slow =
+            run_pipeline(db, table, &DistanceResolver::new(), cond, &policy, opts).expect("scalar");
+        let fast = &session.result().expect("result").pipeline;
+        assert_identical(fast, &slow, n);
+        assert!(
+            fast.combined.bits_eq(&slow.combined),
+            "slide to {at} n, n={n}"
+        );
+        let t = fast.trace.as_deref().expect("traced");
+        let counts = (t.windows_evaluated, t.windows_from_projection);
+        assert_eq!(counts, (1, from_projection), "slide to {at} n, n={n}");
+        if from_projection == 1 {
+            assert_eq!(t.chunks_compare_packed, 0, "slide to {at} n, n={n}");
+        }
+    }
+}
+
 /// Two windows hold the same distances: the same raw frames when both
 /// keep one, the same exact bits (folded from a frame where one keeps
 /// it) otherwise, and the same stats.
@@ -1107,6 +1163,7 @@ fn bench_size(n: usize) -> SizeResult {
     assert_identical(&half, &run_scalar(&db, table, q_half.condition.as_ref()), n);
     assert_eq!(packed(&half), expect, "x >= 0.5 n, n={n}");
     assert_eq!(packed(&serial(cond_light)), 0, "exact-light arm, n={n}");
+    assert_slide_from_projection(&db, n);
     let bytes_per_row = |out: &PipelineOutput| out.windows[0].heap_bytes() as f64 / n as f64;
     let window_bytes_per_row = bytes_per_row(&heavy);
     let window_bytes_per_row_raw = bytes_per_row(&light);

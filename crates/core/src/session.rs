@@ -25,6 +25,7 @@ use visdb_relevance::pipeline::{
     display_count, run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput, PipelineTrace,
     PredicateWindow, SharedWindows,
 };
+use visdb_relevance::slide::projected_compare;
 use visdb_relevance::DistanceFrame;
 use visdb_storage::{Database, Row, Table};
 use visdb_types::{Error, Result, Value};
@@ -801,11 +802,6 @@ impl Session {
         }
         let si = self.slider_index.as_mut().expect("ensured above");
         let proj = si.cache.index();
-        if !proj.is_fully_finite() {
-            // ±inf values make non-finite distances; the position
-            // arithmetic cannot reproduce their normalization bit-exactly
-            return Ok(None);
-        }
         let m = proj.defined();
         let Some(k) = display_count(&self.policy, n, m, 1) else {
             return Ok(None);
@@ -827,14 +823,16 @@ impl Session {
         }
 
         // --- O(log n) position arithmetic on the sorted projection ----
-        // exact answers occupy a contiguous band of sorted positions
-        let (e, zero_from, zero_to) = if greater {
-            let p = proj.position_ge(t);
-            (m - p, p, m)
-        } else {
-            let q = proj.position_gt(t);
-            (q, 0, q)
+        // exact answers occupy a contiguous band of sorted positions, and
+        // the largest |d| is the far end's. `±inf` values make non-finite
+        // distances, and finite column values can still overflow to an
+        // infinite one (`t - x`): the pipeline's fit filters non-finite
+        // distances out of the transform range, which the position
+        // arithmetic cannot reproduce bit-exactly — fall back
+        let Some((zeros, stats)) = projected_compare(proj, greater, t) else {
+            return Ok(None);
         };
+        let (e, zero_from, zero_to, max_abs) = (zeros.len(), zeros.start, zeros.end, stats.max_abs);
         let nonzero = m - e;
         // |d| of sorted position j (only valid outside the zero band);
         // uses the identical float ops as the distance kernels: for
@@ -846,20 +844,6 @@ impl Session {
                 proj.value_at(j) - t
             }
         };
-        let max_abs = if nonzero == 0 {
-            0.0
-        } else if greater {
-            abs_at(proj, 0)
-        } else {
-            abs_at(proj, m - 1)
-        };
-        if !max_abs.is_finite() {
-            // finite column values can still overflow to an infinite
-            // distance (`t - x`); the pipeline's fit filters non-finite
-            // distances out of the transform range, which the position
-            // arithmetic cannot reproduce — fall back
-            return Ok(None);
-        }
         // the §5.2 weight-proportional fit, by position instead of
         // selection: the k-th smallest |d| is a binary-searchable cut
         let dmax = match fit_k(n, weight, budget) {

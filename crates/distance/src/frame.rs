@@ -189,6 +189,17 @@ impl PackedBits {
         self.len += tail.len;
     }
 
+    /// Flip the bit of every row in `rows` (each below the length, each
+    /// at most once) — a slid comparison window's exact bits are its
+    /// predecessor's with the rows between the two thresholds flipped.
+    pub fn toggle(&mut self, rows: &[u32]) {
+        for &row in rows {
+            let row = row as usize;
+            debug_assert!(row < self.len);
+            self.words[row / 64] ^= 1 << (row % 64);
+        }
+    }
+
     /// Heap bytes held by the words.
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -1036,6 +1047,20 @@ mod tests {
                 let want = PackedBits::from_bools(std::iter::repeat_n(bit, head));
                 assert_eq!(PackedBits::filled(head, bit), want, "{head} rows of {bit}");
             }
+        }
+    }
+
+    /// Toggling a set of rows is the per-row XOR, at word edges and past
+    /// the last whole word too.
+    #[test]
+    fn toggling_rows_flips_exactly_those_bits() {
+        let bit = |i: usize| (i * 5 + i / 7).is_multiple_of(3);
+        for len in [1usize, 63, 64, 65, 130] {
+            let rows: Vec<u32> = (0..len as u32).filter(|r| r % 4 == 1 || *r == 63).collect();
+            let mut got = PackedBits::from_bools((0..len).map(bit));
+            got.toggle(&rows);
+            let want = (0..len).map(|i| bit(i) ^ rows.contains(&(i as u32)));
+            assert_eq!(got, PackedBits::from_bools(want), "{len} rows");
         }
     }
 

@@ -48,6 +48,13 @@ pub trait ProjectionSource: Send + Sync {
     fn lookup(&self, key: &str) -> Option<Arc<SortedProjection>>;
     /// Store a freshly built projection under its key.
     fn store(&self, key: String, projection: Arc<SortedProjection>);
+    /// [`ProjectionSource::lookup`] for a caller that builds nothing when
+    /// the key is absent, so an absent key is no miss: a store that counts
+    /// its misses counts none here (the default counts what `lookup`
+    /// counts).
+    fn peek(&self, key: &str) -> Option<Arc<SortedProjection>> {
+        self.lookup(key)
+    }
 }
 
 /// The shared-projection cache key: dataset-generation scope, table, row

@@ -172,6 +172,11 @@ impl SortedProjection {
         self.perm[j] as usize
     }
 
+    /// Row ids at sorted positions `a..b`.
+    pub fn rows_between(&self, a: usize, b: usize) -> &[u32] {
+        &self.perm[a..b]
+    }
+
     /// The value of row `i`, NaN when the row is excluded.
     pub fn coord(&self, i: usize) -> f64 {
         self.coords[i]

@@ -363,6 +363,13 @@ impl PipelineCache {
         found
     }
 
+    /// The stored windows with their condition subtrees — the previous
+    /// round's, which a slid window is re-derived from. Counts as no
+    /// lookup.
+    pub fn windows(&self) -> impl Iterator<Item = (&ConditionNode, &PredicateWindow)> {
+        self.entries.iter().map(|(node, win)| (node, win))
+    }
+
     /// Replace the stored windows with this evaluation round's results.
     pub fn store(&mut self, windows: Vec<(ConditionNode, PredicateWindow)>) {
         self.entries = windows;

@@ -97,6 +97,26 @@ impl<'a> RunProjections<'a> {
         }
     }
 
+    /// The projection of `column` over all `rows` rows of `table` when
+    /// one exists — in the source ([`ProjectionSource::peek`]: an absent
+    /// one is no miss) or built earlier by this run. Never builds.
+    pub(crate) fn lookup(
+        &self,
+        table: &str,
+        rows: usize,
+        column: &str,
+    ) -> Option<Arc<SortedProjection>> {
+        let key = projection_key(self.scope, table, rows, column);
+        self.source.peek(&key).or_else(|| self.built(&key))
+    }
+
+    /// This run's build of `key`, if any.
+    fn built(&self, key: &str) -> Option<Arc<SortedProjection>> {
+        let built = self.built.borrow();
+        let earlier = built.iter().find(|(k, _)| k == key);
+        earlier.map(|(_, projection)| Arc::clone(projection))
+    }
+
     /// The projection of `column` over all `rows` rows of `table`: from
     /// the source, from an earlier build of this run, or built now.
     fn get_or_build(
@@ -107,11 +127,8 @@ impl<'a> RunProjections<'a> {
         build: impl FnOnce() -> SortedProjection,
     ) -> Arc<SortedProjection> {
         let key = projection_key(self.scope, table, rows, column);
-        if let Some(found) = self.source.lookup(&key) {
+        if let Some(found) = self.source.lookup(&key).or_else(|| self.built(&key)) {
             return found;
-        }
-        if let Some((_, earlier)) = self.built.borrow().iter().find(|(k, _)| *k == key) {
-            return Arc::clone(earlier);
         }
         let projection = Arc::new(build());
         self.built.borrow_mut().push((key, Arc::clone(&projection)));

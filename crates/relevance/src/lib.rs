@@ -47,6 +47,7 @@ pub mod quantile;
 pub mod reduction;
 pub mod reference;
 pub mod select;
+pub mod slide;
 
 pub use cache::{key_scope, window_key, PipelineCache, WindowSource};
 pub use combine::{combine_and_slices, combine_or_slices, Combined};
@@ -61,4 +62,5 @@ pub use pipeline::{
 };
 pub use quantile::{display_fraction, quantile, two_sided_range};
 pub use reduction::{gap_cutoff, gap_cutoff_naive};
+pub use slide::slide_takes_projection;
 pub use visdb_distance::frame::{Bitmap, DistanceFrame, FrameStats};

@@ -73,6 +73,7 @@ use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
 use crate::reference;
 use crate::select::{k_smallest_sorted, rank_order};
+use crate::slide;
 
 pub use crate::eval::ExecMode;
 
@@ -118,6 +119,13 @@ pub struct PipelineTrace {
     /// covered the fit count), or refitted to a fit they cover and their
     /// frame dropped.
     pub windows_bits_only: usize,
+    /// Of those evaluations, the `x ≥ t` / `x ≤ t` windows re-derived
+    /// from the previous run's window over the same column in the same
+    /// direction: its exact bits with the sorted projection's rows
+    /// between the two thresholds flipped, its stats by position
+    /// arithmetic — the column is not read ([`crate::slide`]). Also
+    /// counted as left as bits; none of their ranges is compare-packed.
+    pub windows_from_projection: usize,
     /// Row ranges of those evaluations compare-packed: an `x ≥ t` /
     /// `x ≤ t` window's ranges past the point where its exact answers
     /// covered the fit count, whose stats and bits one pass read straight
@@ -701,7 +709,7 @@ pub fn run_pipeline(
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
     let (mut windows_evaluated, mut evaluated_bits_only, mut compare_packed) = (0, 0, 0);
-    let mut join_inner_bits = 0;
+    let (mut from_projection, mut join_inner_bits) = (0, 0);
     phase_time!(trace, distance, {
         for (i, (w, got)) in top.iter().zip(found).enumerate() {
             unfit.push(!got.as_ref().is_some_and(|win| same_weight(win, w)));
@@ -712,7 +720,15 @@ pub fn run_pipeline(
                 None => {
                     windows_evaluated += 1;
                     let k = reads_bits[i].then(|| fit_k(n, w.weight, budget)).flatten();
-                    let e = ctx.eval_window(&w.node, k, run_projections.as_ref())?;
+                    let projected = k.and_then(|k| {
+                        let (cache, projections) = (cache.as_deref(), run_projections.as_ref());
+                        slide::from_predecessor(&ctx, &w.node, k, cache, projections)
+                    });
+                    from_projection += usize::from(projected.is_some());
+                    let e = match projected {
+                        Some(e) => e,
+                        None => ctx.eval_window(&w.node, k, run_projections.as_ref())?,
+                    };
                     evaluated_bits_only += usize::from(e.raw.is_none());
                     compare_packed += e.chunks_compare_packed;
                     join_inner_bits += usize::from(e.join_inner_bits);
@@ -802,6 +818,7 @@ pub fn run_pipeline(
         t.windows_refit = windows_refit;
         t.windows_evaluated = windows_evaluated;
         t.windows_bits_only += evaluated_bits_only;
+        t.windows_from_projection = from_projection;
         t.chunks_compare_packed = compare_packed;
         t.join_inner_bits = join_inner_bits;
     }

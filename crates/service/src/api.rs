@@ -152,6 +152,10 @@ pub struct TraceReport {
     /// Row ranges of the evaluated windows compare-packed straight from
     /// the column ([`PipelineTrace::chunks_compare_packed`]).
     pub chunks_compare_packed: usize,
+    /// Slid comparison windows re-derived from the previous run's window
+    /// and the column's sorted projection
+    /// ([`PipelineTrace::windows_from_projection`]).
+    pub windows_from_projection: usize,
     /// Subquery windows whose inner condition entered the join as its
     /// exact bits ([`PipelineTrace::join_inner_bits`]).
     pub join_inner_bits: usize,
@@ -174,6 +178,7 @@ impl From<&PipelineTrace> for TraceReport {
             windows_evaluated: t.windows_evaluated,
             windows_bits_only: t.windows_bits_only,
             chunks_compare_packed: t.chunks_compare_packed,
+            windows_from_projection: t.windows_from_projection,
             join_inner_bits: t.join_inner_bits,
             table_exceptions: t.table_exceptions,
         }
@@ -661,6 +666,10 @@ impl TraceReport {
             ("windows_evaluated", self.windows_evaluated.into()),
             ("windows_bits_only", self.windows_bits_only.into()),
             ("chunks_compare_packed", self.chunks_compare_packed.into()),
+            (
+                "windows_from_projection",
+                self.windows_from_projection.into(),
+            ),
             ("join_inner_bits", self.join_inner_bits.into()),
             ("table_exceptions", self.table_exceptions.into()),
         ])

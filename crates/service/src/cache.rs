@@ -200,8 +200,16 @@ impl<P: Payload> Cache<P> {
     /// payload `read` takes nothing from counts as a miss. A hit
     /// refreshes the entry's recency.
     fn read<R>(&self, key: &str, read: impl FnOnce(&P) -> Option<R>) -> Option<R> {
-        if self.capacity == 0 {
+        let found = self.probe(key, read);
+        if found.is_none() {
             self.misses.inc();
+        }
+        found
+    }
+
+    /// [`Cache::read`] without counting a miss.
+    fn probe<R>(&self, key: &str, read: impl FnOnce(&P) -> Option<R>) -> Option<R> {
+        if self.capacity == 0 {
             return None;
         }
         let mut state = self.lock();
@@ -212,9 +220,8 @@ impl<P: Payload> Cache<P> {
             entry.last_used = now;
             Some(got)
         });
-        match found {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
+        if found.is_some() {
+            self.hits.inc();
         }
         found
     }
@@ -341,6 +348,10 @@ impl ProjectionSource for ProjectionCache {
 
     fn store(&self, key: String, projection: Arc<SortedProjection>) {
         self.put(key, projection);
+    }
+
+    fn peek(&self, key: &str) -> Option<Arc<SortedProjection>> {
+        self.probe(key, |projection| Some(Arc::clone(projection)))
     }
 }
 

@@ -425,3 +425,100 @@ fn a_fitted_child_extends_across_appends_and_matches_a_reload() {
         assert!(trace.table_exceptions > 0, "{what}");
     }
 }
+
+/// A slide across an append. A single-window drag publishes the `x`
+/// projection; a 2-window query over `x` then slides window 0: re-derived
+/// from its predecessor and that projection. After rows are appended the
+/// session's window cache is dropped, so the first slide walks; the
+/// projection was merged into the new generation's scope, so the next
+/// slide re-derives again. Every reply equals a service loaded with all
+/// the rows.
+#[test]
+fn a_slide_after_an_append_walks_once_then_reads_the_merged_projection() {
+    // NULL and NaN rows but no ±inf: the projection stays finite
+    let row = |i: usize| {
+        let tag = match (i % 17, i % 19) {
+            (0, _) => 0,
+            (_, 0) => 1,
+            _ => 5,
+        };
+        (((i * 37) % 2_000) as f64 / 10.0 - 100.0, tag)
+    };
+    let base: Vec<(f64, u8)> = (0..2_000).map(row).collect();
+    let policy = DisplayPolicy::FitScreen {
+        pixels: 20,
+        pixels_per_item: 1,
+    };
+    let text = |t: f64| format!("SELECT * FROM T WHERE x >= {t} AND x <= 90");
+    let open = |service: &Service, query: String| {
+        let id = service.create_session("d").unwrap();
+        for req in [
+            Request::SetWindowSize { w: 16, h: 16 },
+            Request::SetDisplayPolicy(policy.clone()),
+            Request::SetQueryText(query),
+        ] {
+            assert_eq!(service.submit(id, req).unwrap(), Response::Ok);
+        }
+        id
+    };
+    let ask = |service: &Service, id: SessionId| {
+        [
+            Request::Summary { trace: false },
+            Request::Render(RenderFormat::Ppm),
+        ]
+        .map(|req| service.submit(id, req).unwrap())
+    };
+    let trace_of = |service: &Service, id: SessionId| match service
+        .submit(id, Request::Summary { trace: true })
+        .unwrap()
+    {
+        Response::Summary(summary) => summary.trace.expect("trace requested"),
+        other => panic!("unexpected {other:?}"),
+    };
+    let config = || ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let live = Service::new(config());
+    live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
+    let drag = Request::DragSlider {
+        window: 0,
+        op: CompareOp::Ge,
+        value: 10.0,
+        trace: false,
+    };
+    let dragger = open(&live, "SELECT * FROM T WHERE x >= 0".into());
+    match live.submit(dragger, drag).unwrap() {
+        Response::Drag { incremental, .. } => assert!(incremental),
+        other => panic!("unexpected {other:?}"),
+    }
+    let id = open(&live, text(-50.0));
+    ask(&live, id);
+    let mut all = base.clone();
+    let steps = [(-40.0, None, 1), (-30.0, Some(80), 0), (-20.0, None, 1)];
+    for (t, append, from_projection) in steps {
+        if let Some(rows) = append {
+            let delta: Vec<(f64, u8)> = (all.len()..all.len() + rows).map(row).collect();
+            let values = (delta.iter().enumerate())
+                .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
+                .collect();
+            all.extend_from_slice(&delta);
+            let outcome = live.append_rows("d", None, values).unwrap();
+            assert_eq!(outcome.projections_merged, 1, "x >= {t}");
+        }
+        let slide = Request::MoveSlider {
+            window: 0,
+            op: CompareOp::Ge,
+            value: t,
+        };
+        assert_eq!(live.submit(id, slide).unwrap(), Response::Ok);
+        let fresh = Service::new(config());
+        fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
+        let replay = open(&fresh, text(t));
+        assert_eq!(ask(&live, id), ask(&fresh, replay), "x >= {t}");
+        let trace = trace_of(&live, id);
+        assert_eq!(trace.windows_evaluated, 1, "x >= {t}");
+        assert_eq!(trace.windows_from_projection, from_projection, "x >= {t}");
+        assert_eq!(trace_of(&fresh, replay).windows_from_projection, 0);
+    }
+}

@@ -170,6 +170,100 @@ fn every_phase_of_every_mode_contains_panics_and_cancels() {
     }
 }
 
+/// A slide re-derived from its predecessor and the column's sorted
+/// projection, cancelled at every phase checkpoint: the reply is
+/// `Cancelled`, the session's window cache still holds the predecessor
+/// (the re-ask re-derives the slid window again, and finds the other two
+/// in the session cache) and the shared window cache holds no slid
+/// window, and the re-ask answers byte-identically to a cold run of the
+/// slid query.
+#[test]
+fn a_re_derived_slide_cancelled_at_every_checkpoint_leaves_the_caches_untouched() {
+    let three = |t: f64| format!("SELECT * FROM T WHERE x >= {t} AND x <= 39000 AND x >= 20000");
+    let open = |s: &Service, text: String| {
+        let id = s.create_session("ramp").unwrap();
+        for req in [
+            Request::SetDisplayPolicy(DisplayPolicy::Percentage(1.0)),
+            Request::SetQueryText(text),
+        ] {
+            assert_eq!(s.submit(id, req).unwrap(), Response::Ok);
+        }
+        id
+    };
+    let answers = |s: &Service, id: SessionId| {
+        [
+            Request::Summary { trace: false },
+            Request::Render(RenderFormat::Ppm),
+        ]
+        .map(|req| s.submit(id, req).unwrap())
+    };
+    let traced = |s: &Service, id: SessionId| match s.submit(id, Request::Summary { trace: true }) {
+        Ok(Response::Summary(summary)) => summary.trace.expect("trace requested"),
+        other => panic!("unexpected {other:?}"),
+    };
+    let (cold, _) = service_in(&MODES[1], N);
+    let reference = answers(&cold, open(&cold, three(31_000.0)));
+    for phase in PHASES {
+        let (s, dragger) = service_in(&MODES[1], N);
+        // a single-window drag publishes the `x` projection
+        for req in [
+            Request::SetDisplayPolicy(DisplayPolicy::Percentage(1.0)),
+            Request::SetQueryText("SELECT * FROM T WHERE x >= 30000".into()),
+        ] {
+            assert_eq!(s.submit(dragger, req).unwrap(), Response::Ok);
+        }
+        let drag = Request::DragSlider {
+            window: 0,
+            op: CompareOp::Ge,
+            value: 30_500.0,
+            trace: false,
+        };
+        assert!(matches!(
+            s.submit(dragger, drag).unwrap(),
+            Response::Drag {
+                incremental: true,
+                ..
+            }
+        ));
+        let id = open(&s, three(30_000.0));
+        answers(&s, id);
+        let slide = Request::MoveSlider {
+            window: 0,
+            op: CompareOp::Ge,
+            value: 31_000.0,
+        };
+        assert_eq!(s.submit(id, slide).unwrap(), Response::Ok);
+        let before = fault::triggered();
+        let response = {
+            let _guard = fault::inject(phase, FaultAction::Cancel);
+            ask_with_token(&s, id, 9)
+        };
+        assert!(
+            fault::triggered() > before,
+            "[{phase:?}] the fault never fired"
+        );
+        assert!(
+            matches!(
+                &response,
+                Response::Error {
+                    kind: ErrorKind::Cancelled,
+                    ..
+                }
+            ),
+            "[{phase:?}] {response:?}"
+        );
+        let trace = traced(&s, id);
+        let counts = (
+            trace.window_cache_hits,
+            trace.shared_window_hits,
+            trace.windows_evaluated,
+            trace.windows_from_projection,
+        );
+        assert_eq!(counts, (2, 0, 1, 1), "[{phase:?}]");
+        assert_eq!(answers(&s, id), reference, "[{phase:?}] diverged on re-ask");
+    }
+}
+
 /// Slow chunks + a deadline in every mode: the injected delay makes the
 /// distance walk crawl, the deadline trips mid-walk, and the query
 /// comes back `DeadlineExceeded` — long before the slowed walk could

@@ -3073,3 +3073,379 @@ proptest! {
         prop_assert!(by_row > 0);
     }
 }
+
+/// The columns a slid window reads: `x` floats from [`SLIDE_POOL`] —
+/// every threshold repeated across the relation, `-0.0` beside `0.0` —
+/// with NULL and NaN rows; `i` integers in `[-20, 20)` with NULLs; `f`
+/// like `x` plus `±inf` rows, so its projection is not finite; `h` with
+/// magnitudes near `f64::MAX`, so `|x − t|` overflows under its outer
+/// thresholds.
+const SLIDE_COLUMNS: [&str; 4] = ["x", "i", "f", "h"];
+const SLIDE_POOL: [f64; 11] = [-5.0, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 10.0];
+
+/// The table over [`SLIDE_COLUMNS`] and its values widened to `f64`.
+fn slide_table(n: usize, seed: u64) -> (Database, [Vec<Option<f64>>; 4]) {
+    let cols = vec![
+        Column::new("x", DataType::Float),
+        Column::new("i", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("h", DataType::Float),
+    ];
+    let mut t = TableBuilder::new("T", cols);
+    let mut widened: [Vec<Option<f64>>; 4] = Default::default();
+    for row in 0..n {
+        let h = mix(row, seed);
+        let pooled = SLIDE_POOL[(h >> 8) as usize % SLIDE_POOL.len()];
+        let x = match h % 17 {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            _ => Value::Float(pooled),
+        };
+        let i = match h % 19 {
+            2 => Value::Null,
+            _ => Value::Int(((h >> 20) % 40) as i64 - 20),
+        };
+        let f = match h % 41 {
+            3 => Value::Float(f64::INFINITY),
+            4 => Value::Float(f64::NEG_INFINITY),
+            _ => Value::Float(pooled),
+        };
+        let huge = [-1.5e308, -3.0, 0.0, 3.0, 1.5e308];
+        let big = match h % 13 {
+            5 => Value::Null,
+            _ => Value::Float(huge[(h >> 32) as usize % huge.len()]),
+        };
+        for (col, v) in widened.iter_mut().zip([&x, &i, &f, &big]) {
+            col.push(v.as_f64());
+        }
+        t = t.row(vec![x, i, f, big]).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    (db, widened)
+}
+
+/// A threshold of column `col`: for `x` and `f` each pool value, one
+/// below every value and one above; integers from below `i`'s values to
+/// near its top; for `h` values whose distance to its far end overflows
+/// (`±1e308`) and some whose does not.
+fn slide_threshold(col: usize, pick: usize) -> Value {
+    match col {
+        0 | 2 => Value::Float(POOLED_THRESHOLDS[pick % POOLED_THRESHOLDS.len()]),
+        1 => Value::Int((pick % 14) as i64 * 3 - 21),
+        _ => Value::Float(HUGE_THRESHOLDS[pick % HUGE_THRESHOLDS.len()]),
+    }
+}
+
+const POOLED_THRESHOLDS: [f64; 13] = [
+    -6.0, -5.0, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 10.0, 11.0,
+];
+const HUGE_THRESHOLDS: [f64; 5] = [-1e308, -3.0, 0.0, 3.0, 1e308];
+
+/// The pick of [`slide_threshold`] that gives threshold `t` of `col`.
+fn slide_pick(col: usize, t: f64) -> usize {
+    let position = |pool: &[f64]| {
+        pool.iter()
+            .position(|v| v.to_bits() == t.to_bits())
+            .unwrap()
+    };
+    match col {
+        0 | 2 => position(&POOLED_THRESHOLDS),
+        1 => (t as usize + 21) / 3,
+        _ => position(&HUGE_THRESHOLDS),
+    }
+}
+
+/// A comparison leaf's column, operator and threshold.
+fn slide_leaf(node: &ConditionNode) -> (usize, CompareOp, f64) {
+    let ConditionNode::Predicate(p) = node else {
+        panic!("a predicate leaf")
+    };
+    let PredicateTarget::Compare { op, value } = &p.target else {
+        panic!("a comparison")
+    };
+    let col = SLIDE_COLUMNS
+        .iter()
+        .position(|c| *c == p.attr.column)
+        .unwrap();
+    (col, *op, value.as_f64().unwrap())
+}
+
+/// The top-level windows of a query.
+fn top_level(query: &Query) -> Vec<Weighted> {
+    let cond = query.condition.clone().unwrap();
+    match cond.node {
+        ConditionNode::And(children) => children,
+        _ => vec![cond],
+    }
+}
+
+/// How many windows of a run over `top` re-derive from their predecessor
+/// among `prev` (the previous run's windows, which the session cache
+/// holds): those that miss the cache and are comparisons over a column
+/// with a finite projection in the store (`stored`), whose exact answers
+/// cover their fit count, whose largest distance does not overflow, and
+/// whose band to the nearest predecessor over the same column in the same
+/// direction passes [`visdb::relevance::slide_takes_projection`].
+fn expected_from_projection(
+    values: &[Vec<Option<f64>>; 4],
+    stored: &[bool; 4],
+    budget: usize,
+    prev: &[(ConditionNode, PredicateWindow)],
+    top: &[Weighted],
+) -> usize {
+    use visdb::relevance::{fit_k, slide_takes_projection};
+    let n = values[0].len();
+    let defined = |col: usize| {
+        values[col]
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|x| !x.is_nan())
+    };
+    let exact = |col: usize, greater: bool, t: f64| {
+        defined(col)
+            .filter(|&x| if greater { x >= t } else { x <= t })
+            .count()
+    };
+    let qualifies = |w: &Weighted| {
+        let hit = prev.iter().find(|(node, _)| *node == w.node);
+        let serves = hit.is_some_and(|(_, win)| {
+            win.raw_frame().is_some()
+                || fit_k(n, w.weight, budget).is_some_and(|k| win.zero_raw_count() >= k)
+        });
+        let (col, op, t) = slide_leaf(&w.node);
+        let greater = matches!(op, CompareOp::Gt | CompareOp::Ge);
+        if serves || !stored[col] || !defined(col).all(f64::is_finite) {
+            return false;
+        }
+        let Some(k) = fit_k(n, w.weight, budget) else {
+            return false;
+        };
+        let (e, m) = (exact(col, greater, t), defined(col).count());
+        let far = match greater {
+            true => defined(col).fold(f64::INFINITY, f64::min),
+            false => defined(col).fold(f64::NEG_INFINITY, f64::max),
+        };
+        if e < k || (e < m && !(far - t).is_finite()) {
+            return false;
+        }
+        let band = (prev.iter())
+            .map(|(node, _)| slide_leaf(node))
+            .filter(|&(c, op, _)| {
+                c == col && matches!(op, CompareOp::Gt | CompareOp::Ge) == greater
+            })
+            .map(|(_, _, t0)| exact(col, greater, t0).abs_diff(e))
+            .min();
+        band.is_some_and(|band| slide_takes_projection(n, band))
+    };
+    top.iter().filter(|w| qualifies(w)).count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A slid comparison window re-derived from its predecessor and the
+    /// column's sorted projection is the window the walk builds. A
+    /// session sharing a projection store runs a random sequence of cold
+    /// queries, slides and re-weights on 1–3-window `AND` roots above the
+    /// parallel threshold — NULL, NaN, duplicates at every threshold,
+    /// `-0.0` / `0.0` values and thresholds, an integer column, `>` ↔ `≥`
+    /// and `<` ↔ `≤` slides and direction flips, thresholds leaving fewer
+    /// exact answers than the fit count, all of them or none, bands past
+    /// the guard, `±inf` values and overflowing distances. After every
+    /// step it equals the scalar oracle, its windows' stats, bits and
+    /// fits equal those of a session with no projection store, and it
+    /// re-derived exactly the windows the rules name.
+    #[test]
+    fn slid_windows_from_the_projection_match_the_oracle(
+        n in 40_000usize..120_000,
+        seed in 0u64..1 << 40,
+        pct in 0.5f64..3.0,
+        unstored in 0usize..6,
+        first in prop::collection::vec(((0usize..6, 0usize..4), 0usize..14, 0.2f64..1.0), 1..4),
+        steps in prop::collection::vec(
+            (0usize..6, 0usize..3, ((0usize..6, 0usize..4), 0usize..14, 0.2f64..1.0)),
+            10..16,
+        ),
+    ) {
+        let (db, values) = slide_table(n, seed);
+        let db = Arc::new(db);
+        let table = db.table("T").unwrap();
+        let policy = DisplayPolicy::Percentage(pct);
+        let budget = policy.budget(n);
+        // every column but `unstored` has its projection in the store
+        let stored: [bool; 4] = std::array::from_fn(|c| c != unstored);
+        let store = Arc::new(MapProjections::default());
+        for (_, name) in SLIDE_COLUMNS.iter().enumerate().filter(|&(c, _)| stored[c]) {
+            let col = table.column_by_name(name).unwrap();
+            let proj = SortedProjection::build(n, |i| col.get_f64(i));
+            store.store(projection_key("d#1", "T", n, name), Arc::new(proj));
+        }
+        let ops = [CompareOp::Gt, CompareOp::Ge, CompareOp::Lt, CompareOp::Le];
+        // a window's column: `x` and `i` twice as often as `f` and `h`
+        let query_of = |windows: &[((usize, usize), usize, f64)]| {
+            let parts = windows.iter().fold(QueryBuilder::from_tables(["T"]), |q, &((mix, op), pick, w)| {
+                let col = [0, 1, 3, 0, 1, 2][mix];
+                q.cmp_weighted(SLIDE_COLUMNS[col], ops[op], slide_threshold(col, pick), w)
+            });
+            parts.build()
+        };
+        let open = |projections: bool| {
+            let mut s = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+            s.set_display_policy(policy.clone()).unwrap();
+            s.set_collect_trace(true);
+            if projections {
+                s.set_shared_projections("d#1", Arc::clone(&store) as Arc<dyn ProjectionSource>);
+            }
+            s
+        };
+        let (mut with, mut without) = (open(true), open(false));
+        let mut prev: Vec<(ConditionNode, PredicateWindow)> = Vec::new();
+        let first = query_of(&first);
+        let steps = std::iter::once(None).chain(steps.into_iter().map(Some));
+        for (step, change) in steps.enumerate() {
+            let what = format!("step {step}: {change:?}");
+            match change {
+                None => {
+                    with.set_query(first.clone()).unwrap();
+                    without.set_query(first.clone()).unwrap();
+                }
+                Some((0, windows, ((col, op), pick, w))) => {
+                    // a cold query of 1–3 windows
+                    let shape: Vec<_> = (0..=windows)
+                        .map(|j| (((col + j) % 6, (op + j) % 4), (pick + 3 * j) % 14, w))
+                        .collect();
+                    with.set_query(query_of(&shape)).unwrap();
+                    without.set_query(query_of(&shape)).unwrap();
+                }
+                Some((kind @ 1..=3, window, ((_, op), pick, _))) => {
+                    // a slide: mostly the same operator, else its sibling
+                    // (`>` ↔ `≥`, `<` ↔ `≤`) or the other direction
+                    let top = top_level(with.query().unwrap());
+                    let j = window % top.len();
+                    let (col, now, t0) = slide_leaf(&top[j].node);
+                    // most slides move a threshold or two, the rest jump
+                    let pick = match pick < 10 {
+                        true => slide_pick(col, t0) + [13, 14, 13, 5][col] - 2 + pick % 5,
+                        false => pick,
+                    };
+                    let now = ops.iter().position(|&o| o == now).unwrap();
+                    let op = match (kind + op) % 4 {
+                        0 | 1 => now,
+                        2 => now ^ 1,
+                        _ => (now + 2) % 4,
+                    };
+                    let target = PredicateTarget::Compare { op: ops[op], value: slide_threshold(col, pick) };
+                    with.set_predicate_target(j, target.clone()).unwrap();
+                    without.set_predicate_target(j, target).unwrap();
+                }
+                Some((_, window, (_, _, w))) => {
+                    let j = window % top_level(with.query().unwrap()).len();
+                    with.set_weight(j, w).unwrap();
+                    without.set_weight(j, w).unwrap();
+                }
+            }
+            let query = with.query().unwrap().clone();
+            let top = top_level(&query);
+            let slow = run_pipeline(
+                &db,
+                table,
+                &DistanceResolver::new(),
+                query.condition.as_ref(),
+                &policy,
+                PipelineOptions { mode: ExecMode::Scalar, ..Default::default() },
+            )
+            .unwrap();
+            let fast = with.result().unwrap().pipeline.clone();
+            let diff = first_divergence(&fast, &slow, &policy);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+            prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+            let plain = &without.result().unwrap().pipeline;
+            for (i, (a, b)) in fast.windows.iter().zip(&plain.windows).enumerate() {
+                prop_assert_eq!(a.stats(), b.stats(), "{}: window {}", what, i);
+                prop_assert_eq!(a.exact_bits(), b.exact_bits(), "{}: window {}", what, i);
+                prop_assert_eq!(a.norm_params, b.norm_params, "{}: window {}", what, i);
+            }
+            let expect = expected_from_projection(&values, &stored, budget, &prev, &top);
+            let trace = fast.trace.as_deref().unwrap();
+            prop_assert_eq!(trace.windows_from_projection, expect, "{}", what);
+            prop_assert_eq!(plain.trace.as_deref().unwrap().windows_from_projection, 0);
+            prev = top.into_iter().map(|w| w.node).zip(fast.windows).collect();
+        }
+    }
+}
+
+/// The band guard's edge: a slide whose band is exactly `n / 2` rows is
+/// re-derived from its predecessor, one a row wider walks the column; a
+/// direction flip walks, and a `<` ↔ `≤` slide at the same threshold (an
+/// empty band) re-derives. Every step equals the scalar oracle.
+#[test]
+fn a_slide_re_derives_up_to_half_the_rows_and_walks_past_them() {
+    use visdb::relevance::slide_takes_projection;
+    let n: usize = 50_000;
+    let mut t = TableBuilder::new("T", vec![Column::new("r", DataType::Float)]);
+    for i in 0..n {
+        // each rank once, scattered over the rows
+        t = t
+            .row(vec![Value::Float((i * 1_000_003 % n) as f64)])
+            .unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    let db = Arc::new(db);
+    let table = db.table("T").unwrap();
+    let store = Arc::new(MapProjections::default());
+    let col = table.column_by_name("r").unwrap();
+    let proj = SortedProjection::build(n, |i| col.get_f64(i));
+    store.store(projection_key("d#1", "T", n, "r"), Arc::new(proj));
+    let policy = DisplayPolicy::Percentage(1.0);
+    let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+    session.set_display_policy(policy.clone()).unwrap();
+    session.set_collect_trace(true);
+    session.set_shared_projections("d#1", Arc::clone(&store) as Arc<dyn ProjectionSource>);
+    assert!(slide_takes_projection(n, n / 2) && !slide_takes_projection(n, n / 2 + 1));
+    let (quarter, half) = (n as f64 / 4.0, n as f64 / 2.0);
+    let steps = [
+        (CompareOp::Ge, quarter, 0),
+        (CompareOp::Ge, quarter + half, 1),
+        (CompareOp::Ge, quarter - 1.0, 0),
+        (CompareOp::Le, 20_000.0, 0),
+        (CompareOp::Lt, 20_000.0, 1),
+    ];
+    for (step, (op, at, from_projection)) in steps.into_iter().enumerate() {
+        let target = PredicateTarget::Compare {
+            op,
+            value: Value::Float(at),
+        };
+        match step {
+            0 => {
+                let query = QueryBuilder::from_tables(["T"]).cmp("r", op, at).build();
+                session.set_query(query).unwrap();
+            }
+            _ => session.set_predicate_target(0, target).unwrap(),
+        }
+        let query = session.query().unwrap().clone();
+        let opts = PipelineOptions {
+            mode: ExecMode::Scalar,
+            ..Default::default()
+        };
+        let cond = query.condition.as_ref();
+        let slow = run_pipeline(&db, table, &DistanceResolver::new(), cond, &policy, opts).unwrap();
+        let fast = &session.result().unwrap().pipeline;
+        let diff = first_divergence(fast, &slow, &policy);
+        assert!(diff.is_none(), "step {step}: {}", diff.unwrap());
+        let trace = fast.trace.as_deref().unwrap();
+        let counts = (trace.windows_evaluated, trace.windows_bits_only);
+        assert_eq!(counts, (1, 1), "step {step}");
+        assert_eq!(
+            trace.windows_from_projection, from_projection,
+            "step {step}"
+        );
+        assert_eq!(
+            trace.chunks_compare_packed == 0,
+            from_projection == 1,
+            "step {step}"
+        );
+    }
+}

@@ -548,6 +548,7 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.combine.table_exceptions",
         "pipeline.windows.bits_only",
         "pipeline.chunks.compare_packed",
+        "pipeline.windows.from_projection",
         "render.panel.held",
         "render.panel.by_pattern",
         "render.panel.by_row",
@@ -1111,6 +1112,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "rows_scanned",
         "windows_bits_only",
         "chunks_compare_packed",
+        "windows_from_projection",
         "join_inner_bits",
         "table_exceptions",
     ] {
