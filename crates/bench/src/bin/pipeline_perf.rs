@@ -198,6 +198,14 @@ struct SizeResult {
     /// from its pattern table — no combined frame written (asserted off
     /// the trace, and identical to the scalar reference, before timing).
     reweight_3w: Timed,
+    /// A cold window's distance walk with and without the column's byte
+    /// sketch: compare-and-pack of an `n`-row Weather `Humidity` column
+    /// chunk by chunk on one thread, against `sketch_pack` of the same
+    /// chunks (stats and bits asserted equal first), and the sketch's
+    /// O(n) build. Each the median with its min and p90.
+    compare_pack: Timed,
+    sketch_pack: Timed,
+    sketch_build: Timed,
     /// The same query on a warm session, through `render_session` and
     /// its ASCII preview ([`bench_session_render`]): a re-weight, whose
     /// render hands back the held panel, and a selection, whose panel is
@@ -955,6 +963,108 @@ fn assert_slide_from_projection(db: &Arc<Database>, n: usize) {
     }
 }
 
+/// Untimed: a 3-window cold query over NULL-free columns of `n` rows
+/// (at least the parallel threshold, where the pipeline asks for a
+/// column's byte sketch) has every compare-packed range served by the
+/// sketch, and at least one; a query over a NULL-bearing column packs
+/// from the column and reads no sketch. Both bit-identical to the scalar
+/// reference. One worker walks the ranges in order, so the ranges past
+/// the first are packed.
+fn assert_sketch_packs(n: usize) {
+    assert!(
+        n >= chunk::PAR_MIN_ROWS,
+        "n={n}: below the sketch threshold"
+    );
+    let mix = |i: usize, salt: u64| {
+        let z = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 40
+    };
+    let names = ["a", "b", "c", "d"];
+    let cols = names.map(|c| Column::new(c, DataType::Float)).to_vec();
+    let mut t = TableBuilder::new("W", cols);
+    for i in 0..n {
+        let v = |salt| Value::Float((mix(i, salt) % 100_000) as f64 / 100.0);
+        let d = if i % 53 == 0 { Value::Null } else { v(4) };
+        t = t.row(vec![v(1), v(2), v(3), d]).expect("conforming row");
+    }
+    let mut db = Database::new("bench-sketch");
+    db.add_table(t.build());
+    let table = db.table("W").expect("sketch table");
+    let policy = DisplayPolicy::Percentage(1.0);
+    let run = |query: Query, mode: ExecMode| {
+        let opts = PipelineOptions {
+            mode,
+            trace: true,
+            ..Default::default()
+        };
+        let cond = query.condition.as_ref();
+        Runtime::new(1)
+            .install(|| run_pipeline(&db, table, &DistanceResolver::new(), cond, &policy, opts))
+            .expect("sketch query")
+    };
+    let three = || {
+        QueryBuilder::from_tables(["W"])
+            .cmp("a", CompareOp::Ge, 400.0)
+            .cmp("b", CompareOp::Le, 700.0)
+            .cmp("c", CompareOp::Gt, 250.5)
+            .build()
+    };
+    let nulls = || {
+        QueryBuilder::from_tables(["W"])
+            .cmp("d", CompareOp::Ge, 500.0)
+            .build()
+    };
+    for (what, query, sketched) in [("3 windows", three(), true), ("NULLs", nulls(), false)] {
+        let fast = run(query.clone(), ExecMode::Vectorized);
+        let slow = run(query, ExecMode::Scalar);
+        assert_identical(&fast, &slow, n);
+        assert!(fast.combined.bits_eq(&slow.combined), "{what}, n={n}");
+        let t = fast.trace.as_deref().expect("traced");
+        assert!(t.chunks_compare_packed > 0, "{what}, n={n}");
+        let expect = if sketched { t.chunks_compare_packed } else { 0 };
+        assert_eq!(t.chunks_sketch_packed, expect, "{what}, n={n}");
+    }
+}
+
+/// Compare-and-pack of a whole `n`-row Weather `Humidity` column against
+/// its byte sketch, chunk by chunk on one thread (every chunk's stats
+/// and bits asserted equal first), and the sketch's build: what a cold
+/// window's distance walk reads with and without it.
+fn bench_sketch_pack(n: usize, min_reps: usize) -> (Timed, Timed, Timed) {
+    use visdb_data::environmental::{generate_environmental, EnvConfig};
+    use visdb_storage::sketch::{ColumnSketch, CHUNK_ROWS};
+    let env = generate_environmental(&EnvConfig {
+        hours: n,
+        stations: 1,
+        ..EnvConfig::default()
+    });
+    let weather = env.db.table("Weather").expect("the Weather table");
+    let col = weather.column_by_name("Humidity").expect("Humidity");
+    let Some((visdb_storage::NumericSlice::F64(xs), None)) = col.numeric_slice() else {
+        panic!("Humidity is a NULL-free float column");
+    };
+    let sketch = ColumnSketch::build(col).expect("a sketchable column");
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let kernel = NumericKernel::Compare(CompareKernel::Less, Some(sorted[n / 2]));
+    let by_column = || {
+        (xs.chunks(CHUNK_ROWS))
+            .map(|x| batch::compare_pack(x, None, kernel))
+            .collect::<Vec<_>>()
+    };
+    let by_sketch = || {
+        (xs.chunks(CHUNK_ROWS).zip(sketch.codes().chunks(CHUNK_ROWS)))
+            .zip(sketch.zones())
+            .map(|((x, codes), &zone)| batch::sketch_pack(x, codes, sketch.bounds(), zone, kernel))
+            .collect::<Vec<_>>()
+    };
+    assert!(by_column() == by_sketch(), "sketch_pack diverges at n={n}");
+    let compare = time_median(min_reps, by_column);
+    let sketched = time_median(min_reps, by_sketch);
+    let build = time_median(min_reps, || ColumnSketch::build(col));
+    (compare, sketched, build)
+}
+
 /// Two windows hold the same distances: the same raw frames when both
 /// keep one, the same exact bits (folded from a frame where one keeps
 /// it) otherwise, and the same stats.
@@ -1164,6 +1274,11 @@ fn bench_size(n: usize) -> SizeResult {
     assert_eq!(packed(&half), expect, "x >= 0.5 n, n={n}");
     assert_eq!(packed(&serial(cond_light)), 0, "exact-light arm, n={n}");
     assert_slide_from_projection(&db, n);
+    if n >= chunk::PAR_MIN_ROWS {
+        assert_sketch_packs(n);
+    }
+    let (compare_pack, sketch_pack, sketch_build) = bench_sketch_pack(n, min_reps);
+    rep_counts.extend([compare_pack.reps, sketch_pack.reps, sketch_build.reps]);
     let bytes_per_row = |out: &PipelineOutput| out.windows[0].heap_bytes() as f64 / n as f64;
     let window_bytes_per_row = bytes_per_row(&heavy);
     let window_bytes_per_row_raw = bytes_per_row(&light);
@@ -1565,6 +1680,9 @@ fn bench_size(n: usize) -> SizeResult {
         reweight,
         recompute,
         reweight_3w,
+        compare_pack,
+        sketch_pack,
+        sketch_build,
         session_reweight_3w,
         session_repaint_3w,
         window_bytes_per_row,
@@ -1699,6 +1817,20 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             r.result_bytes_per_row,
             r.window_bytes_per_row,
             r.window_bytes_per_row_raw,
+        );
+        println!(
+            "            cold window over Humidity: sketch_pack {:.3} ms (min {:.3}, p90 {:.3}) vs \
+             compare_pack {:.3} ms (min {:.3}, p90 {:.3}) | sketch build {:.3} ms (min {:.3}, \
+             p90 {:.3})",
+            r.sketch_pack.per_call_s * 1e3,
+            r.sketch_pack.min_s * 1e3,
+            r.sketch_pack.p90_s * 1e3,
+            r.compare_pack.per_call_s * 1e3,
+            r.compare_pack.min_s * 1e3,
+            r.compare_pack.p90_s * 1e3,
+            r.sketch_build.per_call_s * 1e3,
+            r.sketch_build.min_s * 1e3,
+            r.sketch_build.p90_s * 1e3,
         );
         println!(
             "            session re-weight + render (held panel): {:.3} ms (min {:.3}, p90 {:.3}) \
@@ -1863,6 +1995,13 @@ fn run_bench(smoke: bool, pinned_threads: Option<usize>) {
             r.window_bytes_per_row,
             r.window_bytes_per_row_raw,
             r.result_bytes_per_row,
+        );
+        let _ = writeln!(
+            json,
+            "     \"compare_pack_ms\": {}, \"sketch_pack_ms\": {}, \"sketch_build_ms\": {},",
+            ms(&r.compare_pack),
+            ms(&r.sketch_pack),
+            ms(&r.sketch_build),
         );
         let _ = writeln!(
             json,

@@ -23,6 +23,12 @@
 //! column: two bits per row and the chunk's extremes, exact by the
 //! monotonicity of `fl(x − t)`. Its unit tests hold it to [`run_frame`]
 //! followed by [`PackedBits::fold_exact`].
+//!
+//! [`sketch_pack`] returns the same chunk from a byte sketch of the
+//! column (`visdb_storage::ColumnSketch`): one order-preserving code per
+//! row decides every row whose code differs from the threshold's, so the
+//! column is read only in the threshold's bucket, and the chunk's zone
+//! (its min and max) gives the stats.
 
 use crate::frame::{FrameStats, PackedBits, PackedChunk};
 use crate::numeric;
@@ -319,6 +325,121 @@ fn pack_compare<T: NativeNumeric, const GREATER: bool>(
     max_abs.is_finite().then_some((stats, exact, defined))
 }
 
+/// [`compare_pack`] served by a byte sketch of a column with no NULL,
+/// NaN or ±inf row: the same stats and bits, the column read only where
+/// the code cannot decide. `codes` are the chunk's rows' codes
+/// `#{bounds ≤ x}` over strictly ascending `bounds`, and `zone` is the
+/// chunk's `(min, max)`. Because a code is monotone in `x`, a row whose
+/// code lies past the threshold's is exact and one short of it is not;
+/// only a row whose code equals the threshold's is compared. A chunk
+/// wholly on one side of `t` reads neither codes nor column. The stats
+/// follow from the popcount and the zone exactly as [`compare_pack`]
+/// derives them from its extremes, and it declines where that does (any
+/// other kernel, no row, a non-finite largest `|d|`).
+pub fn sketch_pack<T: NativeNumeric>(
+    xs: &[T],
+    codes: &[u8],
+    bounds: &[f64],
+    zone: (f64, f64),
+    kernel: NumericKernel,
+) -> Option<PackedChunk> {
+    match kernel {
+        NumericKernel::Compare(CompareKernel::Greater, Some(t)) if t.is_finite() => {
+            pack_sketch::<T, true>(xs, codes, bounds, zone, t)
+        }
+        NumericKernel::Compare(CompareKernel::Less, Some(t)) if t.is_finite() => {
+            pack_sketch::<T, false>(xs, codes, bounds, zone, t)
+        }
+        _ => None,
+    }
+}
+
+fn pack_sketch<T: NativeNumeric, const GREATER: bool>(
+    xs: &[T],
+    codes: &[u8],
+    bounds: &[f64],
+    (lo, hi): (f64, f64),
+    t: f64,
+) -> Option<PackedChunk> {
+    let len = xs.len();
+    debug_assert_eq!(codes.len(), len);
+    if len == 0 {
+        return None;
+    }
+    let hit = |x: f64| if GREATER { x >= t } else { x <= t };
+    let (all, none) = match GREATER {
+        true => (lo >= t, hi < t),
+        false => (hi <= t, lo > t),
+    };
+    let exact = if all || none {
+        PackedBits::filled(len, all)
+    } else {
+        let at = bounds.partition_point(|&b| b <= t);
+        // a bucket `[v, next_up(v))` holds `v` alone: one compare
+        // decides all its rows
+        let single = (1..bounds.len())
+            .contains(&at)
+            .then(|| bounds[at - 1])
+            .filter(|&v| bounds[at] == v.next_up());
+        // the codes first, then the threshold's bucket — the only rows
+        // read — in a tight loop whose scattered loads overlap
+        let (mut words, ties): (Vec<u64>, Vec<u64>) = (codes.chunks(64))
+            .map(|c64| code_words::<GREATER>(c64, at as u8))
+            .unzip();
+        for ((e, mut tie), x64) in words.iter_mut().zip(ties).zip(xs.chunks(64)) {
+            if let Some(v) = single {
+                *e |= if hit(v) { tie } else { 0 };
+                continue;
+            }
+            while tie != 0 {
+                let l = tie.trailing_zeros() as usize;
+                *e |= u64::from(hit(x64[l].to_f64())) << l;
+                tie &= tie - 1;
+            }
+        }
+        PackedBits::from_words(words, len)
+    };
+    let zeros = exact.count_ones();
+    let (near, far) = if GREATER { (hi, lo) } else { (lo, hi) };
+    let max_abs = if zeros == len { 0.0 } else { (far - t).abs() };
+    let min_abs = if zeros > 0 { 0.0 } else { (near - t).abs() };
+    let stats = FrameStats {
+        defined: len,
+        min_abs,
+        max_abs,
+        non_finite: 0,
+        zeros,
+    };
+    max_abs
+        .is_finite()
+        .then(|| (stats, exact, PackedBits::filled(len, true)))
+}
+
+/// Up to 64 codes as two words: the rows past the threshold's code `at`
+/// (above it for `GREATER`, below it otherwise) and the rows on it. A
+/// full word's compares fill two 64-byte arrays (the shape they
+/// vectorize to), folded to bits eight bytes at a time; a chunk's last,
+/// partial word is compared row by row.
+fn code_words<const GREATER: bool>(codes: &[u8], at: u8) -> (u64, u64) {
+    use crate::lanes::{pack_word, WORD_ROWS};
+    let past = |c: u8| if GREATER { c > at } else { c < at };
+    let Ok(c64) = <&[u8; 64]>::try_from(codes) else {
+        return (codes.iter().enumerate()).fold((0, 0), |(p, t), (l, &c)| {
+            (p | u64::from(past(c)) << l, t | u64::from(c == at) << l)
+        });
+    };
+    let word = |bytes: [u8; 64]| {
+        (bytes.chunks_exact(WORD_ROWS).enumerate()).fold(0u64, |w, (b, b8)| {
+            let b8 = u64::from_le_bytes(b8.try_into().expect("eight codes"));
+            w | u64::from(pack_word(b8)) << (WORD_ROWS * b)
+        })
+    };
+    (
+        word(std::array::from_fn(|l| u8::from(past(c64[l])))),
+        word(std::array::from_fn(|l| u8::from(c64[l] == at))),
+    )
+}
+
 /// The validity bits of up to 64 mask bytes as one word.
 fn valid_word(mask: &[bool]) -> u64 {
     use crate::lanes::{mask_word, pack_word, WORD_ROWS};
@@ -375,6 +496,8 @@ fn extreme<T: NativeNumeric, const MIN: bool>(xs: &[T], validity: Option<&[bool]
 mod tests {
     use super::*;
     use crate::frame::DistanceFrame;
+    use visdb_storage::{ColumnData, ColumnSketch};
+    use visdb_types::{DataType, Value};
 
     fn run_f64(xs: &[f64], validity: Option<&[bool]>, k: NumericKernel) -> Vec<Option<f64>> {
         let mut out = vec![Some(f64::NAN); xs.len()];
@@ -587,6 +710,178 @@ mod tests {
         )
         .is_none());
         assert!(compare_pack(&[1.0], None, NumericKernel::InRange(0.0, 2.0)).is_none());
+    }
+
+    /// A column's byte sketch, built as a table builds it.
+    fn sketch_of<T: NativeNumeric>(xs: &[T], value: impl Fn(T) -> Value) -> Option<ColumnSketch> {
+        let mut col = ColumnData::new(DataType::Unknown);
+        if let Some(&x) = xs.first() {
+            col = ColumnData::new(value(x).data_type());
+        }
+        for &x in xs {
+            col.push(value(x)).unwrap();
+        }
+        ColumnSketch::build(&col)
+    }
+
+    /// Every chunk of a sketched column under all four operators at
+    /// threshold `t`: [`sketch_pack`] equals [`compare_pack`] in bits and
+    /// stats and declines where it does, and the zone map holds the
+    /// extremes compare-and-pack computes.
+    fn check_sketch<T: NativeNumeric>(xs: &[T], sketch: &ColumnSketch, t: f64, what: &str) {
+        use visdb_storage::sketch::CHUNK_ROWS;
+        assert_eq!(sketch.len(), xs.len(), "{what}");
+        for (c, x) in xs.chunks(CHUNK_ROWS).enumerate() {
+            let zone = sketch.zones()[c];
+            let extremes = (extreme::<T, true>(x, None), extreme::<T, false>(x, None));
+            assert_eq!(zone, extremes, "{what}: zone {c}");
+            let codes = &sketch.codes()[c * CHUNK_ROWS..c * CHUNK_ROWS + x.len()];
+            for op in [
+                CompareKernel::Greater,
+                CompareKernel::Less,
+                CompareKernel::Equal,
+                CompareKernel::NotEqual,
+            ] {
+                let what = format!("{what}, chunk {c}, {op:?} {t}");
+                let kernel = NumericKernel::Compare(op, Some(t));
+                let by_sketch = sketch_pack(x, codes, sketch.bounds(), zone, kernel);
+                match (compare_pack(x, None, kernel), by_sketch) {
+                    (Some((s, e, d)), Some((ss, se, sd))) => {
+                        assert_eq!(stats_bits(&ss), stats_bits(&s), "{what}");
+                        assert_eq!((se, sd), (e, d), "{what}");
+                    }
+                    (None, None) => {}
+                    (packed, sketched) => panic!(
+                        "{what}: compare_pack {} but sketch_pack {}",
+                        packed.is_some(),
+                        sketched.is_some()
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Thresholds at every kind of place: below the minimum, above the
+    /// maximum, on each bound, inside each bucket, at both zeros.
+    fn thresholds(xs: impl Iterator<Item = f64>, sketch: &ColumnSketch) -> Vec<f64> {
+        let (lo, hi) = xs.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), x| {
+            (lo.min(x), hi.max(x))
+        });
+        let bounds = sketch.bounds();
+        let inside = bounds.windows(2).map(|w| w[0] + (w[1] - w[0]) / 3.0);
+        let mut ts = vec![lo - 1.0, hi + 1.0, lo, hi, 0.0, -0.0];
+        ts.extend(bounds.iter().copied().chain(inside).step_by(7));
+        ts
+    }
+
+    #[test]
+    fn sketch_pack_matches_compare_pack_at_every_length() {
+        let pool = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 1.0, 2.0, 7.75, 40.0];
+        let lengths = (1..=200).chain([16_384, 2 * 16_384 + 37]);
+        for (len, seed) in lengths.zip(1..) {
+            let spread = |i| mix(i, seed) as f64 / u64::MAX as f64 * 100.0 - 50.0;
+            let xs: Vec<f64> = (0..len)
+                .map(|i| match mix(i, !seed) % 3 {
+                    0 => pool[mix(i, seed) as usize % pool.len()],
+                    _ => spread(i),
+                })
+                .collect();
+            let ints: Vec<i64> = (0..len)
+                .map(|i| mix(i, seed) as i64 % 1_000 - 500)
+                .collect();
+            let sketch = sketch_of(&xs, Value::Float).unwrap();
+            for t in thresholds(xs.iter().copied(), &sketch) {
+                check_sketch(&xs, &sketch, t, &format!("f64 n = {len}"));
+            }
+            let sketch = sketch_of(&ints, Value::Int).unwrap();
+            for t in thresholds(ints.iter().map(|&x| x as f64), &sketch) {
+                check_sketch(&ints, &sketch, t, &format!("i64 n = {len}"));
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_pack_matches_on_popular_values_wide_integers_and_overflow() {
+        // half the rows 0.0 (the Solar-Radiation shape: the zeros' code
+        // is theirs alone), one value, and a sorted column (a bucket's
+        // rows are contiguous)
+        for xs in [
+            (0..40_000)
+                .map(|i| match i % 2 {
+                    0 => 0.0,
+                    _ => (i % 977) as f64 - 300.0,
+                })
+                .collect::<Vec<f64>>(),
+            vec![2.5; 20_000],
+            (0..40_000).map(|i| (i / 3) as f64).collect(),
+        ] {
+            let sketch = sketch_of(&xs, Value::Float).unwrap();
+            for t in thresholds(xs.iter().copied(), &sketch)
+                .into_iter()
+                .chain([2.5, 0.5])
+            {
+                check_sketch(&xs, &sketch, t, "popular value");
+            }
+        }
+        // -0.0 / 0.0 rows and thresholds
+        let zeros: Vec<f64> = (0..300).map(|i| [-0.0, 0.0, -2.0, 3.0][i % 4]).collect();
+        let sketch = sketch_of(&zeros, Value::Float).unwrap();
+        for t in [0.0, -0.0, -2.0, 3.0, 1.0] {
+            check_sketch(&zeros, &sketch, t, "signed zeros");
+        }
+        // |x| > 2^53: codes and compares read the rounded f64 widening
+        let big = 1i64 << 53;
+        let ints: Vec<i64> = (0..500)
+            .map(|i| [big + 1, big, big - 1, -big - 3, i64::MAX, i64::MIN, 0, 17][i % 8])
+            .collect();
+        let sketch = sketch_of(&ints, Value::Int).unwrap();
+        for t in ints[..8].iter().map(|&x| x as f64).chain([1e19, -1e19]) {
+            check_sketch(&ints, &sketch, t, "wide i64");
+        }
+        // an overflowing |far - t|: both decline
+        let xs = [-f64::MAX, 0.0, f64::MAX];
+        let sketch = sketch_of(&xs, Value::Float).unwrap();
+        for t in [f64::MAX, -f64::MAX, 0.0, 1.0] {
+            check_sketch(&xs, &sketch, t, "overflow");
+        }
+        let greater = NumericKernel::Compare(CompareKernel::Greater, Some(f64::MAX));
+        let (codes, bounds, zone) = (sketch.codes(), sketch.bounds(), sketch.zones()[0]);
+        assert!(sketch_pack(&xs, codes, bounds, zone, greater).is_none());
+        let in_range = NumericKernel::InRange(0.0, 1.0);
+        assert!(sketch_pack(&xs, codes, bounds, zone, in_range).is_none());
+    }
+
+    /// The code-word kernel against its definition, for every code and
+    /// threshold code, at every word length.
+    #[test]
+    fn code_words_mark_the_codes_past_and_on_the_threshold() {
+        let codes: Vec<u8> = (0..64 * 9).map(|i| mix(i, 7) as u8).collect();
+        for at in 0..=255u8 {
+            for len in 1..=64 {
+                let start = usize::from(at) % 64 * 8;
+                let c = &codes[start..start + len];
+                let word = |f: &dyn Fn(u8) -> bool| {
+                    (c.iter().enumerate()).fold(0u64, |w, (l, &c)| w | u64::from(f(c)) << l)
+                };
+                let above = (word(&|c| c > at), word(&|c| c == at));
+                let below = (word(&|c| c < at), above.1);
+                assert_eq!(code_words::<true>(c, at), above, "> {at}, {len} codes");
+                assert_eq!(code_words::<false>(c, at), below, "< {at}, {len} codes");
+            }
+        }
+    }
+
+    #[test]
+    fn columns_with_nulls_nans_or_infinities_build_no_sketch() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(sketch_of(&[1.0, bad, 2.0], Value::Float).is_none());
+        }
+        let with_null = |x: f64| match x {
+            0.0 => Value::Null,
+            x => Value::Float(x),
+        };
+        assert!(sketch_of(&[1.0, 0.0, 2.0], with_null).is_none());
+        assert!(sketch_of(&[1.0, 2.0], with_null).is_some());
     }
 
     #[test]

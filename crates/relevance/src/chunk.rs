@@ -33,8 +33,9 @@ use visdb_distance::frame::{
 };
 
 /// Rows per chunk. Large enough to amortise dispatch overhead, small
-/// enough to load-balance across the worker pool.
-pub const CHUNK_ROWS: usize = 16_384;
+/// enough to load-balance across the worker pool. A column sketch keeps
+/// one zone-map entry per chunk, so this is the storage layer's constant.
+pub const CHUNK_ROWS: usize = visdb_storage::sketch::CHUNK_ROWS;
 
 /// Minimum total rows before a chunk walk fans out across threads;
 /// smaller inputs run serially (dispatch overhead would dominate the

@@ -8,6 +8,7 @@
 //! [`crate::combine`]).
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use visdb_distance::batch::{self, CompareKernel, NumericKernel};
@@ -20,7 +21,7 @@ use visdb_query::ast::{
     AttrRef, CompareOp, ConditionNode, Predicate, PredicateTarget, Query, SubqueryLink, Weighted,
 };
 use visdb_query::connection::{ConnectionKind, ConnectionUse};
-use visdb_storage::{ColumnData, Database, NumericSlice, Table};
+use visdb_storage::{ColumnData, ColumnSketch, Database, NumericSlice, Table};
 use visdb_types::{DataType, Error, Result, TypeClass, Value};
 
 use crate::chunk;
@@ -172,6 +173,8 @@ pub(crate) struct WindowEval {
     pub(crate) bits: Option<ExactBits>,
     /// Ranges of that walk compare-packed straight from the column.
     pub(crate) chunks_compare_packed: usize,
+    /// Of those, the ranges the column's byte sketch served.
+    pub(crate) chunks_sketch_packed: usize,
     /// A subquery window whose inner condition entered the join as its
     /// exact bits ([`InnerCond`]).
     pub(crate) join_inner_bits: bool,
@@ -429,10 +432,14 @@ impl<'a> EvalContext<'a> {
     /// One range of [`batch::compare_pack`] over a column with a native
     /// numeric buffer: the range's stats and bits, or `None` when the
     /// kernel or the range's values decline (or the walk is cancelled).
+    /// With the column's sketch the range is [`batch::sketch_pack`]ed
+    /// instead — the same chunk, the column read only in the threshold's
+    /// bucket — and counted in `served`.
     fn pack_chunk(
         &self,
         col: &ColumnData,
         kernel: NumericKernel,
+        sketch: Option<(&ColumnSketch, &AtomicUsize)>,
         offset: usize,
         len: usize,
     ) -> Option<PackedChunk> {
@@ -442,10 +449,40 @@ impl<'a> EvalContext<'a> {
         let (slice, col_mask) = col
             .numeric_slice_at(offset, len)
             .expect("a native numeric buffer");
-        match slice {
-            NumericSlice::F64(xs) => batch::compare_pack(xs, col_mask, kernel),
-            NumericSlice::I64(xs) => batch::compare_pack(xs, col_mask, kernel),
+        let Some((sketch, served)) = sketch else {
+            return match slice {
+                NumericSlice::F64(xs) => batch::compare_pack(xs, col_mask, kernel),
+                NumericSlice::I64(xs) => batch::compare_pack(xs, col_mask, kernel),
+            };
+        };
+        let (codes, bounds) = (&sketch.codes()[offset..offset + len], sketch.bounds());
+        let zone = sketch.zones()[offset / chunk::CHUNK_ROWS];
+        let packed = match slice {
+            NumericSlice::F64(xs) => batch::sketch_pack(xs, codes, bounds, zone, kernel),
+            NumericSlice::I64(xs) => batch::sketch_pack(xs, codes, bounds, zone, kernel),
+        };
+        served.fetch_add(usize::from(packed.is_some()), Ordering::Relaxed);
+        packed
+    }
+
+    /// The byte sketch of column `name` for a walk that packs under
+    /// `kernel`: an `x ≥ t` / `x ≤ t` kernel with a finite `t`, over the
+    /// catalog's own table (a relation materialized for one run, such as
+    /// a cross product, never builds one) of at least
+    /// [`chunk::PAR_MIN_ROWS`] rows. Built on the first ask and shared by
+    /// every reader of the table.
+    fn sketch_for(&self, name: &str, kernel: NumericKernel) -> Option<&'a ColumnSketch> {
+        let compares = matches!(
+            kernel,
+            NumericKernel::Compare(CompareKernel::Greater | CompareKernel::Less, Some(t))
+                if t.is_finite()
+        );
+        let table = self.table;
+        let catalogs = (self.db.table(table.name())).is_ok_and(|own| std::ptr::eq(own, table));
+        if !compares || !catalogs || table.len() < chunk::PAR_MIN_ROWS {
+            return None;
         }
+        table.sketch(table.schema().index_of(name)?)
     }
 
     /// The batch kernel equivalent to a predicate target, when one exists
@@ -528,22 +565,27 @@ impl<'a> EvalContext<'a> {
     /// the walk around it (a full frame, or a window's count-guarded
     /// walk): a typed batch kernel over the column's native buffer, the
     /// dictionary gather, or the per-tuple reference fill. A typed
-    /// kernel also offers its compare-and-pack. Returns what `walk`
-    /// returns and whether the distances are signed.
+    /// kernel also offers its compare-and-pack; when the walk packs
+    /// (`sketch_packed` is given) it is asked for the column's sketch
+    /// first, and counts there the ranges the sketch served. Returns
+    /// what `walk` returns and whether the distances are signed.
     fn with_predicate_fill<R>(
         &self,
         p: &Predicate,
+        sketch_packed: Option<&AtomicUsize>,
         walk: impl FnOnce(&RangeFill<'_>, Option<&RangePack<'_>>) -> R,
     ) -> Result<(R, bool)> {
-        let (col, dt, class, _) = self.column(&p.attr)?;
+        let (col, dt, class, name) = self.column(&p.attr)?;
         let cd = self.distance_for(&p.attr, dt, class);
         let signed = cd.is_signed();
         let native = self.mode == ExecMode::Vectorized && col.numeric_slice().is_some();
         if let Some(kernel) = Self::kernel_for(&cd, &p.target).filter(|_| native) {
+            let sketch =
+                sketch_packed.and_then(|served| Some((self.sketch_for(&name, kernel)?, served)));
             return Ok((
                 walk(
                     &|o, v, m| self.kernel_chunk(col, kernel, o, v, m),
-                    Some(&|o, len| self.pack_chunk(col, kernel, o, len)),
+                    Some(&|o, len| self.pack_chunk(col, kernel, sketch, o, len)),
                 ),
                 signed,
             ));
@@ -583,7 +625,7 @@ impl<'a> EvalContext<'a> {
 
     fn eval_predicate(&self, p: &Predicate) -> Result<NodeEval> {
         let mut distances = DistanceFrame::undefined(self.table.len());
-        let (stats, signed) = self.with_predicate_fill(p, |fill, _| {
+        let (stats, signed) = self.with_predicate_fill(p, None, |fill, _| {
             chunk::for_each_frame_range(&mut distances, self.parallel(), fill)
         })?;
         Ok(NodeEval {
@@ -610,8 +652,9 @@ impl<'a> EvalContext<'a> {
     ) -> Result<WindowEval> {
         if let (ConditionNode::Predicate(p), Some(k)) = (node, k) {
             let n = self.table.len();
+            let sketched = AtomicUsize::new(0);
             let ((raw, stats, bits, packed), signed) =
-                self.with_predicate_fill(p, |fill, pack| {
+                self.with_predicate_fill(p, Some(&sketched), |fill, pack| {
                     let pack = |o, len| pack.and_then(|pack| pack(o, len));
                     chunk::window_walk(n, self.parallel(), k, fill, pack)
                 })?;
@@ -622,6 +665,7 @@ impl<'a> EvalContext<'a> {
                 stats,
                 bits: Some(bits),
                 chunks_compare_packed: packed,
+                chunks_sketch_packed: sketched.into_inner(),
                 join_inner_bits: false,
             });
         }
@@ -638,6 +682,7 @@ impl<'a> EvalContext<'a> {
             stats: e.stats,
             bits: None,
             chunks_compare_packed: 0,
+            chunks_sketch_packed: 0,
             join_inner_bits,
         })
     }

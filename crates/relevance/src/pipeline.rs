@@ -131,6 +131,11 @@ pub struct PipelineTrace {
     /// covered the fit count, whose stats and bits one pass read straight
     /// from the column (no distances written).
     pub chunks_compare_packed: usize,
+    /// Of those ranges, the ones the column's byte sketch served
+    /// (`visdb_storage::ColumnSketch`): the bits read off one code per
+    /// row, the column only in the threshold's bucket, the stats off the
+    /// chunk's zone.
+    pub chunks_sketch_packed: usize,
     /// Top-level §4.4 subquery windows evaluated this run whose inner
     /// condition entered the join as its exact bits: a predicate whose
     /// exact answers covered its fit count over the inner relation, so
@@ -709,6 +714,7 @@ pub fn run_pipeline(
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
     let (mut windows_evaluated, mut evaluated_bits_only, mut compare_packed) = (0, 0, 0);
+    let mut sketch_packed = 0;
     let (mut from_projection, mut join_inner_bits) = (0, 0);
     phase_time!(trace, distance, {
         for (i, (w, got)) in top.iter().zip(found).enumerate() {
@@ -731,6 +737,7 @@ pub fn run_pipeline(
                     };
                     evaluated_bits_only += usize::from(e.raw.is_none());
                     compare_packed += e.chunks_compare_packed;
+                    sketch_packed += e.chunks_sketch_packed;
                     join_inner_bits += usize::from(e.join_inner_bits);
                     PredicateWindow::evaluated(e, w.weight)
                 }
@@ -820,6 +827,7 @@ pub fn run_pipeline(
         t.windows_bits_only += evaluated_bits_only;
         t.windows_from_projection = from_projection;
         t.chunks_compare_packed = compare_packed;
+        t.chunks_sketch_packed = sketch_packed;
         t.join_inner_bits = join_inner_bits;
     }
     Ok(PipelineOutput {

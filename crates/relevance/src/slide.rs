@@ -182,6 +182,7 @@ pub(crate) fn from_predecessor(
         stats,
         bits: Some((bits, defined.clone())),
         chunks_compare_packed: 0,
+        chunks_sketch_packed: 0,
         join_inner_bits: false,
     })
 }

@@ -152,6 +152,9 @@ pub struct TraceReport {
     /// Row ranges of the evaluated windows compare-packed straight from
     /// the column ([`PipelineTrace::chunks_compare_packed`]).
     pub chunks_compare_packed: usize,
+    /// Of those ranges, the ones the column's byte sketch served
+    /// ([`PipelineTrace::chunks_sketch_packed`]).
+    pub chunks_sketch_packed: usize,
     /// Slid comparison windows re-derived from the previous run's window
     /// and the column's sorted projection
     /// ([`PipelineTrace::windows_from_projection`]).
@@ -178,6 +181,7 @@ impl From<&PipelineTrace> for TraceReport {
             windows_evaluated: t.windows_evaluated,
             windows_bits_only: t.windows_bits_only,
             chunks_compare_packed: t.chunks_compare_packed,
+            chunks_sketch_packed: t.chunks_sketch_packed,
             windows_from_projection: t.windows_from_projection,
             join_inner_bits: t.join_inner_bits,
             table_exceptions: t.table_exceptions,
@@ -666,6 +670,7 @@ impl TraceReport {
             ("windows_evaluated", self.windows_evaluated.into()),
             ("windows_bits_only", self.windows_bits_only.into()),
             ("chunks_compare_packed", self.chunks_compare_packed.into()),
+            ("chunks_sketch_packed", self.chunks_sketch_packed.into()),
             (
                 "windows_from_projection",
                 self.windows_from_projection.into(),

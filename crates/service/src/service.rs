@@ -259,11 +259,13 @@ pub(crate) struct ServiceObs {
     /// Then `pipeline.windows.bits_only`: windows left as their packed
     /// exact bits alone, no raw frame written or kept; and
     /// `pipeline.chunks.compare_packed`: row ranges of those walks whose
-    /// stats and bits were compare-packed straight from the column; and
+    /// stats and bits were compare-packed straight from the column, and
+    /// `pipeline.chunks.sketch_packed`: those of them the column's byte
+    /// sketch served, the column read only in the threshold's bucket; and
     /// `pipeline.windows.from_projection`: slid comparison windows
     /// re-derived from the previous run's window and the column's sorted
     /// projection, the column not read.
-    run_counts: [Arc<Counter>; 11],
+    run_counts: [Arc<Counter>; 12],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -321,6 +323,7 @@ impl ServiceObs {
                 "pipeline.combine.table_exceptions",
                 "pipeline.windows.bits_only",
                 "pipeline.chunks.compare_packed",
+                "pipeline.chunks.sketch_packed",
                 "pipeline.windows.from_projection",
             ]
             .map(|name| registry.counter(name)),
@@ -382,6 +385,7 @@ impl ServiceObs {
             trace.table_exceptions,
             trace.windows_bits_only,
             trace.chunks_compare_packed,
+            trace.chunks_sketch_packed,
             trace.windows_from_projection,
         ];
         for (counter, count) in self.run_counts.iter().zip(counts) {

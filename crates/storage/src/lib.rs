@@ -15,6 +15,9 @@
 //!   database are displayed", §4.3),
 //! * [`csv`] — plain-text import/export (with schema inference) so
 //!   example and external datasets are inspectable,
+//! * [`sketch::ColumnSketch`] — one order-preserving byte per row of a
+//!   numeric column, so a comparison reads the column only where the
+//!   byte cannot decide,
 //! * [`delta::DeltaChain`] — append lineage (base generation + row-count
 //!   watermark per link + compaction fold-back) behind the O(Δ)
 //!   incremental maintenance of the serving layer's caches.
@@ -26,11 +29,13 @@ pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod delta;
+pub mod sketch;
 pub mod stats;
 pub mod table;
 
 pub use catalog::Database;
 pub use column::{ColumnData, NumericSlice, StrColumn, StrDict, Validity};
 pub use delta::DeltaChain;
+pub use sketch::ColumnSketch;
 pub use stats::ColumnStats;
 pub use table::{Row, Table, TableBuilder};

@@ -1,8 +1,11 @@
 //! Tables: schema + columns + row accessors.
 
+use std::sync::OnceLock;
+
 use visdb_types::{Column, ColumnId, Error, Result, Schema, Value};
 
 use crate::column::ColumnData;
+use crate::sketch::ColumnSketch;
 use crate::stats::ColumnStats;
 
 /// A materialised row (only built off the hot path: selected-tuple display,
@@ -10,12 +13,35 @@ use crate::stats::ColumnStats;
 pub type Row = Vec<Value>;
 
 /// An in-memory table.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<ColumnData>,
     rows: usize,
+    /// One lazily built [`ColumnSketch`] slot per column, in the manner
+    /// of [`crate::StrColumn`]'s dictionary: shared by every reader of
+    /// the table, `None` once known unsketchable. Derived data —
+    /// equality ignores it; a clone keeps what is built.
+    sketches: Vec<OnceLock<Option<ColumnSketch>>>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        let Table {
+            name,
+            schema,
+            columns,
+            rows,
+            sketches: _,
+        } = self;
+        (name, schema, columns, rows) == (&other.name, &other.schema, &other.columns, &other.rows)
+    }
+}
+
+/// One empty sketch slot per column.
+fn sketch_slots(columns: usize) -> Vec<OnceLock<Option<ColumnSketch>>> {
+    (0..columns).map(|_| OnceLock::new()).collect()
 }
 
 impl Table {
@@ -28,6 +54,7 @@ impl Table {
             .collect();
         Table {
             name: name.into(),
+            sketches: sketch_slots(schema.len()),
             schema,
             columns,
             rows: 0,
@@ -68,10 +95,38 @@ impl Table {
         self.column(id)
     }
 
+    /// The byte sketch of column `id` ([`ColumnSketch`]), built on the
+    /// first call and shared by every reader of this table. `None` for an
+    /// empty table, an unknown column, or one that cannot have a sketch
+    /// (not a native `F64` / `I64` buffer, or a NULL, NaN or ±inf row).
+    pub fn sketch(&self, id: ColumnId) -> Option<&ColumnSketch> {
+        let (slot, col) = (self.sketches.get(id)?, self.columns.get(id)?);
+        if self.rows == 0 {
+            return None;
+        }
+        slot.get_or_init(|| ColumnSketch::build(col)).as_ref()
+    }
+
+    /// The sketch of column `id` when one is built; never builds.
+    pub fn built_sketch(&self, id: ColumnId) -> Option<&ColumnSketch> {
+        self.sketches.get(id)?.get()?.as_ref()
+    }
+
     /// Append one row. The row must match the schema arity and the value
     /// types must be column-compatible. On a mid-row type error the row is
-    /// rolled back so the table never holds ragged columns.
+    /// rolled back so the table never holds ragged columns. Drops every
+    /// built sketch ([`Table::append_rows`] extends them instead).
     pub fn push_row(&mut self, row: Row) -> Result<()> {
+        for slot in &mut self.sketches {
+            if slot.get_mut().is_some() {
+                *slot = OnceLock::new();
+            }
+        }
+        self.push_values(row)
+    }
+
+    /// [`Table::push_row`] with the sketches left as they are.
+    fn push_values(&mut self, row: Row) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(Error::ArityMismatch {
                 expected: self.schema.len(),
@@ -93,19 +148,27 @@ impl Table {
     }
 
     /// Append a batch of rows atomically: either every row lands or the
-    /// table is left exactly as it was. The happy path is O(Δ) column
-    /// pushes; only a mid-batch arity/type error pays an O(n) rollback
-    /// gather.
+    /// table is left exactly as it was, its sketches included. The happy
+    /// path is O(Δ) column pushes and O(Δ) sketch extensions (a Δ with a
+    /// NULL, NaN or ±inf value drops that column's sketch for good); only
+    /// a mid-batch arity/type error pays an O(n) rollback gather.
     pub fn append_rows(&mut self, rows: Vec<Row>) -> Result<()> {
         let before = self.rows;
         for row in rows {
-            if let Err(e) = self.push_row(row) {
+            if let Err(e) = self.push_values(row) {
                 let truncated: Vec<usize> = (0..before).collect();
                 for c in self.columns.iter_mut() {
                     *c = c.gather(&truncated);
                 }
                 self.rows = before;
                 return Err(e);
+            }
+        }
+        for (slot, col) in self.sketches.iter_mut().zip(&self.columns) {
+            if let Some(Some(sketch)) = slot.get_mut() {
+                if !sketch.extend(col) {
+                    *slot = OnceLock::from(None);
+                }
             }
         }
         Ok(())
@@ -136,6 +199,7 @@ impl Table {
         Table {
             name: name.into(),
             schema: self.schema.clone(),
+            sketches: sketch_slots(columns.len()),
             columns,
             rows: indices.len(),
         }
@@ -162,6 +226,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
+            sketches: sketch_slots(columns.len()),
             columns,
             rows: n * m,
         }
@@ -290,6 +355,59 @@ mod tests {
         let r = x.row(1).unwrap();
         assert_eq!(r[0], Value::Int(1)); // t row 0
         assert_eq!(r[2], Value::Int(20)); // u row 1
+    }
+
+    /// A float column and a string one, `n` rows.
+    fn numbers(n: usize) -> Table {
+        let cols = vec![
+            Column::new("x", DataType::Float),
+            Column::new("s", DataType::Str),
+        ];
+        let mut t = Table::new("N", Schema::new(cols));
+        let rows = (0..n).map(|i| vec![Value::Float((i * 7 % 101) as f64), Value::from("a")]);
+        t.append_rows(rows.collect()).unwrap();
+        t
+    }
+
+    #[test]
+    fn sketches_are_lazy_shared_and_extended_by_appends() {
+        let mut t = numbers(1_000);
+        assert!(t.built_sketch(0).is_none());
+        assert!(t.sketch(1).is_none() && t.sketch(2).is_none());
+        let before = t.sketch(0).unwrap().clone();
+        assert_eq!(t.built_sketch(0), Some(&before));
+        // equality ignores the slots; a clone keeps what is built
+        assert_eq!(t, numbers(1_000));
+        assert_eq!(t.clone().built_sketch(0), Some(&before));
+        // gather and cross product start empty
+        assert!(t.gather("G", &[0, 1]).built_sketch(0).is_none());
+        assert!(t.cross_product(&t, "X").built_sketch(0).is_none());
+
+        t.append_rows(vec![vec![Value::Float(500.0), Value::from("b")]])
+            .unwrap();
+        let grown = t.built_sketch(0).expect("extended, not dropped");
+        assert_eq!(grown.bounds(), before.bounds());
+        assert_eq!(&grown.codes()[..1_000], before.codes());
+        assert_eq!(grown.len(), 1_001);
+        // a failed append leaves the sketch as it was
+        let kept = grown.clone();
+        let bad = vec![
+            vec![Value::Float(1.0), Value::from("c")],
+            vec![Value::from("bad"), Value::from("row")],
+        ];
+        assert!(t.append_rows(bad).is_err());
+        assert_eq!(t.built_sketch(0), Some(&kept));
+        // a NULL drops it for good; a bare push drops it for a rebuild
+        t.append_rows(vec![vec![Value::Null, Value::from("d")]])
+            .unwrap();
+        assert!(t.built_sketch(0).is_none() && t.sketch(0).is_none());
+        let mut u = numbers(10);
+        let _ = u.sketch(0).unwrap();
+        u.push_row(vec![Value::Float(1.0), Value::from("e")])
+            .unwrap();
+        assert!(u.built_sketch(0).is_none());
+        assert_eq!(u.sketch(0).unwrap().len(), 11);
+        assert!(Table::new("E", u.schema().clone()).sketch(0).is_none());
     }
 
     #[test]

@@ -522,3 +522,101 @@ fn a_slide_after_an_append_walks_once_then_reads_the_merged_projection() {
         assert_eq!(trace_of(&fresh, replay).windows_from_projection, 0);
     }
 }
+
+/// A column's byte sketch across appends. A cold 2-window query over
+/// 40 000 NULL-free rows builds the `x` sketch and packs its ranges from
+/// it; each append (in range, beyond the old maximum, not word-aligned)
+/// extends the sketch — the same bounds, the old codes a prefix — and
+/// the next cold query packs from it again. A delta with a NULL drops
+/// it, a failed append leaves it as it was, and every answer equals a
+/// table loaded with all the rows.
+#[test]
+fn appends_extend_the_column_sketch_and_match_a_reload() {
+    let value = |i: usize| ((i * 7_919) % 10_007) as f64 / 10.0;
+    let row = |x: Value, i: usize| vec![x, Value::Str(format!("s{}", i % 4))];
+    let load = |rows: &[Vec<Value>]| {
+        let cols = vec![
+            Column::new("x", DataType::Float),
+            Column::new("s", DataType::Str),
+        ];
+        let mut t = Table::new("T", Schema::new(cols));
+        t.append_rows(rows.to_vec()).unwrap();
+        let mut db = Database::new("d");
+        db.add_table(t);
+        db
+    };
+    let mut all: Vec<Vec<Value>> = (0..40_000)
+        .map(|i| row(Value::Float(value(i)), i))
+        .collect();
+    let mut live = load(&all);
+    let q = QueryBuilder::from_tables(["T"])
+        .cmp("x", CompareOp::Ge, 300.0)
+        .cmp("x", CompareOp::Le, 900.0)
+        .build();
+    let policy = DisplayPolicy::Percentage(1.0);
+    let resolver = DistanceResolver::new();
+    let cold = |db: &Database, mode: ExecMode| {
+        let opts = PipelineOptions {
+            mode,
+            trace: true,
+            ..Default::default()
+        };
+        let t = db.table("T").unwrap();
+        run_pipeline(db, t, &resolver, q.condition.as_ref(), &policy, opts).unwrap()
+    };
+    let check = |live: &Database, all: &[Vec<Value>], sketched: bool, what: &str| {
+        // one worker walks the ranges in order: those past the first
+        // are packed
+        let serial = visdb::exec::Runtime::new(1);
+        let fast = serial.install(|| cold(live, ExecMode::Vectorized));
+        let reload = cold(&load(all), ExecMode::Scalar);
+        let diff = first_divergence(&fast, &reload);
+        assert!(diff.is_none(), "{what}: {}", diff.unwrap());
+        let trace = fast.trace.as_deref().unwrap();
+        assert!(trace.chunks_compare_packed > 0, "{what}");
+        let expect = if sketched {
+            trace.chunks_compare_packed
+        } else {
+            0
+        };
+        assert_eq!(trace.chunks_sketch_packed, expect, "{what}");
+    };
+    check(&live, &all, true, "base");
+    let sketch = |db: &Database| db.table("T").unwrap().built_sketch(0).cloned();
+    let base = sketch(&live).expect("the cold query built the sketch");
+    let deltas: [(&str, Vec<f64>); 3] = [
+        ("in range", (0..640).map(|i| value(i * 3)).collect()),
+        ("beyond the old maximum", vec![2_000.0, 5_000.5, 1_500.0]),
+        (
+            "not word-aligned",
+            (0..37).map(|i| value(i) + 0.05).collect(),
+        ),
+    ];
+    for (what, delta) in deltas {
+        let rows: Vec<Vec<Value>> = (delta.into_iter().enumerate())
+            .map(|(j, x)| row(Value::Float(x), all.len() + j))
+            .collect();
+        all.extend(rows.iter().cloned());
+        live.table_mut("T").unwrap().append_rows(rows).unwrap();
+        let grown = sketch(&live).expect("extended, not dropped");
+        assert_eq!(grown.bounds(), base.bounds(), "{what}");
+        assert_eq!(&grown.codes()[..base.len()], base.codes(), "{what}");
+        assert_eq!(grown.len(), all.len(), "{what}");
+        check(&live, &all, true, what);
+    }
+    // a failed append: the sketch is untouched
+    let kept = sketch(&live);
+    let bad = vec![row(Value::Float(1.0), 0), row(Value::from("bad"), 1)];
+    assert!(live.table_mut("T").unwrap().append_rows(bad).is_err());
+    assert_eq!(sketch(&live), kept);
+    check(&live, &all, true, "after a failed append");
+    // a NULL in the delta drops the sketch; the walk compare-packs
+    let nulls = vec![
+        row(Value::Null, all.len()),
+        row(Value::Float(400.0), all.len() + 1),
+    ];
+    all.extend(nulls.iter().cloned());
+    live.table_mut("T").unwrap().append_rows(nulls).unwrap();
+    assert!(sketch(&live).is_none());
+    check(&live, &all, false, "a NULL appended");
+}

@@ -1335,19 +1335,22 @@ fn mix(i: usize, seed: u64) -> u64 {
 /// one of them repeated across the relation.
 const X_POOL: [f64; 10] = [-5.0, -2.5, -1.0, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 10.0];
 
-/// Three comparison columns and their values widened to `f64` (`None`:
+/// Five comparison columns and their values widened to `f64` (`None`:
 /// NULL): `x` floats from [`X_POOL`] with NULL, NaN, `-0.0` and `0.0`
 /// rows, and `±inf` only inside chunk `inf_chunk`; `y` floats in
 /// `[0, 100)` with NULLs; `i` integers in `[-25, 25)` with NULLs and a
-/// few beyond `±2^53`.
-fn comparison_table(n: usize, seed: u64, inf_chunk: usize) -> (Database, [Vec<Option<f64>>; 3]) {
+/// few beyond `±2^53`; `u` and `j` as `y` and `i` with no NULL, the two
+/// columns a byte sketch covers.
+fn comparison_table(n: usize, seed: u64, inf_chunk: usize) -> (Database, [Vec<Option<f64>>; 5]) {
     let cols = vec![
         Column::new("x", DataType::Float),
         Column::new("y", DataType::Float),
         Column::new("i", DataType::Int),
+        Column::new("u", DataType::Float),
+        Column::new("j", DataType::Int),
     ];
     let mut t = TableBuilder::new("T", cols);
-    let mut widened: [Vec<Option<f64>>; 3] = Default::default();
+    let mut widened: [Vec<Option<f64>>; 5] = Default::default();
     for row in 0..n {
         let h = mix(row, seed);
         let x = match h % 23 {
@@ -1368,10 +1371,16 @@ fn comparison_table(n: usize, seed: u64, inf_chunk: usize) -> (Database, [Vec<Op
             8 => Value::Int(-(1 << 54) - (h >> 40) as i64),
             _ => Value::Int(((h >> 32) % 50) as i64 - 25),
         };
-        for (col, v) in widened.iter_mut().zip([&x, &y, &i]) {
+        let u = Value::Float(((h >> 20) % 10_000) as f64 / 100.0);
+        let j = match h % 37 {
+            9 => Value::Int(i64::MAX - (h >> 41) as i64),
+            10 => Value::Int(-(1 << 54) - (h >> 41) as i64),
+            _ => Value::Int(((h >> 28) % 50) as i64 - 25),
+        };
+        for (col, v) in widened.iter_mut().zip([&x, &y, &i, &u, &j]) {
             col.push(v.as_f64());
         }
-        t = t.row(vec![x, y, i]).unwrap();
+        t = t.row(vec![x, y, i, u, j]).unwrap();
     }
     let mut db = Database::new("d");
     db.add_table(t.build());
@@ -1404,7 +1413,7 @@ fn packed_ranges(values: &[Option<f64>], greater: bool, t: f64, k: usize) -> usi
 const CHUNK_ROWS: usize = visdb::relevance::chunk::CHUNK_ROWS;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Comparison windows whose exact answers cover their fit count are
     /// compare-packed past the range where they do — straight from the
@@ -1413,11 +1422,13 @@ proptest! {
     /// random thresholds (repeated across the relation) and weights, over
     /// a float column with NULL, NaN, `-0.0` and `±inf` rows (the chunk
     /// holding the infinities is declined), a plain float column and an
-    /// integer column with values beyond `±2^53`; parallel and serial,
-    /// where the packed ranges are exactly the ones the count rule
-    /// names. A run cancelled mid-walk leaves the
-    /// session cache, the shared window cache and the projection store
-    /// untouched, and the same caches then serve the oracle's answer.
+    /// integer column with values beyond `±2^53`, plus 0 to 2 windows
+    /// over their NULL-free twins `u` and `j`; parallel and serial, where
+    /// the packed ranges are exactly the ones the count rule names, and
+    /// the ones the byte sketch served are exactly those of `u` and `j`.
+    /// A run cancelled mid-walk leaves the session cache, the shared
+    /// window cache and the projection store untouched, and the same
+    /// caches then serve the oracle's answer.
     #[test]
     fn compare_packed_windows_match_the_oracle_above_the_parallel_threshold(
         n in 40_000usize..120_000,
@@ -1426,6 +1437,7 @@ proptest! {
         pct in 0.5f64..3.0,
         windows in prop::collection::vec(((0usize..3, 0usize..4), 0usize..50, 0.2f64..1.0), 1..4),
         skip in 1usize..4,
+        sketched in prop::collection::vec(((3usize..5, 0usize..4), 0usize..50, 0.2f64..1.0), 0..3),
     ) {
         let (db, values) = comparison_table(n, seed, inf_chunk);
         let t = db.table("T").unwrap();
@@ -1433,19 +1445,18 @@ proptest! {
         let policy = DisplayPolicy::Percentage(pct);
         let budget = policy.budget(n);
         let ops = [CompareOp::Gt, CompareOp::Ge, CompareOp::Lt, CompareOp::Le];
-        let preds: Vec<(usize, CompareOp, f64, f64)> = windows
-            .iter()
+        let preds: Vec<(usize, CompareOp, f64, f64)> = (windows.iter().chain(&sketched))
             .map(|&((col, op), pick, weight)| {
                 let t = match col {
                     0 => X_POOL[pick % X_POOL.len()],
-                    1 => pick as f64 * 2.0,
+                    1 | 3 => pick as f64 * 2.0,
                     _ => pick as f64 - 25.0,
                 };
                 (col, ops[op], t, weight)
             })
             .collect();
         let leaf = |&(col, op, t, weight): &(usize, CompareOp, f64, f64)| {
-            let p = Predicate::compare(AttrRef::new(["x", "y", "i"][col]), op, t);
+            let p = Predicate::compare(AttrRef::new(["x", "y", "i", "u", "j"][col]), op, t);
             Weighted::new(ConditionNode::Predicate(p), weight)
         };
         let cond = match &preds[..] {
@@ -1469,15 +1480,20 @@ proptest! {
             .unwrap();
         let diff = first_divergence(&serial, &slow, &policy);
         prop_assert!(diff.is_none(), "serial: {}", diff.unwrap());
-        let expect: usize = (preds.iter())
-            .filter_map(|&(col, op, t, weight)| {
-                let k = visdb::relevance::normalize::fit_k(n, weight, budget)?;
-                let greater = matches!(op, CompareOp::Gt | CompareOp::Ge);
-                Some(packed_ranges(&values[col], greater, t, k))
-            })
-            .sum();
+        let packed = |sketched: &[usize]| -> usize {
+            (preds.iter())
+                .filter(|(col, ..)| sketched.contains(col))
+                .filter_map(|&(col, op, t, weight)| {
+                    let k = visdb::relevance::normalize::fit_k(n, weight, budget)?;
+                    let greater = matches!(op, CompareOp::Gt | CompareOp::Ge);
+                    Some(packed_ranges(&values[col], greater, t, k))
+                })
+                .sum()
+        };
         let trace = serial.trace.as_ref().unwrap();
-        prop_assert_eq!(trace.chunks_compare_packed, expect, "{:?}", preds);
+        prop_assert_eq!(trace.chunks_compare_packed, packed(&[0, 1, 2, 3, 4]), "{:?}", preds);
+        // x (NULL, NaN, ±inf), y and i (NULL) have no sketch
+        prop_assert_eq!(trace.chunks_sketch_packed, packed(&[3, 4]), "{:?}", preds);
 
         // cancelled on a range poll of the first window's walk
         let mut session = PipelineCache::new();

@@ -1112,6 +1112,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "rows_scanned",
         "windows_bits_only",
         "chunks_compare_packed",
+        "chunks_sketch_packed",
         "windows_from_projection",
         "join_inner_bits",
         "table_exceptions",
@@ -1136,6 +1137,8 @@ fn metrics_op_round_trips_over_the_wire() {
         "service.drag.fast",
         "service.drag.declined",
         "pipeline.phase.distance",
+        "pipeline.chunks.compare_packed",
+        "pipeline.chunks.sketch_packed",
     ] {
         assert!(metrics.get(key).is_some(), "snapshot missing {key}");
     }
