@@ -1518,7 +1518,9 @@ fn bench_size(n: usize) -> SizeResult {
 
     // ---- re-weight A/B: the ramp beside an inner relation `I(y = 3i +
     // 0.25)` spanning the same range, so every outer row's nearest inner
-    // key is 0.25, 0.75 or 1.25 away (a fit that has to select) and its
+    // key is 0.25, 0.75 or 1.25 away (no exact rows: the cold fit has to
+    // select, and a third of the rows tie at its `dmax` = 0.25, so the
+    // re-weight's fit count lands in that tie and keeps the fit) and its
     // band sweep ends after two candidates — the cheap end of a join:
     // what re-evaluating pays is the inner sort and one probe per row.
     // One session cache per arm, cloned per rep so every rep meets the
@@ -1574,6 +1576,15 @@ fn bench_size(n: usize) -> SizeResult {
         (t.windows_refit, t.windows_evaluated)
     };
     assert_eq!((evaluated(&refit), evaluated(&again)), ((1, 0), (0, 1)));
+    let fits = |out: &PipelineOutput| {
+        let t = out.trace.as_deref().expect("traced");
+        (t.fits_from_plateau, t.fits_selected)
+    };
+    assert_eq!(
+        fits(&refit),
+        (1, 0),
+        "the re-weight keeps the plateau's fit"
+    );
     assert_identical(&refit, &again, n);
     for (a, b) in refit.windows.iter().zip(&again.windows) {
         assert!(same_distances(a, b) && a.norm_params == b.norm_params);

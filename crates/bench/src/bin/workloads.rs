@@ -54,7 +54,7 @@ use visdb_distance::DistanceResolver;
 use visdb_query::ast::{AttrRef, ConditionNode, Predicate, SubqueryLink, Weighted};
 use visdb_query::{CompareOp, QueryBuilder};
 use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions, PipelineOutput};
-use visdb_relevance::{fit_k, EvalContext, ExecMode};
+use visdb_relevance::{fit_k, EvalContext, ExecMode, PipelineCache};
 use visdb_storage::Database;
 use visdb_types::Value;
 
@@ -308,27 +308,35 @@ fn bench_join(hours: usize) -> JoinPoint {
     // clock offset — every row on its plateau, a pattern table with no
     // exceptions. One past the maximum Ozone leaves that window fitted
     // (over 5 %, so a few rows sit below its plateau): the table's
-    // exceptions. Bit-identical to the scalar reference either way.
+    // exceptions. Bit-identical to the scalar reference either way. In the
+    // first, a re-weight of the subquery window through a session cache
+    // that moves its fit count to the far end of the tie at its `dmax`
+    // keeps the fit: no selection, still bit-identical.
     let ozone = table.column_by_name("Ozone").expect("Ozone");
     let mut levels: Vec<f64> = (0..table.len()).filter_map(|i| ozone.get_f64(i)).collect();
     levels.sort_by(f64::total_cmp);
     let (dense, sparse) = (levels[levels.len() / 2], levels[levels.len() - 1] + 1.0);
     for (threshold, pct, fitted) in [(dense, 1.0, false), (sparse, 5.0, true)] {
         let ozone = Predicate::compare(AttrRef::new("Ozone"), CompareOp::Ge, threshold);
-        let cond = Weighted::unit(ConditionNode::And(vec![
-            Weighted::unit(ConditionNode::Predicate(ozone)),
-            Weighted::unit(node(22.0)),
-        ]));
+        let cond = |weight: f64| {
+            Weighted::unit(ConditionNode::And(vec![
+                Weighted::unit(ConditionNode::Predicate(ozone.clone())),
+                Weighted::new(node(22.0), weight),
+            ]))
+        };
         let policy = DisplayPolicy::Percentage(pct);
-        let run = |mode: ExecMode| {
+        let mut session = PipelineCache::new();
+        let mut run = |mode: ExecMode, weight: f64| {
             let opts = PipelineOptions {
                 mode,
                 trace: true,
+                cache: (mode == ExecMode::Vectorized).then_some(&mut session),
                 ..Default::default()
             };
+            let cond = cond(weight);
             run_pipeline(&env.db, table, &resolver, Some(&cond), &policy, opts).expect("join root")
         };
-        let (fast, slow) = (run(ExecMode::Vectorized), run(ExecMode::Scalar));
+        let (fast, slow) = (run(ExecMode::Vectorized, 1.0), run(ExecMode::Scalar, 1.0));
         let what = format!("the join root at {hours} hours, Ozone >= {threshold}");
         assert!(
             fast.combined.bits_eq(&slow.combined) && fast.displayed == slow.displayed,
@@ -341,6 +349,44 @@ fn bench_join(hours: usize) -> JoinPoint {
             fitted,
             "{what}: {} exceptions",
             trace.table_exceptions
+        );
+        if fitted {
+            continue;
+        }
+        // every row of the subquery window's fit is on its plateau
+        let win = &fast.windows[1];
+        let raw = win
+            .raw_frame()
+            .expect("a fitted subquery window keeps its frame");
+        let dmax = win.norm_params.dmax;
+        let tied = (0..raw.len())
+            .filter(|&i| raw.get(i).is_some_and(|d| d.abs() == dmax))
+            .count();
+        assert_eq!(win.below_plateau(), Some(&[][..]), "{what}");
+        // short of every defined row, which the counts would answer
+        let far_end = tied.min(win.stats().defined - 1);
+        let what = format!("the join root at {hours} hours, Ozone >= {threshold}, re-weighted");
+        let budget = policy.budget(table.len());
+        let weight = budget as f64 / (far_end as f64 - 0.5);
+        assert!(weight < 1.0, "{what}: the tie ends at the fit count");
+        assert_eq!(fit_k(table.len(), weight, budget), Some(far_end), "{what}");
+        let (refit, refit_slow) = (
+            run(ExecMode::Vectorized, weight),
+            run(ExecMode::Scalar, weight),
+        );
+        assert!(
+            refit.combined.bits_eq(&refit_slow.combined) && refit.displayed == refit_slow.displayed,
+            "{what} must be bit-identical to the scalar reference"
+        );
+        let trace = refit.trace.as_deref().expect("traced");
+        assert_eq!(
+            (
+                trace.windows_refit,
+                trace.fits_from_plateau,
+                trace.fits_selected
+            ),
+            (1, 1, 0),
+            "{what} must keep its plateau's fit"
         );
     }
 

@@ -123,6 +123,7 @@ pub fn extend_window(
                 stats: merged,
                 bits,
                 below: counted_below(new_len, &merged, win.weight, recipe.budget),
+                tied: 0,
                 ..win.clone()
             }
         });
@@ -131,8 +132,10 @@ pub fn extend_window(
     // refit in O(Δ) when the old k-th order statistic provably still
     // governs; fall back to the full selection over the extended frame
     // when the delta may have displaced it (bit-identical both ways —
-    // the fast path only fires when the answer is forced)
-    let (norm_params, below) = fit_frame_extended(
+    // the fast path only fires when the answer is forced). The old tie
+    // count does not cover the delta's rows: the O(Δ) refit drops it,
+    // the selection counts the extended frame's own.
+    let (norm_params, below, tied) = fit_frame_extended(
         old_len,
         stats,
         (win.norm_params, &win.below),
@@ -141,10 +144,12 @@ pub fn extend_window(
         win.weight,
         recipe.budget,
     )
+    .map(|(params, below)| (params, below, 0))
     .unwrap_or_else(|| {
-        let (params, below, _) =
-            fit_with_below(new_len, &merged, win.weight, recipe.budget, Some(&ext_raw));
-        (params, below)
+        let budget = recipe.budget;
+        let (params, below, tied, _) =
+            fit_with_below(new_len, &merged, win.weight, budget, Some(&ext_raw), None);
+        (params, below, tied)
     });
     Some(PredicateWindow {
         raw: Some(Arc::new(ext_raw)),
@@ -152,6 +157,7 @@ pub fn extend_window(
         bits,
         norm_params,
         below,
+        tied,
         ..win.clone()
     })
 }

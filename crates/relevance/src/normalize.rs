@@ -201,35 +201,65 @@ pub(crate) fn counted_below(
     fits_fewer.then(|| Arc::from([]))
 }
 
-/// [`fit_frame`] and what the fit leaves below its plateau, plus whether
-/// the counts answered it; `frame` is read only when the fit selects.
+/// How [`fit_with_below`] came by a fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FitPath {
+    /// The distance walk's counts answered it ([`fit_from_counts`]).
+    Counts,
+    /// The previous selection's plateau answered it: the new `k` lands
+    /// in that fit's tie at `dmax`, so the fit and its rows below are
+    /// the previous ones.
+    Plateau,
+    /// A selection over the frame ([`fit_selected`]).
+    Selected,
+}
+
+/// [`fit_frame`], what the fit leaves below its plateau, how many
+/// defined rows tie at its `dmax` (see [`fit_selected`]; 0 unless it
+/// selected), and how it was answered; `frame` is read only when the fit
+/// selects.
+///
+/// `prev` is the fit the same frame and stats carried before — its
+/// params, rows below and tie count, which is not 0 only when that fit
+/// selected over an all-finite prefix with `dmax > 0`. When the new `k`
+/// lands in the tie (`|below| < k <= |below| + tied`), the `k` smallest
+/// `|d|` under [`select::rank_order`] are `below` plus `k − |below|` rows
+/// at exactly `dmax`: the selection would return the same `dmax` and the
+/// same rows below it, so the previous fit is returned and no row is
+/// read.
 pub(crate) fn fit_with_below(
     n: usize,
     stats: &FrameStats,
     weight: f64,
     display_budget: usize,
     frame: Option<&DistanceFrame>,
-) -> (NormParams, Below, bool) {
-    match fit_from_counts(n, stats, weight, display_budget) {
-        Ok(params) => (
-            params,
-            counted_below(n, stats, weight, display_budget),
-            true,
-        ),
-        Err(k) => {
-            let (params, below) =
-                fit_selected(frame.expect("a fit that selects reads the frame"), k);
-            (params, Some(below.into()), false)
+    prev: Option<(NormParams, &Below, usize)>,
+) -> (NormParams, Below, usize, FitPath) {
+    let k = match fit_from_counts(n, stats, weight, display_budget) {
+        Ok(params) => {
+            let below = counted_below(n, stats, weight, display_budget);
+            return (params, below, 0, FitPath::Counts);
+        }
+        Err(k) => k,
+    };
+    if let Some((params, Some(below), tied)) = prev {
+        if below.len() < k && k <= below.len() + tied {
+            return (params, Some(below.clone()), tied, FitPath::Plateau);
         }
     }
+    let frame = frame.expect("a fit that selects reads the frame");
+    let (params, below, tied) = fit_selected(frame, k);
+    (params, Some(below.into()), tied, FitPath::Selected)
 }
 
 /// The selection arm of [`fit_frame`]: the fit over the `k` smallest
-/// `|d|` of the frame, one bound-pruned walk, and those of its rows
-/// strictly below `dmax` ([`Below`]).
-pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> (NormParams, Vec<u32>) {
+/// `|d|` of the frame, one bound-pruned walk, those of its rows strictly
+/// below `dmax` ([`Below`]), and the number of defined rows whose `|d|`
+/// is exactly `dmax` — counted by the same walk, and 0 unless the `k`
+/// smallest were all finite (their k-th is then `dmax`) with `dmax > 0`.
+pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> (NormParams, Vec<u32>, usize) {
     let n = frame.len();
-    let smallest = select::k_smallest(
+    let (smallest, tied) = select::k_smallest(
         frame,
         &chunk::ranges(n),
         n >= chunk::PAR_MIN_ROWS,
@@ -241,7 +271,8 @@ pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> (NormParams, Vec<
         .filter(|c| c.0 < params.dmax)
         .map(|c| c.1)
         .collect();
-    (params, below)
+    let kth_is_dmax = params.dmax > 0.0 && smallest.iter().all(|c| c.0.is_finite());
+    (params, below, if kth_is_dmax { tied } else { 0 })
 }
 
 /// [`fit_frame`] of an appended frame *without the frame*: refit
@@ -470,15 +501,15 @@ mod tests {
                     for weight in [1.0f64, 0.3] {
                         let old = DistanceFrame::from_options(old_vals);
                         let old_stats = FrameStats::of_frame(&old);
-                        let (old_params, old_below, _) =
-                            fit_with_below(old.len(), &old_stats, weight, budget, Some(&old));
+                        let (old_params, old_below, ..) =
+                            fit_with_below(old.len(), &old_stats, weight, budget, Some(&old), None);
                         let delta = DistanceFrame::from_options(delta_vals);
                         let mut merged = old_stats;
                         merged.merge(&FrameStats::of_frame(&delta));
                         let ext = old.concat(&delta);
                         let full = fit_frame(&ext, &merged, weight, budget);
-                        let (_, full_below, _) =
-                            fit_with_below(ext.len(), &merged, weight, budget, Some(&ext));
+                        let (_, full_below, ..) =
+                            fit_with_below(ext.len(), &merged, weight, budget, Some(&ext), None);
                         assert_eq!(
                             full_below.is_some(),
                             fit_k(ext.len(), weight, budget).is_some_and(|k| k < merged.defined)
@@ -517,7 +548,8 @@ mod tests {
         let old: Vec<Option<f64>> = (0..100).map(|i| Some(i as f64)).collect();
         let old = DistanceFrame::from_options(&old);
         let old_stats = FrameStats::of_frame(&old);
-        let (old_params, old_below, _) = fit_with_below(old.len(), &old_stats, 1.0, 10, Some(&old));
+        let (old_params, old_below, ..) =
+            fit_with_below(old.len(), &old_stats, 1.0, 10, Some(&old), None);
         let delta = DistanceFrame::from_options(&[Some(500.0), Some(-700.0)]);
         let mut merged = old_stats;
         merged.merge(&FrameStats::of_frame(&delta));
@@ -564,8 +596,8 @@ mod tests {
             let frame = DistanceFrame::from_options(&values);
             let stats = FrameStats::of_frame(&frame);
             for (weight, budget) in [(1.0, 20), (0.5, 20), (0.1, 3), (1.0, 500), (0.0, 10)] {
-                let (params, below, _) =
-                    fit_with_below(frame.len(), &stats, weight, budget, Some(&frame));
+                let (params, below, ..) =
+                    fit_with_below(frame.len(), &stats, weight, budget, Some(&frame), None);
                 assert_eq!(params, fit_frame(&frame, &stats, weight, budget));
                 let fits_fewer =
                     fit_k(frame.len(), weight, budget).is_some_and(|k| k < stats.defined);
@@ -592,6 +624,96 @@ mod tests {
             }
         }
         assert!(listed > 0);
+    }
+
+    /// A refit that keeps the previous fit ([`FitPath::Plateau`]) is the
+    /// selection it skips: for every `k'` in `1..n`, after a previous fit
+    /// at several `k`, the refit's params, rows below and tie count equal
+    /// [`fit_selected`]'s at `k'`. It answers only inside the tie, never
+    /// after a fit whose prefix reached a non-finite `|d|` or one the
+    /// counts answered, and it does answer on a plateau.
+    #[test]
+    fn a_refit_in_the_tie_keeps_the_selected_fit() {
+        let frames: Vec<Vec<Option<f64>>> = vec![
+            // NULL, NaN, ±inf, signed zeros and a duplicated plateau at 40
+            (0..200usize)
+                .map(|i| match i % 10 {
+                    0 => None,
+                    1 => Some(f64::NAN),
+                    2 => Some(f64::NEG_INFINITY),
+                    3 => Some(-0.0),
+                    4..=6 => Some(if i.is_multiple_of(2) { 40.0 } else { -40.0 }),
+                    _ => Some((i % 23) as f64 - 11.0),
+                })
+                .collect(),
+            // the join's shape: a few near rows, the rest on one plateau
+            (0..200usize)
+                .map(|i| {
+                    Some(if i.is_multiple_of(19) {
+                        (i / 19) as f64
+                    } else {
+                        600.0
+                    })
+                })
+                .collect(),
+            // mostly +inf: past the few finite rows the prefix is not finite
+            (0..120usize)
+                .map(|i| {
+                    Some(if i.is_multiple_of(20) {
+                        i as f64
+                    } else {
+                        f64::INFINITY
+                    })
+                })
+                .collect(),
+        ];
+        let sorted = |below: &Below| {
+            below.as_ref().map(|rows| {
+                let mut rows = rows.to_vec();
+                rows.sort_unstable();
+                rows
+            })
+        };
+        let mut kept = 0;
+        for values in &frames {
+            let frame = DistanceFrame::from_options(values);
+            let (n, stats) = (frame.len(), FrameStats::of_frame(&frame));
+            for k0 in [1, 5, 20, 50, 100, 119, 150, 199] {
+                let (params0, below0, tied0, path0) =
+                    fit_with_below(n, &stats, 1.0, k0, Some(&frame), None);
+                let finite_prefix = fit_k(n, 1.0, k0).is_some_and(|k| {
+                    let mut abs: Vec<f64> = values.iter().flatten().map(|d| d.abs()).collect();
+                    abs.sort_by(f64::total_cmp);
+                    abs[..k.min(abs.len())].iter().all(|d| d.is_finite())
+                });
+                if path0 != FitPath::Selected || !finite_prefix || params0.dmax <= 0.0 {
+                    assert_eq!(tied0, 0, "k0={k0}");
+                }
+                let prev = Some((params0, &below0, tied0));
+                for k in 1..n {
+                    let (params, below, tied, path) =
+                        fit_with_below(n, &stats, 1.0, k, Some(&frame), prev);
+                    let Err(kk) = fit_from_counts(n, &stats, 1.0, k) else {
+                        assert_eq!(path, FitPath::Counts);
+                        continue;
+                    };
+                    let (want, want_below, want_tied) = fit_selected(&frame, kk);
+                    assert_eq!(params, want, "k0={k0} k={k}");
+                    assert_eq!(sorted(&below), sorted(&Some(want_below.into())));
+                    assert_eq!(tied, want_tied, "k0={k0} k={k}");
+                    let rows_below = below0.as_ref().map_or(0, |rows| rows.len());
+                    let in_tie = rows_below < kk && kk <= rows_below + tied0;
+                    let may_keep = path0 == FitPath::Selected && tied0 > 0;
+                    assert_eq!(
+                        path == FitPath::Plateau,
+                        may_keep && in_tie,
+                        "k0={k0} k={k}"
+                    );
+                    kept += usize::from(path == FitPath::Plateau);
+                }
+            }
+        }
+        assert!(kept > 0, "the refit never kept the fit");
     }
 
     #[test]

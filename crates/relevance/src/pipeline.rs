@@ -67,7 +67,7 @@ use crate::combine::{
 use crate::eval::{EvalContext, RunProjections, WindowEval};
 use crate::normalize::{
     apply_in_place, apply_slice, covered_by_exact, fit_k, fit_with_below, params_from_max, Below,
-    NormParams, NORM_MAX,
+    FitPath, NormParams, NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -146,6 +146,10 @@ pub struct PipelineTrace {
     /// the frame again (the fit covers every defined item, or the
     /// predicate's exact answers cover `k`).
     pub fits_from_counts: usize,
+    /// §5.2 refits the previous selection's plateau answered without
+    /// reading the frame: the new fit count lands in the tie at the old
+    /// `dmax`, so the fit and the rows below it stand.
+    pub fits_from_plateau: usize,
     /// §5.2 fits that took a selection over the distances (every fit of
     /// the scalar reference does).
     pub fits_selected: usize,
@@ -287,6 +291,12 @@ pub struct PredicateWindow {
     /// these rows. `None` when the fit covers every defined row, or was
     /// not taken by the vectorized fit.
     pub(crate) below: Below,
+    /// Defined rows whose `|d|` is exactly the fit's `dmax`, when the fit
+    /// selected over an all-finite prefix with `dmax > 0`; otherwise 0. A
+    /// refit of the same frame whose fit count lands in
+    /// `(|below|, |below| + tied]` keeps this fit ([`fit_with_below`]).
+    /// Anything that changes the frame resets it.
+    pub(crate) tied: usize,
 }
 
 impl PredicateWindow {
@@ -308,6 +318,7 @@ impl PredicateWindow {
             bits: Arc::default(),
             norm_params,
             below: None,
+            tied: 0,
         }
     }
 
@@ -322,6 +333,7 @@ impl PredicateWindow {
             bits: Arc::new(e.bits.map_or_else(OnceLock::new, OnceLock::from)),
             norm_params: params_from_max(0.0),
             below: None,
+            tied: 0,
         }
     }
 
@@ -1086,12 +1098,17 @@ fn combine_vectorized(
             .filter(|(_, (&unfit, _))| unfit);
         for ((win, w), (_, &reads_bits)) in fitted {
             let raw = win.raw_frame().map(|raw| &**raw);
-            let (params, below, counted) = fit_with_below(n, &win.stats, w.weight, budget, raw);
+            let prev = Some((win.norm_params, &win.below, win.tied));
+            let (params, below, tied, path) =
+                fit_with_below(n, &win.stats, w.weight, budget, raw, prev);
             if let Some(t) = trace {
-                t.fits_from_counts += usize::from(counted);
-                t.fits_selected += usize::from(!counted);
+                match path {
+                    FitPath::Counts => t.fits_from_counts += 1,
+                    FitPath::Plateau => t.fits_from_plateau += 1,
+                    FitPath::Selected => t.fits_selected += 1,
+                }
             }
-            (win.norm_params, win.below, win.weight) = (params, below, w.weight);
+            (win.norm_params, win.below, win.tied, win.weight) = (params, below, tied, w.weight);
             if reads_bits && win.raw.is_some() && covered_by_exact(n, &win.stats, w.weight, budget)
             {
                 win.exact_bits();

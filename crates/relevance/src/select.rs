@@ -134,19 +134,23 @@ fn gather(
 
 /// The `k` smallest defined rows of `frame` under [`rank_order`] on
 /// `(key(value), row id)`, as `(key, row)` pairs in **unspecified
-/// order** (all of them when fewer than `k` are defined). `ranges` must
-/// cover the frame in order ([`crate::chunk::ranges`]); how they cut it
-/// does not change the set. Row ids are `u32`: the pipeline rejects
-/// larger relations up front.
+/// order** (all of them when fewer than `k` are defined), and the number
+/// of defined rows whose key equals the k-th smallest key — in or out of
+/// the `k` (0 when that key is NaN, or when fewer than `k` are defined).
+/// The count costs no pass of its own: the walk has counted the rows on
+/// the cut, and a k-th key under the cut has every row equal to it among
+/// the gathered candidates. `ranges` must cover the frame in order
+/// ([`crate::chunk::ranges`]); how they cut it does not change the set.
+/// Row ids are `u32`: the pipeline rejects larger relations up front.
 pub fn k_smallest(
     frame: &DistanceFrame,
     ranges: &[(usize, usize)],
     parallel: bool,
     k: usize,
     key: impl Fn(f64) -> f64 + Sync,
-) -> Vec<(f64, u32)> {
+) -> (Vec<(f64, u32)>, usize) {
     if k == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let (vals, mask) = (frame.values(), frame.validity().as_slice());
     let probes = sample_rows(frame.len()).filter(|&row| mask[row]);
@@ -162,11 +166,15 @@ pub fn k_smallest(
     for part in parts {
         out.extend(part.below);
     }
-    if out.len() > k {
-        out.select_nth_unstable_by(k - 1, rank_order);
+    if out.len() >= k {
+        // the k-th key lies among the candidates, and so does every row
+        // equal to it (all rows under the cut, or all rows)
+        let (_, &mut (kth, _), _) = out.select_nth_unstable_by(k - 1, rank_order);
+        let tied = out.iter().filter(|c| c.0 == kth).count();
         out.truncate(k);
+        return (out, tied);
     }
-    let Some(cut) = cut else { return out };
+    let Some(cut) = cut else { return (out, 0) };
     // everything below the cut is in; the rest of the k are the first
     // rows (by id) that tie with it
     let tied = ranges
@@ -178,7 +186,7 @@ pub fn k_smallest(
         .map(|row| (key(vals[row]), row as u32));
     let missing = k - out.len();
     out.extend(tied.take(missing));
-    out
+    (out, tie_counts.iter().sum())
 }
 
 /// [`k_smallest`] sorted ascending by [`rank_order`] — the relevance
@@ -189,7 +197,7 @@ pub fn k_smallest_sorted(
     parallel: bool,
     k: usize,
 ) -> Vec<(f64, u32)> {
-    let mut out = k_smallest(frame, ranges, parallel, k, |v| v);
+    let (mut out, _) = k_smallest(frame, ranges, parallel, k, |v| v);
     out.sort_unstable_by(rank_order);
     out
 }
@@ -212,6 +220,67 @@ mod tests {
             out.ties += usize::from(cut == Some(x));
         }
         out
+    }
+
+    /// The tie count is the brute-force count of defined rows whose key
+    /// equals the k-th smallest: with the sampled cut on the k-th key,
+    /// with it above, without one (short frames, or a cut too tight),
+    /// at `k = defined − 1` and `k = defined`, under both keys, on frames
+    /// with NULL, NaN, ±inf, `-0.0` and a duplicate plateau.
+    #[test]
+    fn tied_counts_the_rows_at_the_kth_key() {
+        let plateau = |i: usize| {
+            Some(if i.is_multiple_of(17) {
+                (i % 101) as f64
+            } else {
+                255.0
+            })
+        };
+        let hashed = |i: usize| Some((i.wrapping_mul(2_654_435_761) % 1_009) as f64 - 500.0);
+        let messy = |i: usize| match i % 12 {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(f64::INFINITY),
+            3 => Some(f64::NEG_INFINITY),
+            4 => Some(-0.0),
+            5 => Some(0.0),
+            6..=8 => Some(if i.is_multiple_of(2) { 40.0 } else { -40.0 }),
+            _ => Some((i % 23) as f64 - 11.0),
+        };
+        let shapes: [&dyn Fn(usize) -> Option<f64>; 3] = [&plateau, &hashed, &messy];
+        let keys: [fn(f64) -> f64; 2] = [|v| v, f64::abs];
+        // (cut on the k-th key, cut above it, no cut)
+        let mut seen = [0usize; 3];
+        for len in [2 * PRUNE_MIN_ROWS + 5, 1_000] {
+            for shape in shapes {
+                let rows: Vec<Option<f64>> = (0..len).map(shape).collect();
+                let frame = DistanceFrame::from_options(&rows);
+                let ranges = chunk::ranges(len);
+                let defined = rows.iter().flatten().count();
+                let ks = [1, 7, len / 100, len / 17, len / 4, defined - 1, defined];
+                for (key, k) in keys.into_iter().flat_map(|key| ks.map(|k| (key, k))) {
+                    let mut all: Vec<(f64, u32)> = (rows.iter().zip(0u32..))
+                        .filter_map(|(v, row)| v.map(|v| (key(v), row)))
+                        .collect();
+                    all.sort_by(rank_order);
+                    let kth = all[k - 1].0;
+                    let want = all.iter().filter(|c| c.0 == kth).count();
+                    let (got, tied) = k_smallest(&frame, &ranges, true, k, key);
+                    assert_eq!(got.len(), k);
+                    assert_eq!(tied, want, "len={len} k={k} kth={kth}");
+                    // which arm answered: the walk's own cut, if it held
+                    let sample = sample_rows(len).filter_map(|row| rows[row].map(key));
+                    let cut = sampled_cut(sample.collect(), len, k)
+                        .filter(|&c| all.iter().filter(|x| x.0 <= c).count() >= k);
+                    seen[match cut {
+                        Some(c) if c == kth => 0,
+                        Some(_) => 1,
+                        None => 2,
+                    }] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]

@@ -249,7 +249,9 @@ pub(crate) struct ServiceObs {
     /// `pipeline.rank.{from_counts,selected}`: how many §5.2 fits and
     /// rankings the distance walk's counts answered, and how many took a
     /// selection walk — the share of the traffic with "very many" exact
-    /// answers (§5.1), readable off the live server. Then
+    /// answers (§5.1), readable off the live server; beside them
+    /// `pipeline.fit.from_plateau`, the refits whose fit count landed in
+    /// the previous selection's tie at `dmax`, answered without a walk. Then
     /// `pipeline.combine.{children_bits,children_raw,roots_from_table,table_exceptions}`:
     /// root children read from their packed exact bits (fits with
     /// `dmax = 0`, and fitted windows a table root reads on their
@@ -265,7 +267,7 @@ pub(crate) struct ServiceObs {
     /// `pipeline.windows.from_projection`: slid comparison windows
     /// re-derived from the previous run's window and the column's sorted
     /// projection, the column not read.
-    run_counts: [Arc<Counter>; 12],
+    run_counts: [Arc<Counter>; 13],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -314,6 +316,7 @@ impl ServiceObs {
             windows_refit: registry.counter("pipeline.windows_refit"),
             run_counts: [
                 "pipeline.fit.from_counts",
+                "pipeline.fit.from_plateau",
                 "pipeline.fit.selected",
                 "pipeline.rank.from_counts",
                 "pipeline.rank.selected",
@@ -376,6 +379,7 @@ impl ServiceObs {
         self.windows_refit.add(trace.windows_refit as u64);
         let counts = [
             trace.fits_from_counts,
+            trace.fits_from_plateau,
             trace.fits_selected,
             trace.ranks_from_counts,
             trace.ranks_selected,

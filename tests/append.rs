@@ -620,3 +620,114 @@ fn appends_extend_the_column_sketch_and_match_a_reload() {
     assert!(sketch(&live).is_none());
     check(&live, &all, false, "a NULL appended");
 }
+
+/// A re-weight after an append counts the extended frame's own tie. The
+/// window `x >= 100` has no exact rows and a plateau: a third of the rows
+/// miss by exactly 30, the rest by more, so a re-weight inside that tie
+/// keeps the fit without a selection. Then rows land at that `dmax`,
+/// below it (400 rows missing by 10, more than the fit count) and above
+/// it: the fit drops to `dmax = 10`, and the tie at 10 is those 400 rows,
+/// not the old plateau's. A re-weight to a fit count past 400 but inside
+/// the old tie must select again; every reply equals a service loaded
+/// with all the rows.
+#[test]
+fn a_reweight_after_an_append_counts_the_extended_tie() {
+    let base: Vec<(f64, u8)> = (0..6_000usize)
+        .map(|i| {
+            let tag = match (i % 101, i % 103) {
+                (0, _) => 0,
+                (_, 0) => 1,
+                _ => 5,
+            };
+            let x = if i.is_multiple_of(3) {
+                70.0
+            } else {
+                69.0 - (i % 50) as f64
+            };
+            (x, tag)
+        })
+        .collect();
+    let policy = DisplayPolicy::FitScreen {
+        pixels: 20,
+        pixels_per_item: 1,
+    };
+    let open = |service: &Service, weight: f64| {
+        let id = service.create_session("d").unwrap();
+        service
+            .submit(id, Request::SetWindowSize { w: 16, h: 16 })
+            .unwrap();
+        service
+            .submit(id, Request::SetDisplayPolicy(policy.clone()))
+            .unwrap();
+        let query = "SELECT * FROM T WHERE x >= 100";
+        service
+            .submit(id, Request::SetQueryText(query.into()))
+            .unwrap();
+        let set = Request::SetWeight { window: 0, weight };
+        assert_eq!(service.submit(id, set).unwrap(), Response::Ok);
+        id
+    };
+    let ask = |service: &Service, id: SessionId| {
+        [
+            Request::Summary { trace: false },
+            Request::Render(RenderFormat::Ppm),
+        ]
+        .map(|req| service.submit(id, req).unwrap())
+    };
+    // a re-weight's replies, and its refits and plateau fits off the
+    // registry
+    let reweight = |service: &Service, id: SessionId, weight: f64| {
+        let counts = || {
+            let snap = service.metrics_snapshot();
+            ["pipeline.windows_refit", "pipeline.fit.from_plateau"]
+                .map(|name| snap.counter(name).unwrap())
+        };
+        let before = counts();
+        let set = Request::SetWeight { window: 0, weight };
+        assert_eq!(service.submit(id, set).unwrap(), Response::Ok);
+        let replies = ask(service, id);
+        let after = counts();
+        (replies, [0, 1].map(|i| after[i] - before[i]))
+    };
+    let config = || ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let reload = |all: &[(f64, u8)], weight: f64| {
+        let fresh = Service::new(config());
+        fresh.register_dataset("d", Arc::new(messy_db(all)), ConnectionRegistry::new());
+        let id = open(&fresh, weight);
+        ask(&fresh, id)
+    };
+    let live = Service::new(config());
+    live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
+    let id = open(&live, 1.0);
+    ask(&live, id);
+    // inside the plateau's tie: the fit stands, no selection
+    assert_eq!(reweight(&live, id, 0.3), (reload(&base, 0.3), [1, 1]));
+
+    let mut all = base.clone();
+    let delta: Vec<(f64, u8)> = (0..400)
+        .map(|_| (90.0, 5))
+        .chain([
+            (70.0, 5),
+            (70.0, 5),
+            (10.0, 5),
+            (-3.0, 5),
+            (90.0, 0),
+            (70.0, 1),
+        ])
+        .collect();
+    let rows: Vec<Vec<Value>> = (delta.iter().enumerate())
+        .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
+        .collect();
+    all.extend_from_slice(&delta);
+    let outcome = live.append_rows("d", None, rows).unwrap();
+    assert_eq!(outcome.windows_extended, 1);
+    assert_eq!(ask(&live, id), reload(&all, 0.3));
+    // a fit count past the 400 rows at the new `dmax` but inside the
+    // old plateau's tie selects again
+    assert_eq!(reweight(&live, id, 0.02), (reload(&all, 0.02), [1, 0]));
+    // and that selection's own tie serves the next re-weight inside it
+    assert_eq!(reweight(&live, id, 0.01), (reload(&all, 0.01), [1, 1]));
+}

@@ -847,7 +847,8 @@ fn selection_shapes(n: usize) -> Vec<Shape> {
 }
 
 /// The bound-pruned selection kernel returns exactly the full-sort
-/// prefix — rows *and* order — for k ∈ {0, 1, n/100, n/4, m−1, m, > m}, on
+/// prefix — rows *and* order — and the count of defined rows at its k-th
+/// key for k ∈ {0, 1, n/100, n/4, m−1, m, > m}, on
 /// every shape above, at lane remainders below the pruning threshold
 /// and well above it, serial and parallel, for both keys
 /// the pipeline selects by (the combined distance itself, `|d|` for the
@@ -869,12 +870,21 @@ fn pruned_selection_equals_the_full_sort_prefix() {
             for parallel in [false, true] {
                 for &k in &ks {
                     for (key_name, key) in keys {
-                        let mut got = k_smallest(&frame, &ranges, parallel, k, key);
+                        let (mut got, tied) = k_smallest(&frame, &ranges, parallel, k, key);
                         got.sort_unstable_by(rank_order);
+                        let want = full_sort_prefix(&options, key, k);
                         assert_eq!(
                             selection_bits(&got),
-                            selection_bits(&full_sort_prefix(&options, key, k)),
+                            selection_bits(&want),
                             "{name} n={n} k={k} parallel={parallel} key={key_name}"
+                        );
+                        // the rows at the k-th key, in the prefix or not
+                        let kth = want.last().filter(|_| want.len() == k).map(|c| c.0);
+                        let at_kth = |v: &f64| kth.is_some_and(|kth| key(*v) == kth);
+                        let want_tied = options.iter().flatten().filter(|v| at_kth(v)).count();
+                        assert_eq!(
+                            tied, want_tied,
+                            "{name} n={n} k={k} parallel={parallel} key={key_name} tied"
                         );
                     }
                     let sorted = k_smallest_sorted(&frame, &ranges, parallel, k);
@@ -1213,6 +1223,8 @@ proptest! {
                 // cover the new fit is a miss, evaluated into its frame
                 let missed = trace.windows_evaluated;
                 prop_assert_eq!(trace.windows_refit + missed, 1);
+                let fitted = trace.fits_from_counts + trace.fits_from_plateau + trace.fits_selected;
+                prop_assert_eq!(fitted, 1, "refit (point {})", point);
                 prop_assert!(missed == 0 || (root_pick != 1 && refit.windows[j].raw_frame().is_some()));
                 let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
                 let diff = first_divergence(&refit, &run(&cond, scalar).unwrap(), &policy);
@@ -2960,7 +2972,10 @@ proptest! {
 /// below its `dmax` — every outer timestamp misses the inner ones by at
 /// least the same offset, so its `k` smallest distances tie and it has no
 /// exact rows — beside a two-valued window. The root is a table with no
-/// exceptions, painted by pattern, and equals the scalar oracle.
+/// exceptions, painted by pattern, and equals the scalar oracle. Through
+/// a session cache, a re-weight of that window whose fit count stays in
+/// the tie keeps the fit without a selection; one past it (or after a
+/// fit the counts answered) fits again — every step equal to the oracle.
 #[test]
 fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
     let n: usize = 50_000;
@@ -3011,6 +3026,7 @@ fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
         assert_eq!(fitted.below_plateau(), Some(&[][..]));
         let trace = fast.trace.as_ref().unwrap();
         assert_eq!((trace.roots_from_table, trace.table_exceptions), (1, 0));
+        let base = query.condition.clone().expect("a condition");
         let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
         session.set_display_policy(policy.clone()).unwrap();
         session.set_query(query).unwrap();
@@ -3018,6 +3034,46 @@ fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
         assert_eq!(session.take_paint(), Some(Paint::Patterns));
         let diff = cold_render_divergence(&session, &db, &policy, &picture);
         assert!(diff.is_none(), "{}", diff.unwrap());
+
+        // 16 667 rows tie at `dmax = 30`: fit counts 500, 1 667 and
+        // 10 000 land in the tie; 0.01 fits over every row (the counts),
+        // after which 1.0 selects again
+        let mut cache = PipelineCache::new();
+        let steps = [
+            (1.0, [1, 0, 1]), // cold: `a` from its counts, `f` selected
+            (0.3, [0, 1, 0]),
+            (0.05, [0, 1, 0]),
+            (0.01, [1, 0, 0]),
+            (1.0, [0, 0, 1]),
+        ];
+        for (weight, fits) in steps {
+            let mut moved = base.clone();
+            let ConditionNode::And(parts) = &mut moved.node else {
+                panic!("a conjunction");
+            };
+            parts[1].weight = weight;
+            let cached = PipelineOptions {
+                cache: Some(&mut cache),
+                trace: true,
+                ..Default::default()
+            };
+            let fast = run_pipeline(&db, table, &resolver, Some(&moved), &policy, cached).unwrap();
+            let scalar = PipelineOptions {
+                mode: ExecMode::Scalar,
+                ..Default::default()
+            };
+            let slow = run_pipeline(&db, table, &resolver, Some(&moved), &policy, scalar).unwrap();
+            let diff = first_divergence(&fast, &slow, &policy);
+            assert!(diff.is_none(), "weight {weight}: {}", diff.unwrap());
+            assert!(fast.combined.bits_eq(&slow.combined), "weight {weight}");
+            let trace = fast.trace.as_ref().unwrap();
+            let got = [
+                trace.fits_from_counts,
+                trace.fits_from_plateau,
+                trace.fits_selected,
+            ];
+            assert_eq!(got, fits, "a >= {threshold}, weight {weight}");
+        }
     }
 }
 

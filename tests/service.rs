@@ -539,6 +539,7 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "service.drag.declined",
         "pipeline.windows_refit",
         "pipeline.fit.from_counts",
+        "pipeline.fit.from_plateau",
         "pipeline.fit.selected",
         "pipeline.rank.from_counts",
         "pipeline.rank.selected",
@@ -658,6 +659,7 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
         let snap = service.metrics_snapshot();
         [
             "pipeline.fit.from_counts",
+            "pipeline.fit.from_plateau",
             "pipeline.fit.selected",
             "pipeline.rank.from_counts",
             "pipeline.rank.selected",
@@ -669,13 +671,13 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
     // for the conjunction cover both
     assert_eq!(
         run("SELECT * FROM T WHERE x >= 300 AND x BETWEEN 300 AND 500"),
-        [2, 0, 1, 0]
+        [2, 0, 0, 1, 0]
     );
     // 99 exact answers in one window and the conjunction do not (the
     // other window is served fitted from the session cache)
     assert_eq!(
         run("SELECT * FROM T WHERE x >= 301 AND x BETWEEN 300 AND 500"),
-        [2, 1, 1, 1]
+        [2, 0, 1, 1, 1]
     );
 }
 
