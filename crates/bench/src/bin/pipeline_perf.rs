@@ -17,13 +17,16 @@
 //! **reweight-vs-recompute** A/B (a re-weighted join window refitted
 //! from its cached raw frame vs evaluated again — median with min/p90),
 //! and an **exact-light arm** (`x >= 0.999 n`: fewer exact answers than
-//! the fit and the ranking ask for, so both run their selection walk —
-//! the acceptance workload's are answered from counts), and the
+//! the fit and the ranking ask for, so the ranking runs its selection
+//! walk and the fit one over the frame below the parallel threshold, or
+//! is answered from the column's byte sketch above it — the acceptance
+//! workload's are answered from counts), and the
 //! **3-window all-degenerate re-weight** (`reweight_3w_ms`: every fit
 //! `dmax = 0`, so the run reads packed exact bits and derives the root
 //! from its pattern table) with the bytes its result holds per row, and
 //! the bytes per row a window holds on each arm: its exact bits alone on
-//! the exact-heavy one, its raw frame on the exact-light one, and that
+//! the exact-heavy one, its raw frame on the exact-light one (its bits
+//! and the rows below its plateau where the sketch fitted it), and that
 //! re-weight through a **session and its render** (`session_reweight_3w_ms`:
 //! the held panel handed back) beside a selection's repaint by pattern
 //! (`session_repaint_3w_ms`).
@@ -110,9 +113,11 @@ struct SizeResult {
     phase_rank_ms: f64,
     /// The exact-light arm: `x >= 0.999 n` leaves 0.1 % exact answers —
     /// fewer than the `k` = 1 % the §5.2 fit and the ranking ask for, so
-    /// both take their selection walk, where the acceptance workload's
-    /// 10 % are answered from the distance walk's counts (asserted off
-    /// the trace on both arms). The run a session's recompute makes (median with its min and p90) and its per-phase
+    /// the ranking takes its selection walk and the fit is selected over
+    /// the frame — or, from the parallel threshold up, answered from the
+    /// column's byte sketch with no frame — where the acceptance
+    /// workload's 10 % are answered from the distance walk's counts
+    /// (asserted off the trace on both arms). The run a session's recompute makes (median with its min and p90) and its per-phase
     /// breakdown (distance / fit / normalize+combine / rank, ms).
     exact_light: Timed,
     exact_light_phase_ms: [f64; 4],
@@ -218,7 +223,9 @@ struct SizeResult {
     /// never wrote the raw frame.
     window_bytes_per_row: f64,
     /// Heap bytes per row the exact-light arm's window holds: the raw
-    /// frame (9) plus the exact bits its walk folded (1/8).
+    /// frame (9) plus the exact bits its walk folded (1/8) — or, from the
+    /// parallel threshold up, where the column's byte sketch fits it, the
+    /// bits plus the rows below its plateau with their distances.
     window_bytes_per_row_raw: f64,
     /// Heap bytes per row the re-weight's result holds: `combined` (its
     /// pattern table: 8 values and 8 counts, however many rows) plus
@@ -967,9 +974,11 @@ fn assert_slide_from_projection(db: &Arc<Database>, n: usize) {
 /// (at least the parallel threshold, where the pipeline asks for a
 /// column's byte sketch) has every compare-packed range served by the
 /// sketch, and at least one; a query over a NULL-bearing column packs
-/// from the column and reads no sketch. Both bit-identical to the scalar
-/// reference. One worker walks the ranges in order, so the ranges past
-/// the first are packed.
+/// from the column and reads no sketch; a sparse 2-window query, whose
+/// `x ≥ t` window keeps fewer exact answers than its fit count, is
+/// fitted from the sketch with no selection. All bit-identical to the
+/// scalar reference. One worker walks the ranges in order, so the ranges
+/// past the first are packed.
 fn assert_sketch_packs(n: usize) {
     assert!(
         n >= chunk::PAR_MIN_ROWS,
@@ -1014,7 +1023,19 @@ fn assert_sketch_packs(n: usize) {
             .cmp("d", CompareOp::Ge, 500.0)
             .build()
     };
-    for (what, query, sketched) in [("3 windows", three(), true), ("NULLs", nulls(), false)] {
+    // `a >= 999` keeps 0.1 % of the rows against a 1 % fit count: its fit
+    // comes from the sketch, no frame and no selection
+    let sparse = || {
+        QueryBuilder::from_tables(["W"])
+            .cmp("a", CompareOp::Ge, 999.0)
+            .cmp("b", CompareOp::Le, 700.0)
+            .build()
+    };
+    for (what, query, sketched, fitted) in [
+        ("3 windows", three(), true, 0),
+        ("NULLs", nulls(), false, 0),
+        ("sparse 2 windows", sparse(), true, 1),
+    ] {
         let fast = run(query.clone(), ExecMode::Vectorized);
         let slow = run(query, ExecMode::Scalar);
         assert_identical(&fast, &slow, n);
@@ -1023,6 +1044,8 @@ fn assert_sketch_packs(n: usize) {
         assert!(t.chunks_compare_packed > 0, "{what}, n={n}");
         let expect = if sketched { t.chunks_compare_packed } else { 0 };
         assert_eq!(t.chunks_sketch_packed, expect, "{what}, n={n}");
+        let fits = (t.windows_sketch_fitted, t.fits_selected);
+        assert_eq!(fits, (fitted, 0), "{what}, n={n}");
     }
 }
 
@@ -1214,31 +1237,43 @@ fn bench_size(n: usize) -> SizeResult {
     let slow_light = run_scalar(&db, table, cond_light);
     let (heavy, light) = (run_vectorized(cond, true), run_vectorized(cond_light, true));
     assert_identical(&light, &slow_light, n);
+    // from the parallel threshold up the ramp has a byte sketch, which
+    // answers the exact-light arm's fit with no frame
+    let sketched = n >= chunk::PAR_MIN_ROWS;
     let answered = |out: &PipelineOutput| {
         let t = out.trace.as_deref().expect("traced");
         (
             [t.fits_from_counts, t.ranks_from_counts],
-            [t.fits_selected, t.ranks_selected],
+            [t.fits_selected + t.windows_sketch_fitted, t.ranks_selected],
         )
     };
     assert_eq!(answered(&heavy), ([1, 1], [0, 0]), "exact-heavy arm, n={n}");
     assert_eq!(answered(&light), ([0, 0], [1, 1]), "exact-light arm, n={n}");
+    let fitted = light
+        .trace
+        .as_deref()
+        .expect("traced")
+        .windows_sketch_fitted;
+    assert_eq!(fitted, usize::from(sketched), "exact-light arm, n={n}");
     // the exact-heavy arm's window is its bits alone, the exact-light
-    // arm's its raw frame (and the bits its walk folded on the way)
+    // arm's its raw frame (and the bits its walk folded on the way) or,
+    // sketch-fitted, its bits and the rows below its plateau
     let bits_only = |out: &PipelineOutput| {
         let t = out.trace.as_deref().expect("traced");
         (out.windows[0].raw_frame().is_none(), t.windows_bits_only)
     };
     assert_eq!(bits_only(&heavy), (true, 1), "exact-heavy arm, n={n}");
-    assert_eq!(bits_only(&light), (false, 0), "exact-light arm, n={n}");
+    assert_eq!(bits_only(&light), (sketched, 0), "exact-light arm, n={n}");
     // the compare-and-pack route: the exact-light arm's count never
-    // reaches its fit count, so none of its ranges is packed; one worker
-    // walking `x >= 0.5 n` packs exactly the ranges that start once the
-    // exact answers before them cover it — at every size here longer
-    // than one range, at least the last one (smoke's 40 k rows are three
-    // ranges, and the exact half starts inside the second)
+    // reaches its fit count, so none of its ranges is packed — unless
+    // the sketch packs them all to fit it; one worker walking
+    // `x >= 0.5 n` packs exactly the ranges that start once the exact
+    // answers before them cover it — at every size here longer than one
+    // range, at least the last one (smoke's 40 k rows are three ranges,
+    // and the exact half starts inside the second)
     let packed = |out: &PipelineOutput| out.trace.as_deref().expect("traced").chunks_compare_packed;
-    assert_eq!(packed(&light), 0, "exact-light arm, n={n}");
+    let light_packed = if sketched { chunk::ranges(n).len() } else { 0 };
+    assert_eq!(packed(&light), light_packed, "exact-light arm, n={n}");
     let q_half = QueryBuilder::from_tables(["T"])
         .cmp("x", CompareOp::Ge, n as f64 * 0.5)
         .build();
@@ -1272,7 +1307,11 @@ fn bench_size(n: usize) -> SizeResult {
     let half = serial(q_half.condition.as_ref());
     assert_identical(&half, &run_scalar(&db, table, q_half.condition.as_ref()), n);
     assert_eq!(packed(&half), expect, "x >= 0.5 n, n={n}");
-    assert_eq!(packed(&serial(cond_light)), 0, "exact-light arm, n={n}");
+    assert_eq!(
+        packed(&serial(cond_light)),
+        light_packed,
+        "exact-light arm, n={n}"
+    );
     assert_slide_from_projection(&db, n);
     if n >= chunk::PAR_MIN_ROWS {
         assert_sketch_packs(n);

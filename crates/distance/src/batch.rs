@@ -419,8 +419,10 @@ fn pack_sketch<T: NativeNumeric, const GREATER: bool>(
 /// (above it for `GREATER`, below it otherwise) and the rows on it. A
 /// full word's compares fill two 64-byte arrays (the shape they
 /// vectorize to), folded to bits eight bytes at a time; a chunk's last,
-/// partial word is compared row by row.
-fn code_words<const GREATER: bool>(codes: &[u8], at: u8) -> (u64, u64) {
+/// partial word is compared row by row. Public for the scans that gather
+/// the rows of a span of codes (the OR of the two words is the rows at
+/// or past `at`).
+pub fn code_words<const GREATER: bool>(codes: &[u8], at: u8) -> (u64, u64) {
     use crate::lanes::{pack_word, WORD_ROWS};
     let past = |c: u8| if GREATER { c > at } else { c < at };
     let Ok(c64) = <&[u8; 64]>::try_from(codes) else {

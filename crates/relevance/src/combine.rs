@@ -28,7 +28,7 @@ use visdb_distance::lanes::{mask_word, select, unpack_word, ALL_VALID_WORD, WORD
 use visdb_types::{Error, Result};
 
 use crate::chunk;
-use crate::normalize::{apply_one, NormParams, NORM_MAX};
+use crate::normalize::{apply_one, BelowRows, NormParams, NORM_MAX};
 use crate::pipeline::{RootAcc, RootLanes};
 use crate::reference::or_row;
 use crate::select::rank_order;
@@ -81,6 +81,11 @@ pub(crate) enum Child<'a> {
     /// is `select(exact, 0.0, 255.0)` ([`TWO_VALUED`]) — read from its
     /// packed `(exact, defined)` bits.
     Bits(&'a PackedBits, Option<&'a PackedBits>),
+    /// A fitted window without its frame: the rows below its plateau with
+    /// their raw distances, normalized under its fit, and every other row
+    /// it defines (`None`: all) at `NORM_MAX`. Only a table root's
+    /// exceptions read one ([`and_row`]).
+    Below(&'a BelowRows, NormParams, Option<&'a PackedBits>),
 }
 
 /// The normalization of one two-valued window, by exact bit.
@@ -442,6 +447,7 @@ pub(crate) fn combine_and_blocks(
                         unpack_word(known.byte_at(rows.start))
                     })
                 }
+                Child::Below(..) => unreachable!("a walked root reads a fitted window's frame"),
             };
             match weights {
                 Some(weights) => {
@@ -489,6 +495,10 @@ pub(crate) fn and_row(children: &[Child<'_>], weights: Option<&[f64]>, row: usiz
             }
             Child::Bits(exact, known) => (
                 TWO_VALUED[exact.get(row) as usize],
+                known.is_none_or(|known| known.get(row)),
+            ),
+            Child::Below(below, params, known) => (
+                (below.raw_at(row as u32)).map_or(NORM_MAX, |d| apply_one(&params, d)),
                 known.is_none_or(|known| known.get(row)),
             ),
         };

@@ -26,7 +26,8 @@ use visdb_types::{DataType, Error, Result, TypeClass, Value};
 
 use crate::chunk;
 use crate::combine::{combine_and_frames, combine_or_frames};
-use crate::normalize::{fit_k, normalize_frame, NORM_MAX};
+use crate::normalize::{coded_past, fit_from_sketch, fit_k, normalize_frame, Fit, NORM_MAX};
+use crate::pipeline::table_takes_exceptions;
 use crate::reference;
 
 /// How distances are computed.
@@ -178,6 +179,10 @@ pub(crate) struct WindowEval {
     /// A subquery window whose inner condition entered the join as its
     /// exact bits ([`InnerCond`]).
     pub(crate) join_inner_bits: bool,
+    /// The §5.2 selection at the window's fit count, answered from the
+    /// column's byte sketch when the exact answers fell short of it
+    /// ([`fit_from_sketch`]); the window then has no frame.
+    pub(crate) fit: Option<Fit>,
 }
 
 /// One distance walk's per-range fill: rows `offset..offset + len` into
@@ -651,6 +656,9 @@ impl<'a> EvalContext<'a> {
         projections: Option<&RunProjections<'_>>,
     ) -> Result<WindowEval> {
         if let (ConditionNode::Predicate(p), Some(k)) = (node, k) {
+            if let Some(e) = self.sketch_window(p, k)? {
+                return Ok(e);
+            }
             let n = self.table.len();
             let sketched = AtomicUsize::new(0);
             let ((raw, stats, bits, packed), signed) =
@@ -667,6 +675,7 @@ impl<'a> EvalContext<'a> {
                 chunks_compare_packed: packed,
                 chunks_sketch_packed: sketched.into_inner(),
                 join_inner_bits: false,
+                fit: None,
             });
         }
         let (e, join_inner_bits) = match node {
@@ -684,7 +693,72 @@ impl<'a> EvalContext<'a> {
             chunks_compare_packed: 0,
             chunks_sketch_packed: 0,
             join_inner_bits,
+            fit: None,
         })
+    }
+
+    /// The arm of [`EvalContext::eval_window`] for an `x ≥ t` / `x ≤ t`
+    /// leaf over a column with a byte sketch ([`Self::sketch_for`]) whose
+    /// codes cannot prove that its exact answers cover its fit count `k`,
+    /// where a table root can take the rows below its plateau (`k` rows
+    /// at most, [`table_takes_exceptions`]): every range is
+    /// sketch-packed, which gives the bits and stats the frame would, and
+    /// when the exact answers fall short of `k` the fit is answered from
+    /// the sketch ([`fit_from_sketch`]) — no frame written, no selection
+    /// over one. `None` when the arm does not apply or a range declines
+    /// the pack (a `|d|` that overflows): the count-guarded walk serves
+    /// the window.
+    fn sketch_window(&self, p: &Predicate, k: usize) -> Result<Option<WindowEval>> {
+        let (col, dt, class, name) = self.column(&p.attr)?;
+        let cd = self.distance_for(&p.attr, dt, class);
+        let native = self.mode == ExecMode::Vectorized && col.numeric_slice().is_some();
+        let kernel = Self::kernel_for(&cd, &p.target).filter(|_| native);
+        let Some((kernel, sketch)) = kernel.and_then(|kr| Some((kr, self.sketch_for(&name, kr)?)))
+        else {
+            return Ok(None);
+        };
+        let NumericKernel::Compare(kind, Some(t)) = kernel else {
+            unreachable!("a sketch serves a comparison with a threshold")
+        };
+        let greater = kind == CompareKernel::Greater;
+        let n = self.table.len();
+        let (_, proven) = coded_past(sketch, (greater, t));
+        if proven >= k || !table_takes_exceptions(n, k) {
+            return Ok(None);
+        }
+        let served = AtomicUsize::new(0);
+        let sketched = Some((sketch, &served));
+        let packed = chunk::map_ranges(n, self.parallel(), |offset, len| {
+            self.pack_chunk(col, kernel, sketched, offset, len)
+        });
+        let Some(packed) = packed.into_iter().collect::<Option<Vec<PackedChunk>>>() else {
+            return Ok(None);
+        };
+        let mut stats = FrameStats::default();
+        let (mut exact, mut defined) = (PackedBits::with_capacity(n), PackedBits::with_capacity(n));
+        for (s, e, d) in &packed {
+            stats.merge(s);
+            exact.append(e);
+            defined.append(d);
+        }
+        let fit = (stats.zeros < k).then(|| {
+            let (greater_t, zeros, parallel) = ((greater, t), stats.zeros, self.parallel());
+            match col.numeric_slice().expect("a native numeric buffer").0 {
+                NumericSlice::F64(xs) => fit_from_sketch(xs, sketch, greater_t, zeros, k, parallel),
+                NumericSlice::I64(xs) => fit_from_sketch(xs, sketch, greater_t, zeros, k, parallel),
+            }
+        });
+        Ok(Some(WindowEval {
+            label: p.label(),
+            signed: cd.is_signed(),
+            raw: None,
+            stats,
+            bits: Some((exact, (stats.defined < n).then_some(defined))),
+            chunks_compare_packed: packed.len(),
+            chunks_sketch_packed: served.into_inner(),
+            join_inner_bits: false,
+            fit,
+        }))
     }
 
     fn eval_connection(&self, c: &ConnectionUse) -> Result<NodeEval> {

@@ -24,7 +24,9 @@ use visdb_query::ast::ConditionNode;
 use visdb_storage::{Database, Table};
 
 use crate::eval::{EvalContext, ExecMode};
-use crate::normalize::{counted_below, covered_by_exact, fit_frame_extended, fit_with_below};
+use crate::normalize::{
+    counted_below, covered_by_exact, fit_frame_extended, fit_with_below, params_from_max,
+};
 use crate::pipeline::PredicateWindow;
 
 /// What it takes, beside the stored window itself (which carries its
@@ -73,10 +75,13 @@ pub fn extension_recipe(ctx: &EvalContext<'_>, node: &ConditionNode) -> Option<W
 /// through the standard kernels, merge stats, refit, and append the
 /// delta's raw distances to the cached frame — and its exact bits to
 /// the window's packed ones, when those have been folded. A window kept
-/// as its bits alone grows its bits and stats, with no frame to append
-/// to. Returns `None` when the delta fails to evaluate, or when a
-/// bits-only window's merged exact answers no longer cover its fit — the
-/// caller then drops the entry and the next query re-evaluates in full.
+/// without its frame grows its bits and stats, with no frame to append
+/// to, and is kept only while its merged exact answers cover its fit: its
+/// fit is then `dmax = 0` with no row below the plateau, whatever it was.
+/// Returns `None` when the delta fails to evaluate, or when a window
+/// without its frame is not covered — a fitted one's rows below its
+/// plateau cannot be refit without the frame — and the caller then drops
+/// the entry and the next query re-evaluates in full.
 ///
 /// Shared caches only ever hold default-resolver evaluations (sessions
 /// with custom resolvers detach from them), so the delta pass uses a
@@ -117,11 +122,13 @@ pub fn extend_window(
     });
     let bits = Arc::new(ext_bits.map_or_else(OnceLock::new, OnceLock::from));
     let Some(raw) = win.raw_frame() else {
-        // the fit stays `dmax = 0` while the exact answers cover it
+        // the fit is `dmax = 0` while the exact answers cover it; a fitted
+        // window's rows below its plateau and their raw distances go
         return covered_by_exact(new_len, &merged, win.weight, recipe.budget).then(|| {
             PredicateWindow {
                 stats: merged,
                 bits,
+                norm_params: params_from_max(0.0),
                 below: counted_below(new_len, &merged, win.weight, recipe.budget),
                 tied: 0,
                 ..win.clone()
@@ -147,8 +154,15 @@ pub fn extend_window(
     .map(|(params, below)| (params, below, 0))
     .unwrap_or_else(|| {
         let budget = recipe.budget;
-        let (params, below, tied, _) =
-            fit_with_below(new_len, &merged, win.weight, budget, Some(&ext_raw), None);
+        let (params, below, tied, _) = fit_with_below(
+            new_len,
+            &merged,
+            win.weight,
+            budget,
+            Some(&ext_raw),
+            None,
+            None,
+        );
         (params, below, tied)
     });
     Some(PredicateWindow {

@@ -22,9 +22,13 @@
 
 use std::sync::Arc;
 
+use visdb_distance::batch::{code_words, NativeNumeric};
 use visdb_distance::frame::{DistanceFrame, FrameStats};
+use visdb_distance::numeric;
+use visdb_storage::ColumnSketch;
 
-use crate::{chunk, select};
+use crate::chunk;
+use crate::select::{self, rank_order};
 
 /// The fixed upper bound of normalized distances.
 pub const NORM_MAX: f64 = 255.0;
@@ -180,12 +184,58 @@ pub fn fit_frame(
 }
 
 /// The rows a fit with `dmax > 0` leaves below its plateau: the rows of
-/// its `k` smallest `|d|` strictly below `dmax`, in no particular order —
-/// fewer than `k`. With `dmin = 0` every other defined row normalizes to
-/// exactly [`NORM_MAX`] (`|d| / dmax >= 1`, or a non-finite `|d|`).
-/// `None` when the fit covers every defined row, whose values form no
-/// plateau.
-pub(crate) type Below = Option<Arc<[u32]>>;
+/// its `k` smallest `|d|` strictly below `dmax` — fewer than `k`. With
+/// `dmin = 0` every other defined row normalizes to exactly [`NORM_MAX`]
+/// (`|d| / dmax >= 1`, or a non-finite `|d|`).
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct BelowRows {
+    /// The rows: by row id where `raw` is kept, otherwise in no
+    /// particular order.
+    pub(crate) rows: Vec<u32>,
+    /// Each row's raw distance, in the order of `rows`: kept by a fitted
+    /// window without its frame ([`fit_from_sketch`]), empty otherwise.
+    pub(crate) raw: Vec<f64>,
+}
+
+impl BelowRows {
+    /// Row `row`'s raw distance, when it is listed with one.
+    pub(crate) fn raw_at(&self, row: u32) -> Option<f64> {
+        if self.raw.is_empty() {
+            return None;
+        }
+        let at = self.rows.binary_search(&row).ok()?;
+        Some(self.raw[at])
+    }
+
+    /// Heap bytes of the rows and their raw distances.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        4 * self.rows.len() + 8 * self.raw.len()
+    }
+
+    /// Whether fit count `k` lands in the tie of a fit that left these
+    /// rows below a plateau `tied` rows wide: its `k` smallest `|d|` are
+    /// these rows plus `k − |rows|` rows at exactly `dmax`.
+    fn in_tie(&self, tied: usize, k: usize) -> bool {
+        self.rows.len() < k && k <= self.rows.len() + tied
+    }
+}
+
+impl From<Vec<u32>> for BelowRows {
+    fn from(rows: Vec<u32>) -> Self {
+        BelowRows {
+            rows,
+            raw: Vec::new(),
+        }
+    }
+}
+
+/// What a fit leaves below its plateau ([`BelowRows`]). `None` when the
+/// fit covers every defined row, whose values form no plateau.
+pub(crate) type Below = Option<Arc<BelowRows>>;
+
+/// A fit, what it leaves below its plateau and how many defined rows tie
+/// at its `dmax` (see [`fit_selected`]).
+pub(crate) type Fit = (NormParams, Below, usize);
 
 /// What a fit [`fit_from_counts`] answered leaves below its plateau:
 /// nothing when it is over fewer than the defined rows (`dmax = 0`, or
@@ -198,7 +248,24 @@ pub(crate) fn counted_below(
     display_budget: usize,
 ) -> Below {
     let fits_fewer = fit_k(n, weight, display_budget).is_some_and(|k| k < stats.defined);
-    fits_fewer.then(|| Arc::from([]))
+    fits_fewer.then(Arc::default)
+}
+
+/// Whether [`fit_with_below`] refits a window that keeps no frame under
+/// `weight` without reading a row and leaves it a plateau: the counts
+/// answer over fewer than the defined rows, or the new fit count lands in
+/// the tie of the window's fit (`below`, `tied`).
+pub(crate) fn refits_without_rows(
+    n: usize,
+    stats: &FrameStats,
+    weight: f64,
+    display_budget: usize,
+    (below, tied): (&Below, usize),
+) -> bool {
+    match fit_from_counts(n, stats, weight, display_budget) {
+        Ok(_) => counted_below(n, stats, weight, display_budget).is_some(),
+        Err(k) => below.as_ref().is_some_and(|below| below.in_tie(tied, k)),
+    }
 }
 
 /// How [`fit_with_below`] came by a fit.
@@ -210,6 +277,9 @@ pub(crate) enum FitPath {
     /// in that fit's tie at `dmax`, so the fit and its rows below are
     /// the previous ones.
     Plateau,
+    /// The column's byte sketch answered the selection while the window
+    /// was evaluated ([`fit_from_sketch`]): no frame was written.
+    Sketch,
     /// A selection over the frame ([`fit_selected`]).
     Selected,
 }
@@ -226,7 +296,9 @@ pub(crate) enum FitPath {
 /// `|d|` under [`select::rank_order`] are `below` plus `k − |below|` rows
 /// at exactly `dmax`: the selection would return the same `dmax` and the
 /// same rows below it, so the previous fit is returned and no row is
-/// read.
+/// read. `sketched` is the selection at this very fit count that the
+/// window's evaluation answered from the column's sketch; it stands in
+/// for the frame's.
 pub(crate) fn fit_with_below(
     n: usize,
     stats: &FrameStats,
@@ -234,6 +306,7 @@ pub(crate) fn fit_with_below(
     display_budget: usize,
     frame: Option<&DistanceFrame>,
     prev: Option<(NormParams, &Below, usize)>,
+    sketched: Option<Fit>,
 ) -> (NormParams, Below, usize, FitPath) {
     let k = match fit_from_counts(n, stats, weight, display_budget) {
         Ok(params) => {
@@ -243,13 +316,21 @@ pub(crate) fn fit_with_below(
         Err(k) => k,
     };
     if let Some((params, Some(below), tied)) = prev {
-        if below.len() < k && k <= below.len() + tied {
+        if below.in_tie(tied, k) {
             return (params, Some(below.clone()), tied, FitPath::Plateau);
         }
     }
+    if let Some((params, below, tied)) = sketched {
+        return (params, below, tied, FitPath::Sketch);
+    }
     let frame = frame.expect("a fit that selects reads the frame");
     let (params, below, tied) = fit_selected(frame, k);
-    (params, Some(below.into()), tied, FitPath::Selected)
+    (
+        params,
+        Some(Arc::new(below.into())),
+        tied,
+        FitPath::Selected,
+    )
 }
 
 /// The selection arm of [`fit_frame`]: the fit over the `k` smallest
@@ -273,6 +354,126 @@ pub(crate) fn fit_selected(frame: &DistanceFrame, k: usize) -> (NormParams, Vec<
         .collect();
     let kth_is_dmax = params.dmax > 0.0 && smallest.iter().all(|c| c.0.is_finite());
     (params, below, if kth_is_dmax { tied } else { 0 })
+}
+
+/// The code of `t` in `sketch` and the rows coded past it — above it for
+/// `x ≥ t` (`greater`), below it for `x ≤ t`: exact answers whatever
+/// their values, so a lower bound on the window's exact answers.
+pub(crate) fn coded_past(sketch: &ColumnSketch, (greater, t): (bool, f64)) -> (usize, usize) {
+    let (at, counts) = (
+        sketch.bounds().partition_point(|&b| b <= t),
+        sketch.counts(),
+    );
+    let past = match greater {
+        true => counts[at + 1..].iter().sum(),
+        false => counts[..at].iter().sum(),
+    };
+    (at, past)
+}
+
+/// [`fit_selected`] of an `x ≥ t` (`greater`) / `x ≤ t` window over a
+/// column with a byte sketch, `zeros < k` of whose rows are exact
+/// answers, answered from the sketch and a few buckets of the column —
+/// no frame. Every row is defined (a sketched column has no NULL, NaN or
+/// ±inf), and the caller has checked that every `|d|` is finite (the
+/// sketch-packed stats' `max_abs`).
+///
+/// The fit needs the `k − zeros` nearest inexact rows. For `x ≥ t` those
+/// are the rows with the largest codes at or below `code(t)` — a code is
+/// monotone in `x`, and so is `|x − t|` below `t` — and the per-code
+/// counts ([`ColumnSketch::counts`]) name the farthest code `far` they
+/// reach: the threshold's bucket adds its inexact rows (its count less
+/// the exact answers the codes past it do not hold), every other code
+/// all of its rows. The rows coded from `far` to past the threshold —
+/// every exact answer and at least `k − zeros` candidates — are read, `d`
+/// computed with the kernel's own float op ([`numeric::greater_than`] /
+/// [`numeric::less_than`]), and the `(k − zeros)`-th smallest candidate
+/// `|d|` under [`select::rank_order`] is `dmax`. Every row with
+/// `|d| < dmax` is among them; but `x − t` can round rows of the codes
+/// past `far` to `dmax` too (integers past ±2^53, a large `t`), so the
+/// codes beyond it are read while their nearest possible `|d|` — the
+/// distance of the bound they lie beyond — does not exceed `dmax`, and
+/// their rows at `dmax` join the tie. `x ≤ t` is the mirror image.
+/// Returns `params_from_max(dmax)`, the rows below the plateau by row id
+/// with their raw `d`, and the tie count — what [`fit_selected`] returns
+/// over the frame.
+pub(crate) fn fit_from_sketch<T: NativeNumeric>(
+    xs: &[T],
+    sketch: &ColumnSketch,
+    (greater, t): (bool, f64),
+    zeros: usize,
+    k: usize,
+    parallel: bool,
+) -> Fit {
+    let (bounds, counts) = (sketch.bounds(), sketch.counts());
+    debug_assert!(zeros < k && k <= xs.len() && xs.len() == sketch.len());
+    let last = bounds.len();
+    let (at, past) = coded_past(sketch, (greater, t));
+    let d = |x: f64| match greater {
+        true => numeric::greater_than(x, t),
+        false => numeric::less_than(x, t),
+    };
+    let abs_d = |x: f64| d(x).expect("a sketched column has no NaN").abs();
+    // the next code out from the threshold's, and the nearest `|d|` a row
+    // of code `c` can have
+    let outward = |c: usize| match greater {
+        true => c.checked_sub(1),
+        false => (c < last).then_some(c + 1),
+    };
+    let nearest = |c: usize| abs_d(if greater { bounds[c] } else { bounds[c - 1] });
+    let need = k - zeros;
+    let (mut far, mut inexact) = (at, counts[at] - (zeros - past));
+    while inexact < need {
+        far = outward(far).expect("fewer than k rows are exact");
+        inexact += counts[far];
+    }
+    // the rows coded in `lo..=hi`, by row id, with their `d`
+    let coded = |lo: usize, hi: usize| -> Vec<(u32, f64)> {
+        let codes = sketch.codes();
+        let parts = chunk::map_ranges(xs.len(), parallel, |offset, len| {
+            let mut rows = Vec::new();
+            for (w, c64) in codes[offset..offset + len].chunks(64).enumerate() {
+                let (above, on_lo) = code_words::<true>(c64, lo as u8);
+                let (below, on_hi) = code_words::<false>(c64, hi as u8);
+                let mut word = (above | on_lo) & (below | on_hi);
+                while word != 0 {
+                    let row = offset + 64 * w + word.trailing_zeros() as usize;
+                    let x = xs[row].to_f64();
+                    rows.push((row as u32, d(x).expect("a sketched column has no NaN")));
+                    word &= word - 1;
+                }
+            }
+            rows
+        });
+        parts.concat()
+    };
+    let near = if greater {
+        coded(far, last)
+    } else {
+        coded(0, far)
+    };
+    let mut candidates: Vec<(f64, u32)> = (near.iter())
+        .filter(|c| c.1 != 0.0)
+        .map(|&(row, d)| (d.abs(), row))
+        .collect();
+    let (_, &mut (dmax, _), _) = candidates.select_nth_unstable_by(need - 1, rank_order);
+    let mut tail = far;
+    while let Some(c) = outward(tail).filter(|&c| nearest(c) <= dmax) {
+        tail = c;
+    }
+    let beyond = match (tail == far, greater) {
+        (true, _) => Vec::new(),
+        (false, true) => coded(tail, far - 1),
+        (false, false) => coded(far + 1, tail),
+    };
+    let at_dmax = |rows: &[(u32, f64)]| rows.iter().filter(|c| c.1.abs() == dmax).count();
+    let tied = at_dmax(&near) + at_dmax(&beyond);
+    let (rows, raw) = near.into_iter().filter(|c| c.1.abs() < dmax).unzip();
+    (
+        params_from_max(dmax),
+        Some(Arc::new(BelowRows { rows, raw })),
+        tied,
+    )
 }
 
 /// [`fit_frame`] of an appended frame *without the frame*: refit
@@ -463,6 +664,8 @@ pub fn apply_in_place(params: NormParams, vals: &mut [f64], mask: &[bool]) {
 mod tests {
     use super::*;
     use crate::reference::{fit_improved, normalize_improved, normalize_naive};
+    use visdb_storage::ColumnData;
+    use visdb_types::Value;
 
     /// Exhaustive cross of messy old/delta shapes: whenever the O(Δ)
     /// incremental refit answers, it must agree bit-for-bit with
@@ -501,22 +704,36 @@ mod tests {
                     for weight in [1.0f64, 0.3] {
                         let old = DistanceFrame::from_options(old_vals);
                         let old_stats = FrameStats::of_frame(&old);
-                        let (old_params, old_below, ..) =
-                            fit_with_below(old.len(), &old_stats, weight, budget, Some(&old), None);
+                        let (old_params, old_below, ..) = fit_with_below(
+                            old.len(),
+                            &old_stats,
+                            weight,
+                            budget,
+                            Some(&old),
+                            None,
+                            None,
+                        );
                         let delta = DistanceFrame::from_options(delta_vals);
                         let mut merged = old_stats;
                         merged.merge(&FrameStats::of_frame(&delta));
                         let ext = old.concat(&delta);
                         let full = fit_frame(&ext, &merged, weight, budget);
-                        let (_, full_below, ..) =
-                            fit_with_below(ext.len(), &merged, weight, budget, Some(&ext), None);
+                        let (_, full_below, ..) = fit_with_below(
+                            ext.len(),
+                            &merged,
+                            weight,
+                            budget,
+                            Some(&ext),
+                            None,
+                            None,
+                        );
                         assert_eq!(
                             full_below.is_some(),
                             fit_k(ext.len(), weight, budget).is_some_and(|k| k < merged.defined)
                         );
                         let sorted = |below: Below| {
                             below.map(|rows| {
-                                let mut rows = rows.to_vec();
+                                let mut rows = rows.rows.to_vec();
                                 rows.sort_unstable();
                                 rows
                             })
@@ -549,7 +766,7 @@ mod tests {
         let old = DistanceFrame::from_options(&old);
         let old_stats = FrameStats::of_frame(&old);
         let (old_params, old_below, ..) =
-            fit_with_below(old.len(), &old_stats, 1.0, 10, Some(&old), None);
+            fit_with_below(old.len(), &old_stats, 1.0, 10, Some(&old), None, None);
         let delta = DistanceFrame::from_options(&[Some(500.0), Some(-700.0)]);
         let mut merged = old_stats;
         merged.merge(&FrameStats::of_frame(&delta));
@@ -559,7 +776,7 @@ mod tests {
         // the rows below the plateau are the old ones: 0..9 of the 10
         // smallest
         assert_eq!(fast, (old_params, old_below));
-        let mut below = fast.1.expect("a fit over 10 of 100 rows").to_vec();
+        let mut below = fast.1.expect("a fit over 10 of 100 rows").rows.to_vec();
         below.sort_unstable();
         assert_eq!(below, (0..9).collect::<Vec<u32>>());
     }
@@ -596,8 +813,15 @@ mod tests {
             let frame = DistanceFrame::from_options(&values);
             let stats = FrameStats::of_frame(&frame);
             for (weight, budget) in [(1.0, 20), (0.5, 20), (0.1, 3), (1.0, 500), (0.0, 10)] {
-                let (params, below, ..) =
-                    fit_with_below(frame.len(), &stats, weight, budget, Some(&frame), None);
+                let (params, below, ..) = fit_with_below(
+                    frame.len(),
+                    &stats,
+                    weight,
+                    budget,
+                    Some(&frame),
+                    None,
+                    None,
+                );
                 assert_eq!(params, fit_frame(&frame, &stats, weight, budget));
                 let fits_fewer =
                     fit_k(frame.len(), weight, budget).is_some_and(|k| k < stats.defined);
@@ -609,8 +833,8 @@ mod tests {
                 let (Some(below), true) = (below, params.dmax > 0.0) else {
                     continue;
                 };
-                listed += below.len();
-                let mut below = below.to_vec();
+                listed += below.rows.len();
+                let mut below = below.rows.to_vec();
                 below.sort_unstable();
                 assert!(below.windows(2).all(|w| w[0] < w[1]));
                 for (i, d) in values.iter().enumerate() {
@@ -669,7 +893,7 @@ mod tests {
         ];
         let sorted = |below: &Below| {
             below.as_ref().map(|rows| {
-                let mut rows = rows.to_vec();
+                let mut rows = rows.rows.to_vec();
                 rows.sort_unstable();
                 rows
             })
@@ -680,7 +904,7 @@ mod tests {
             let (n, stats) = (frame.len(), FrameStats::of_frame(&frame));
             for k0 in [1, 5, 20, 50, 100, 119, 150, 199] {
                 let (params0, below0, tied0, path0) =
-                    fit_with_below(n, &stats, 1.0, k0, Some(&frame), None);
+                    fit_with_below(n, &stats, 1.0, k0, Some(&frame), None, None);
                 let finite_prefix = fit_k(n, 1.0, k0).is_some_and(|k| {
                     let mut abs: Vec<f64> = values.iter().flatten().map(|d| d.abs()).collect();
                     abs.sort_by(f64::total_cmp);
@@ -692,16 +916,16 @@ mod tests {
                 let prev = Some((params0, &below0, tied0));
                 for k in 1..n {
                     let (params, below, tied, path) =
-                        fit_with_below(n, &stats, 1.0, k, Some(&frame), prev);
+                        fit_with_below(n, &stats, 1.0, k, Some(&frame), prev, None);
                     let Err(kk) = fit_from_counts(n, &stats, 1.0, k) else {
                         assert_eq!(path, FitPath::Counts);
                         continue;
                     };
                     let (want, want_below, want_tied) = fit_selected(&frame, kk);
                     assert_eq!(params, want, "k0={k0} k={k}");
-                    assert_eq!(sorted(&below), sorted(&Some(want_below.into())));
+                    assert_eq!(sorted(&below), sorted(&Some(Arc::new(want_below.into()))));
                     assert_eq!(tied, want_tied, "k0={k0} k={k}");
-                    let rows_below = below0.as_ref().map_or(0, |rows| rows.len());
+                    let rows_below = below0.as_ref().map_or(0, |below| below.rows.len());
                     let in_tie = rows_below < kk && kk <= rows_below + tied0;
                     let may_keep = path0 == FitPath::Selected && tied0 > 0;
                     assert_eq!(
@@ -714,6 +938,153 @@ mod tests {
             }
         }
         assert!(kept > 0, "the refit never kept the fit");
+    }
+
+    /// [`fit_from_sketch`] at every fit count `k` of a strided range and at
+    /// every bucket edge the nearest `k − zeros` inexact rows can end on,
+    /// against [`fit_selected`] over the filled frame, for `x ≥ t` and
+    /// `x ≤ t`: the same params, the same rows below the plateau (by row
+    /// id, each with its raw `d`), the same tie count. Over hashed floats
+    /// with duplicates, a column whose zeros are a single-value bucket, and
+    /// integers past ±2^53 whose `x − t` rounds rows of many codes to one
+    /// `|d|`; `t` on a bound, between bounds, below every bound (code 0)
+    /// and above every bound (code 255). Returns whether some fit tied
+    /// with rows coded beyond the bucket its rows below end in (1) or not.
+    fn check_sketch_fit<T: NativeNumeric>(
+        xs: &[T],
+        value: impl Fn(T) -> Value,
+        ts: &[f64],
+    ) -> usize {
+        use visdb_distance::batch::{run_frame, CompareKernel, NumericKernel};
+        let mut col = ColumnData::new(value(xs[0]).data_type());
+        for &x in xs {
+            col.push(value(x)).unwrap();
+        }
+        let sketch = ColumnSketch::build(&col).expect("a finite column without NULLs");
+        let (n, bounds) = (xs.len(), sketch.bounds());
+        let mut ts = ts.to_vec();
+        ts.extend([
+            bounds[0],
+            bounds[bounds.len() / 2],
+            bounds[bounds.len() - 1],
+        ]);
+        let (mut fitted, mut beyond_far) = (0, 0);
+        for (greater, t) in ts.iter().flat_map(|&t| [(true, t), (false, t)]) {
+            let kind = if greater {
+                CompareKernel::Greater
+            } else {
+                CompareKernel::Less
+            };
+            let mut frame = DistanceFrame::undefined(n);
+            let stats = {
+                let (vals, mask) = frame.parts_mut();
+                run_frame(xs, None, NumericKernel::Compare(kind, Some(t)), vals, mask)
+            };
+            let zeros = stats.zeros;
+            // the edges of the buckets the nearest inexact rows fill, from
+            // the threshold's code outward
+            let (at, past) = coded_past(&sketch, (greater, t));
+            let counts = sketch.counts();
+            let exact_at = zeros - past;
+            let mut edge = zeros + counts[at] - exact_at;
+            let mut ks: Vec<usize> = (zeros + 1..n).step_by((n / 31).max(1)).collect();
+            for step in 1..=bounds.len().min(24) {
+                ks.extend([edge, edge + 1]);
+                let next = if greater {
+                    at.checked_sub(step)
+                } else {
+                    Some(at + step)
+                };
+                let Some(c) = next.filter(|&c| c <= bounds.len()) else {
+                    break;
+                };
+                edge += counts[c];
+            }
+            ks.retain(|&k| zeros < k && k < n);
+            ks.sort_unstable();
+            ks.dedup();
+            for k in ks {
+                let what = format!("greater {greater}, t {t}, k {k}");
+                let (params, below, tied) =
+                    fit_from_sketch(xs, &sketch, (greater, t), zeros, k, k % 2 == 0);
+                let (want, want_below, want_tied) = fit_selected(&frame, k);
+                assert_eq!((params, tied), (want, want_tied), "{what}");
+                let below = below.expect("a fit over fewer than the defined rows");
+                let mut want_below = want_below;
+                want_below.sort_unstable();
+                assert_eq!(below.rows, want_below, "{what}");
+                let raw: Vec<u64> = below
+                    .rows
+                    .iter()
+                    .map(|&r| frame.values()[r as usize].to_bits())
+                    .collect();
+                assert_eq!(
+                    below.raw.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                    raw,
+                    "{what}"
+                );
+                fitted += 1;
+                if beyond_far > 0 {
+                    continue;
+                }
+                // rows at `dmax` whose codes lie past the bucket the
+                // nearest `k − zeros` rows end in
+                let at_dmax = (0..n).filter(|&i| frame.values()[i].abs() == params.dmax);
+                let far_code = |i: usize| sketch.codes()[i];
+                let codes: Vec<u8> = below.rows.iter().map(|&r| far_code(r as usize)).collect();
+                let near_end = if greater {
+                    codes.iter().min()
+                } else {
+                    codes.iter().max()
+                };
+                beyond_far += usize::from(near_end.is_some_and(|&end| {
+                    at_dmax.into_iter().any(|i| {
+                        if greater {
+                            far_code(i) < end
+                        } else {
+                            far_code(i) > end
+                        }
+                    })
+                }));
+            }
+        }
+        assert!(fitted > 0);
+        beyond_far
+    }
+
+    #[test]
+    fn a_sketch_fit_is_the_selection_over_the_frame() {
+        let n = 2_000;
+        // hashed floats, each value about three times
+        let hashed: Vec<f64> = (0..n).map(|i| ((i * 7_919) % 1_009) as f64 / 4.0).collect();
+        check_sketch_fit(&hashed, Value::Float, &[100.0, 100.1, -1e3, 1e3]);
+        // 40 % zeros: the zeros are a bucket of their own
+        let popular: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 5 < 2 {
+                    0.0
+                } else {
+                    (i % 613) as f64 - 300.0
+                }
+            })
+            .collect();
+        check_sketch_fit(&popular, Value::Float, &[0.5, -0.5, 0.0, 1e-300]);
+        // integers past 2^54 (a widened value steps by 4) on both sides of
+        // zero; `x − t` against a threshold near ±2^62 rounds to steps of
+        // 1024, so rows of many codes share one `|d|`
+        let wide: Vec<i64> = (0..n as i64)
+            .map(|i| {
+                let offset = (i * 7_919) % 100_000 * 3;
+                if i % 2 == 0 {
+                    (1 << 54) + offset
+                } else {
+                    -(1 << 54) - offset
+                }
+            })
+            .collect();
+        let far = 2f64.powi(62);
+        let ties = check_sketch_fit(&wide, Value::Int, &[far, -far, 0.0, 2f64.powi(54) + 7.0]);
+        assert!(ties > 0, "no fit tied with rows beyond its farthest bucket");
     }
 
     #[test]

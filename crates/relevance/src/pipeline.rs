@@ -66,8 +66,8 @@ use crate::combine::{
 };
 use crate::eval::{EvalContext, RunProjections, WindowEval};
 use crate::normalize::{
-    apply_in_place, apply_slice, covered_by_exact, fit_k, fit_with_below, params_from_max, Below,
-    FitPath, NormParams, NORM_MAX,
+    apply_in_place, apply_slice, covered_by_exact, fit_k, fit_with_below, params_from_max,
+    refits_without_rows, Below, Fit, FitPath, NormParams, NORM_MAX,
 };
 use crate::quantile::display_fraction;
 use crate::reduction::gap_cutoff;
@@ -119,6 +119,16 @@ pub struct PipelineTrace {
     /// covered the fit count), or refitted to a fit they cover and their
     /// frame dropped.
     pub windows_bits_only: usize,
+    /// Of those evaluations, the `x ≥ t` / `x ≤ t` windows whose exact
+    /// answers fell short of their fit count and whose fit the column's
+    /// byte sketch answered ([`FitPath::Sketch`]): their bits, their stats
+    /// and the rows below their plateau with those rows' raw distances,
+    /// no frame written and no selection run. Not counted as left as bits.
+    pub windows_sketch_fitted: usize,
+    /// Fitted windows without their frame that a root no pattern table
+    /// takes (too many rows below the plateaus, more windows than a table
+    /// holds) evaluated again for their frame before its walk.
+    pub windows_reframed: usize,
     /// Of those evaluations, the `x ≥ t` / `x ≤ t` windows re-derived
     /// from the previous run's window over the same column in the same
     /// direction: its exact bits with the sorted projection's rows
@@ -256,8 +266,10 @@ impl DisplayPolicy {
 /// what a fit that selects, an `OR` root and the §5.1 two-sided display
 /// read. Or, when its exact answers cover its fit count (the fit is
 /// `dmax = 0`: two-valued) and the run reads it no other way, it is only
-/// its packed exact bits, 1/72 of the frame. Normalized distances are
-/// derived on read either way.
+/// its packed exact bits, 1/72 of the frame. Or, when the column's byte
+/// sketch answered its fit (`dmax > 0`), it is its bits plus the rows
+/// below its plateau with their raw distances — a *frameless fitted
+/// window*. Normalized distances are derived on read in every form.
 #[derive(Debug, Clone)]
 pub struct PredicateWindow {
     /// Window title.
@@ -286,10 +298,11 @@ pub struct PredicateWindow {
     pub norm_params: NormParams,
     /// What the fit leaves below its plateau ([`Below`]): under
     /// `dmax > 0`, the rows of its `k` smallest `|d|` strictly below
-    /// `dmax`, unordered — every other defined row normalizes to exactly
-    /// `NORM_MAX` — so a table root reads the window as its bits plus
-    /// these rows. `None` when the fit covers every defined row, or was
-    /// not taken by the vectorized fit.
+    /// `dmax` — every other defined row normalizes to exactly `NORM_MAX`
+    /// — so a table root reads the window as its bits plus these rows.
+    /// A window without its frame keeps each row's raw distance beside
+    /// it. `None` when the fit covers every defined row, or was not taken
+    /// by the vectorized fit.
     pub(crate) below: Below,
     /// Defined rows whose `|d|` is exactly the fit's `dmax`, when the fit
     /// selected over an all-finite prefix with `dmax > 0`; otherwise 0. A
@@ -355,15 +368,22 @@ impl PredicateWindow {
     /// identical float op the combine walk performs in registers. A
     /// window kept as its bits has the fit `dmax = 0`, under which that
     /// op maps an exact answer to 0 and every other defined row to 255:
-    /// read off the bits.
+    /// read off the bits. A fitted window without its frame applies the
+    /// op to the raw distance of a row below its plateau, and every other
+    /// row it defines is at `NORM_MAX`.
     pub fn normalized_at(&self, i: usize) -> Option<f64> {
         if let Some(raw) = &self.raw {
             return raw.get(i).map(|v| self.norm_params.apply(v.abs()));
         }
-        debug_assert_eq!(self.norm_params, params_from_max(0.0));
         let (exact, defined) = self.exact_bits();
         let known = i < exact.len() && defined.as_ref().is_none_or(|d| d.get(i));
-        known.then(|| TWO_VALUED[usize::from(exact.get(i))])
+        if !known || self.norm_params.dmax == 0.0 {
+            return known.then(|| TWO_VALUED[usize::from(exact.get(i))]);
+        }
+        let below =
+            (self.below.as_ref()).expect("a fitted window without its frame keeps its rows");
+        let raw = below.raw_at(i as u32);
+        Some(raw.map_or(NORM_MAX, |d| self.norm_params.apply(d.abs())))
     }
 
     /// Exact answers of this window (`raw == 0`) over the full relation
@@ -374,9 +394,9 @@ impl PredicateWindow {
         self.stats.zeros
     }
 
-    /// The raw frame; `None` for a window kept as its exact bits alone,
-    /// whose rows an evaluation of its condition re-derives
-    /// ([`EvalContext::eval_node`]).
+    /// The raw frame; `None` for a window kept as its exact bits (and the
+    /// rows below its plateau), whose rows an evaluation of its condition
+    /// re-derives ([`EvalContext::eval_node`]).
     pub fn raw_frame(&self) -> Option<&Arc<DistanceFrame>> {
         self.raw.as_ref()
     }
@@ -410,21 +430,22 @@ impl PredicateWindow {
         })
     }
 
-    /// The rows the fit leaves below its plateau, in no particular order,
-    /// when known (see the field `below`).
+    /// The rows the fit leaves below its plateau, when known (see the
+    /// field `below`): by row id in a window without its frame, otherwise
+    /// in no particular order.
     pub fn below_plateau(&self) -> Option<&[u32]> {
-        self.below.as_deref()
+        self.below.as_ref().map(|below| &below.rows[..])
     }
 
     /// Heap bytes the window holds: its raw frame, if any, plus its bits
-    /// once folded and the rows below its plateau — what it weighs in a
-    /// byte-budgeted cache.
+    /// once folded and the rows below its plateau with their raw
+    /// distances, if kept — what it weighs in a byte-budgeted cache.
     pub fn heap_bytes(&self) -> usize {
         let frame = self.raw.as_ref().map_or(0, |raw| raw.heap_bytes());
         let bits = self.bits.get().map_or(0, |(exact, defined)| {
             exact.heap_bytes() + defined.as_ref().map_or(0, PackedBits::heap_bytes)
         });
-        let below = self.below.as_ref().map_or(0, |rows| 4 * rows.len());
+        let below = self.below.as_ref().map_or(0, |below| below.heap_bytes());
         frame + bits + below
     }
 }
@@ -667,10 +688,18 @@ pub fn run_pipeline(
     let budget = ctx.display_budget;
     // a cached window serves this run when it has its frame, or when the
     // run may read its bits alone and they cover its fit under the run's
-    // weight; a window kept as its bits is a miss anywhere else
+    // weight, or — a fitted window without its frame — when the run may
+    // read its bits and its rows below the plateau and its fit stands
+    // under the run's weight or refits without reading a row; a window
+    // kept without its frame is a miss anywhere else
     let serves = |i: usize, win: &PredicateWindow| {
+        let weight = top[i].weight;
+        let fitted = || {
+            win.norm_params.dmax > 0.0
+                && refits_without_rows(n, &win.stats, weight, budget, (&win.below, win.tied))
+        };
         win.raw.is_some()
-            || (reads_bits[i] && covered_by_exact(n, &win.stats, top[i].weight, budget))
+            || (reads_bits[i] && (covered_by_exact(n, &win.stats, weight, budget) || fitted()))
     };
 
     // Every top-level window is looked up in the per-session incremental
@@ -725,6 +754,8 @@ pub fn run_pipeline(
     // distances, nothing else
     let mut windows: Vec<PredicateWindow> = Vec::with_capacity(top.len());
     let mut unfit: Vec<bool> = Vec::with_capacity(top.len());
+    // the fits the column sketch answered while evaluating, for the fit
+    let mut sketched: Vec<Option<Fit>> = vec![None; top.len()];
     let (mut windows_evaluated, mut evaluated_bits_only, mut compare_packed) = (0, 0, 0);
     let mut sketch_packed = 0;
     let (mut from_projection, mut join_inner_bits) = (0, 0);
@@ -743,11 +774,12 @@ pub fn run_pipeline(
                         slide::from_predecessor(&ctx, &w.node, k, cache, projections)
                     });
                     from_projection += usize::from(projected.is_some());
-                    let e = match projected {
+                    let mut e = match projected {
                         Some(e) => e,
                         None => ctx.eval_window(&w.node, k, run_projections.as_ref())?,
                     };
-                    evaluated_bits_only += usize::from(e.raw.is_none());
+                    sketched[i] = e.fit.take();
+                    evaluated_bits_only += usize::from(e.raw.is_none() && sketched[i].is_none());
                     compare_packed += e.chunks_compare_packed;
                     sketch_packed += e.chunks_sketch_packed;
                     join_inner_bits += usize::from(e.join_inner_bits);
@@ -769,7 +801,7 @@ pub fn run_pipeline(
         }
         ExecMode::Vectorized => {
             let fitted = (&mut windows[..], &unfit[..], &reads_bits[..]);
-            combine_vectorized(&ctx, cond, &top, fitted, &mut trace)
+            combine_vectorized(&ctx, cond, &top, fitted, sketched, &mut trace)?
         }
     };
 
@@ -1079,32 +1111,36 @@ fn finalize_combined(
 /// walked or written — the fitted children sit at `NORM_MAX` in the
 /// pattern values, and the rows below their plateaus, defined at the
 /// root, are its exceptions, each combined on its own ([`and_row`]).
-/// Any other root is walked ([`walk_root`]). A refitted window the run
-/// reads through its bits alone, whose exact answers now cover its fit,
-/// drops its raw frame like an evaluated one. Returns the final combined
-/// distances and the root counts.
+/// Any other root is walked ([`walk_root`]), after it has evaluated
+/// again the frame of every fitted child kept without one. A refitted
+/// window the run reads through its bits alone, whose exact answers now
+/// cover its fit, drops its raw frame like an evaluated one. `sketched`
+/// holds the fits the column sketch answered while the windows were
+/// evaluated. Returns the final combined distances and the root counts.
 fn combine_vectorized(
     ctx: &EvalContext<'_>,
     cond: &Weighted,
     top: &[&Weighted],
     (windows, unfit, reads_bits): (&mut [PredicateWindow], &[bool], &[bool]),
+    sketched: Vec<Option<Fit>>,
     trace: &mut Option<Box<PipelineTrace>>,
-) -> (Combined, RootAcc) {
+) -> Result<(Combined, RootAcc)> {
     let (n, budget) = (ctx.table.len(), ctx.display_budget);
     let weights: Vec<f64> = top.iter().map(|w| w.weight).collect();
     phase_time!((*trace), fit, {
         let fitted = (windows.iter_mut().zip(top))
-            .zip(unfit.iter().zip(reads_bits))
-            .filter(|(_, (&unfit, _))| unfit);
-        for ((win, w), (_, &reads_bits)) in fitted {
+            .zip(unfit.iter().zip(reads_bits).zip(sketched))
+            .filter(|(_, ((&unfit, _), _))| unfit);
+        for ((win, w), ((_, &reads_bits), sketched)) in fitted {
             let raw = win.raw_frame().map(|raw| &**raw);
             let prev = Some((win.norm_params, &win.below, win.tied));
             let (params, below, tied, path) =
-                fit_with_below(n, &win.stats, w.weight, budget, raw, prev);
+                fit_with_below(n, &win.stats, w.weight, budget, raw, prev, sketched);
             if let Some(t) = trace {
                 match path {
                     FitPath::Counts => t.fits_from_counts += 1,
                     FitPath::Plateau => t.fits_from_plateau += 1,
+                    FitPath::Sketch => t.windows_sketch_fitted += 1,
                     FitPath::Selected => t.fits_selected += 1,
                 }
             }
@@ -1128,31 +1164,44 @@ fn combine_vectorized(
         matches!(&cond.node, ConditionNode::And(_) | ConditionNode::Or(_)).then_some(weights);
 
     phase_time!((*trace), normalize_combine, {
-        // per window: its bits when the fit is two-valued (a root `OR`
-        // takes a `powf` per row of normalized values either way)
-        let windows = &*windows;
-        let bits: Vec<_> = (windows.iter())
-            .map(|win| {
-                let NormParams { dmin, dmax } = win.norm_params;
-                let two_valued = !or_root && dmin == 0.0 && dmax == 0.0;
-                let (exact, defined) = two_valued.then(|| win.exact_bits())?;
-                Some((exact, defined.as_ref()))
-            })
-            .collect();
-        let children_bits = bits.iter().flatten().count();
+        // per window: whether the fit is two-valued, read from its bits (a
+        // root `OR` takes a `powf` per row of normalized values either way)
+        let two_valued = |win: &PredicateWindow| {
+            let NormParams { dmin, dmax } = win.norm_params;
+            !or_root && dmin == 0.0 && dmax == 0.0
+        };
         // rows below the plateaus a table would combine one by one; `None`:
         // a child the table cannot read
-        let below: Option<usize> = (windows.iter().zip(&bits))
-            .map(|(win, bits)| match bits {
-                Some(_) => Some(0),
-                None if or_root => None,
-                None => win.below.as_ref().map(|rows| rows.len()),
+        let below: Option<usize> = (windows.iter())
+            .map(|win| match two_valued(win) {
+                true => Some(0),
+                false if or_root => None,
+                false => win.below.as_ref().map(|below| below.rows.len()),
             })
             .sum();
         let derived = windows.len() <= MAX_TABLE_CHILDREN
             && below.is_some_and(|rows| table_takes_exceptions(n, rows));
-        let children = root_children(windows, &bits);
         if !derived {
+            // a walk reads every fitted child's rows from its frame
+            for (win, w) in windows.iter_mut().zip(top) {
+                if win.raw.is_none() && !two_valued(win) {
+                    win.raw = Some(Arc::new(ctx.eval_node(&w.node)?.distances));
+                    if let Some(t) = trace {
+                        t.windows_reframed += 1;
+                    }
+                }
+            }
+        }
+        let windows = &*windows;
+        let bits: Vec<_> = (windows.iter())
+            .map(|win| {
+                let (exact, defined) = two_valued(win).then(|| win.exact_bits())?;
+                Some((exact, defined.as_ref()))
+            })
+            .collect();
+        let children = root_children(windows, &bits);
+        Ok(if !derived {
+            let children_bits = bits.iter().flatten().count();
             if let Some(t) = trace {
                 t.children_bits += children_bits;
                 t.children_raw += windows.len() - children_bits;
@@ -1166,7 +1215,7 @@ fn combine_vectorized(
                 t.table_exceptions += table.exceptions().len();
             }
             (Combined::Table(table), acc)
-        }
+        })
     })
 }
 
@@ -1187,7 +1236,11 @@ fn table_root(
         .filter(|(_, bits)| bits.is_none())
         .fold(0, |plateau, (c, _)| plateau | 1 << c);
     let mut rows: Vec<u32> = fitted()
-        .flat_map(|(win, _)| win.below.iter().flat_map(|rows| rows.iter().copied()))
+        .flat_map(|(win, _)| {
+            win.below
+                .iter()
+                .flat_map(|below| below.rows.iter().copied())
+        })
         .collect();
     rows.sort_unstable();
     rows.dedup();
@@ -1221,21 +1274,25 @@ pub fn table_takes_exceptions(n: usize, rows: usize) -> bool {
 }
 
 /// The root's children over whole frames: a two-valued window as its
-/// packed bits, any other as its raw distances, normalized in registers
-/// under its fit.
+/// packed bits, a fitted window without its frame as the rows below its
+/// plateau (which only a table root reads), any other as its raw
+/// distances, normalized in registers under its fit.
 fn root_children<'a>(
     windows: &'a [PredicateWindow],
     bits: &[Option<(&'a PackedBits, Option<&'a PackedBits>)>],
 ) -> Vec<Child<'a>> {
     (windows.iter().zip(bits))
-        .map(|(win, bits)| match *bits {
-            Some((exact, defined)) => Child::Bits(exact, defined),
-            None => {
-                let raw = win
-                    .raw_frame()
-                    .expect("a window read as rows keeps its frame");
+        .map(|(win, bits)| match (*bits, win.raw_frame()) {
+            (Some((exact, defined)), _) => Child::Bits(exact, defined),
+            (None, Some(raw)) => {
                 let mask = raw.validity().as_slice();
                 Child::Frame(raw.values(), mask, Some(win.norm_params))
+            }
+            (None, None) => {
+                let below = (win.below.as_deref())
+                    .expect("a fitted window without its frame keeps its rows");
+                let defined = win.exact_bits().1.as_ref();
+                Child::Below(below, win.norm_params, defined)
             }
         })
         .collect()

@@ -184,6 +184,7 @@ pub(crate) fn from_predecessor(
         chunks_compare_packed: 0,
         chunks_sketch_packed: 0,
         join_inner_bits: false,
+        fit: None,
     })
 }
 

@@ -159,6 +159,9 @@ pub struct TraceReport {
     /// and the column's sorted projection
     /// ([`PipelineTrace::windows_from_projection`]).
     pub windows_from_projection: usize,
+    /// Comparison windows fitted from the column's byte sketch, no frame
+    /// written ([`PipelineTrace::windows_sketch_fitted`]).
+    pub windows_sketch_fitted: usize,
     /// Subquery windows whose inner condition entered the join as its
     /// exact bits ([`PipelineTrace::join_inner_bits`]).
     pub join_inner_bits: usize,
@@ -183,6 +186,7 @@ impl From<&PipelineTrace> for TraceReport {
             chunks_compare_packed: t.chunks_compare_packed,
             chunks_sketch_packed: t.chunks_sketch_packed,
             windows_from_projection: t.windows_from_projection,
+            windows_sketch_fitted: t.windows_sketch_fitted,
             join_inner_bits: t.join_inner_bits,
             table_exceptions: t.table_exceptions,
         }
@@ -675,6 +679,7 @@ impl TraceReport {
                 "windows_from_projection",
                 self.windows_from_projection.into(),
             ),
+            ("windows_sketch_fitted", self.windows_sketch_fitted.into()),
             ("join_inner_bits", self.join_inner_bits.into()),
             ("table_exceptions", self.table_exceptions.into()),
         ])

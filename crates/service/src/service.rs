@@ -266,8 +266,13 @@ pub(crate) struct ServiceObs {
     /// sketch served, the column read only in the threshold's bucket; and
     /// `pipeline.windows.from_projection`: slid comparison windows
     /// re-derived from the previous run's window and the column's sorted
-    /// projection, the column not read.
-    run_counts: [Arc<Counter>; 13],
+    /// projection, the column not read; and
+    /// `pipeline.windows.sketch_fitted`: comparison windows whose exact
+    /// answers fell short of their fit count, fitted from the column's
+    /// byte sketch — no frame written, no selection run — and
+    /// `pipeline.windows.reframed`: such windows a root that had to be
+    /// walked evaluated again for their frame.
+    run_counts: [Arc<Counter>; 15],
     /// `service.drag.{fast,declined}`: drags the sorted-projection fast
     /// path served, and drags that fell back to a full pipeline run.
     drag_fast: Arc<Counter>,
@@ -328,6 +333,8 @@ impl ServiceObs {
                 "pipeline.chunks.compare_packed",
                 "pipeline.chunks.sketch_packed",
                 "pipeline.windows.from_projection",
+                "pipeline.windows.sketch_fitted",
+                "pipeline.windows.reframed",
             ]
             .map(|name| registry.counter(name)),
             drag_fast: registry.counter("service.drag.fast"),
@@ -391,6 +398,8 @@ impl ServiceObs {
             trace.chunks_compare_packed,
             trace.chunks_sketch_packed,
             trace.windows_from_projection,
+            trace.windows_sketch_fitted,
+            trace.windows_reframed,
         ];
         for (counter, count) in self.run_counts.iter().zip(counts) {
             counter.add(count as u64);
@@ -1114,8 +1123,10 @@ fn drain_mailbox(
                 };
                 // phase histograms must count each pipeline run once: a
                 // run happened iff this request left a result the session
-                // did not have (a fast-path drag drops the result and runs
-                // nothing, so it has no trace to report)
+                // did not have, or was a drag the fast path declined —
+                // it recomputes in place of the result it replaced (a
+                // fast-path drag drops the result and runs nothing, so it
+                // has no trace to report)
                 let fresh = state.session.cached_result().is_none();
                 state.session.set_cancel_token(token.clone());
                 let started = Instant::now();
@@ -1128,7 +1139,14 @@ fn drain_mailbox(
                     obs.record_paint(paint);
                 }
                 state.session.set_cancel_token(None);
-                if fresh {
+                let declined = matches!(
+                    response,
+                    Response::Drag {
+                        incremental: false,
+                        ..
+                    }
+                );
+                if fresh || declined {
                     if let Some(trace) = state.session.last_trace() {
                         obs.record_run(trace);
                     }

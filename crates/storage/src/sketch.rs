@@ -47,6 +47,9 @@ pub struct ColumnSketch {
     /// `(min, max)` of every [`CHUNK_ROWS`]-row chunk, the last one
     /// shorter.
     zones: Vec<(f64, f64)>,
+    /// Rows per code: a function of the column alone, so a scan finds
+    /// the bucket that holds its `k`-th nearest row in 256 steps.
+    counts: [usize; 256],
 }
 
 impl ColumnSketch {
@@ -91,6 +94,7 @@ impl ColumnSketch {
             bounds,
             codes: Vec::with_capacity(xs.len()),
             zones: Vec::with_capacity(xs.len().div_ceil(CHUNK_ROWS)),
+            counts: [0; 256],
         };
         sketch.extend_from(xs, widen).then_some(sketch)
     }
@@ -114,7 +118,7 @@ impl ColumnSketch {
         }
     }
 
-    /// Code and zone the rows of `xs` past the ones already coded.
+    /// Code, count and zone the rows of `xs` past the ones already coded.
     fn extend_from<T: Copy>(&mut self, xs: &[T], widen: impl Fn(T) -> f64 + Copy) -> bool {
         let from = self.codes.len();
         debug_assert!(xs.len() >= from, "a column only grows");
@@ -123,6 +127,9 @@ impl ColumnSketch {
         }
         let coder = Coder::new(&self.bounds);
         (self.codes).extend(xs[from..].iter().map(|&x| coder.code(widen(x))));
+        for &c in &self.codes[from..] {
+            self.counts[usize::from(c)] += 1;
+        }
         let first = from / CHUNK_ROWS;
         self.zones.truncate(first);
         for chunk in xs[first * CHUNK_ROWS..].chunks(CHUNK_ROWS) {
@@ -158,6 +165,11 @@ impl ColumnSketch {
     /// `(min, max)` per [`CHUNK_ROWS`]-row chunk.
     pub fn zones(&self) -> &[(f64, f64)] {
         &self.zones
+    }
+
+    /// Rows per code: entry `c` counts the rows whose code is `c`.
+    pub fn counts(&self) -> &[usize; 256] {
+        &self.counts
     }
 }
 
@@ -224,6 +236,14 @@ mod tests {
             })
             .collect();
         assert_eq!(sketch.zones(), &zones[..]);
+        assert_counted(sketch);
+    }
+
+    /// The per-code counts are a brute-force count of the codes.
+    fn assert_counted(sketch: &ColumnSketch) {
+        let mut counts = [0usize; 256];
+        sketch.codes().iter().for_each(|&c| counts[c as usize] += 1);
+        assert_eq!(sketch.counts(), &counts);
     }
 
     #[test]
@@ -235,8 +255,7 @@ mod tests {
         assert_consistent(&sketch, &xs);
         assert_eq!(sketch.bounds().len(), MAX_BOUNDS);
         // every code holds about 1/256 of the rows
-        let mut counts = [0usize; 256];
-        sketch.codes().iter().for_each(|&c| counts[c as usize] += 1);
+        let counts = sketch.counts();
         assert!(
             counts.iter().all(|&c| (200..600).contains(&c)),
             "{counts:?}"
@@ -303,7 +322,17 @@ mod tests {
             assert_eq!(sketch.bounds(), &bounds[..]);
             assert_consistent(&sketch, &xs);
         }
+        // an extension that fails leaves the codes and their counts as
+        // they were: a NULL row, then a NaN one
+        let before = sketch.clone();
         col.push(Value::Null).unwrap();
         assert!(!sketch.extend(&col));
+        assert_counted(&sketch);
+        assert_eq!(sketch, before);
+        let mut nan = float_column(xs.iter().copied());
+        nan.push(Value::Float(f64::NAN)).unwrap();
+        assert!(!sketch.extend(&nan));
+        assert_counted(&sketch);
+        assert_eq!(sketch, before);
     }
 }

@@ -731,3 +731,91 @@ fn a_reweight_after_an_append_counts_the_extended_tie() {
     // and that selection's own tie serves the next re-weight inside it
     assert_eq!(reweight(&live, id, 0.01), (reload(&all, 0.01), [1, 1]));
 }
+
+/// A fitted window without its frame across appends. Over 40 000
+/// NULL-free rows, `x >= 3990` has 100 exact answers for a fit count of
+/// 400, so its fit comes from the column's byte sketch: its bits and the
+/// 399 rows below its plateau (`dmax = 30`) with their distances, no
+/// frame. An append that leaves it short of 400 exact answers drops it
+/// from the shared cache — its rows below the plateau cannot be refit
+/// without the frame — and the re-ask evaluates it again. One that covers
+/// the fit count — rows below `dmax` (350 exact, 5 at 10), at it and
+/// above it — keeps it as its bits alone, under the fit `dmax = 0` with
+/// no row below a plateau. Every reply equals a service loaded with all
+/// the rows.
+#[test]
+fn a_frameless_fitted_window_extends_only_when_covered_and_matches_a_reload() {
+    let base: Vec<(f64, u8)> = (0..40_000)
+        .map(|i| (((i * 37) % 40_000) as f64 / 10.0, 5))
+        .collect();
+    let query = "SELECT * FROM T WHERE x >= 3990 AND x >= 0";
+    let open = |service: &Service| {
+        let id = service.create_session("d").unwrap();
+        // a budget that does not grow with the rows keeps the window keys
+        let policy = DisplayPolicy::FitScreen {
+            pixels: 400,
+            pixels_per_item: 1,
+        };
+        service
+            .submit(id, Request::SetDisplayPolicy(policy))
+            .unwrap();
+        service
+            .submit(id, Request::SetQueryText(query.into()))
+            .unwrap();
+        id
+    };
+    let ask = |service: &Service, id: SessionId| {
+        [
+            Request::Summary { trace: false },
+            Request::Render(RenderFormat::Ascii),
+            Request::Render(RenderFormat::Ppm),
+        ]
+        .map(|req| service.submit(id, req).unwrap())
+    };
+    let trace_of = |service: &Service, id: SessionId| match service
+        .submit(id, Request::Summary { trace: true })
+        .unwrap()
+    {
+        Response::Summary(summary) => summary.trace.expect("trace requested"),
+        other => panic!("unexpected {other:?}"),
+    };
+    let config = || ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    };
+    let live = Service::new(config());
+    live.register_dataset("d", Arc::new(messy_db(&base)), ConnectionRegistry::new());
+    let id = open(&live);
+    ask(&live, id);
+    let trace = trace_of(&live, id);
+    assert_eq!(
+        (trace.windows_sketch_fitted, trace.table_exceptions),
+        (1, 399)
+    );
+    let mut all = base.clone();
+    let short: Vec<(f64, u8)> = [3995.0, 3980.0, 3960.0, 10.0].map(|x| (x, 5)).to_vec();
+    let covering: Vec<(f64, u8)> = (std::iter::repeat_n(3995.0, 350))
+        .chain([3980.0; 5])
+        .chain([3960.0, 3960.0, 10.0, -5.0])
+        .map(|x| (x, 5))
+        .collect();
+    // (what, delta, windows extended, sketch-fitted on the re-ask)
+    for (what, delta, extended, fitted) in [
+        ("short of the fit count: dropped", short, 1, 1),
+        ("covering it: kept as bits", covering, 2, 0),
+    ] {
+        let rows: Vec<Vec<Value>> = (delta.iter().enumerate())
+            .map(|(j, &(v, tag))| messy_row(all.len() + j, v, tag))
+            .collect();
+        all.extend_from_slice(&delta);
+        let outcome = live.append_rows("d", None, rows).unwrap();
+        assert_eq!(outcome.windows_extended, extended, "{what}");
+        let fresh = Service::new(config());
+        fresh.register_dataset("d", Arc::new(messy_db(&all)), ConnectionRegistry::new());
+        let replay = open(&fresh);
+        assert_eq!(ask(&live, id), ask(&fresh, replay), "{what}");
+        let trace = trace_of(&live, id);
+        assert_eq!(trace.windows_evaluated, 2 - extended, "{what}: {trace:?}");
+        assert_eq!(trace.windows_sketch_fitted, fitted, "{what}");
+    }
+}

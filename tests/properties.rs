@@ -2972,10 +2972,12 @@ proptest! {
 /// below its `dmax` — every outer timestamp misses the inner ones by at
 /// least the same offset, so its `k` smallest distances tie and it has no
 /// exact rows — beside a two-valued window. The root is a table with no
-/// exceptions, painted by pattern, and equals the scalar oracle. Through
-/// a session cache, a re-weight of that window whose fit count stays in
-/// the tie keeps the fit without a selection; one past it (or after a
-/// fit the counts answered) fits again — every step equal to the oracle.
+/// exceptions, painted by pattern, and equals the scalar oracle. Its cold
+/// fit comes from the column's byte sketch, no frame written. Through a
+/// session cache, a re-weight of that window whose fit count stays in
+/// the tie keeps the fit without a selection; one the counts answer over
+/// every row evaluates the window again for its frame, and the next one
+/// past the tie selects over it — every step equal to the oracle.
 #[test]
 fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
     let n: usize = 50_000;
@@ -3036,15 +3038,16 @@ fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
         assert!(diff.is_none(), "{}", diff.unwrap());
 
         // 16 667 rows tie at `dmax = 30`: fit counts 500, 1 667 and
-        // 10 000 land in the tie; 0.01 fits over every row (the counts),
-        // after which 1.0 selects again
+        // 10 000 land in the tie; 0.01 fits over every row (the counts,
+        // over a frame evaluated again), after which 1.0 selects again;
+        // counts, plateau, sketch, selected
         let mut cache = PipelineCache::new();
         let steps = [
-            (1.0, [1, 0, 1]), // cold: `a` from its counts, `f` selected
-            (0.3, [0, 1, 0]),
-            (0.05, [0, 1, 0]),
-            (0.01, [1, 0, 0]),
-            (1.0, [0, 0, 1]),
+            (1.0, [1, 0, 1, 0]), // cold: `a` from its counts, `f` sketched
+            (0.3, [0, 1, 0, 0]),
+            (0.05, [0, 1, 0, 0]),
+            (0.01, [1, 0, 0, 0]),
+            (1.0, [0, 0, 0, 1]),
         ];
         for (weight, fits) in steps {
             let mut moved = base.clone();
@@ -3070,6 +3073,7 @@ fn a_fitted_window_all_on_its_plateau_adds_no_table_exceptions() {
             let got = [
                 trace.fits_from_counts,
                 trace.fits_from_plateau,
+                trace.windows_sketch_fitted,
                 trace.fits_selected,
             ];
             assert_eq!(got, fits, "a >= {threshold}, weight {weight}");
@@ -3519,5 +3523,240 @@ fn a_slide_re_derives_up_to_half_the_rows_and_walks_past_them() {
             from_projection == 1,
             "step {step}"
         );
+    }
+}
+
+/// `n` rows over a scattered rank (`rank = i · 1_000_003 mod n`), NULL-,
+/// NaN- and `±inf`-free, so every column has a byte sketch: `x` one of
+/// 997 integral values, a fifth of the rows on the popular `990`; `y`
+/// one of 1 009 quarter steps from `-100`; `big` integers past 2^54 (a
+/// widened value steps by 4), whose `x − t` against a threshold near 2^62
+/// rounds the rows of many codes to one `|d|`; `key` the rank, the outer
+/// column of a §4.4 join with the 200-row `I(k2, v)`.
+fn sketch_table(n: usize) -> Database {
+    let cols = vec![
+        Column::new("x", DataType::Float),
+        Column::new("y", DataType::Float),
+        Column::new("big", DataType::Int),
+        Column::new("key", DataType::Float),
+    ];
+    let mut t = TableBuilder::new("T", cols);
+    for i in 0..n {
+        let rank = i * 1_000_003 % n;
+        let x = if rank.is_multiple_of(5) {
+            990.0
+        } else {
+            (rank % 997) as f64
+        };
+        let y = (rank * 7 % 1_009) as f64 * 0.25 - 100.0;
+        let big = (1i64 << 54) + (rank % 4_099) as i64 * 3;
+        let row = vec![
+            Value::Float(x),
+            Value::Float(y),
+            Value::Int(big),
+            Value::Float(rank as f64),
+        ];
+        t = t.row(row).unwrap();
+    }
+    let mut inner = TableBuilder::new(
+        "I",
+        vec![
+            Column::new("k2", DataType::Float),
+            Column::new("v", DataType::Float),
+        ],
+    );
+    for j in 0..200 {
+        let row = vec![Value::Float((j * 9_973 % n) as f64), Value::Float(j as f64)];
+        inner = inner.row(row).unwrap();
+    }
+    let mut db = Database::new("d");
+    db.add_table(t.build());
+    db.add_table(inner.build());
+    db
+}
+
+/// The first divergence of a session's result from the scalar oracle's
+/// run of the session's query, or of its panel from a cold session's.
+fn session_divergence(
+    session: &mut Session,
+    db: &Arc<Database>,
+    policy: &DisplayPolicy,
+) -> Option<String> {
+    let picture = render_session(session, &RenderOptions::default()).unwrap();
+    if let Some(diff) = cold_render_divergence(session, db, policy, &picture) {
+        return Some(diff.into());
+    }
+    let cond = session.query().unwrap().condition.clone();
+    let scalar = PipelineOptions {
+        mode: ExecMode::Scalar,
+        ..Default::default()
+    };
+    let t = db.table("T").unwrap();
+    let slow = run_pipeline(
+        db,
+        t,
+        &DistanceResolver::new(),
+        cond.as_ref(),
+        policy,
+        scalar,
+    )
+    .unwrap();
+    let fast = &session.result().unwrap().pipeline;
+    match first_divergence(fast, &slow, policy) {
+        None if !fast.combined.bits_eq(&slow.combined) => Some("combined bits diverge".into()),
+        diff => diff,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A comparison window whose exact answers fall short of its fit
+    /// count is fitted from the column's byte sketch — no frame, no
+    /// selection — and stays byte-identical to the scalar oracle: `x ≥ t`
+    /// with `t` on a value and between values, on the popular value's
+    /// plateau (a fifth of the rows tie at `dmax`), `y ≤ t`, integers past
+    /// 2^54 against `t = 2^62` (rows of many codes round to `dmax`); as a
+    /// single window, under 2- and 3-window `AND` roots (a pattern table
+    /// with the rows below the plateaus as exceptions) and beside a §4.4
+    /// join. Two fitted children whose rows below their plateaus are too
+    /// many for a table force a walked root, which evaluates both again
+    /// for their frames. Through a session: slides of both windows and
+    /// re-weights whose fit count lands in the tie (the plateau answers,
+    /// the window served without its frame) and past it (the sketch
+    /// answers again); after every step the result equals the oracle's
+    /// and the panel — pixels, ASCII and PPM bytes — a cold session's.
+    #[test]
+    fn sketch_fitted_windows_match_the_oracle_above_the_parallel_threshold(
+        n in 40_000usize..56_000,
+        pct in 0.6f64..1.2,
+        pick in 0usize..4,
+    ) {
+        let db = Arc::new(sketch_table(n));
+        let t = db.table("T").unwrap();
+        let resolver = DistanceResolver::new();
+        let pred = |attr: &str, op: CompareOp, v: f64| {
+            Weighted::unit(ConditionNode::Predicate(Predicate::compare(AttrRef::new(attr), op, v)))
+        };
+        let and = |children: Vec<Weighted>| Weighted::unit(ConditionNode::And(children));
+        let (on_value, between) = (996.0 - pick as f64, 996.5 - pick as f64);
+        let y_at = -100.0 + 0.25 * pick as f64;
+        let big = pred("big", CompareOp::Ge, 2f64.powi(62));
+        let join = {
+            let sub = QueryBuilder::from_tables(["I"]).cmp("v", CompareOp::Ge, 150.0).build();
+            let q = QueryBuilder::from_tables(["T"])
+                .cmp("x", CompareOp::Ge, on_value)
+                .is_in("key", "k2", sub)
+                .build();
+            q.condition.unwrap()
+        };
+        let shapes = [
+            ("on a value", pred("x", CompareOp::Ge, on_value)),
+            ("between values", pred("x", CompareOp::Ge, between)),
+            ("popular", pred("x", CompareOp::Ge, 990.5)),
+            ("two", and(vec![pred("x", CompareOp::Ge, between), pred("y", CompareOp::Le, y_at)])),
+            ("three", and(vec![pred("x", CompareOp::Ge, 990.5), pred("y", CompareOp::Le, y_at), big.clone()])),
+            ("join", join),
+        ];
+        let policy = DisplayPolicy::Percentage(pct);
+        for (what, cond) in &shapes {
+            let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+            let slow = run_pipeline(&db, t, &resolver, Some(cond), &policy, scalar).unwrap();
+            let traced = PipelineOptions { trace: true, ..Default::default() };
+            let fast = run_pipeline(&db, t, &resolver, Some(cond), &policy, traced).unwrap();
+            let diff = first_divergence(&fast, &slow, &policy);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+            prop_assert!(fast.combined.bits_eq(&slow.combined), "{}", what);
+            let trace = fast.trace.as_ref().unwrap();
+            let comparisons = fast.windows.len() - usize::from(*what == "join");
+            prop_assert_eq!(trace.windows_sketch_fitted, comparisons, "{}", what);
+            prop_assert_eq!(trace.windows_reframed, 0, "{}", what);
+            prop_assert_eq!(trace.roots_from_table, 1, "{}", what);
+            if *what != "join" {
+                prop_assert_eq!(trace.fits_selected, 0, "{}", what);
+            }
+            prop_assert!(fast.windows[0].raw_frame().is_none(), "{}", what);
+        }
+        // at 5 % of the rows, two fitted children leave too many rows
+        // below their plateaus for a table: the walk reads their frames
+        let wide = DisplayPolicy::Percentage(5.0);
+        let cond = &and(vec![pred("y", CompareOp::Le, y_at), pred("y", CompareOp::Ge, 151.5)]);
+        let scalar = PipelineOptions { mode: ExecMode::Scalar, ..Default::default() };
+        let slow = run_pipeline(&db, t, &resolver, Some(cond), &wide, scalar).unwrap();
+        let traced = PipelineOptions { trace: true, ..Default::default() };
+        let fast = run_pipeline(&db, t, &resolver, Some(cond), &wide, traced).unwrap();
+        let diff = first_divergence(&fast, &slow, &wide);
+        prop_assert!(diff.is_none(), "walked: {}", diff.unwrap());
+        let trace = fast.trace.as_ref().unwrap();
+        let walk = (trace.windows_sketch_fitted, trace.windows_reframed, trace.roots_from_table);
+        prop_assert_eq!(walk, (2, 2, 0));
+
+        // a session over `x ≥ t AND y ≤ t AND big ≥ 2^62`
+        let query = QueryBuilder::from_tables(["T"])
+            .cmp("x", CompareOp::Ge, between)
+            .cmp("y", CompareOp::Le, y_at)
+            .cmp("big", CompareOp::Ge, 2f64.powi(62))
+            .build();
+        let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+        session.set_collect_trace(true);
+        session.set_display_policy(policy.clone()).unwrap();
+        session.set_query(query).unwrap();
+        let budget = policy.budget(n);
+        // the rows below window 0's plateau and those tied at its `dmax`
+        let tie = |session: &mut Session| {
+            let raw = session.raw_distances(0).unwrap();
+            let dmax = session.result().unwrap().pipeline.windows[0].norm_params.dmax;
+            let below = raw.iter().flatten().filter(|d| d.abs() < dmax).count();
+            let tied = raw.iter().flatten().filter(|d| d.abs() == dmax).count();
+            (below, tied)
+        };
+        let steps: [(&str, usize, f64); 6] = [
+            ("cold", 0, 0.0),
+            ("slide x onto a value", 0, on_value),
+            ("slide y", 1, y_at + 0.25),
+            ("slide x onto the popular plateau", 0, 990.5),
+            ("re-weight in the tie", 0, -1.0),
+            ("re-weight past the tie", 0, -2.0),
+        ];
+        for (what, window, value) in steps {
+            let mut expect = None;
+            match (what, value) {
+                ("cold", _) => {}
+                (_, v) if v == -1.0 || v == -2.0 => {
+                    let (below, tied) = tie(&mut session);
+                    // on the popular plateau, a fifth of the rows tie
+                    prop_assert!(tied >= 2 && below + tied - 1 > budget, "{}", what);
+                    let k = if value == -1.0 { below + tied - 1 } else { below + tied + 1 + budget / 2 };
+                    let weight = budget as f64 / k as f64;
+                    session.set_weight(window, weight).unwrap();
+                    // past the tie the window is evaluated again: through
+                    // the sketch while a table can take its rows
+                    let k = visdb::relevance::normalize::fit_k(n, weight, budget).unwrap();
+                    expect = Some((value == -1.0, visdb::relevance::table_takes_exceptions(n, k)));
+                }
+                _ => {
+                    let target = PredicateTarget::Compare {
+                        op: if window == 0 { CompareOp::Ge } else { CompareOp::Le },
+                        value: Value::Float(value),
+                    };
+                    session.set_predicate_target(window, target).unwrap();
+                }
+            }
+            let diff = session_divergence(&mut session, &db, &policy);
+            prop_assert!(diff.is_none(), "{}: {}", what, diff.unwrap());
+            let res = session.result().unwrap();
+            let trace = res.pipeline.trace.as_deref().unwrap();
+            let counts = (trace.windows_evaluated, trace.fits_from_plateau, trace.windows_sketch_fitted);
+            match expect {
+                // the window is served without its frame: no evaluation
+                Some((true, _)) => prop_assert_eq!(counts, (0, 1, 0), "{}", what),
+                Some((false, sketched)) => {
+                    prop_assert_eq!(counts, (1, 0, usize::from(sketched)), "{}", what)
+                }
+                // every slide at weight 1 re-evaluates its window
+                None if what == "cold" => prop_assert_eq!(counts, (3, 0, 3), "{}", what),
+                None => prop_assert_eq!(counts, (1, 0, 1), "{}", what),
+            }
+        }
     }
 }

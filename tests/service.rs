@@ -550,6 +550,8 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "pipeline.windows.bits_only",
         "pipeline.chunks.compare_packed",
         "pipeline.windows.from_projection",
+        "pipeline.windows.sketch_fitted",
+        "pipeline.windows.reframed",
         "render.panel.held",
         "render.panel.by_pattern",
         "render.panel.by_row",
@@ -663,6 +665,7 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
             "pipeline.fit.selected",
             "pipeline.rank.from_counts",
             "pipeline.rank.selected",
+            "pipeline.windows.sketch_fitted",
         ]
         .map(|name| snap.counter(name).unwrap())
     };
@@ -671,13 +674,14 @@ fn fits_and_ranks_answered_from_counts_are_counted_on_the_registry() {
     // for the conjunction cover both
     assert_eq!(
         run("SELECT * FROM T WHERE x >= 300 AND x BETWEEN 300 AND 500"),
-        [2, 0, 0, 1, 0]
+        [2, 0, 0, 1, 0, 0]
     );
     // 99 exact answers in one window and the conjunction do not (the
-    // other window is served fitted from the session cache)
+    // other window is served fitted from the session cache); 400 rows
+    // are too few for a byte sketch, so the fit selects
     assert_eq!(
         run("SELECT * FROM T WHERE x >= 301 AND x BETWEEN 300 AND 500"),
-        [2, 0, 1, 1, 1]
+        [2, 0, 1, 1, 1, 0]
     );
 }
 
@@ -783,7 +787,8 @@ fn bits_only_windows_are_counted_on_the_registry() {
 /// 16 384-row ranges per window) reaches each window's fit count in its
 /// first ranges, so later ranges are folded straight from the column; an
 /// exact-light `x >= 0.999 n` window never reaches its count, so every
-/// range is filled and copied.
+/// range is packed from the column's byte sketch and the fit is answered
+/// from it too, no frame written.
 #[test]
 fn compare_packed_chunks_are_counted_on_the_registry_and_the_trace() {
     let service = Service::new(ServiceConfig {
@@ -823,11 +828,12 @@ fn compare_packed_chunks_are_counted_on_the_registry_and_the_trace() {
     assert_eq!((trace.windows_evaluated, trace.windows_bits_only), (3, 3));
     let light = format!("SELECT * FROM T WHERE x >= {}", n as f64 * 0.999);
     let (packed, trace) = run("ramp", light);
-    assert_eq!(packed, 0);
+    assert_eq!(packed, n.div_ceil(16_384) as u64);
     assert_eq!(
         (trace.chunks_compare_packed, trace.windows_bits_only),
-        (0, 0)
+        (5, 0)
     );
+    assert_eq!(trace.windows_sketch_fitted, 1);
 }
 
 /// Which inner path a §4.4 join took is readable off the wire trace. A
@@ -1116,6 +1122,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "chunks_compare_packed",
         "chunks_sketch_packed",
         "windows_from_projection",
+        "windows_sketch_fitted",
         "join_inner_bits",
         "table_exceptions",
     ] {
@@ -1141,6 +1148,7 @@ fn metrics_op_round_trips_over_the_wire() {
         "pipeline.phase.distance",
         "pipeline.chunks.compare_packed",
         "pipeline.chunks.sketch_packed",
+        "pipeline.windows.sketch_fitted",
     ] {
         assert!(metrics.get(key).is_some(), "snapshot missing {key}");
     }
@@ -1174,11 +1182,12 @@ fn wide_band_drags_agree_with_the_pipeline_over_the_wire() {
     }
     let mut db = Database::new("scatter");
     db.add_table(t.build());
+    let db = Arc::new(db);
     let service = Service::new(ServiceConfig {
         workers: 2,
         ..Default::default()
     });
-    service.register_dataset("scatter", Arc::new(db), ConnectionRegistry::new());
+    service.register_dataset("scatter", Arc::clone(&db), ConnectionRegistry::new());
     let handle = |line: String| visdb::service::server::handle_line(&service, &line);
 
     let r = handle(r#"{"op":"create_session","dataset":"scatter"}"#.into());
@@ -1210,5 +1219,47 @@ fn wide_band_drags_agree_with_the_pipeline_over_the_wire() {
                 "{key} after x >= {value}"
             );
         }
+    }
+
+    // a sparse drag of a 2-window query declines the fast path; its
+    // recompute fits the dragged window from the column's byte sketch (15
+    // exact answers for 600 slots), and the reply and the picture equal
+    // a session's on a service without caches that asks the same query
+    send(r#""op":"set_query","text":"SELECT * FROM T WHERE x >= 10000 AND x <= 19999""#);
+    send(r#""op":"render","format":"ascii""#);
+    let r = send(r#""op":"drag_slider","window":0,"cmp":">=","value":19995"#);
+    let drag = r.get("drag").expect("drag reply");
+    assert_eq!(drag.get("incremental").unwrap().as_bool(), Some(false));
+    assert_eq!(drag.get("exact").unwrap().as_u64(), Some(15));
+    let fitted = service
+        .metrics_snapshot()
+        .counter("pipeline.windows.sketch_fitted");
+    assert!(fitted >= Some(1), "{fitted:?}");
+    let bare = Service::new(ServiceConfig {
+        workers: 2,
+        cache_capacity: 0,
+        window_cache_capacity: 0,
+        projection_cache_capacity: 0,
+        ..Default::default()
+    });
+    bare.register_dataset("scatter", Arc::clone(&db), ConnectionRegistry::new());
+    let handle_bare = |line: String| visdb::service::server::handle_line(&bare, &line);
+    let r = handle_bare(r#"{"op":"create_session","dataset":"scatter"}"#.into());
+    let cold = r.get("session").unwrap().as_u64().unwrap();
+    let send_bare = |body: &str| handle_bare(format!(r#"{{"session":{cold},{body}}}"#));
+    send_bare(r#""op":"set_policy","percentage":1"#);
+    send_bare(r#""op":"set_query","text":"SELECT * FROM T WHERE x >= 19995 AND x <= 19999""#);
+    let r = send_bare(r#""op":"summary""#);
+    let summary = r.get("summary").expect("summary reply");
+    for key in ["displayed", "exact"] {
+        assert_eq!(
+            drag.get(key).unwrap().as_u64(),
+            summary.get(key).unwrap().as_u64(),
+            "{key}"
+        );
+    }
+    for format in ["ascii", "ppm"] {
+        let render = format!(r#""op":"render","format":"{format}""#);
+        assert_eq!(send(&render), send_bare(&render), "{format}");
     }
 }
