@@ -532,7 +532,7 @@ fn bench_slider(db: &Arc<Database>, n: usize, min_reps: usize, bounds: [f64; 2])
 
 /// Delta-generation append vs reload-from-scratch, measured at the
 /// server-op level with a 1% delta. Each rep runs against a freshly
-/// warmed service (query installed, windows cached, shared projection
+/// warmed service (query installed, windows cached, table projection
 /// built, band warm) so the timed section isolates the maintenance
 /// cost, not setup. FitScreen display keeps the per-window budget
 /// n-independent, so the extended windows are *served* after the
@@ -673,7 +673,7 @@ fn bench_append(db: &Arc<Database>, n: usize, min_reps: usize) -> (Timed, Timed)
     );
 
     // timed: both arms restore the same warm serving state (windows
-    // cached, shared projection current, session band usable). The
+    // cached, table projection extended, session band usable). The
     // append arm does it in one maintenance op — window extension,
     // projection merge, band repair ride inside `append_rows`; the
     // reload arm rebuilds the database and re-warms from cold. The
@@ -914,14 +914,12 @@ fn assert_identical(fast: &PipelineOutput, slow: &PipelineOutput, n: usize) {
     }
 }
 
-/// Untimed: window 0 of a 3-window query on a session sharing a
-/// projection store slides, and the slid window is re-derived from its
-/// predecessor and the column's sorted projection — no range
+/// Untimed: window 0 of a 3-window query slides once a drag has built the
+/// column's sorted projection on its table, and the slid window is
+/// re-derived from its predecessor and that projection — no range
 /// compare-packed — bit-identical to the scalar reference; a slide whose
 /// band is over the guard walks the column, identical too.
 fn assert_slide_from_projection(db: &Arc<Database>, n: usize) {
-    use visdb_index::ProjectionSource;
-    use visdb_service::ProjectionCache;
     let policy = DisplayPolicy::Percentage(1.0);
     let ge = |at: f64| PredicateTarget::Compare {
         op: CompareOp::Ge,
@@ -930,9 +928,7 @@ fn assert_slide_from_projection(db: &Arc<Database>, n: usize) {
     let mut session = Session::new(Arc::clone(db), ConnectionRegistry::new());
     session.set_display_policy(policy.clone()).expect("policy");
     session.set_collect_trace(true);
-    let store: Arc<dyn ProjectionSource> = Arc::new(ProjectionCache::new(4));
-    session.set_shared_projections("bench#1", store);
-    // a single-window drag publishes the column's projection
+    // a single-window drag builds the column's projection
     let single = QueryBuilder::from_tables(["T"]).cmp("x", CompareOp::Ge, n as f64 * 0.9);
     session.set_query(single.build()).expect("query");
     assert!(session.drag_slider(0, ge(0.91)).expect("drag").incremental);

@@ -13,7 +13,7 @@ use visdb_arrange::{arrange_overall, ItemGrid, PixelsPerItem, SpiralIter};
 use visdb_color::{Colormap, ColormapKind};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_exec::CancelToken;
-use visdb_index::{projection_key, IncrementalCache, ProjectionSource, SortedProjection};
+use visdb_index::{IncrementalCache, SortedProjection};
 use visdb_query::ast::{CompareOp, ConditionNode, PredicateTarget, Query, Weighted};
 use visdb_query::connection::ConnectionRegistry;
 use visdb_query::parser::parse_query;
@@ -70,9 +70,8 @@ pub struct SliderDrag {
 /// The per-session sorted-projection slider index: one column's sorted
 /// permutation behind the §6 incremental range cache. Rebuilt when the
 /// dragged column (or the base relation) changes. The projection itself
-/// (~20 bytes/row: coords + perm + sorted values) lives behind an `Arc`:
-/// with a shared [`ProjectionSource`] attached
-/// ([`Session::set_shared_projections`]), N sessions dragging the same
+/// (~20 bytes/row: coords + perm + sorted values) is the table's own
+/// ([`Table::projection`]), behind an `Arc`: N sessions dragging the same
 /// column share **one** build per (dataset generation, column) instead
 /// of paying one each; only the thin candidate-band cache stays
 /// per-session.
@@ -156,9 +155,6 @@ pub struct Session {
     /// sessions over the same dataset generation (see
     /// [`Session::set_shared_windows`]).
     shared_windows: Option<(String, Arc<dyn WindowSource>)>,
-    /// Cross-session sorted-projection reuse for the slider fast path
-    /// (see [`Session::set_shared_projections`]).
-    shared_projections: Option<(String, Arc<dyn ProjectionSource>)>,
     /// Sorted-projection slider index (see [`Session::drag_slider`]).
     slider_index: Option<SliderIndex>,
     /// Collect a [`visdb_relevance::PipelineTrace`] on every
@@ -196,7 +192,6 @@ impl Session {
             paint: None,
             pipeline_cache: PipelineCache::new(),
             shared_windows: None,
-            shared_projections: None,
             slider_index: None,
             collect_trace: false,
             cancel: None,
@@ -253,23 +248,6 @@ impl Session {
         self.shared_windows = Some((scope.into(), cache));
     }
 
-    /// Attach a sorted-projection cache shared with other sessions: the
-    /// per-column build (~20 bytes/row) that the slider fast path drags
-    /// over and a §4.4 join sweeps as its inner key is fetched from —
-    /// and contributed to — a per-(dataset generation, column) shared
-    /// store instead of being rebuilt per session, drag or join.
-    ///
-    /// `scope` must uniquely identify the dataset *generation*, exactly
-    /// like [`Session::set_shared_windows`]. Projections are pure column
-    /// data, so they remain shareable under custom distance resolvers.
-    pub fn set_shared_projections(
-        &mut self,
-        scope: impl Into<String>,
-        cache: Arc<dyn ProjectionSource>,
-    ) {
-        self.shared_projections = Some((scope.into(), cache));
-    }
-
     /// Move this session onto a new generation of its dataset after an
     /// **append** (`db` must hold the same tables with the old rows
     /// unchanged and new rows only at the end — the delta-generation
@@ -280,12 +258,12 @@ impl Session {
     /// * the cached [`SessionResult`] is invalidated — displayed sets
     ///   and normalizations may legitimately change under new data;
     /// * the slider index's sorted projection is swapped for the new
-    ///   generation's (shared-cache hit, or an O(Δ log Δ + n) local
-    ///   [`SortedProjection::extended`] merge) and its §6 candidate band
+    ///   generation's — the table's, which [`Table::append_rows`] extended,
+    ///   or, when the table holds none, an O(Δ log Δ + n) local
+    ///   [`SortedProjection::extended`] merge — and its §6 candidate band
     ///   repaired in place via [`IncrementalCache::rebase`], examining
     ///   only rows `old_n..new_n`.
     pub fn rebase(&mut self, db: Arc<Database>, scope: impl Into<String>) -> BandRebase {
-        let scope = scope.into();
         self.db = db;
         // the per-session window cache fingerprints (table, rows,
         // budget) and would miss anyway; drop it eagerly so no code
@@ -293,9 +271,9 @@ impl Session {
         self.pipeline_cache.invalidate();
         self.invalidate();
         if let Some((s, _)) = &mut self.shared_windows {
-            s.clone_from(&scope);
+            *s = scope.into();
         }
-        let outcome = match self.slider_index.take() {
+        match self.slider_index.take() {
             None => BandRebase::None,
             Some(mut si) => {
                 let carried = (|| {
@@ -304,22 +282,11 @@ impl Session {
                     if n2 < si.rows {
                         return None; // shrank: not an append
                     }
-                    let proj: Arc<SortedProjection> = match &self.shared_projections {
-                        Some((_, shared)) => {
-                            let key = projection_key(&scope, &si.table, n2, &si.column);
-                            match shared.lookup(&key) {
-                                Some(p) => p,
-                                None => {
-                                    let col = table.column_by_name(&si.column).ok()?;
-                                    let p =
-                                        Arc::new(si.cache.index().extended(n2, |i| col.get_f64(i)));
-                                    shared.store(key, Arc::clone(&p));
-                                    p
-                                }
-                            }
-                        }
+                    let id = table.schema().index_of(&si.column)?;
+                    let proj = match table.built_projection(id) {
+                        Some(p) => Arc::clone(p),
                         None => {
-                            let col = table.column_by_name(&si.column).ok()?;
+                            let col = table.column(id).ok()?;
                             Arc::new(si.cache.index().extended(n2, |i| col.get_f64(i)))
                         }
                     };
@@ -335,11 +302,7 @@ impl Session {
                     None => BandRebase::Dropped,
                 }
             }
-        };
-        if let Some((s, _)) = &mut self.shared_projections {
-            *s = scope;
         }
-        outcome
     }
 
     /// Collect a per-phase [`visdb_relevance::PipelineTrace`] on every
@@ -537,13 +500,6 @@ impl Session {
             PipelineOptions {
                 cache: Some(&mut self.pipeline_cache),
                 shared,
-                // a join's inner relation is always a catalog table, so
-                // (unlike the windows) its projection is shareable even
-                // over a cross-product base
-                projections: self
-                    .shared_projections
-                    .as_ref()
-                    .map(|(scope, cache)| (scope.as_str(), cache.as_ref())),
                 trace: self.collect_trace,
                 cancel: self.cancel.as_ref(),
                 ..Default::default()
@@ -756,7 +712,7 @@ impl Session {
             partitions: None,
             cancel: self.cancel.as_ref(),
         };
-        let Ok((col, dt, class, col_name)) = ctx.column(&pred.attr) else {
+        let Ok((_, dt, class, col_name)) = ctx.column(&pred.attr) else {
             return Ok(None);
         };
         // require plain numeric distance semantics (overrides change the
@@ -767,31 +723,16 @@ impl Session {
         ) {
             return Ok(None);
         }
-        // build (or reuse) the sorted projection for this column: the
-        // per-session index first, then the shared per-(generation,
-        // column) cache, then a fresh build that feeds the shared cache
+        // reuse the per-session index, else take the table's sorted
+        // projection of this column, built on the first ask
         let reusable = matches!(
             &self.slider_index,
             Some(si) if si.table == table.name() && si.rows == n && si.column == col_name
         );
         if !reusable {
-            // only plain single-table bases share projections: the key
-            // identifies rows by (scope, table, count), which sampled
-            // cross products can collide on (query.tables.len() == 1 is
-            // already guaranteed on this path)
-            let proj: Arc<SortedProjection> = match &self.shared_projections {
-                Some((scope, shared)) => {
-                    let key = projection_key(scope, table.name(), n, &col_name);
-                    match shared.lookup(&key) {
-                        Some(proj) => proj,
-                        None => {
-                            let proj = Arc::new(SortedProjection::build(n, |i| col.get_f64(i)));
-                            shared.store(key, Arc::clone(&proj));
-                            proj
-                        }
-                    }
-                }
-                None => Arc::new(SortedProjection::build(n, |i| col.get_f64(i))),
+            let id = table.schema().index_of(&col_name);
+            let Some(proj) = id.and_then(|id| table.projection(id)).cloned() else {
+                return Ok(None);
             };
             self.slider_index = Some(SliderIndex {
                 table: table.name().to_string(),

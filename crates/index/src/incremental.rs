@@ -164,8 +164,9 @@ pub trait PointAccess {
 }
 
 // `Arc`-wrapped indexes delegate, so a projection shared across
-// sessions (see `crate::ProjectionSource`) plugs into the per-session
-// incremental cache without cloning the underlying build.
+// sessions (a table's projection slot, `visdb_storage::Table::projection`)
+// plugs into the per-session incremental cache without cloning the
+// underlying build.
 impl<I: RangeIndex + ?Sized> RangeIndex for std::sync::Arc<I> {
     fn dims(&self) -> usize {
         (**self).dims()

@@ -614,22 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_key_round_trips() {
-        use crate::{parse_projection_key, projection_key};
-        // field values chosen to collide with the framing bytes — the
-        // length prefixes must keep them apart
-        let key = projection_key("ds#3.1", "T:9", 42, "x;y");
-        assert_eq!(
-            parse_projection_key(&key),
-            Some(("ds#3.1", "T:9", 42, "x;y"))
-        );
-        assert_eq!(parse_projection_key(""), None);
-        assert_eq!(parse_projection_key("garbage"), None);
-        assert_eq!(parse_projection_key("2:ab"), None);
-        assert_eq!(parse_projection_key(&format!("{key}!")), None);
-    }
-
-    #[test]
     fn plugs_into_the_incremental_cache() {
         let values: Vec<Option<f64>> = (0..1000).map(|i| Some((i % 100) as f64)).collect();
         let direct = proj(&values);

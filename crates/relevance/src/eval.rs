@@ -7,7 +7,6 @@
 //! nodes normalize their children and combine them (§5.2, see
 //! [`crate::combine`]).
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedBits, Pa
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_distance::{geo, numeric, string, time};
 use visdb_exec::{fault::Phase, CancelToken};
-use visdb_index::{projection_key, ProjectionSource, SortedProjection};
+use visdb_index::SortedProjection;
 use visdb_query::ast::{
     AttrRef, CompareOp, ConditionNode, Predicate, PredicateTarget, Query, SubqueryLink, Weighted,
 };
@@ -74,75 +73,6 @@ pub struct EvalContext<'a> {
     /// [`Error::DeadlineExceeded`] before any partial result can be
     /// cached or returned. `None` costs one branch per chunk.
     pub cancel: Option<&'a CancelToken>,
-}
-
-/// One pipeline run's handle on a shared [`ProjectionSource`]: lookups
-/// go straight to the source, but what the run *builds* is held back
-/// until [`RunProjections::publish`] — called at the run's single
-/// cache-store point, past its last cancellation checkpoint — so an
-/// interrupted or panicked run leaves the source exactly as it found it,
-/// like the window caches. It travels as an argument of the evaluation
-/// methods, not as an [`EvalContext`] field: a context without one sorts
-/// per evaluation.
-pub(crate) struct RunProjections<'a> {
-    scope: &'a str,
-    source: &'a dyn ProjectionSource,
-    built: RefCell<Vec<(String, Arc<SortedProjection>)>>,
-}
-
-impl<'a> RunProjections<'a> {
-    pub(crate) fn new((scope, source): (&'a str, &'a dyn ProjectionSource)) -> Self {
-        RunProjections {
-            scope,
-            source,
-            built: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The projection of `column` over all `rows` rows of `table` when
-    /// one exists — in the source ([`ProjectionSource::peek`]: an absent
-    /// one is no miss) or built earlier by this run. Never builds.
-    pub(crate) fn lookup(
-        &self,
-        table: &str,
-        rows: usize,
-        column: &str,
-    ) -> Option<Arc<SortedProjection>> {
-        let key = projection_key(self.scope, table, rows, column);
-        self.source.peek(&key).or_else(|| self.built(&key))
-    }
-
-    /// This run's build of `key`, if any.
-    fn built(&self, key: &str) -> Option<Arc<SortedProjection>> {
-        let built = self.built.borrow();
-        let earlier = built.iter().find(|(k, _)| k == key);
-        earlier.map(|(_, projection)| Arc::clone(projection))
-    }
-
-    /// The projection of `column` over all `rows` rows of `table`: from
-    /// the source, from an earlier build of this run, or built now.
-    fn get_or_build(
-        &self,
-        table: &str,
-        rows: usize,
-        column: &str,
-        build: impl FnOnce() -> SortedProjection,
-    ) -> Arc<SortedProjection> {
-        let key = projection_key(self.scope, table, rows, column);
-        if let Some(found) = self.source.lookup(&key).or_else(|| self.built(&key)) {
-            return found;
-        }
-        let projection = Arc::new(build());
-        self.built.borrow_mut().push((key, Arc::clone(&projection)));
-        projection
-    }
-
-    /// Hand this run's builds to the source.
-    pub(crate) fn publish(self) {
-        for (key, projection) in self.built.into_inner() {
-            self.source.store(key, projection);
-        }
-    }
 }
 
 /// The evaluated distances of one condition node.
@@ -231,29 +161,14 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Evaluate any condition node, returning per-row signed distances.
-    /// Without a shared projection source: a §4.4 join sorts its inner
-    /// key per evaluation.
     pub fn eval_node(&self, node: &ConditionNode) -> Result<NodeEval> {
-        self.eval_node_with(node, None)
-    }
-
-    /// [`EvalContext::eval_node`] with the run's shared projections, which
-    /// the §4.4 joins anywhere below `node` borrow their inner sorted
-    /// key from.
-    pub(crate) fn eval_node_with(
-        &self,
-        node: &ConditionNode,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<NodeEval> {
         match node {
             ConditionNode::Predicate(p) => self.eval_predicate(p),
-            ConditionNode::Not(inner) => self.eval_not(inner, projections),
+            ConditionNode::Not(inner) => self.eval_not(inner),
             ConditionNode::Connection(c) => self.eval_connection(c),
-            ConditionNode::Subquery { link, query } => {
-                Ok(self.eval_subquery(link, query, projections)?.0)
-            }
-            ConditionNode::And(children) => self.eval_boolean(children, true, projections),
-            ConditionNode::Or(children) => self.eval_boolean(children, false, projections),
+            ConditionNode::Subquery { link, query } => Ok(self.eval_subquery(link, query)?.0),
+            ConditionNode::And(children) => self.eval_boolean(children, true),
+            ConditionNode::Or(children) => self.eval_boolean(children, false),
         }
     }
 
@@ -281,15 +196,10 @@ impl<'a> EvalContext<'a> {
     /// weight-proportional fit (served by the child's fused stats), then
     /// combine row-wise — the combined frame's stats come out of the same
     /// combine walk, ready for the parent's re-normalization.
-    fn eval_boolean(
-        &self,
-        children: &[Weighted],
-        and: bool,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<NodeEval> {
+    fn eval_boolean(&self, children: &[Weighted], and: bool) -> Result<NodeEval> {
         let evals: Vec<NodeEval> = children
             .iter()
-            .map(|w| self.eval_node_with(&w.node, projections))
+            .map(|w| self.eval_node(&w.node))
             .collect::<Result<_>>()?;
         let normed: Vec<DistanceFrame> = evals
             .iter()
@@ -316,11 +226,7 @@ impl<'a> EvalContext<'a> {
     /// only boolean information survives: rows that *fail* the inner
     /// condition fulfil the negation (distance 0); rows that fulfil it
     /// have no meaningful distance (`None` — "no coloring is possible").
-    fn eval_not(
-        &self,
-        inner: &ConditionNode,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<NodeEval> {
+    fn eval_not(&self, inner: &ConditionNode) -> Result<NodeEval> {
         if let ConditionNode::Predicate(p) = inner {
             if let PredicateTarget::Compare { op, value } = &p.target {
                 let flipped = Predicate {
@@ -335,7 +241,7 @@ impl<'a> EvalContext<'a> {
                 return Ok(e);
             }
         }
-        let e = self.eval_node_with(inner, projections)?;
+        let e = self.eval_node(inner)?;
         let mut distances = DistanceFrame::undefined(e.distances.len());
         let mut stats = FrameStats::default();
         for (i, d) in e.distances.iter().enumerate() {
@@ -649,12 +555,7 @@ impl<'a> EvalContext<'a> {
     /// compare-packed. Any other node, or no `k`, is evaluated into its
     /// raw frame; a subquery says whether its inner condition entered the
     /// join as its bits.
-    pub(crate) fn eval_window(
-        &self,
-        node: &ConditionNode,
-        k: Option<usize>,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<WindowEval> {
+    pub(crate) fn eval_window(&self, node: &ConditionNode, k: Option<usize>) -> Result<WindowEval> {
         if let (ConditionNode::Predicate(p), Some(k)) = (node, k) {
             if let Some(e) = self.sketch_window(p, k)? {
                 return Ok(e);
@@ -679,10 +580,8 @@ impl<'a> EvalContext<'a> {
             });
         }
         let (e, join_inner_bits) = match node {
-            ConditionNode::Subquery { link, query } => {
-                self.eval_subquery(link, query, projections)?
-            }
-            _ => (self.eval_node_with(node, projections)?, false),
+            ConditionNode::Subquery { link, query } => self.eval_subquery(link, query)?,
+            _ => (self.eval_node(node)?, false),
         };
         Ok(WindowEval {
             label: e.label,
@@ -859,12 +758,7 @@ impl<'a> EvalContext<'a> {
     /// comes normalized per inner row ([`EvalContext::inner_condition`]),
     /// as its exact bits when its fit is two-valued; the second value says
     /// whether it did.
-    fn eval_subquery(
-        &self,
-        link: &SubqueryLink,
-        query: &Query,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<(NodeEval, bool)> {
+    fn eval_subquery(&self, link: &SubqueryLink, query: &Query) -> Result<(NodeEval, bool)> {
         let inner_table_name = query
             .tables
             .first()
@@ -879,7 +773,7 @@ impl<'a> EvalContext<'a> {
             partitions: None,
             cancel: self.cancel,
         };
-        let inner_cond = inner_ctx.inner_condition(query, projections)?;
+        let inner_cond = inner_ctx.inner_condition(query)?;
         let as_bits = matches!(inner_cond.rows, InnerRows::Bits(..));
         let n = self.table.len();
         let e = match link {
@@ -902,8 +796,8 @@ impl<'a> EvalContext<'a> {
                 let (ic, _, _, inner_name) = inner_ctx.column(inner)?;
                 let cd = self.distance_for(outer, odt, ocl);
                 let mut out = DistanceFrame::undefined(n);
-                let shared = projections.map(|p| (p, inner_table.name(), inner_name.as_str()));
-                let stats = self.min_distance_join(oc, ic, &cd, &inner_cond, &mut out, shared);
+                let sorted = || inner_table.projection(inner_table.schema().index_of(&inner_name)?);
+                let stats = self.min_distance_join(oc, ic, &cd, &inner_cond, &mut out, sorted);
                 NodeEval {
                     label: format!("{outer} IN (...)"),
                     signed: false,
@@ -925,18 +819,14 @@ impl<'a> EvalContext<'a> {
     /// exact bits are the inner condition — no frame written or
     /// normalized. Otherwise its raw frame is normalized as any other
     /// node's; the scalar reference normalizes row by row.
-    fn inner_condition(
-        &self,
-        query: &Query,
-        projections: Option<&RunProjections<'_>>,
-    ) -> Result<InnerCond> {
+    fn inner_condition(&self, query: &Query) -> Result<InnerCond> {
         let m = self.table.len();
         let Some(w) = &query.condition else {
             return Ok(InnerCond::frame(DistanceFrame::constant(m, 0.0).0));
         };
         if self.mode == ExecMode::Vectorized && matches!(w.node, ConditionNode::Predicate(_)) {
             let k = fit_k(m, w.weight, self.display_budget);
-            let e = self.eval_window(&w.node, k, projections)?;
+            let e = self.eval_window(&w.node, k)?;
             return Ok(match e.raw {
                 None => InnerCond::bits(e.bits.expect("a window walk folds its bits")),
                 Some(raw) => InnerCond::frame(
@@ -944,7 +834,7 @@ impl<'a> EvalContext<'a> {
                 ),
             });
         }
-        let e = self.eval_node_with(&w.node, projections)?;
+        let e = self.eval_node(&w.node)?;
         Ok(InnerCond::frame(self.normalized(&e, w.weight)))
     }
 
@@ -956,18 +846,20 @@ impl<'a> EvalContext<'a> {
     /// path; everything else — and the scalar reference — runs the
     /// exhaustive O(n·m) sweep (with typed accessors hoisted out of the
     /// pair loop where the columns allow it). All paths are bit-identical;
-    /// the property tests pin them against each other.
-    fn min_distance_join(
+    /// the property tests pin them against each other. `sorted` hands out
+    /// the inner join column's sorted projection, which only the banded
+    /// path asks for.
+    fn min_distance_join<'p>(
         &self,
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
         inner_cond: &InnerCond,
         out: &mut DistanceFrame,
-        shared: SharedInner<'_>,
+        sorted: impl FnOnce() -> Option<&'p Arc<SortedProjection>>,
     ) -> FrameStats {
         if self.mode == ExecMode::Vectorized {
-            if let Some(stats) = self.banded_join(oc, ic, cd, inner_cond, out, shared) {
+            if let Some(stats) = self.banded_join(oc, ic, cd, inner_cond, out, sorted) {
                 return stats;
             }
             if let Some(stats) = self.gathered_join(oc, ic, cd, inner_cond, out) {
@@ -981,9 +873,9 @@ impl<'a> EvalContext<'a> {
     ///
     /// The inner join column's `SortedProjection` (NULL and NaN rows
     /// excluded — exactly the rows the exhaustive sweep skips) is a pure
-    /// function of a catalog column: it comes from the run's shared
-    /// per-(relation, column) store when there is one (`shared`), from a
-    /// per-evaluation sort otherwise.
+    /// function of a catalog column: the inner table builds it once, on
+    /// the first ask, and every later join sweeps the same one
+    /// ([`Table::projection`]).
     /// Each outer row starts at its insertion point and sweeps outward
     /// **nearest first** ([`SortedProjection::sweep_from`] yields
     /// non-decreasing join gaps), stopping as soon as
@@ -1007,25 +899,21 @@ impl<'a> EvalContext<'a> {
     /// non-`Numeric` distances, columns without native numeric buffers,
     /// and inner columns carrying ±inf (where `inf - inf` could make the
     /// reference fold over NaN totals, which is order-sensitive).
-    fn banded_join(
+    fn banded_join<'p>(
         &self,
         oc: &ColumnData,
         ic: &ColumnData,
         cd: &ColumnDistance,
         inner_cond: &InnerCond,
         out: &mut DistanceFrame,
-        shared: SharedInner<'_>,
+        sorted: impl FnOnce() -> Option<&'p Arc<SortedProjection>>,
     ) -> Option<FrameStats> {
         if !matches!(cd, ColumnDistance::Numeric) {
             return None;
         }
         oc.numeric_slice()?;
         ic.numeric_slice()?;
-        let build = || SortedProjection::build(ic.len(), |j| ic.get_f64(j));
-        let proj = match shared {
-            Some((run, table, column)) => run.get_or_build(table, ic.len(), column, build),
-            None => Arc::new(build()),
-        };
+        let proj = sorted()?;
         if !proj.is_fully_finite() {
             return None;
         }
@@ -1250,10 +1138,6 @@ impl InnerCond {
         (self.lb != f64::INFINITY).then_some(self.lb)
     }
 }
-
-/// A join's way to the shared copy of its inner key's projection: the
-/// run's store plus the inner `(table, column)` names that key it.
-type SharedInner<'a> = Option<(&'a RunProjections<'a>, &'a str, &'a str)>;
 
 /// One outer row of the numeric exhaustive sweep, in reference order:
 /// the same `equal_to(..).abs() + cond` fold the generic loop performs,

@@ -53,7 +53,6 @@ use visdb_distance::frame::{DistanceFrame, ExactBits, FrameStats, PackedBits, MA
 use visdb_distance::lanes::{mask_word, select, ALL_VALID_WORD, WORD_ROWS};
 use visdb_distance::registry::DistanceResolver;
 use visdb_exec::{fault, fault::Phase, CancelToken, Interrupt};
-use visdb_index::ProjectionSource;
 use visdb_query::ast::{ConditionNode, Weighted};
 use visdb_storage::{Database, Table};
 use visdb_types::{Error, Result};
@@ -64,7 +63,7 @@ pub use crate::combine::Combined;
 use crate::combine::{
     and_row, combine_and_blocks, combine_or_slices, Child, PatternTable, SharedBits, TWO_VALUED,
 };
-use crate::eval::{EvalContext, RunProjections, WindowEval};
+use crate::eval::{EvalContext, WindowEval};
 use crate::normalize::{
     apply_in_place, apply_slice, covered_by_exact, fit_k, fit_with_below, params_from_max,
     refits_without_rows, Below, Fit, FitPath, NormParams, NORM_MAX,
@@ -546,13 +545,6 @@ pub struct PipelineOptions<'a> {
     /// Cross-session predicate-window reuse (the serving layer's shared
     /// cache); consulted after the per-session cache misses.
     pub shared: Option<SharedWindows<'a>>,
-    /// Cross-session sorted-projection reuse: `(scope, store)`, the
-    /// scope identifying the dataset generation exactly like
-    /// [`SharedWindows::scope`]. A §4.4 join borrows its inner key's
-    /// projection from the store and the run publishes what it had to
-    /// build together with its windows; without one a join sorts its
-    /// inner key on every evaluation.
-    pub projections: Option<(&'a str, &'a dyn ProjectionSource)>,
     /// Columnar fast path (default) vs the per-tuple, full-sort
     /// reference path — the oracle the property tests and the
     /// scalar-vs-vectorized benchmark compare against. Both produce
@@ -606,7 +598,6 @@ pub fn run_pipeline(
     let PipelineOptions {
         mut cache,
         shared,
-        projections,
         mode,
         trace: want_trace,
         cancel,
@@ -747,7 +738,6 @@ pub fn run_pipeline(
         }
     }
     let shared_hits = found.iter().flatten().count() - session_hits;
-    let run_projections = projections.map(RunProjections::new);
     checkpoint(cancel, Phase::Distance)?;
     // a window is *unfit* until this run fits it: evaluated now, or found
     // under another weight — a refit is a new `NormParams` over the same
@@ -769,14 +759,12 @@ pub fn run_pipeline(
                 None => {
                     windows_evaluated += 1;
                     let k = reads_bits[i].then(|| fit_k(n, w.weight, budget)).flatten();
-                    let projected = k.and_then(|k| {
-                        let (cache, projections) = (cache.as_deref(), run_projections.as_ref());
-                        slide::from_predecessor(&ctx, &w.node, k, cache, projections)
-                    });
+                    let projected =
+                        k.and_then(|k| slide::from_predecessor(&ctx, &w.node, k, cache.as_deref()));
                     from_projection += usize::from(projected.is_some());
                     let mut e = match projected {
                         Some(e) => e,
-                        None => ctx.eval_window(&w.node, k, run_projections.as_ref())?,
+                        None => ctx.eval_window(&w.node, k)?,
                     };
                     sketched[i] = e.fit.take();
                     evaluated_bits_only += usize::from(e.raw.is_none() && sketched[i].is_none());
@@ -857,9 +845,6 @@ pub fn run_pipeline(
                 .zip(windows.iter().cloned())
                 .collect(),
         );
-    }
-    if let Some(run) = run_projections {
-        run.publish();
     }
 
     if let Some(t) = &mut trace {

@@ -20,7 +20,7 @@ use visdb_index::SortedProjection;
 use visdb_query::ast::{CompareOp, ConditionNode, Predicate, PredicateTarget};
 
 use crate::cache::PipelineCache;
-use crate::eval::{EvalContext, RunProjections, WindowEval};
+use crate::eval::{EvalContext, WindowEval};
 
 /// An `x ≥ t` (`greater`) or `x ≤ t` comparison read off a sorted
 /// projection: the sorted positions of its exact answers and the stats a
@@ -117,8 +117,8 @@ fn comparison(node: &ConditionNode) -> Option<(&Predicate, bool, f64)> {
 /// that the session cache holds from the previous run — or `None` when
 /// the walk must run: the node is no such leaf, the column is not read
 /// by the compare-and-pack kernel (no native numeric buffer, or a
-/// distance other than [`ColumnDistance::Numeric`]), the run's store
-/// holds no projection of the column (this never builds one), the
+/// distance other than [`ColumnDistance::Numeric`]), the table holds no
+/// built projection of the column (this never builds one), the
 /// projection arithmetic declines ([`projected_compare`]), the exact
 /// answers do not cover `k` (the walk would keep a raw frame), no cached
 /// window qualifies (its counts must be the projection's at its own
@@ -130,21 +130,15 @@ pub(crate) fn from_predecessor(
     node: &ConditionNode,
     k: usize,
     cache: Option<&PipelineCache>,
-    projections: Option<&RunProjections<'_>>,
 ) -> Option<WindowEval> {
-    let (cache, projections) = (cache?, projections?);
+    let cache = cache?;
     let (pred, greater, t) = comparison(node)?;
     let (col, dt, class, column) = ctx.column(&pred.attr).ok()?;
     let cd = ctx.distance_for(&pred.attr, dt, class);
     if col.numeric_slice().is_none() || !matches!(cd, ColumnDistance::Numeric) {
         return None;
     }
-    // a projection key names catalog rows: a materialized cross product
-    // of the same name and size would collide with them
     let table = ctx.table;
-    if !(ctx.db.table(table.name())).is_ok_and(|catalog| std::ptr::eq(catalog, table)) {
-        return None;
-    }
     // the previous run's windows over the same column in the same
     // direction, with their bits — looked for before the projection
     let n = table.len();
@@ -156,8 +150,8 @@ pub(crate) fn from_predecessor(
         })
     };
     predecessors().next()?;
-    let proj = projections.lookup(table.name(), n, &column)?;
-    let (exact, stats) = projected_compare(&proj, greater, t)?;
+    let proj = table.built_projection(table.schema().index_of(&column)?)?;
+    let (exact, stats) = projected_compare(proj, greater, t)?;
     if stats.zeros < k {
         return None;
     }
@@ -165,7 +159,7 @@ pub(crate) fn from_predecessor(
     let (band, (old_exact, defined)) = predecessors()
         .filter_map(|(t0, old, bits)| {
             // its walk counted what the projection counts at t₀
-            let p0 = cut(&proj, greater, t0);
+            let p0 = cut(proj, greater, t0);
             let e0 = if greater { m - p0 } else { p0 };
             (old.defined == m && old.zeros == e0).then_some((p0.min(p1)..p0.max(p1), bits))
         })

@@ -1,6 +1,6 @@
-//! The three shared caches, one implementation.
+//! The two shared caches, one implementation.
 //!
-//! The serving layer reuses work across sessions at three grains, the
+//! The serving layer reuses work across sessions at two grains, the
 //! paper's §6 idea ("retrieve more than necessary, then only the
 //! additional portion") applied across users:
 //!
@@ -16,11 +16,12 @@
 //!   is usually its bits alone; normalized distances are derived, not
 //!   stored. A slider drag that changes one predicate reuses every
 //!   *other* window, for everyone.
-//! * [`ProjectionCache`] — one built [`SortedProjection`] per column
-//!   ([`visdb_index::projection_key`]), so N sessions dragging or
-//!   joining on a column pay for one O(n log n) build.
 //!
-//! All three are [`Cache`] instantiated with a different payload, and
+//! (A column's sorted projection, which N sessions dragging or joining
+//! on it share, is no cache entry: it is a pure function of the column
+//! and lives on its table, [`visdb_storage::Table::projection`].)
+//!
+//! Both are [`Cache`] instantiated with a different payload, and
 //! everything that is *policy* lives in that one type: least-recently-
 //! used eviction by a logical clock under an entry cap and a total
 //! weight budget, what zero capacity means, how a dataset's entries are
@@ -31,7 +32,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use visdb_index::{ProjectionSource, SortedProjection};
 use visdb_obs::{Counter, Registry};
 use visdb_relevance::{PredicateWindow, WindowRecipe, WindowSource};
 
@@ -55,11 +55,6 @@ pub struct CacheStats {
 /// kept as its bits holds 125–250 KB. 74 MB is eight raw windows of 1M
 /// rows, or hundreds of bits-only ones.
 pub const DEFAULT_WINDOW_BYTE_BUDGET: usize = 74_000_000;
-
-/// Default bound on the total rows cached across all shared projections:
-/// a projection costs ~20 bytes/row (coords + permutation + sorted
-/// values), so 8M rows ≈ 160 MB resident worst case.
-pub const DEFAULT_PROJECTION_ROW_BUDGET: usize = 8_000_000;
 
 /// What a cached value weighs against its cache's budget.
 pub trait Payload: Clone {
@@ -93,15 +88,6 @@ impl Payload for (PredicateWindow, Option<WindowRecipe>) {
     }
 }
 
-/// A projection weighs its rows.
-impl Payload for Arc<SortedProjection> {
-    const BUDGET: usize = DEFAULT_PROJECTION_ROW_BUDGET;
-
-    fn weight(&self) -> usize {
-        self.rows()
-    }
-}
-
 /// The shared render cache: render keys to finished responses.
 pub type QueryCache = Cache<Response>;
 
@@ -112,12 +98,6 @@ pub type QueryCache = Cache<Response>;
 /// window kept as its bits is a miss for a run that needs its raw frame.
 /// Read through [`WindowSource`].
 pub type WindowCache = Cache<(PredicateWindow, Option<WindowRecipe>)>;
-
-/// The shared **sorted-projection** cache, one entry per (dataset
-/// generation, table, row count, column); the per-session state that
-/// remains is only the thin §6 candidate-band cache. Read through
-/// [`ProjectionSource`].
-pub type ProjectionCache = Cache<Arc<SortedProjection>>;
 
 struct Entry<P> {
     payload: P,
@@ -200,30 +180,26 @@ impl<P: Payload> Cache<P> {
     /// payload `read` takes nothing from counts as a miss. A hit
     /// refreshes the entry's recency.
     fn read<R>(&self, key: &str, read: impl FnOnce(&P) -> Option<R>) -> Option<R> {
-        let found = self.probe(key, read);
-        if found.is_none() {
-            self.misses.inc();
-        }
-        found
-    }
-
-    /// [`Cache::read`] without counting a miss.
-    fn probe<R>(&self, key: &str, read: impl FnOnce(&P) -> Option<R>) -> Option<R> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut state = self.lock();
-        state.clock += 1;
-        let now = state.clock;
-        let found = state.map.get_mut(key).and_then(|entry| {
-            let got = read(&entry.payload)?;
-            entry.last_used = now;
-            Some(got)
+        let found = (self.capacity > 0).then(|| {
+            let mut state = self.lock();
+            state.clock += 1;
+            let now = state.clock;
+            state.map.get_mut(key).and_then(|entry| {
+                let got = read(&entry.payload)?;
+                entry.last_used = now;
+                Some(got)
+            })
         });
-        if found.is_some() {
-            self.hits.inc();
+        match found.flatten() {
+            Some(got) => {
+                self.hits.inc();
+                Some(got)
+            }
+            None => {
+                self.misses.inc();
+                None
+            }
         }
-        found
     }
 
     /// Look up a payload, refreshing its recency on a hit.
@@ -273,7 +249,7 @@ impl<P: Payload> Cache<P> {
 
     /// Remove and return every entry belonging to dataset `name`, any
     /// generation — the delta-append migration path: the service drains
-    /// the old generation's windows and projections, extends them with
+    /// the old generation's windows, extends them with
     /// the appended rows and re-stores them under the new generation's
     /// keys (see `Service::append_rows`).
     ///
@@ -338,20 +314,6 @@ impl WindowSource for WindowCache {
 
     fn store(&self, key: String, window: PredicateWindow, recipe: Option<WindowRecipe>) {
         self.put(key, (window, recipe));
-    }
-}
-
-impl ProjectionSource for ProjectionCache {
-    fn lookup(&self, key: &str) -> Option<Arc<SortedProjection>> {
-        self.get(key)
-    }
-
-    fn store(&self, key: String, projection: Arc<SortedProjection>) {
-        self.put(key, projection);
-    }
-
-    fn peek(&self, key: &str) -> Option<Arc<SortedProjection>> {
-        self.probe(key, |projection| Some(Arc::clone(projection)))
     }
 }
 
@@ -575,7 +537,7 @@ mod tests {
 
     /// The shared policy, run against one instantiation; `make(rows)`
     /// builds a payload of that many rows (a response weighs 0 whatever
-    /// it is asked for, so the budget rows apply to the other two).
+    /// it is asked for, so the budget rows apply to windows alone).
     fn policy<P: Payload>(what: &str, make: impl Fn(usize) -> P) {
         let weight_of = |rows| make(rows).weight();
         // LRU order: a lookup refreshes, the stalest entry goes
@@ -596,7 +558,7 @@ mod tests {
         assert!(c.get("a").is_some() && c.get("c").is_some(), "{what}");
         assert_eq!(weight(&c), weight_of(7) + weight_of(1), "{what}");
 
-        // weight budget (rows for projections, bytes for windows): LRU
+        // weight budget (bytes for windows): LRU
         // entries go until the total fits, but never the entry just
         // stored — not even alone over budget
         if weight_of(60) > 0 {
@@ -658,15 +620,10 @@ mod tests {
         assert!(c.drain_dataset("ramp").is_empty(), "{what}");
     }
 
-    fn projection(rows: usize) -> Arc<SortedProjection> {
-        Arc::new(SortedProjection::build(rows, |i| Some(i as f64)))
-    }
-
     #[test]
-    fn one_policy_for_all_three_instantiations() {
+    fn one_policy_for_both_instantiations() {
         policy("query", |_| Response::Ok);
         policy("window", |rows| (window_of(1.0, rows), None));
-        policy("projection", projection);
     }
 
     /// Eight threads store, look up and invalidate overlapping keys at
@@ -677,11 +634,15 @@ mod tests {
     fn concurrent_stores_and_lookups_keep_the_bounds() {
         const THREADS: usize = 8;
         const OPS: usize = 400;
-        let c = ProjectionCache::with_budget(6, 100);
+        let budget = (window_of(0.0, 100), None).weight();
+        let c = WindowCache::with_budget(6, budget);
         let entries: Vec<_> = (0..16)
             .map(|i| {
                 let scope = if i % 2 == 0 { "a#1" } else { "b#1" };
-                (scoped_key(scope, &format!("k{i}")), projection(5 + 3 * i))
+                (
+                    scoped_key(scope, &format!("k{i}")),
+                    window_of(1.0, 5 + 3 * i),
+                )
             })
             .collect();
         let barrier = std::sync::Barrier::new(THREADS);
@@ -692,8 +653,8 @@ mod tests {
                     barrier.wait();
                     for op in 0..OPS {
                         let (key, payload) = &entries[(op / 4 + t) % entries.len()];
-                        if c.lookup(key).is_none() {
-                            c.store(key.clone(), Arc::clone(payload));
+                        if c.lookup(key, &any).is_none() {
+                            c.store(key.clone(), payload.clone(), None);
                         }
                         if op % 50 == t {
                             c.invalidate_dataset("b");
@@ -703,7 +664,7 @@ mod tests {
             }
         });
         assert!(c.len() <= 6);
-        assert!(weight(&c) <= 100 || c.len() == 1);
+        assert!(weight(&c) <= budget || c.len() == 1);
         let stats = c.stats();
         assert_eq!(stats.hits + stats.misses, THREADS * OPS);
     }

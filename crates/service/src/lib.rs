@@ -23,15 +23,17 @@
 //!   and the live thread count never exceeds the configured budget no
 //!   matter how many large queries run concurrently ([`service`] module
 //!   docs describe the mailbox scheduling).
-//! * **Cross-user caching** — three shared caches, one bounded weighted
-//!   LRU ([`cache`]) instantiated three times: a [`QueryCache`] keyed by
+//! * **Cross-user caching** — two shared caches, one bounded weighted
+//!   LRU ([`cache`]) instantiated twice: a [`QueryCache`] keyed by
 //!   (dataset, normalized query text, display parameters) serves
 //!   identical renders from different users without re-running the
-//!   pipeline, a [`WindowCache`] of per-predicate window evaluations
+//!   pipeline, and a [`WindowCache`] of per-predicate window evaluations
 //!   makes a slider drag that changes one predicate reuse every *other*
-//!   window across sessions (the §6 incremental idea, cross-session),
-//!   and a [`ProjectionCache`] shares each column's sorted projection
-//!   between every session that drags or joins on it.
+//!   window across sessions (the §6 incremental idea, cross-session).
+//!   Each column's sorted projection needs no cache: it lives on its
+//!   table ([`visdb_storage::Table::projection`]), which every session
+//!   over the dataset generation shares, so every session that drags or
+//!   joins on the column sweeps one build.
 //! * **Deadlines, cancellation & shedding** — every request can carry a
 //!   deadline and a cancel handle ([`SubmitOptions`], wire fields
 //!   `deadline_ms` / `id`); an interrupted query stops at the
@@ -77,7 +79,7 @@
 //!
 //! Every layer publishes live metric handles into one
 //! [`visdb_obs::Registry`] owned by the [`Service`]: exec-pool counters
-//! and job latency, all three cache hit/miss pairs, session occupancy,
+//! and job latency, both cache hit/miss pairs, session occupancy,
 //! per-op request counts and latency histograms, and per-phase pipeline
 //! latency. `Request::Metrics` (wire op `metrics`) returns the full
 //! snapshot as JSON plus a Prometheus-style text exposition, and
@@ -94,7 +96,7 @@ pub mod service;
 pub use api::{
     execute, ErrorKind, RenderFormat, Request, Response, SessionState, SessionSummary, TraceReport,
 };
-pub use cache::{CacheStats, ProjectionCache, QueryCache, WindowCache};
+pub use cache::{CacheStats, QueryCache, WindowCache};
 pub use manager::{SessionId, SessionManager, SessionOptions};
 pub use service::{
     AppendOutcome, DatasetInfo, PendingResponse, Service, ServiceConfig, ServiceTelemetry,

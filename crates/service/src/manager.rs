@@ -88,8 +88,6 @@ impl SessionSlot {
 pub struct SessionOptions {
     /// The service's shared predicate-window cache, if enabled.
     pub windows: Option<Arc<crate::cache::WindowCache>>,
-    /// The service's shared sorted-projection cache, if enabled.
-    pub projections: Option<Arc<crate::cache::ProjectionCache>>,
     /// Collect a per-phase pipeline trace on every recalculation (see
     /// [`visdb_core::Session::set_collect_trace`]). The service enables
     /// this so `trace: true` requests and the per-phase latency
@@ -178,9 +176,6 @@ impl SessionManager {
         session.set_collect_trace(options.collect_trace);
         if let Some(cache) = options.windows {
             session.set_shared_windows(dataset.clone(), cache);
-        }
-        if let Some(cache) = options.projections {
-            session.set_shared_projections(dataset.clone(), cache);
         }
         let slot = Arc::new(SessionSlot {
             state: Mutex::new(SessionState { session, dataset }),

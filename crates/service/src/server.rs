@@ -204,13 +204,6 @@ fn dispatch(service: &Service, msg: &Json) -> Result<Json> {
                     ]),
                 ),
                 (
-                    "projection_cache",
-                    Json::obj([
-                        ("hits", t.projection_cache.hits.into()),
-                        ("misses", t.projection_cache.misses.into()),
-                    ]),
-                ),
-                (
                     "datasets",
                     Json::Arr(
                         service
@@ -545,14 +538,10 @@ mod tests {
         assert_eq!(r.get("sessions").unwrap().as_u64(), Some(1));
 
         // the first session to drag column x builds its sorted
-        // projection (a miss); a second session dragging it borrows it
-        let projection_cache = |s: &Service| {
-            let r = handle_line(s, r#"{"op":"stats"}"#);
-            let c = r.get("projection_cache").unwrap().clone();
-            let field = |name| c.get(name).unwrap().as_u64().unwrap();
-            (field("hits"), field("misses"))
-        };
-        assert_eq!(projection_cache(&s), (0, 0));
+        // projection on the table; a second session dragging it shares it
+        let db = s.database("demo").unwrap();
+        let built = || db.table("T").unwrap().built_projection(0).cloned();
+        assert!(built().is_none());
         let drag = |session: u64| {
             for line in [
                 format!(
@@ -567,9 +556,12 @@ mod tests {
             }
         };
         drag(first);
-        assert_eq!(projection_cache(&s), (0, 1));
+        let projection = built().expect("the first drag builds it");
+        // the table's slot and the session's slider index
+        assert_eq!(Arc::strong_count(&projection), 3);
         drag(create());
-        assert_eq!(projection_cache(&s), (1, 1));
+        assert!(Arc::ptr_eq(&built().unwrap(), &projection));
+        assert_eq!(Arc::strong_count(&projection), 4, "one build, two sessions");
     }
 
     #[test]

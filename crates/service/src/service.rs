@@ -37,7 +37,6 @@ use std::time::{Duration, Instant};
 
 use visdb_core::{BandRebase, Paint};
 use visdb_exec::{CancelToken, Interrupt, Runtime};
-use visdb_index::{parse_projection_key, projection_key, ProjectionSource};
 use visdb_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use visdb_query::connection::ConnectionRegistry;
 use visdb_relevance::{extend_window, key_scope, window_key, PipelineTrace, WindowSource};
@@ -46,7 +45,7 @@ use visdb_storage::{Database, DeltaChain, Row};
 use visdb_types::{Error, Result};
 
 use crate::api::{execute, ErrorKind, Request, Response};
-use crate::cache::{CacheStats, ProjectionCache, QueryCache, WindowCache};
+use crate::cache::{CacheStats, QueryCache, WindowCache};
 use crate::manager::{Envelope, SessionId, SessionManager, SessionOptions, SessionSlot};
 
 /// Tuning knobs for a [`Service`].
@@ -67,9 +66,6 @@ pub struct ServiceConfig {
     /// Shared predicate-window cache capacity in windows (0 disables
     /// cross-session window reuse).
     pub window_cache_capacity: usize,
-    /// Shared sorted-projection cache capacity in projections (0
-    /// disables cross-session slider-index reuse).
-    pub projection_cache_capacity: usize,
     /// Admission watermark: when this many queued-but-unfinished
     /// requests are already pending across all sessions, new
     /// submissions are *shed* — answered immediately with
@@ -94,7 +90,6 @@ impl Default for ServiceConfig {
             idle_timeout: Duration::from_secs(300),
             cache_capacity: 256,
             window_cache_capacity: 512,
-            projection_cache_capacity: 64,
             pending_watermark: 4096,
             default_deadline: None,
         }
@@ -416,8 +411,6 @@ pub struct ServiceTelemetry {
     pub query_cache: CacheStats,
     /// Shared predicate-window cache counters (cross-session §6 reuse).
     pub window_cache: CacheStats,
-    /// Shared sorted-projection cache counters.
-    pub projection_cache: CacheStats,
     /// Live sessions right now.
     pub sessions_live: usize,
     /// Sessions created since the service started.
@@ -445,7 +438,6 @@ pub struct Service {
     manager: SessionManager,
     cache: Arc<QueryCache>,
     window_cache: Arc<WindowCache>,
-    projection_cache: Arc<ProjectionCache>,
     /// The telemetry registry every layer publishes into: exec-pool
     /// counters, cache hit/miss counters, session occupancy, per-op
     /// request counts and latency histograms, pipeline phase histograms.
@@ -465,7 +457,6 @@ impl Service {
     pub fn new(config: ServiceConfig) -> Self {
         let cache = Arc::new(QueryCache::new(config.cache_capacity));
         let window_cache = Arc::new(WindowCache::new(config.window_cache_capacity));
-        let projection_cache = Arc::new(ProjectionCache::new(config.projection_cache_capacity));
         let manager = SessionManager::new(config.max_sessions, config.idle_timeout);
         let runtime = Runtime::new(config.workers.max(1));
         let registry = Arc::new(Registry::new());
@@ -473,7 +464,6 @@ impl Service {
         manager.register_metrics(&registry);
         cache.register_metrics(&registry, "cache.query");
         window_cache.register_metrics(&registry, "cache.window");
-        projection_cache.register_metrics(&registry, "cache.projection");
         let obs = Arc::new(ServiceObs::new(&registry));
         let admission = Arc::new(Admission::new(&registry, config.pending_watermark));
         Service {
@@ -482,7 +472,6 @@ impl Service {
             manager,
             cache,
             window_cache,
-            projection_cache,
             registry,
             obs,
             admission,
@@ -505,7 +494,6 @@ impl Service {
         // dropping the replaced dataset's entries just frees memory
         self.cache.invalidate_dataset(&name);
         self.window_cache.invalidate_dataset(&name);
-        self.projection_cache.invalidate_dataset(&name);
         let generation = self.generations.fetch_add(1, Ordering::Relaxed);
         let chain = DeltaChain::new(generation, db.total_rows());
         let scope = format!("{name}#{}", chain.tag());
@@ -547,10 +535,6 @@ impl Service {
                 .window_cache
                 .is_enabled()
                 .then(|| Arc::clone(&self.window_cache)),
-            projections: self
-                .projection_cache
-                .is_enabled()
-                .then(|| Arc::clone(&self.projection_cache)),
             // traced sessions make `trace: true` requests answerable
             // from the cached result and feed the per-phase histograms;
             // the cost is a few clock reads per full pipeline run
@@ -698,13 +682,12 @@ impl Service {
         &self.runtime
     }
 
-    /// One consistent snapshot of the service's own counters: all three
+    /// One consistent snapshot of the service's own counters: both
     /// cache stats, session occupancy, and the exec-pool metrics.
     pub fn telemetry(&self) -> ServiceTelemetry {
         ServiceTelemetry {
             query_cache: self.cache.stats(),
             window_cache: self.window_cache.stats(),
-            projection_cache: self.projection_cache.stats(),
             sessions_live: self.manager.len(),
             sessions_created: self.manager.created_count(),
             sessions_evicted: self.manager.evicted_count(),
@@ -731,6 +714,17 @@ impl Service {
         let snapshot = self.registry.snapshot();
         self.obs.record_op("metrics", started.elapsed());
         snapshot
+    }
+
+    /// The current generation of dataset `name`: the database a session
+    /// created now would read, its tables' sketches and sorted
+    /// projections included.
+    pub fn database(&self, name: &str) -> Result<Arc<Database>> {
+        let guard = self.datasets.lock().expect("dataset registry poisoned");
+        let ds = guard.get(name).ok_or_else(|| {
+            Error::invalid_parameter("dataset", format!("unknown dataset '{name}'"))
+        })?;
+        Ok(Arc::clone(&ds.db))
     }
 
     /// Per-dataset delta-chain bookkeeping (the `stats` server op's
@@ -776,9 +770,11 @@ impl Service {
     ///
     /// * the database is cloned copy-on-append (readers keep their Arc;
     ///   column pushes are O(Δ)),
-    /// * shared sorted projections over the appended table are *merged*
+    /// * the appended table's built sorted projections are *merged* by
+    ///   [`visdb_storage::Table::append_rows`]
     ///   ([`visdb_index::SortedProjection::extended`]: O(Δ log Δ + n)
-    ///   memcpy-dominated, vs O(n log n) rebuild),
+    ///   memcpy-dominated, vs O(n log n) rebuild); the other tables, and
+    ///   their projections, are shared with the old generation as they are,
     /// * shared predicate windows *extend* by evaluating only the
     ///   appended rows ([`visdb_relevance::extend_window`]); when those
     ///   shift the §5.2 normalization fit, the new fit is re-applied to
@@ -788,7 +784,7 @@ impl Service {
     ///   repaired by examining only the appended rows.
     ///
     /// Every [`COMPACTION_THRESHOLD`]-th append folds the chain into a
-    /// fresh base generation and drops the derived artifacts instead.
+    /// fresh base generation and drops the shared windows instead.
     /// `table` may be omitted for single-table datasets. On any error
     /// the dataset is left exactly as it was.
     pub fn append_rows(
@@ -844,10 +840,14 @@ impl Service {
         // copy-on-append: readers keep their Arc to the old generation
         // untouched; the append lands in a fresh clone (O(n) memcpy of
         // column buffers — the costly O(n log n) derived artifacts are
-        // migrated, not rebuilt). Table::append_rows is atomic, so an
+        // extended, not rebuilt). Table::append_rows is atomic, so an
         // arity/type error here leaves the registered dataset untouched.
         let mut next = (*ds.db).clone();
-        next.table_mut(&table_name)?.append_rows(rows)?;
+        let grown = next.table_mut(&table_name)?;
+        grown.append_rows(rows)?;
+        let projections_merged = (0..grown.schema().len())
+            .filter(|&id| grown.built_projection(id).is_some())
+            .count();
         let new_db = Arc::new(next);
         let new_n = old_n + appended;
         let old_scope = ds.scope.clone();
@@ -870,12 +870,11 @@ impl Service {
         self.cache.invalidate_dataset(name);
         let mut windows_extended = 0;
         let mut windows_declined = 0;
-        let mut projections_merged = 0;
         if compacted {
-            // fold the chain: drop the derived artifacts; the next
-            // queries rebuild against the compacted base
+            // fold the chain: drop the shared windows; the next queries
+            // rebuild them against the compacted base (the tables keep
+            // their projections: their rows did not change)
             self.window_cache.invalidate_dataset(name);
-            self.projection_cache.invalidate_dataset(name);
         } else {
             let table_ref = new_db.table(&table_name).expect("table just appended to");
             let delta_ids: Vec<usize> = (old_n..new_n).collect();
@@ -913,29 +912,6 @@ impl Service {
                     }
                     None => windows_declined += 1,
                 }
-            }
-            for (key, projection) in self.projection_cache.drain_dataset(name) {
-                let Some((scope, tbl, rows, column)) = parse_projection_key(&key) else {
-                    continue;
-                };
-                if scope != old_scope {
-                    continue;
-                }
-                if tbl != table_name {
-                    let new_key = projection_key(&new_scope, tbl, rows, column);
-                    self.projection_cache.store(new_key, projection);
-                    continue;
-                }
-                if rows != old_n {
-                    continue;
-                }
-                let Ok(col) = table_ref.column_by_name(column) else {
-                    continue;
-                };
-                let merged = Arc::new(projection.extended(new_n, |i| col.get_f64(i)));
-                self.projection_cache
-                    .store(projection_key(&new_scope, tbl, new_n, column), merged);
-                projections_merged += 1;
             }
         }
         // move every live session of the old generation onto the new one
@@ -1047,7 +1023,8 @@ pub struct AppendOutcome {
     /// Shared windows dropped for full re-evaluation (shape not
     /// row-locally extendable).
     pub windows_declined: usize,
-    /// Shared sorted projections merged with the sorted delta.
+    /// Built sorted projections of the appended table merged with the
+    /// sorted delta ([`visdb_storage::Table::append_rows`]).
     pub projections_merged: usize,
     /// Live sessions whose §6 slider band was repaired in place.
     pub bands_repaired: usize,
@@ -1386,7 +1363,7 @@ mod tests {
         )
         .unwrap();
         // run the query (populates the shared window cache with recipes)
-        // and drag (warms the shared projection + the session's band)
+        // and drag (builds the table's projection + the session's band)
         match s.submit(id, Request::Summary { trace: false }).unwrap() {
             Response::Summary(sum) => assert_eq!(sum.exact, 50),
             other => panic!("expected summary, got {other:?}"),

@@ -5,8 +5,9 @@
 //! portion" — is applied to *data* change here: an append produces a new
 //! link in a [`DeltaChain`] instead of a brand-new base generation, so
 //! the serving layer can key its caches by `(base generation, chain
-//! length)` and *extend* cached artifacts (sorted projections, predicate
-//! windows, top-k bands) by the appended rows only. A compaction
+//! length)` and *extend* derived artifacts (predicate windows, top-k
+//! bands, and the tables' own sketches and sorted projections) by the
+//! appended rows only. A compaction
 //! threshold folds long chains back into a fresh base generation — the
 //! point at which accumulated deltas stop being "the additional portion"
 //! and incremental maintenance stops paying for its bookkeeping.

@@ -1,7 +1,8 @@
 //! Tables: schema + columns + row accessors.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use visdb_index::SortedProjection;
 use visdb_types::{Column, ColumnId, Error, Result, Schema, Value};
 
 use crate::column::ColumnData;
@@ -19,11 +20,20 @@ pub struct Table {
     schema: Schema,
     columns: Vec<ColumnData>,
     rows: usize,
-    /// One lazily built [`ColumnSketch`] slot per column, in the manner
-    /// of [`crate::StrColumn`]'s dictionary: shared by every reader of
-    /// the table, `None` once known unsketchable. Derived data —
-    /// equality ignores it; a clone keeps what is built.
-    sketches: Vec<OnceLock<Option<ColumnSketch>>>,
+    /// What each column derives, one entry per column. Equality ignores
+    /// it; a clone keeps what is built.
+    derived: Vec<Derived>,
+}
+
+/// The lazily built structures derived from one column, in the manner of
+/// [`crate::StrColumn`]'s dictionary: each built on the first ask and
+/// shared by every reader of the table.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    /// `None` once known unsketchable.
+    sketch: OnceLock<Option<ColumnSketch>>,
+    /// What a slider drag and a §4.4 join's inner key sweep.
+    projection: OnceLock<Arc<SortedProjection>>,
 }
 
 impl PartialEq for Table {
@@ -33,15 +43,10 @@ impl PartialEq for Table {
             schema,
             columns,
             rows,
-            sketches: _,
+            derived: _,
         } = self;
         (name, schema, columns, rows) == (&other.name, &other.schema, &other.columns, &other.rows)
     }
-}
-
-/// One empty sketch slot per column.
-fn sketch_slots(columns: usize) -> Vec<OnceLock<Option<ColumnSketch>>> {
-    (0..columns).map(|_| OnceLock::new()).collect()
 }
 
 impl Table {
@@ -54,7 +59,7 @@ impl Table {
             .collect();
         Table {
             name: name.into(),
-            sketches: sketch_slots(schema.len()),
+            derived: vec![Derived::default(); schema.len()],
             schema,
             columns,
             rows: 0,
@@ -100,32 +105,47 @@ impl Table {
     /// empty table, an unknown column, or one that cannot have a sketch
     /// (not a native `F64` / `I64` buffer, or a NULL, NaN or ±inf row).
     pub fn sketch(&self, id: ColumnId) -> Option<&ColumnSketch> {
-        let (slot, col) = (self.sketches.get(id)?, self.columns.get(id)?);
+        let (derived, col) = (self.derived.get(id)?, self.columns.get(id)?);
         if self.rows == 0 {
             return None;
         }
-        slot.get_or_init(|| ColumnSketch::build(col)).as_ref()
+        derived
+            .sketch
+            .get_or_init(|| ColumnSketch::build(col))
+            .as_ref()
     }
 
     /// The sketch of column `id` when one is built; never builds.
     pub fn built_sketch(&self, id: ColumnId) -> Option<&ColumnSketch> {
-        self.sketches.get(id)?.get()?.as_ref()
+        self.derived.get(id)?.sketch.get()?.as_ref()
+    }
+
+    /// The sorted projection of column `id` ([`SortedProjection`]: its
+    /// rows in value order, NULL and NaN rows left out), built on the
+    /// first call and shared by every reader of this table. `None` for an
+    /// unknown column.
+    pub fn projection(&self, id: ColumnId) -> Option<&Arc<SortedProjection>> {
+        let (derived, col) = (self.derived.get(id)?, self.columns.get(id)?);
+        let build = || SortedProjection::build(self.rows, |i| col.get_f64(i));
+        Some(derived.projection.get_or_init(|| Arc::new(build())))
+    }
+
+    /// The projection of column `id` when one is built; never builds.
+    pub fn built_projection(&self, id: ColumnId) -> Option<&Arc<SortedProjection>> {
+        self.derived.get(id)?.projection.get()
     }
 
     /// Append one row. The row must match the schema arity and the value
     /// types must be column-compatible. On a mid-row type error the row is
     /// rolled back so the table never holds ragged columns. Drops every
-    /// built sketch ([`Table::append_rows`] extends them instead).
+    /// built sketch and projection ([`Table::append_rows`] extends them
+    /// instead).
     pub fn push_row(&mut self, row: Row) -> Result<()> {
-        for slot in &mut self.sketches {
-            if slot.get_mut().is_some() {
-                *slot = OnceLock::new();
-            }
-        }
+        self.derived.fill_with(Derived::default);
         self.push_values(row)
     }
 
-    /// [`Table::push_row`] with the sketches left as they are.
+    /// [`Table::push_row`] with the derived slots left as they are.
     fn push_values(&mut self, row: Row) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(Error::ArityMismatch {
@@ -148,10 +168,12 @@ impl Table {
     }
 
     /// Append a batch of rows atomically: either every row lands or the
-    /// table is left exactly as it was, its sketches included. The happy
-    /// path is O(Δ) column pushes and O(Δ) sketch extensions (a Δ with a
-    /// NULL, NaN or ±inf value drops that column's sketch for good); only
-    /// a mid-batch arity/type error pays an O(n) rollback gather.
+    /// table is left exactly as it was, its sketches and projections
+    /// included. The happy path is O(Δ) column pushes, O(Δ) sketch
+    /// extensions (a Δ with a NULL, NaN or ±inf value drops that column's
+    /// sketch for good) and an O(Δ log Δ + n) merge per built projection
+    /// ([`SortedProjection::extended`]); only a mid-batch arity/type error
+    /// pays an O(n) rollback gather.
     pub fn append_rows(&mut self, rows: Vec<Row>) -> Result<()> {
         let before = self.rows;
         for row in rows {
@@ -164,11 +186,14 @@ impl Table {
                 return Err(e);
             }
         }
-        for (slot, col) in self.sketches.iter_mut().zip(&self.columns) {
-            if let Some(Some(sketch)) = slot.get_mut() {
+        for (derived, col) in self.derived.iter_mut().zip(&self.columns) {
+            if let Some(Some(sketch)) = derived.sketch.get_mut() {
                 if !sketch.extend(col) {
-                    *slot = OnceLock::from(None);
+                    derived.sketch = OnceLock::from(None);
                 }
+            }
+            if let Some(projection) = derived.projection.get_mut() {
+                *projection = Arc::new(projection.extended(self.rows, |i| col.get_f64(i)));
             }
         }
         Ok(())
@@ -199,7 +224,7 @@ impl Table {
         Table {
             name: name.into(),
             schema: self.schema.clone(),
-            sketches: sketch_slots(columns.len()),
+            derived: vec![Derived::default(); columns.len()],
             columns,
             rows: indices.len(),
         }
@@ -226,7 +251,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            sketches: sketch_slots(columns.len()),
+            derived: vec![Derived::default(); columns.len()],
             columns,
             rows: n * m,
         }
@@ -369,19 +394,48 @@ mod tests {
         t
     }
 
+    /// Two projections hold the same rows, permutation, values and flags.
+    fn assert_same(a: &SortedProjection, b: &SortedProjection) {
+        assert_eq!(
+            (a.rows(), a.defined(), a.is_fully_finite()),
+            (b.rows(), b.defined(), b.is_fully_finite())
+        );
+        for j in 0..a.defined() {
+            assert_eq!(a.row_at(j), b.row_at(j), "permutation diverges at {j}");
+            assert_eq!(a.value_at(j).to_bits(), b.value_at(j).to_bits());
+        }
+        for i in 0..a.rows() {
+            assert_eq!(a.coord(i).to_bits(), b.coord(i).to_bits());
+        }
+    }
+
+    /// Column 0 of `t`, projected from scratch.
+    fn fresh(t: &Table) -> SortedProjection {
+        let col = t.column(0).unwrap();
+        SortedProjection::build(t.len(), |i| col.get_f64(i))
+    }
+
     #[test]
     fn sketches_are_lazy_shared_and_extended_by_appends() {
         let mut t = numbers(1_000);
-        assert!(t.built_sketch(0).is_none());
+        assert!(t.built_sketch(0).is_none() && t.built_projection(0).is_none());
         assert!(t.sketch(1).is_none() && t.sketch(2).is_none());
+        assert!(t.projection(2).is_none());
         let before = t.sketch(0).unwrap().clone();
         assert_eq!(t.built_sketch(0), Some(&before));
+        let projection = Arc::clone(t.projection(0).unwrap());
+        assert!(Arc::ptr_eq(t.built_projection(0).unwrap(), &projection));
+        assert_same(&projection, &fresh(&t));
         // equality ignores the slots; a clone keeps what is built
         assert_eq!(t, numbers(1_000));
-        assert_eq!(t.clone().built_sketch(0), Some(&before));
+        let clone = t.clone();
+        assert_eq!(clone.built_sketch(0), Some(&before));
+        assert!(Arc::ptr_eq(clone.built_projection(0).unwrap(), &projection));
         // gather and cross product start empty
-        assert!(t.gather("G", &[0, 1]).built_sketch(0).is_none());
-        assert!(t.cross_product(&t, "X").built_sketch(0).is_none());
+        let gathered = t.gather("G", &[0, 1]);
+        assert!(gathered.built_sketch(0).is_none() && gathered.built_projection(0).is_none());
+        let crossed = t.cross_product(&t, "X");
+        assert!(crossed.built_sketch(0).is_none() && crossed.built_projection(0).is_none());
 
         t.append_rows(vec![vec![Value::Float(500.0), Value::from("b")]])
             .unwrap();
@@ -389,7 +443,14 @@ mod tests {
         assert_eq!(grown.bounds(), before.bounds());
         assert_eq!(&grown.codes()[..1_000], before.codes());
         assert_eq!(grown.len(), 1_001);
-        // a failed append leaves the sketch as it was
+        let merged = Arc::clone(t.built_projection(0).expect("extended, not dropped"));
+        assert_same(&merged, &fresh(&t));
+        assert_eq!(
+            projection.rows(),
+            1_000,
+            "the clone's generation keeps its own"
+        );
+        // a failed append leaves the sketch and the projection as they were
         let kept = grown.clone();
         let bad = vec![
             vec![Value::Float(1.0), Value::from("c")],
@@ -397,16 +458,20 @@ mod tests {
         ];
         assert!(t.append_rows(bad).is_err());
         assert_eq!(t.built_sketch(0), Some(&kept));
-        // a NULL drops it for good; a bare push drops it for a rebuild
+        assert!(Arc::ptr_eq(t.built_projection(0).unwrap(), &merged));
+        // a NULL drops the sketch for good; the projection leaves it out
         t.append_rows(vec![vec![Value::Null, Value::from("d")]])
             .unwrap();
         assert!(t.built_sketch(0).is_none() && t.sketch(0).is_none());
+        assert_same(t.built_projection(0).unwrap(), &fresh(&t));
+        // a bare push drops both for a rebuild
         let mut u = numbers(10);
-        let _ = u.sketch(0).unwrap();
+        let _ = (u.sketch(0).unwrap(), u.projection(0).unwrap());
         u.push_row(vec![Value::Float(1.0), Value::from("e")])
             .unwrap();
-        assert!(u.built_sketch(0).is_none());
+        assert!(u.built_sketch(0).is_none() && u.built_projection(0).is_none());
         assert_eq!(u.sketch(0).unwrap().len(), 11);
+        assert_same(u.projection(0).unwrap(), &fresh(&u));
         assert!(Table::new("E", u.schema().clone()).sketch(0).is_none());
     }
 

@@ -6,7 +6,6 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use visdb::core::{Paint, ASCII_COLS};
-use visdb::index::{projection_key, ProjectionSource};
 use visdb::prelude::*;
 use visdb::relevance::{PipelineCache, SharedWindows, WindowRecipe, WindowSource};
 use visdb::render::ascii::to_ascii;
@@ -1439,8 +1438,8 @@ proptest! {
     /// the packed ranges are exactly the ones the count rule names, and
     /// the ones the byte sketch served are exactly those of `u` and `j`.
     /// A run cancelled mid-walk leaves the session cache, the shared
-    /// window cache and the projection store untouched, and the same
-    /// caches then serve the oracle's answer.
+    /// window cache and the table's projection slots untouched, and the
+    /// same caches then serve the oracle's answer.
     #[test]
     fn compare_packed_windows_match_the_oracle_above_the_parallel_threshold(
         n in 40_000usize..120_000,
@@ -1510,12 +1509,10 @@ proptest! {
         // cancelled on a range poll of the first window's walk
         let mut session = PipelineCache::new();
         let shared = MapWindows::default();
-        let projections = MapProjections::default();
         let layers = |session: &mut PipelineCache, cancel| {
             run(PipelineOptions {
                 cache: Some(session),
                 shared: Some(SharedWindows { scope: "d#1", cache: &shared }),
-                projections: Some(("d#1", &projections as &dyn ProjectionSource)),
                 cancel,
                 ..Default::default()
             })
@@ -1532,7 +1529,7 @@ proptest! {
         prop_assert!(matches!(cancelled, Err(Error::Cancelled)), "{:?}", cancelled.map(|o| o.n));
         prop_assert!(session.is_empty());
         prop_assert!(shared.0.lock().unwrap().is_empty());
-        prop_assert_eq!(*projections.stores.lock().unwrap(), 0);
+        prop_assert!((0..t.schema().len()).all(|c| t.built_projection(c).is_none()));
         let again = layers(&mut session, None).unwrap();
         let diff = first_divergence(&again, &slow, &policy);
         prop_assert!(diff.is_none(), "after a cancel: {}", diff.unwrap());
@@ -2452,26 +2449,6 @@ impl WindowSource for MapWindows {
     }
 }
 
-/// A map-backed shared projection store that counts what it is asked.
-#[derive(Default)]
-struct MapProjections {
-    map: Mutex<HashMap<String, Arc<SortedProjection>>>,
-    hits: Mutex<usize>,
-    stores: Mutex<usize>,
-}
-
-impl ProjectionSource for MapProjections {
-    fn lookup(&self, key: &str) -> Option<Arc<SortedProjection>> {
-        let found = self.map.lock().unwrap().get(key).cloned();
-        *self.hits.lock().unwrap() += usize::from(found.is_some());
-        found
-    }
-    fn store(&self, key: String, projection: Arc<SortedProjection>) {
-        *self.stores.lock().unwrap() += 1;
-        self.map.lock().unwrap().insert(key, projection);
-    }
-}
-
 /// One pipeline run in `mode` with the given cache layers attached.
 fn run_cached(
     db: &Database,
@@ -2715,15 +2692,15 @@ fn assert_same_projection(a: &SortedProjection, b: &SortedProjection) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A §4.4 join that borrows its inner key's sorted projection from
-    /// a shared source equals the source-less join bit for bit, builds
-    /// the projection exactly once across evaluations, and — the key
-    /// carrying the generation scope and the row count — sweeps the
-    /// projection of the *grown* column after an append to the inner
-    /// relation: the migrated (`extended`) one when the serving layer
-    /// carried it over, a fresh build otherwise, the two being equal.
+    /// A §4.4 join sweeps its inner key's sorted projection from the
+    /// inner table's slot and equals the scalar oracle's exhaustive join
+    /// bit for bit. The slot is built once across evaluations: every
+    /// later one sweeps the same build. After an append to the inner
+    /// relation the join sweeps the grown column's projection — the slot
+    /// `append_rows` extended, equal to a fresh build and to the one a
+    /// reloaded catalog builds — while the old generation keeps its own.
     #[test]
-    fn join_over_a_shared_projection_matches_the_sourceless_join(
+    fn join_over_the_inner_tables_projection_matches_the_oracle(
         outer in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..60),
         inner in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..60),
         grown in prop::collection::vec((-1e3f64..1e3, 0u8..12), 1..20),
@@ -2733,10 +2710,11 @@ proptest! {
         quant in 0u8..2,
         pct in 1.0f64..100.0,
     ) {
+        let value = |&(v, tag): &(f64, u8)| join_value(v, tag, specials == 1, quant == 1);
         let column = |name: &str, col: &str, rows: &[(f64, u8)]| {
             let mut t = TableBuilder::new(name, vec![Column::new(col, DataType::Float)]);
-            for &(v, tag) in rows {
-                t = t.row(vec![join_value(v, tag, specials == 1, quant == 1)]).unwrap();
+            for row in rows {
+                t = t.row(vec![value(row)]).unwrap();
             }
             t.build()
         };
@@ -2748,61 +2726,57 @@ proptest! {
         };
         let resolver = DistanceResolver::new();
         let policy = DisplayPolicy::Percentage(pct);
-        let run = |db: &Database, filter: f64, source: Option<(&str, &MapProjections)>| {
+        let run = |db: &Database, filter: f64, mode: ExecMode| {
             let sub = QueryBuilder::from_tables(["I"]).cmp("y", CompareOp::Le, filter).build();
             let q = QueryBuilder::from_tables(["O"])
                 .cmp("x", CompareOp::Ge, threshold)
                 .is_in("x", "y", sub)
                 .build();
-            run_pipeline(
-                db, db.table("O").unwrap(), &resolver, q.condition.as_ref(), &policy,
-                PipelineOptions {
-                    projections: source.map(|(scope, s)| (scope, s as &dyn ProjectionSource)),
-                    ..Default::default()
-                },
-            ).unwrap()
+            let opts = PipelineOptions { mode, ..Default::default() };
+            run_pipeline(db, db.table("O").unwrap(), &resolver, q.condition.as_ref(), &policy, opts)
+                .unwrap()
         };
+        let matches_the_oracle = |db: &Database, filter: f64| {
+            let fast = run(db, filter, ExecMode::Vectorized);
+            first_divergence(&fast, &run(db, filter, ExecMode::Scalar), &policy)
+        };
+        let slot = |db: &Database| db.table("I").unwrap().built_projection(0).cloned();
         let fresh_build = |db: &Database| {
             let col = db.table("I").unwrap().column_by_name("y").unwrap();
             SortedProjection::build(col.len(), |i| col.get_f64(i))
         };
 
         let db = db_with_inner(&inner);
-        let source = MapProjections::default();
+        prop_assert!(slot(&db).is_none());
+        let mut first: Option<Arc<SortedProjection>> = None;
         for &filter in &filters {
-            let with = run(&db, filter, Some(("d#1", &source)));
-            let diff = first_divergence(&with, &run(&db, filter, None), &policy);
+            let diff = matches_the_oracle(&db, filter);
             prop_assert!(diff.is_none(), "{}", diff.unwrap());
+            let built = slot(&db).expect("the join builds its inner key's projection");
+            let first = first.get_or_insert_with(|| Arc::clone(&built));
+            prop_assert!(Arc::ptr_eq(first, &built), "one build across evaluations");
         }
-        prop_assert_eq!(*source.stores.lock().unwrap(), 1, "one build across evaluations");
-        prop_assert_eq!(*source.hits.lock().unwrap(), filters.len() - 1);
-        let old_key = projection_key("d#1", "I", inner.len(), "y");
-        let old = source.lookup(&old_key).expect("stored under the inner column's key");
+        let old = slot(&db).unwrap();
         assert_same_projection(&old, &fresh_build(&db));
 
-        // the inner relation grows: a new generation scope and row count
+        // the inner relation grows by an append to a copy of the catalog,
+        // the serving layer's copy-on-append
         let all: Vec<(f64, u8)> = inner.iter().chain(&grown).copied().collect();
-        let db2 = db_with_inner(&all);
-        let col2 = db2.table("I").unwrap().column_by_name("y").unwrap();
-        // carried over the way the serving layer's append does
-        let migrated = Arc::new(old.extended(all.len(), |i| col2.get_f64(i)));
-        source.store(projection_key("d#2", "I", all.len(), "y"), Arc::clone(&migrated));
-        let stores = *source.stores.lock().unwrap();
-        let carried = run(&db2, filters[0], Some(("d#2", &source)));
-        prop_assert_eq!(*source.stores.lock().unwrap(), stores, "the migrated entry is a hit");
-        // not carried over: the old generation's entry must not serve it
-        let rebuilt_source = MapProjections::default();
-        rebuilt_source.store(old_key, old);
-        let rebuilt = run(&db2, filters[0], Some(("d#2", &rebuilt_source)));
-        let plain = run(&db2, filters[0], None);
-        for out in [&carried, &rebuilt] {
-            let diff = first_divergence(out, &plain, &policy);
-            prop_assert!(diff.is_none(), "{}", diff.unwrap());
-        }
-        let new_key = projection_key("d#2", "I", all.len(), "y");
-        let built = rebuilt_source.lookup(&new_key).expect("built for the grown column");
-        assert_same_projection(&built, &fresh_build(&db2));
-        assert_same_projection(&migrated, &built);
+        let mut db2 = db.clone();
+        let rows = grown.iter().map(|row| vec![value(row)]).collect();
+        db2.table_mut("I").unwrap().append_rows(rows).unwrap();
+        let carried = slot(&db2).expect("extended by the append");
+        assert_same_projection(&carried, &fresh_build(&db2));
+        prop_assert_eq!(old.rows(), inner.len(), "the old generation keeps its own");
+        let diff = matches_the_oracle(&db2, filters[0]);
+        prop_assert!(diff.is_none(), "{}", diff.unwrap());
+        prop_assert!(Arc::ptr_eq(&slot(&db2).unwrap(), &carried), "the grown join built none");
+        // not carried over: a reloaded catalog builds its own, the same
+        let reloaded = db_with_inner(&all);
+        let diff = matches_the_oracle(&reloaded, filters[0]);
+        prop_assert!(diff.is_none(), "{}", diff.unwrap());
+        let built = slot(&reloaded).expect("built for the grown column");
+        assert_same_projection(&built, &carried);
     }
 }
 
@@ -3323,16 +3297,17 @@ proptest! {
 
     /// A slid comparison window re-derived from its predecessor and the
     /// column's sorted projection is the window the walk builds. A
-    /// session sharing a projection store runs a random sequence of cold
-    /// queries, slides and re-weights on 1–3-window `AND` roots above the
+    /// session over a table with built projections runs a random sequence
+    /// of cold queries, slides and re-weights on 1–3-window `AND` roots above the
     /// parallel threshold — NULL, NaN, duplicates at every threshold,
     /// `-0.0` / `0.0` values and thresholds, an integer column, `>` ↔ `≥`
     /// and `<` ↔ `≤` slides and direction flips, thresholds leaving fewer
     /// exact answers than the fit count, all of them or none, bands past
     /// the guard, `±inf` values and overflowing distances. After every
     /// step it equals the scalar oracle, its windows' stats, bits and
-    /// fits equal those of a session with no projection store, and it
-    /// re-derived exactly the windows the rules name.
+    /// fits equal those of a session over a copy of the table with no
+    /// projection built, and it re-derived exactly the windows the rules
+    /// name. Neither session builds a projection.
     #[test]
     fn slid_windows_from_the_projection_match_the_oracle(
         n in 40_000usize..120_000,
@@ -3347,16 +3322,15 @@ proptest! {
     ) {
         let (db, values) = slide_table(n, seed);
         let db = Arc::new(db);
+        let plain_db = Arc::new(slide_table(n, seed).0);
         let table = db.table("T").unwrap();
         let policy = DisplayPolicy::Percentage(pct);
         let budget = policy.budget(n);
-        // every column but `unstored` has its projection in the store
+        // every column but `unstored` has its projection built
         let stored: [bool; 4] = std::array::from_fn(|c| c != unstored);
-        let store = Arc::new(MapProjections::default());
+        let id = |name: &str| table.schema().index_of(name).unwrap();
         for (_, name) in SLIDE_COLUMNS.iter().enumerate().filter(|&(c, _)| stored[c]) {
-            let col = table.column_by_name(name).unwrap();
-            let proj = SortedProjection::build(n, |i| col.get_f64(i));
-            store.store(projection_key("d#1", "T", n, name), Arc::new(proj));
+            table.projection(id(name)).unwrap();
         }
         let ops = [CompareOp::Gt, CompareOp::Ge, CompareOp::Lt, CompareOp::Le];
         // a window's column: `x` and `i` twice as often as `f` and `h`
@@ -3368,12 +3342,10 @@ proptest! {
             parts.build()
         };
         let open = |projections: bool| {
-            let mut s = Session::new(Arc::clone(&db), ConnectionRegistry::new());
+            let db = if projections { &db } else { &plain_db };
+            let mut s = Session::new(Arc::clone(db), ConnectionRegistry::new());
             s.set_display_policy(policy.clone()).unwrap();
             s.set_collect_trace(true);
-            if projections {
-                s.set_shared_projections("d#1", Arc::clone(&store) as Arc<dyn ProjectionSource>);
-            }
             s
         };
         let (mut with, mut without) = (open(true), open(false));
@@ -3449,6 +3421,13 @@ proptest! {
             prop_assert_eq!(plain.trace.as_deref().unwrap().windows_from_projection, 0);
             prev = top.into_iter().map(|w| w.node).zip(fast.windows).collect();
         }
+        let plain_table = plain_db.table("T").unwrap();
+        for name in SLIDE_COLUMNS {
+            prop_assert!(plain_table.built_projection(id(name)).is_none());
+        }
+        if let Some(name) = SLIDE_COLUMNS.get(unstored) {
+            prop_assert!(table.built_projection(id(name)).is_none());
+        }
     }
 }
 
@@ -3471,15 +3450,11 @@ fn a_slide_re_derives_up_to_half_the_rows_and_walks_past_them() {
     db.add_table(t.build());
     let db = Arc::new(db);
     let table = db.table("T").unwrap();
-    let store = Arc::new(MapProjections::default());
-    let col = table.column_by_name("r").unwrap();
-    let proj = SortedProjection::build(n, |i| col.get_f64(i));
-    store.store(projection_key("d#1", "T", n, "r"), Arc::new(proj));
+    table.projection(0).unwrap();
     let policy = DisplayPolicy::Percentage(1.0);
     let mut session = Session::new(Arc::clone(&db), ConnectionRegistry::new());
     session.set_display_policy(policy.clone()).unwrap();
     session.set_collect_trace(true);
-    session.set_shared_projections("d#1", Arc::clone(&store) as Arc<dyn ProjectionSource>);
     assert!(slide_takes_projection(n, n / 2) && !slide_takes_projection(n, n / 2 + 1));
     let (quarter, half) = (n as f64 / 4.0, n as f64 / 2.0);
     let steps = [

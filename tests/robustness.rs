@@ -286,8 +286,8 @@ fn interrupted_queries_leave_no_partial_cache_entries() {
         }
     }
 
-    // The same for what a modification recomputes: a §4.4 join's shared
-    // inner projection, and the window a re-weight refits.
+    // The same for what a modification recomputes: a §4.4 join's inner
+    // projection, and the window a re-weight refits.
     fn join_service(reweight: bool) -> (Service, SessionId) {
         let column = |name: &str, col: &str, n: usize, step: f64| {
             let mut t = TableBuilder::new(name, vec![Column::new(col, DataType::Float)]);
@@ -350,16 +350,27 @@ fn interrupted_queries_leave_no_partial_cache_entries() {
                     "[{phase:?} {action:?}] expected an error, got {reply:?}"
                 );
             };
-            // the cold join: whatever the disturbed run sorted, it stored
-            // no projection — the re-ask cannot hit one
+            // the cold join: whatever the disturbed run sorted, the inner
+            // table holds no projection or a whole one, equal to a fresh
+            // build (a slot is filled all at once or not at all)
             let (s, id) = join_service(false);
             disturb(&s, id);
+            let db = s.database("pair").unwrap();
+            let inner = db.table("I").unwrap();
+            if let Some(left) = inner.built_projection(0) {
+                let col = inner.column(0).unwrap();
+                let fresh = SortedProjection::build(inner.len(), |i| col.get_f64(i));
+                assert_eq!(
+                    (left.rows(), left.defined(), left.is_fully_finite()),
+                    (fresh.rows(), fresh.defined(), fresh.is_fully_finite()),
+                    "[{phase:?} {action:?}] the interrupted run left a partial projection"
+                );
+                for j in 0..fresh.defined() {
+                    let at = |p: &SortedProjection| (p.row_at(j), p.value_at(j).to_bits());
+                    assert_eq!(at(left), at(&fresh), "[{phase:?} {action:?}] position {j}");
+                }
+            }
             assert_eq!(s.submit(id, render.clone()).unwrap(), cold_frame);
-            assert_eq!(
-                s.telemetry().projection_cache.hits,
-                0,
-                "[{phase:?} {action:?}] the interrupted run left a projection"
-            );
             // the settled session, re-weighted: the disturbed run stored
             // no refit window in either layer — the re-ask refits again
             // (from the shared entry when the panic recycled the session)

@@ -184,15 +184,17 @@ fn repeated_query_is_served_from_the_shared_cache() {
 
 #[test]
 fn concurrent_sessions_share_one_sorted_projection_build() {
-    // The slider fast path's per-column sorted projection (~20 B/row) is
-    // promoted to a shared per-(generation, column) cache: N sessions
-    // dragging the same column must trigger exactly one build.
+    // The slider fast path's per-column sorted projection (~20 B/row)
+    // lives on the table every session over the dataset generation
+    // shares: N sessions dragging the same column trigger one build.
     let db = ramp_db(2_000);
     let service = Service::new(ServiceConfig {
         workers: 4,
         ..Default::default()
     });
     service.register_dataset("ramp", Arc::clone(&db), ConnectionRegistry::new());
+    let projection = |db: &Database| db.table("T").unwrap().built_projection(0).cloned();
+    assert!(projection(&db).is_none());
 
     const CLIENTS: usize = 4;
     let ids: Vec<_> = (0..CLIENTS)
@@ -209,7 +211,7 @@ fn concurrent_sessions_share_one_sorted_projection_build() {
             Response::Ok
         );
     }
-    // sequential first drags: the first session builds, the rest hit
+    // sequential first drags: the first session builds, the rest share it
     for (i, &id) in ids.iter().enumerate() {
         let drag = service
             .submit(
@@ -233,9 +235,13 @@ fn concurrent_sessions_share_one_sorted_projection_build() {
             "client {i}"
         );
     }
-    let stats = service.telemetry().projection_cache;
-    assert_eq!(stats.misses, 1, "exactly one projection build");
-    assert_eq!(stats.hits, CLIENTS - 1, "every other session reuses it");
+    let built = projection(&db).expect("the first drag builds it");
+    // held by the table's slot, every session's slider index and `built`
+    assert_eq!(
+        Arc::strong_count(&built),
+        CLIENTS + 2,
+        "exactly one projection build"
+    );
 
     // concurrent follow-up drags: per-session indexes are warm, results
     // stay correct under parallel submission
@@ -272,9 +278,10 @@ fn concurrent_sessions_share_one_sorted_projection_build() {
             }
         );
     }
+    assert!(Arc::ptr_eq(&projection(&db).unwrap(), &built));
     assert_eq!(
-        service.telemetry().projection_cache.misses,
-        1,
+        Arc::strong_count(&built),
+        CLIENTS + 2,
         "warm sessions never rebuild"
     );
 
@@ -297,9 +304,10 @@ fn concurrent_sessions_share_one_sorted_projection_build() {
     assert_eq!(reference.num_exact, 300);
     assert!(reference.incremental);
 
-    // generation rotation evicts the shared build: a session over the
-    // re-registered dataset triggers a fresh one
-    service.register_dataset("ramp", ramp_db(2_000), ConnectionRegistry::new());
+    // generation rotation: a session over the re-registered dataset
+    // builds on the new generation's table
+    let rotated = ramp_db(2_000);
+    service.register_dataset("ramp", Arc::clone(&rotated), ConnectionRegistry::new());
     let fresh = service.create_session("ramp").unwrap();
     service
         .submit(
@@ -318,10 +326,74 @@ fn concurrent_sessions_share_one_sorted_projection_build() {
             },
         )
         .unwrap();
+    let rebuilt = projection(&rotated).expect("the rotated generation must rebuild");
+    assert!(!Arc::ptr_eq(&rebuilt, &built));
+}
+
+/// A compacting append folds the delta chain into a new base generation,
+/// yet the appended table keeps its sorted projection, extended like any
+/// other append's (its rows did not change): a drag after it builds
+/// nothing, and neither does one from a session opened on the compacted
+/// generation.
+#[test]
+fn a_compacting_append_keeps_the_sorted_projection() {
+    let service = Service::new(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    service.register_dataset("ramp", ramp_db(2_000), ConnectionRegistry::new());
+    let drag = |id, value| {
+        let text = "SELECT * FROM T WHERE x >= 1500";
+        assert_eq!(
+            service
+                .submit(id, Request::SetQueryText(text.into()))
+                .unwrap(),
+            Response::Ok
+        );
+        let op = CompareOp::Ge;
+        let trace = false;
+        match service.submit(
+            id,
+            Request::DragSlider {
+                window: 0,
+                op,
+                value,
+                trace,
+            },
+        ) {
+            Ok(Response::Drag { incremental, .. }) => assert!(incremental),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let live = service.create_session("ramp").unwrap();
+    drag(live, 1_600.0);
+    let mut compacted = false;
+    for i in 0..16 {
+        let row = vec![vec![Value::Float(2_000.0 + f64::from(i))]];
+        let out = service.append_rows("ramp", None, row).unwrap();
+        assert_eq!(out.projections_merged, 1, "append {i}");
+        if out.compacted {
+            compacted = true;
+            break;
+        }
+    }
+    assert!(compacted, "the chain folds within 16 appends");
+    let db = service.database("ramp").unwrap();
+    let table = db.table("T").unwrap();
+    let kept = table
+        .built_projection(0)
+        .cloned()
+        .expect("kept through the fold");
+    assert_eq!(kept.rows(), table.len());
+    drag(live, 1_700.0);
+    let fresh = service.create_session("ramp").unwrap();
+    drag(fresh, 1_650.0);
+    assert!(Arc::ptr_eq(table.built_projection(0).unwrap(), &kept));
+    // held by the table's slot, both sessions' slider indexes and `kept`
     assert_eq!(
-        service.telemetry().projection_cache.misses,
-        2,
-        "the rotated generation must rebuild"
+        Arc::strong_count(&kept),
+        4,
+        "a drag after the fold built one"
     );
 }
 
@@ -530,8 +602,6 @@ fn metrics_op_snapshots_every_layer_and_counters_stay_monotone() {
         "cache.query.misses",
         "cache.window.hits",
         "cache.window.misses",
-        "cache.projection.hits",
-        "cache.projection.misses",
         "service.sessions.created",
         "service.sessions.evicted",
         "service.requests.summary",
@@ -1239,7 +1309,6 @@ fn wide_band_drags_agree_with_the_pipeline_over_the_wire() {
         workers: 2,
         cache_capacity: 0,
         window_cache_capacity: 0,
-        projection_cache_capacity: 0,
         ..Default::default()
     });
     bare.register_dataset("scatter", Arc::clone(&db), ConnectionRegistry::new());
