@@ -4,7 +4,7 @@
 //!
 //! Two levels:
 //!
-//! 1. **Retrieval level** ([`visdb_index::IncrementalCache`]): a cold
+//! 1. **Retrieval level** ([`visdb_bench::IncrementalCache`]): a cold
 //!    range query vs a cached slider nudge. The cache pays off exactly in
 //!    the paper's situation — the backing store is a *linear scan* (1994
 //!    DBMSs had no multidimensional index, §6). Over our own k-d tree the
@@ -15,9 +15,10 @@
 //!    the other two windows are reused.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use visdb_bench::{ramp_db, random_points, three_predicate_query};
+use visdb_bench::{
+    ramp_db, random_points, three_predicate_query, IncrementalCache, KdTree, LinearScan, RangeIndex,
+};
 use visdb_distance::DistanceResolver;
-use visdb_index::{IncrementalCache, KdTree, LinearScan, RangeIndex};
 use visdb_query::ast::{AttrRef, CompareOp, ConditionNode, Predicate, Weighted};
 use visdb_relevance::cache::PipelineCache;
 use visdb_relevance::pipeline::{run_pipeline, DisplayPolicy, PipelineOptions};

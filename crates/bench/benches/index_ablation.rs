@@ -2,8 +2,7 @@
 //! multidimensional range queries the paper says 1994 DBMSs lacked (§6).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use visdb_bench::random_points;
-use visdb_index::{GridFile, KdTree, LinearScan, RangeIndex};
+use visdb_bench::{random_points, GridFile, KdTree, LinearScan, RangeIndex};
 
 fn index_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_ablation");

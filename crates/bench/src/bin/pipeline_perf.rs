@@ -140,7 +140,7 @@ struct SizeResult {
     drag_sparse_full: Timed,
     /// Delta-generation maintenance A/B at the server-op level: append
     /// a 1% delta to a live `Service` (`append_rows`: O(Δ) delta eval,
-    /// window extension, projection merge, band repair) then serve a
+    /// window extension, projection merge, session rebase) then serve a
     /// summary + drag through the surviving caches — vs reloading from
     /// scratch (row-by-row `Database` rebuild, re-register, cold
     /// summary + drag). Both arms end in the identical served state
@@ -533,7 +533,7 @@ fn bench_slider(db: &Arc<Database>, n: usize, min_reps: usize, bounds: [f64; 2])
 /// Delta-generation append vs reload-from-scratch, measured at the
 /// server-op level with a 1% delta. Each rep runs against a freshly
 /// warmed service (query installed, windows cached, table projection
-/// built, band warm) so the timed section isolates the maintenance
+/// built) so the timed section isolates the maintenance
 /// cost, not setup. FitScreen display keeps the per-window budget
 /// n-independent, so the extended windows are *served* after the
 /// append, not merely stored. The appended rows are exact answers
@@ -621,7 +621,6 @@ fn bench_append(db: &Arc<Database>, n: usize, min_reps: usize) -> (Timed, Timed)
         out.windows_extended >= 1,
         "append must extend the cached window at n={n}, not recompute it"
     );
-    assert_eq!(out.bands_repaired, 1, "live band must be repaired at n={n}");
     let drag = appended
         .submit(
             id,
@@ -673,9 +672,9 @@ fn bench_append(db: &Arc<Database>, n: usize, min_reps: usize) -> (Timed, Timed)
     );
 
     // timed: both arms restore the same warm serving state (windows
-    // cached, table projection extended, session band usable). The
-    // append arm does it in one maintenance op — window extension,
-    // projection merge, band repair ride inside `append_rows`; the
+    // cached, table projection extended). The append arm does it in
+    // one maintenance op — window extension, projection merge and the
+    // sessions' rebase ride inside `append_rows`; the
     // reload arm rebuilds the database and re-warms from cold. The
     // post-append pipeline recompute is identical in both arms (the
     // data changed) and is excluded from both.

@@ -11,31 +11,16 @@
 //! Slider nudges — the dominant interaction in §4.3 — almost always stay
 //! inside the expansion, so recalculation after a small query
 //! modification avoids touching the full data set.
+//!
+//! The engine does not use it: a one-column slider's exact answers are a
+//! position range of the column's sorted projection
+//! (`visdb_index::SortedProjection`), so a drag needs no candidate band.
+//! The `incremental` bench measures the cache over the multidimensional
+//! access methods of this crate, where the paper's situation holds.
 
 use visdb_types::Result;
 
 use crate::RangeIndex;
-
-/// Hit/miss counters for diagnostics and the C6 bench.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from the cached candidate set.
-    pub hits: usize,
-    /// Queries that had to go to the underlying index.
-    pub misses: usize,
-}
-
-impl CacheStats {
-    /// Hit rate in [0, 1]; 0 when nothing was asked.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// A caching layer over any [`RangeIndex`].
 pub struct IncrementalCache<I> {
@@ -45,7 +30,6 @@ pub struct IncrementalCache<I> {
     slack: f64,
     cached_box: Option<(Vec<f64>, Vec<f64>)>,
     candidates: Vec<usize>,
-    stats: CacheStats,
 }
 
 impl<I: RangeIndex + PointAccess> IncrementalCache<I> {
@@ -56,47 +40,13 @@ impl<I: RangeIndex + PointAccess> IncrementalCache<I> {
             slack: slack.max(0.0),
             cached_box: None,
             candidates: Vec::new(),
-            stats: CacheStats::default(),
         }
-    }
-
-    /// The wrapped index.
-    pub fn index(&self) -> &I {
-        &self.index
-    }
-
-    /// Cache statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Drop the cached candidate set (e.g. after the data changes).
     pub fn invalidate(&mut self) {
         self.cached_box = None;
         self.candidates.clear();
-    }
-
-    /// Swap in an index over an *appended* relation — rows `0..old_rows`
-    /// must be unchanged, rows `old_rows..new_rows` are new — and
-    /// **repair** the cached candidate band instead of dropping it: each
-    /// appended row whose point lies inside the cached expanded box
-    /// joins the candidate set. This preserves the §6 invariant
-    /// (candidates = every row inside the cached box) exactly, so
-    /// contained queries keep answering from the band; appended ids
-    /// exceed every existing id, so pushing keeps the candidates' row
-    /// order. Returns `true` when a cached band existed and was
-    /// repaired, `false` when there was nothing to repair.
-    pub fn rebase(&mut self, index: I, old_rows: usize, new_rows: usize) -> bool {
-        self.index = index;
-        let Some((lo, hi)) = self.cached_box.clone() else {
-            return false;
-        };
-        for i in old_rows..new_rows {
-            if self.point_in(i, &lo, &hi) {
-                self.candidates.push(i);
-            }
-        }
-        true
     }
 
     fn contained(&self, low: &[f64], high: &[f64]) -> bool {
@@ -115,20 +65,14 @@ impl<I: RangeIndex + PointAccess> IncrementalCache<I> {
     /// the cached superset.
     pub fn range_query(&mut self, low: &[f64], high: &[f64]) -> Result<Vec<usize>> {
         if self.contained(low, high) {
-            self.stats.hits += 1;
             // filter cached candidates against the exact box
-            let index = &self.index;
             return Ok(self
                 .candidates
                 .iter()
                 .copied()
-                .filter(|&i| {
-                    let p = index.point(i);
-                    (0..low.len()).all(|d| low[d] <= p[d] && p[d] <= high[d])
-                })
+                .filter(|&i| self.point_in(i, low, high))
                 .collect());
         }
-        self.stats.misses += 1;
         // expand and retrieve the superset
         let mut elo = Vec::with_capacity(low.len());
         let mut ehi = Vec::with_capacity(high.len());
@@ -163,30 +107,6 @@ pub trait PointAccess {
     fn point(&self, i: usize) -> &[f64];
 }
 
-// `Arc`-wrapped indexes delegate, so a projection shared across
-// sessions (a table's projection slot, `visdb_storage::Table::projection`)
-// plugs into the per-session incremental cache without cloning the
-// underlying build.
-impl<I: RangeIndex + ?Sized> RangeIndex for std::sync::Arc<I> {
-    fn dims(&self) -> usize {
-        (**self).dims()
-    }
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn range_query(&self, low: &[f64], high: &[f64]) -> Result<Vec<usize>> {
-        (**self).range_query(low, high)
-    }
-}
-
-impl<I: PointAccess + ?Sized> PointAccess for std::sync::Arc<I> {
-    fn point(&self, i: usize) -> &[f64] {
-        (**self).point(i)
-    }
-}
-
 impl PointAccess for crate::KdTree {
     fn point(&self, i: usize) -> &[f64] {
         &self.points()[i]
@@ -207,8 +127,39 @@ impl PointAccess for crate::LinearScan {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::KdTree;
+
+    /// A k-d tree that counts the range queries it answers: each cache
+    /// miss asks it exactly once, a hit never.
+    struct Counted {
+        tree: KdTree,
+        queries: Rc<Cell<usize>>,
+    }
+
+    impl RangeIndex for Counted {
+        fn dims(&self) -> usize {
+            self.tree.dims()
+        }
+
+        fn len(&self) -> usize {
+            self.tree.len()
+        }
+
+        fn range_query(&self, low: &[f64], high: &[f64]) -> Result<Vec<usize>> {
+            self.queries.set(self.queries.get() + 1);
+            self.tree.range_query(low, high)
+        }
+    }
+
+    impl PointAccess for Counted {
+        fn point(&self, i: usize) -> &[f64] {
+            self.tree.point(i)
+        }
+    }
 
     fn tree() -> KdTree {
         let pts: Vec<Vec<f64>> = (0..1000)
@@ -217,10 +168,20 @@ mod tests {
         KdTree::build(pts).unwrap()
     }
 
+    /// A cache over [`tree`] with `slack`, and its count of misses.
+    fn cache(slack: f64) -> (IncrementalCache<Counted>, Rc<Cell<usize>>) {
+        let queries = Rc::new(Cell::new(0));
+        let counted = Counted {
+            tree: tree(),
+            queries: Rc::clone(&queries),
+        };
+        (IncrementalCache::new(counted, slack), queries)
+    }
+
     #[test]
     fn exactness_against_direct_queries() {
         let t = tree();
-        let mut cache = IncrementalCache::new(tree(), 0.3);
+        let (mut cache, misses) = cache(0.3);
         for bounds in [
             ([10.0, 0.0], [20.0, 40.0]),
             ([12.0, 10.0], [18.0, 30.0]), // contained: should be a hit
@@ -235,90 +196,39 @@ mod tests {
             cached.sort_unstable();
             assert_eq!(cached, direct);
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
+        assert_eq!(misses.get(), 2, "one of three queries was a hit");
     }
 
     #[test]
     fn slider_nudges_are_hits() {
-        let mut cache = IncrementalCache::new(tree(), 0.5);
+        let (mut cache, misses) = cache(0.5);
         cache.range_query(&[20.0, 20.0], &[40.0, 60.0]).unwrap();
         // nudge the lower bound repeatedly, staying inside the slack
         for step in 1..=5 {
             let lo = 20.0 + step as f64;
             cache.range_query(&[lo, 20.0], &[40.0, 60.0]).unwrap();
         }
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 5);
-        assert!(cache.stats().hit_rate() > 0.8);
+        assert_eq!(misses.get(), 1, "five nudges, five hits");
     }
 
     #[test]
     fn invalidate_forces_miss() {
-        let mut cache = IncrementalCache::new(tree(), 0.5);
+        let (mut cache, misses) = cache(0.5);
         cache.range_query(&[20.0, 20.0], &[40.0, 60.0]).unwrap();
         cache.invalidate();
         cache.range_query(&[21.0, 21.0], &[39.0, 59.0]).unwrap();
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(misses.get(), 2);
     }
 
     #[test]
     fn zero_slack_still_correct() {
         let t = tree();
-        let mut cache = IncrementalCache::new(tree(), 0.0);
+        let (mut cache, misses) = cache(0.0);
         let direct = t.range_query(&[5.0, 0.0], &[10.0, 20.0]).unwrap();
         let got = cache.range_query(&[5.0, 0.0], &[10.0, 20.0]).unwrap();
         assert_eq!(got.len(), direct.len());
         // identical repeat query is contained (boundary-inclusive) -> hit
         cache.range_query(&[5.0, 0.0], &[10.0, 20.0]).unwrap();
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn hit_rate_empty() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn rebase_repairs_the_band_for_appended_rows() {
-        use crate::SortedProjection;
-        let old_vals: Vec<Option<f64>> = (0..200).map(|i| Some((i % 50) as f64)).collect();
-        let mut all_vals = old_vals.clone();
-        // delta straddles the band: some rows inside the cached box, some
-        // outside, one NULL and one NaN
-        all_vals.extend([
-            Some(25.0),
-            Some(49.0),
-            Some(10.0),
-            None,
-            Some(f64::NAN),
-            Some(30.5),
-        ]);
-        let old = SortedProjection::build(old_vals.len(), |i| old_vals[i]);
-        let new = old.extended(all_vals.len(), |i| all_vals[i]);
-        let direct = SortedProjection::build(all_vals.len(), |i| all_vals[i]);
-
-        let mut cache = IncrementalCache::new(old, 0.25);
-        cache.range_query(&[20.0], &[40.0]).unwrap();
-        assert!(cache.rebase(new, old_vals.len(), all_vals.len()));
-        // contained queries after the rebase see the appended rows and
-        // match a from-scratch index exactly
-        for (lo, hi) in [(20.0, 40.0), (24.0, 31.0), (25.0, 25.0)] {
-            let got = cache.range_query(&[lo], &[hi]).unwrap();
-            let expect = direct.range_query(&[lo], &[hi]).unwrap();
-            assert_eq!(got, expect, "[{lo}, {hi}]");
-        }
-        assert_eq!(cache.stats().misses, 1, "repairs never re-query");
-        assert_eq!(cache.stats().hits, 3);
-
-        // no cached band -> nothing to repair
-        let mut cold = IncrementalCache::new(
-            SortedProjection::build(old_vals.len(), |i| old_vals[i]),
-            0.25,
-        );
-        assert!(!cold.rebase(
-            SortedProjection::build(all_vals.len(), |i| all_vals[i]),
-            old_vals.len(),
-            all_vals.len(),
-        ));
+        assert_eq!(misses.get(), 1);
     }
 }

@@ -17,11 +17,82 @@
 //! * `incremental` — C6: cold queries vs cached slider nudges.
 //! * `combining_ablation` — weighted means vs fuzzy min/max combiners.
 //! * `arrangement` — spiral vs 2D arrangement throughput + coherence.
+//!
+//! The multidimensional access methods the paper found missing in 1994
+//! database systems — "multidimensional data structures that support
+//! range queries on multiple attributes will be essential to improve
+//! query performance" (§6) — live here, with the two benches that measure
+//! them (`index_ablation`, `incremental`); the engine itself answers its
+//! one-column ranges from `visdb_index::SortedProjection`:
+//!
+//! * [`kdtree`] — a median-split k-d tree over numeric attribute vectors
+//!   with orthogonal range queries and nearest-neighbour search.
+//! * [`gridfile`] — a grid file (equi-width directory) as the classic
+//!   1990s alternative; same [`RangeIndex`] interface.
+//! * [`linear`] — linear scan baseline for the ablation benches.
+//! * [`incremental`] — the paper's incremental-recalculation idea:
+//!   "retrieve more data than necessary in the beginning and ... retrieve
+//!   only the additional portion of the data that is needed for a
+//!   slightly modified query later on."
+
+pub mod gridfile;
+pub mod incremental;
+pub mod kdtree;
+pub mod linear;
+
+pub use gridfile::GridFile;
+pub use incremental::IncrementalCache;
+pub use kdtree::KdTree;
+pub use linear::LinearScan;
 
 use visdb_query::ast::{CompareOp, Query};
 use visdb_query::builder::QueryBuilder;
 use visdb_storage::{Database, TableBuilder};
-use visdb_types::{Column, DataType, Value};
+use visdb_types::{Column, DataType, Error, Result, Value};
+
+/// Orthogonal range queries over a fixed set of `dims()`-dimensional
+/// points. Implementations return *row indices* of matching points.
+pub trait RangeIndex {
+    /// Dimensionality of the indexed points.
+    fn dims(&self) -> usize;
+
+    /// Number of indexed points.
+    fn len(&self) -> usize;
+
+    /// True if no points are indexed.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// All points `p` with `low[d] <= p[d] <= high[d]` for every
+    /// dimension `d`. The result order is implementation-defined.
+    fn range_query(&self, low: &[f64], high: &[f64]) -> Result<Vec<usize>>;
+}
+
+pub(crate) fn check_box(dims: usize, low: &[f64], high: &[f64]) -> Result<()> {
+    if low.len() != dims || high.len() != dims {
+        return Err(Error::invalid_parameter(
+            "range",
+            format!(
+                "expected {dims}-dimensional bounds, got {} / {}",
+                low.len(),
+                high.len()
+            ),
+        ));
+    }
+    for d in 0..dims {
+        if low[d].is_nan() || high[d].is_nan() {
+            return Err(Error::invalid_parameter("range", "NaN bound"));
+        }
+        if low[d] > high[d] {
+            return Err(Error::invalid_parameter(
+                "range",
+                format!("low[{d}] = {} exceeds high[{d}] = {}", low[d], high[d]),
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// A single-column ramp table `x = 0..n`, the canonical scaling workload.
 pub fn ramp_db(n: usize) -> Database {

@@ -25,5 +25,5 @@ pub mod sliders;
 
 pub use joins::{materialize_base, JoinOptions};
 pub use render::{render_session, Paint, Picture, RenderOptions, ASCII_COLS};
-pub use session::{BandRebase, DrilldownView, Session, SessionResult, SliderDrag};
+pub use session::{DrilldownView, Session, SessionResult, SliderDrag};
 pub use sliders::{OverallPanel, Panel, SliderModel};

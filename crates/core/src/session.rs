@@ -13,7 +13,7 @@ use visdb_arrange::{arrange_overall, ItemGrid, PixelsPerItem, SpiralIter};
 use visdb_color::{Colormap, ColormapKind};
 use visdb_distance::registry::{ColumnDistance, DistanceResolver};
 use visdb_exec::CancelToken;
-use visdb_index::{IncrementalCache, SortedProjection};
+use visdb_index::SortedProjection;
 use visdb_query::ast::{CompareOp, ConditionNode, PredicateTarget, Query, Weighted};
 use visdb_query::connection::ConnectionRegistry;
 use visdb_query::parser::parse_query;
@@ -59,41 +59,11 @@ pub struct SliderDrag {
     pub num_exact: usize,
     /// The dragged window's fitted normalization.
     pub norm_params: Option<NormParams>,
-    /// True when the sorted-projection fast path served the drag
-    /// (O(log n + k) work); false means a full pipeline recompute ran.
+    /// True when the fast path served the drag from the dragged column's
+    /// sorted projection on its table ([`Table::projection`]): O(log n)
+    /// position arithmetic plus O(k) gathered rows. False means a full
+    /// pipeline recompute ran.
     pub incremental: bool,
-    /// Hit/miss counters of the §6 incremental range cache backing the
-    /// fast path (None on the full-recompute fallback).
-    pub index_stats: Option<visdb_index::CacheStats>,
-}
-
-/// The per-session sorted-projection slider index: one column's sorted
-/// permutation behind the §6 incremental range cache. Rebuilt when the
-/// dragged column (or the base relation) changes. The projection itself
-/// (~20 bytes/row: coords + perm + sorted values) is the table's own
-/// ([`Table::projection`]), behind an `Arc`: N sessions dragging the same
-/// column share **one** build per (dataset generation, column) instead
-/// of paying one each; only the thin candidate-band cache stays
-/// per-session.
-struct SliderIndex {
-    table: String,
-    rows: usize,
-    column: String,
-    cache: IncrementalCache<Arc<SortedProjection>>,
-}
-
-/// How [`Session::rebase`] handled the slider index across a dataset
-/// append (the serving layer's `delta.bands_*` counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BandRebase {
-    /// No slider index existed; nothing to carry over.
-    None,
-    /// The index was carried to the new generation and its §6 candidate
-    /// band repaired by examining only the appended rows.
-    Repaired,
-    /// The index could not be carried over and was dropped (it is
-    /// rebuilt lazily on the next drag).
-    Dropped,
 }
 
 /// A drill-down view of one query part (§4.4: double-clicking a boolean
@@ -155,8 +125,6 @@ pub struct Session {
     /// sessions over the same dataset generation (see
     /// [`Session::set_shared_windows`]).
     shared_windows: Option<(String, Arc<dyn WindowSource>)>,
-    /// Sorted-projection slider index (see [`Session::drag_slider`]).
-    slider_index: Option<SliderIndex>,
     /// Collect a [`visdb_relevance::PipelineTrace`] on every
     /// recalculation (see [`Session::set_collect_trace`]).
     collect_trace: bool,
@@ -192,7 +160,6 @@ impl Session {
             paint: None,
             pipeline_cache: PipelineCache::new(),
             shared_windows: None,
-            slider_index: None,
             collect_trace: false,
             cancel: None,
         }
@@ -219,7 +186,6 @@ impl Session {
         self.held = Held::default();
         self.paint = None;
         self.pipeline_cache = PipelineCache::new();
-        self.slider_index = None;
         self.cancel = None;
     }
 
@@ -251,19 +217,18 @@ impl Session {
     /// Move this session onto a new generation of its dataset after an
     /// **append** (`db` must hold the same tables with the old rows
     /// unchanged and new rows only at the end — the delta-generation
-    /// contract of `visdb-service`). O(Δ) in the appended rows:
+    /// contract of `visdb-service`):
     ///
     /// * the shared-cache scopes are re-pointed at the new generation
     ///   (the serving layer migrates the caches themselves first);
     /// * the cached [`SessionResult`] is invalidated — displayed sets
-    ///   and normalizations may legitimately change under new data;
-    /// * the slider index's sorted projection is swapped for the new
-    ///   generation's — the table's, which [`Table::append_rows`] extended,
-    ///   or, when the table holds none, an O(Δ log Δ + n) local
-    ///   [`SortedProjection::extended`] merge — and its §6 candidate band
-    ///   repaired in place via [`IncrementalCache::rebase`], examining
-    ///   only rows `old_n..new_n`.
-    pub fn rebase(&mut self, db: Arc<Database>, scope: impl Into<String>) -> BandRebase {
+    ///   and normalizations may legitimately change under new data.
+    ///
+    /// The session carries no slider index: the next drag reads the new
+    /// generation's sorted projection off its table, which
+    /// [`Table::append_rows`] extended (a table with an empty slot builds
+    /// it on the first ask).
+    pub fn rebase(&mut self, db: Arc<Database>, scope: impl Into<String>) {
         self.db = db;
         // the per-session window cache fingerprints (table, rows,
         // budget) and would miss anyway; drop it eagerly so no code
@@ -272,36 +237,6 @@ impl Session {
         self.invalidate();
         if let Some((s, _)) = &mut self.shared_windows {
             *s = scope.into();
-        }
-        match self.slider_index.take() {
-            None => BandRebase::None,
-            Some(mut si) => {
-                let carried = (|| {
-                    let table = self.db.table(&si.table).ok()?;
-                    let n2 = table.len();
-                    if n2 < si.rows {
-                        return None; // shrank: not an append
-                    }
-                    let id = table.schema().index_of(&si.column)?;
-                    let proj = match table.built_projection(id) {
-                        Some(p) => Arc::clone(p),
-                        None => {
-                            let col = table.column(id).ok()?;
-                            Arc::new(si.cache.index().extended(n2, |i| col.get_f64(i)))
-                        }
-                    };
-                    si.cache.rebase(proj, si.rows, n2);
-                    si.rows = n2;
-                    Some(())
-                })();
-                match carried {
-                    Some(()) => {
-                        self.slider_index = Some(si);
-                        BandRebase::Repaired
-                    }
-                    None => BandRebase::Dropped,
-                }
-            }
         }
     }
 
@@ -605,14 +540,15 @@ impl Session {
     /// many exact answers, the window's normalization — through the
     /// sorted-projection fast path whenever the query shape allows:
     /// a single-table, single-window monotone numeric comparison under a
-    /// top-k display policy. On that path the fit is O(log n) position
-    /// arithmetic on the column's cached sorted permutation, the
-    /// exact-answer set comes from the §6 [`IncrementalCache`] (a
-    /// *contained* bound modification re-filters the cached candidate
-    /// band — only the delta between the old and new bound is examined),
-    /// and only O(k) candidate rows are gathered and sorted: O(log n + k)
-    /// in all, plus at most one sequential walk of the column's per-row
-    /// values when the remaining items come from a band too wide to
+    /// top-k display policy. On that path everything is read off the
+    /// column's sorted projection on its table ([`Table::projection`],
+    /// built once per dataset generation and shared by every session):
+    /// the fit is O(log n) position arithmetic, the exact answers are one
+    /// position range of the permutation (§6: the data a modified bound
+    /// needs is found by position, the base relation is not re-read), and
+    /// only O(k) candidate rows are gathered and sorted: O(log n + k) in
+    /// all, plus at most one sequential walk of the column's per-row
+    /// values when the displayed items come from a band too wide to
     /// gather (the §5.2 clamp plateau, a heavy duplicate, a wide exact
     /// band) — see [`SortedProjection::smallest_rows_in`].
     ///
@@ -653,21 +589,14 @@ impl Session {
             num_exact: res.pipeline.num_exact,
             norm_params: res.pipeline.windows.get(idx).map(|w| w.norm_params),
             incremental: false,
-            index_stats: None,
         })
-    }
-
-    /// Cumulative hit/miss counters of the slider fast path's §6
-    /// incremental range cache (None before any incremental drag).
-    pub fn slider_index_stats(&self) -> Option<visdb_index::CacheStats> {
-        self.slider_index.as_ref().map(|si| si.cache.stats())
     }
 
     /// The sorted-projection fast path of [`Session::drag_slider`].
     /// Returns `Ok(None)` whenever the query, policy, column or data
     /// shape puts bit-exactness in doubt — the caller then runs the full
     /// pipeline instead.
-    fn try_incremental_drag(&mut self) -> Result<Option<SliderDrag>> {
+    fn try_incremental_drag(&self) -> Result<Option<SliderDrag>> {
         let Some(query) = &self.query else {
             return Ok(None);
         };
@@ -723,26 +652,12 @@ impl Session {
         ) {
             return Ok(None);
         }
-        // reuse the per-session index, else take the table's sorted
-        // projection of this column, built on the first ask
-        let reusable = matches!(
-            &self.slider_index,
-            Some(si) if si.table == table.name() && si.rows == n && si.column == col_name
-        );
-        if !reusable {
-            let id = table.schema().index_of(&col_name);
-            let Some(proj) = id.and_then(|id| table.projection(id)).cloned() else {
-                return Ok(None);
-            };
-            self.slider_index = Some(SliderIndex {
-                table: table.name().to_string(),
-                rows: n,
-                column: col_name,
-                cache: IncrementalCache::new(proj, 0.25),
-            });
-        }
-        let si = self.slider_index.as_mut().expect("ensured above");
-        let proj = si.cache.index();
+        // the table's sorted projection of this column, built on the
+        // first ask
+        let id = table.schema().index_of(&col_name);
+        let Some(proj) = id.and_then(|id| table.projection(id)) else {
+            return Ok(None);
+        };
         let m = proj.defined();
         let Some(k) = display_count(&self.policy, n, m, 1) else {
             return Ok(None);
@@ -759,7 +674,6 @@ impl Session {
                     dmax: 0.0,
                 }),
                 incremental: true,
-                index_stats: Some(si.cache.stats()),
             }));
         }
 
@@ -835,72 +749,46 @@ impl Session {
         };
 
         // --- display selection: contiguous candidate bands -------------
-        // A band up to a few multiples of the display count is gathered
-        // (the exact side through the §6 cache, pre-sorted by row id); a
-        // wider one is only ever needed for its smallest row ids, which
-        // the projection finds without materializing it.
-        let band_limit = (4 * k).max(1024);
-        let displayed = if e > band_limit {
-            // more exact answers than display slots (`k <= band_limit`):
-            // ranks within the zero class tie-break by row id
-            proj.smallest_rows_in(zero_from, zero_to, k)
-        } else {
-            let mut out: Vec<usize> = if e == 0 {
-                Vec::new()
+        // Exact answers rank first and tie-break by row id: the smallest
+        // row ids of the zero band, which the projection finds without
+        // materializing a wide band.
+        let mut displayed = proj.smallest_rows_in(zero_from, zero_to, k);
+        if k > e {
+            let needed = k - e;
+            let combined_at = |j: usize| combined_of(abs_at(proj, j));
+            // the `needed`-th closest non-exact item sets the boundary:
+            // everything strictly closer displays (fewer than `needed`
+            // rows), and the rest comes from the boundary's equal-combined
+            // tie class — under a weight-1 fit the whole clamp plateau —
+            // where ranks tie-break by row id
+            let boundary = combined_at(if greater {
+                zero_from - needed
             } else {
-                // the §6 incremental cache answers the value interval of
-                // the bound; a contained drag filters the cached candidate
-                // band. Rows arrive sorted by id.
-                let (lo, hi) = if greater {
-                    (t, proj.value_at(m - 1))
-                } else {
-                    (proj.value_at(0), t)
-                };
-                let rows = si.cache.range_query(&[lo], &[hi])?;
-                debug_assert_eq!(rows.len(), e);
-                rows
+                zero_to + needed - 1
+            });
+            let (closer, ties) = if greater {
+                // combined is non-increasing in j on [0, zero_from)
+                let tie_lo = partition_pos(0, zero_from, |j| combined_at(j) > boundary);
+                let tie_hi = partition_pos(tie_lo, zero_from, |j| combined_at(j) >= boundary);
+                (tie_hi..zero_from, tie_lo..tie_hi)
+            } else {
+                // combined is non-decreasing in j on [zero_to, m)
+                let tie_lo = partition_pos(zero_to, m, |j| combined_at(j) < boundary);
+                let tie_hi = partition_pos(tie_lo, m, |j| combined_at(j) <= boundary);
+                (zero_to..tie_lo, tie_lo..tie_hi)
             };
-            out.truncate(k);
-            if k > e {
-                let needed = k - e;
-                let proj = si.cache.index();
-                let combined_at = |j: usize| combined_of(abs_at(proj, j));
-                // the `needed`-th closest non-exact item sets the boundary:
-                // everything strictly closer displays (fewer than `needed`
-                // rows), and the rest comes from the boundary's
-                // equal-combined tie class — under a weight-1 fit the whole
-                // clamp plateau — where ranks tie-break by row id
-                let boundary = combined_at(if greater {
-                    zero_from - needed
-                } else {
-                    zero_to + needed - 1
-                });
-                let (closer, ties) = if greater {
-                    // combined is non-increasing in j on [0, zero_from)
-                    let tie_lo = partition_pos(0, zero_from, |j| combined_at(j) > boundary);
-                    let tie_hi = partition_pos(tie_lo, zero_from, |j| combined_at(j) >= boundary);
-                    (tie_hi..zero_from, tie_lo..tie_hi)
-                } else {
-                    // combined is non-decreasing in j on [zero_to, m)
-                    let tie_lo = partition_pos(zero_to, m, |j| combined_at(j) < boundary);
-                    let tie_hi = partition_pos(tie_lo, m, |j| combined_at(j) <= boundary);
-                    (zero_to..tie_lo, tie_lo..tie_hi)
-                };
-                let mut cand: Vec<(f64, usize)> =
-                    closer.map(|j| (combined_at(j), proj.row_at(j))).collect();
-                cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let from_ties = needed - cand.len();
-                out.extend(cand.into_iter().map(|(_, row)| row));
-                out.extend(proj.smallest_rows_in(ties.start, ties.end, from_ties));
-            }
-            out
-        };
+            let mut cand: Vec<(f64, usize)> =
+                closer.map(|j| (combined_at(j), proj.row_at(j))).collect();
+            cand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let from_ties = needed - cand.len();
+            displayed.extend(cand.into_iter().map(|(_, row)| row));
+            displayed.extend(proj.smallest_rows_in(ties.start, ties.end, from_ties));
+        }
         Ok(Some(SliderDrag {
             displayed,
             num_exact: e,
             norm_params: Some(params1),
             incremental: true,
-            index_stats: Some(si.cache.stats()),
         }))
     }
 
@@ -1650,28 +1538,26 @@ mod tests {
     }
 
     #[test]
-    fn drag_slider_contained_nudges_hit_the_incremental_cache() {
-        let mut s = session_with_ramp(2000);
-        s.set_display_policy(DisplayPolicy::Percentage(2.0))
+    fn drag_slider_contained_nudges_stay_on_the_fast_path_and_equal_a_full_recompute() {
+        let make = || {
+            let mut s = session_with_ramp(2000);
+            s.set_display_policy(DisplayPolicy::Percentage(2.0))
+                .unwrap();
+            s.set_query(
+                QueryBuilder::from_tables(["T"])
+                    .cmp("x", CompareOp::Ge, 1500.0)
+                    .build(),
+            )
             .unwrap();
-        s.set_query(
-            QueryBuilder::from_tables(["T"])
-                .cmp("x", CompareOp::Ge, 1500.0)
-                .build(),
-        )
-        .unwrap();
-        let d0 = s.drag_slider(0, ge(1500.0)).unwrap();
-        assert!(d0.incremental);
-        // tightening drags stay inside the cached candidate band: every
-        // one is a hit that only re-filters the delta
-        for t in [1510.0, 1525.0, 1550.0, 1580.0] {
-            let d = s.drag_slider(0, ge(t)).unwrap();
-            assert!(d.incremental);
-            assert_eq!(d.num_exact, 2000 - t as usize);
-        }
-        let stats = s.slider_index_stats().unwrap();
-        assert_eq!(stats.misses, 1, "only the first drag retrieves");
-        assert_eq!(stats.hits, 4, "contained nudges filter the cached band");
+            s
+        };
+        // tightening drags, each inside the previous bound's exact band:
+        // every one reads its band off the projection, no recompute
+        let nudges: Vec<PredicateTarget> = [1500.0, 1510.0, 1525.0, 1550.0, 1580.0]
+            .into_iter()
+            .map(ge)
+            .collect();
+        assert_drag_matches_full(make, &nudges, true);
     }
 
     #[test]
@@ -1756,7 +1642,7 @@ mod tests {
     }
 
     #[test]
-    fn rebase_extends_the_slider_index_across_appends() {
+    fn rebase_drags_from_the_new_generations_projection() {
         let mut s = session_with_ramp(2000);
         s.set_display_policy(DisplayPolicy::Percentage(2.0))
             .unwrap();
@@ -1766,10 +1652,11 @@ mod tests {
                 .build(),
         )
         .unwrap();
-        // warm the slider index and its candidate band
+        // build the old generation's projection
         assert!(s.drag_slider(0, ge(1500.0)).unwrap().incremental);
         assert!(s.drag_slider(0, ge(1510.0)).unwrap().incremental);
-        // new generation: same rows plus an appended tail
+        // new generation: same rows plus an appended tail, in a
+        // hand-built database whose projection slot is empty
         let mut b = TableBuilder::new("T", vec![Column::new("x", DataType::Float)]);
         for i in 0..2100 {
             b = b.row(vec![Value::Float(i as f64)]).unwrap();
@@ -1777,15 +1664,15 @@ mod tests {
         let mut db2 = Database::new("d");
         db2.add_table(b.build());
         let db2 = Arc::new(db2);
-        assert_eq!(
-            s.rebase(Arc::clone(&db2), "gen2"),
-            BandRebase::Repaired,
-            "index carried over by local projection extension"
-        );
+        s.rebase(Arc::clone(&db2), "gen2");
+        let table = db2.table("T").unwrap();
+        assert!(table.built_projection(0).is_none());
         let d = s.drag_slider(0, ge(1520.0)).unwrap();
-        assert!(d.incremental, "repaired band keeps the fast path");
+        assert!(d.incremental, "a drag after the rebase keeps the fast path");
+        let built = Arc::clone(table.built_projection(0).expect("the drag built it"));
+        assert_eq!(built.rows(), 2100);
         // bit-identical to a fresh session over the appended data
-        let mut fresh = Session::new(db2, ConnectionRegistry::new());
+        let mut fresh = Session::new(Arc::clone(&db2), ConnectionRegistry::new());
         fresh
             .set_display_policy(DisplayPolicy::Percentage(2.0))
             .unwrap();
@@ -1800,13 +1687,17 @@ mod tests {
         assert_eq!(d.num_exact, f.num_exact);
         assert_eq!(d.displayed, f.displayed);
         assert_eq!(d.norm_params, f.norm_params);
-    }
-
-    #[test]
-    fn rebase_without_a_slider_index_reports_none() {
-        let mut s = session_with_ramp(10);
-        let db = s.shared_db();
-        assert_eq!(s.rebase(db, "gen2"), BandRebase::None);
+        let full = fresh.result().unwrap();
+        assert_eq!(
+            d.displayed, full.pipeline.displayed,
+            "and to its full recompute"
+        );
+        // a second drag reads the same build
+        assert!(s.drag_slider(0, ge(1530.0)).unwrap().incremental);
+        assert!(Arc::ptr_eq(
+            &built,
+            table.built_projection(0).expect("still built")
+        ));
     }
 
     #[test]

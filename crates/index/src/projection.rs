@@ -7,17 +7,13 @@
 //! the weight-proportional normalization fit (k-th smallest `|d|`),
 //! quantile cuts, the exact-answer count, the top-k display band —
 //! becomes O(log n) position arithmetic on a sorted projection instead
-//! of O(n) selection passes. The projection is also a 1-D
-//! [`RangeIndex`] + [`PointAccess`], so it plugs straight into the §6
-//! [`crate::IncrementalCache`]: a slider drag queries the value interval
-//! of its bound, and a *contained* modification is answered from the
-//! cached candidate band — only the delta between the old and new bound
-//! is re-examined, not the base relation.
-
-use visdb_types::Result;
-
-use crate::incremental::PointAccess;
-use crate::{check_box, RangeIndex};
+//! of O(n) selection passes. Every value range is a position range too:
+//! a slider drag's exact answers are `perm[position_ge(t)..]` (or
+//! `perm[..position_gt(t)]`), whose smallest row ids
+//! [`SortedProjection::smallest_rows_in`] finds without materializing a
+//! wide band — the §6 "only the additional portion of the data" of a
+//! modified bound, found by position instead of by re-reading the
+//! relation.
 
 /// A sorted permutation of one numeric column.
 ///
@@ -30,8 +26,9 @@ use crate::{check_box, RangeIndex};
 pub struct SortedProjection {
     /// Total rows of the relation, including excluded ones.
     rows: usize,
-    /// Per-row coordinate for [`PointAccess`]; NaN for excluded rows (a
-    /// NaN coordinate matches no query box).
+    /// Per-row value in row order ([`SortedProjection::coord`], the walk
+    /// of [`SortedProjection::smallest_rows_in`]); NaN for excluded rows
+    /// (a NaN value lies in no band).
     coords: Vec<f64>,
     /// Row ids sorted ascending by `(value, row)`.
     perm: Vec<u32>,
@@ -338,40 +335,17 @@ impl Iterator for BandSweep<'_> {
     }
 }
 
-impl RangeIndex for SortedProjection {
-    fn dims(&self) -> usize {
-        1
-    }
-
-    fn len(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// Rows whose value lies in `[low, high]`, **sorted by row id** — a
-    /// deterministic order downstream consumers (and the incremental
-    /// cache's filter-on-hit path, which preserves candidate order) can
-    /// rely on.
-    fn range_query(&self, low: &[f64], high: &[f64]) -> Result<Vec<usize>> {
-        check_box(1, low, high)?;
-        let a = self.position_ge(low[0]);
-        let b = self.position_gt(high[0]);
-        Ok(self.smallest_rows_in(a, b, usize::MAX))
-    }
-}
-
-impl PointAccess for SortedProjection {
-    fn point(&self, i: usize) -> &[f64] {
-        std::slice::from_ref(&self.coords[i])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IncrementalCache;
 
     fn proj(values: &[Option<f64>]) -> SortedProjection {
         SortedProjection::build(values.len(), |i| values[i])
+    }
+
+    /// Every row whose value lies in `[lo, hi]`, ascending.
+    fn rows_in(p: &SortedProjection, lo: f64, hi: f64) -> Vec<usize> {
+        p.smallest_rows_in(p.position_ge(lo), p.position_gt(hi), usize::MAX)
     }
 
     #[test]
@@ -402,7 +376,8 @@ mod tests {
         let p = proj(&[Some(f64::NEG_INFINITY), Some(0.0), Some(f64::INFINITY)]);
         assert!(!p.is_fully_finite());
         assert_eq!(p.defined(), 3);
-        assert_eq!(p.range_query(&[-1.0], &[1.0]).unwrap(), vec![1]);
+        assert_eq!(rows_in(&p, -1.0, 1.0), vec![1]);
+        assert_eq!(rows_in(&p, f64::NEG_INFINITY, 0.0), vec![0, 1]);
     }
 
     #[test]
@@ -507,7 +482,7 @@ mod tests {
             .collect();
         let p = proj(&values);
         for (lo, hi) in [(10.0, 40.0), (0.0, 100.0), (99.5, 99.9), (50.0, 50.0)] {
-            let got = p.range_query(&[lo], &[hi]).unwrap();
+            let got = rows_in(&p, lo, hi);
             let expect: Vec<usize> = (0..500)
                 .filter(|&i| matches!(values[i], Some(v) if v >= lo && v <= hi))
                 .collect();
@@ -611,22 +586,5 @@ mod tests {
                 .extended(base + delta, val);
             assert_same(&chained, &built);
         }
-    }
-
-    #[test]
-    fn plugs_into_the_incremental_cache() {
-        let values: Vec<Option<f64>> = (0..1000).map(|i| Some((i % 100) as f64)).collect();
-        let direct = proj(&values);
-        let mut cache = IncrementalCache::new(proj(&values), 0.25);
-        // cold query, then contained slider tightenings: hits that only
-        // re-filter the cached band
-        let cold = cache.range_query(&[40.0], &[99.0]).unwrap();
-        assert_eq!(cold, direct.range_query(&[40.0], &[99.0]).unwrap());
-        for t in [41.0, 43.0, 48.0] {
-            let got = cache.range_query(&[t], &[99.0]).unwrap();
-            assert_eq!(got, direct.range_query(&[t], &[99.0]).unwrap());
-        }
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 3);
     }
 }

@@ -354,8 +354,6 @@ fn append_response(o: &crate::service::AppendOutcome) -> Json {
         ("windows_extended", o.windows_extended.into()),
         ("windows_declined", o.windows_declined.into()),
         ("projections_merged", o.projections_merged.into()),
-        ("bands_repaired", o.bands_repaired.into()),
-        ("bands_dropped", o.bands_dropped.into()),
     ])
 }
 
@@ -557,11 +555,11 @@ mod tests {
         };
         drag(first);
         let projection = built().expect("the first drag builds it");
-        // the table's slot and the session's slider index
-        assert_eq!(Arc::strong_count(&projection), 3);
+        // the table's slot and `projection` alone: the session keeps none
+        assert_eq!(Arc::strong_count(&projection), 2);
         drag(create());
         assert!(Arc::ptr_eq(&built().unwrap(), &projection));
-        assert_eq!(Arc::strong_count(&projection), 4, "one build, two sessions");
+        assert_eq!(Arc::strong_count(&projection), 2, "one build, two sessions");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use visdb_core::{BandRebase, Paint};
+use visdb_core::Paint;
 use visdb_exec::{CancelToken, Interrupt, Runtime};
 use visdb_obs::{Counter, Gauge, Histogram, Registry, Snapshot};
 use visdb_query::connection::ConnectionRegistry;
@@ -780,8 +780,8 @@ impl Service {
     ///   shift the §5.2 normalization fit, the new fit is re-applied to
     ///   the extended raw frame (O(n) arithmetic, no distance pass),
     /// * live sessions over the dataset are rebased
-    ///   ([`visdb_core::Session::rebase`]): their §6 slider bands are
-    ///   repaired by examining only the appended rows.
+    ///   ([`visdb_core::Session::rebase`]): O(1) each, their next slider
+    ///   drag reads the merged projection off the new generation's table.
     ///
     /// Every [`COMPACTION_THRESHOLD`]-th append folds the chain into a
     /// fresh base generation and drops the shared windows instead.
@@ -918,8 +918,6 @@ impl Service {
         // (workers hold a slot's state lock only while executing that
         // session's requests and never take the dataset or cache locks,
         // so this ordering cannot deadlock)
-        let mut bands_repaired = 0;
-        let mut bands_dropped = 0;
         for slot in self.manager.slots() {
             let mut state = match slot.state.lock() {
                 Ok(g) => g,
@@ -929,11 +927,7 @@ impl Service {
                 continue;
             }
             state.dataset.clone_from(&new_scope);
-            match state.session.rebase(Arc::clone(&new_db), new_scope.clone()) {
-                BandRebase::Repaired => bands_repaired += 1,
-                BandRebase::Dropped => bands_dropped += 1,
-                BandRebase::None => {}
-            }
+            state.session.rebase(Arc::clone(&new_db), new_scope.clone());
         }
         // delta-chain telemetry: appends are rare next to queries, so
         // get-or-create registry lookups are fine off the hot path
@@ -951,12 +945,6 @@ impl Service {
             .counter("delta.projections_merged")
             .add(projections_merged as u64);
         self.registry
-            .counter("delta.bands_repaired")
-            .add(bands_repaired as u64);
-        self.registry
-            .counter("delta.bands_dropped")
-            .add(bands_dropped as u64);
-        self.registry
             .gauge(&format!("delta.chain_depth.{name}"))
             .set(chain_len as i64);
         self.registry
@@ -973,8 +961,6 @@ impl Service {
             windows_extended,
             windows_declined,
             projections_merged,
-            bands_repaired,
-            bands_dropped,
         })
     }
 }
@@ -1024,12 +1010,9 @@ pub struct AppendOutcome {
     /// row-locally extendable).
     pub windows_declined: usize,
     /// Built sorted projections of the appended table merged with the
-    /// sorted delta ([`visdb_storage::Table::append_rows`]).
+    /// sorted delta ([`visdb_storage::Table::append_rows`]); a live
+    /// session's next slider drag reads the merged one.
     pub projections_merged: usize,
-    /// Live sessions whose §6 slider band was repaired in place.
-    pub bands_repaired: usize,
-    /// Live sessions whose slider index had to be dropped.
-    pub bands_dropped: usize,
 }
 
 /// Per-dataset delta-chain bookkeeping (see [`Service::dataset_info`]).
@@ -1363,7 +1346,7 @@ mod tests {
         )
         .unwrap();
         // run the query (populates the shared window cache with recipes)
-        // and drag (builds the table's projection + the session's band)
+        // and drag (builds the table's projection, which the append merges)
         match s.submit(id, Request::Summary { trace: false }).unwrap() {
             Response::Summary(sum) => assert_eq!(sum.exact, 50),
             other => panic!("expected summary, got {other:?}"),
@@ -1389,7 +1372,6 @@ mod tests {
         assert!(!out.compacted);
         assert_eq!(out.windows_extended, 1, "window grown by delta eval");
         assert_eq!(out.projections_merged, 1, "projection merged, not rebuilt");
-        assert_eq!(out.bands_repaired, 1, "live session's band repaired");
         // the live session observes the appended rows...
         match s.submit(id, Request::Summary { trace: false }).unwrap() {
             Response::Summary(sum) => {
@@ -1417,6 +1399,37 @@ mod tests {
             .submit(fid, Request::Render(RenderFormat::Ppm))
             .unwrap();
         assert_eq!(appended_frame, fresh_frame);
+        // a drag after the append reads the merged projection on the fast
+        // path and answers as the fresh service does
+        let drag = |svc: &Service, sid| {
+            let r = svc.submit(
+                sid,
+                Request::DragSlider {
+                    window: 0,
+                    op: CompareOp::Ge,
+                    value: 160.0,
+                    trace: false,
+                },
+            );
+            match r.unwrap() {
+                Response::Drag {
+                    displayed,
+                    exact,
+                    incremental,
+                    ..
+                } => (displayed, exact, incremental),
+                other => panic!("expected drag, got {other:?}"),
+            }
+        };
+        let (appended_drag, fresh_drag) = (drag(&s, id), drag(&fresh, fid));
+        assert_eq!(appended_drag, (appended_drag.0, 60, true));
+        assert_eq!(appended_drag, fresh_drag);
+        assert_eq!(
+            s.submit(id, Request::Render(RenderFormat::Ppm)).unwrap(),
+            fresh
+                .submit(fid, Request::Render(RenderFormat::Ppm))
+                .unwrap()
+        );
         // delta telemetry is published
         let snap = s.registry().snapshot();
         assert_eq!(snap.counter("delta.appends"), Some(1));

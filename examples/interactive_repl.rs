@@ -95,8 +95,8 @@ fn run_command(session: &mut Session, line: &str) -> Result<bool> {
         }
         "append" => {
             // append <table> <v1,v2,...> — grow the dataset in place;
-            // the session rebases onto the new generation, repairing
-            // its slider band instead of starting from scratch
+            // the session rebases onto the new generation, whose table
+            // carries its projections extended, not rebuilt
             let (tname, cells) = rest.split_once(' ').ok_or_else(|| {
                 Error::invalid_parameter("append", "usage: append <table> <v1,v2,...>")
             })?;
@@ -124,16 +124,8 @@ fn run_command(session: &mut Session, line: &str) -> Result<bool> {
             let mut db = session.db().clone();
             db.table_mut(tname)?.append_rows(vec![row])?;
             let total = db.total_rows();
-            use visdb::core::BandRebase;
-            let outcome = session.rebase(Arc::new(db), format!("repl#{total}"));
-            println!(
-                "ok: appended 1 row to {tname} ({total} rows total, band {})",
-                match outcome {
-                    BandRebase::Repaired => "repaired",
-                    BandRebase::Dropped => "dropped",
-                    BandRebase::None => "cold",
-                }
-            );
+            session.rebase(Arc::new(db), format!("repl#{total}"));
+            println!("ok: appended 1 row to {tname} ({total} rows total)");
         }
         "auto" => {
             session.set_auto_recalculate(rest.trim() != "off");

@@ -59,7 +59,7 @@
 //! | [`arrange`] | `visdb-arrange` | spiral & 2D sign-quadrant arrangements |
 //! | [`color`] | `visdb-color` | the VisDB colormap, CIELAB, JND counting |
 //! | [`render`] | `visdb-render` | framebuffer, PPM/PGM, layout, spectra |
-//! | [`index`] | `visdb-index` | k-d tree, grid file, incremental cache |
+//! | [`index`] | `visdb-index` | per-column sorted projections (slider drags, banded joins) |
 //! | [`exec`] | `visdb-exec` | shared budgeted worker pool: scoped fork-join + task queue |
 //! | [`obs`] | `visdb-obs` | counters, gauges, latency histograms, metrics registry |
 //! | [`core`] | `visdb-core` | sessions, approximate joins, sliders, rendering |

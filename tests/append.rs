@@ -125,9 +125,8 @@ proptest! {
     /// Interleaved append / drag / query against a live service is
     /// byte-identical to replaying the same state on a service loaded
     /// with the full data from scratch — through the delta-generation
-    /// scope rotation, window extension, projection merge, and band
-    /// repair. Every append is
-    /// followed by a drag anywhere and by a *sparse* one (a bound only
+    /// scope rotation, window extension and projection merge. Every
+    /// append is followed by a drag anywhere and by a *sparse* one (a bound only
     /// the few largest values satisfy, so the display fills from the
     /// rebased projection's per-row values); with the ±inf rows kept out
     /// the fast path must serve both.

@@ -409,16 +409,21 @@ proptest! {
 
     /// The sorted-projection slider fast path serves a drag with the
     /// exact displayed set, exact-answer count and norm params a full
-    /// pipeline recompute produces — across monotone ops, top-k display
-    /// policies, NULL/NaN-heavy columns and duplicate-heavy values, over
-    /// a *sequence* of drags (so contained modifications exercise the §6
-    /// incremental cache's filter-on-hit path too).
+    /// pipeline recompute produces — across all four monotone ops, top-k
+    /// display policies, NULL/NaN-heavy columns and duplicate-heavy
+    /// values, over a *sequence* of drags: random bounds, or a dense →
+    /// sparse → dense revisit at one threshold side (bounds on the
+    /// column's own values, so `>` and `>=` differ at the tie), where
+    /// each drag's exact band is contained in the one before or holds it.
     #[test]
     fn sorted_projection_drag_matches_full_recompute(
         rows in prop::collection::vec((-1e3f64..1e3, 0u8..5), 1..200),
         dups in 1.0f64..200.0,
         t0 in -1e3f64..1e3,
-        drags in prop::collection::vec((-1e3f64..1e3, 0u8..2), 1..5),
+        drags in prop::collection::vec((-1e3f64..1e3, 0u8..4), 1..5),
+        revisit in 0u8..2,
+        dense_q in 0.0f64..0.3,
+        sparse_q in 0.9f64..1.0,
         pct in 1.0f64..100.0,
         fitscreen in 0u8..2,
     ) {
@@ -442,13 +447,33 @@ proptest! {
             ).unwrap();
             s
         };
-        let mut dragged = make();
-        for &(t, greater) in &drags {
-            let greater = greater == 1;
-            let target = PredicateTarget::Compare {
-                op: if greater { CompareOp::Ge } else { CompareOp::Le },
-                value: Value::Float(t),
+        let op_of = |code: u8| [CompareOp::Ge, CompareOp::Gt, CompareOp::Le, CompareOp::Lt][code as usize];
+        let drags: Vec<(f64, CompareOp)> = if revisit == 1 {
+            let mut defined: Vec<f64> = rows
+                .iter()
+                .filter(|&&(_, tag)| tag != 0 && tag != 2)
+                .map(|&(v, _)| v)
+                .collect();
+            defined.sort_by(f64::total_cmp);
+            // the defined value at quantile `q`, from the low end
+            let at = |q: f64| match defined.len() {
+                0 => drags[0].0,
+                len => defined[((len - 1) as f64 * q) as usize],
             };
+            let code = drags[0].1;
+            let (dense, sparse) = if code < 2 {
+                (at(dense_q), at(sparse_q))
+            } else {
+                (at(1.0 - dense_q), at(1.0 - sparse_q))
+            };
+            // the way back takes the strict / non-strict twin of the op
+            vec![(dense, op_of(code)), (sparse, op_of(code)), (dense, op_of(code ^ 1))]
+        } else {
+            drags.iter().map(|&(t, code)| (t, op_of(code))).collect()
+        };
+        let mut dragged = make();
+        for &(t, op) in &drags {
+            let target = PredicateTarget::Compare { op, value: Value::Float(t) };
             let drag = dragged.drag_slider(0, target.clone()).unwrap();
             prop_assert!(drag.incremental, "fast path must engage for {target:?}");
             let mut full = make();
